@@ -8,7 +8,7 @@
 //
 // Build & run:  ./build/examples/trace_dump
 //   --schema    print the metric catalogue (one name per line) and exit;
-//               scripts/check.sh diffs this against docs/metrics_schema.golden
+//               it matches docs/metrics_schema.golden byte for byte
 //   --json      print Facility::DumpStats(json=true) after the workload
 #include <cstdio>
 #include <cstring>

@@ -37,17 +37,10 @@ fi
 mkdir -p "$BASELINES"
 
 extract() {
-  # extract <metrics.json> <out.json> — pull the key counters.
-  python3 - "$1" "$2" <<'EOF'
+  # extract <metrics.json> <out.json> — pull the KEYS counters.
+  python3 - "$1" "$2" "${KEYS[@]}" <<'EOF'
 import json, sys
-keys = ("disk.read_references", "disk.write_references",
-        "disk.tracks_seeked", "txn.log.forces",
-        "bus.calls", "agent.writeback_batches",
-        "replication.degraded_writes", "replication.hints_queued",
-        "replication.read_repairs", "placement.lookups",
-        "placement.reroutes", "file.callback_breaks",
-        "agent.callback_renewals", "file.cow_blocks_copied",
-        "agent.peer_serves", "file.redirects_issued")
+keys = sys.argv[3:]
 with open(sys.argv[1]) as f:
     snap = json.load(f)
 counters = snap.get("counters", {})

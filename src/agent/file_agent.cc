@@ -261,10 +261,10 @@ std::uint32_t FileAgent::RouteTokenShard(std::uint64_t token) {
   return router_ == nullptr ? 0 : router_->RouteToken(token).shard;
 }
 
-std::uint64_t FileAgent::rpc_retries() const {
-  std::uint64_t n = 0;
-  for (const auto& rpc : rpcs_) n += rpc->retries();
-  return n;
+void FileAgent::ResetStats() {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  stats_ = FileAgentStats{};
+  for (auto& rpc : rpcs_) rpc->ResetStats();
 }
 
 const sim::RpcHealth& FileAgent::rpc_health() const {
@@ -275,6 +275,7 @@ const sim::RpcHealth& FileAgent::rpc_health() const {
     health_agg_.successes += h.successes;
     health_agg_.failures += h.failures;
     health_agg_.deadline_exhausted += h.deadline_exhausted;
+    health_agg_.retries += h.retries;
     health_agg_.consecutive_failures =
         std::max(health_agg_.consecutive_failures, h.consecutive_failures);
     health_agg_.backoff_waited += h.backoff_waited;

@@ -46,6 +46,7 @@
 #include "common/sim_clock.h"
 #include "common/types.h"
 #include "naming/naming_service.h"
+#include "obs/metrics.h"
 #include "placement/shard_router.h"
 #include "sim/message_bus.h"
 
@@ -102,6 +103,26 @@ struct FileAgentStats {
   std::uint64_t peer_serve_rejects = 0;  // peer-reads refused (busy/stale/miss)
   std::uint64_t peer_fetches = 0;        // reads satisfied from a peer
   std::uint64_t peer_fallbacks = 0;      // redirects that fell back to origin
+};
+
+// naming_unregister_failures is not exported yet (it is not in the schema).
+inline constexpr obs::CounterField<FileAgentStats> kFileAgentCounters[] = {
+    {"agent.cache.hits", &FileAgentStats::cache_hits},
+    {"agent.cache.misses", &FileAgentStats::cache_misses},
+    {"agent.cache.writebacks", &FileAgentStats::writebacks},
+    {"agent.cache.invalidations", &FileAgentStats::invalidations},
+    {"agent.descriptors_issued", &FileAgentStats::descriptors_issued},
+    {"agent.writeback_batches", &FileAgentStats::writeback_batches},
+    {"agent.writeback_runs", &FileAgentStats::writeback_runs},
+    {"agent.stale_invalidations", &FileAgentStats::stale_invalidations},
+    {"agent.name_cache_hits", &FileAgentStats::name_cache_hits},
+    {"agent.callback_fast_opens", &FileAgentStats::callback_fast_opens},
+    {"agent.callback_renewals", &FileAgentStats::callback_renewals},
+    {"agent.callback_breaks", &FileAgentStats::callback_breaks},
+    {"agent.peer_serves", &FileAgentStats::peer_serves},
+    {"agent.peer_serve_rejects", &FileAgentStats::peer_serve_rejects},
+    {"agent.peer_fetches", &FileAgentStats::peer_fetches},
+    {"agent.peer_fallbacks", &FileAgentStats::peer_fallbacks},
 };
 
 class FileAgent {
@@ -174,9 +195,11 @@ class FileAgent {
   void Crash();
 
   const FileAgentStats& stats() const { return stats_; }
-  std::uint64_t rpc_retries() const;
+  std::uint64_t rpc_retries() const { return rpc_health().retries; }
   // Aggregated over the per-shard clients (one client when unsharded).
   const sim::RpcHealth& rpc_health() const;
+  // Zeroes the agent's and its RPC clients' counters.
+  void ResetStats();
   // Circuit-breaker verdict: any shard's client suspects its peer dead.
   bool ServerSuspectedDead() const;
   MachineId machine() const { return machine_; }

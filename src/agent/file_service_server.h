@@ -18,6 +18,7 @@
 #include "agent/fs_protocol.h"
 #include "common/sim_clock.h"
 #include "file/file_service.h"
+#include "obs/metrics.h"
 #include "sim/message_bus.h"
 
 namespace rhodos::agent {
@@ -34,6 +35,17 @@ struct FsServerStats {
   // Cache-tier read fan-out: cold preads answered with a peer redirect
   // instead of bytes from the disks.
   std::uint64_t redirects_issued = 0;
+};
+
+inline constexpr obs::CounterField<FsServerStats> kFsServerCounters[] = {
+    {"service.requests", &FsServerStats::requests},
+    {"service.duplicate_replays", &FsServerStats::duplicate_replays},
+    {"file.callback_grants", &FsServerStats::callback_grants},
+    {"file.callback_breaks", &FsServerStats::callback_breaks},
+    {"file.callback_break_failures", &FsServerStats::callback_break_failures},
+    {"file.callback_expired", &FsServerStats::callback_expired},
+    {"file.callback_grace_waits", &FsServerStats::callback_grace_waits},
+    {"file.redirects_issued", &FsServerStats::redirects_issued},
 };
 
 // Cache-coherence callback policy (NOT the disk-substrate DiskLease): how
@@ -81,6 +93,7 @@ class FileServiceServer {
 
   const std::string& address() const { return address_; }
   const FsServerStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = FsServerStats{}; }
   // Outstanding (unexpired, unbroken) callback promises across all files.
   std::size_t CallbackHolderCount() const;
   // Files whose pread load is at or above the hot threshold right now

@@ -25,6 +25,7 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "naming/naming_service.h"
+#include "obs/metrics.h"
 #include "txn/transaction_service.h"
 
 namespace rhodos::agent {
@@ -33,6 +34,12 @@ struct TxnAgentStats {
   std::uint64_t spawns = 0;       // agent processes brought into existence
   std::uint64_t retirements = 0;  // agent processes that ceased to exist
   std::uint64_t descriptors_issued = 0;
+};
+
+inline constexpr obs::CounterField<TxnAgentStats> kTxnAgentCounters[] = {
+    {"txn_agent.spawns", &TxnAgentStats::spawns},
+    {"txn_agent.retirements", &TxnAgentStats::retirements},
+    {"txn_agent.descriptors_issued", &TxnAgentStats::descriptors_issued},
 };
 
 class TransactionAgentHost {
@@ -90,6 +97,10 @@ class TransactionAgentHost {
   // Event-driven existence: true only while transactions are in flight.
   bool AgentAlive() const { return agent_ != nullptr; }
   const TxnAgentStats& stats() const { return stats_; }
+  void ResetStats() {
+    stats_ = TxnAgentStats{};
+    cache_stats_ = CacheStats{};
+  }
 
   // Installed by the facility; null means no tracing/metrics.
   void SetObservability(obs::Observability* o) { obs_ = o; }
@@ -155,6 +166,14 @@ class TransactionAgentHost {
   std::unique_ptr<Agent> agent_;
   TxnAgentStats stats_;
   obs::Observability* obs_ = nullptr;
+};
+
+inline constexpr obs::CounterField<TransactionAgentHost::CacheStats>
+    kTxnAgentCacheCounters[] = {
+        {"txn_agent.page_cache.hits",
+         &TransactionAgentHost::CacheStats::page_hits},
+        {"txn_agent.page_cache.misses",
+         &TransactionAgentHost::CacheStats::page_misses},
 };
 
 }  // namespace rhodos::agent

@@ -223,10 +223,24 @@ Status DistributedFileFacility::RecoverServers() {
 }
 
 void DistributedFileFacility::ResetStats() {
-  disks_.ResetStats();
-  for (auto& shard : file_shards_) shard->ResetStats();
-  txns_->ResetStats();
   bus_.ResetStats();
+  for (auto& m : machines_) {
+    m->file_agent->ResetStats();
+    m->txn_agent->ResetStats();
+  }
+  for (auto& server : file_servers_) server->ResetStats();
+  for (auto& shard : file_shards_) shard->ResetStats();
+  router_->ResetStats();
+  naming_->ResetStats();
+  txns_->ResetStats();
+  txns_->locks().ResetStats();
+  txns_->log().ResetStats();
+  txns_->pipeline().ResetStats();
+  replication_->ResetStats();
+  anti_entropy_->ResetStats();
+  recovery_->ResetStats();
+  detector_->ResetStats();
+  disks_.ResetStats();
   obs_.metrics.Reset();
 }
 
@@ -238,451 +252,86 @@ DistributedFileFacility::~DistributedFileFacility() {
   }
 }
 
-namespace {
-
-// The facility's canonical metric catalogue. Every name DumpStats() can
-// emit is listed here (and mirrored in docs/OBSERVABILITY.md plus the
-// golden schema scripts/check.sh diffs against) — instrumentation sites
-// auto-declare, but pre-declaring keeps the schema workload-independent.
-constexpr const char* kCounters[] = {
-    // Client-side block cache of each machine's file agent (summed).
-    "agent.cache.hits", "agent.cache.misses", "agent.cache.writebacks",
-    "agent.cache.invalidations", "agent.descriptors_issued",
-    // Batched write-behind, version-token coherence, and the per-agent
-    // name cache (summed across machines).
-    "agent.writeback_batches", "agent.writeback_runs",
-    "agent.stale_invalidations", "agent.name_cache_hits",
-    // Callback/lease coherence, agent side (summed across machines).
-    "agent.callback_fast_opens", "agent.callback_renewals",
-    "agent.callback_breaks",
-    // Cache-tier read fan-out, agent side (summed across machines):
-    // peer-reads served, refused (busy shed / stale token / blocks gone),
-    // reads satisfied from a peer, and redirects that fell back to origin.
-    "agent.peer_serves", "agent.peer_serve_rejects", "agent.peer_fetches",
-    "agent.peer_fallbacks",
-    // Naming service: inverted-index probes (summed over shards) and the
-    // sharded layer's fan-out of registrations onto key-owning shards.
-    "naming.fanout_registrations", "naming.index_probes",
-    // Message bus (NetStats).
-    "bus.bytes_moved", "bus.calls", "bus.deliveries", "bus.drops_reply",
-    "bus.drops_request", "bus.duplicates", "bus.probes",
-    "bus.rejected_down", "bus.rejected_partitioned", "bus.time_charged_ns",
-    "bus.timeouts",
-    // Failure detector.
-    "detector.declared_down", "detector.probe_failures", "detector.probes",
-    "detector.recoveries", "detector.suspicions",
-    // Disk service: main device, stable mirror, track cache, free-space
-    // run array (summed across disks).
-    "disk.cache.dirty_writebacks", "disk.cache.evictions",
-    "disk.cache.hits", "disk.cache.misses",
-    "disk.elevator_reorders",
-    "disk.fragments_read", "disk.fragments_written",
-    "disk.free_space.array_hits", "disk.free_space.array_misses",
-    "disk.free_space.rebuilds", "disk.free_space.stale_discards",
-    "disk.read_references", "disk.stable.fragments_read",
-    "disk.stable.fragments_written", "disk.stable.read_references",
-    "disk.stable.time_charged_ns", "disk.stable.write_references",
-    "disk.time_charged_ns", "disk.tracks_seeked",
-    "disk.vec_merged_runs", "disk.vec_requests", "disk.vec_runs",
-    "disk.write_references",
-    // Server-side file service (block pool, index tables, read-ahead).
-    "file.bytes_read", "file.bytes_written", "file.cache.hits",
-    "file.cache.misses", "file.clones", "file.cow_blocks_copied",
-    "file.cow_splits", "file.fit_loads", "file.fit_stores",
-    "file.readahead_hits", "file.readahead_issued", "file.readahead_wasted",
-    "file.reads", "file.shard_failovers", "file.shard_readmissions",
-    "file.shared_releases", "file.snapshots", "file.writes",
-    // Placement layer: shard routing and the failover state machine.
-    "placement.lookups", "placement.reroutes", "placement.shard_readmissions",
-    "placement.shard_suspicions",
-    // Lock manager.
-    "lock.aborts_signalled", "lock.breaks", "lock.conversions",
-    "lock.grants", "lock.immediate_grants", "lock.records_peak",
-    "lock.wait_time_ns", "lock.waits",
-    // Recovery manager.
-    "recovery.auto_repairs", "recovery.disk_failures_detected",
-    "recovery.disk_recoveries_detected", "recovery.repair_failures",
-    "recovery.replicas_marked_down", "recovery.ticks",
-    // Replicated files: quorum outcomes, hinted handoff, anti-entropy.
-    "replication.anti_entropy_repairs", "replication.anti_entropy_scans",
-    "replication.degraded_reads", "replication.degraded_writes",
-    "replication.epoch_bumps", "replication.hints_dropped",
-    "replication.hints_queued", "replication.hints_replayed",
-    "replication.read_repairs", "replication.reads", "replication.repairs",
-    "replication.stale_reads", "replication.token_replays",
-    "replication.unavailable_writes", "replication.writes",
-    // At-least-once RPC (summed over every machine's file agent), plus the
-    // push-model circuit-breaker trip count.
-    "rpc.backoff_wait_ns", "rpc.calls", "rpc.circuit_trips",
-    "rpc.deadline_exhausted", "rpc.failures", "rpc.retries",
-    "rpc.successes",
-    // File-service server adapter (request dispatch, replay table).
-    "service.duplicate_replays", "service.requests",
-    // Callback/lease coherence, server side (summed across shards).
-    "file.callback_grants", "file.callback_breaks",
-    "file.callback_break_failures", "file.callback_expired",
-    "file.callback_grace_waits",
-    // Cache-tier read router, server side (summed across shards).
-    "file.redirects_issued",
-    // Transaction service and the per-machine transaction agents.
-    "txn.aborts_broken", "txn.aborts_explicit", "txn.begins",
-    "txn.commits",
-    // Group-commit pipeline over the intention log.
-    "txn.group_commit.acks", "txn.group_commit.batches",
-    "txn.group_commit.flushes", "txn.group_commit.records",
-    "txn.group_commit.seals_deadline", "txn.group_commit.seals_full",
-    "txn.group_commit.seals_window",
-    // Intention log framing (forces = stable references the log cost).
-    "txn.log.forces", "txn.log.records", "txn.log.salvaged_records",
-    "txn.log.torn_batches",
-    "txn.pages_logged", "txn.ranges_logged",
-    "txn.recovered_discarded", "txn.recovered_redone",
-    "txn.shadow_commits", "txn.wal_commits",
-    "txn_agent.descriptors_issued", "txn_agent.page_cache.hits",
-    "txn_agent.page_cache.misses", "txn_agent.retirements",
-    "txn_agent.spawns",
-};
-
-constexpr const char* kGauges[] = {
-    "disk.free_fragments",
-    "facility.disk_count",
-    "file.callback_holders",
-    "file.hot_files",
-    "file.shared_blocks",
-    "facility.machine_count",
-    "facility.sim_now_ns",
-    "placement.epoch",
-    "placement.file_shards",
-    "placement.naming_shards",
-    "replication.hint_queue_depth",
-};
-
-constexpr const char* kHistograms[] = {
-    "agent.op_latency_ns", "agent.peer_serve_latency_ns",
-    "disk.reference_ns", "disk.seek_ns",
-    "replication.hint_age_ns", "replication.staleness_ns",
-    "rpc.backoff_ns", "rpc.call_latency_ns", "txn.commit_latency_ns",
-    "txn.group_commit.ack_latency_ns", "txn.group_commit.batch_records",
-};
-
-}  // namespace
-
 void DistributedFileFacility::DeclareMetrics() {
-  for (const char* name : kCounters) obs_.metrics.DeclareCounter(name);
-  for (const char* name : kGauges) obs_.metrics.DeclareGauge(name);
+  constexpr const char* kHistograms[] = {
+      "agent.op_latency_ns", "agent.peer_serve_latency_ns",
+      "disk.reference_ns", "disk.seek_ns",
+      "replication.hint_age_ns", "replication.staleness_ns",
+      "rpc.backoff_ns", "rpc.call_latency_ns", "txn.commit_latency_ns",
+      "txn.group_commit.ack_latency_ns", "txn.group_commit.batch_records",
+  };
   for (const char* name : kHistograms) obs_.metrics.DeclareHistogram(name);
+  // The one pushed counter no stats table carries (see RpcClient::Call).
+  obs_.metrics.DeclareCounter("rpc.circuit_trips");
+  // The first pull sets, and so declares, every table row and every gauge.
+  PullLayerStats();
 }
 
 void DistributedFileFacility::PullLayerStats() {
+  using disk::DiskServer;
+  obs::CounterFold fold;
+  fold.Sum(sim::kNetCounters, bus_.stats());
+  fold.Sum(agent::kFileAgentCounters, machines_,
+           [](const Machine& m) -> auto& { return m.file_agent->stats(); });
+  fold.Sum(sim::kRpcCounters, machines_, [](const Machine& m) -> auto& {
+    return m.file_agent->rpc_health();
+  });
+  fold.Sum(agent::kTxnAgentCounters, machines_,
+           [](const Machine& m) -> auto& { return m.txn_agent->stats(); });
+  fold.Sum(agent::kTxnAgentCacheCounters, machines_,
+           [](const Machine& m) -> auto& {
+             return m.txn_agent->cache_stats();
+           });
+  fold.Sum(agent::kFsServerCounters, file_servers_,
+           &agent::FileServiceServer::stats);
+  fold.Sum(file::kFileServiceCounters, file_shards_,
+           &file::FileService::stats);
+  fold.Sum(placement::kShardRouterCounters, router_->stats());
+  fold.Sum(placement::kNamingShardingCounters, naming_->sharding_stats());
+  fold.Sum(naming::kNamingCounters, naming_->stats());
+  fold.Sum(txn::kLockCounters, txns_->locks().stats());
+  fold.Sum(txn::kTxnServiceCounters, txns_->stats());
+  fold.Sum(txn::kLogPipelineCounters, txns_->pipeline().stats());
+  fold.Sum(txn::kTxnLogCounters, txns_->log().stats());
+  fold.Sum(replication::kReplicationCounters, replication_->stats());
+  fold.Sum(replication::kAntiEntropyCounters, anti_entropy_->stats());
+  fold.Sum(recovery::kRecoveryCounters, recovery_->stats());
+  fold.Sum(recovery::kFailureDetectorCounters, detector_->stats());
+  const auto& disks = disks_.disks();
+  fold.Sum(sim::kDiskCounters, disks, &DiskServer::main_stats);
+  fold.Sum(sim::kStableDiskCounters, disks, &DiskServer::stable_stats);
+  fold.Sum(disk::kTrackCacheCounters, disks, &DiskServer::cache_stats);
+  fold.Sum(disk::kFreeSpaceCounters, disks, &DiskServer::free_space_stats);
+  fold.Sum(disk::kVecIoCounters, disks, &DiskServer::vec_stats);
   obs::MetricsRegistry& m = obs_.metrics;
+  fold.SetCounters(m);
 
-  const sim::NetStats& net = bus_.stats();
-  m.SetCounter("bus.calls", net.calls);
-  m.SetCounter("bus.deliveries", net.deliveries);
-  m.SetCounter("bus.drops_request", net.drops_request);
-  m.SetCounter("bus.drops_reply", net.drops_reply);
-  m.SetCounter("bus.duplicates", net.duplicates);
-  m.SetCounter("bus.timeouts", net.timeouts);
-  m.SetCounter("bus.rejected_down", net.rejected_down);
-  m.SetCounter("bus.rejected_partitioned", net.rejected_partitioned);
-  m.SetCounter("bus.probes", net.probes);
-  m.SetCounter("bus.bytes_moved", net.bytes_moved);
-  m.SetCounter("bus.time_charged_ns",
-               static_cast<std::uint64_t>(net.time_charged));
-
-  agent::FileAgentStats fa;
-  sim::RpcHealth rpc;
-  std::uint64_t rpc_retries = 0;
-  agent::TxnAgentStats ta;
-  agent::TransactionAgentHost::CacheStats tc;
-  for (const auto& machine : machines_) {
-    const agent::FileAgentStats& s = machine->file_agent->stats();
-    fa.cache_hits += s.cache_hits;
-    fa.cache_misses += s.cache_misses;
-    fa.descriptors_issued += s.descriptors_issued;
-    fa.writebacks += s.writebacks;
-    fa.invalidations += s.invalidations;
-    fa.writeback_batches += s.writeback_batches;
-    fa.writeback_runs += s.writeback_runs;
-    fa.stale_invalidations += s.stale_invalidations;
-    fa.name_cache_hits += s.name_cache_hits;
-    fa.callback_fast_opens += s.callback_fast_opens;
-    fa.callback_renewals += s.callback_renewals;
-    fa.callback_breaks += s.callback_breaks;
-    fa.peer_serves += s.peer_serves;
-    fa.peer_serve_rejects += s.peer_serve_rejects;
-    fa.peer_fetches += s.peer_fetches;
-    fa.peer_fallbacks += s.peer_fallbacks;
-    const sim::RpcHealth& h = machine->file_agent->rpc_health();
-    rpc.calls += h.calls;
-    rpc.successes += h.successes;
-    rpc.failures += h.failures;
-    rpc.deadline_exhausted += h.deadline_exhausted;
-    rpc.backoff_waited += h.backoff_waited;
-    rpc_retries += machine->file_agent->rpc_retries();
-    const agent::TxnAgentStats& t = machine->txn_agent->stats();
-    ta.spawns += t.spawns;
-    ta.retirements += t.retirements;
-    ta.descriptors_issued += t.descriptors_issued;
-    const auto& c = machine->txn_agent->cache_stats();
-    tc.page_hits += c.page_hits;
-    tc.page_misses += c.page_misses;
-  }
-  m.SetCounter("agent.cache.hits", fa.cache_hits);
-  m.SetCounter("agent.cache.misses", fa.cache_misses);
-  m.SetCounter("agent.cache.writebacks", fa.writebacks);
-  m.SetCounter("agent.cache.invalidations", fa.invalidations);
-  m.SetCounter("agent.descriptors_issued", fa.descriptors_issued);
-  m.SetCounter("agent.writeback_batches", fa.writeback_batches);
-  m.SetCounter("agent.writeback_runs", fa.writeback_runs);
-  m.SetCounter("agent.stale_invalidations", fa.stale_invalidations);
-  m.SetCounter("agent.name_cache_hits", fa.name_cache_hits);
-  m.SetCounter("agent.callback_fast_opens", fa.callback_fast_opens);
-  m.SetCounter("agent.callback_renewals", fa.callback_renewals);
-  m.SetCounter("agent.callback_breaks", fa.callback_breaks);
-  m.SetCounter("agent.peer_serves", fa.peer_serves);
-  m.SetCounter("agent.peer_serve_rejects", fa.peer_serve_rejects);
-  m.SetCounter("agent.peer_fetches", fa.peer_fetches);
-  m.SetCounter("agent.peer_fallbacks", fa.peer_fallbacks);
-  m.SetCounter("naming.index_probes", naming_->stats().index_probes);
-  m.SetCounter("naming.fanout_registrations",
-               naming_->sharding_stats().fanout_registrations);
-  m.SetCounter("rpc.calls", rpc.calls);
-  m.SetCounter("rpc.successes", rpc.successes);
-  m.SetCounter("rpc.failures", rpc.failures);
-  m.SetCounter("rpc.deadline_exhausted", rpc.deadline_exhausted);
-  m.SetCounter("rpc.retries", rpc_retries);
-  m.SetCounter("rpc.backoff_wait_ns",
-               static_cast<std::uint64_t>(rpc.backoff_waited));
-  m.SetCounter("txn_agent.spawns", ta.spawns);
-  m.SetCounter("txn_agent.retirements", ta.retirements);
-  m.SetCounter("txn_agent.descriptors_issued", ta.descriptors_issued);
-  m.SetCounter("txn_agent.page_cache.hits", tc.page_hits);
-  m.SetCounter("txn_agent.page_cache.misses", tc.page_misses);
-
-  agent::FsServerStats srv;
+  const auto gauge = [&m](std::string_view name, auto value) {
+    m.SetGauge(name, static_cast<double>(value));
+  };
   std::size_t callback_holders = 0;
   std::size_t hot_files = 0;
   for (const auto& server : file_servers_) {
-    srv.requests += server->stats().requests;
-    srv.duplicate_replays += server->stats().duplicate_replays;
-    srv.callback_grants += server->stats().callback_grants;
-    srv.callback_breaks += server->stats().callback_breaks;
-    srv.callback_break_failures += server->stats().callback_break_failures;
-    srv.callback_expired += server->stats().callback_expired;
-    srv.callback_grace_waits += server->stats().callback_grace_waits;
-    srv.redirects_issued += server->stats().redirects_issued;
     callback_holders += server->CallbackHolderCount();
     hot_files += server->HotFileCount();
   }
-  m.SetCounter("service.requests", srv.requests);
-  m.SetCounter("service.duplicate_replays", srv.duplicate_replays);
-  m.SetCounter("file.callback_grants", srv.callback_grants);
-  m.SetCounter("file.callback_breaks", srv.callback_breaks);
-  m.SetCounter("file.callback_break_failures", srv.callback_break_failures);
-  m.SetCounter("file.callback_expired", srv.callback_expired);
-  m.SetCounter("file.callback_grace_waits", srv.callback_grace_waits);
-  m.SetCounter("file.redirects_issued", srv.redirects_issued);
-  m.SetGauge("file.callback_holders", static_cast<double>(callback_holders));
-  m.SetGauge("file.hot_files", static_cast<double>(hot_files));
-
-  file::FileServiceStats fs;
   std::uint64_t shared_blocks = 0;
   for (const auto& shard : file_shards_) {
-    const file::FileServiceStats& s = shard->stats();
-    fs.cache_hits += s.cache_hits;
-    fs.cache_misses += s.cache_misses;
-    fs.reads += s.reads;
-    fs.writes += s.writes;
-    fs.bytes_read += s.bytes_read;
-    fs.bytes_written += s.bytes_written;
-    fs.fit_loads += s.fit_loads;
-    fs.fit_stores += s.fit_stores;
-    fs.readahead_issued += s.readahead_issued;
-    fs.readahead_hits += s.readahead_hits;
-    fs.readahead_wasted += s.readahead_wasted;
-    fs.snapshots += s.snapshots;
-    fs.clones += s.clones;
-    fs.cow_splits += s.cow_splits;
-    fs.cow_blocks_copied += s.cow_blocks_copied;
-    fs.shared_releases += s.shared_releases;
     shared_blocks += shard->SharedBlockCount();
   }
-  m.SetCounter("file.cache.hits", fs.cache_hits);
-  m.SetCounter("file.cache.misses", fs.cache_misses);
-  m.SetCounter("file.reads", fs.reads);
-  m.SetCounter("file.writes", fs.writes);
-  m.SetCounter("file.bytes_read", fs.bytes_read);
-  m.SetCounter("file.bytes_written", fs.bytes_written);
-  m.SetCounter("file.fit_loads", fs.fit_loads);
-  m.SetCounter("file.fit_stores", fs.fit_stores);
-  m.SetCounter("file.readahead_issued", fs.readahead_issued);
-  m.SetCounter("file.readahead_hits", fs.readahead_hits);
-  m.SetCounter("file.readahead_wasted", fs.readahead_wasted);
-  m.SetCounter("file.snapshots", fs.snapshots);
-  m.SetCounter("file.clones", fs.clones);
-  m.SetCounter("file.cow_splits", fs.cow_splits);
-  m.SetCounter("file.cow_blocks_copied", fs.cow_blocks_copied);
-  m.SetCounter("file.shared_releases", fs.shared_releases);
-  m.SetGauge("file.shared_blocks", static_cast<double>(shared_blocks));
-
-  const placement::ShardRouterStats& pl = router_->stats();
-  m.SetCounter("placement.lookups",
-               pl.lookups + naming_->sharding_stats().lookups);
-  m.SetCounter("placement.reroutes", pl.reroutes);
-  m.SetCounter("placement.shard_suspicions", pl.suspicions);
-  m.SetCounter("placement.shard_readmissions", pl.readmissions);
-
-  const txn::LockStats& lk = txns_->locks().stats();
-  m.SetCounter("lock.grants", lk.grants);
-  m.SetCounter("lock.immediate_grants", lk.immediate_grants);
-  m.SetCounter("lock.waits", lk.waits);
-  m.SetCounter("lock.conversions", lk.conversions);
-  m.SetCounter("lock.breaks", lk.breaks);
-  m.SetCounter("lock.aborts_signalled", lk.aborts_signalled);
-  m.SetCounter("lock.records_peak", lk.records_peak);
-  m.SetCounter("lock.wait_time_ns", lk.wait_time_ns);
-
-  const txn::TxnServiceStats& tx = txns_->stats();
-  m.SetCounter("txn.begins", tx.begins);
-  m.SetCounter("txn.commits", tx.commits);
-  m.SetCounter("txn.aborts_explicit", tx.aborts_explicit);
-  m.SetCounter("txn.aborts_broken", tx.aborts_broken);
-  m.SetCounter("txn.wal_commits", tx.wal_commits);
-  m.SetCounter("txn.shadow_commits", tx.shadow_commits);
-  m.SetCounter("txn.pages_logged", tx.pages_logged);
-  m.SetCounter("txn.ranges_logged", tx.ranges_logged);
-  m.SetCounter("txn.recovered_redone", tx.recovered_redone);
-  m.SetCounter("txn.recovered_discarded", tx.recovered_discarded);
-
-  const txn::LogPipelineStats gc = txns_->pipeline().stats();
-  m.SetCounter("txn.group_commit.acks", gc.acks);
-  m.SetCounter("txn.group_commit.batches", gc.batches);
-  m.SetCounter("txn.group_commit.flushes", gc.flushes);
-  m.SetCounter("txn.group_commit.records", gc.records);
-  m.SetCounter("txn.group_commit.seals_deadline", gc.seals_deadline);
-  m.SetCounter("txn.group_commit.seals_full", gc.seals_full);
-  m.SetCounter("txn.group_commit.seals_window", gc.seals_window);
-
-  const txn::TxnLogStats& tl = txns_->log().stats();
-  m.SetCounter("txn.log.forces", tl.forces);
-  m.SetCounter("txn.log.records", tl.appends);
-  m.SetCounter("txn.log.salvaged_records", tl.salvaged_records);
-  m.SetCounter("txn.log.torn_batches", tl.torn_batches);
-
-  const replication::ReplicationStats& rep = replication_->stats();
-  m.SetCounter("replication.writes", rep.writes);
-  m.SetCounter("replication.reads", rep.reads);
-  m.SetCounter("replication.degraded_writes", rep.degraded_writes);
-  m.SetCounter("replication.degraded_reads", rep.failovers);
-  m.SetCounter("replication.repairs", rep.repairs);
-  m.SetCounter("replication.unavailable_writes", rep.unavailable_writes);
-  m.SetCounter("replication.stale_reads", rep.stale_reads);
-  m.SetCounter("replication.read_repairs", rep.read_repairs);
-  m.SetCounter("replication.hints_queued", rep.hints_queued);
-  m.SetCounter("replication.hints_replayed", rep.hints_replayed);
-  m.SetCounter("replication.hints_dropped", rep.hints_dropped);
-  m.SetCounter("replication.epoch_bumps", rep.epoch_bumps);
-  m.SetCounter("replication.token_replays", rep.token_replays);
-
-  const replication::AntiEntropyStats& ae = anti_entropy_->stats();
-  m.SetCounter("replication.anti_entropy_scans", ae.scans);
-  m.SetCounter("replication.anti_entropy_repairs", ae.replicas_caught_up);
-
-  const recovery::RecoveryStats& rec = recovery_->stats();
-  m.SetCounter("recovery.ticks", rec.ticks);
-  m.SetCounter("recovery.disk_failures_detected",
-               rec.disk_failures_detected);
-  m.SetCounter("recovery.disk_recoveries_detected",
-               rec.disk_recoveries_detected);
-  m.SetCounter("recovery.replicas_marked_down", rec.replicas_marked_down);
-  m.SetCounter("recovery.auto_repairs", rec.auto_repairs);
-  m.SetCounter("recovery.repair_failures", rec.repair_failures);
-  m.SetCounter("file.shard_failovers", rec.shard_failovers);
-  m.SetCounter("file.shard_readmissions", rec.shard_readmissions);
-
-  const recovery::FailureDetectorStats& det = detector_->stats();
-  m.SetCounter("detector.probes", det.probes);
-  m.SetCounter("detector.probe_failures", det.probe_failures);
-  m.SetCounter("detector.suspicions", det.suspicions);
-  m.SetCounter("detector.declared_down", det.declared_down);
-  m.SetCounter("detector.recoveries", det.recoveries);
-
-  sim::DiskStats main_sum, stable_sum;
-  disk::TrackCacheStats cache_sum;
-  disk::FreeSpaceStats free_sum;
-  disk::VecIoStats vec_sum;
   std::uint64_t free_fragments = 0;
-  for (const auto& server : disks_.disks()) {
-    const sim::DiskStats& ms = server->main_stats();
-    main_sum.read_references += ms.read_references;
-    main_sum.write_references += ms.write_references;
-    main_sum.fragments_read += ms.fragments_read;
-    main_sum.fragments_written += ms.fragments_written;
-    main_sum.tracks_seeked += ms.tracks_seeked;
-    main_sum.time_charged += ms.time_charged;
-    const sim::DiskStats& ss = server->stable_stats();
-    stable_sum.read_references += ss.read_references;
-    stable_sum.write_references += ss.write_references;
-    stable_sum.fragments_read += ss.fragments_read;
-    stable_sum.fragments_written += ss.fragments_written;
-    stable_sum.time_charged += ss.time_charged;
-    const disk::TrackCacheStats& cs = server->cache_stats();
-    cache_sum.hits += cs.hits;
-    cache_sum.misses += cs.misses;
-    cache_sum.evictions += cs.evictions;
-    cache_sum.dirty_writebacks += cs.dirty_writebacks;
-    const disk::FreeSpaceStats& fss = server->free_space_stats();
-    free_sum.array_hits += fss.array_hits;
-    free_sum.array_misses += fss.array_misses;
-    free_sum.rebuilds += fss.rebuilds;
-    free_sum.stale_discards += fss.stale_discards;
-    const disk::VecIoStats& vs = server->vec_stats();
-    vec_sum.requests += vs.requests;
-    vec_sum.runs += vs.runs;
-    vec_sum.merged_runs += vs.merged_runs;
-    vec_sum.elevator_reorders += vs.elevator_reorders;
-    free_fragments += server->FreeFragmentCount();
-  }
-  m.SetCounter("disk.read_references", main_sum.read_references);
-  m.SetCounter("disk.write_references", main_sum.write_references);
-  m.SetCounter("disk.fragments_read", main_sum.fragments_read);
-  m.SetCounter("disk.fragments_written", main_sum.fragments_written);
-  m.SetCounter("disk.tracks_seeked", main_sum.tracks_seeked);
-  m.SetCounter("disk.time_charged_ns",
-               static_cast<std::uint64_t>(main_sum.time_charged));
-  m.SetCounter("disk.stable.read_references", stable_sum.read_references);
-  m.SetCounter("disk.stable.write_references", stable_sum.write_references);
-  m.SetCounter("disk.stable.fragments_read", stable_sum.fragments_read);
-  m.SetCounter("disk.stable.fragments_written",
-               stable_sum.fragments_written);
-  m.SetCounter("disk.stable.time_charged_ns",
-               static_cast<std::uint64_t>(stable_sum.time_charged));
-  m.SetCounter("disk.cache.hits", cache_sum.hits);
-  m.SetCounter("disk.cache.misses", cache_sum.misses);
-  m.SetCounter("disk.cache.evictions", cache_sum.evictions);
-  m.SetCounter("disk.cache.dirty_writebacks", cache_sum.dirty_writebacks);
-  m.SetCounter("disk.free_space.array_hits", free_sum.array_hits);
-  m.SetCounter("disk.free_space.array_misses", free_sum.array_misses);
-  m.SetCounter("disk.free_space.rebuilds", free_sum.rebuilds);
-  m.SetCounter("disk.free_space.stale_discards", free_sum.stale_discards);
-  m.SetCounter("disk.vec_requests", vec_sum.requests);
-  m.SetCounter("disk.vec_runs", vec_sum.runs);
-  m.SetCounter("disk.vec_merged_runs", vec_sum.merged_runs);
-  m.SetCounter("disk.elevator_reorders", vec_sum.elevator_reorders);
-
-  m.SetGauge("facility.disk_count", static_cast<double>(config_.disk_count));
-  m.SetGauge("facility.machine_count",
-             static_cast<double>(machines_.size()));
-  m.SetGauge("facility.sim_now_ns", static_cast<double>(clock_.Now()));
-  m.SetGauge("placement.epoch", static_cast<double>(router_->epoch()));
-  m.SetGauge("placement.file_shards",
-             static_cast<double>(router_->ShardCount()));
-  m.SetGauge("placement.naming_shards",
-             static_cast<double>(naming_->ShardCount()));
-  m.SetGauge("disk.free_fragments", static_cast<double>(free_fragments));
-  m.SetGauge("replication.hint_queue_depth",
-             static_cast<double>(replication_->TotalPendingHints()));
+  for (const auto& d : disks) free_fragments += d->FreeFragmentCount();
+  gauge("file.callback_holders", callback_holders);
+  gauge("file.hot_files", hot_files);
+  gauge("file.shared_blocks", shared_blocks);
+  gauge("facility.disk_count", config_.disk_count);
+  gauge("facility.machine_count", machines_.size());
+  gauge("facility.sim_now_ns", clock_.Now());
+  gauge("placement.epoch", router_->epoch());
+  gauge("placement.file_shards", router_->ShardCount());
+  gauge("placement.naming_shards", naming_->ShardCount());
+  gauge("disk.free_fragments", free_fragments);
+  gauge("replication.hint_queue_depth", replication_->TotalPendingHints());
 }
 
 obs::MetricsSnapshot DistributedFileFacility::StatsSnapshot() {

@@ -164,6 +164,8 @@ class DistributedFileFacility {
   Status PartitionDisk(DiskId disk);
   Status HealDisk(DiskId disk);
 
+  // Zeroes every layer's counters and the metrics registry: right after
+  // it, every counter in StatsSnapshot() reads 0.
   void ResetStats();
 
   // --- Observability -----------------------------------------------------------
@@ -182,10 +184,12 @@ class DistributedFileFacility {
   std::string DumpStats(bool json = false);
 
  private:
-  // Pre-declares the full metric catalogue (stable DumpStats schema) —
-  // every name in docs/OBSERVABILITY.md originates here.
+  // Declares the histograms and the pushed rpc.circuit_trips, then runs
+  // the first PullLayerStats(), which declares every table-row counter and
+  // every gauge: the DumpStats() schema is fixed from construction on.
   void DeclareMetrics();
-  // SetCounter/SetGauge the pull-model layer stats into the registry.
+  // Folds each layer's stats table (one constexpr table per *Stats struct,
+  // declared next to the struct) into counters, and sets the gauges.
   void PullLayerStats();
 
   FacilityConfig config_;

@@ -89,6 +89,13 @@ struct VecIoStats {
   std::uint64_t elevator_reorders = 0; // runs the SCAN sort moved
 };
 
+inline constexpr obs::CounterField<VecIoStats> kVecIoCounters[] = {
+    {"disk.vec_requests", &VecIoStats::requests},
+    {"disk.vec_runs", &VecIoStats::runs},
+    {"disk.vec_merged_runs", &VecIoStats::merged_runs},
+    {"disk.elevator_reorders", &VecIoStats::elevator_reorders},
+};
+
 class DiskServer {
  public:
   DiskServer(DiskId id, DiskServerConfig config, SimClock* clock);

@@ -24,6 +24,7 @@
 
 #include "common/types.h"
 #include "disk/bitmap.h"
+#include "obs/metrics.h"
 
 namespace rhodos::disk {
 
@@ -37,6 +38,13 @@ struct FreeSpaceStats {
   std::uint64_t array_misses = 0;    // had to rescan the bitmap
   std::uint64_t rebuilds = 0;
   std::uint64_t stale_discards = 0;  // entries invalidated by re-validation
+};
+
+inline constexpr obs::CounterField<FreeSpaceStats> kFreeSpaceCounters[] = {
+    {"disk.free_space.array_hits", &FreeSpaceStats::array_hits},
+    {"disk.free_space.array_misses", &FreeSpaceStats::array_misses},
+    {"disk.free_space.rebuilds", &FreeSpaceStats::rebuilds},
+    {"disk.free_space.stale_discards", &FreeSpaceStats::stale_discards},
 };
 
 class FreeSpaceArray {

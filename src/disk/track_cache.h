@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/metrics.h"
 
 namespace rhodos::disk {
 
@@ -33,6 +34,13 @@ struct TrackCacheStats {
     const auto total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
+};
+
+inline constexpr obs::CounterField<TrackCacheStats> kTrackCacheCounters[] = {
+    {"disk.cache.hits", &TrackCacheStats::hits},
+    {"disk.cache.misses", &TrackCacheStats::misses},
+    {"disk.cache.evictions", &TrackCacheStats::evictions},
+    {"disk.cache.dirty_writebacks", &TrackCacheStats::dirty_writebacks},
 };
 
 class TrackCache {

@@ -99,6 +99,25 @@ struct FileServiceStats {
   std::uint64_t shared_releases = 0;   // journaled refcounted releases
 };
 
+inline constexpr obs::CounterField<FileServiceStats> kFileServiceCounters[] = {
+    {"file.cache.hits", &FileServiceStats::cache_hits},
+    {"file.cache.misses", &FileServiceStats::cache_misses},
+    {"file.reads", &FileServiceStats::reads},
+    {"file.writes", &FileServiceStats::writes},
+    {"file.bytes_read", &FileServiceStats::bytes_read},
+    {"file.bytes_written", &FileServiceStats::bytes_written},
+    {"file.fit_loads", &FileServiceStats::fit_loads},
+    {"file.fit_stores", &FileServiceStats::fit_stores},
+    {"file.readahead_issued", &FileServiceStats::readahead_issued},
+    {"file.readahead_hits", &FileServiceStats::readahead_hits},
+    {"file.readahead_wasted", &FileServiceStats::readahead_wasted},
+    {"file.snapshots", &FileServiceStats::snapshots},
+    {"file.clones", &FileServiceStats::clones},
+    {"file.cow_splits", &FileServiceStats::cow_splits},
+    {"file.cow_blocks_copied", &FileServiceStats::cow_blocks_copied},
+    {"file.shared_releases", &FileServiceStats::shared_releases},
+};
+
 class FileService {
  public:
   FileService(disk::DiskRegistry* disks, SimClock* clock,

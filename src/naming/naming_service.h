@@ -30,6 +30,7 @@
 
 #include "common/result.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 
 namespace rhodos::naming {
 
@@ -52,6 +53,11 @@ struct NamingStats {
   // scan did FileCount() name comparisons per query; this counts at most one
   // probe per query attribute.
   std::uint64_t index_probes = 0;
+};
+
+// Only the index probes are exported.
+inline constexpr obs::CounterField<NamingStats> kNamingCounters[] = {
+    {"naming.index_probes", &NamingStats::index_probes},
 };
 
 // The naming interface agents program against. One concrete NamingService
@@ -126,6 +132,7 @@ class NamingService : public NamingFacade {
   Result<std::string> ResolveDevice(const AttributedName& query) override;
 
   const NamingStats& stats() const override { return stats_; }
+  void ResetStats() { stats_ = NamingStats{}; }
   std::size_t FileCount() const override { return files_.size(); }
   std::uint64_t generation() const override { return generation_; }
 

@@ -33,6 +33,10 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
+void CounterFold::SetCounters(MetricsRegistry& registry) const {
+  for (const auto& [name, sum] : sums_) registry.SetCounter(name, sum);
+}
+
 void SetGlobalMetricsDrain(MetricsRegistry* registry) { g_drain = registry; }
 MetricsRegistry* GlobalMetricsDrain() { return g_drain; }
 

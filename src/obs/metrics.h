@@ -21,7 +21,9 @@
 // corner of the facility), and the E8/E9 benches hammer it.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -118,6 +120,61 @@ class MetricsRegistry {
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, HistogramData, std::less<>> histograms_;
+};
+
+// --- Pull-model stats tables -------------------------------------------------
+//
+// A layer exports its cumulative *Stats struct through one constexpr table
+// declared next to the struct. Each row pairs a metric name with the field
+// it reads, so the row is the only place a pulled counter is named.
+template <typename Stats>
+struct CounterField {
+  constexpr CounterField(std::string_view n, std::uint64_t Stats::*f)
+      : name(n), count(f) {}
+  // SimTime fields, exported as `*_ns`.
+  constexpr CounterField(std::string_view n, SimTime Stats::*f)
+      : name(n), time(f) {}
+
+  std::uint64_t Read(const Stats& s) const {
+    return count != nullptr ? s.*count : static_cast<std::uint64_t>(s.*time);
+  }
+
+  std::string_view name;
+  std::uint64_t Stats::*count = nullptr;
+  SimTime Stats::*time = nullptr;
+};
+
+// Sums stats tables over layer instances (machines, shards, disks), then
+// sets every sum as a counter. Rows of two tables may share a name; their
+// sums add. Every row is set even when it sums over no instance, so the
+// counter schema does not depend on how many machines a facility has.
+class CounterFold {
+ public:
+  // One instance.
+  template <typename Stats, std::size_t N>
+  void Sum(const CounterField<Stats> (&table)[N], const Stats& stats) {
+    for (const CounterField<Stats>& row : table) {
+      sums_[row.name] += row.Read(stats);
+    }
+  }
+
+  // Every instance a range of (smart) pointers points to; `stats_of` (a
+  // member function or a callable) yields an instance's Stats.
+  template <typename Stats, std::size_t N, typename Range, typename Proj>
+  void Sum(const CounterField<Stats> (&table)[N], const Range& instances,
+           Proj stats_of) {
+    std::array<std::uint64_t*, N> sums{};
+    for (std::size_t i = 0; i < N; ++i) sums[i] = &sums_[table[i].name];
+    for (const auto& instance : instances) {
+      const Stats& s = std::invoke(stats_of, *instance);
+      for (std::size_t i = 0; i < N; ++i) *sums[i] += table[i].Read(s);
+    }
+  }
+
+  void SetCounters(MetricsRegistry& registry) const;
+
+ private:
+  std::map<std::string_view, std::uint64_t> sums_;
 };
 
 // Process-wide drain hook: when set, every DistributedFileFacility merges

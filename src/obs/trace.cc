@@ -6,8 +6,8 @@ namespace rhodos::obs {
 
 TraceId TraceRecorder::StartTrace(std::string_view layer,
                                   std::string_view name) {
+  if (!enabled()) return 0;
   std::lock_guard lk(mu_);
-  if (!enabled_) return 0;
   if (active_) {
     // Degenerate to a child span of the running trace (see header).
     Trace& t = traces_.back();
@@ -39,8 +39,9 @@ TraceId TraceRecorder::StartTrace(std::string_view layer,
 
 SpanId TraceRecorder::BeginSpan(std::string_view layer,
                                 std::string_view name) {
+  if (!enabled()) return kNoSpan;
   std::lock_guard lk(mu_);
-  if (!enabled_ || !active_) return kNoSpan;
+  if (!active_) return kNoSpan;
   Trace& t = traces_.back();
   Span s;
   s.id = next_span_++;

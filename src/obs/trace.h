@@ -11,13 +11,14 @@
 // layer tree with simulated-time offsets, which is Figure 1 drawn from a
 // real run.
 //
-// Recording is off by default and costs one pointer test per span site
-// when off. The simulated call paths are single threaded, so one active
-// trace with a span stack models the reality exactly; the recorder still
-// carries a mutex so stray instrumented calls from the lock-manager
-// benches cannot corrupt it.
+// Recording is off by default. When off, a span site costs a null-pointer
+// test and one atomic flag load; no lock is taken. The simulated call paths
+// are single threaded, so one active trace with a span stack models the
+// reality exactly; while recording, the recorder still takes a mutex so
+// stray instrumented calls from the lock-manager benches cannot corrupt it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -109,7 +110,7 @@ class TraceRecorder {
   mutable std::mutex mu_;
   SimClock* clock_;
   std::size_t capacity_;
-  bool enabled_ = false;
+  std::atomic<bool> enabled_{false};
   std::deque<Trace> traces_;  // bounded; back() may be the active trace
   bool active_ = false;       // back() is still open
   std::vector<ActiveSpan> stack_;
@@ -124,7 +125,9 @@ class SpanScope {
   SpanScope(TraceRecorder* recorder, std::string_view layer,
             std::string_view name)
       : recorder_(recorder),
-        span_(recorder ? recorder->BeginSpan(layer, name) : kNoSpan) {}
+        span_(recorder != nullptr && recorder->enabled()
+                  ? recorder->BeginSpan(layer, name)
+                  : kNoSpan) {}
   ~SpanScope() {
     if (recorder_ != nullptr && span_ != kNoSpan) {
       recorder_->EndSpan(span_, std::move(detail_));

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "placement/placement_map.h"
 
 namespace rhodos::placement {
@@ -45,6 +46,13 @@ struct ShardRouterStats {
   std::uint64_t reroutes = 0;      // decisions that avoided a suspected home
   std::uint64_t suspicions = 0;    // shard marked suspected (failover edge)
   std::uint64_t readmissions = 0;  // shard readmitted (recovery edge)
+};
+
+inline constexpr obs::CounterField<ShardRouterStats> kShardRouterCounters[] = {
+    {"placement.lookups", &ShardRouterStats::lookups},
+    {"placement.reroutes", &ShardRouterStats::reroutes},
+    {"placement.shard_suspicions", &ShardRouterStats::suspicions},
+    {"placement.shard_readmissions", &ShardRouterStats::readmissions},
 };
 
 class ShardRouter {
@@ -105,6 +113,7 @@ class ShardRouter {
   std::size_t PinnedCount() const { return pins_.size(); }
 
   const ShardRouterStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = ShardRouterStats{}; }
   const PlacementMap& map() const { return map_; }
 
  private:

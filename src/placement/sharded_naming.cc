@@ -170,6 +170,12 @@ Result<std::string> ShardedNamingService::ResolveDevice(
   return shards_[0]->ResolveDevice(query);
 }
 
+void ShardedNamingService::ResetStats() {
+  router_stats_ = naming::NamingStats{};
+  sharding_stats_ = NamingShardingStats{};
+  for (auto& shard : shards_) shard->ResetStats();
+}
+
 const naming::NamingStats& ShardedNamingService::stats() const {
   agg_stats_ = router_stats_;
   for (const auto& shard : shards_) {

@@ -31,6 +31,7 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "naming/naming_service.h"
+#include "obs/metrics.h"
 #include "placement/placement_map.h"
 
 namespace rhodos::placement {
@@ -40,6 +41,15 @@ struct NamingShardingStats {
   // Shard-local registrations performed; exceeds the number of registered
   // files whenever a name's keys span shards (fan-out factor ≥ 1).
   std::uint64_t fanout_registrations = 0;
+};
+
+// Routing decisions count toward placement.lookups together with the shard
+// router's (kShardRouterCounters).
+inline constexpr obs::CounterField<NamingShardingStats>
+    kNamingShardingCounters[] = {
+        {"placement.lookups", &NamingShardingStats::lookups},
+        {"naming.fanout_registrations",
+         &NamingShardingStats::fanout_registrations},
 };
 
 class ShardedNamingService : public naming::NamingFacade {
@@ -83,6 +93,8 @@ class ShardedNamingService : public naming::NamingFacade {
     return *shards_.at(i);
   }
   const NamingShardingStats& sharding_stats() const { return sharding_stats_; }
+  // Zeroes the router-level, sharding and every shard's counters.
+  void ResetStats();
   const PlacementMap& map() const { return map_; }
 
  private:

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/message_bus.h"
+#include "obs/metrics.h"
 
 namespace rhodos::recovery {
 
@@ -41,6 +42,15 @@ struct FailureDetectorStats {
   std::uint64_t suspicions = 0;   // kHealthy/kUnknown -> kSuspected edges
   std::uint64_t declared_down = 0;
   std::uint64_t recoveries = 0;   // kSuspected/kDown -> kHealthy edges
+};
+
+inline constexpr obs::CounterField<FailureDetectorStats>
+    kFailureDetectorCounters[] = {
+        {"detector.probes", &FailureDetectorStats::probes},
+        {"detector.probe_failures", &FailureDetectorStats::probe_failures},
+        {"detector.suspicions", &FailureDetectorStats::suspicions},
+        {"detector.declared_down", &FailureDetectorStats::declared_down},
+        {"detector.recoveries", &FailureDetectorStats::recoveries},
 };
 
 class FailureDetector {
@@ -68,6 +78,7 @@ class FailureDetector {
   std::vector<std::string> Watched() const;
 
   const FailureDetectorStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = FailureDetectorStats{}; }
 
  private:
   struct Entry {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "disk/disk_registry.h"
+#include "obs/metrics.h"
 #include "placement/shard_router.h"
 #include "recovery/failure_detector.h"
 #include "replication/anti_entropy.h"
@@ -50,6 +51,19 @@ struct RecoveryStats {
   std::uint64_t log_salvaged_records = 0;  // records salvaged from tears
   std::uint64_t shard_failovers = 0;    // metadata shards routed around
   std::uint64_t shard_readmissions = 0;  // metadata shards readmitted
+};
+
+// The log-audit fields are not exported.
+inline constexpr obs::CounterField<RecoveryStats> kRecoveryCounters[] = {
+    {"recovery.ticks", &RecoveryStats::ticks},
+    {"recovery.disk_failures_detected", &RecoveryStats::disk_failures_detected},
+    {"recovery.disk_recoveries_detected",
+     &RecoveryStats::disk_recoveries_detected},
+    {"recovery.replicas_marked_down", &RecoveryStats::replicas_marked_down},
+    {"recovery.auto_repairs", &RecoveryStats::auto_repairs},
+    {"recovery.repair_failures", &RecoveryStats::repair_failures},
+    {"file.shard_failovers", &RecoveryStats::shard_failovers},
+    {"file.shard_readmissions", &RecoveryStats::shard_readmissions},
 };
 
 class RecoveryManager {
@@ -101,6 +115,7 @@ class RecoveryManager {
 
   bool DiskBelievedUp(DiskId disk) const;
   const RecoveryStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = RecoveryStats{}; }
 
  private:
   void RepairGroupsOnDisk(DiskId disk);

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "replication/replication_service.h"
+#include "obs/metrics.h"
 
 namespace rhodos::replication {
 
@@ -33,6 +34,11 @@ struct AntiEntropyStats {
   std::uint64_t replicas_caught_up = 0;
 };
 
+inline constexpr obs::CounterField<AntiEntropyStats> kAntiEntropyCounters[] = {
+    {"replication.anti_entropy_scans", &AntiEntropyStats::scans},
+    {"replication.anti_entropy_repairs", &AntiEntropyStats::replicas_caught_up},
+};
+
 class AntiEntropyScanner {
  public:
   explicit AntiEntropyScanner(ReplicationService* replication,
@@ -44,6 +50,7 @@ class AntiEntropyScanner {
   std::size_t Tick();
 
   const AntiEntropyStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = AntiEntropyStats{}; }
 
  private:
   ReplicationService* replication_;

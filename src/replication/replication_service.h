@@ -100,6 +100,22 @@ struct ReplicationStats {
   std::uint64_t token_replays = 0;  // duplicate writes absorbed by token
 };
 
+inline constexpr obs::CounterField<ReplicationStats> kReplicationCounters[] = {
+    {"replication.writes", &ReplicationStats::writes},
+    {"replication.reads", &ReplicationStats::reads},
+    {"replication.degraded_writes", &ReplicationStats::degraded_writes},
+    {"replication.degraded_reads", &ReplicationStats::failovers},
+    {"replication.repairs", &ReplicationStats::repairs},
+    {"replication.unavailable_writes", &ReplicationStats::unavailable_writes},
+    {"replication.stale_reads", &ReplicationStats::stale_reads},
+    {"replication.read_repairs", &ReplicationStats::read_repairs},
+    {"replication.hints_queued", &ReplicationStats::hints_queued},
+    {"replication.hints_replayed", &ReplicationStats::hints_replayed},
+    {"replication.hints_dropped", &ReplicationStats::hints_dropped},
+    {"replication.epoch_bumps", &ReplicationStats::epoch_bumps},
+    {"replication.token_replays", &ReplicationStats::token_replays},
+};
+
 class ReplicationService {
  public:
   explicit ReplicationService(file::FileService* files,
@@ -177,6 +193,7 @@ class ReplicationService {
   Result<std::uint64_t> CurrentVersion(GroupId group) const;
   Result<std::uint64_t> CurrentEpoch(GroupId group) const;
   const ReplicationStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = ReplicationStats{}; }
 
   // Installed by the facility; null means no tracing/metrics.
   void SetObservability(obs::Observability* o) { obs_ = o; }

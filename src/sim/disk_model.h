@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "common/types.h"
+#include "obs/metrics.h"
 
 namespace rhodos::sim {
 
@@ -70,6 +71,24 @@ struct DiskStats {
   std::uint64_t TotalReferences() const {
     return read_references + write_references;
   }
+};
+
+// Main device and stable mirror export under separate prefixes; the
+// stable mirror has no arm-travel counter in the schema.
+inline constexpr obs::CounterField<DiskStats> kDiskCounters[] = {
+    {"disk.read_references", &DiskStats::read_references},
+    {"disk.write_references", &DiskStats::write_references},
+    {"disk.fragments_read", &DiskStats::fragments_read},
+    {"disk.fragments_written", &DiskStats::fragments_written},
+    {"disk.tracks_seeked", &DiskStats::tracks_seeked},
+    {"disk.time_charged_ns", &DiskStats::time_charged},
+};
+inline constexpr obs::CounterField<DiskStats> kStableDiskCounters[] = {
+    {"disk.stable.read_references", &DiskStats::read_references},
+    {"disk.stable.write_references", &DiskStats::write_references},
+    {"disk.stable.fragments_read", &DiskStats::fragments_read},
+    {"disk.stable.fragments_written", &DiskStats::fragments_written},
+    {"disk.stable.time_charged_ns", &DiskStats::time_charged},
 };
 
 class DiskModel {

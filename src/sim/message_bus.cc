@@ -234,7 +234,7 @@ Result<Payload> RpcClient::Call(std::uint32_t opcode,
       if (clock != nullptr) clock->Advance(delay);
       health_.backoff_waited += delay;
       last_backoffs_.push_back(delay);
-      ++retries_;
+      ++health_.retries;
       obs::Observe(o, "rpc.backoff_ns", delay);
     }
     auto result = bus_->Call(address_, opcode, request, caller_);

@@ -74,6 +74,20 @@ struct NetStats {
   SimTime time_charged = 0;
 };
 
+inline constexpr obs::CounterField<NetStats> kNetCounters[] = {
+    {"bus.calls", &NetStats::calls},
+    {"bus.deliveries", &NetStats::deliveries},
+    {"bus.drops_request", &NetStats::drops_request},
+    {"bus.drops_reply", &NetStats::drops_reply},
+    {"bus.duplicates", &NetStats::duplicates},
+    {"bus.timeouts", &NetStats::timeouts},
+    {"bus.rejected_down", &NetStats::rejected_down},
+    {"bus.rejected_partitioned", &NetStats::rejected_partitioned},
+    {"bus.probes", &NetStats::probes},
+    {"bus.bytes_moved", &NetStats::bytes_moved},
+    {"bus.time_charged_ns", &NetStats::time_charged},
+};
+
 // --- Scheduled faults ---------------------------------------------------------
 
 enum class FaultAction : std::uint8_t {
@@ -298,8 +312,20 @@ struct RpcHealth {
   std::uint64_t successes = 0;
   std::uint64_t failures = 0;  // failed Call()s, not failed attempts
   std::uint64_t deadline_exhausted = 0;
+  std::uint64_t retries = 0;  // attempts after the first, across all Call()s
   std::uint64_t consecutive_failures = 0;
   SimTime backoff_waited = 0;  // total simulated backoff time
+};
+
+// consecutive_failures is breaker state, not a count: it is not exported.
+// The push-model rpc.circuit_trips is counted at the trip site instead.
+inline constexpr obs::CounterField<RpcHealth> kRpcCounters[] = {
+    {"rpc.calls", &RpcHealth::calls},
+    {"rpc.successes", &RpcHealth::successes},
+    {"rpc.failures", &RpcHealth::failures},
+    {"rpc.deadline_exhausted", &RpcHealth::deadline_exhausted},
+    {"rpc.retries", &RpcHealth::retries},
+    {"rpc.backoff_wait_ns", &RpcHealth::backoff_waited},
 };
 
 // At-least-once RPC endpoint used by the agents: retries Call() on loss
@@ -317,10 +343,14 @@ class RpcClient {
   Result<Payload> Call(std::uint32_t opcode,
                        std::span<const std::uint8_t> request);
 
-  std::uint64_t retries() const { return retries_; }
+  std::uint64_t retries() const { return health_.retries; }
   const std::string& address() const { return address_; }
   const std::string& caller() const { return caller_; }
   const RpcHealth& health() const { return health_; }
+  // Zeroes the counts; the breaker's consecutive-failure run survives.
+  void ResetStats() {
+    health_ = RpcHealth{.consecutive_failures = health_.consecutive_failures};
+  }
 
   // Circuit-breaker verdict: true once unhealthy_threshold consecutive
   // Call()s have failed. A later success closes the circuit again.
@@ -340,7 +370,6 @@ class RpcClient {
   std::string caller_;
   RpcRetryConfig config_;
   Rng jitter_rng_;
-  std::uint64_t retries_{0};
   RpcHealth health_;
   std::vector<SimTime> last_backoffs_;
 };

@@ -33,6 +33,7 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "file/file_types.h"
+#include "obs/metrics.h"
 #include "txn/lock_types.h"
 
 namespace rhodos::txn {
@@ -75,6 +76,17 @@ struct LockStats {
   std::uint64_t aborts_signalled = 0;  // transactions marked broken
   std::uint64_t records_peak = 0;      // max records in any single table
   std::uint64_t wait_time_ns = 0;      // wall-clock time spent blocked
+};
+
+inline constexpr obs::CounterField<LockStats> kLockCounters[] = {
+    {"lock.grants", &LockStats::grants},
+    {"lock.immediate_grants", &LockStats::immediate_grants},
+    {"lock.waits", &LockStats::waits},
+    {"lock.conversions", &LockStats::conversions},
+    {"lock.breaks", &LockStats::breaks},
+    {"lock.aborts_signalled", &LockStats::aborts_signalled},
+    {"lock.records_peak", &LockStats::records_peak},
+    {"lock.wait_time_ns", &LockStats::wait_time_ns},
 };
 
 // One lock table (for one locking level).

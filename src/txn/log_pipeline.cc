@@ -174,4 +174,9 @@ LogPipelineStats LogPipeline::stats() const {
   return stats_;
 }
 
+void LogPipeline::ResetStats() {
+  std::scoped_lock lk(mu_);
+  stats_ = LogPipelineStats{};
+}
+
 }  // namespace rhodos::txn

@@ -62,6 +62,17 @@ struct LogPipelineStats {
   std::uint64_t discarded_records = 0;  // dropped at quiescent truncation
 };
 
+// discarded_records is not exported.
+inline constexpr obs::CounterField<LogPipelineStats> kLogPipelineCounters[] = {
+    {"txn.group_commit.acks", &LogPipelineStats::acks},
+    {"txn.group_commit.batches", &LogPipelineStats::batches},
+    {"txn.group_commit.flushes", &LogPipelineStats::flushes},
+    {"txn.group_commit.records", &LogPipelineStats::records},
+    {"txn.group_commit.seals_deadline", &LogPipelineStats::seals_deadline},
+    {"txn.group_commit.seals_full", &LogPipelineStats::seals_full},
+    {"txn.group_commit.seals_window", &LogPipelineStats::seals_window},
+};
+
 class LogPipeline {
  public:
   struct Batch;  // defined in log_pipeline.cc
@@ -94,6 +105,7 @@ class LogPipeline {
 
   bool HasPending() const;
   LogPipelineStats stats() const;
+  void ResetStats();
   void SetObservability(obs::Observability* o) { obs_ = o; }
 
  private:

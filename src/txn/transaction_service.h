@@ -83,6 +83,19 @@ struct TxnServiceStats {
   std::uint64_t recovered_discarded = 0;
 };
 
+inline constexpr obs::CounterField<TxnServiceStats> kTxnServiceCounters[] = {
+    {"txn.begins", &TxnServiceStats::begins},
+    {"txn.commits", &TxnServiceStats::commits},
+    {"txn.aborts_explicit", &TxnServiceStats::aborts_explicit},
+    {"txn.aborts_broken", &TxnServiceStats::aborts_broken},
+    {"txn.wal_commits", &TxnServiceStats::wal_commits},
+    {"txn.shadow_commits", &TxnServiceStats::shadow_commits},
+    {"txn.pages_logged", &TxnServiceStats::pages_logged},
+    {"txn.ranges_logged", &TxnServiceStats::ranges_logged},
+    {"txn.recovered_redone", &TxnServiceStats::recovered_redone},
+    {"txn.recovered_discarded", &TxnServiceStats::recovered_discarded},
+};
+
 class TransactionService {
  public:
   // Where the intention log lives on its disk (for audits: no file may
@@ -150,7 +163,12 @@ class TransactionService {
   // --- Introspection -----------------------------------------------------------
 
   const TxnServiceStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = TxnServiceStats{}; }
+  // Zeroes this service's counters only; the lock manager, log and
+  // pipeline reset their own.
+  void ResetStats() {
+    std::scoped_lock lk(mu_);
+    stats_ = TxnServiceStats{};
+  }
 
   // Installed by the facility; null means no tracing/metrics.
   void SetObservability(obs::Observability* o) {

@@ -42,6 +42,7 @@
 #include "common/types.h"
 #include "disk/disk_server.h"
 #include "file/file_types.h"
+#include "obs/metrics.h"
 #include "txn/lock_types.h"
 
 namespace rhodos::txn {
@@ -78,6 +79,13 @@ struct TxnLogStats {
   std::uint64_t torn_records_skipped = 0;
   std::uint64_t torn_batches = 0;      // batch checksum failures at scan
   std::uint64_t salvaged_records = 0;  // records replayed from torn batches
+};
+
+inline constexpr obs::CounterField<TxnLogStats> kTxnLogCounters[] = {
+    {"txn.log.forces", &TxnLogStats::forces},
+    {"txn.log.records", &TxnLogStats::appends},
+    {"txn.log.salvaged_records", &TxnLogStats::salvaged_records},
+    {"txn.log.torn_batches", &TxnLogStats::torn_batches},
 };
 
 // Result of a read-only structural walk of the persistent log image.
@@ -138,6 +146,7 @@ class TxnLog {
   std::uint64_t BytesUsed() const { return head_; }
   std::uint64_t Capacity() const { return region_bytes_; }
   const TxnLogStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = TxnLogStats{}; }
 
  private:
   Status WriteBack(std::uint64_t begin_byte, std::uint64_t end_byte);

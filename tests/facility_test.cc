@@ -195,5 +195,43 @@ TEST(FacilityTest, BasicAndTransactionFilesCoexist) {
             file::ServiceType::kTransaction);
 }
 
+TEST(FacilityTest, ResetStatsZeroesEveryReportedCounter) {
+  DistributedFileFacility f(MediumFacility(3));
+  Machine& m = f.AddMachine();
+  auto process = f.CreateProcess();
+
+  auto od = m.file_agent->Create(naming::ByName("reset"),
+                                 file::ServiceType::kBasic);
+  ASSERT_TRUE(od.ok());
+  ASSERT_TRUE(m.file_agent->Write(*od, Pattern(3 * kBlockSize)).ok());
+  ASSERT_TRUE(m.file_agent->Flush(*od).ok());
+  ASSERT_TRUE(m.file_agent->Close(*od).ok());
+
+  auto t = m.txn_agent->TBegin(process);
+  ASSERT_TRUE(t.ok());
+  auto tod = m.txn_agent->TCreate(*t, naming::ByName("ledger"),
+                                  file::LockLevel::kRecord, 0);
+  ASSERT_TRUE(tod.ok());
+  ASSERT_TRUE(m.txn_agent->TPwrite(*t, *tod, 0, Pattern(64, 4)).ok());
+  ASSERT_TRUE(m.txn_agent->TEnd(*t, process).ok());
+
+  auto group = f.replication().CreateReplicated(file::ServiceType::kBasic,
+                                                3);
+  ASSERT_TRUE(group.ok());
+  ASSERT_TRUE(f.replication().Write(*group, 0, Pattern(1000, 5)).ok());
+  f.recovery().Tick();
+
+  std::size_t counted = 0;
+  for (const auto& [name, value] : f.StatsSnapshot().counters) {
+    if (value != 0) ++counted;
+  }
+  EXPECT_GT(counted, 40u) << "the workload should touch most layers";
+
+  f.ResetStats();
+  for (const auto& [name, value] : f.StatsSnapshot().counters) {
+    EXPECT_EQ(value, 0u) << name << " survived ResetStats()";
+  }
+}
+
 }  // namespace
 }  // namespace rhodos::core

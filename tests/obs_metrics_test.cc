@@ -1,14 +1,20 @@
 // MetricsRegistry unit tests: bucket boundaries, schema stability across
-// Reset, merge semantics, and thread safety (the lock manager feeds the
-// registry from real concurrent threads).
+// Reset, merge semantics, thread safety (the lock manager feeds the
+// registry from real concurrent threads), the stats-table fold, and the
+// facility's metric names against the golden schema and the docs.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/sim_clock.h"
+#include "core/facility.h"
 
 namespace rhodos::obs {
 namespace {
@@ -158,6 +164,71 @@ TEST(MetricsRegistry, GlobalDrainHook) {
   EXPECT_EQ(GlobalMetricsDrain(), &drain);
   SetGlobalMetricsDrain(nullptr);
   EXPECT_EQ(GlobalMetricsDrain(), nullptr);
+}
+
+struct ToyStats {
+  std::uint64_t events = 0;
+  SimTime busy = 0;
+};
+constexpr CounterField<ToyStats> kToyCounters[] = {
+    {"toy.events", &ToyStats::events},
+    {"toy.busy_ns", &ToyStats::busy},
+};
+constexpr CounterField<ToyStats> kOtherToyCounters[] = {
+    {"toy.events", &ToyStats::events},
+};
+constexpr CounterField<ToyStats> kIdleToyCounters[] = {
+    {"toy.idle", &ToyStats::events},
+};
+
+TEST(CounterFold, SumsRowsAcrossInstancesAndTables) {
+  std::vector<std::unique_ptr<ToyStats>> instances;
+  instances.push_back(std::make_unique<ToyStats>(ToyStats{2, 5}));
+  instances.push_back(std::make_unique<ToyStats>(ToyStats{3, 7}));
+  const std::vector<std::unique_ptr<ToyStats>> none;
+  const auto self = [](const ToyStats& s) -> auto& { return s; };
+  CounterFold fold;
+  fold.Sum(kToyCounters, instances, self);
+  // A row name shared by two tables adds both tables' sums.
+  fold.Sum(kOtherToyCounters, ToyStats{10, 0});
+  // A row summed over no instance is still set, so it stays in the schema.
+  fold.Sum(kIdleToyCounters, none, self);
+  MetricsRegistry r;
+  r.SetCounter("toy.events", 99);  // a re-pull overwrites, never adds
+  fold.SetCounters(r);
+  EXPECT_EQ(r.CounterValue("toy.events"), 15u);
+  EXPECT_EQ(r.CounterValue("toy.busy_ns"), 12u);
+  const auto names = r.Snapshot().Names();
+  ASSERT_EQ(names.size(), 3u);
+  EXPECT_EQ(names[2].first, "toy.idle");
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The facility's metric names are a documented interface: they must match
+// docs/metrics_schema.golden line for line, and docs/OBSERVABILITY.md must
+// mention every one. An empty facility carries the complete name set.
+TEST(MetricsSchema, FacilityNamesMatchGoldenFileAndDocs) {
+  const std::string docs = RHODOS_DOCS_DIR;
+  const std::string golden = ReadFile(docs + "/metrics_schema.golden");
+  const std::string observability = ReadFile(docs + "/OBSERVABILITY.md");
+  ASSERT_FALSE(golden.empty()) << "cannot read " << docs;
+  ASSERT_FALSE(observability.empty()) << "cannot read " << docs;
+
+  core::DistributedFileFacility facility;
+  std::string live;
+  for (const auto& [name, kind] : facility.StatsSnapshot().Names()) {
+    live += name + " " + kind + "\n";
+    EXPECT_NE(observability.find(name), std::string::npos)
+        << name << " is not documented in docs/OBSERVABILITY.md";
+  }
+  EXPECT_EQ(live, golden)
+      << "the metric schema drifted from docs/metrics_schema.golden";
 }
 
 }  // namespace

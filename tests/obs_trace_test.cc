@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -20,6 +22,31 @@ TEST(TraceRecorder, DisabledRecorderRecordsNothing) {
   EXPECT_EQ(tr.StartTrace("agent", "write"), 0u);
   EXPECT_EQ(tr.BeginSpan("rpc", "call"), kNoSpan);
   EXPECT_EQ(tr.TraceCount(), 0u);
+}
+
+// Span sites run on real threads (the lock-manager benches) while another
+// thread may flip tracing on and off. Sites read the enabled flag without
+// the recorder's mutex, so the flag must be atomic; a thread-sanitizer
+// build of this test reports the race if it is not.
+TEST(TraceRecorder, SpanSitesRaceEnableSafely) {
+  SimClock clock;
+  TraceRecorder tr(&clock, /*capacity=*/4);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> sites;
+  for (int t = 0; t < 3; ++t) {
+    sites.emplace_back([&tr, &stop] {
+      while (!stop) SpanScope span(&tr, "lock", "wait");
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    tr.Enable(i % 2 == 0);
+    const TraceId id = tr.StartTrace("bench", "round");
+    if (id != 0) tr.EndSpan(tr.GetTrace(id).spans.front().id);
+  }
+  stop = true;
+  for (auto& site : sites) site.join();
+  EXPECT_EQ(tr.TraceCount(), 4u);
+  EXPECT_FALSE(tr.TraceActive());
 }
 
 TEST(TraceRecorder, SpanTreeWithSimTimes) {
