@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full check: configure, build, and run the test suite twice — once plain,
 # once under AddressSanitizer + UBSan (RHODOS_SANITIZE=address,undefined).
+# The plain leg also checks the disk-efficiency baselines and the end-to-end
+# benchmark's determinism.
 #
 # Usage: scripts/check.sh [--plain-only|--sanitize-only]
 set -euo pipefail
@@ -45,6 +47,11 @@ if [[ "$mode" != "--sanitize-only" ]]; then
   # Re-runs the I/O-sensitive benches and fails if disk references or arm
   # travel regressed >10% against the committed bench/baselines/*.json.
   scripts/bench_baseline.sh --check
+
+  echo "== end-to-end benchmark: determinism self-test =="
+  # Builds perfbench/ into .bench_build/ and fails unless every simulated
+  # and counted metric reproduces exactly for the same seed.
+  python3 perfbench/selftest.py
 fi
 
 if [[ "$mode" != "--plain-only" ]]; then

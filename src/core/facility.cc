@@ -79,8 +79,10 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
     recovery_->SetShardRouter(router_.get());
     router_->SetFenceHook([this](std::uint32_t s) {
       // Epoch fence: purge the shard's volatile state (caches, open files)
-      // and bump its version tokens. Write-through made this lossless, and
-      // the token bump forces every client to revalidate blocks it cached
+      // and bump its version tokens. Write-through keeps every acknowledged
+      // write and hard table change; only soft counters (access counts,
+      // read times) gathered since a file's last table store are dropped.
+      // The token bump forces every client to revalidate blocks it cached
       // from whichever shard served the file before the route change.
       // Callback promises are dropped WITHOUT grace first: the epoch bump
       // revokes the agents' trust in them synchronously, so — unlike a real

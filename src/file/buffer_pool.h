@@ -65,8 +65,8 @@ struct BufferPoolStats {
 
 class BufferPool {
  public:
-  // `buffer_bytes` is kFragmentSize for a fragment pool, kBlockSize for a
-  // block pool; `capacity` is the number of buffers the pool owns.
+  // `buffer_bytes` is the size of every buffer (kBlockSize for the file
+  // service's block pool); `capacity` is the number of buffers it owns.
   BufferPool(std::size_t buffer_bytes, std::size_t capacity)
       : buffer_bytes_(buffer_bytes), capacity_(capacity) {
     free_.reserve(capacity);

@@ -22,8 +22,7 @@ FileService::FileService(disk::DiskRegistry* disks, SimClock* clock,
       config_(config),
       snap_journal_(disks, config.snapshot_region_fragments,
                     config.snapshot_region_slot),
-      block_pool_(kBlockSize, config.block_pool_capacity),
-      fragment_pool_(kFragmentSize, config.fragment_pool_capacity) {}
+      block_pool_(kBlockSize, config.block_pool_capacity) {}
 
 WritePolicy FileService::PolicyFor(const OpenFile& of) const {
   // "The delayed-write together with write-through policies are adapted to
@@ -68,6 +67,16 @@ Result<FileService::OpenFile*> FileService::LoadTable(FileId id) {
                                                      kFragmentsPerBlock,
                                                      block));
     RHODOS_RETURN_IF_ERROR(of.table.ParseIndirectBlock(block));
+  }
+  // ref_count counts this service's open handles, and a table that had to
+  // be loaded has none. The stored value is whatever the last store saw,
+  // and a close that stores nothing never corrects it.
+  of.table.attributes().ref_count = 0;
+  if (auto p = parked_attrs_.find(id); p != parked_attrs_.end()) {
+    of.table.attributes().access_count = p->second.access_count;
+    of.table.attributes().last_read_time = p->second.last_read_time;
+    of.attrs_dirty = true;
+    parked_attrs_.erase(p);
   }
   ++stats_.fit_loads;
   auto [it, inserted] = open_files_.emplace(id, std::move(of));
@@ -128,6 +137,25 @@ Status FileService::StoreTable(FileId id, OpenFile& of) {
   return OkStatus();
 }
 
+void FileService::ForgetTables(const FileId* only) {
+  if (only == nullptr) {
+    open_files_.clear();
+    parked_attrs_.clear();
+    return;
+  }
+  open_files_.erase(*only);
+  parked_attrs_.erase(*only);
+}
+
+Status FileService::StoreParked(FileId id) {
+  RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
+  RHODOS_RETURN_IF_ERROR(StoreTable(id, *of));
+  // Closed before, closed after: Flush leaves the table cache as it found
+  // it (a failed store above keeps the entry, and its values, loaded).
+  open_files_.erase(id);
+  return OkStatus();
+}
+
 // --- create / delete / open / close -------------------------------------------
 
 Result<FileId> FileService::Create(ServiceType type,
@@ -167,6 +195,9 @@ Result<FileId> FileService::Create(ServiceType type,
   RHODOS_RETURN_IF_ERROR(StoreTable(id, of));
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(placement->disk));
   RHODOS_RETURN_IF_ERROR(server->PersistMetadata(WriteSync::kAsynchronous));
+  // A reused FileId starts from the table just stored, not from whatever a
+  // deleted predecessor left parked.
+  ForgetTables(&id);
   open_files_.emplace(id, std::move(of));
   return id;
 }
@@ -219,7 +250,7 @@ Status FileService::Delete(FileId id) {
 
   // Purge the block cache of this file's entries.
   PurgeCache(id, 0);
-  open_files_.erase(id);
+  ForgetTables(&id);
   BumpVersion(id);
   return OkStatus();
 }
@@ -239,9 +270,17 @@ Status FileService::Close(FileId id) {
   OpenFile& of = it->second;
   if (of.pins > 0) --of.pins;
   if (of.table.attributes().ref_count > 0) --of.table.attributes().ref_count;
-  // Delayed writes reach the platter at close.
-  RHODOS_RETURN_IF_ERROR(Flush(id));
-  if (of.pins == 0) open_files_.erase(it);
+  // Delayed writes reach the platter at close, and so do hard table
+  // changes. A table store for soft attributes alone would cost a
+  // synchronous write to the main copy and the stable mirror per close.
+  RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
+  if (of.table_dirty) RHODOS_RETURN_IF_ERROR(StoreTable(id, of));
+  if (of.pins > 0) return OkStatus();
+  if (of.attrs_dirty) {
+    parked_attrs_[id] = ParkedAttrs{of.table.attributes().access_count,
+                                    of.table.attributes().last_read_time};
+  }
+  open_files_.erase(id);
   return OkStatus();
 }
 
@@ -871,8 +910,10 @@ Status FileService::Flush(FileId id) {
   // its table if it changed.
   RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
   auto it = open_files_.find(id);
-  if (it != open_files_.end() &&
-      (it->second.table_dirty || it->second.attrs_dirty)) {
+  if (it == open_files_.end()) {
+    return parked_attrs_.contains(id) ? StoreParked(id) : OkStatus();
+  }
+  if (it->second.table_dirty || it->second.attrs_dirty) {
     RHODOS_RETURN_IF_ERROR(StoreTable(id, it->second));
   }
   return OkStatus();
@@ -884,6 +925,10 @@ Status FileService::FlushAll() {
     if (of.table_dirty || of.attrs_dirty) {
       RHODOS_RETURN_IF_ERROR(StoreTable(id, of));
     }
+  }
+  // Each StoreParked consumes its entry (LoadTable folds it in) or fails.
+  while (!parked_attrs_.empty()) {
+    RHODOS_RETURN_IF_ERROR(StoreParked(parked_attrs_.begin()->first));
   }
   for (const auto& d : disks_->disks()) {
     RHODOS_RETURN_IF_ERROR(d->FlushAll());
@@ -1266,7 +1311,7 @@ Status FileService::ApplySnapOp(const SnapOp& op) {
       // Materialize the image deterministically from the source: same runs,
       // all shared. A redo that finds a half-stored image from the crashed
       // first attempt adopts its indirect blocks instead of leaking them.
-      open_files_.erase(op.file);
+      ForgetTables(&op.file);
       OpenFile image;
       image.table.attributes() = src->table.attributes();
       FileAttributes& attrs = image.table.attributes();
@@ -1340,7 +1385,7 @@ Status FileService::ApplySnapOp(const SnapOp& op) {
             StableMode::kOriginalAndStable, WriteSync::kSynchronous));
         touch(server);
         PurgeCache(op.file, 0);
-        open_files_.erase(op.file);
+        ForgetTables(&op.file);
       }
       if (op.truncate) {
         RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(op.file));
@@ -1456,7 +1501,7 @@ void FileService::Crash() {
   for (const auto& [key, entry] : cache_) NoteDropped(entry);
   cache_.clear();
   lru_.clear();
-  open_files_.clear();
+  ForgetTables(nullptr);
   // The share map and journal head are volatile; RecoverSnapshots rebuilds
   // them from the stable region.
   snap_journal_.Reset();

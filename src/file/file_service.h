@@ -47,8 +47,6 @@ namespace rhodos::file {
 struct FileServiceConfig {
   // Block-cache capacity, in 8 KiB buffers (the block pool of §5).
   std::size_t block_pool_capacity = 256;
-  // Fragment-pool capacity (file index tables cached in memory).
-  std::size_t fragment_pool_capacity = 128;
   // Write policy for BASIC files; transaction files always write through.
   disk::WritePolicy basic_write_policy = disk::WritePolicy::kDelayed;
   // Largest extent allocated at once when a file grows, in blocks. Growth
@@ -139,6 +137,11 @@ class FileService {
 
   // Opens the file (loads and caches its index table, bumps ref_count).
   Status Open(FileId id);
+  // Writes back the file's dirty blocks (delayed writes complete at close)
+  // and stores its index table only if a hard attribute changed: size,
+  // runs, service type or lock level. Soft attributes (access count, last
+  // read time) do not earn a mirrored table store of their own; the last
+  // close parks them in memory and the next table load folds them back in.
   Status Close(FileId id);
 
   Result<std::uint64_t> Read(FileId id, std::uint64_t offset,
@@ -192,7 +195,8 @@ class FileService {
   Status TestSetShareCount(DiskId disk, FragmentIndex first_fragment,
                            std::uint32_t block_count, std::uint32_t count);
 
-  // Writes back all dirty cached blocks and the index table of `id`.
+  // Writes back all dirty cached blocks and the index table of `id` if any
+  // of its attributes changed, soft attributes parked by a close included.
   Status Flush(FileId id);
   Status FlushAll();
 
@@ -229,7 +233,8 @@ class FileService {
   // --- Failure model --------------------------------------------------------
 
   // Loss of the server machine's volatile state: block cache and cached
-  // index tables vanish; dirty (delayed-write) data is lost.
+  // index tables vanish; dirty (delayed-write) data is lost, and access
+  // counts revert to the last stored table (parked soft attributes die).
   void Crash();
 
   // --- Coherence ------------------------------------------------------------
@@ -285,9 +290,11 @@ class FileService {
     FileIndexTable table;
     // On-disk locations of the table's indirect blocks (control data).
     std::vector<BlockDescriptor> indirect_blocks;
+    // Hard changes (size, runs, service type, lock level): stored at close
+    // at the latest.
     bool table_dirty = false;
-    // Soft attribute changes (access counts, timestamps): persisted at
-    // flush/close, but not worth a synchronous table store per operation.
+    // Soft attribute changes (access count, last read time): ride the next
+    // table store or an explicit Flush/FlushAll, never a store of their own.
     bool attrs_dirty = false;
     std::uint32_t pins = 0;  // open handles
     // Sequential-access detector state for read-ahead: the byte offset the
@@ -314,8 +321,26 @@ class FileService {
     std::list<CacheKey>::iterator lru_pos;
   };
 
-  // Loads (or returns the already-loaded) index table of `id`.
+  // Soft attributes of a closed file whose last close found nothing else
+  // to store.
+  struct ParkedAttrs {
+    std::uint64_t access_count = 0;
+    SimTime last_read_time = 0;
+  };
+
+  // Loads (or returns the already-loaded) index table of `id`, folding in
+  // any parked soft attributes.
   Result<OpenFile*> LoadTable(FileId id);
+
+  // Drops cached index tables and their parked soft attributes — of one
+  // file when `only` is non-null, of all files otherwise. Every path that
+  // discards a table without storing it goes through here, so parked
+  // values never outlive the file they belong to.
+  void ForgetTables(const FileId* only);
+
+  // Stores the table of a closed file with parked soft attributes (load,
+  // store, drop again).
+  Status StoreParked(FileId id);
 
   // Shared Snapshot/Clone body: one kImage journal op.
   Result<FileId> CaptureImage(FileId id, std::uint8_t image_flags);
@@ -391,8 +416,10 @@ class FileService {
   FileServiceConfig config_;
   SnapJournal snap_journal_;
   BufferPool block_pool_;
-  BufferPool fragment_pool_;
   std::unordered_map<FileId, OpenFile> open_files_;
+  // Never holds a FileId that open_files_ holds: LoadTable moves an entry
+  // back into the table it folds into.
+  std::unordered_map<FileId, ParkedAttrs> parked_attrs_;
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
   std::list<CacheKey> lru_;  // front = most recent
   // Mutation counters behind Version(). Entries outlive Delete on purpose

@@ -18,7 +18,9 @@
 //    blocks they cached against whichever shard served them before the
 //    routing change.
 // Sharded file services run write-through (the facility forces this), so
-// the purge can never lose acknowledged data.
+// the purge keeps all acknowledged data and hard metadata (size, runs,
+// type, lock level). It drops only soft counters — access counts and read
+// times gathered since a file's last index-table store.
 #pragma once
 
 #include <cstdint>

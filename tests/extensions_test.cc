@@ -175,17 +175,64 @@ TEST_F(DefaultLevelTest, ApplySetsTheAttribute) {
 }
 
 TEST_F(DefaultLevelTest, AccessCountPersistsAcrossReload) {
-  auto file = facility_.files().Create(file::ServiceType::kTransaction, 0);
+  file::FileService& files = facility_.files();
+  auto file = files.Create(file::ServiceType::kTransaction, 0);
   ASSERT_TRUE(file.ok());
   std::vector<std::uint8_t> buf(16, 1);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(facility_.files().Write(*file, 0, buf).ok());
+    ASSERT_TRUE(files.Write(*file, 0, buf).ok());
   }
-  ASSERT_TRUE(facility_.files().Flush(*file).ok());
-  facility_.files().Crash();
-  auto attrs = facility_.files().GetAttributes(*file);
-  ASSERT_TRUE(attrs.ok());
-  EXPECT_GE(attrs->access_count, 5u);
+  ASSERT_TRUE(files.Flush(*file).ok());
+  files.Crash();
+  auto count = [&files](FileId id) {
+    auto attrs = files.GetAttributes(id);
+    EXPECT_TRUE(attrs.ok());
+    return attrs.ok() ? attrs->access_count : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(count(*file), 5u);
+
+  // One access through a full open/read/close cycle. The close stores no
+  // table for it; the count waits in memory for the next table load.
+  auto read_once = [&files, &buf](FileId id) {
+    ASSERT_TRUE(files.Open(id).ok());
+    ASSERT_TRUE(files.Read(id, 0, buf).ok());
+    ASSERT_TRUE(files.Close(id).ok());
+  };
+  read_once(*file);
+  read_once(*file);
+  EXPECT_EQ(count(*file), 7u);  // counting goes on across close -> reopen
+
+  // An explicit FlushAll persists the count of a closed file.
+  read_once(*file);
+  ASSERT_TRUE(files.FlushAll().ok());
+  files.Crash();
+  EXPECT_EQ(count(*file), 8u);
+
+  // A count nobody flushed reverts to the last stored value.
+  read_once(*file);
+  files.Crash();
+  EXPECT_EQ(count(*file), 8u);
+
+  // A deleted file's count dies with it, through the plain delete and
+  // through the snapshot shared-release path alike: a file re-created at
+  // the same index-table fragment starts from zero.
+  for (const bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared release" : "plain delete");
+    auto victim = files.Create(file::ServiceType::kBasic, 0);
+    ASSERT_TRUE(victim.ok());
+    ASSERT_TRUE(files.Write(*victim, 0, buf).ok());
+    if (shared) {
+      ASSERT_TRUE(files.Snapshot(*victim).ok());
+      ASSERT_TRUE(files.HasSharedRuns(*victim).value());
+    }
+    ASSERT_TRUE(files.Close(*victim).ok());
+    read_once(*victim);
+    ASSERT_TRUE(files.Delete(*victim).ok());
+    auto again = files.Create(file::ServiceType::kBasic, 0);
+    ASSERT_TRUE(again.ok());
+    ASSERT_EQ(*again, *victim);
+    EXPECT_EQ(count(*again), 0u);
+  }
 }
 
 // --- wire protocol -----------------------------------------------------------------

@@ -227,6 +227,63 @@ TEST_F(FileServiceTest, OpenCloseRefCounting) {
   EXPECT_EQ(service_->Close(*file).code(), ErrorCode::kBadDescriptor);
 }
 
+// --- the counted cost of close ------------------------------------------------
+// Close completes delayed writes and stores the index table only for hard
+// changes (size, runs, type, lock level). Access counts and read times never
+// pay a synchronous table store to the main copy and the stable mirror.
+
+class CloseCostTest : public FileServiceTest {
+ protected:
+  // A closed file of `blocks` written blocks, then zeroed counters: what
+  // the next open/close costs is all that shows.
+  FileId SettledFile(std::uint64_t blocks) {
+    auto file = service_->Create(ServiceType::kBasic, blocks * kBlockSize);
+    EXPECT_TRUE(file.ok());
+    if (blocks > 0) {
+      EXPECT_TRUE(
+          service_->Write(*file, 0, Pattern(blocks * kBlockSize)).ok());
+    }
+    EXPECT_TRUE(service_->Close(*file).ok());
+    service_->ResetStats();
+    Disk()->ResetStats();
+    return *file;
+  }
+  disk::DiskServer* Disk() { return *disks_.Get(DiskId{0}); }
+};
+
+TEST_F(CloseCostTest, ReadOnlyCloseStoresNoTable) {
+  const FileId file = SettledFile(2);
+  ASSERT_TRUE(service_->Open(file).ok());
+  std::vector<std::uint8_t> out(kBlockSize);
+  ASSERT_TRUE(service_->Read(file, 0, out).ok());
+  ASSERT_TRUE(service_->Close(file).ok());
+  EXPECT_EQ(service_->stats().fit_loads, 1u);  // open still reads the table
+  EXPECT_EQ(service_->stats().fit_stores, 0u);
+  EXPECT_EQ(Disk()->main_stats().write_references, 0u);
+  EXPECT_EQ(Disk()->stable_stats().write_references, 0u);
+}
+
+TEST_F(CloseCostTest, InPlaceOverwriteCloseWritesOnlyData) {
+  const FileId file = SettledFile(4);
+  ASSERT_TRUE(service_->Open(file).ok());
+  ASSERT_TRUE(service_->Write(file, kBlockSize, Pattern(kBlockSize, 9)).ok());
+  ASSERT_TRUE(service_->Close(file).ok());
+  EXPECT_EQ(service_->stats().fit_stores, 0u);
+  EXPECT_EQ(Disk()->main_stats().write_references, 1u);
+  EXPECT_EQ(Disk()->main_stats().fragments_written, kFragmentsPerBlock);
+  EXPECT_EQ(Disk()->stable_stats().write_references, 0u);
+}
+
+TEST_F(CloseCostTest, GrowingWriteStoresTheTableOnce) {
+  const FileId file = SettledFile(0);
+  ASSERT_TRUE(service_->Open(file).ok());
+  ASSERT_TRUE(service_->Write(file, 0, Pattern(kBlockSize)).ok());
+  ASSERT_TRUE(service_->Close(file).ok());
+  EXPECT_EQ(service_->stats().fit_stores, 1u);
+  EXPECT_EQ(Disk()->stable_stats().write_references, 1u);  // the FIT mirror
+  EXPECT_EQ(service_->GetAttributes(file)->size, kBlockSize);
+}
+
 TEST_F(FileServiceTest, ReplaceBlockRelinksAndFreesOld) {
   auto file = service_->Create(ServiceType::kBasic, 4 * kBlockSize);
   ASSERT_TRUE(file.ok());
