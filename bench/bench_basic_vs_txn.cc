@@ -4,9 +4,11 @@
 // transaction semantics buy atomicity at the cost of locking, intention
 // logging, and write-through durability.
 //
-// Workload: the same 100-update stream against one 16-block file, three
-// ways — basic ops, one-txn-per-update, one txn batching all updates.
-// Columns: simulated time per update, disk write references, log traffic.
+// Workload: the same 100-update stream against one 16-block file, four
+// ways — basic ops, one-txn-per-update (page locking, and record locking,
+// whose commits apply byte ranges in place), one txn batching all updates.
+// Columns: simulated time per update, main-disk and stable-storage write
+// references, log traffic.
 //
 // Expected shape: basic is cheapest (delayed writes coalesce); per-update
 // transactions pay the full commit machinery every time; a batched
@@ -22,6 +24,7 @@ constexpr std::uint64_t kFileBlocks = 16;
 struct RunResult {
   SimTime sim_time = 0;
   std::uint64_t disk_writes = 0;
+  std::uint64_t stable_writes = 0;
   std::uint64_t log_bytes = 0;
 };
 
@@ -35,6 +38,9 @@ RunResult Measure(core::DistributedFileFacility& facility, Fn&& body) {
   RunResult r;
   r.sim_time = facility.clock().Now() - t0;
   r.disk_writes = TotalWriteRefs(facility);
+  for (const auto& d : facility.disks().disks()) {
+    r.stable_writes += d->stable_stats().write_references;
+  }
   r.log_bytes =
       facility.transactions().log().stats().bytes_logged - log0;
   return r;
@@ -44,6 +50,7 @@ void Report(benchmark::State& state, const RunResult& r) {
   state.counters["sim_us_per_update"] =
       static_cast<double>(r.sim_time) / kSimMicrosecond / kUpdates;
   state.counters["disk_write_refs"] = static_cast<double>(r.disk_writes);
+  state.counters["stable_write_refs"] = static_cast<double>(r.stable_writes);
   state.counters["log_KiB"] = static_cast<double>(r.log_bytes) / 1024.0;
 }
 
@@ -69,13 +76,12 @@ void BM_BasicFileService(benchmark::State& state) {
 }
 BENCHMARK(BM_BasicFileService)->Iterations(3);
 
-void BM_TxnPerUpdate(benchmark::State& state) {
+void TxnPerUpdate(benchmark::State& state, file::LockLevel level) {
   for (auto _ : state) {
     core::DistributedFileFacility facility(DefaultFacility());
     auto& txns = facility.transactions();
     auto t0 = txns.Begin(ProcessId{1});
-    auto file = txns.TCreate(*t0, file::LockLevel::kPage,
-                             kFileBlocks * kBlockSize);
+    auto file = txns.TCreate(*t0, level, kFileBlocks * kBlockSize);
     (void)txns.TWrite(*t0, *file, 0, Pattern(kFileBlocks * kBlockSize));
     (void)txns.End(*t0);
     Rng rng(3);
@@ -91,7 +97,16 @@ void BM_TxnPerUpdate(benchmark::State& state) {
     Report(state, r);
   }
 }
+
+void BM_TxnPerUpdate(benchmark::State& state) {
+  TxnPerUpdate(state, file::LockLevel::kPage);
+}
 BENCHMARK(BM_TxnPerUpdate)->Iterations(3);
+
+void BM_TxnPerUpdate_RecordLocking(benchmark::State& state) {
+  TxnPerUpdate(state, file::LockLevel::kRecord);
+}
+BENCHMARK(BM_TxnPerUpdate_RecordLocking)->Iterations(3);
 
 void BM_OneTxnBatchingAllUpdates(benchmark::State& state) {
   for (auto _ : state) {

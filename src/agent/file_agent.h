@@ -105,7 +105,6 @@ struct FileAgentStats {
   std::uint64_t peer_fallbacks = 0;      // redirects that fell back to origin
 };
 
-// naming_unregister_failures is not exported yet (it is not in the schema).
 inline constexpr obs::CounterField<FileAgentStats> kFileAgentCounters[] = {
     {"agent.cache.hits", &FileAgentStats::cache_hits},
     {"agent.cache.misses", &FileAgentStats::cache_misses},
@@ -116,6 +115,8 @@ inline constexpr obs::CounterField<FileAgentStats> kFileAgentCounters[] = {
     {"agent.writeback_runs", &FileAgentStats::writeback_runs},
     {"agent.stale_invalidations", &FileAgentStats::stale_invalidations},
     {"agent.name_cache_hits", &FileAgentStats::name_cache_hits},
+    {"agent.naming_unregister_failures",
+     &FileAgentStats::naming_unregister_failures},
     {"agent.callback_fast_opens", &FileAgentStats::callback_fast_opens},
     {"agent.callback_renewals", &FileAgentStats::callback_renewals},
     {"agent.callback_breaks", &FileAgentStats::callback_breaks},

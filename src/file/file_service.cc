@@ -273,8 +273,7 @@ Status FileService::Close(FileId id) {
   // Delayed writes reach the platter at close, and so do hard table
   // changes. A table store for soft attributes alone would cost a
   // synchronous write to the main copy and the stable mirror per close.
-  RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
-  if (of.table_dirty) RHODOS_RETURN_IF_ERROR(StoreTable(id, of));
+  RHODOS_RETURN_IF_ERROR(Sync(id));
   if (of.pins > 0) return OkStatus();
   if (of.attrs_dirty) {
     parked_attrs_[id] = ParkedAttrs{of.table.attributes().access_count,
@@ -905,18 +904,20 @@ Status FileService::WritebackDirty(const FileId* only) {
   return OkStatus();
 }
 
-Status FileService::Flush(FileId id) {
-  // Write back this file's dirty blocks (delayed-write completion), then
-  // its table if it changed.
+Status FileService::Sync(FileId id) {
   RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
+  auto it = open_files_.find(id);
+  if (it == open_files_.end() || !it->second.table_dirty) return OkStatus();
+  return StoreTable(id, it->second);
+}
+
+Status FileService::Flush(FileId id) {
+  RHODOS_RETURN_IF_ERROR(Sync(id));
   auto it = open_files_.find(id);
   if (it == open_files_.end()) {
     return parked_attrs_.contains(id) ? StoreParked(id) : OkStatus();
   }
-  if (it->second.table_dirty || it->second.attrs_dirty) {
-    RHODOS_RETURN_IF_ERROR(StoreTable(id, it->second));
-  }
-  return OkStatus();
+  return it->second.attrs_dirty ? StoreTable(id, it->second) : OkStatus();
 }
 
 Status FileService::FlushAll() {

@@ -137,11 +137,11 @@ class FileService {
 
   // Opens the file (loads and caches its index table, bumps ref_count).
   Status Open(FileId id);
-  // Writes back the file's dirty blocks (delayed writes complete at close)
-  // and stores its index table only if a hard attribute changed: size,
-  // runs, service type or lock level. Soft attributes (access count, last
-  // read time) do not earn a mirrored table store of their own; the last
-  // close parks them in memory and the next table load folds them back in.
+  // Syncs the file (delayed writes complete at close; the index table is
+  // stored only if a hard attribute changed). Soft attributes (access
+  // count, last read time) do not earn a mirrored table store of their
+  // own; the last close parks them in memory and the next table load folds
+  // them back in.
   Status Close(FileId id);
 
   Result<std::uint64_t> Read(FileId id, std::uint64_t offset,
@@ -195,8 +195,14 @@ class FileService {
   Status TestSetShareCount(DiskId disk, FragmentIndex first_fragment,
                            std::uint32_t block_count, std::uint32_t count);
 
-  // Writes back all dirty cached blocks and the index table of `id` if any
-  // of its attributes changed, soft attributes parked by a close included.
+  // Durability of the file's data and hard metadata: writes back its dirty
+  // cached blocks and stores its index table only if a hard attribute
+  // (size, runs, service type, lock level) changed. Soft attributes stay
+  // dirty in memory and ride the next table store. Close and transaction
+  // commits (and their recovery redo) go through here.
+  Status Sync(FileId id);
+  // Sync plus the soft attributes: also stores the table when only access
+  // counts or read times changed, parked ones of a closed file included.
   Status Flush(FileId id);
   Status FlushAll();
 
@@ -294,7 +300,8 @@ class FileService {
     // at the latest.
     bool table_dirty = false;
     // Soft attribute changes (access count, last read time): ride the next
-    // table store or an explicit Flush/FlushAll, never a store of their own.
+    // table store or an explicit Flush/FlushAll, never a store of their own
+    // — not at close (which parks them) and not at a transaction commit.
     bool attrs_dirty = false;
     std::uint32_t pins = 0;  // open handles
     // Sequential-access detector state for read-ahead: the byte offset the

@@ -356,7 +356,7 @@ Status TransactionService::ApplyWalRange(FileId file, std::uint64_t offset,
                                          std::span<const std::uint8_t> data) {
   auto n = files_->Write(file, offset, data);
   if (!n.ok()) return Error{n.error()};
-  return files_->Flush(file);
+  return files_->Sync(file);
 }
 
 Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
@@ -481,12 +481,13 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
       RHODOS_RETURN_IF_ERROR(files_->Resize(file, size));
     }
   }
-  // Push any still-buffered blocks (e.g. zero-filled growth) to the
-  // platter: a committed transaction's effects must not sit in a volatile
-  // cache.
+  // Push any still-buffered blocks (e.g. zero-filled growth) and hard
+  // table changes to the platter: a committed transaction's effects must
+  // not sit in a volatile cache. Access counts bumped by the transaction's
+  // reads and writes are not effects; they stay in memory like a close's.
   for (FileId file : t.touched) {
     if (t.to_delete.count(file) != 0) continue;
-    RHODOS_RETURN_IF_ERROR(files_->Flush(file));
+    RHODOS_RETURN_IF_ERROR(files_->Sync(file));
   }
   for (FileId file : t.to_delete) {
     RHODOS_RETURN_IF_ERROR(files_->Delete(file));

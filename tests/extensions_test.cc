@@ -142,16 +142,63 @@ TEST_F(DefaultLevelTest, ColdSmallFileDefaultsToPage) {
   EXPECT_EQ(*level, LockLevel::kPage);
 }
 
+// Usage gathered by committed transactions heats a file, although a commit
+// keeps the counter in memory like a close does: it stores no index table
+// for soft attributes alone.
 TEST_F(DefaultLevelTest, HotFileDefaultsToRecord) {
-  auto file = facility_.files().Create(file::ServiceType::kTransaction, 0);
-  ASSERT_TRUE(file.ok());
+  file::FileService& files = facility_.files();
+  txn::TransactionService& txns = facility_.transactions();
   std::vector<std::uint8_t> buf(16, 1);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(facility_.files().Write(*file, 0, buf).ok());
+  auto commit = [&](FileId id) {
+    auto t = txns.Begin(kProc);
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(txns.TRead(*t, id, 0, buf, txn::ReadIntent::kForUpdate).ok());
+    ASSERT_TRUE(txns.TWrite(*t, id, 0, buf).ok());
+    ASSERT_TRUE(txns.End(*t).ok());
+  };
+  auto count = [&files](FileId id) {
+    auto attrs = files.GetAttributes(id);
+    EXPECT_TRUE(attrs.ok());
+    return attrs.ok() ? attrs->access_count : ~std::uint64_t{0};
+  };
+  auto suggest = [&txns](FileId id) {
+    auto level = txns.SuggestLockLevel(id);
+    EXPECT_TRUE(level.ok());
+    return level.ok() ? *level : LockLevel::kFile;
+  };
+
+  auto t = txns.Begin(kProc);
+  ASSERT_TRUE(t.ok());
+  auto file = txns.TCreate(*t, LockLevel::kRecord, 0);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(txns.TWrite(*t, *file, 0, buf).ok());
+  ASSERT_TRUE(txns.End(*t).ok());
+  EXPECT_EQ(suggest(*file), LockLevel::kPage);
+
+  // Each in-place commit reads and writes the file: the count rises while
+  // no table is stored, and the threshold flips the suggested level.
+  const std::uint64_t stores = files.stats().fit_stores;
+  std::uint64_t last = count(*file);
+  while (last < Config().txn.hot_access_threshold) {
+    commit(*file);
+    const std::uint64_t now = count(*file);
+    ASSERT_GT(now, last);
+    last = now;
   }
-  auto level = facility_.transactions().SuggestLockLevel(*file);
-  ASSERT_TRUE(level.ok());
-  EXPECT_EQ(*level, LockLevel::kRecord);
+  EXPECT_EQ(files.stats().fit_stores, stores);
+  EXPECT_EQ(suggest(*file), LockLevel::kRecord);
+
+  // FlushAll persists the count; a crash afterwards keeps it.
+  ASSERT_TRUE(files.FlushAll().ok());
+  files.Crash();
+  EXPECT_EQ(count(*file), last);
+  EXPECT_EQ(suggest(*file), LockLevel::kRecord);
+
+  // Counts gathered by later commits revert to the last stored value.
+  commit(*file);
+  EXPECT_GT(count(*file), last);
+  files.Crash();
+  EXPECT_EQ(count(*file), last);
 }
 
 TEST_F(DefaultLevelTest, LargeColdFileDefaultsToFile) {

@@ -101,15 +101,19 @@ class GroupCommitRecoveryTest : public ::testing::Test {
     return *file;
   }
 
-  // Fresh world: kFiles page-locked files of kFileBlocks blocks each. The
-  // fault seed decides how many fragments a torn write persists, so the
-  // crash sweeps vary it to hit different mid-batch tear points.
+  // Fresh world: kFiles files of kFileBlocks blocks each, page-locked at
+  // even indexes and record-locked at odd ones, so every transaction below
+  // commits one page image and one byte range (a WAL range record, applied
+  // in place and redone by recovery through the same path). The fault
+  // seed decides how many fragments a torn write persists, so the crash
+  // sweeps vary it to hit different mid-batch tear points.
   void BuildWorld(TxnServiceConfig cfg, std::uint64_t fault_seed = 1) {
     Rebuild(cfg, fault_seed);
     file_ids_.clear();
     for (int f = 0; f < kFiles; ++f) {
-      file_ids_.push_back(MakeFile(LockLevel::kPage, kFileBlocks * kBlockSize,
-                                   static_cast<std::uint8_t>(10 + f)));
+      file_ids_.push_back(MakeFile(
+          f % 2 == 0 ? LockLevel::kPage : LockLevel::kRecord,
+          kFileBlocks * kBlockSize, static_cast<std::uint8_t>(10 + f)));
     }
   }
 
@@ -248,9 +252,13 @@ TEST_F(GroupCommitRecoveryTest, ApplyCrashAtEveryWriteIsRedoneOrAbsent) {
   const TxnServiceConfig cfg;
   BuildWorld(cfg);
   const std::uint64_t before = Main().stats().write_references;
+  const TxnServiceStats setup = txn_->stats();
   RunWorkload();
   const std::uint64_t total = Main().stats().write_references - before;
   ASSERT_GT(total, 0u);
+  // Both apply paths are in the sweep: page images and byte ranges.
+  ASSERT_GT(txn_->stats().pages_logged, setup.pages_logged);
+  ASSERT_GT(txn_->stats().ranges_logged, setup.ranges_logged);
 
   std::uint64_t redone = 0;
   for (std::uint64_t k = 0; k <= total; ++k) {

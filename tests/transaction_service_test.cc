@@ -185,6 +185,52 @@ TEST_F(TxnServiceTest, RecordModeBuffersByteRanges) {
   EXPECT_EQ(out[0], c[0]);
 }
 
+// A commit stores the index table only for hard changes (size, runs): the
+// access counts its reads and writes bump stay in memory. The log lives on
+// stable storage only, so main-disk writes are the commit's data and table
+// writes.
+TEST_F(TxnServiceTest, CommitStoresTheIndexTableOnlyForHardChanges) {
+  disk::DiskServer* d0 = *disks_->Get(DiskId{0});
+  struct Cost {
+    std::uint64_t fit_stores;
+    std::uint64_t main_writes;
+  };
+  auto commit = [&](FileId file, std::uint64_t offset, std::size_t len) {
+    files_->ResetStats();
+    const auto main_before = d0->main_stats().write_references;
+    auto t = txn_->Begin(ProcessId{1});
+    std::vector<std::uint8_t> out(len);
+    EXPECT_TRUE(txn_->TRead(*t, file, offset, out,
+                            ReadIntent::kForUpdate).ok());
+    EXPECT_TRUE(txn_->TWrite(*t, file, offset, Pattern(len, 0x3C)).ok());
+    EXPECT_TRUE(txn_->End(*t).ok());
+    return Cost{files_->stats().fit_stores,
+                d0->main_stats().write_references - main_before};
+  };
+
+  // Record-locked range inside the file: one in-place data write, no table.
+  const FileId account = MakeFile(LockLevel::kRecord, 1000, 2);
+  const Cost in_place = commit(account, 100, 16);
+  EXPECT_EQ(in_place.fit_stores, 0u);
+  EXPECT_EQ(in_place.main_writes, 1u);
+  std::vector<std::uint8_t> out(16);
+  ASSERT_TRUE(files_->Read(account, 100, out).ok());
+  EXPECT_EQ(out, Pattern(16, 0x3C));
+
+  // A range that grows the file changes its size: one table store.
+  EXPECT_EQ(commit(account, 3 * kBlockSize, 16).fit_stores, 1u);
+  EXPECT_EQ(files_->GetAttributes(account)->size, 3 * kBlockSize + 16);
+
+  // A shadow-page commit remaps a block: one table store.
+  TxnServiceConfig cfg;
+  cfg.technique = TxnServiceConfig::TechniqueOverride::kShadowAlways;
+  Rebuild(cfg);
+  d0 = *disks_->Get(DiskId{0});
+  const FileId paged = MakeFile(LockLevel::kPage, 4 * kBlockSize);
+  EXPECT_EQ(commit(paged, kBlockSize, kBlockSize).fit_stores, 1u);
+  EXPECT_GE(txn_->stats().shadow_commits, 1u);
+}
+
 TEST_F(TxnServiceTest, TwoPhaseRuleRefusesLocksAfterCommitStart) {
   const FileId file = MakeFile(LockLevel::kPage, kBlockSize);
   auto t = txn_->Begin(ProcessId{1});
