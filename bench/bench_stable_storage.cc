@@ -4,8 +4,9 @@
 // original+stable and synchronous vs asynchronous completion.
 //
 // Part 1 (cost): per-write simulated latency of the four stable-mode /
-// sync combinations. Expected shape: none < async-stable ≈ none (deferred)
-// < sync original+stable ≈ 2x a plain write.
+// sync combinations, plus put_block to a fresh location (main and mirror
+// written concurrently). Expected shape: none < async-stable ≈ none
+// (deferred) ≈ fresh < sync original+stable ≈ 2x a plain write.
 //
 // Part 2 (recoverability): commit transactions while injecting a disk
 // crash after the k-th write reference, for every k the commit performs;
@@ -46,6 +47,27 @@ void RunPutMode(benchmark::State& state, disk::StableMode mode,
       static_cast<double>(server.PendingStableWrites());
 }
 
+// PutFreshBlock at the same home block as the rows above, so the costs
+// compare like for like; each write stands in for a just-allocated block.
+void BM_Put_Fresh(benchmark::State& state) {
+  disk::DiskServerConfig cfg;
+  cfg.geometry.total_fragments = 64 * 1024;
+  SimClock clock;
+  disk::DiskServer server(DiskId{0}, cfg, &clock);
+  const FragmentIndex home = *server.AllocateBlocks(1);
+  const auto data = Pattern(kBlockSize);
+  SimTime total = 0;
+  std::uint64_t writes = 0;
+  for (auto _ : state) {
+    const SimTime t0 = clock.Now();
+    (void)server.PutFreshBlock(home, kFragmentsPerBlock, data);
+    total += clock.Now() - t0;
+    ++writes;
+  }
+  state.counters["sim_us_per_write"] =
+      static_cast<double>(total) / kSimMicrosecond / writes;
+}
+
 void BM_Put_OriginalOnly(benchmark::State& state) {
   RunPutMode(state, disk::StableMode::kNone, disk::WriteSync::kSynchronous);
 }
@@ -65,6 +87,7 @@ BENCHMARK(BM_Put_OriginalOnly)->Iterations(200);
 BENCHMARK(BM_Put_StableOnly_Sync)->Iterations(200);
 BENCHMARK(BM_Put_OriginalAndStable_Sync)->Iterations(200);
 BENCHMARK(BM_Put_OriginalAndStable_Async)->Iterations(200);
+BENCHMARK(BM_Put_Fresh)->Iterations(200);
 
 // --- Part 2: atomicity under crash injection -------------------------------------
 

@@ -11,8 +11,9 @@
 //
 // Workload: N single-page update transactions against an initially
 // contiguous 64-block file, under WAL-only, shadow-only, and the paper's
-// hybrid rule. Columns: commit disk writes, log bytes, post-run contiguity
-// index, and the simulated time of a full sequential re-read afterwards.
+// hybrid rule. Columns: commit disk writes, simulated time per commit, log
+// bytes, post-run contiguity index, and the simulated time of a full
+// sequential re-read afterwards.
 //
 // Expected shape: shadow-only logs the least but contiguity collapses and
 // the re-read slows down by an order of magnitude; WAL-only logs every
@@ -29,6 +30,7 @@ constexpr int kTransactions = 100;
 void RunTechnique(benchmark::State& state,
                   txn::TxnServiceConfig::TechniqueOverride technique) {
   std::uint64_t commit_writes = 0, log_bytes = 0, rounds = 0;
+  SimTime commit_time = 0;
   double contiguity = 1.0;
   SimTime reread_time = 0;
   std::uint64_t reread_refs = 0;
@@ -50,6 +52,7 @@ void RunTechnique(benchmark::State& state,
     Rng rng(42);
     facility.ResetStats();
     const std::uint64_t log0 = txns.log().stats().bytes_logged;
+    const SimTime c0 = facility.clock().Now();
     for (int i = 0; i < kTransactions; ++i) {
       auto t = txns.Begin(ProcessId{1});
       const std::uint64_t page = rng.Below(kFileBlocks);
@@ -57,6 +60,7 @@ void RunTechnique(benchmark::State& state,
                         Pattern(kBlockSize, static_cast<std::uint8_t>(i)));
       (void)txns.End(*t);
     }
+    commit_time += facility.clock().Now() - c0;
     commit_writes += TotalWriteRefs(facility);
     log_bytes += txns.log().stats().bytes_logged - log0;
     contiguity = *facility.files().ContiguityIndex(*file);
@@ -73,6 +77,8 @@ void RunTechnique(benchmark::State& state,
   }
   state.counters["commit_disk_write_refs"] =
       static_cast<double>(commit_writes) / rounds;
+  state.counters["commit_sim_ms"] =
+      SimMillis(commit_time) / rounds / kTransactions;
   state.counters["log_KiB"] =
       static_cast<double>(log_bytes) / rounds / 1024.0;
   state.counters["contiguity_after"] = contiguity;

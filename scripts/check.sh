@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
 # Full check: configure, build, and run the test suite twice — once plain,
-# once under AddressSanitizer + UBSan (RHODOS_SANITIZE=address,undefined).
-# The plain leg also checks the disk-efficiency baselines and the end-to-end
-# benchmark's determinism.
+# once under AddressSanitizer + UBSan (RHODOS_SANITIZE=address,undefined) —
+# then the threaded suites under ThreadSanitizer (RHODOS_SANITIZE=thread):
+# the transaction matrix (lock manager, group commit, txn service), lease
+# coherence and the cache tier. The plain leg also checks the
+# disk-efficiency baselines and the end-to-end benchmark's determinism.
 #
-# Usage: scripts/check.sh [--plain-only|--sanitize-only]
+# Usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 mode="${1:-all}"
 case "$mode" in
-  all|--plain-only|--sanitize-only) ;;
+  all|--plain-only|--sanitize-only|--tsan) ;;
   *)
-    echo "usage: scripts/check.sh [--plain-only|--sanitize-only]" >&2
+    echo "usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan]" >&2
     exit 2
     ;;
 esac
@@ -36,7 +38,7 @@ run_suite() {
   done
 }
 
-if [[ "$mode" != "--sanitize-only" ]]; then
+if [[ "$mode" == "all" || "$mode" == "--plain-only" ]]; then
   echo "== plain build =="
   run_suite build
 
@@ -54,9 +56,19 @@ if [[ "$mode" != "--sanitize-only" ]]; then
   python3 perfbench/selftest.py
 fi
 
-if [[ "$mode" != "--plain-only" ]]; then
+if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
   echo "== sanitized build (address,undefined) =="
   run_suite build-asan -DRHODOS_SANITIZE=address,undefined
+fi
+
+if [[ "$mode" == "all" || "$mode" == "--tsan" ]]; then
+  echo "== thread-sanitized build: threaded suites =="
+  cmake -B build-tsan -S . -DRHODOS_SANITIZE=thread >/dev/null
+  cmake --build build-tsan -j "$jobs"
+  # -L txn carries the lock-manager and group-commit suites.
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+      -L 'txn|lease|cachetier'
 fi
 
 echo "All checks passed."

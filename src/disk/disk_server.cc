@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/parallel.h"
+
 namespace rhodos::disk {
 
 namespace {
@@ -192,14 +194,18 @@ Status DiskServer::GetBlock(FragmentIndex first, std::uint32_t count,
     if (!stable_) {
       return {ErrorCode::kNotSupported, "disk has no stable storage"};
     }
-    span.SetDetail("disk-" + std::to_string(id_.value) + " stable");
+    if (span.recording()) {
+      span.SetDetail("disk-" + std::to_string(id_.value) + " stable");
+    }
     return stable_->ReadFragments(first, count, out);
   }
   const std::uint64_t hits_before = cache_.stats().hits;
   Status st = ReadMain(first, count, out);
-  span.SetDetail("disk-" + std::to_string(id_.value) +
-                 (cache_.stats().hits > hits_before ? " cache-hit"
-                                                    : " cache-miss"));
+  if (span.recording()) {
+    span.SetDetail("disk-" + std::to_string(id_.value) +
+                   (cache_.stats().hits > hits_before ? " cache-hit"
+                                                      : " cache-miss"));
+  }
   return st;
 }
 
@@ -246,10 +252,12 @@ Status DiskServer::PutBlock(FragmentIndex first, std::uint32_t count,
   }
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   obs::LatencyScope lat(obs_, "disk.reference_ns");
-  span.SetDetail("disk-" + std::to_string(id_.value) +
-                 (stable == StableMode::kNone          ? ""
-                  : stable == StableMode::kStableOnly ? " stable-only"
-                                                       : " original+stable"));
+  if (span.recording()) {
+    span.SetDetail("disk-" + std::to_string(id_.value) +
+                   (stable == StableMode::kNone         ? ""
+                    : stable == StableMode::kStableOnly ? " stable-only"
+                                                        : " original+stable"));
+  }
   switch (stable) {
     case StableMode::kNone:
       return WriteMain(first, count, in, policy);
@@ -260,6 +268,34 @@ Status DiskServer::PutBlock(FragmentIndex first, std::uint32_t count,
       return WriteStable(first, count, in, sync);
   }
   return {ErrorCode::kInvalidArgument, "bad stable mode"};
+}
+
+Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
+                                 std::span<const std::uint8_t> in) {
+  RHODOS_RETURN_IF_ERROR(CheckReachable());
+  if (in.size() < static_cast<std::size_t>(count) * kFragmentSize) {
+    return {ErrorCode::kInvalidArgument, "put_block buffer too small"};
+  }
+  if (!stable_) {
+    return {ErrorCode::kNotSupported, "disk has no stable storage"};
+  }
+  obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
+  obs::LatencyScope lat(obs_, "disk.reference_ns");
+  if (span.recording()) {
+    span.SetDetail("disk-" + std::to_string(id_.value) +
+                   " fresh original+stable");
+  }
+  // Both copies are issued together; each lane owns one device.
+  sim::ParallelSection section(clock_);
+  section.BeginLane();
+  const Status main = WriteMain(first, count, in, WritePolicy::kWriteThrough);
+  section.EndLane();
+  section.BeginLane();
+  const Status mirror = WriteStable(first, count, in, WriteSync::kSynchronous);
+  section.EndLane();
+  section.Commit();
+  RHODOS_RETURN_IF_ERROR(main);
+  return mirror;
 }
 
 // --- Vectored I/O -------------------------------------------------------------
@@ -306,8 +342,10 @@ Status DiskServer::GetBlocksVec(std::span<const ReadRun> runs,
   }
   if (runs.empty()) return OkStatus();
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "get_blocks_vec");
-  span.SetDetail("disk-" + std::to_string(id_.value) + " runs=" +
-                 std::to_string(runs.size()));
+  if (span.recording()) {
+    span.SetDetail("disk-" + std::to_string(id_.value) + " runs=" +
+                   std::to_string(runs.size()));
+  }
   vec_stats_.requests += 1;
   vec_stats_.runs += runs.size();
 
@@ -387,8 +425,10 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
   }
   if (runs.empty()) return OkStatus();
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_blocks_vec");
-  span.SetDetail("disk-" + std::to_string(id_.value) + " runs=" +
-                 std::to_string(runs.size()));
+  if (span.recording()) {
+    span.SetDetail("disk-" + std::to_string(id_.value) + " runs=" +
+                   std::to_string(runs.size()));
+  }
   vec_stats_.requests += 1;
   vec_stats_.runs += runs.size();
 

@@ -11,7 +11,9 @@
 //    stable storage (as in the case of a shadow page) or on its original
 //    location and on stable storage (as in the case of the file index
 //    table)", synchronously or asynchronously; get_block can read back from
-//    main (default) or stable storage.
+//    main (default) or stable storage. Here the shadow page is written to
+//    both copies (see PutFreshBlock), and the stable-only users are the
+//    intention log and the snapshot journal.
 //  * Track caching: on a read miss, the needed fragments are fetched and
 //    the rest of the track is swept into the cache under the same head
 //    pass.
@@ -38,10 +40,19 @@
 namespace rhodos::disk {
 
 // Where put_block persists the data (paper §4).
+//
+// kOriginalAndStable is the careful (Lampson-style) write: main copy first,
+// then the mirror, so a crash mid-write always leaves one intact copy of
+// the OLD value. That order is paid only where an old value must survive.
+// A location that holds no live data yet — a freshly allocated shadow page
+// or index-table fragment that nothing durable refers to — has no old
+// value to protect; PutFreshBlock writes its two copies concurrently.
 enum class StableMode : std::uint8_t {
   kNone,               // original location only
-  kStableOnly,         // exclusively stable storage (shadow page staging)
-  kOriginalAndStable,  // both (vital structures such as file index tables)
+  kStableOnly,         // exclusively stable storage (the intention log and
+                       // the snapshot journal)
+  kOriginalAndStable,  // both, main then mirror (in-place updates of vital
+                       // structures: index-table re-stores, the bitmap)
 };
 
 // Whether put_block returns before or after the stable-storage write.
@@ -154,6 +165,16 @@ class DiskServer {
                   StableMode stable = StableMode::kNone,
                   WriteSync sync = WriteSync::kSynchronous,
                   WritePolicy policy = WritePolicy::kWriteThrough);
+
+  // put_block to a location that holds no live data (freshly allocated,
+  // not yet referenced by anything durable): the main copy and the stable
+  // mirror are written synchronously and write-through, as with
+  // kOriginalAndStable, but concurrently — one lane per device — so the
+  // caller pays the slower copy instead of both. A crash may tear either
+  // copy, which is harmless: nothing refers to the location until the
+  // caller's own commit point, which follows this call.
+  Status PutFreshBlock(FragmentIndex first, std::uint32_t count,
+                       std::span<const std::uint8_t> in);
 
   // --- Vectored I/O --------------------------------------------------------
   // One submission of many runs. The server sorts the runs into one SCAN

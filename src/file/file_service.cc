@@ -84,7 +84,7 @@ Result<FileService::OpenFile*> FileService::LoadTable(FileId id) {
   return &it->second;
 }
 
-Status FileService::StoreTable(FileId id, OpenFile& of) {
+Status FileService::StoreTable(FileId id, OpenFile& of, bool fresh) {
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(FileDisk(id)));
 
   // Provision (or release) indirect blocks to match the run count.
@@ -113,24 +113,30 @@ Status FileService::StoreTable(FileId id, OpenFile& of) {
         disks_->Free(ib.disk, ib.first_fragment, kFragmentsPerBlock));
   }
 
+  // A fresh table has no old copy to protect: both copies of each block go
+  // out concurrently. A re-store keeps the careful main-then-mirror order.
+  auto put = [fresh](DiskServer* to, FragmentIndex first, std::uint32_t count,
+                     std::span<const std::uint8_t> data) {
+    return fresh ? to->PutFreshBlock(first, count, data)
+                 : to->PutBlock(first, count, data,
+                                StableMode::kOriginalAndStable,
+                                WriteSync::kSynchronous);
+  };
   // Indirect blocks first, then the table fragment that references them —
   // so a crash between the two leaves the old (still valid) table in place.
   for (std::size_t i = 0; i < needed; ++i) {
     const std::vector<std::uint8_t> block = of.table.SerializeIndirectBlock(i);
     RHODOS_ASSIGN_OR_RETURN(DiskServer * ib_server,
                             disks_->Get(of.indirect_blocks[i].disk));
-    RHODOS_RETURN_IF_ERROR(ib_server->PutBlock(
-        of.indirect_blocks[i].first_fragment, kFragmentsPerBlock, block,
-        StableMode::kOriginalAndStable, WriteSync::kSynchronous));
+    RHODOS_RETURN_IF_ERROR(put(ib_server, of.indirect_blocks[i].first_fragment,
+                               kFragmentsPerBlock, block));
   }
 
   Serializer ser;
   of.table.SerializeFragment(ser, of.indirect_blocks);
   std::vector<std::uint8_t> fragment(kFragmentSize, 0);
   std::memcpy(fragment.data(), ser.buffer().data(), ser.size());
-  RHODOS_RETURN_IF_ERROR(server->PutBlock(
-      FileFitFragment(id), 1, fragment, StableMode::kOriginalAndStable,
-      WriteSync::kSynchronous));
+  RHODOS_RETURN_IF_ERROR(put(server, FileFitFragment(id), 1, fragment));
   of.table_dirty = false;
   of.attrs_dirty = false;
   ++stats_.fit_stores;
@@ -192,7 +198,8 @@ Result<FileId> FileService::Create(ServiceType type,
     RHODOS_RETURN_IF_ERROR(
         Grow(id, of, hint_blocks - preallocated_blocks));
   }
-  RHODOS_RETURN_IF_ERROR(StoreTable(id, of));
+  // The table fragment and any indirect blocks were allocated just now.
+  RHODOS_RETURN_IF_ERROR(StoreTable(id, of, /*fresh=*/true));
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(placement->disk));
   RHODOS_RETURN_IF_ERROR(server->PersistMetadata(WriteSync::kAsynchronous));
   // A reused FileId starts from the table just stored, not from whatever a
@@ -414,41 +421,20 @@ Status FileService::ReadBlocks(FileId id, OpenFile& of, std::uint64_t first,
   // Pass 2: issue the I/O. One span keeps the classic get_block path; many
   // spans become per-disk vectored batches, and when a striped read touches
   // several disks the sub-batches overlap (lane per spindle — E10).
-  if (spans.size() == 1) {
-    const UncachedSpan& s = spans.front();
-    RHODOS_RETURN_IF_ERROR(s.server->GetBlock(
-        s.frag, static_cast<std::uint32_t>(s.blocks * kFragmentsPerBlock),
-        out.subspan(s.out_off, s.blocks * kBlockSize)));
-  } else {
-    std::vector<std::pair<DiskServer*, std::vector<disk::ReadRun>>> per_disk;
-    for (const UncachedSpan& s : spans) {
-      auto it = std::find_if(
-          per_disk.begin(), per_disk.end(),
-          [&s](const auto& p) { return p.first == s.server; });
-      if (it == per_disk.end()) {
-        per_disk.emplace_back(s.server, std::vector<disk::ReadRun>{});
-        it = std::prev(per_disk.end());
-      }
-      it->second.push_back(disk::ReadRun{
-          s.frag, static_cast<std::uint32_t>(s.blocks * kFragmentsPerBlock),
-          out.subspan(s.out_off, s.blocks * kBlockSize)});
-    }
-    if (per_disk.size() == 1) {
-      RHODOS_RETURN_IF_ERROR(
-          per_disk.front().first->GetBlocksVec(per_disk.front().second));
-    } else {
-      Status failed = OkStatus();
-      sim::ParallelSection section(clock_);
-      for (auto& [server, runs] : per_disk) {
-        section.BeginLane();
-        Status st = server->GetBlocksVec(runs);
-        section.EndLane();
-        if (!st.ok() && failed.ok()) failed = st;
-      }
-      section.Commit();
-      RHODOS_RETURN_IF_ERROR(failed);
-    }
+  sim::PerDeviceFanOut<DiskServer*, disk::ReadRun> per_disk;
+  for (const UncachedSpan& s : spans) {
+    per_disk.Add(s.server,
+                 disk::ReadRun{s.frag, static_cast<std::uint32_t>(
+                                           s.blocks * kFragmentsPerBlock),
+                               out.subspan(s.out_off, s.blocks * kBlockSize)});
   }
+  RHODOS_RETURN_IF_ERROR(per_disk.Run(
+      clock_, [&spans](DiskServer* server, std::vector<disk::ReadRun>& runs) {
+        return spans.size() == 1
+                   ? server->GetBlock(runs[0].first, runs[0].count,
+                                      runs[0].out)
+                   : server->GetBlocksVec(runs);
+      }));
 
   // Pass 3: install everything that came off the platters into the cache.
   for (const UncachedSpan& s : spans) {
@@ -662,11 +648,6 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
   // the caller's span; partial blocks stage through a read-modify-write
   // buffer), then push the write-through set to the disks as per-disk
   // vectored batches so a striped write fans out across spindles.
-  struct PendingPut {
-    DiskServer* server;
-    FragmentIndex frag;
-    std::span<const std::uint8_t> data;
-  };
   std::vector<PendingPut> puts;
   std::deque<std::vector<std::uint8_t>> staged;  // keeps RMW buffers alive
   std::uint64_t written = 0;
@@ -706,37 +687,7 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
     written += n;
   }
 
-  if (puts.size() == 1) {
-    RHODOS_RETURN_IF_ERROR(puts.front().server->PutBlock(
-        puts.front().frag, kFragmentsPerBlock, puts.front().data));
-  } else if (!puts.empty()) {
-    std::vector<std::pair<DiskServer*, std::vector<disk::WriteRun>>> per_disk;
-    for (const PendingPut& p : puts) {
-      auto it = std::find_if(
-          per_disk.begin(), per_disk.end(),
-          [&p](const auto& d) { return d.first == p.server; });
-      if (it == per_disk.end()) {
-        per_disk.emplace_back(p.server, std::vector<disk::WriteRun>{});
-        it = std::prev(per_disk.end());
-      }
-      it->second.push_back(disk::WriteRun{p.frag, kFragmentsPerBlock, p.data});
-    }
-    if (per_disk.size() == 1) {
-      RHODOS_RETURN_IF_ERROR(
-          per_disk.front().first->PutBlocksVec(per_disk.front().second));
-    } else {
-      Status failed = OkStatus();
-      sim::ParallelSection section(clock_);
-      for (auto& [server, runs] : per_disk) {
-        section.BeginLane();
-        Status st = server->PutBlocksVec(runs);
-        section.EndLane();
-        if (!st.ok() && failed.ok()) failed = st;
-      }
-      section.Commit();
-      RHODOS_RETURN_IF_ERROR(failed);
-    }
-  }
+  RHODOS_RETURN_IF_ERROR(PutPerDisk(std::move(puts)));
 
   auto& attrs = of->table.attributes();
   attrs.access_count += 1;
@@ -861,47 +812,41 @@ Status FileService::WritebackDirty(const FileId* only) {
     return WritebackEntry(keys.front(), it->second);
   }
 
-  // Locate every dirty block, group the writebacks per disk, and let each
-  // disk's elevator sweep them in one vectored request; independent disks
-  // overlap. This is what turns N delayed-write completions into a handful
-  // of disk references instead of N.
-  std::vector<std::pair<DiskServer*, std::vector<disk::WriteRun>>> per_disk;
+  // Locate every dirty block and let each disk's elevator sweep its share
+  // in one vectored request; independent disks overlap. This is what turns
+  // N delayed-write completions into a handful of disk references instead
+  // of N.
+  std::vector<PendingPut> puts;
   std::vector<CacheEntry*> flushed;
+  puts.reserve(keys.size());
   flushed.reserve(keys.size());
   for (const CacheKey& key : keys) {
     auto it = cache_.find(key);
     RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(key.file));
     RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(key.block));
     RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
-    auto slot = std::find_if(
-        per_disk.begin(), per_disk.end(),
-        [server](const auto& d) { return d.first == server; });
-    if (slot == per_disk.end()) {
-      per_disk.emplace_back(server, std::vector<disk::WriteRun>{});
-      slot = std::prev(per_disk.end());
-    }
-    slot->second.push_back(disk::WriteRun{loc.first_fragment,
-                                          kFragmentsPerBlock,
-                                          it->second.buffer.span()});
+    puts.push_back(
+        PendingPut{server, loc.first_fragment, it->second.buffer.span()});
     flushed.push_back(&it->second);
   }
-  if (per_disk.size() == 1) {
-    RHODOS_RETURN_IF_ERROR(
-        per_disk.front().first->PutBlocksVec(per_disk.front().second));
-  } else {
-    Status failed = OkStatus();
-    sim::ParallelSection section(clock_);
-    for (auto& [server, runs] : per_disk) {
-      section.BeginLane();
-      Status st = server->PutBlocksVec(runs);
-      section.EndLane();
-      if (!st.ok() && failed.ok()) failed = st;
-    }
-    section.Commit();
-    RHODOS_RETURN_IF_ERROR(failed);
-  }
+  RHODOS_RETURN_IF_ERROR(PutPerDisk(std::move(puts)));
   for (CacheEntry* entry : flushed) entry->dirty = false;
   return OkStatus();
+}
+
+Status FileService::PutPerDisk(std::vector<PendingPut> puts) {
+  if (puts.empty()) return OkStatus();
+  sim::PerDeviceFanOut<DiskServer*, disk::WriteRun> per_disk;
+  for (const PendingPut& p : puts) {
+    per_disk.Add(p.server,
+                 disk::WriteRun{p.frag, kFragmentsPerBlock, p.data});
+  }
+  return per_disk.Run(
+      clock_, [&puts](DiskServer* server, std::vector<disk::WriteRun>& runs) {
+        return puts.size() == 1
+                   ? server->PutBlock(runs[0].first, runs[0].count, runs[0].in)
+                   : server->PutBlocksVec(runs);
+      });
 }
 
 Status FileService::Sync(FileId id) {

@@ -379,8 +379,10 @@ class FileService {
   // Drops every cache entry of `id` at logical block >= `from`.
   void PurgeCache(FileId id, std::uint64_t from);
   // Persists the table of `id` (fragment + indirect blocks) to original and
-  // stable storage.
-  Status StoreTable(FileId id, OpenFile& of);
+  // stable storage. `fresh` says the table's locations were allocated by
+  // the caller and hold nothing live (Create), so each block's two copies
+  // may be written concurrently; otherwise main goes before mirror.
+  Status StoreTable(FileId id, OpenFile& of, bool fresh = false);
 
   // Grows the file by `blocks` logical blocks, preferring in-place
   // extension, then fresh extents placed by the registry.
@@ -402,6 +404,16 @@ class FileService {
   // non-null, of all files otherwise) as per-disk vectored batches issued
   // under one overlapped section.
   Status WritebackDirty(const FileId* only);
+
+  // One block bound for the disk service.
+  struct PendingPut {
+    disk::DiskServer* server;
+    FragmentIndex frag;
+    std::span<const std::uint8_t> data;
+  };
+  // Issues block writes as one vectored batch per disk, disks overlapping;
+  // a lone block keeps the plain put_block path.
+  Status PutPerDisk(std::vector<PendingPut> puts);
 
   // Reads logical blocks [first, first+count) into out, coalescing
   // physically contiguous uncached spans into single disk references and

@@ -12,7 +12,9 @@
 // real run.
 //
 // Recording is off by default. When off, a span site costs a null-pointer
-// test and one atomic flag load; no lock is taken. The simulated call paths
+// test and one atomic flag load; no lock is taken. Sites that annotate a
+// span build the annotation only when SpanScope::recording() says the
+// span records, so an untraced reference allocates nothing. The simulated call paths
 // are single threaded, so one active trace with a span stack models the
 // reality exactly; while recording, the recorder still takes a mutex so
 // stray instrumented calls from the lock-manager benches cannot corrupt it.
@@ -135,6 +137,10 @@ class SpanScope {
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
+
+  // True when this span is being recorded; test it before building a
+  // detail string.
+  bool recording() const { return span_ != kNoSpan; }
 
   void SetDetail(std::string detail) { detail_ = std::move(detail); }
 

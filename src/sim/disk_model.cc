@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/parallel.h"
+
 namespace rhodos::sim {
 
 DiskModel::DiskModel(DiskGeometry geometry, SimClock* clock,
@@ -31,6 +33,7 @@ Status DiskModel::ValidateRange(FragmentIndex first,
 
 void DiskModel::ChargeReference(FragmentIndex first, std::uint32_t count,
                                 bool charge_seek) {
+  NoteDeviceReference(this);
   const std::uint64_t target_track = geometry_.TrackOf(first);
   SimTime cost = 0;
   if (charge_seek) {

@@ -93,7 +93,7 @@ Result<Payload> MessageBus::Call(const std::string& address,
   PumpFaults();
   auto it = services_.find(address);
   if (it == services_.end()) {
-    span.SetDetail(address + " no-service");
+    if (span.recording()) span.SetDetail(address + " no-service");
     return Error{ErrorCode::kNotConnected, "no service at '" + address + "'"};
   }
 
@@ -103,7 +103,7 @@ Result<Payload> MessageBus::Call(const std::string& address,
     ++stats_.rejected_down;
     Charge(request.size());
     ChargeTimeout();
-    span.SetDetail(address + " down");
+    if (span.recording()) span.SetDetail(address + " down");
     return Error{ErrorCode::kMessageDropped,
                  "timeout: no reply from " + address + " (service down)"};
   }
@@ -111,7 +111,7 @@ Result<Payload> MessageBus::Call(const std::string& address,
     ++stats_.rejected_partitioned;
     Charge(request.size());
     ChargeTimeout();
-    span.SetDetail(address + " partitioned");
+    if (span.recording()) span.SetDetail(address + " partitioned");
     return Error{ErrorCode::kMessageDropped,
                  "timeout: " + caller + " partitioned from " + address};
   }
@@ -121,7 +121,7 @@ Result<Payload> MessageBus::Call(const std::string& address,
   if (config_.drop_rate > 0.0 && rng_.Chance(config_.drop_rate)) {
     ++stats_.drops_request;
     ChargeTimeout();
-    span.SetDetail(address + " request-lost");
+    if (span.recording()) span.SetDetail(address + " request-lost");
     return Error{ErrorCode::kMessageDropped, "request lost to " + address};
   }
 
@@ -143,11 +143,11 @@ Result<Payload> MessageBus::Call(const std::string& address,
   if (config_.drop_rate > 0.0 && rng_.Chance(config_.drop_rate)) {
     ++stats_.drops_reply;
     ChargeTimeout();
-    span.SetDetail(address + " reply-lost");
+    if (span.recording()) span.SetDetail(address + " reply-lost");
     return Error{ErrorCode::kMessageDropped, "reply lost from " + address};
   }
 
-  span.SetDetail(address + " ok");
+  if (span.recording()) span.SetDetail(address + " ok");
   return reply;
 }
 
@@ -214,7 +214,7 @@ Result<Payload> RpcClient::Call(std::uint32_t opcode,
       obs::Count(o, "rpc.circuit_trips");
     }
     obs::Observe(o, "rpc.call_latency_ns", Elapsed(start));
-    span.SetDetail(address_ + " failed");
+    if (span.recording()) span.SetDetail(address_ + " failed");
     return e;
   };
 
@@ -242,9 +242,11 @@ Result<Payload> RpcClient::Call(std::uint32_t opcode,
       ++health_.successes;
       health_.consecutive_failures = 0;
       obs::Observe(o, "rpc.call_latency_ns", Elapsed(start));
-      span.SetDetail(address_ + (attempt > 0 ? " ok after " +
-                                     std::to_string(attempt) + " retries"
-                                             : " ok"));
+      if (span.recording()) {
+        span.SetDetail(address_ + (attempt > 0 ? " ok after " +
+                                       std::to_string(attempt) + " retries"
+                                               : " ok"));
+      }
       return result;
     }
     if (result.error().code != ErrorCode::kMessageDropped) {

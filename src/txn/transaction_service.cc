@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/parallel.h"
+
 namespace rhodos::txn {
 
 using file::FileAttributes;
@@ -402,15 +404,16 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
       // Shadow page: write the new image to a fresh block now (original +
       // stable — it must survive anything once the commit record lands),
       // and log only the remap intention. This data write precedes the
-      // commit record's force, preserving write-ahead order.
+      // commit record's force, preserving write-ahead order. The block was
+      // just allocated and nothing durable refers to it before that force,
+      // so there is no old value for an ordered main-then-mirror write to
+      // protect: both copies go out at once.
       RHODOS_ASSIGN_OR_RETURN(auto placement,
                               files_->AllocateShadowBlock(file));
       RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server,
                               files_->disks()->Get(placement.disk));
-      RHODOS_RETURN_IF_ERROR(server->PutBlock(
-          placement.first, kFragmentsPerBlock, image,
-          disk::StableMode::kOriginalAndStable,
-          disk::WriteSync::kSynchronous));
+      RHODOS_RETURN_IF_ERROR(
+          server->PutFreshBlock(placement.first, kFragmentsPerBlock, image));
       RHODOS_RETURN_IF_ERROR(append(IntentionRecord{
           IntentionKind::kShadowMap, id, file, page, final_size,
           placement.disk, placement.first, TxnStatus::kTentative, {}}));
@@ -448,28 +451,119 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
                                 TxnStatus::kCommit, {}});
 }
 
-Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
-  // Make the changes permanent.
+bool TransactionService::IsShadowed(const CommitPlan& plan, FileId file,
+                                    std::uint64_t page) {
+  return std::any_of(plan.shadows.begin(), plan.shadows.end(),
+                     [&](const CommitPlan::ShadowStage& s) {
+                       return s.file == file && s.page == page;
+                     });
+}
+
+Result<std::optional<DiskId>> TransactionService::ApplyDisk(
+    const Txn& t, const CommitPlan& plan, FileId file) {
+  using Lane = std::optional<DiskId>;
+  // Shared runs commit through the snapshot journal on disk 0.
+  RHODOS_ASSIGN_OR_RETURN(bool shared, files_->HasSharedRuns(file));
+  if (shared) return Lane{};
+  RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, files_->BlockCount(file));
+  RHODOS_ASSIGN_OR_RETURN(auto indirect,
+                          files_->IndirectBlockLocations(file));
+  // The index table's fragment lives on the file's home disk; the table
+  // may be loaded, and is stored if the apply changes it. Every other
+  // block the apply reads or writes must be on that disk too.
+  const DiskId home = file::FileDisk(file);
+  bool one_disk = true;
+  for (const auto& ib : indirect) one_disk = one_disk && ib.disk == home;
+  auto add_block = [&](std::uint64_t block) -> Status {
+    RHODOS_ASSIGN_OR_RETURN(file::BlockLocation loc,
+                            files_->LocateBlock(file, block));
+    one_disk = one_disk && loc.disk == home;
+    return OkStatus();
+  };
+  std::size_t remaps = 0;
+  for (const auto& [key, image] : t.tentative_pages) {
+    if (key.first != file.value) continue;
+    if (IsShadowed(plan, file, key.second)) {
+      ++remaps;
+      continue;
+    }
+    if (key.second >= blocks) return Lane{};  // grows the file
+    RHODOS_RETURN_IF_ERROR(add_block(key.second));
+  }
+  for (const auto& [fval, w] : t.tentative_ranges) {
+    if (fval != file.value || w.data.empty()) continue;
+    const std::uint64_t last = (w.offset + w.data.size() - 1) / kBlockSize;
+    if (last >= blocks) return Lane{};  // grows the file
+    for (std::uint64_t b = w.offset / kBlockSize; b <= last; ++b) {
+      RHODOS_RETURN_IF_ERROR(add_block(b));
+    }
+  }
+  // A remap can split a run into three; past the table's run capacity the
+  // store would allocate an indirect block, possibly on another disk.
+  RHODOS_ASSIGN_OR_RETURN(auto runs, files_->FileRuns(file));
+  if (runs.size() + 2 * remaps >
+      file::kDirectRuns + indirect.size() * file::kRunsPerIndirectBlock) {
+    return Lane{};
+  }
+  return one_disk ? Lane{home} : Lane{};
+}
+
+template <typename Pred>
+Status TransactionService::ApplyFileEffects(Txn& t, const CommitPlan& plan,
+                                            Pred selected) {
   for (auto& [key, image] : t.tentative_pages) {
     const FileId file{key.first};
-    const std::uint64_t page = key.second;
-    const bool is_shadow = std::any_of(
-        plan.shadows.begin(), plan.shadows.end(),
-        [&](const CommitPlan::ShadowStage& s) {
-          return s.file == file && s.page == page;
-        });
-    if (!is_shadow) {
-      RHODOS_RETURN_IF_ERROR(ApplyWalPage(file, page, image));
+    if (selected(file) && !IsShadowed(plan, file, key.second)) {
+      RHODOS_RETURN_IF_ERROR(ApplyWalPage(file, key.second, image));
     }
   }
   for (const CommitPlan::ShadowStage& s : plan.shadows) {
+    if (!selected(s.file)) continue;
     RHODOS_RETURN_IF_ERROR(files_->ReplaceBlock(s.file, s.page,
                                                 s.placement.disk,
                                                 s.placement.first));
   }
   for (const auto& [fval, w] : t.tentative_ranges) {
+    if (!selected(FileId{fval})) continue;
     RHODOS_RETURN_IF_ERROR(ApplyWalRange(FileId{fval}, w.offset, w.data));
   }
+  return OkStatus();
+}
+
+Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
+  // Make the changes permanent. After the commit point each file's page
+  // writes, shadow remaps and range writes are an independent redo step,
+  // so files whose apply stays on one disk run as one lane per disk, each
+  // lane owning its disk. A file that grows, touches shared runs or spans
+  // disks applies serially afterwards.
+  sim::PerDeviceFanOut<DiskId, FileId> lanes;
+  std::unordered_set<FileId> serial;
+  std::unordered_set<FileId> planned;
+  auto plan_file = [&](FileId file) -> Status {
+    if (!planned.insert(file).second) return OkStatus();
+    RHODOS_ASSIGN_OR_RETURN(std::optional<DiskId> disk,
+                            ApplyDisk(t, plan, file));
+    if (disk.has_value()) {
+      lanes.Add(*disk, file);
+    } else {
+      serial.insert(file);
+    }
+    return OkStatus();
+  };
+  for (const auto& [key, image] : t.tentative_pages) {
+    RHODOS_RETURN_IF_ERROR(plan_file(FileId{key.first}));
+  }
+  for (const auto& [fval, w] : t.tentative_ranges) {
+    RHODOS_RETURN_IF_ERROR(plan_file(FileId{fval}));
+  }
+  RHODOS_RETURN_IF_ERROR(lanes.Run(
+      files_->clock(), [&](DiskId, const std::vector<FileId>& files) {
+        return ApplyFileEffects(t, plan, [&files](FileId f) {
+          return std::find(files.begin(), files.end(), f) != files.end();
+        });
+      }));
+  RHODOS_RETURN_IF_ERROR(ApplyFileEffects(
+      t, plan, [&serial](FileId f) { return serial.contains(f); }));
   // Sizes recorded by the transaction (growth via ranges/pages). Applying
   // whole page images rounds the size up to a block boundary; settle on the
   // exact byte size the transaction recorded.

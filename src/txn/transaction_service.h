@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -261,6 +262,18 @@ class TransactionService {
   };
   Status StageCommit(TxnId id, Txn& t, CommitPlan* plan);
   Status ApplyCommit(TxnId id, Txn& t, CommitPlan& plan);
+  static bool IsShadowed(const CommitPlan& plan, FileId file,
+                         std::uint64_t page);
+  // The one disk `file`'s apply references (table, written blocks), or
+  // nullopt when it must apply serially: it grows, has shared runs, may
+  // allocate an indirect block, or spans disks.
+  Result<std::optional<DiskId>> ApplyDisk(const Txn& t,
+                                          const CommitPlan& plan,
+                                          FileId file);
+  // Applies the page writes, shadow remaps and range writes of the files
+  // `selected` accepts, in commit order.
+  template <typename Pred>
+  Status ApplyFileEffects(Txn& t, const CommitPlan& plan, Pred selected);
   Status ApplyWalPage(FileId file, std::uint64_t page,
                       std::span<const std::uint8_t> data);
   Status ApplyWalRange(FileId file, std::uint64_t offset,

@@ -8,6 +8,7 @@
 #include "common/sim_clock.h"
 #include "disk/disk_registry.h"
 #include "disk/disk_server.h"
+#include "sim/parallel.h"
 
 namespace rhodos::disk {
 namespace {
@@ -146,6 +147,69 @@ TEST_F(DiskServerTest, OriginalAndStableWritesBoth) {
   EXPECT_EQ(out, payload);
   ASSERT_TRUE(server_.GetBlock(*frag, 4, out, ReadSource::kStable).ok());
   EXPECT_EQ(out, payload);
+}
+
+// A fresh location has no old value to protect: the main copy and the
+// mirror are two lanes of one section, so the caller pays the slower copy
+// plus two lane dispatches, and each device still sees exactly one
+// reference.
+TEST_F(DiskServerTest, FreshWriteCostsTheSlowerCopyPlusTwoDispatches) {
+  auto frag = server_.AllocateBlocks(1);
+  ASSERT_TRUE(frag.ok());
+  std::vector<std::uint8_t> payload(kBlockSize, 0x5A);
+  const auto main_before = server_.main_stats();
+  const auto mirror_before = server_.stable_stats();
+  const std::uint64_t conflicts = sim::LaneConflicts();
+  const SimTime t0 = clock_.Now();
+  ASSERT_TRUE(server_.PutFreshBlock(*frag, 4, payload).ok());
+  const SimTime elapsed = clock_.Now() - t0;
+  const SimTime main_cost =
+      server_.main_stats().time_charged - main_before.time_charged;
+  const SimTime mirror_cost =
+      server_.stable_stats().time_charged - mirror_before.time_charged;
+  ASSERT_GT(main_cost, 0);
+  ASSERT_GT(mirror_cost, 0);
+  EXPECT_EQ(elapsed,
+            std::max(main_cost, mirror_cost) + 2 * sim::kLaneDispatchCost);
+  EXPECT_LT(elapsed, main_cost + mirror_cost);
+  EXPECT_EQ(server_.main_stats().write_references,
+            main_before.write_references + 1);
+  EXPECT_EQ(server_.stable_stats().write_references,
+            mirror_before.write_references + 1);
+  EXPECT_EQ(sim::LaneConflicts(), conflicts);  // one device per lane
+
+  std::vector<std::uint8_t> out(kBlockSize);
+  ASSERT_TRUE(server_.GetBlock(*frag, 4, out, ReadSource::kMain).ok());
+  EXPECT_EQ(out, payload);
+  ASSERT_TRUE(server_.GetBlock(*frag, 4, out, ReadSource::kStable).ok());
+  EXPECT_EQ(out, payload);
+}
+
+// An in-place update keeps the careful write: main first, then the mirror,
+// charged one after the other.
+TEST_F(DiskServerTest, InPlaceOriginalAndStableChargesMainThenMirror) {
+  auto frag = server_.AllocateBlocks(1);
+  ASSERT_TRUE(frag.ok());
+  std::vector<std::uint8_t> payload(kBlockSize, 0xA5);
+  const SimTime main_before = server_.main_stats().time_charged;
+  const SimTime mirror_before = server_.stable_stats().time_charged;
+  const SimTime t0 = clock_.Now();
+  ASSERT_TRUE(server_.PutBlock(*frag, 4, payload,
+                               StableMode::kOriginalAndStable).ok());
+  EXPECT_EQ(clock_.Now() - t0,
+            (server_.main_stats().time_charged - main_before) +
+                (server_.stable_stats().time_charged - mirror_before));
+}
+
+TEST_F(DiskServerTest, FreshWriteNeedsStableStorage) {
+  DiskServerConfig c = SmallConfig();
+  c.provide_stable_storage = false;
+  DiskServer bare(DiskId{1}, c, &clock_);
+  auto frag = bare.AllocateBlocks(1);
+  ASSERT_TRUE(frag.ok());
+  std::vector<std::uint8_t> payload(kBlockSize, 1);
+  EXPECT_EQ(bare.PutFreshBlock(*frag, 4, payload).error().code,
+            ErrorCode::kNotSupported);
 }
 
 TEST_F(DiskServerTest, AsyncStableWriteIsDeferredAndDrainable) {

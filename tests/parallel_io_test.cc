@@ -11,6 +11,7 @@
 #include "disk/disk_registry.h"
 #include "disk/disk_server.h"
 #include "file/file_service.h"
+#include "sim/disk_model.h"
 #include "sim/parallel.h"
 
 namespace rhodos {
@@ -74,6 +75,83 @@ TEST(ParallelSection, SectionsNestWithoutMovingTimeBackwards) {
   outer.EndLane();
   outer.Commit();
   EXPECT_GE(clock.Now(), 3 * kSimMillisecond);
+}
+
+// Lanes must own disjoint devices: the model has no per-device occupancy,
+// so a device referenced from two lanes would serve both at once.
+TEST(ParallelSection, AuditCountsADeviceReferencedFromTwoLanes) {
+  SimClock clock;
+  sim::DiskGeometry g;
+  sim::DiskModel a(g, &clock), b(g, &clock);
+  std::vector<std::uint8_t> frag(kFragmentSize, 7);
+  const std::uint64_t before = sim::LaneConflicts();
+  {
+    sim::ParallelSection section(&clock);
+    section.BeginLane();
+    ASSERT_TRUE(a.WriteFragments(0, 1, frag).ok());
+    ASSERT_TRUE(a.WriteFragments(1, 1, frag).ok());  // same lane: fine
+    section.EndLane();
+    section.BeginLane();
+    ASSERT_TRUE(b.WriteFragments(0, 1, frag).ok());
+    section.EndLane();
+  }
+  EXPECT_EQ(sim::LaneConflicts(), before);
+  {
+    sim::ParallelSection outer(&clock);
+    outer.BeginLane();
+    ASSERT_TRUE(a.WriteFragments(0, 1, frag).ok());
+    outer.EndLane();
+    outer.BeginLane();
+    {
+      // A nested section's lanes belong to the outer lane they run in.
+      sim::ParallelSection inner(&clock);
+      inner.BeginLane();
+      ASSERT_TRUE(a.WriteFragments(2, 1, frag).ok());
+      inner.EndLane();
+    }
+    outer.EndLane();
+  }
+  EXPECT_EQ(sim::LaneConflicts(), before + 1);
+  // Outside any section nothing is audited.
+  ASSERT_TRUE(a.WriteFragments(3, 1, frag).ok());
+  EXPECT_EQ(sim::LaneConflicts(), before + 1);
+}
+
+TEST(PerDeviceFanOut, OneDeviceRunsInlineWithoutDispatchCost) {
+  SimClock clock;
+  sim::PerDeviceFanOut<int, SimTime> fan;
+  fan.Add(0, 3 * kSimMillisecond);
+  fan.Add(0, 2 * kSimMillisecond);
+  auto lane = [&clock](int, const std::vector<SimTime>& costs) {
+    for (SimTime c : costs) clock.Advance(c);
+    return OkStatus();
+  };
+  ASSERT_TRUE(fan.Run(&clock, lane).ok());
+  EXPECT_EQ(clock.Now(), 5 * kSimMillisecond);  // serial, no dispatch
+
+  sim::PerDeviceFanOut<int, SimTime> two;
+  two.Add(0, 3 * kSimMillisecond);
+  two.Add(1, 4 * kSimMillisecond);
+  two.Add(0, 2 * kSimMillisecond);
+  const SimTime fork = clock.Now();
+  ASSERT_TRUE(two.Run(&clock, lane).ok());
+  EXPECT_EQ(clock.Now(),
+            fork + 5 * kSimMillisecond + 2 * sim::kLaneDispatchCost);
+}
+
+TEST(PerDeviceFanOut, EveryLaneRunsAndTheFirstFailureIsReturned) {
+  SimClock clock;
+  sim::PerDeviceFanOut<int, int> fan;
+  for (int d = 0; d < 3; ++d) fan.Add(d, d);
+  std::vector<int> ran;
+  const Status st = fan.Run(&clock, [&ran](int d, const std::vector<int>&) {
+    ran.push_back(d);
+    return d == 0 ? OkStatus() : Status{ErrorCode::kMediaError, "lane " +
+                                                      std::to_string(d)};
+  });
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().message, "lane 1");
 }
 
 // --- Vectored disk I/O --------------------------------------------------------

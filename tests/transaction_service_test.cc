@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "file/file_service.h"
+#include "sim/parallel.h"
 #include "txn/transaction_service.h"
 
 namespace rhodos::txn {
@@ -26,11 +27,11 @@ class TxnServiceTest : public ::testing::Test {
  protected:
   void SetUp() override { Rebuild(TxnServiceConfig{}); }
 
-  void Rebuild(TxnServiceConfig cfg) {
+  void Rebuild(TxnServiceConfig cfg, int disk_count = 1) {
     txn_.reset();
     files_.reset();
     disks_ = std::make_unique<disk::DiskRegistry>();
-    disks_->AddDisk(DiskConfig(), &clock_);
+    for (int d = 0; d < disk_count; ++d) disks_->AddDisk(DiskConfig(), &clock_);
     files_ = std::make_unique<FileService>(disks_.get(), &clock_,
                                            FileServiceConfig{});
     auto d0 = disks_->Get(DiskId{0});
@@ -72,6 +73,42 @@ class TxnServiceTest : public ::testing::Test {
   std::unique_ptr<FileService> files_;
   std::unique_ptr<TransactionService> txn_;
 };
+
+// End()'s elapsed sim time against the time every device charged during
+// it: the two are equal when the commit's references run one after
+// another, and the gap is what overlapped lanes saved.
+struct EndCost {
+  SimTime elapsed = 0;
+  SimTime device = 0;
+};
+
+EndCost TimedEnd(TransactionService& txn, TxnId t, disk::DiskRegistry& disks,
+                 SimClock& clock) {
+  auto device_time = [&disks] {
+    SimTime sum = 0;
+    for (const auto& d : disks.disks()) {
+      sum += d->main_stats().time_charged + d->stable_stats().time_charged;
+    }
+    return sum;
+  };
+  const SimTime device_before = device_time();
+  const SimTime t0 = clock.Now();
+  EXPECT_TRUE(txn.End(t).ok());
+  return EndCost{clock.Now() - t0, device_time() - device_before};
+}
+
+// Makes `file` non-contiguous so its commits take the shadow-page path.
+void Fragment(FileService& files, disk::DiskRegistry& disks, FileId file) {
+  auto shadow = files.AllocateShadowBlock(file);
+  ASSERT_TRUE(shadow.ok());
+  std::vector<std::uint8_t> image(kBlockSize);
+  ASSERT_TRUE(files.ReadBlock(file, 1, image).ok());
+  ASSERT_TRUE((*disks.Get(shadow->disk))
+                  ->PutBlock(shadow->first, kFragmentsPerBlock, image)
+                  .ok());
+  ASSERT_TRUE(files.ReplaceBlock(file, 1, shadow->disk, shadow->first).ok());
+  ASSERT_FALSE(*files.IsContiguous(file));
+}
 
 TEST_F(TxnServiceTest, CommitMakesWritesVisible) {
   const FileId file = MakeFile(LockLevel::kPage, 2 * kBlockSize);
@@ -143,17 +180,7 @@ TEST_F(TxnServiceTest, ContiguousFileCommitsViaWal) {
 
 TEST_F(TxnServiceTest, FragmentedFileCommitsViaShadowPage) {
   const FileId file = MakeFile(LockLevel::kPage, 4 * kBlockSize);
-  // Fragment the file artificially: replace a middle block.
-  auto shadow = files_->AllocateShadowBlock(file);
-  ASSERT_TRUE(shadow.ok());
-  auto server = disks_->Get(shadow->disk);
-  ASSERT_TRUE((*server)
-                  ->PutBlock(shadow->first, kFragmentsPerBlock,
-                             Pattern(kBlockSize, 1))
-                  .ok());
-  ASSERT_TRUE(
-      files_->ReplaceBlock(file, 1, shadow->disk, shadow->first).ok());
-  ASSERT_FALSE(*files_->IsContiguous(file));
+  Fragment(*files_, *disks_, file);
   EXPECT_EQ(*txn_->TechniqueFor(file), CommitTechnique::kShadowPage);
 
   auto t = txn_->Begin(ProcessId{1});
@@ -164,6 +191,66 @@ TEST_F(TxnServiceTest, FragmentedFileCommitsViaShadowPage) {
   std::vector<std::uint8_t> out(kBlockSize);
   ASSERT_TRUE(files_->Read(file, 2 * kBlockSize, out).ok());
   EXPECT_EQ(out, update);
+}
+
+// --- commit-time overlap ---------------------------------------------------------
+
+// The staged shadow page is a fresh block: its two copies are written
+// concurrently, so the commit is charged one mirror write less than its
+// devices worked — and nothing else overlaps on a single disk.
+TEST_F(TxnServiceTest, ShadowCommitSavesOneMirrorWrite) {
+  const FileId file = MakeFile(LockLevel::kPage, 4 * kBlockSize);
+  Fragment(*files_, *disks_, file);
+  auto t = txn_->Begin(ProcessId{1});
+  ASSERT_TRUE(txn_->TWrite(*t, file, 2 * kBlockSize,
+                           Pattern(kBlockSize, 0x31)).ok());
+  const EndCost cost = TimedEnd(*txn_, *t, *disks_, clock_);
+  EXPECT_EQ(txn_->stats().shadow_commits, 1u);
+  // The overlap hid the cheaper copy of one block write, less the two lane
+  // dispatches: at least settle + rotation + transfer of one block.
+  const sim::DiskGeometry g = DiskConfig().geometry;
+  const SimTime min_block_write = g.seek_base + g.rotational_latency +
+                                  kFragmentsPerBlock * g.transfer_per_fragment;
+  const SimTime saved = cost.device - cost.elapsed;
+  EXPECT_GE(saved, min_block_write - 2 * sim::kLaneDispatchCost);
+  EXPECT_LT(saved, 2 * min_block_write);
+}
+
+TEST_F(TxnServiceTest, FilesOnTwoDisksApplyInOverlappingLanes) {
+  Rebuild(TxnServiceConfig{}, /*disk_count=*/2);
+  const FileId a = MakeFile(LockLevel::kRecord, 1000, 1);
+  const FileId b = MakeFile(LockLevel::kRecord, 1000, 2);
+  ASSERT_NE(file::FileDisk(a), file::FileDisk(b));
+  const std::uint64_t conflicts = sim::LaneConflicts();
+
+  auto t = txn_->Begin(ProcessId{1});
+  ASSERT_TRUE(txn_->TWrite(*t, a, 10, Pattern(8, 0x41)).ok());
+  ASSERT_TRUE(txn_->TWrite(*t, b, 20, Pattern(8, 0x42)).ok());
+  const EndCost cost = TimedEnd(*txn_, *t, *disks_, clock_);
+  // The two applies overlap: elapsed is well under the devices' total.
+  EXPECT_LT(cost.elapsed + 4 * kSimMillisecond, cost.device);
+  EXPECT_EQ(sim::LaneConflicts(), conflicts);
+
+  std::vector<std::uint8_t> out(8);
+  ASSERT_TRUE(files_->Read(a, 10, out).ok());
+  EXPECT_EQ(out, Pattern(8, 0x41));
+  ASSERT_TRUE(files_->Read(b, 20, out).ok());
+  EXPECT_EQ(out, Pattern(8, 0x42));
+}
+
+TEST_F(TxnServiceTest, TwoFilesOnOneDiskApplySerially) {
+  const FileId a = MakeFile(LockLevel::kRecord, 1000, 1);
+  const FileId b = MakeFile(LockLevel::kRecord, 1000, 2);
+  ASSERT_EQ(file::FileDisk(a), file::FileDisk(b));
+  auto t = txn_->Begin(ProcessId{1});
+  ASSERT_TRUE(txn_->TWrite(*t, a, 10, Pattern(8, 0x51)).ok());
+  ASSERT_TRUE(txn_->TWrite(*t, b, 20, Pattern(8, 0x52)).ok());
+  const EndCost cost = TimedEnd(*txn_, *t, *disks_, clock_);
+  // One disk, one lane: elapsed is the sum of every reference.
+  EXPECT_EQ(cost.elapsed, cost.device);
+  std::vector<std::uint8_t> out(8);
+  ASSERT_TRUE(files_->Read(b, 20, out).ok());
+  EXPECT_EQ(out, Pattern(8, 0x52));
 }
 
 TEST_F(TxnServiceTest, RecordModeBuffersByteRanges) {
@@ -453,6 +540,90 @@ TEST_F(TxnServiceTest, TornIntentionLogIsNeverPartiallyReplayed) {
       // A successful End() is a durability promise: only the new image will do.
       EXPECT_TRUE(all_new) << "crash_after_writes=" << crash_after;
     }
+  }
+}
+
+// The staged shadow page is written main and mirror at once, so a crash
+// can tear either copy. Before the commit force that is harmless: the
+// transaction is discarded and its block is free again after recovery.
+TEST_F(TxnServiceTest, TornShadowStagingIsDiscardedAndItsBlockFreed) {
+  for (const bool tear_mirror : {false, true}) {
+    Rebuild(TxnServiceConfig{});
+    const FileId file = MakeFile(LockLevel::kPage, 4 * kBlockSize, 0x61);
+    Fragment(*files_, *disks_, file);
+    const auto old_bytes = Pattern(kBlockSize, 0x61);
+    std::vector<std::uint8_t> page2(kBlockSize);
+    ASSERT_TRUE(files_->ReadBlock(file, 2, page2).ok());
+    // Persist the bitmap so recovery starts from exactly this allocation.
+    ASSERT_TRUE(files_->FlushAll().ok());
+    disk::DiskServer* d0 = *disks_->Get(DiskId{0});
+    const std::uint64_t free_before = d0->FreeFragmentCount();
+
+    auto t = txn_->Begin(ProcessId{1});
+    ASSERT_TRUE(txn_->TWrite(*t, file, 2 * kBlockSize,
+                             Pattern(kBlockSize, 0x62)).ok());
+    // The shadow copy is the first write End() issues to either device.
+    sim::DiskFaultPlan tear;
+    tear.crash_after_writes = 0;
+    if (tear_mirror) {
+      d0->stable_device().SetFaultPlan(tear);
+    } else {
+      d0->main_device().SetFaultPlan(tear);
+    }
+    EXPECT_FALSE(txn_->End(*t).ok()) << "tear_mirror=" << tear_mirror;
+    EXPECT_EQ(txn_->stats().commits, 1u);  // MakeFile only
+
+    disks_->CrashAll();
+    files_->Crash();
+    ASSERT_TRUE(disks_->RecoverAll().ok());
+    Restart();
+    ASSERT_TRUE(txn_->Recover().ok());
+    std::vector<std::uint8_t> out(kBlockSize);
+    ASSERT_TRUE(files_->ReadBlock(file, 2, out).ok());
+    EXPECT_EQ(out, page2) << "tear_mirror=" << tear_mirror;
+    EXPECT_EQ(d0->FreeFragmentCount(), free_before)
+        << "tear_mirror=" << tear_mirror;
+  }
+}
+
+// A tear after the commit force hits the apply (the index-table store of
+// the remap): recovery redoes the remap to the staged page, whose two
+// copies were both complete before the force.
+TEST_F(TxnServiceTest, TearAfterTheCommitForceIsRedoneToTheNewPage) {
+  for (const bool tear_mirror : {false, true}) {
+    Rebuild(TxnServiceConfig{});
+    const FileId file = MakeFile(LockLevel::kPage, 4 * kBlockSize, 0x71);
+    Fragment(*files_, *disks_, file);
+    disk::DiskServer* d0 = *disks_->Get(DiskId{0});
+    const auto new_bytes = Pattern(kBlockSize, 0x72);
+
+    auto t = txn_->Begin(ProcessId{1});
+    ASSERT_TRUE(txn_->TWrite(*t, file, 2 * kBlockSize, new_bytes).ok());
+    // Main device: the shadow copy, then the table store. Mirror device:
+    // the shadow copy, the log force, then the table store.
+    sim::DiskFaultPlan tear;
+    tear.crash_after_writes = tear_mirror ? 2 : 1;
+    if (tear_mirror) {
+      d0->stable_device().SetFaultPlan(tear);
+    } else {
+      d0->main_device().SetFaultPlan(tear);
+    }
+    EXPECT_FALSE(txn_->End(*t).ok()) << "tear_mirror=" << tear_mirror;
+    EXPECT_EQ(txn_->stats().commits, 2u)  // the force went through
+        << "tear_mirror=" << tear_mirror;
+
+    disks_->CrashAll();
+    files_->Crash();
+    ASSERT_TRUE(disks_->RecoverAll().ok());
+    Restart();
+    ASSERT_TRUE(txn_->Recover().ok());
+    EXPECT_EQ(txn_->stats().recovered_redone, 1u);
+    std::vector<std::uint8_t> out(kBlockSize);
+    ASSERT_TRUE(files_->ReadBlock(file, 2, out).ok());
+    EXPECT_EQ(out, new_bytes) << "tear_mirror=" << tear_mirror;
+    auto loc = files_->LocateBlock(file, 2);
+    ASSERT_TRUE(loc.ok());
+    EXPECT_TRUE(d0->IsFragmentAllocated(loc->first_fragment));
   }
 }
 
