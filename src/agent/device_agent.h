@@ -59,8 +59,6 @@ class DeviceAgent {
   Result<std::vector<std::uint8_t>> OutputOf(
       const std::string& system_name) const;
 
-  std::size_t OpenDescriptors() const { return open_.size(); }
-
  private:
   struct Device {
     std::deque<std::uint8_t> input;

@@ -283,13 +283,6 @@ const sim::RpcHealth& FileAgent::rpc_health() const {
   return health_agg_;
 }
 
-bool FileAgent::ServerSuspectedDead() const {
-  for (const auto& rpc : rpcs_) {
-    if (rpc->SuspectedDead()) return true;
-  }
-  return false;
-}
-
 std::uint64_t FileAgent::NextToken() {
   // Unique across machines: machine id in the top bits.
   return (static_cast<std::uint64_t>(machine_.value) << 48) | next_token_++;
@@ -812,17 +805,23 @@ Result<std::uint64_t> FileAgent::ServerPread(FileId file,
 
 Result<std::uint64_t> FileAgent::ServerPwrite(
     FileId file, std::uint64_t offset, std::span<const std::uint8_t> in) {
-  PwriteRequest req{file, offset,
-                    std::vector<std::uint8_t>(in.begin(), in.end()),
-                    cb_address_};
+  // A write-through pwrite is a write batch of one extent.
+  PwriteVecRequest req;
+  req.extents.push_back(PwriteExtent{
+      file, offset, std::vector<std::uint8_t>(in.begin(), in.end())});
+  req.cb = cb_address_;
   const auto body = req.Encode();
   RHODOS_ASSIGN_OR_RETURN(sim::Payload reply,
-                          Call(RouteShard(file), FsOp::kPwrite, body));
+                          Call(RouteShard(file), FsOp::kPwriteVec, body));
   Deserializer din{reply};
   RHODOS_RETURN_IF_ERROR(DecodeStatus(din));
-  const std::uint64_t version = din.U64();
   const std::uint64_t n = din.U64();
-  if (!din.ok()) return Error{ErrorCode::kInternal, "bad pwrite reply"};
+  const std::uint32_t nfiles = din.U32();
+  const FileId replied{din.U64()};
+  const std::uint64_t version = din.U64();
+  if (!din.ok() || nfiles != 1 || replied != file) {
+    return Error{ErrorCode::kInternal, "bad pwrite reply"};
+  }
   // Blocks this write covered end to end are current; a partially covered
   // boundary block may still hold foreign bytes outside our range, so it is
   // not kept and gets dropped if the token shows an interleaved writer.

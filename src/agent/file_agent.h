@@ -201,8 +201,6 @@ class FileAgent {
   const sim::RpcHealth& rpc_health() const;
   // Zeroes the agent's and its RPC clients' counters.
   void ResetStats();
-  // Circuit-breaker verdict: any shard's client suspects its peer dead.
-  bool ServerSuspectedDead() const;
   MachineId machine() const { return machine_; }
 
   // Bus address this agent receives callback breaks on (tests partition it

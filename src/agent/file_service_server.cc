@@ -21,11 +21,10 @@ std::string_view OpName(FsOp op) {
     case FsOp::kOpen: return "open";
     case FsOp::kClose: return "close";
     case FsOp::kPread: return "pread";
-    case FsOp::kPwrite: return "pwrite";
     case FsOp::kGetAttr: return "getattr";
     case FsOp::kResize: return "resize";
     case FsOp::kFlush: return "flush";
-    case FsOp::kPwriteVec: return "pwritevec";
+    case FsOp::kPwriteVec: return "pwrite";
     case FsOp::kCallbackBreak: return "cb-break";
     case FsOp::kCallbackRenew: return "cb-renew";
     case FsOp::kSnapshot: return "snapshot";
@@ -212,7 +211,7 @@ SimTime FileServiceServer::Grant(FileId file, const std::string& cb) {
       return expiry;
     }
   }
-  holders.push_back(Holder{cb, expiry});
+  holders.push_back(Holder{cb, expiry, {}, 0});
   return expiry;
 }
 
@@ -339,7 +338,6 @@ sim::Payload FileServiceServer::Handle(std::uint32_t opcode,
     case FsOp::kClose: return HandleOpenClose(static_cast<FsOp>(opcode),
                                               request);
     case FsOp::kPread: return HandlePread(request);
-    case FsOp::kPwrite: return HandlePwrite(request);
     case FsOp::kGetAttr: return HandleGetAttr(request);
     case FsOp::kResize: return HandleResize(request);
     case FsOp::kFlush: return HandleFlush(request);
@@ -476,23 +474,6 @@ sim::Payload FileServiceServer::HandlePread(
                         kBlockSize;
   NoteHeldBlocks(req->file, req->cb, first_block, served_end_block);
   out.I64(expiry);
-  return std::move(out).Take();
-}
-
-sim::Payload FileServiceServer::HandlePwrite(
-    std::span<const std::uint8_t> body) {
-  auto req = PwriteRequest::Decode(body);
-  if (!req.ok()) return ErrorReply(req.error());
-  current_requester_ = req->cb;
-  auto n = service_->Write(req->file, req->offset, req->data);
-  Serializer out;
-  if (!n.ok()) {
-    EncodeError(out, n.error());
-    return std::move(out).Take();
-  }
-  EncodeStatus(out, OkStatus());
-  out.U64(service_->Version(req->file));
-  out.U64(*n);
   return std::move(out).Take();
 }
 

@@ -129,7 +129,6 @@ class FileServiceServer {
   sim::Payload HandleDelete(std::span<const std::uint8_t> body);
   sim::Payload HandleOpenClose(FsOp op, std::span<const std::uint8_t> body);
   sim::Payload HandlePread(std::span<const std::uint8_t> body);
-  sim::Payload HandlePwrite(std::span<const std::uint8_t> body);
   sim::Payload HandlePwriteVec(std::span<const std::uint8_t> body);
   sim::Payload HandleGetAttr(std::span<const std::uint8_t> body);
   sim::Payload HandleResize(std::span<const std::uint8_t> body);

@@ -137,27 +137,6 @@ Result<PeerReadRequest> PeerReadRequest::Decode(
   return r;
 }
 
-std::vector<std::uint8_t> PwriteRequest::Encode() const {
-  Serializer out;
-  out.U64(file.value);
-  out.U64(offset);
-  out.Bytes(data);
-  out.String(cb);
-  return std::move(out).Take();
-}
-
-Result<PwriteRequest> PwriteRequest::Decode(
-    std::span<const std::uint8_t> bytes) {
-  Deserializer in{bytes};
-  PwriteRequest r;
-  r.file = FileId{in.U64()};
-  r.offset = in.U64();
-  r.data = in.Bytes();
-  r.cb = in.String();
-  if (!in.ok()) return Error{ErrorCode::kInvalidArgument, "bad pwrite req"};
-  return r;
-}
-
 std::vector<std::uint8_t> ResizeRequest::Encode() const {
   Serializer out;
   out.U64(token);

@@ -29,7 +29,8 @@ enum class FsOp : std::uint32_t {
   kOpen = 3,
   kClose = 4,
   kPread = 5,
-  kPwrite = 6,
+  // 6 was a single-extent pwrite; a write-through pwrite is now a one-extent
+  // kPwriteVec. The number stays reserved so no other opcode moves.
   kGetAttr = 7,
   kResize = 8,
   kFlush = 9,
@@ -123,16 +124,6 @@ struct PeerReadRequest {
   static Result<PeerReadRequest> Decode(std::span<const std::uint8_t> data);
 };
 
-struct PwriteRequest {
-  FileId file{};
-  std::uint64_t offset = 0;
-  std::vector<std::uint8_t> data;
-  std::string cb;
-
-  std::vector<std::uint8_t> Encode() const;
-  static Result<PwriteRequest> Decode(std::span<const std::uint8_t> bytes);
-};
-
 struct ResizeRequest {
   std::uint64_t token = 0;
   FileId file{};
@@ -152,10 +143,11 @@ struct PwriteExtent {
   std::vector<std::uint8_t> data;
 };
 
-// Batched write-behind: many (file, offset, run) extents per message. Like
-// kPwrite, every extent is positional and therefore idempotent — replaying
+// The one write request: many (file, offset, run) extents per message — a
+// batched write-behind flush, or a single write-through pwrite as a batch
+// of one. Every extent is positional and therefore idempotent — replaying
 // the whole batch re-produces the same file state. The reply carries the
-// per-file version tokens after all extents applied.
+// bytes applied and the per-file version tokens after all extents applied.
 struct PwriteVecRequest {
   std::vector<PwriteExtent> extents;
   std::string cb;

@@ -50,8 +50,9 @@ class Serializer {
   }
 
   void Raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buffer_.insert(buffer_.end(), p, p + n);
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + n);
+    if (n > 0) std::memcpy(buffer_.data() + at, data, n);
   }
 
   std::vector<std::uint8_t> buffer_;

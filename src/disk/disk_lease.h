@@ -88,7 +88,6 @@ class DiskLeaseManager {
   // True while the lease is live (handles check this on every call).
   bool IsLive(LeaseId id) const { return leases_.count(id) != 0; }
 
-  std::size_t ActiveLeases() const { return leases_.size(); }
   DiskRegistry* disks() { return disks_; }
 
  private:

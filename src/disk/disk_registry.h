@@ -38,7 +38,6 @@ class DiskRegistry {
     return disks_;
   }
 
-  void SetPolicy(PlacementPolicy policy) { policy_ = policy; }
   PlacementPolicy policy() const { return policy_; }
 
   // Allocates `count` contiguous fragments on some disk chosen by the

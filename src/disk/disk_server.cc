@@ -182,33 +182,6 @@ Status DiskServer::CheckReachable() const {
   return OkStatus();
 }
 
-Status DiskServer::GetBlock(FragmentIndex first, std::uint32_t count,
-                            std::span<std::uint8_t> out, ReadSource source) {
-  RHODOS_RETURN_IF_ERROR(CheckReachable());
-  if (out.size() < static_cast<std::size_t>(count) * kFragmentSize) {
-    return {ErrorCode::kInvalidArgument, "get_block buffer too small"};
-  }
-  obs::SpanScope span(obs::TracerOf(obs_), "disk", "get_block");
-  obs::LatencyScope lat(obs_, "disk.reference_ns");
-  if (source == ReadSource::kStable) {
-    if (!stable_) {
-      return {ErrorCode::kNotSupported, "disk has no stable storage"};
-    }
-    if (span.recording()) {
-      span.SetDetail("disk-" + std::to_string(id_.value) + " stable");
-    }
-    return stable_->ReadFragments(first, count, out);
-  }
-  const std::uint64_t hits_before = cache_.stats().hits;
-  Status st = ReadMain(first, count, out);
-  if (span.recording()) {
-    span.SetDetail("disk-" + std::to_string(id_.value) +
-                   (cache_.stats().hits > hits_before ? " cache-hit"
-                                                      : " cache-miss"));
-  }
-  return st;
-}
-
 Status DiskServer::WriteMain(FragmentIndex first, std::uint32_t count,
                              std::span<const std::uint8_t> in,
                              WritePolicy policy) {
@@ -242,34 +215,6 @@ Status DiskServer::WriteStable(FragmentIndex first, std::uint32_t count,
   return OkStatus();
 }
 
-Status DiskServer::PutBlock(FragmentIndex first, std::uint32_t count,
-                            std::span<const std::uint8_t> in,
-                            StableMode stable, WriteSync sync,
-                            WritePolicy policy) {
-  RHODOS_RETURN_IF_ERROR(CheckReachable());
-  if (in.size() < static_cast<std::size_t>(count) * kFragmentSize) {
-    return {ErrorCode::kInvalidArgument, "put_block buffer too small"};
-  }
-  obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
-  obs::LatencyScope lat(obs_, "disk.reference_ns");
-  if (span.recording()) {
-    span.SetDetail("disk-" + std::to_string(id_.value) +
-                   (stable == StableMode::kNone         ? ""
-                    : stable == StableMode::kStableOnly ? " stable-only"
-                                                        : " original+stable"));
-  }
-  switch (stable) {
-    case StableMode::kNone:
-      return WriteMain(first, count, in, policy);
-    case StableMode::kStableOnly:
-      return WriteStable(first, count, in, sync);
-    case StableMode::kOriginalAndStable:
-      RHODOS_RETURN_IF_ERROR(WriteMain(first, count, in, policy));
-      return WriteStable(first, count, in, sync);
-  }
-  return {ErrorCode::kInvalidArgument, "bad stable mode"};
-}
-
 Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
                                  std::span<const std::uint8_t> in) {
   RHODOS_RETURN_IF_ERROR(CheckReachable());
@@ -288,6 +233,7 @@ Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
   // Both copies are issued together; each lane owns one device.
   sim::ParallelSection section(clock_);
   section.BeginLane();
+  ObserveSeek(first, main_.head_track());
   const Status main = WriteMain(first, count, in, WritePolicy::kWriteThrough);
   section.EndLane();
   section.BeginLane();
@@ -298,16 +244,20 @@ Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
   return mirror;
 }
 
-// --- Vectored I/O -------------------------------------------------------------
-
 namespace {
 
-// SCAN/elevator pass: stable-sort run indices into ascending fragment order
-// so one sweep of the arm services every run. Returns the service order and
-// counts how many runs moved relative to arrival order.
-template <typename Run>
-std::vector<std::size_t> ElevatorOrder(std::span<const Run> runs,
-                                       std::uint64_t* reorders) {
+// One submission's SCAN (elevator) pass. Counts the submission in `stats`
+// when it carries two or more runs, stable-sorts the runs into ascending
+// fragment order (counting the runs that moved) and calls
+// `serve(first, count, members)` once per group of physically adjacent
+// runs — one disk reference each — where `members` indexes `runs` in
+// platter order.
+template <typename Run, typename Serve>
+Status ScanPass(std::span<const Run> runs, VecIoStats& stats, Serve serve) {
+  if (runs.size() > 1) {
+    stats.requests += 1;
+    stats.runs += runs.size();
+  }
   std::vector<std::size_t> order(runs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
@@ -315,21 +265,42 @@ std::vector<std::size_t> ElevatorOrder(std::span<const Run> runs,
                      return runs[a].first < runs[b].first;
                    });
   for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] != i) ++*reorders;
+    if (order[i] != i) ++stats.elevator_reorders;
   }
-  return order;
+  const std::span<const std::size_t> sorted{order};
+  std::size_t i = 0;
+  while (i < order.size()) {
+    const FragmentIndex first = runs[order[i]].first;
+    FragmentIndex next = first + runs[order[i]].count;
+    std::size_t end = i + 1;
+    while (end < order.size() && runs[order[end]].first == next) {
+      next += runs[order[end]].count;
+      ++end;
+    }
+    stats.merged_runs += end - i - 1;
+    RHODOS_RETURN_IF_ERROR(serve(first,
+                                 static_cast<std::uint32_t>(next - first),
+                                 sorted.subspan(i, end - i)));
+    i = end;
+  }
+  return OkStatus();
 }
 
 }  // namespace
 
-void DiskServer::ObserveSeek(FragmentIndex first) {
+void DiskServer::ObserveSeek(FragmentIndex first, std::uint64_t head_track) {
   const std::uint64_t target = config_.geometry.TrackOf(first);
-  const std::uint64_t head = main_.head_track();
-  const std::uint64_t distance = target > head ? target - head : head - target;
+  const std::uint64_t distance =
+      target > head_track ? target - head_track : head_track - target;
   obs::Observe(obs_, "disk.seek_ns",
                config_.geometry.seek_base +
                    config_.geometry.seek_per_track *
                        static_cast<SimTime>(distance));
+}
+
+std::string DiskServer::SubmissionLabel(std::size_t runs) const {
+  return "disk-" + std::to_string(id_.value) +
+         (runs > 1 ? " runs=" + std::to_string(runs) : "");
 }
 
 Status DiskServer::GetBlocksVec(std::span<const ReadRun> runs,
@@ -337,81 +308,55 @@ Status DiskServer::GetBlocksVec(std::span<const ReadRun> runs,
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   for (const ReadRun& r : runs) {
     if (r.out.size() < static_cast<std::size_t>(r.count) * kFragmentSize) {
-      return {ErrorCode::kInvalidArgument, "get_blocks_vec buffer too small"};
+      return {ErrorCode::kInvalidArgument, "get_block buffer too small"};
     }
   }
   if (runs.empty()) return OkStatus();
-  obs::SpanScope span(obs::TracerOf(obs_), "disk", "get_blocks_vec");
-  if (span.recording()) {
-    span.SetDetail("disk-" + std::to_string(id_.value) + " runs=" +
-                   std::to_string(runs.size()));
+  obs::SpanScope span(obs::TracerOf(obs_), "disk", "get_block");
+  if (source == ReadSource::kStable && !stable_) {
+    return {ErrorCode::kNotSupported, "disk has no stable storage"};
   }
-  vec_stats_.requests += 1;
-  vec_stats_.runs += runs.size();
-
-  if (source == ReadSource::kStable) {
-    // Stable-mirror recovery reads are rare; serve them run by run (the
-    // mirror has no cache or elevator worth modelling).
-    if (!stable_) {
-      return {ErrorCode::kNotSupported, "disk has no stable storage"};
-    }
-    for (const ReadRun& r : runs) {
-      RHODOS_RETURN_IF_ERROR(stable_->ReadFragments(r.first, r.count, r.out));
-    }
-    return OkStatus();
-  }
-
-  const std::vector<std::size_t> order =
-      ElevatorOrder(runs, &vec_stats_.elevator_reorders);
-
-  // Service the sorted runs, coalescing physically adjacent ones into one
-  // disk reference. A merged group reads into scratch and scatters to the
-  // member segments.
+  // A merged group reads into scratch and scatters to the member segments.
   std::vector<std::uint8_t> scratch;
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t group_end = i + 1;
-    FragmentIndex next = runs[order[i]].first + runs[order[i]].count;
-    std::uint64_t total = runs[order[i]].count;
-    while (group_end < order.size() && runs[order[group_end]].first == next) {
-      next += runs[order[group_end]].count;
-      total += runs[order[group_end]].count;
-      ++group_end;
-    }
-    vec_stats_.merged_runs += (group_end - i) - 1;
-    const FragmentIndex first = runs[order[i]].first;
-    const std::uint64_t hits_before = cache_.stats().hits;
-    const std::uint64_t head_before = main_.head_track();
-    obs::LatencyScope lat(obs_, "disk.reference_ns");
-    if (group_end == i + 1) {
-      RHODOS_RETURN_IF_ERROR(
-          ReadMain(first, runs[order[i]].count, runs[order[i]].out));
-    } else {
-      scratch.resize(static_cast<std::size_t>(total) * kFragmentSize);
-      RHODOS_RETURN_IF_ERROR(
-          ReadMain(first, static_cast<std::uint32_t>(total), scratch));
-      std::size_t off = 0;
-      for (std::size_t g = i; g < group_end; ++g) {
-        const ReadRun& r = runs[order[g]];
-        std::memcpy(r.out.data(), scratch.data() + off,
-                    static_cast<std::size_t>(r.count) * kFragmentSize);
-        off += static_cast<std::size_t>(r.count) * kFragmentSize;
-      }
-    }
-    if (cache_.stats().hits == hits_before) {
-      // The reference went to the platter: sample the seek it paid, from
-      // where the head rested when the group was issued.
-      const std::uint64_t target = config_.geometry.TrackOf(first);
-      const std::uint64_t distance =
-          target > head_before ? target - head_before : head_before - target;
-      obs::Observe(obs_, "disk.seek_ns",
-                   config_.geometry.seek_base +
-                       config_.geometry.seek_per_track *
-                           static_cast<SimTime>(distance));
-    }
-    i = group_end;
+  const std::uint64_t hits_before = cache_.stats().hits;
+  Status st = ScanPass(
+      runs, vec_stats_,
+      [&](FragmentIndex first, std::uint32_t count,
+          std::span<const std::size_t> members) -> Status {
+        std::span<std::uint8_t> into = runs[members[0]].out;
+        if (members.size() > 1) {
+          scratch.resize(static_cast<std::size_t>(count) * kFragmentSize);
+          into = scratch;
+        }
+        obs::LatencyScope lat(obs_, "disk.reference_ns");
+        if (source == ReadSource::kStable) {
+          RHODOS_RETURN_IF_ERROR(stable_->ReadFragments(first, count, into));
+        } else {
+          const std::uint64_t hits = cache_.stats().hits;
+          const std::uint64_t head = main_.head_track();
+          RHODOS_RETURN_IF_ERROR(ReadMain(first, count, into));
+          // Missed the track cache: the reference went to the platter.
+          if (cache_.stats().hits == hits) ObserveSeek(first, head);
+        }
+        if (members.size() > 1) {
+          std::size_t off = 0;
+          for (const std::size_t m : members) {
+            const ReadRun& r = runs[m];
+            const std::size_t bytes =
+                static_cast<std::size_t>(r.count) * kFragmentSize;
+            std::memcpy(r.out.data(), scratch.data() + off, bytes);
+            off += bytes;
+          }
+        }
+        return OkStatus();
+      });
+  if (span.recording()) {
+    span.SetDetail(SubmissionLabel(runs.size()) +
+                   (source == ReadSource::kStable         ? " stable"
+                    : cache_.stats().hits > hits_before ? " cache-hit"
+                                                        : " cache-miss"));
   }
-  return OkStatus();
+  return st;
 }
 
 Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
@@ -420,67 +365,49 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   for (const WriteRun& r : runs) {
     if (r.in.size() < static_cast<std::size_t>(r.count) * kFragmentSize) {
-      return {ErrorCode::kInvalidArgument, "put_blocks_vec buffer too small"};
+      return {ErrorCode::kInvalidArgument, "put_block buffer too small"};
     }
   }
   if (runs.empty()) return OkStatus();
-  obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_blocks_vec");
+  obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   if (span.recording()) {
-    span.SetDetail("disk-" + std::to_string(id_.value) + " runs=" +
-                   std::to_string(runs.size()));
+    span.SetDetail(SubmissionLabel(runs.size()) +
+                   (stable == StableMode::kNone         ? ""
+                    : stable == StableMode::kStableOnly ? " stable-only"
+                                                        : " original+stable"));
   }
-  vec_stats_.requests += 1;
-  vec_stats_.runs += runs.size();
-
-  const std::vector<std::size_t> order =
-      ElevatorOrder(runs, &vec_stats_.elevator_reorders);
-
+  // The main copy reaches the platter now unless it parks dirty in the
+  // track cache (WriteMain).
+  const bool to_platter =
+      stable != StableMode::kStableOnly &&
+      (policy == WritePolicy::kWriteThrough || !cache_.enabled());
+  // A merged group gathers its member segments into scratch.
   std::vector<std::uint8_t> scratch;
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t group_end = i + 1;
-    FragmentIndex next = runs[order[i]].first + runs[order[i]].count;
-    std::uint64_t total = runs[order[i]].count;
-    while (group_end < order.size() && runs[order[group_end]].first == next) {
-      next += runs[order[group_end]].count;
-      total += runs[order[group_end]].count;
-      ++group_end;
-    }
-    vec_stats_.merged_runs += (group_end - i) - 1;
-    const FragmentIndex first = runs[order[i]].first;
-    std::span<const std::uint8_t> data = runs[order[i]].in;
-    if (group_end > i + 1) {
-      scratch.resize(static_cast<std::size_t>(total) * kFragmentSize);
-      std::size_t off = 0;
-      for (std::size_t g = i; g < group_end; ++g) {
-        const WriteRun& r = runs[order[g]];
-        std::memcpy(scratch.data() + off, r.in.data(),
-                    static_cast<std::size_t>(r.count) * kFragmentSize);
-        off += static_cast<std::size_t>(r.count) * kFragmentSize;
-      }
-      data = scratch;
-    }
-    obs::LatencyScope lat(obs_, "disk.reference_ns");
-    const auto count = static_cast<std::uint32_t>(total);
-    if (stable != StableMode::kStableOnly &&
-        policy != WritePolicy::kDelayed) {
-      ObserveSeek(first);
-    }
-    switch (stable) {
-      case StableMode::kNone:
-        RHODOS_RETURN_IF_ERROR(WriteMain(first, count, data, policy));
-        break;
-      case StableMode::kStableOnly:
-        RHODOS_RETURN_IF_ERROR(WriteStable(first, count, data, sync));
-        break;
-      case StableMode::kOriginalAndStable:
-        RHODOS_RETURN_IF_ERROR(WriteMain(first, count, data, policy));
-        RHODOS_RETURN_IF_ERROR(WriteStable(first, count, data, sync));
-        break;
-    }
-    i = group_end;
-  }
-  return OkStatus();
+  return ScanPass(
+      runs, vec_stats_,
+      [&](FragmentIndex first, std::uint32_t count,
+          std::span<const std::size_t> members) -> Status {
+        std::span<const std::uint8_t> data = runs[members[0]].in;
+        if (members.size() > 1) {
+          scratch.resize(static_cast<std::size_t>(count) * kFragmentSize);
+          std::size_t off = 0;
+          for (const std::size_t m : members) {
+            const WriteRun& r = runs[m];
+            const std::size_t bytes =
+                static_cast<std::size_t>(r.count) * kFragmentSize;
+            std::memcpy(scratch.data() + off, r.in.data(), bytes);
+            off += bytes;
+          }
+          data = scratch;
+        }
+        obs::LatencyScope lat(obs_, "disk.reference_ns");
+        if (to_platter) ObserveSeek(first, main_.head_track());
+        if (stable != StableMode::kStableOnly) {
+          RHODOS_RETURN_IF_ERROR(WriteMain(first, count, data, policy));
+        }
+        if (stable == StableMode::kNone) return OkStatus();
+        return WriteStable(first, count, data, sync);
+      });
 }
 
 Status DiskServer::FlushBlock(FragmentIndex first, std::uint32_t count) {

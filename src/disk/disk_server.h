@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -75,7 +76,7 @@ struct DiskServerConfig {
   std::uint64_t fault_seed = 1;
 };
 
-// One run of a vectored (scatter/gather) request: `count` fragments from
+// One run of a (scatter/gather) submission: `count` fragments from
 // `first`, moving to/from the caller-side buffer segment. The segments of
 // one call may be disjoint slices of one big buffer (striped reads) or
 // independent buffers (cache writebacks).
@@ -91,11 +92,12 @@ struct WriteRun {
   std::span<const std::uint8_t> in;  // >= count * kFragmentSize bytes
 };
 
-// Counters of the vectored path (summed into `disk.vec_*` /
-// `disk.elevator_reorders` by the facility).
+// Counters of multi-run submissions (summed into `disk.vec_*` /
+// `disk.elevator_reorders` by the facility). A one-run submission — every
+// GetBlock/PutBlock — counts in none of them.
 struct VecIoStats {
-  std::uint64_t requests = 0;          // GetBlocksVec/PutBlocksVec calls
-  std::uint64_t runs = 0;              // runs submitted across all calls
+  std::uint64_t requests = 0;          // submissions of two or more runs
+  std::uint64_t runs = 0;              // runs those submissions carried
   std::uint64_t merged_runs = 0;       // runs coalesced with a neighbour
   std::uint64_t elevator_reorders = 0; // runs the SCAN sort moved
 };
@@ -155,16 +157,36 @@ class DiskServer {
   std::uint64_t LargestFreeRun() const;
 
   // --- I/O (get-block / put-block / flush-block) --------------------------
+  // One submission carries one or more runs. The server sorts the runs into
+  // one SCAN (elevator) pass over the platter — ascending fragment order —
+  // so a multi-extent request seeks monotonically instead of chasing the
+  // caller's arrival order, and physically adjacent runs coalesce into a
+  // single disk reference. Data still lands in (comes from) each run's own
+  // buffer segment, in the caller's order. A single run is a submission of
+  // one: GetBlock/PutBlock are that case.
+  Status GetBlocksVec(std::span<const ReadRun> runs,
+                      ReadSource source = ReadSource::kMain);
+
+  Status PutBlocksVec(std::span<const WriteRun> runs,
+                      StableMode stable = StableMode::kNone,
+                      WriteSync sync = WriteSync::kSynchronous,
+                      WritePolicy policy = WritePolicy::kWriteThrough);
 
   Status GetBlock(FragmentIndex first, std::uint32_t count,
                   std::span<std::uint8_t> out,
-                  ReadSource source = ReadSource::kMain);
+                  ReadSource source = ReadSource::kMain) {
+    const ReadRun run{first, count, out};
+    return GetBlocksVec({&run, 1}, source);
+  }
 
   Status PutBlock(FragmentIndex first, std::uint32_t count,
                   std::span<const std::uint8_t> in,
                   StableMode stable = StableMode::kNone,
                   WriteSync sync = WriteSync::kSynchronous,
-                  WritePolicy policy = WritePolicy::kWriteThrough);
+                  WritePolicy policy = WritePolicy::kWriteThrough) {
+    const WriteRun run{first, count, in};
+    return PutBlocksVec({&run, 1}, stable, sync, policy);
+  }
 
   // put_block to a location that holds no live data (freshly allocated,
   // not yet referenced by anything durable): the main copy and the stable
@@ -175,21 +197,6 @@ class DiskServer {
   // caller's own commit point, which follows this call.
   Status PutFreshBlock(FragmentIndex first, std::uint32_t count,
                        std::span<const std::uint8_t> in);
-
-  // --- Vectored I/O --------------------------------------------------------
-  // One submission of many runs. The server sorts the runs into one SCAN
-  // (elevator) pass over the platter — ascending fragment order — so a
-  // multi-extent request seeks monotonically instead of chasing the
-  // caller's arrival order, and physically adjacent runs coalesce into a
-  // single disk reference. Data still lands in (comes from) each run's own
-  // buffer segment, in the caller's order.
-  Status GetBlocksVec(std::span<const ReadRun> runs,
-                      ReadSource source = ReadSource::kMain);
-
-  Status PutBlocksVec(std::span<const WriteRun> runs,
-                      StableMode stable = StableMode::kNone,
-                      WriteSync sync = WriteSync::kSynchronous,
-                      WritePolicy policy = WritePolicy::kWriteThrough);
 
   // Forces any delayed-write data for [first, first+count) to the platter.
   Status FlushBlock(FragmentIndex first, std::uint32_t count);
@@ -260,10 +267,14 @@ class DiskServer {
                      std::span<const std::uint8_t> in, WriteSync sync);
   void ReadAheadTrack(FragmentIndex first, std::uint32_t count);
 
-  // Seek-distance histogram sample for a reference about to be issued at
-  // `first` (converted to simulated seek time — the monotone image of the
-  // track distance under the cost model).
-  void ObserveSeek(FragmentIndex first);
+  // Seek-distance histogram sample for a platter reference at `first`
+  // made with the head resting on `head_track` (converted to simulated
+  // seek time — the monotone image of the track distance under the cost
+  // model).
+  void ObserveSeek(FragmentIndex first, std::uint64_t head_track);
+  // Span detail prefix of a submission: the disk, and the run count when
+  // there is more than one.
+  std::string SubmissionLabel(std::size_t runs) const;
 
   struct PendingStableWrite {
     FragmentIndex first;

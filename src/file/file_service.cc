@@ -22,7 +22,8 @@ FileService::FileService(disk::DiskRegistry* disks, SimClock* clock,
       config_(config),
       snap_journal_(disks, config.snapshot_region_fragments,
                     config.snapshot_region_slot),
-      block_pool_(kBlockSize, config.block_pool_capacity) {}
+      block_pool_(kBlockSize,
+                  std::max<std::size_t>(config.block_pool_capacity, 1)) {}
 
 WritePolicy FileService::PolicyFor(const OpenFile& of) const {
   // "The delayed-write together with write-through policies are adapted to
@@ -60,12 +61,8 @@ Result<FileService::OpenFile*> FileService::LoadTable(FileId id) {
   std::vector<std::uint8_t> block(kBlockSize);
   for (const auto& ib : of.indirect_blocks) {
     RHODOS_ASSIGN_OR_RETURN(DiskServer * ib_server, disks_->Get(ib.disk));
-    RHODOS_RETURN_IF_ERROR(server == ib_server
-                               ? server->GetBlock(ib.first_fragment,
-                                                  kFragmentsPerBlock, block)
-                               : ib_server->GetBlock(ib.first_fragment,
-                                                     kFragmentsPerBlock,
-                                                     block));
+    RHODOS_RETURN_IF_ERROR(
+        ib_server->GetBlock(ib.first_fragment, kFragmentsPerBlock, block));
     RHODOS_RETURN_IF_ERROR(of.table.ParseIndirectBlock(block));
   }
   // ref_count counts this service's open handles, and a table that had to
@@ -344,9 +341,6 @@ Status FileService::EvictOne() {
 Result<FileService::CacheEntry*> FileService::CacheInsert(
     FileId id, std::uint64_t block, std::span<const std::uint8_t> data,
     bool dirty) {
-  if (block_pool_.capacity() == 0) {
-    return static_cast<CacheEntry*>(nullptr);  // caching disabled
-  }
   if (auto* existing = CacheLookup(id, block)) {
     std::memcpy(existing->buffer.data(), data.data(), kBlockSize);
     existing->dirty = existing->dirty || dirty;
@@ -418,9 +412,8 @@ Status FileService::ReadBlocks(FileId id, OpenFile& of, std::uint64_t first,
   }
   if (spans.empty()) return OkStatus();
 
-  // Pass 2: issue the I/O. One span keeps the classic get_block path; many
-  // spans become per-disk vectored batches, and when a striped read touches
-  // several disks the sub-batches overlap (lane per spindle — E10).
+  // Pass 2: send the I/O as one submission per disk; when a striped read
+  // touches several disks the submissions overlap (lane per spindle — E10).
   sim::PerDeviceFanOut<DiskServer*, disk::ReadRun> per_disk;
   for (const UncachedSpan& s : spans) {
     per_disk.Add(s.server,
@@ -429,21 +422,17 @@ Status FileService::ReadBlocks(FileId id, OpenFile& of, std::uint64_t first,
                                out.subspan(s.out_off, s.blocks * kBlockSize)});
   }
   RHODOS_RETURN_IF_ERROR(per_disk.Run(
-      clock_, [&spans](DiskServer* server, std::vector<disk::ReadRun>& runs) {
-        return spans.size() == 1
-                   ? server->GetBlock(runs[0].first, runs[0].count,
-                                      runs[0].out)
-                   : server->GetBlocksVec(runs);
+      clock_, [](DiskServer* server, std::vector<disk::ReadRun>& runs) {
+        return server->GetBlocksVec(runs);
       }));
 
   // Pass 3: install everything that came off the platters into the cache.
   for (const UncachedSpan& s : spans) {
     for (std::uint64_t i = 0; i < s.blocks; ++i) {
-      auto inserted = CacheInsert(
+      RHODOS_RETURN_IF_ERROR(CacheInsert(
           id, s.block + i,
           {out.data() + s.out_off + i * kBlockSize, kBlockSize},
-          /*dirty=*/false);
-      if (!inserted.ok()) return Error{inserted.error()};
+          /*dirty=*/false));
     }
   }
   return OkStatus();
@@ -509,7 +498,6 @@ Result<std::uint64_t> FileService::Read(FileId id, std::uint64_t offset,
 }
 
 Status FileService::ReadAhead(FileId id, OpenFile& of, std::uint64_t from) {
-  if (block_pool_.capacity() == 0) return OkStatus();  // nowhere to put it
   const std::uint64_t size_blocks =
       (of.table.attributes().size + kBlockSize - 1) / kBlockSize;
   const std::uint64_t mapped = std::min(of.table.BlockCount(), size_blocks);
@@ -544,7 +532,7 @@ Status FileService::ReadAhead(FileId id, OpenFile& of, std::uint64_t from) {
         CacheEntry * entry,
         CacheInsert(id, b + i, {scratch.data() + i * kBlockSize, kBlockSize},
                     /*dirty=*/false));
-    if (entry != nullptr) entry->prefetched = true;
+    entry->prefetched = true;
   }
   stats_.readahead_issued += n;
   return OkStatus();
@@ -602,18 +590,11 @@ Status FileService::Grow(FileId id, OpenFile& of, std::uint64_t blocks) {
   // Extents may reuse freed fragments whose platters still hold old data;
   // a flat file must read back zeros in never-written regions. Zero-fill
   // the new blocks through the cache (dirty, so the zeros reach the disk
-  // at the next writeback) — or directly when caching is off.
+  // at the next writeback).
   const std::vector<std::uint8_t> zeros(kBlockSize, 0);
   for (std::uint64_t b = first_new_block; b < first_new_block + blocks;
        ++b) {
-    RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
-                            CacheInsert(id, b, zeros, /*dirty=*/true));
-    if (entry == nullptr) {
-      RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of.table.Locate(b));
-      RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
-      RHODOS_RETURN_IF_ERROR(
-          server->PutBlock(loc.first_fragment, kFragmentsPerBlock, zeros));
-    }
+    RHODOS_RETURN_IF_ERROR(CacheInsert(id, b, zeros, /*dirty=*/true));
   }
   return OkStatus();
 }
@@ -677,12 +658,11 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
 
     RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
                             CacheInsert(id, block, data, /*dirty=*/true));
-    if (policy == WritePolicy::kWriteThrough || entry == nullptr) {
-      // Write through (or cache disabled): queue for the disk service.
+    if (policy == WritePolicy::kWriteThrough) {
       RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(block));
       RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
       puts.push_back(PendingPut{server, loc.first_fragment, data});
-      if (entry != nullptr) entry->dirty = false;
+      entry->dirty = false;
     }
     written += n;
   }
@@ -767,14 +747,7 @@ Status FileService::Resize(FileId id, std::uint64_t size) {
     RHODOS_RETURN_IF_ERROR(ReadBlocks(id, *of, last, 1, block));
     std::memset(block.data() + size % kBlockSize, 0,
                 kBlockSize - size % kBlockSize);
-    RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
-                            CacheInsert(id, last, block, /*dirty=*/true));
-    if (entry == nullptr) {
-      RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(last));
-      RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
-      RHODOS_RETURN_IF_ERROR(
-          server->PutBlock(loc.first_fragment, kFragmentsPerBlock, block));
-    }
+    RHODOS_RETURN_IF_ERROR(CacheInsert(id, last, block, /*dirty=*/true));
   }
   of->table.attributes().size = size;
   of->table_dirty = true;
@@ -785,12 +758,6 @@ Status FileService::Resize(FileId id, std::uint64_t size) {
 Result<FileAttributes> FileService::GetAttributes(FileId id) {
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
   return of->table.attributes();
-}
-
-Status FileService::SetServiceType(FileId id, ServiceType type) {
-  RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
-  of->table.attributes().service_type = type;
-  return StoreTable(id, *of);
 }
 
 Status FileService::SetLockLevel(FileId id, LockLevel level) {
@@ -807,10 +774,6 @@ Status FileService::WritebackDirty(const FileId* only) {
     }
   }
   if (keys.empty()) return OkStatus();
-  if (keys.size() == 1) {
-    auto it = cache_.find(keys.front());
-    return WritebackEntry(keys.front(), it->second);
-  }
 
   // Locate every dirty block and let each disk's elevator sweep its share
   // in one vectored request; independent disks overlap. This is what turns
@@ -842,10 +805,8 @@ Status FileService::PutPerDisk(std::vector<PendingPut> puts) {
                  disk::WriteRun{p.frag, kFragmentsPerBlock, p.data});
   }
   return per_disk.Run(
-      clock_, [&puts](DiskServer* server, std::vector<disk::WriteRun>& runs) {
-        return puts.size() == 1
-                   ? server->PutBlock(runs[0].first, runs[0].count, runs[0].in)
-                   : server->PutBlocksVec(runs);
+      clock_, [](DiskServer* server, std::vector<disk::WriteRun>& runs) {
+        return server->PutBlocksVec(runs);
       });
 }
 
@@ -909,14 +870,13 @@ Status FileService::WriteBlock(FileId id, std::uint64_t block_index,
   RHODOS_RETURN_IF_ERROR(EnsureExclusive(id, *of, block_index, 1));
   RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
                           CacheInsert(id, block_index, in, /*dirty=*/true));
-  if (force_write_through || PolicyFor(*of) == WritePolicy::kWriteThrough ||
-      entry == nullptr) {
+  if (force_write_through || PolicyFor(*of) == WritePolicy::kWriteThrough) {
     RHODOS_ASSIGN_OR_RETURN(BlockLocation loc,
                             of->table.Locate(block_index));
     RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
     RHODOS_RETURN_IF_ERROR(
         server->PutBlock(loc.first_fragment, kFragmentsPerBlock, in));
-    if (entry != nullptr) entry->dirty = false;
+    entry->dirty = false;
   }
   BumpVersion(id);
   return OkStatus();
@@ -1025,17 +985,19 @@ void FileService::PurgeCache(FileId id, std::uint64_t from) {
 
 void FileService::BuildRelease(const BlockDescriptor& run, SnapOp& op) {
   if (!run.shared()) {
-    op.frees.push_back(SnapFree{
-        run.disk, run.first_fragment,
-        static_cast<std::uint32_t>(run.contiguous_count) *
-            kFragmentsPerBlock});
+    op.frees.push_back(
+        SnapFree{run.disk, run.first_fragment,
+                 static_cast<std::uint32_t>(run.contiguous_count *
+                                            kFragmentsPerBlock)});
     return;
   }
   for (const SharePiece& piece : snap_journal_.map().Pieces(
            run.disk, run.first_fragment, run.contiguous_count)) {
     if (piece.count <= 1) {
-      op.frees.push_back(SnapFree{piece.disk, piece.first_fragment,
-                                  piece.block_count * kFragmentsPerBlock});
+      op.frees.push_back(
+          SnapFree{piece.disk, piece.first_fragment,
+                   static_cast<std::uint32_t>(piece.block_count *
+                                              kFragmentsPerBlock)});
     } else {
       op.ref_edits.push_back(SnapRefEdit{piece.disk, piece.first_fragment,
                                          piece.block_count, piece.count - 1});
@@ -1234,6 +1196,32 @@ Status FileService::ApplySnapOp(const SnapOp& op) {
       touched.push_back(s);
     }
   };
+  // Points op.file's blocks [first_block, +block_count) at the range
+  // (new_disk, new_fragment): claims the range (volatile at first apply,
+  // re-claimed at redo if the bitmap persisted without it), rebinds unless
+  // a redo finds the table already bound, stores the table and touches the
+  // file's home disk.
+  auto bind_new_range = [&]() -> Status {
+    RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(op.new_disk));
+    if (!server->IsFragmentAllocated(op.new_fragment)) {
+      RHODOS_RETURN_IF_ERROR(server->AllocateSpecific(
+          op.new_fragment, op.block_count * kFragmentsPerBlock));
+    }
+    touch(server);
+    RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(op.file));
+    RHODOS_ASSIGN_OR_RETURN(BlockLocation cur,
+                            of->table.Locate(op.first_block));
+    if (cur.disk != op.new_disk || cur.first_fragment != op.new_fragment) {
+      RHODOS_RETURN_IF_ERROR(of->table.ReplaceRange(
+          op.first_block, op.block_count, op.new_disk, op.new_fragment,
+          /*flags=*/0));
+    }
+    of->table_dirty = true;
+    RHODOS_RETURN_IF_ERROR(StoreTable(op.file, *of));
+    RHODOS_ASSIGN_OR_RETURN(DiskServer * home, disks_->Get(FileDisk(op.file)));
+    touch(home);
+    return OkStatus();
+  };
 
   switch (op.kind) {
     case SnapOpKind::kImage: {
@@ -1296,28 +1284,9 @@ Status FileService::ApplySnapOp(const SnapOp& op) {
       break;
     }
 
-    case SnapOpKind::kCowSplit: {
-      RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(op.new_disk));
-      if (!server->IsFragmentAllocated(op.new_fragment)) {
-        RHODOS_RETURN_IF_ERROR(server->AllocateSpecific(
-            op.new_fragment, op.block_count * kFragmentsPerBlock));
-      }
-      touch(server);
-      RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(op.file));
-      RHODOS_ASSIGN_OR_RETURN(BlockLocation cur,
-                              of->table.Locate(op.first_block));
-      if (cur.disk != op.new_disk || cur.first_fragment != op.new_fragment) {
-        RHODOS_RETURN_IF_ERROR(of->table.ReplaceRange(
-            op.first_block, op.block_count, op.new_disk, op.new_fragment,
-            /*flags=*/0));
-      }
-      of->table_dirty = true;
-      RHODOS_RETURN_IF_ERROR(StoreTable(op.file, *of));
-      RHODOS_ASSIGN_OR_RETURN(DiskServer * home,
-                              disks_->Get(FileDisk(op.file)));
-      touch(home);
+    case SnapOpKind::kCowSplit:
+      RHODOS_RETURN_IF_ERROR(bind_new_range());
       break;
-    }
 
     case SnapOpKind::kRelease: {
       if (op.scrub_fit) {
@@ -1352,30 +1321,10 @@ Status FileService::ApplySnapOp(const SnapOp& op) {
         touch(home);
       }
       if (op.rebind) {
-        RHODOS_ASSIGN_OR_RETURN(DiskServer * server,
-                                disks_->Get(op.new_disk));
-        if (!server->IsFragmentAllocated(op.new_fragment)) {
-          RHODOS_RETURN_IF_ERROR(server->AllocateSpecific(
-              op.new_fragment, op.block_count * kFragmentsPerBlock));
-        }
-        touch(server);
-        RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(op.file));
-        RHODOS_ASSIGN_OR_RETURN(BlockLocation cur,
-                                of->table.Locate(op.first_block));
-        if (cur.disk != op.new_disk ||
-            cur.first_fragment != op.new_fragment) {
-          RHODOS_RETURN_IF_ERROR(of->table.ReplaceRange(
-              op.first_block, op.block_count, op.new_disk, op.new_fragment,
-              /*flags=*/0));
-        }
-        of->table_dirty = true;
-        RHODOS_RETURN_IF_ERROR(StoreTable(op.file, *of));
+        RHODOS_RETURN_IF_ERROR(bind_new_range());
         // The logical blocks now hold the shadow data: cached copies of the
         // pre-commit content are stale.
         PurgeCache(op.file, op.first_block);
-        RHODOS_ASSIGN_OR_RETURN(DiskServer * home,
-                                disks_->Get(FileDisk(op.file)));
-        touch(home);
       }
       // Frees last, tolerant of redo (a fragment already freed — or already
       // reused after Done — is left alone; the allocation check makes the

@@ -45,7 +45,9 @@
 namespace rhodos::file {
 
 struct FileServiceConfig {
-  // Block-cache capacity, in 8 KiB buffers (the block pool of §5).
+  // Block-cache capacity, in 8 KiB buffers (the block pool of §5). Every
+  // read and write stages through the cache, so the service clamps this to
+  // at least one buffer.
   std::size_t block_pool_capacity = 256;
   // Write policy for BASIC files; transaction files always write through.
   disk::WritePolicy basic_write_policy = disk::WritePolicy::kDelayed;
@@ -150,7 +152,6 @@ class FileService {
                               std::span<const std::uint8_t> in);
 
   Result<FileAttributes> GetAttributes(FileId id);
-  Status SetServiceType(FileId id, ServiceType type);
   Status SetLockLevel(FileId id, LockLevel level);
 
   // Truncates or extends the file to `size` bytes.
@@ -411,8 +412,7 @@ class FileService {
     FragmentIndex frag;
     std::span<const std::uint8_t> data;
   };
-  // Issues block writes as one vectored batch per disk, disks overlapping;
-  // a lone block keeps the plain put_block path.
+  // Writes blocks as one submission per disk, disks overlapping.
   Status PutPerDisk(std::vector<PendingPut> puts);
 
   // Reads logical blocks [first, first+count) into out, coalescing

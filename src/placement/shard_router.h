@@ -112,7 +112,6 @@ class ShardRouter {
   // chains (clone of a clone) resolve to the root — so failover and
   // fencing behave exactly as they do for the origin itself.
   void PinFileTo(FileId child, FileId origin);
-  std::size_t PinnedCount() const { return pins_.size(); }
 
   const ShardRouterStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ShardRouterStats{}; }

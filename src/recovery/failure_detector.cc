@@ -48,11 +48,4 @@ bool FailureDetector::AllHealthy() const {
   return true;
 }
 
-std::vector<std::string> FailureDetector::Watched() const {
-  std::vector<std::string> out;
-  out.reserve(watched_.size());
-  for (const auto& [address, entry] : watched_) out.push_back(address);
-  return out;
-}
-
 }  // namespace rhodos::recovery

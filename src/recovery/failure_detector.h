@@ -75,7 +75,6 @@ class FailureDetector {
 
   ServiceState StateOf(const std::string& address) const;
   bool AllHealthy() const;
-  std::vector<std::string> Watched() const;
 
   const FailureDetectorStats& stats() const { return stats_; }
   void ResetStats() { stats_ = FailureDetectorStats{}; }

@@ -193,9 +193,6 @@ class MessageBus {
   void UnregisterService(const std::string& address) {
     services_.erase(address);
   }
-  bool HasService(const std::string& address) const {
-    return services_.count(address) != 0;
-  }
 
   void SetConfig(NetworkConfig config) { config_ = config; }
   const NetworkConfig& config() const { return config_; }
@@ -224,9 +221,6 @@ class MessageBus {
 
   void SetServiceDown(const std::string& address) { down_.insert(address); }
   void SetServiceUp(const std::string& address) { down_.erase(address); }
-  bool IsServiceDown(const std::string& address) const {
-    return down_.count(address) != 0;
-  }
   void PartitionPair(std::string caller, std::string service) {
     partitions_.emplace(std::move(caller), std::move(service));
   }

@@ -60,11 +60,6 @@ bool TransactionService::IsActive(TxnId txn) const {
   return txns_.count(txn) != 0;
 }
 
-std::size_t TransactionService::ActiveCount() const {
-  std::scoped_lock lk(mu_);
-  return txns_.size();
-}
-
 Result<LockLevel> TransactionService::LevelOf(FileId file) {
   RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs, files_->GetAttributes(file));
   return attrs.locking_level;
@@ -789,8 +784,7 @@ Status TransactionService::Recover() {
             break;
         }
         // Restore recorded final size.
-        if (r.kind != IntentionKind::kShadowMap && r.offset > 0 &&
-            r.kind == IntentionKind::kRedoPage) {
+        if (r.kind == IntentionKind::kRedoPage && r.offset > 0) {
           auto attrs = files_->GetAttributes(r.file);
           if (attrs.ok() && attrs->size < r.offset) {
             RHODOS_RETURN_IF_ERROR(files_->Resize(r.file, r.offset));

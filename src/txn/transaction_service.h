@@ -126,7 +126,6 @@ class TransactionService {
   Status Abort(TxnId txn);
 
   bool IsActive(TxnId txn) const;
-  std::size_t ActiveCount() const;
 
   // --- Transaction-oriented file operations ---------------------------------
 

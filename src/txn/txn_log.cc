@@ -126,18 +126,17 @@ TxnLog::TxnLog(disk::DiskServer* server, FragmentIndex first_fragment,
 Status TxnLog::WriteBack(std::uint64_t begin_byte, std::uint64_t end_byte) {
   // Round to fragment boundaries and push the touched fragments to stable
   // storage only (the log never occupies main-disk locations a reader would
-  // consult; stable storage is its home). The whole run goes down as one
-  // vectored put: physically contiguous fragments coalesce into a single
+  // consult; stable storage is its home). The touched fragments are one
+  // contiguous range of the region, so they go down as one put_block: one
   // stable reference however many batch frames they carry.
   const std::uint64_t first_frag = begin_byte / kFragmentSize;
   const std::uint64_t last_frag = (end_byte - 1) / kFragmentSize;
   const auto count = static_cast<std::uint32_t>(last_frag - first_frag + 1);
-  const disk::WriteRun run{
+  return server_->PutBlock(
       first_fragment_ + first_frag, count,
       {buffer_.data() + first_frag * kFragmentSize,
-       static_cast<std::size_t>(count) * kFragmentSize}};
-  return server_->PutBlocksVec({&run, 1}, disk::StableMode::kStableOnly,
-                               disk::WriteSync::kSynchronous);
+       static_cast<std::size_t>(count) * kFragmentSize},
+      disk::StableMode::kStableOnly, disk::WriteSync::kSynchronous);
 }
 
 Status TxnLog::Append(const IntentionRecord& record) {

@@ -125,6 +125,67 @@ TEST_F(FileAgentTest, DelayedWritesReachServerAtClose) {
   EXPECT_EQ(facility_.files().GetAttributes(*file)->size, 500u);
 }
 
+// A write-through agent sends each pwrite as a write batch of one extent:
+// one exchange, applied on the server before the reply. The writer adopts
+// the reply's version token, so its own cached copy stays valid, while
+// another machine's reopen sees the token move and drops its stale copy.
+TEST(WriteThroughAgentTest, PwriteIsOneExchangeAndMovesTheVersionToken) {
+  FacilityConfig cfg = SmallFacility();
+  cfg.agent.delayed_write = false;
+  cfg.agent.callbacks = false;  // no break traffic: count only the write
+  DistributedFileFacility f(cfg);
+  Machine& writer = f.AddMachine();
+  Machine& reader = f.AddMachine();
+
+  auto od = writer.file_agent->Create(naming::ByName("wt"),
+                                      file::ServiceType::kBasic);
+  ASSERT_TRUE(od.ok());
+  auto file = writer.file_agent->FileOf(*od);
+  ASSERT_TRUE(file.ok());
+  const auto old_bytes = Pattern(kBlockSize, 1);
+  ASSERT_TRUE(writer.file_agent->Pwrite(*od, 0, old_bytes).ok());
+
+  // Both machines cache the old block.
+  std::vector<std::uint8_t> out(kBlockSize);
+  ASSERT_TRUE(writer.file_agent->Pread(*od, 0, out).ok());
+  auto rod = reader.file_agent->Open(naming::ByName("wt"));
+  ASSERT_TRUE(rod.ok());
+  ASSERT_TRUE(reader.file_agent->Pread(*rod, 0, out).ok());
+  EXPECT_EQ(out, old_bytes);
+  ASSERT_TRUE(reader.file_agent->Close(*rod).ok());
+
+  const auto new_bytes = Pattern(kBlockSize, 7);
+  const auto calls_before = f.bus().stats().calls;
+  auto n = writer.file_agent->Pwrite(*od, 0, new_bytes);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, kBlockSize);
+  EXPECT_EQ(f.bus().stats().calls, calls_before + 1);
+  std::vector<std::uint8_t> on_server(kBlockSize);
+  ASSERT_TRUE(f.files().Read(*file, 0, on_server).ok());
+  EXPECT_EQ(on_server, new_bytes);
+
+  // The writer's reopen keeps the block its write covered: a cache hit.
+  ASSERT_TRUE(writer.file_agent->Close(*od).ok());
+  const FileAgentStats writer_before = writer.file_agent->stats();
+  auto wod = writer.file_agent->Open(naming::ByName("wt"));
+  ASSERT_TRUE(wod.ok());
+  ASSERT_TRUE(writer.file_agent->Pread(*wod, 0, out).ok());
+  EXPECT_EQ(out, new_bytes);
+  EXPECT_EQ(writer.file_agent->stats().stale_invalidations,
+            writer_before.stale_invalidations);
+  EXPECT_EQ(writer.file_agent->stats().cache_hits,
+            writer_before.cache_hits + 1);
+
+  // The reader's reopen revalidates: the old block is dropped and re-read.
+  const FileAgentStats reader_before = reader.file_agent->stats();
+  rod = reader.file_agent->Open(naming::ByName("wt"));
+  ASSERT_TRUE(rod.ok());
+  ASSERT_TRUE(reader.file_agent->Pread(*rod, 0, out).ok());
+  EXPECT_EQ(out, new_bytes);
+  EXPECT_GT(reader.file_agent->stats().stale_invalidations,
+            reader_before.stale_invalidations);
+}
+
 TEST_F(FileAgentTest, DeleteByNameUnregistersAndPurges) {
   auto od = m_.file_agent->Create(naming::ByName("gone"),
                                   file::ServiceType::kBasic);

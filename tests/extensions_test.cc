@@ -294,12 +294,20 @@ TEST(FsProtocolTest, RequestRoundTrips) {
     EXPECT_EQ(back->size_hint, 4096u);
   }
   {
-    agent::PwriteRequest r{FileId{7}, 100, {1, 2, 3}};
-    auto back = agent::PwriteRequest::Decode(r.Encode());
+    agent::PwriteVecRequest r;
+    r.extents.push_back(agent::PwriteExtent{FileId{7}, 100, {1, 2, 3}});
+    r.extents.push_back(agent::PwriteExtent{FileId{9}, 8192, {}});
+    r.cb = "agent-3-cb";
+    auto back = agent::PwriteVecRequest::Decode(r.Encode());
     ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->file, FileId{7});
-    EXPECT_EQ(back->offset, 100u);
-    EXPECT_EQ(back->data, (std::vector<std::uint8_t>{1, 2, 3}));
+    ASSERT_EQ(back->extents.size(), 2u);
+    EXPECT_EQ(back->extents[0].file, FileId{7});
+    EXPECT_EQ(back->extents[0].offset, 100u);
+    EXPECT_EQ(back->extents[0].data, (std::vector<std::uint8_t>{1, 2, 3}));
+    EXPECT_EQ(back->extents[1].file, FileId{9});
+    EXPECT_EQ(back->extents[1].offset, 8192u);
+    EXPECT_TRUE(back->extents[1].data.empty());
+    EXPECT_EQ(back->cb, "agent-3-cb");
   }
   {
     agent::PreadRequest r{FileId{8}, 5, 10};
@@ -316,10 +324,18 @@ TEST(FsProtocolTest, RequestRoundTrips) {
 }
 
 TEST(FsProtocolTest, TruncatedRequestRejected) {
-  agent::PwriteRequest r{FileId{7}, 100, {1, 2, 3}};
-  auto bytes = r.Encode();
-  bytes.resize(bytes.size() - 2);
-  EXPECT_FALSE(agent::PwriteRequest::Decode(bytes).ok());
+  agent::PwriteVecRequest r;
+  r.extents.push_back(agent::PwriteExtent{FileId{7}, 100, {1, 2, 3}});
+  const auto bytes = r.Encode();
+  // Every proper prefix of the encoding is refused, not half-decoded.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(agent::PwriteVecRequest::Decode({bytes.data(), len}).ok())
+        << "prefix of " << len << " bytes";
+  }
+  // So is a batch whose extent count claims more extents than it carries.
+  auto inflated = bytes;
+  inflated[0] = 2;
+  EXPECT_FALSE(agent::PwriteVecRequest::Decode(inflated).ok());
 }
 
 TEST(FsProtocolTest, StatusRoundTrips) {

@@ -11,6 +11,7 @@
 #include "disk/disk_registry.h"
 #include "disk/disk_server.h"
 #include "file/file_service.h"
+#include "obs/observability.h"
 #include "sim/disk_model.h"
 #include "sim/parallel.h"
 
@@ -297,6 +298,75 @@ TEST_F(VectoredIoTest, EmptyAndInvalidSubmissions) {
   std::vector<std::uint8_t> small(kFragmentSize);
   const disk::ReadRun bad[] = {{0, 4, small}};  // buffer too small
   EXPECT_EQ(server_.GetBlocksVec(bad).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(VectoredIoTest, OnlyMultiRunSubmissionsCountAsVectored) {
+  auto a = server_.AllocateFragments(8);
+  ASSERT_TRUE(a.ok());
+  const auto data = Pattern(8 * kFragmentSize, 3);
+  std::vector<std::uint8_t> back(8 * kFragmentSize);
+  server_.ResetStats();
+
+  // One run, through either entry point, is not a vectored submission.
+  const disk::WriteRun one[] = {{*a, 8, data}};
+  ASSERT_TRUE(server_.PutBlocksVec(one).ok());
+  ASSERT_TRUE(server_.PutBlock(*a, 8, data).ok());
+  ASSERT_TRUE(server_.GetBlock(*a, 8, back).ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(server_.vec_stats().requests, 0u);
+  EXPECT_EQ(server_.vec_stats().runs, 0u);
+  EXPECT_EQ(server_.vec_stats().merged_runs, 0u);
+  EXPECT_EQ(server_.vec_stats().elevator_reorders, 0u);
+
+  // Two adjacent runs in reverse order: one reference, and it all counts.
+  std::fill(back.begin(), back.end(), 0);
+  const disk::ReadRun two[] = {
+      {*a + 4, 4, {back.data() + 4 * kFragmentSize, 4 * kFragmentSize}},
+      {*a, 4, {back.data(), 4 * kFragmentSize}},
+  };
+  const std::uint64_t refs = server_.main_stats().read_references;
+  ASSERT_TRUE(server_.GetBlocksVec(two).ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(server_.main_stats().read_references, refs + 1);
+  EXPECT_EQ(server_.vec_stats().requests, 1u);
+  EXPECT_EQ(server_.vec_stats().runs, 2u);
+  EXPECT_EQ(server_.vec_stats().merged_runs, 1u);
+  EXPECT_EQ(server_.vec_stats().elevator_reorders, 2u);
+}
+
+TEST(DiskSeekSamples, EveryPlatterReferenceSamplesOneSeek) {
+  SimClock clock;
+  obs::Observability o(&clock);
+  disk::DiskServerConfig config = VecConfig();
+  config.cache_capacity_tracks = 16;  // a track cache, so hits can happen
+  disk::DiskServer server{DiskId{0}, config, &clock};
+  server.SetObservability(&o);
+  auto seeks = [&o] {
+    return o.metrics.HistogramValue("disk.seek_ns").count;
+  };
+  auto a = server.AllocateFragments(4);
+  ASSERT_TRUE(a.ok());
+  const auto data = Pattern(4 * kFragmentSize, 9);
+  std::vector<std::uint8_t> back(4 * kFragmentSize);
+
+  ASSERT_TRUE(server.PutBlock(*a, 4, data).ok());  // write-through
+  EXPECT_EQ(seeks(), 1u);
+  server.Crash();  // drop the track cache; the platter keeps the data
+  ASSERT_TRUE(server.Recover().ok());
+  ASSERT_TRUE(server.GetBlock(*a, 4, back).ok());  // cache miss
+  EXPECT_EQ(seeks(), 2u);
+  EXPECT_EQ(back, data);
+
+  // References that never reach the platter sample nothing: a track-cache
+  // hit, a delayed write parked in the cache, a stable-only write.
+  ASSERT_TRUE(server.GetBlock(*a, 4, back).ok());
+  ASSERT_TRUE(server.PutBlock(*a, 4, data, disk::StableMode::kNone,
+                              disk::WriteSync::kSynchronous,
+                              disk::WritePolicy::kDelayed)
+                  .ok());
+  ASSERT_TRUE(
+      server.PutBlock(*a, 4, data, disk::StableMode::kStableOnly).ok());
+  EXPECT_EQ(seeks(), 2u);
 }
 
 // --- Overlapped multi-disk service -------------------------------------------
