@@ -4,7 +4,8 @@
 # Every bench binary writes <binary>.metrics.json (the drained facility
 # metrics). This script runs the I/O- and message-sensitive benches and
 # snapshots the counters that measure disk and network efficiency —
-# references, arm travel, bus exchanges, writeback batches — into
+# main and stable-storage references, arm travel, bus exchanges,
+# writeback batches — into
 # bench/baselines/<bench>.json:
 #
 #   scripts/bench_baseline.sh            # (re)record the baselines
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHES=(bench_contiguous_read bench_fault_recovery bench_striping bench_group_commit bench_basic_vs_txn bench_wal_vs_shadow bench_messages_per_op bench_client_cache bench_replica_faults bench_shard_scaling bench_callback_storm bench_snapshot bench_read_fanout)
-KEYS=(disk.read_references disk.write_references disk.tracks_seeked txn.log.forces bus.calls agent.writeback_batches replication.degraded_writes replication.hints_queued replication.read_repairs placement.lookups placement.reroutes file.callback_breaks agent.callback_renewals file.cow_blocks_copied agent.peer_serves file.redirects_issued)
+KEYS=(disk.read_references disk.write_references disk.stable.write_references disk.tracks_seeked txn.log.forces bus.calls agent.writeback_batches replication.degraded_writes replication.hints_queued replication.read_repairs placement.lookups placement.reroutes file.callback_breaks agent.callback_renewals file.cow_blocks_copied agent.peer_serves file.redirects_issued)
 BUILD=build
 BASELINES=bench/baselines
 TOLERANCE=1.10

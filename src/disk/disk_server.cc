@@ -216,7 +216,8 @@ Status DiskServer::WriteStable(FragmentIndex first, std::uint32_t count,
 }
 
 Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
-                                 std::span<const std::uint8_t> in) {
+                                 std::span<const std::uint8_t> in,
+                                 Barrier barrier) {
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   if (in.size() < static_cast<std::size_t>(count) * kFragmentSize) {
     return {ErrorCode::kInvalidArgument, "put_block buffer too small"};
@@ -224,6 +225,7 @@ Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
   if (!stable_) {
     return {ErrorCode::kNotSupported, "disk has no stable storage"};
   }
+  if (barrier == Barrier::kObserve && barrier_) barrier_();
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   obs::LatencyScope lat(obs_, "disk.reference_ns");
   if (span.recording()) {
@@ -369,6 +371,7 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
     }
   }
   if (runs.empty()) return OkStatus();
+  if (barrier_) barrier_();
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   if (span.recording()) {
     span.SetDetail(SubmissionLabel(runs.size()) +

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -58,6 +59,10 @@ enum class StableMode : std::uint8_t {
 
 // Whether put_block returns before or after the stable-storage write.
 enum class WriteSync : std::uint8_t { kSynchronous, kAsynchronous };
+
+// Whether a put_block first runs the disk's write barrier
+// (DiskServer::SetWriteBarrier).
+enum class Barrier : std::uint8_t { kObserve, kSkip };
 
 // Which device get_block reads.
 enum class ReadSource : std::uint8_t { kMain, kStable };
@@ -194,9 +199,20 @@ class DiskServer {
   // kOriginalAndStable, but concurrently — one lane per device — so the
   // caller pays the slower copy instead of both. A crash may tear either
   // copy, which is harmless: nothing refers to the location until the
-  // caller's own commit point, which follows this call.
+  // caller's own commit point, which follows this call. kSkip is for a
+  // caller whose commit point also settles whatever the barrier guards.
   Status PutFreshBlock(FragmentIndex first, std::uint32_t count,
-                       std::span<const std::uint8_t> in);
+                       std::span<const std::uint8_t> in,
+                       Barrier barrier = Barrier::kObserve);
+
+  // A hook every put_block (PutBlocksVec, PutFreshBlock) runs before its
+  // first reference; an empty function removes it. The transaction
+  // service installs one on every disk so that no write lands while its
+  // intention log still holds already-applied commits a recovery would
+  // redo over it (txn_log.h, ResetLazily). It runs inside the caller's
+  // serialization of this disk and may write to another disk.
+  using WriteBarrier = std::function<void()>;
+  void SetWriteBarrier(WriteBarrier barrier) { barrier_ = std::move(barrier); }
 
   // Forces any delayed-write data for [first, first+count) to the platter.
   Status FlushBlock(FragmentIndex first, std::uint32_t count);
@@ -294,6 +310,7 @@ class DiskServer {
   std::uint64_t metadata_fragments_;
   VecIoStats vec_stats_;
   bool partitioned_ = false;
+  WriteBarrier barrier_;
   obs::Observability* obs_ = nullptr;
 };
 

@@ -27,8 +27,10 @@ Result<LogPipeline::Ticket> LogPipeline::Append(const IntentionRecord& record) {
     ticket->status = log_->Append(record);
     return ticket;
   }
+  // The generation changes only at quiescence, when the pipeline has just
+  // been emptied, so a frame never outlives the generation it is framed in.
   std::vector<std::uint8_t> frame;
-  AppendRecordFrame(frame, record);
+  AppendRecordFrame(frame, record, log_->generation());
   std::scoped_lock lk(mu_);
   const std::uint64_t open_cost =
       open_ == nullptr ? TxnLog::kBatchOverhead : 0;

@@ -30,6 +30,21 @@ TransactionService::TransactionService(FileService* files,
   (void)log_disk_->AllocateSpecific(log_first_fragment_,
                                     static_cast<std::uint32_t>(
                                         config.log_fragments));
+  // While a quiescent log reset is pending, the log still holds applied
+  // commits that a recovery would redo. Any write to any disk could be
+  // newer than those commits, so every put forces the reset first. A
+  // failed force leaves it pending and lets the write through, the same
+  // exposure as an eager reset that fails. The barrier must not take mu_:
+  // ApplyCommit holds it while it writes.
+  for (const auto& server : files_->disks()->disks()) {
+    server->SetWriteBarrier([this] { (void)log_.ForceReset(); });
+  }
+}
+
+TransactionService::~TransactionService() {
+  for (const auto& server : files_->disks()->disks()) {
+    server->SetWriteBarrier({});
+  }
 }
 
 // --- lifecycle -----------------------------------------------------------------
@@ -405,10 +420,13 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
       // protect: both copies go out at once.
       RHODOS_ASSIGN_OR_RETURN(auto placement,
                               files_->AllocateShadowBlock(file));
+      // It also skips the write barrier: the commit force that follows is
+      // what makes a pending log reset durable, and if that force never
+      // lands the block stays unreferenced.
       RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server,
                               files_->disks()->Get(placement.disk));
-      RHODOS_RETURN_IF_ERROR(
-          server->PutFreshBlock(placement.first, kFragmentsPerBlock, image));
+      RHODOS_RETURN_IF_ERROR(server->PutFreshBlock(
+          placement.first, kFragmentsPerBlock, image, disk::Barrier::kSkip));
       RHODOS_RETURN_IF_ERROR(append(IntentionRecord{
           IntentionKind::kShadowMap, id, file, page, final_size,
           placement.disk, placement.first, TxnStatus::kTentative, {}}));
@@ -594,7 +612,7 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
 
   // The completed record needs no acknowledgement: if it is lost, recovery
   // merely redoes an idempotent apply. It rides whatever batch flushes
-  // next (or is discarded at quiescent truncation).
+  // next (or is discarded at the quiescent reset).
   auto completed = pipeline_.Append(
       IntentionRecord{IntentionKind::kStatus, id, {}, 0, 0, {}, 0,
                       TxnStatus::kCompleted, {}});
@@ -610,12 +628,14 @@ void TransactionService::Finish(TxnId id) {
   // Checkpoint: with no transaction in flight every intention is resolved,
   // so the log can be reset (remove_intention in bulk) — UNLESS some commit
   // record was written whose changes were never fully applied (a disk died
-  // mid-apply). That redo information must survive until Recover().
+  // mid-apply). That redo information must survive until Recover(). The
+  // reset stays in memory: the next commit force, or the write barrier
+  // before any other write, makes it durable.
   if (txns_.empty() && !log_needs_recovery_) {
     // Records still sitting in the pipeline at quiescence are completed /
     // abort markers nobody awaits; drop them with the log.
     pipeline_.DiscardPending();
-    (void)log_.Truncate();
+    log_.ResetLazily();
   }
 }
 
@@ -791,9 +811,8 @@ Status TransactionService::Recover() {
           }
         }
       }
-      RHODOS_RETURN_IF_ERROR(log_.Append(IntentionRecord{
-          IntentionKind::kStatus, TxnId{txn_value}, {}, 0, 0, {}, 0,
-          TxnStatus::kCompleted, {}}));
+      // Nothing records the redo itself: redo is idempotent, and the
+      // eager reset below removes the whole log once all are settled.
       ++stats_.recovered_redone;
     } else if (trace.final_status == TxnStatus::kTentative ||
                trace.final_status == TxnStatus::kAbort) {

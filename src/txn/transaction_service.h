@@ -107,9 +107,17 @@ class TransactionService {
     std::uint64_t fragments = 0;
   };
 
-  // The service reserves its log region on `log_disk` at construction.
+  // The service reserves its log region on `log_disk`, one of `files`'
+  // disks, at construction, and installs the log-reset write barrier on
+  // every disk of `files`' registry: those disks and `files` must outlive
+  // it.
   TransactionService(file::FileService* files, disk::DiskServer* log_disk,
                      TxnServiceConfig config = {});
+
+  // Removes the write barrier from the disks. A log reset still pending
+  // stays pending: the next instance's Recover() redoes the last
+  // generation, so nothing else may write to the disks before it runs.
+  ~TransactionService();
 
   TransactionService(const TransactionService&) = delete;
   TransactionService& operator=(const TransactionService&) = delete;

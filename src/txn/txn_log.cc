@@ -10,8 +10,12 @@ constexpr std::uint32_t kRecordMagic = 0x544E4C47;  // "TNLG"
 constexpr std::uint32_t kBatchMagic = 0x544E4C42;   // "TNLB"
 constexpr std::uint64_t kRecordOverhead = 16;       // 8 header + 8 checksum
 
-std::uint64_t Fnv1a(std::span<const std::uint8_t> data) {
-  std::uint64_t h = 1469598103934665603ULL;
+// FNV-1a with the log generation folded into the offset basis: the same
+// bytes framed under two generations never share a checksum (each step of
+// the hash is a bijection of its state). Generation 0 is plain FNV-1a.
+std::uint64_t Fnv1a(std::uint32_t generation,
+                    std::span<const std::uint8_t> data) {
+  std::uint64_t h = 1469598103934665603ULL ^ generation;
   for (std::uint8_t b : data) {
     h ^= b;
     h *= 1099511628211ULL;
@@ -34,9 +38,10 @@ std::uint64_t GetU64(const std::uint8_t* in) {
 }
 
 // Walks record frames in `payload`, invoking `fn` for each frame whose own
-// checksum and deserialization hold, stopping at the first invalid one.
-// Returns the number of records replayed.
-std::uint64_t WalkRecords(std::span<const std::uint8_t> payload,
+// checksum (under `generation`) and deserialization hold, stopping at the
+// first invalid one. Returns the number of records replayed.
+std::uint64_t WalkRecords(std::uint32_t generation,
+                          std::span<const std::uint8_t> payload,
                           const std::function<void(const IntentionRecord&)>* fn,
                           bool* stopped_torn) {
   std::uint64_t pos = 0;
@@ -54,7 +59,7 @@ std::uint64_t WalkRecords(std::span<const std::uint8_t> payload,
       break;
     }
     std::span<const std::uint8_t> body{payload.data() + pos + 8, len};
-    if (GetU64(payload.data() + pos + 8 + len) != Fnv1a(body)) {
+    if (GetU64(payload.data() + pos + 8 + len) != Fnv1a(generation, body)) {
       if (stopped_torn != nullptr) *stopped_torn = true;
       break;
     }
@@ -69,6 +74,21 @@ std::uint64_t WalkRecords(std::span<const std::uint8_t> payload,
     pos += 8 + len + 8;
   }
   return replayed;
+}
+
+// Writes a batch frame header plus payload plus checksum at `out`, which
+// must have room for kBatchOverhead + payload.size() bytes.
+void PutBatchFrame(std::uint8_t* out, std::uint32_t generation,
+                   std::span<const std::uint8_t> payload,
+                   std::uint32_t records) {
+  Serializer header;
+  header.U32(kBatchMagic);
+  header.U32(static_cast<std::uint32_t>(payload.size()));
+  header.U32(records);
+  header.U32(generation);
+  std::memcpy(out, header.buffer().data(), 16);
+  if (!payload.empty()) std::memcpy(out + 16, payload.data(), payload.size());
+  PutU64(out + 16 + payload.size(), Fnv1a(generation, payload));
 }
 
 }  // namespace
@@ -103,7 +123,8 @@ Result<IntentionRecord> DeserializeIntention(Deserializer& in) {
 }
 
 void AppendRecordFrame(std::vector<std::uint8_t>& out,
-                       const IntentionRecord& record) {
+                       const IntentionRecord& record,
+                       std::uint32_t generation) {
   Serializer payload;
   SerializeIntention(payload, record);
   Serializer header;
@@ -112,7 +133,7 @@ void AppendRecordFrame(std::vector<std::uint8_t>& out,
   out.insert(out.end(), header.buffer().begin(), header.buffer().end());
   out.insert(out.end(), payload.buffer().begin(), payload.buffer().end());
   std::uint8_t sum[8];
-  PutU64(sum, Fnv1a(payload.buffer()));
+  PutU64(sum, Fnv1a(generation, payload.buffer()));
   out.insert(out.end(), sum, sum + 8);
 }
 
@@ -141,7 +162,7 @@ Status TxnLog::WriteBack(std::uint64_t begin_byte, std::uint64_t end_byte) {
 
 Status TxnLog::Append(const IntentionRecord& record) {
   BatchFramePayload frame;
-  AppendRecordFrame(frame.payload, record);
+  AppendRecordFrame(frame.payload, record, generation_);
   frame.records = 1;
   return AppendFrames({&frame, 1});
 }
@@ -158,17 +179,14 @@ Status TxnLog::AppendFrames(std::span<const BatchFramePayload> frames) {
   const std::uint64_t begin = head_;
   std::uint64_t pos = head_;
   for (const BatchFramePayload& f : frames) {
-    Serializer header;
-    header.U32(kBatchMagic);
-    header.U32(static_cast<std::uint32_t>(f.payload.size()));
-    header.U32(f.records);
-    header.U32(0);
-    std::memcpy(buffer_.data() + pos, header.buffer().data(), 16);
-    std::memcpy(buffer_.data() + pos + 16, f.payload.data(),
-                f.payload.size());
-    PutU64(buffer_.data() + pos + 16 + f.payload.size(), Fnv1a(f.payload));
+    PutBatchFrame(buffer_.data() + pos, generation_, f.payload, f.records);
     pos += kBatchOverhead + f.payload.size();
   }
+  // A pending reset is made durable by this force: the head is 0 and the
+  // frames carry the new generation. Clearing the mark first also keeps
+  // the disk write barrier from forcing the reset under our own put.
+  const bool was_pending = reset_pending_.exchange(false);
+  appended_ = true;  // even a failed force may have torn frames in place
   const Status forced = WriteBack(begin, pos);
   if (!forced.ok()) {
     // The force failed (the stable device is gone or crashed): roll the
@@ -176,6 +194,7 @@ Status TxnLog::AppendFrames(std::span<const BatchFramePayload> frames) {
     // and a later append overwrites whatever partial image the tear left.
     std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(begin),
               buffer_.begin() + static_cast<std::ptrdiff_t>(pos), 0);
+    if (was_pending) reset_pending_.store(true);
     return forced;
   }
   head_ = pos;
@@ -191,7 +210,7 @@ Status TxnLog::AppendFrames(std::span<const BatchFramePayload> frames) {
 std::uint64_t TxnLog::WalkImage(
     std::span<const std::uint8_t> image,
     const std::function<void(const IntentionRecord&)>* fn,
-    TxnLogAudit* audit) {
+    TxnLogAudit& audit) {
   std::uint64_t pos = 0;
   std::uint64_t valid_head = 0;
   while (pos + 16 <= image.size()) {
@@ -200,12 +219,19 @@ std::uint64_t TxnLog::WalkImage(
     const std::uint32_t len = header.U32();
     const std::uint32_t records = header.U32();
     (void)records;  // informational; the payload walk recounts
+    const std::uint32_t generation = header.U32();
+    if (pos == 0) {
+      audit.generation = generation;
+    } else if (generation != audit.generation) {
+      break;  // an earlier generation's leftovers: end of log
+    }
     const bool structurally_torn = pos + 16 + len + 8 > image.size();
     bool checksum_torn = false;
     std::span<const std::uint8_t> payload;
     if (!structurally_torn) {
       payload = std::span<const std::uint8_t>{image.data() + pos + 16, len};
-      checksum_torn = GetU64(image.data() + pos + 16 + len) != Fnv1a(payload);
+      checksum_torn = GetU64(image.data() + pos + 16 + len) !=
+                      Fnv1a(generation, payload);
     }
     if (structurally_torn || checksum_torn) {
       // Torn group-commit force: the header (or whole frame) landed but
@@ -218,41 +244,37 @@ std::uint64_t TxnLog::WalkImage(
           image.data() + pos + 16,
           structurally_torn ? image.size() - pos - 16 : len};
       bool stopped_torn = false;
-      const std::uint64_t salvaged = WalkRecords(rest, fn, &stopped_torn);
-      if (audit != nullptr) {
-        ++audit->torn_batches;
-        audit->salvaged_records += salvaged;
-        audit->records += salvaged;
-      }
+      const std::uint64_t salvaged =
+          WalkRecords(generation, rest, fn, &stopped_torn);
+      ++audit.torn_batches;
+      audit.salvaged_records += salvaged;
+      audit.records += salvaged;
       ++stats_.torn_batches;
       stats_.salvaged_records += salvaged;
       if (stopped_torn) ++stats_.torn_records_skipped;
       break;
     }
     bool stopped_torn = false;
-    const std::uint64_t replayed = WalkRecords(payload, fn, &stopped_torn);
+    const std::uint64_t replayed =
+        WalkRecords(generation, payload, fn, &stopped_torn);
     if (stopped_torn) {
       // The batch checksum held but a record inside does not parse — not a
       // tear the frame format can produce; treat the frame as torn and
       // stop, the same conservative answer as a failed batch checksum.
-      if (audit != nullptr) {
-        ++audit->torn_batches;
-        audit->salvaged_records += replayed;
-        audit->records += replayed;
-      }
+      ++audit.torn_batches;
+      audit.salvaged_records += replayed;
+      audit.records += replayed;
       ++stats_.torn_batches;
       stats_.salvaged_records += replayed;
       ++stats_.torn_records_skipped;
       break;
     }
-    if (audit != nullptr) {
-      ++audit->batches;
-      audit->records += replayed;
-    }
+    ++audit.batches;
+    audit.records += replayed;
     pos += 16 + len + 8;
     valid_head = pos;
   }
-  if (audit != nullptr) audit->bytes_valid = valid_head;
+  audit.bytes_valid = valid_head;
   return valid_head;
 }
 
@@ -263,11 +285,19 @@ Status TxnLog::Scan(const std::function<void(const IntentionRecord&)>& fn) {
       static_cast<std::uint32_t>(region_bytes_ / kFragmentSize);
   RHODOS_RETURN_IF_ERROR(server_->GetBlock(first_fragment_, frag_count, image,
                                            disk::ReadSource::kStable));
-  const std::uint64_t valid_head = WalkImage(image, &fn, nullptr);
+  TxnLogAudit seen;
+  const std::uint64_t valid_head = WalkImage(image, &fn, seen);
   // Adopt the persistent image so post-recovery appends continue after the
-  // last fully-valid batch (overwriting any torn tail).
+  // last fully-valid batch (overwriting any torn tail) under its
+  // generation. The image is the truth now: any reset this object had
+  // pending is void (a recovery redoes what the image holds), and the next
+  // reset must move past the image's generation unless it held nothing
+  // but empty frames.
   buffer_ = std::move(image);
   head_ = valid_head;
+  generation_ = seen.generation;
+  appended_ = seen.records > 0 || seen.torn_batches > 0;
+  reset_pending_.store(false);
   return OkStatus();
 }
 
@@ -282,20 +312,41 @@ Result<TxnLogAudit> TxnLog::Audit() {
   // stash and restore the stats the shared walker touches.
   TxnLogAudit audit;
   const TxnLogStats saved = stats_;
-  (void)WalkImage(image, nullptr, &audit);
+  (void)WalkImage(image, nullptr, audit);
   stats_ = saved;
   return audit;
 }
 
-Status TxnLog::Truncate() {
-  std::fill(buffer_.begin(), buffer_.end(), std::uint8_t{0});
-  const std::uint64_t old_head = head_;
-  head_ = 0;
+void TxnLog::ResetLazily() {
   ++stats_.truncations;
-  if (old_head == 0) return OkStatus();
-  // Only the first fragment needs zeroing on stable storage: scans stop at
-  // the first bad magic.
-  return WriteBack(0, kFragmentSize);
+  if (!appended_) return;  // nothing forced since the last reset
+  std::fill(buffer_.begin(), buffer_.end(), std::uint8_t{0});
+  head_ = 0;
+  ++generation_;
+  appended_ = false;
+  reset_pending_.store(true);
+}
+
+Status TxnLog::ForceReset() {
+  if (!reset_pending_.exchange(false)) return OkStatus();
+  // Only the first fragment is written: a scan stops at the first frame
+  // of another generation, so everything after this empty frame is dead.
+  std::vector<std::uint8_t> first(kFragmentSize, 0);
+  PutBatchFrame(first.data(), generation_, {}, 0);
+  const Status written = server_->PutBlock(first_fragment_, 1, first,
+                                           disk::StableMode::kStableOnly,
+                                           disk::WriteSync::kSynchronous);
+  if (!written.ok()) {
+    reset_pending_.store(true);
+    return written;
+  }
+  ++stats_.reset_writes;
+  return OkStatus();
+}
+
+Status TxnLog::Truncate() {
+  ResetLazily();
+  return ForceReset();
 }
 
 }  // namespace rhodos::txn

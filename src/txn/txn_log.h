@@ -19,10 +19,10 @@
 // with one disk reference and recovery can still salvage a torn tail
 // record-by-record:
 //
-//   batch frame:  [u32 magic "TNLB"][u32 payload_len][u32 records][u32 0]
-//                 [payload][u64 fnv64(payload)]
+//   batch frame:  [u32 magic "TNLB"][u32 payload_len][u32 records][u32 gen]
+//                 [payload][u64 fnv64(gen, payload)]
 //   payload:      concatenation of record frames
-//   record frame: [u32 magic "TNLG"][u32 len][record][u64 fnv64(record)]
+//   record frame: [u32 magic "TNLG"][u32 len][record][u64 fnv64(gen, record)]
 //
 // A single-record Append() is simply a batch of one. At scan time a batch
 // whose checksum fails (a torn group-commit force) is replayed record by
@@ -30,8 +30,18 @@
 // device persisted before the tear, and the write-ahead append order
 // guarantees a commit-status record never salvages without the intention
 // records it covers.
+//
+// `gen` is the log generation. Every reset starts a new generation at
+// offset 0, the scan stops at the first frame of another generation than
+// the frame at offset 0, and both checksums are seeded with it: bytes an
+// earlier generation left further into the region are never replayed,
+// even when a torn force leaves one of its record frames aligned where a
+// new one should be. That is what lets the quiescent reset stay in
+// memory (ResetLazily): the next force lands at offset 0 under the new
+// generation and makes the reset durable for free.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -76,6 +86,7 @@ struct TxnLogStats {
   std::uint64_t forces = 0;        // stable-storage force writes issued
   std::uint64_t bytes_logged = 0;
   std::uint64_t truncations = 0;
+  std::uint64_t reset_writes = 0;  // stable writes spent on resets
   std::uint64_t torn_records_skipped = 0;
   std::uint64_t torn_batches = 0;      // batch checksum failures at scan
   std::uint64_t salvaged_records = 0;  // records replayed from torn batches
@@ -84,6 +95,7 @@ struct TxnLogStats {
 inline constexpr obs::CounterField<TxnLogStats> kTxnLogCounters[] = {
     {"txn.log.forces", &TxnLogStats::forces},
     {"txn.log.records", &TxnLogStats::appends},
+    {"txn.log.reset_writes", &TxnLogStats::reset_writes},
     {"txn.log.salvaged_records", &TxnLogStats::salvaged_records},
     {"txn.log.torn_batches", &TxnLogStats::torn_batches},
 };
@@ -95,6 +107,7 @@ struct TxnLogAudit {
   std::uint64_t torn_batches = 0;
   std::uint64_t salvaged_records = 0;
   std::uint64_t bytes_valid = 0;  // byte length of the fully-valid prefix
+  std::uint32_t generation = 0;   // of the frame at offset 0 (0 if none)
 
   // A torn tail batch is the expected signature of a crash mid-force;
   // "clean" means every frame present parses and checksums.
@@ -125,24 +138,44 @@ class TxnLog {
   Status Append(const IntentionRecord& record);
 
   // Group-commit force: stages every frame contiguously at the head and
-  // pushes the whole run to stable storage with one vectored put. On
-  // failure the head does not advance, so a later append restages over the
-  // (possibly torn) region.
+  // pushes the whole run to stable storage with one put. The payloads'
+  // record frames must have been framed under generation(). On failure the
+  // head does not advance, so a later append restages over the (possibly
+  // torn) region. A force at offset 0 also makes a pending reset durable.
   Status AppendFrames(std::span<const BatchFramePayload> frames);
 
-  // get_intention / recovery scan: replays every valid record in append
-  // order from stable storage. A torn tail batch is salvaged record by
-  // record; the scan stops there and later appends overwrite the tear.
+  // get_intention / recovery scan: replays every valid record of the
+  // generation at offset 0, in append order, from stable storage. A torn
+  // tail batch is salvaged record by record; the scan stops there and
+  // later appends overwrite the tear. The log adopts the persistent image
+  // and its generation, and no reset is pending afterwards.
   Status Scan(const std::function<void(const IntentionRecord&)>& fn);
 
   // Read-only structural audit of the persistent image: walks batch and
   // record frames without adopting the image or mutating the head.
   Result<TxnLogAudit> Audit();
 
-  // remove_intention, in bulk: resets the log to empty. Safe only when no
-  // transaction is active (the service checkpoints at quiescence).
+  // remove_intention, in bulk: empties the log in memory and starts a new
+  // generation, writing nothing. Until the reset is durable the stable
+  // image still holds the previous generation, which a recovery would
+  // redo. It becomes durable with the next force (which lands at offset 0
+  // under the new generation) or with ForceReset(), whichever comes first.
+  // Safe only when no transaction is active (the service checkpoints at
+  // quiescence). A log with nothing forced since its last reset stays as
+  // it is.
+  void ResetLazily();
+
+  // Makes a pending reset durable: writes an empty batch frame of the new
+  // generation at offset 0, so a scan finds an empty log and adopts the
+  // generation. No-op when no reset is pending. A failed write leaves the
+  // reset pending.
+  Status ForceReset();
+
+  // Eager remove_intention: ResetLazily() then ForceReset().
   Status Truncate();
 
+  bool reset_pending() const { return reset_pending_.load(); }
+  std::uint32_t generation() const { return generation_; }
   std::uint64_t BytesUsed() const { return head_; }
   std::uint64_t Capacity() const { return region_bytes_; }
   const TxnLogStats& stats() const { return stats_; }
@@ -151,17 +184,28 @@ class TxnLog {
  private:
   Status WriteBack(std::uint64_t begin_byte, std::uint64_t end_byte);
 
-  // Shared frame walker for Scan/Audit. Returns the end offset of the last
-  // fully-valid batch frame; `fn` may be null (audit-only).
+  // Shared frame walker for Scan/Audit: fills `audit` and returns the end
+  // offset of the last fully-valid batch frame; `fn` may be null
+  // (audit-only).
   std::uint64_t WalkImage(std::span<const std::uint8_t> image,
                           const std::function<void(const IntentionRecord&)>* fn,
-                          TxnLogAudit* audit);
+                          TxnLogAudit& audit);
 
   disk::DiskServer* server_;
   FragmentIndex first_fragment_;
   std::uint64_t region_bytes_;
   std::vector<std::uint8_t> buffer_;  // in-memory image of the region
   std::uint64_t head_ = 0;            // append offset
+  std::uint32_t generation_ = 0;      // stamped on every frame written
+  // Frames of this generation may be on stable storage (a force was
+  // attempted, or a scan found records or a tear); a reset with none
+  // there has nothing to remove.
+  bool appended_ = false;
+  // Set by ResetLazily, cleared by whichever write makes the reset
+  // durable. Atomic because the disk write barrier (which calls
+  // ForceReset) also runs on threads outside the transaction service's
+  // mutex; the write itself stays serialized like every disk operation.
+  std::atomic<bool> reset_pending_{false};
   TxnLogStats stats_;
 };
 
@@ -169,9 +213,11 @@ class TxnLog {
 void SerializeIntention(Serializer& out, const IntentionRecord& record);
 Result<IntentionRecord> DeserializeIntention(Deserializer& in);
 
-// Appends one framed record (magic, length, payload, checksum) to `out` —
-// the unit the group-commit pipeline accumulates into a batch payload.
+// Appends one framed record (magic, length, payload, checksum seeded with
+// `generation`) to `out` — the unit the group-commit pipeline accumulates
+// into a batch payload.
 void AppendRecordFrame(std::vector<std::uint8_t>& out,
-                       const IntentionRecord& record);
+                       const IntentionRecord& record,
+                       std::uint32_t generation);
 
 }  // namespace rhodos::txn

@@ -129,6 +129,137 @@ TEST_F(TxnLogTest, TruncateEmptiesTheLog) {
   EXPECT_EQ(count, 0);
 }
 
+// --- log generations: the reset is lazy, stale frames are never trusted ---
+
+IntentionRecord Range(std::uint64_t txn, std::size_t bytes, std::uint8_t fill) {
+  IntentionRecord r;
+  r.kind = IntentionKind::kRedoRange;
+  r.txn = TxnId{txn};
+  r.file = FileId{5};
+  r.data.assign(bytes, fill);
+  return r;
+}
+
+std::vector<std::uint64_t> ReplayedTxns(disk::DiskServer* server,
+                                        FragmentIndex first) {
+  TxnLog reopened(server, first, 64);
+  std::vector<std::uint64_t> txns;
+  EXPECT_TRUE(reopened.Scan([&](const IntentionRecord& r) {
+    txns.push_back(r.txn.value);
+  }).ok());
+  return txns;
+}
+
+TEST_F(TxnLogTest, LazyResetWritesNothingUntilTheNextForce) {
+  TxnLog log(&server_, first_, 64);
+  ASSERT_TRUE(log.Append(Page(1, 0, 1)).ok());
+  const std::uint64_t writes = server_.stable_stats().write_references;
+  log.ResetLazily();
+  EXPECT_TRUE(log.reset_pending());
+  EXPECT_EQ(log.BytesUsed(), 0u);
+  EXPECT_EQ(server_.stable_stats().write_references, writes);
+  // Still durable: a crash now would replay the old generation.
+  EXPECT_EQ(ReplayedTxns(&server_, first_), std::vector<std::uint64_t>{1});
+
+  // The next force lands at offset 0 under the new generation and carries
+  // the reset: one stable write, no reset write of its own.
+  ASSERT_TRUE(log.Append(Page(2, 1, 2)).ok());
+  EXPECT_FALSE(log.reset_pending());
+  EXPECT_EQ(server_.stable_stats().write_references, writes + 1);
+  EXPECT_EQ(log.stats().reset_writes, 0u);
+  EXPECT_EQ(ReplayedTxns(&server_, first_), std::vector<std::uint64_t>{2});
+}
+
+TEST_F(TxnLogTest, ForceResetWritesOnceAndScanAdoptsTheGeneration) {
+  TxnLog log(&server_, first_, 64);
+  ASSERT_TRUE(log.Append(Page(1, 0, 1)).ok());
+  log.ResetLazily();
+  ASSERT_TRUE(log.ForceReset().ok());
+  ASSERT_TRUE(log.ForceReset().ok());  // nothing pending: no second write
+  EXPECT_EQ(log.stats().reset_writes, 1u);
+  EXPECT_FALSE(log.reset_pending());
+  // Nothing was forced since: a further quiescent reset has nothing to do.
+  log.ResetLazily();
+  EXPECT_FALSE(log.reset_pending());
+
+  TxnLog reopened(&server_, first_, 64);
+  int count = 0;
+  ASSERT_TRUE(reopened.Scan([&](const IntentionRecord&) { ++count; }).ok());
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(reopened.generation(), log.generation());
+  EXPECT_NE(reopened.generation(), 0u);
+}
+
+TEST_F(TxnLogTest, TornForceNeverSalvagesAnEarlierGenerationsRecords) {
+  // Generation G holds three records; generation G+1 forces three records
+  // of the same sizes, so every record frame starts where one of G's did.
+  auto batch = [](std::uint64_t first_txn, std::uint32_t generation) {
+    TxnLog::BatchFramePayload frame;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      AppendRecordFrame(frame.payload,
+                        Range(first_txn + i, 100,
+                              static_cast<std::uint8_t>(first_txn + i)),
+                        generation);
+      ++frame.records;
+    }
+    return frame;
+  };
+  TxnLog log(&server_, first_, 64);
+  const TxnLog::BatchFramePayload old_batch = batch(1, log.generation());
+  ASSERT_TRUE(log.AppendFrames({&old_batch, 1}).ok());
+  const auto old_image = server_.stable_device().RawFragment(first_);
+  const std::vector<std::uint8_t> old_bytes(old_image.begin(),
+                                            old_image.end());
+
+  log.ResetLazily();
+  const TxnLog::BatchFramePayload new_batch = batch(11, log.generation());
+  ASSERT_TRUE(log.AppendFrames({&new_batch, 1}).ok());
+
+  // Tear the new force right after its first record: the rest of the
+  // fragment still holds generation G's second and third records, each
+  // a well-formed frame at a record boundary of the new batch.
+  const std::size_t record_frame = new_batch.payload.size() / 3;
+  const std::size_t tear = 16 + record_frame;
+  const auto new_image = server_.stable_device().RawFragment(first_);
+  std::vector<std::uint8_t> torn(new_image.begin(), new_image.end());
+  std::copy(old_bytes.begin() + static_cast<std::ptrdiff_t>(tear),
+            old_bytes.end(), torn.begin() + static_cast<std::ptrdiff_t>(tear));
+  server_.stable_device().RawOverwrite(first_, torn);
+
+  TxnLog reopened(&server_, first_, 64);
+  std::vector<std::uint64_t> txns;
+  ASSERT_TRUE(reopened.Scan([&](const IntentionRecord& r) {
+    txns.push_back(r.txn.value);
+  }).ok());
+  EXPECT_EQ(txns, std::vector<std::uint64_t>{11});
+  EXPECT_EQ(reopened.stats().torn_batches, 1u);
+  EXPECT_EQ(reopened.stats().salvaged_records, 1u);
+}
+
+TEST_F(TxnLogTest, AfterResetRestartAndAppendOnlyNewRecordsReplay) {
+  // Generation G: record 1 spills into the second fragment, and record 2
+  // starts there. The eager reset rewrites only the first fragment.
+  TxnLog log(&server_, first_, 64);
+  constexpr std::size_t kBig = 3000;
+  ASSERT_TRUE(log.Append(Range(1, kBig, 1)).ok());
+  ASSERT_GT(log.BytesUsed(), kFragmentSize);
+  ASSERT_TRUE(log.Append(Range(2, 16, 2)).ok());
+  ASSERT_TRUE(log.Truncate().ok());
+
+  // Restart: the scan finds the empty frame and adopts its generation.
+  TxnLog restarted(&server_, first_, 64);
+  int count = 0;
+  ASSERT_TRUE(restarted.Scan([&](const IntentionRecord&) { ++count; }).ok());
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(restarted.generation(), log.generation());
+  // Record 3 follows the 24-byte empty frame and is 24 bytes shorter than
+  // record 1, so it ends exactly where generation G's record 2 begins.
+  ASSERT_TRUE(restarted.Append(Range(3, kBig - TxnLog::kBatchOverhead, 3))
+                  .ok());
+
+  EXPECT_EQ(ReplayedTxns(&server_, first_), std::vector<std::uint64_t>{3});
+}
+
 TEST_F(TxnLogTest, FullLogRefusesAppends) {
   TxnLog log(&server_, first_, 2);  // tiny: 4 KiB region
   ASSERT_TRUE(log.Append(Page(1, 0, 1)).code() == ErrorCode::kNoSpace ||
