@@ -3,6 +3,8 @@
 #include <bit>
 #include <cassert>
 
+#include "disk/stable_frame.h"
+
 namespace rhodos::disk {
 
 bool Bitmap::IsRangeFree(FragmentIndex first, std::uint64_t count) const {
@@ -60,14 +62,14 @@ std::optional<FragmentIndex> Bitmap::FindFreeRun(
 }
 
 std::uint64_t Bitmap::Checksum() const {
-  // FNV-1a over the words plus the size; cheap and adequate to detect a torn
-  // metadata write at recovery time.
-  std::uint64_t h = 1469598103934665603ULL;
+  // The stable-frame checksum over the size and then the words, each as
+  // little-endian bytes: cheap and adequate to detect a torn metadata write
+  // at recovery time.
+  std::uint64_t h = kChecksumBasis;
   auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    h = disk::Checksum(b, h);
   };
   mix(fragment_count_);
   for (std::uint64_t w : words_) mix(w);

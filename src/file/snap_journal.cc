@@ -1,8 +1,8 @@
 #include "file/snap_journal.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
+#include <optional>
 
 namespace rhodos::file {
 
@@ -13,25 +13,16 @@ constexpr std::uint32_t kCkptMagic = 0x52534E43;  // "RSNC"
 constexpr std::uint8_t kPayloadOp = 1;
 constexpr std::uint8_t kPayloadDone = 2;
 
-std::uint64_t Fnv1a(std::span<const std::uint8_t> data) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+// The payload of a checkpoint slot's frame; nullopt when the slot is
+// unreadable, blank or torn. Shared by Probe and Ensure.
+std::optional<std::vector<std::uint8_t>> ReadCheckpoint(
+    const disk::StableRegion& slot) {
+  const auto image = slot.Load();
+  if (!image.ok()) return std::nullopt;
+  const disk::Frame frame = disk::ReadFrame(*image, kCkptMagic, 0);
+  if (frame.state != disk::FrameState::kValid) return std::nullopt;
+  return std::vector<std::uint8_t>(frame.payload.begin(),
+                                   frame.payload.end());
 }
 
 }  // namespace
@@ -118,25 +109,8 @@ Result<bool> SnapJournal::Probe() {
   if (span + server->MetadataFragments() >= total) return false;
   const FragmentIndex first = total - span;
   if (!server->IsFragmentAllocated(first)) return false;
-  const std::uint64_t slot_frags = region_fragments_ / 8;
-  std::vector<std::uint8_t> buf(slot_frags * kFragmentSize);
-  for (std::uint8_t s = 0; s < 2; ++s) {
-    if (!server
-             ->GetBlock(first + s * slot_frags,
-                        static_cast<std::uint32_t>(slot_frags), buf,
-                        disk::ReadSource::kStable)
-             .ok()) {
-      continue;
-    }
-    if (GetU32(buf.data()) != kCkptMagic) continue;
-    const std::uint32_t len = GetU32(buf.data() + 4);
-    if (8 + len + 8 > buf.size()) continue;
-    if (GetU64(buf.data() + 8 + len) ==
-        Fnv1a({buf.data() + 8, len})) {
-      return true;
-    }
-  }
-  return false;
+  return ReadCheckpoint(CheckpointSlot(server, first, 0)).has_value() ||
+         ReadCheckpoint(CheckpointSlot(server, first, 1)).has_value();
 }
 
 Status SnapJournal::Ensure() {
@@ -149,14 +123,10 @@ Status SnapJournal::Ensure() {
     return {ErrorCode::kNoSpace, "disk too small for snapshot journal"};
   }
   region_first_ = total - span;
-  ckpt_slot_fragments_ = region_fragments_ / 8;
-  log_first_ = region_first_ + 2 * ckpt_slot_fragments_;
-  log_bytes_ =
-      (region_fragments_ - 2 * ckpt_slot_fragments_) * kFragmentSize;
+  log_ = disk::StableRegion(server, region_first_ + 2 * SlotFragments(),
+                            region_fragments_ - 2 * SlotFragments());
 
   map_.Clear();
-  log_image_.assign(log_bytes_, 0);
-  head_ = 0;
   next_seq_ = 1;
   ckpt_seq_ = 0;
   ckpt_slot_ = 0;
@@ -180,19 +150,11 @@ Status SnapJournal::Ensure() {
   // freshest valid checkpoint of the two slots, then replay the log over it.
   std::uint64_t best_gen = 0;
   bool have_ckpt = false;
-  std::vector<std::uint8_t> slot_buf(ckpt_slot_fragments_ * kFragmentSize);
   for (std::uint8_t s = 0; s < 2; ++s) {
-    const Status st = server->GetBlock(
-        region_first_ + s * ckpt_slot_fragments_,
-        static_cast<std::uint32_t>(ckpt_slot_fragments_), slot_buf,
-        disk::ReadSource::kStable);
-    if (!st.ok()) continue;
-    if (GetU32(slot_buf.data()) != kCkptMagic) continue;
-    const std::uint32_t len = GetU32(slot_buf.data() + 4);
-    if (8 + len + 8 > slot_buf.size()) continue;
-    const std::span<const std::uint8_t> payload{slot_buf.data() + 8, len};
-    if (GetU64(slot_buf.data() + 8 + len) != Fnv1a(payload)) continue;
-    Deserializer in{payload};
+    const auto payload =
+        ReadCheckpoint(CheckpointSlot(server, region_first_, s));
+    if (!payload) continue;
+    Deserializer in{*payload};
     const std::uint64_t gen = in.U64();
     ShareMap map = ShareMap::Deserialize(in);
     if (!in.ok()) continue;
@@ -213,34 +175,26 @@ Status SnapJournal::Ensure() {
   }
   ckpt_seq_ = best_gen;
 
-  RHODOS_RETURN_IF_ERROR(server->GetBlock(
-      log_first_, static_cast<std::uint32_t>(log_bytes_ / kFragmentSize),
-      log_image_, disk::ReadSource::kStable));
+  RHODOS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> image, log_.Load());
   std::uint64_t pos = 0;
   std::map<std::uint64_t, SnapOp> ops;
-  while (pos + 16 <= log_bytes_) {
-    if (GetU32(log_image_.data() + pos) != kLogMagic) break;
-    const std::uint32_t len = GetU32(log_image_.data() + pos + 4);
-    if (len == 0 || pos + 16 + len > log_bytes_) {
-      ++stats_.torn_records_skipped;
-      break;
-    }
-    const std::span<const std::uint8_t> payload{log_image_.data() + pos + 8,
-                                                len};
-    if (GetU64(log_image_.data() + pos + 8 + len) != Fnv1a(payload)) {
+  while (pos + disk::FrameBytes(0) <= image.size()) {
+    const disk::Frame frame = disk::ReadFrame(
+        std::span<const std::uint8_t>(image).subspan(pos), kLogMagic, 0);
+    if (frame.state == disk::FrameState::kBlank) break;
+    if (frame.state == disk::FrameState::kTorn || frame.payload.empty()) {
       // A torn tail force: the op never committed (LogOp returns only
       // after a clean force), so stopping here is all-or-nothing.
       ++stats_.torn_records_skipped;
       break;
     }
-    Deserializer in{payload};
+    Deserializer in{frame.payload};
     const std::uint8_t type = in.U8();
-    if (type == kPayloadOp) {
-      auto op = DeserializeSnapOp(in);
-      if (!op.ok()) {
-        ++stats_.torn_records_skipped;
-        break;
-      }
+    if (type == kPayloadDone) {
+      const std::uint64_t seq = in.U64();
+      ops.erase(seq);
+      next_seq_ = std::max(next_seq_, seq + 1);
+    } else if (auto op = DeserializeSnapOp(in); type == kPayloadOp && op.ok()) {
       // Absolute piece counts: replaying the whole log in order (even ops
       // already folded into the checkpoint) converges to the final state.
       for (const auto& e : op->ref_edits) {
@@ -249,18 +203,13 @@ Status SnapJournal::Ensure() {
       next_seq_ = std::max(next_seq_, op->seq + 1);
       ops.emplace(op->seq, std::move(*op));
       ++stats_.replayed_ops;
-    } else if (type == kPayloadDone) {
-      const std::uint64_t seq = in.U64();
-      ops.erase(seq);
-      next_seq_ = std::max(next_seq_, seq + 1);
     } else {
       ++stats_.torn_records_skipped;
       break;
     }
-    pos += 16 + len;
+    pos += frame.size;
   }
-  head_ = pos;
-  std::memset(log_image_.data() + head_, 0, log_bytes_ - head_);
+  log_.Adopt(std::move(image), pos);
   for (auto& [seq, op] : ops) {
     pending_seqs_.insert(seq);
     pending_ops_.push_back(std::move(op));
@@ -269,46 +218,21 @@ Status SnapJournal::Ensure() {
   return OkStatus();
 }
 
-Status SnapJournal::ForceLog(std::uint64_t begin_byte,
-                             std::uint64_t end_byte) {
-  RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server,
-                          disks_->Get(RegionDisk()));
-  const std::uint64_t first_frag = begin_byte / kFragmentSize;
-  const std::uint64_t last_frag = (end_byte - 1) / kFragmentSize;
-  const std::uint64_t frags = last_frag - first_frag + 1;
-  ++stats_.forces;
-  return server->PutBlock(
-      log_first_ + first_frag, static_cast<std::uint32_t>(frags),
-      std::span<const std::uint8_t>{
-          log_image_.data() + first_frag * kFragmentSize,
-          frags * kFragmentSize},
-      disk::StableMode::kStableOnly, disk::WriteSync::kSynchronous);
-}
-
 Status SnapJournal::AppendRecord(std::span<const std::uint8_t> payload) {
-  const std::uint64_t frame_bytes = 16 + payload.size();
-  if (head_ + frame_bytes > log_bytes_) {
+  const std::uint64_t frame_bytes = disk::FrameBytes(payload.size());
+  if (log_.head() + frame_bytes > log_.capacity()) {
     if (!pending_seqs_.empty()) {
       return {ErrorCode::kNoSpace,
               "snapshot journal full with operations in flight"};
     }
     RHODOS_RETURN_IF_ERROR(WriteCheckpoint());
-    if (head_ + frame_bytes > log_bytes_) {
+    if (log_.head() + frame_bytes > log_.capacity()) {
       return {ErrorCode::kNoSpace, "snapshot op larger than journal"};
     }
   }
-  Serializer frame;
-  frame.U32(kLogMagic);
-  frame.U32(static_cast<std::uint32_t>(payload.size()));
-  std::uint8_t* at = log_image_.data() + head_;
-  std::memcpy(at, frame.buffer().data(), 8);
-  std::memcpy(at + 8, payload.data(), payload.size());
-  Serializer sum;
-  sum.U64(Fnv1a(payload));
-  std::memcpy(at + 8 + payload.size(), sum.buffer().data(), 8);
-  const std::uint64_t begin = head_;
-  head_ += frame_bytes;
-  return ForceLog(begin, head_);
+  disk::WriteFrame(log_.staging(), kLogMagic, 0, payload);
+  ++stats_.forces;
+  return log_.Append(frame_bytes);
 }
 
 Result<std::uint64_t> SnapJournal::LogOp(SnapOp& op) {
@@ -336,7 +260,7 @@ Status SnapJournal::LogDone(std::uint64_t seq) {
   pending_seqs_.erase(seq);
   ++stats_.dones_logged;
   // Fold the log into a checkpoint at quiescence, before it fills.
-  if (pending_seqs_.empty() && head_ > (log_bytes_ / 4) * 3) {
+  if (pending_seqs_.empty() && log_.head() > (log_.capacity() / 4) * 3) {
     RHODOS_RETURN_IF_ERROR(WriteCheckpoint());
   }
   return OkStatus();
@@ -348,24 +272,13 @@ Status SnapJournal::WriteCheckpoint() {
   Serializer payload;
   payload.U64(next_seq_);  // strictly grows: freshest slot wins at adopt
   map_.Serialize(payload);
-  const std::uint64_t slot_bytes = ckpt_slot_fragments_ * kFragmentSize;
-  if (8 + payload.size() + 8 > slot_bytes) {
+  disk::StableRegion slot = CheckpointSlot(server, region_first_, ckpt_slot_);
+  if (disk::FrameBytes(payload.size()) > slot.capacity()) {
     return {ErrorCode::kNoSpace, "share map exceeds checkpoint slot"};
   }
-  std::vector<std::uint8_t> buf(slot_bytes, 0);
-  Serializer header;
-  header.U32(kCkptMagic);
-  header.U32(static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(buf.data(), header.buffer().data(), 8);
-  std::memcpy(buf.data() + 8, payload.buffer().data(), payload.size());
-  Serializer sum;
-  sum.U64(Fnv1a(payload.buffer()));
-  std::memcpy(buf.data() + 8 + payload.size(), sum.buffer().data(), 8);
+  disk::WriteFrame(slot.staging(), kCkptMagic, 0, payload.buffer());
   ++stats_.forces;
-  RHODOS_RETURN_IF_ERROR(server->PutBlock(
-      region_first_ + ckpt_slot_ * ckpt_slot_fragments_,
-      static_cast<std::uint32_t>(ckpt_slot_fragments_), buf,
-      disk::StableMode::kStableOnly, disk::WriteSync::kSynchronous));
+  RHODOS_RETURN_IF_ERROR(slot.Write(0, SlotFragments()));
   ckpt_slot_ = static_cast<std::uint8_t>((ckpt_slot_ + 1) % 2);
   ckpt_seq_ = next_seq_;
   ++stats_.checkpoints;
@@ -373,13 +286,9 @@ Status SnapJournal::WriteCheckpoint() {
   // stable storage so an adopt after crash does not replay the stale log
   // over the new checkpoint's generation... which would still converge
   // (absolute counts), but pending detection must not resurrect old ops.
-  head_ = 0;
-  std::fill(log_image_.begin(), log_image_.end(), 0);
+  log_.Clear();
   ++stats_.forces;
-  return server->PutBlock(
-      log_first_, 1,
-      std::span<const std::uint8_t>{log_image_.data(), kFragmentSize},
-      disk::StableMode::kStableOnly, disk::WriteSync::kSynchronous);
+  return log_.WriteFirstFragment({});
 }
 
 std::vector<SnapOp> SnapJournal::TakePending() {
@@ -389,14 +298,10 @@ std::vector<SnapOp> SnapJournal::TakePending() {
 }
 
 void SnapJournal::Reset() {
+  // Ensure re-initializes the rest of the volatile state.
   loaded_ = false;
   map_.Clear();
-  log_image_.clear();
-  head_ = 0;
-  next_seq_ = 1;
-  ckpt_seq_ = 0;
-  ckpt_slot_ = 0;
-  pending_seqs_.clear();
+  log_ = disk::StableRegion();
   pending_ops_.clear();
 }
 

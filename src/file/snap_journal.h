@@ -16,8 +16,10 @@
 //
 //   [checkpoint slot A][checkpoint slot B][append-only op log]
 //
-// checkpoint: [u32 "RSNC"][u64 seq][u32 len][ShareMap image][u64 fnv64]
-// log record: [u32 "RSNL"][u32 len][op or done payload][u64 fnv64]
+// Each slot is an eighth of the region and holds one "RSNC" frame whose
+// payload is [u64 seq][ShareMap image]; the log is a run of "RSNL" frames
+// whose payload is [u8 1][op] or [u8 2][u64 done seq]. disk/stable_frame.h
+// owns both frame layouts and the log's region.
 //
 // Checkpoints alternate between the two slots (highest valid seq wins), so
 // a crash mid-checkpoint leaves the previous image intact. A checkpoint is
@@ -33,6 +35,7 @@
 #include "common/serializer.h"
 #include "common/types.h"
 #include "disk/disk_registry.h"
+#include "disk/stable_frame.h"
 #include "file/file_types.h"
 #include "file/share_map.h"
 
@@ -134,8 +137,13 @@ class SnapJournal {
   const SnapJournalStats& stats() const { return stats_; }
 
  private:
+  std::uint64_t SlotFragments() const { return region_fragments_ / 8; }
+  disk::StableRegion CheckpointSlot(disk::DiskServer* server,
+                                    FragmentIndex region_first,
+                                    std::uint8_t s) const {  // 0 = A, 1 = B
+    return {server, region_first + s * SlotFragments(), SlotFragments()};
+  }
   Status WriteCheckpoint();
-  Status ForceLog(std::uint64_t begin_byte, std::uint64_t end_byte);
   Status AppendRecord(std::span<const std::uint8_t> payload);
 
   disk::DiskRegistry* disks_;
@@ -144,13 +152,9 @@ class SnapJournal {
 
   bool loaded_ = false;
   FragmentIndex region_first_ = 0;
-  FragmentIndex log_first_ = 0;    // first fragment of the log area
-  std::uint64_t log_bytes_ = 0;    // capacity of the log area
-  std::uint64_t ckpt_slot_fragments_ = 0;
 
   ShareMap map_;
-  std::vector<std::uint8_t> log_image_;  // in-memory copy of the log area
-  std::uint64_t head_ = 0;               // log append offset
+  disk::StableRegion log_;  // the append-only op log after the two slots
   std::uint64_t next_seq_ = 1;
   std::uint64_t ckpt_seq_ = 0;           // seq covered by last checkpoint
   std::uint8_t ckpt_slot_ = 0;           // slot the NEXT checkpoint targets

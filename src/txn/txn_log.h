@@ -15,21 +15,14 @@
 // stable-only mode), so the list survives both a machine crash and the
 // loss of the main platter.
 //
-// On-disk framing is two-level, so group commit can force many records
-// with one disk reference and recovery can still salvage a torn tail
-// record-by-record:
-//
-//   batch frame:  [u32 magic "TNLB"][u32 payload_len][u32 records][u32 gen]
-//                 [payload][u64 fnv64(gen, payload)]
-//   payload:      concatenation of record frames
-//   record frame: [u32 magic "TNLG"][u32 len][record][u64 fnv64(gen, record)]
-//
-// A single-record Append() is simply a batch of one. At scan time a batch
-// whose checksum fails (a torn group-commit force) is replayed record by
-// record: every record frame whose own checksum holds is a prefix the
-// device persisted before the tear, and the write-ahead append order
-// guarantees a commit-status record never salvages without the intention
-// records it covers.
+// Framing is two-level (disk/stable_frame.h has the layouts): a batch
+// frame whose payload is a run of record frames, one intention each. Group
+// commit forces many records with one disk reference, and a single-record
+// Append() is a batch of one. A batch whose checksum fails (a torn force)
+// is replayed record by record: every record frame whose own checksum
+// holds is a prefix the device persisted before the tear, and the
+// write-ahead append order guarantees a commit-status record never
+// salvages without the intention records it covers.
 //
 // `gen` is the log generation. Every reset starts a new generation at
 // offset 0, the scan stops at the first frame of another generation than
@@ -51,6 +44,7 @@
 #include "common/serializer.h"
 #include "common/types.h"
 #include "disk/disk_server.h"
+#include "disk/stable_frame.h"
 #include "file/file_types.h"
 #include "obs/metrics.h"
 #include "txn/lock_types.h"
@@ -106,8 +100,9 @@ struct TxnLogAudit {
   std::uint64_t records = 0;
   std::uint64_t torn_batches = 0;
   std::uint64_t salvaged_records = 0;
-  std::uint64_t bytes_valid = 0;  // byte length of the fully-valid prefix
-  std::uint32_t generation = 0;   // of the frame at offset 0 (0 if none)
+  std::uint64_t torn_records = 0;  // torn batches ended by a bad record
+  std::uint64_t bytes_valid = 0;   // byte length of the fully-valid prefix
+  std::uint32_t generation = 0;    // of the frame at offset 0 (0 if none)
 
   // A torn tail batch is the expected signature of a crash mid-force;
   // "clean" means every frame present parses and checksums.
@@ -116,9 +111,8 @@ struct TxnLogAudit {
 
 class TxnLog {
  public:
-  // Bytes a batch frame adds around its payload: 16-byte header plus the
-  // 8-byte batch checksum.
-  static constexpr std::uint64_t kBatchOverhead = 24;
+  // Bytes a batch frame adds around its payload: header and checksum.
+  static constexpr std::uint64_t kBatchOverhead = disk::FrameBytes(0, 2);
 
   // One batch frame ready to force: the concatenated record frames (see
   // AppendRecordFrame) and how many records they hold.
@@ -176,27 +170,14 @@ class TxnLog {
 
   bool reset_pending() const { return reset_pending_.load(); }
   std::uint32_t generation() const { return generation_; }
-  std::uint64_t BytesUsed() const { return head_; }
-  std::uint64_t Capacity() const { return region_bytes_; }
+  std::uint64_t BytesUsed() const { return region_.head(); }
+  std::uint64_t Capacity() const { return region_.capacity(); }
   const TxnLogStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TxnLogStats{}; }
 
  private:
-  Status WriteBack(std::uint64_t begin_byte, std::uint64_t end_byte);
-
-  // Shared frame walker for Scan/Audit: fills `audit` and returns the end
-  // offset of the last fully-valid batch frame; `fn` may be null
-  // (audit-only).
-  std::uint64_t WalkImage(std::span<const std::uint8_t> image,
-                          const std::function<void(const IntentionRecord&)>* fn,
-                          TxnLogAudit& audit);
-
-  disk::DiskServer* server_;
-  FragmentIndex first_fragment_;
-  std::uint64_t region_bytes_;
-  std::vector<std::uint8_t> buffer_;  // in-memory image of the region
-  std::uint64_t head_ = 0;            // append offset
-  std::uint32_t generation_ = 0;      // stamped on every frame written
+  disk::StableRegion region_;
+  std::uint32_t generation_ = 0;  // stamped on every frame written
   // Frames of this generation may be on stable storage (a force was
   // attempted, or a scan found records or a tear); a reset with none
   // there has nothing to remove.
