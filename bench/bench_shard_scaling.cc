@@ -33,16 +33,11 @@ struct StormResult {
 };
 
 // Builds a facility with `shards` metadata shards and runs the storm.
-// Write policy is pinned to write-through for EVERY shard count so the
-// single-shard run does not get a delayed-write discount the sharded runs
-// (which are fenced, hence write-through) are denied — the comparison is
-// about metadata-plane parallelism, not write policy.
 StormResult RunStorm(std::uint32_t shards) {
   StormResult result;
   core::FacilityConfig cfg = DefaultFacility(8, 8 * 1024);
   cfg.sharding.file_shards = shards;
   cfg.sharding.naming_shards = shards;
-  cfg.file.basic_write_policy = disk::WritePolicy::kWriteThrough;
   core::DistributedFileFacility f(cfg);
   for (std::uint32_t s = 0; s < shards; ++s) (void)f.AddMachine();
 

@@ -62,7 +62,11 @@ int main() {
     for (int a = 0; a < kAccounts; ++a) {
       EncodeBalance(kInitialBalance, init.data() + AccountOffset(a));
     }
-    m.txn_agent->TPwrite(*t, *od, 0, init);
+    if (auto wrote = m.txn_agent->TPwrite(*t, *od, 0, init); !wrote.ok()) {
+      std::fprintf(stderr, "setup failed: %s\n",
+                   wrote.error().ToString().c_str());
+      return 1;
+    }
     if (auto st = m.txn_agent->TEnd(*t, process); !st.ok()) {
       std::fprintf(stderr, "setup failed: %s\n",
                    st.error().ToString().c_str());
@@ -125,7 +129,11 @@ int main() {
 
   // Audit: total money must be conserved.
   std::vector<std::uint8_t> final_state(kAccounts * 8);
-  facility.files().Read(ledger, 0, final_state);
+  if (auto read = facility.files().Read(ledger, 0, final_state); !read.ok()) {
+    std::fprintf(stderr, "audit read failed: %s\n",
+                 read.error().ToString().c_str());
+    return 1;
+  }
   std::int64_t total = 0;
   std::printf("final balances:");
   for (int a = 0; a < kAccounts; ++a) {

@@ -33,6 +33,15 @@ std::string ReadString(core::DistributedFileFacility& f, FileId id,
   return std::string(buf.begin(), buf.begin() + static_cast<long>(*got));
 }
 
+// Reports a failed step; the walkthrough stops at the first one.
+template <typename T>
+bool Failed(const Result<T>& result, const char* step) {
+  if (result.ok()) return false;
+  std::fprintf(stderr, "%s failed: %s\n", step,
+               result.error().ToString().c_str());
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -45,27 +54,34 @@ int main() {
   std::printf("== scenario 1: committed transaction vs crash ==\n");
   auto t1 = txns.Begin(ProcessId{1});
   auto account = txns.TCreate(*t1, file::LockLevel::kPage, 0);
-  txns.TWrite(*t1, *account, 0, Bytes("balance=100"));
-  txns.End(*t1);
+  if (Failed(txns.TWrite(*t1, *account, 0, Bytes("balance=100")), "twrite") ||
+      Failed(txns.End(*t1), "tend")) {
+    return 1;
+  }
 
   auto t2 = txns.Begin(ProcessId{1});
-  txns.TWrite(*t2, *account, 0, Bytes("balance=250"));
-  txns.End(*t2);  // COMMITTED: intention flag = commit on stable storage
+  if (Failed(txns.TWrite(*t2, *account, 0, Bytes("balance=250")), "twrite") ||
+      // COMMITTED: intention flag = commit on stable storage
+      Failed(txns.End(*t2), "tend")) {
+    return 1;
+  }
 
   facility.CrashServers();
   std::printf("  ...servers crashed...\n");
-  facility.RecoverServers();
+  if (Failed(facility.RecoverServers(), "recovery")) return 1;
   std::printf("  after recovery: \"%s\"  (expected balance=250)\n",
               ReadString(facility, *account, 11).c_str());
 
   // --- Scenario 2: an uncommitted transaction leaves no trace ----------------
   std::printf("== scenario 2: in-flight transaction vs crash ==\n");
   auto t3 = txns.Begin(ProcessId{1});
-  txns.TWrite(*t3, *account, 0, Bytes("balance=999"));
+  if (Failed(txns.TWrite(*t3, *account, 0, Bytes("balance=999")), "twrite")) {
+    return 1;
+  }
   // No tend: the write exists only as a tentative data item.
   facility.CrashServers();
   std::printf("  ...servers crashed mid-transaction...\n");
-  facility.RecoverServers();
+  if (Failed(facility.RecoverServers(), "recovery")) return 1;
   std::printf("  after recovery: \"%s\"  (tentative 999 discarded)\n",
               ReadString(facility, *account, 11).c_str());
 

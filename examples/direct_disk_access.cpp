@@ -100,7 +100,11 @@ int main() {
                        : st2.error().ToString().c_str());
 
   // Revocation: the facility reclaims the space; the handle goes stale.
-  leases.Revoke(log.lease().info().id);
+  if (auto revoked = leases.Revoke(log.lease().info().id); !revoked.ok()) {
+    std::fprintf(stderr, "revoke failed: %s\n",
+                 revoked.error().ToString().c_str());
+    return 1;
+  }
   auto st3 = log.lease().Get(0, 1, evil);
   std::printf("read after revocation -> %s\n",
               st3.ok() ? "ALLOWED (bug)" : st3.error().ToString().c_str());

@@ -44,7 +44,11 @@ int main() {
                  wrote.error().ToString().c_str());
     return 1;
   }
-  machine.file_agent->Close(*od);
+  if (auto closed = machine.file_agent->Close(*od); !closed.ok()) {
+    std::fprintf(stderr, "close failed: %s\n",
+                 closed.error().ToString().c_str());
+    return 1;
+  }
 
   // 5. Re-open by attributed name (resolved by the naming service) and read.
   auto od2 = machine.file_agent->Open(naming::ByName("hello.txt"));

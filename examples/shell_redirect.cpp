@@ -21,6 +21,15 @@ std::span<const std::uint8_t> AsBytes(const std::string& s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
+// Reports a failed step; the session stops at the first one.
+template <typename T>
+bool Failed(const Result<T>& result, const char* step) {
+  if (result.ok()) return false;
+  std::fprintf(stderr, "%s failed: %s\n", step,
+               result.error().ToString().c_str());
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -32,20 +41,26 @@ int main() {
               static_cast<long long>(shell.stdout_fd()));
 
   // echo to the console
-  facility.WriteStream(m, shell, shell.stdout_fd(),
-                       AsBytes("shell$ hello on the console\n"));
+  if (Failed(facility.WriteStream(m, shell, shell.stdout_fd(),
+                                  AsBytes("shell$ hello on the console\n")),
+             "console write")) {
+    return 1;
+  }
 
   // shell$ echo "into the log" > session.log
   auto log_od = m.file_agent->Create(naming::ByName("session.log"),
                                      file::ServiceType::kBasic);
   if (!log_od.ok()) return 1;
-  shell.RedirectStdout(*log_od);
+  if (Failed(shell.RedirectStdout(*log_od), "redirect")) return 1;
   std::printf("after redirection stdout variable = %lld (the fixed "
               "constant for redirected stdout)\n",
               static_cast<long long>(shell.stdout_fd()));
-  facility.WriteStream(m, shell, shell.stdout_fd(),
-                       AsBytes("this line went to session.log"));
-  m.file_agent->Flush(*log_od);
+  if (Failed(facility.WriteStream(m, shell, shell.stdout_fd(),
+                                  AsBytes("this line went to session.log")),
+             "redirected write") ||
+      Failed(m.file_agent->Flush(*log_od), "flush")) {
+    return 1;
+  }
 
   // Show both sinks.
   auto console = m.device_agent->OutputOf("console");
@@ -74,7 +89,7 @@ int main() {
   std::printf("twin while a transaction is open: %s\n",
               refused.ok() ? "ALLOWED (bug!)"
                            : refused.error().ToString().c_str());
-  m.txn_agent->TAbort(*t, shell);
+  if (Failed(m.txn_agent->TAbort(*t, shell), "tabort")) return 1;
   std::printf("after tabort the twin succeeds again: %s\n",
               shell.Twin(ProcessId{101}).ok() ? "yes" : "no");
   return 0;

@@ -50,7 +50,7 @@ int main() {
       auto frame = Frame(kFrameBytes, f);
       if (!m.file_agent->Write(*od, frame).ok()) return 1;
     }
-    m.file_agent->Close(*od);
+    if (!m.file_agent->Close(*od).ok()) return 1;
 
     // Play it back sequentially through a fresh machine (cold client
     // cache) and measure the simulated disk time.
@@ -69,9 +69,10 @@ int main() {
     const SimTime elapsed = facility.clock().Now() - start;
 
     // Verify the first frame round-tripped.
-    viewer.file_agent->Lseek(*vod, 0, agent::SeekWhence::kSet);
-    viewer.file_agent->Read(*vod, playback);
-    const bool intact = playback == Frame(kFrameBytes, 0);
+    const bool intact =
+        viewer.file_agent->Lseek(*vod, 0, agent::SeekWhence::kSet).ok() &&
+        viewer.file_agent->Read(*vod, playback).ok() &&
+        playback == Frame(kFrameBytes, 0);
 
     std::uint64_t refs = 0;
     std::uint32_t disks_serving = 0;

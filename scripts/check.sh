@@ -4,8 +4,8 @@
 # then the threaded suites under ThreadSanitizer (RHODOS_SANITIZE=thread):
 # the transaction matrix (lock manager, group commit, txn service), lease
 # coherence and the cache tier. The plain leg also builds the src/
-# libraries warning-free (-Werror), and checks the disk-efficiency
-# baselines and the end-to-end benchmark's determinism.
+# libraries and the examples warning-free (-Werror), and checks the
+# disk-efficiency baselines and the end-to-end benchmark's determinism.
 #
 # Usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan]
 set -euo pipefail
@@ -43,11 +43,11 @@ if [[ "$mode" == "all" || "$mode" == "--plain-only" ]]; then
   echo "== plain build =="
   run_suite build
 
-  echo "== src/ builds warning-free =="
-  # rhodos_core links every src/ library; tests, examples and perfbench/
-  # are not held to -Werror.
+  echo "== src/ and examples/ build warning-free =="
+  # rhodos_core links every src/ library and rhodos_examples builds every
+  # example; tests and perfbench/ are not held to -Werror.
   cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
-  cmake --build build-werror -j "$jobs" --target rhodos_core
+  cmake --build build-werror -j "$jobs" --target rhodos_core rhodos_examples
 
   echo "== observability: trace dump smoke test =="
   ./build/examples/trace_dump > /dev/null

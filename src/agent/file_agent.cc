@@ -483,8 +483,9 @@ Status FileAgent::Close(ObjectDescriptor od) {
     return st;
   }
   // A kBadDescriptor reply means the serving shard lost its open-file state
-  // (fence or failover rerouted us to a shard that never saw the open). The
-  // flush above already landed the data; the descriptor is gone either way.
+  // (a fence purged it, or failover rerouted us to a shard that never saw
+  // the open); the descriptor is gone either way. A fence flushed the data
+  // first; a server crash lost it, yet this close still reports success.
   handles_.erase(od);
   return OkStatus();
 }

@@ -22,19 +22,12 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
       file_shards, config_.sharding.virtual_nodes);
   // Every shard serves from the SAME disk registry: ownership is a routing
   // convention, so a failover target can load any file's index table from
-  // the shared substrate. Sharded services are forced write-through — the
-  // epoch fence purges volatile state, and a fence must never be able to
-  // lose acknowledged (delayed-write) data. Version tokens are salted with
-  // the shard id so two shards can never mint aliasing tokens for one file.
+  // the shared substrate. Every shard runs the configured write policy; the
+  // epoch fence flushes before it purges. A shard's id salts its version
+  // tokens and picks its snapshot journal slot.
   for (std::uint32_t s = 0; s < file_shards; ++s) {
     file::FileServiceConfig fc = config_.file;
-    if (file_shards > 1) {
-      fc.version_base = static_cast<std::uint64_t>(s) << 56;
-      fc.basic_write_policy = disk::WritePolicy::kWriteThrough;
-    }
-    // Each shard journals its snapshot/COW intentions in its own stable
-    // region slot at the tail of disk 0 (slots never overlap).
-    fc.snapshot_region_slot = s;
+    fc.shard = s;
     file_shards_.push_back(
         std::make_unique<file::FileService>(&disks_, &clock_, fc));
   }
@@ -72,25 +65,20 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
     return bus_.Probe(address, "failure-detector").ok();
   });
   recovery_->SetDiskDetector(detector_.get());
-  if (file_shards > 1) {
-    // Failover is live only when there is somewhere to fail over TO. A
-    // single-shard facility keeps the seed behavior exactly: no fencing
-    // (its service may run delayed writes) and no rerouting.
-    recovery_->SetShardRouter(router_.get());
-    router_->SetFenceHook([this](std::uint32_t s) {
-      // Epoch fence: purge the shard's volatile state (caches, open files)
-      // and bump its version tokens. Write-through keeps every acknowledged
-      // write and hard table change; only soft counters (access counts,
-      // read times) gathered since a file's last table store are dropped.
-      // The token bump forces every client to revalidate blocks it cached
-      // from whichever shard served the file before the route change.
-      // Callback promises are dropped WITHOUT grace first: the epoch bump
-      // revokes the agents' trust in them synchronously, so — unlike a real
-      // crash — no writer needs to wait out the lost leases.
-      if (s < file_servers_.size()) file_servers_[s]->DropCallbacksFenced();
-      file_shards_[s]->Crash();
-    });
-  }
+  // One shard is just N=1: its outage fences and heals like any shard's.
+  recovery_->SetShardRouter(router_.get());
+  router_->SetFenceHook([this](std::uint32_t s) {
+    // Epoch fence: flush (best effort per file; what cannot be written is
+    // lost as in a server crash), then purge the shard's volatile state and
+    // bump its version tokens, so every client revalidates blocks it cached
+    // from whichever shard served the file before the route change.
+    // Callback promises are dropped WITHOUT grace: the epoch bump revokes
+    // the agents' trust in them synchronously, so — unlike a real crash —
+    // no writer needs to wait out the lost leases.
+    (void)file_shards_[s]->FlushAll();
+    if (s < file_servers_.size()) file_servers_[s]->DropCallbacksFenced();
+    file_shards_[s]->Crash();
+  });
   // The cache tier rides on callback promises: without them no peer can
   // vouch for its blocks, so the router must not redirect.
   agent::CacheTierConfig ct = config_.cache_tier;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <unordered_set>
 #include <utility>
 
 #include "sim/parallel.h"
@@ -20,8 +21,7 @@ FileService::FileService(disk::DiskRegistry* disks, SimClock* clock,
     : disks_(disks),
       clock_(clock),
       config_(config),
-      snap_journal_(disks, config.snapshot_region_fragments,
-                    config.snapshot_region_slot),
+      snap_journal_(disks, config.snapshot_region_fragments, config.shard),
       block_pool_(kBlockSize,
                   std::max<std::size_t>(config.block_pool_capacity, 1)) {}
 
@@ -767,47 +767,37 @@ Status FileService::SetLockLevel(FileId id, LockLevel level) {
 }
 
 Status FileService::WritebackDirty(const FileId* only) {
-  std::vector<CacheKey> keys;
-  for (const auto& [key, entry] : cache_) {
-    if (entry.dirty && (only == nullptr || key.file == *only)) {
-      keys.push_back(key);
-    }
-  }
-  if (keys.empty()) return OkStatus();
-
   // Locate every dirty block and let each disk's elevator sweep its share
   // in one vectored request; independent disks overlap. This is what turns
   // N delayed-write completions into a handful of disk references instead
-  // of N.
+  // of N. A failed disk keeps its blocks dirty; the other disks' land.
   std::vector<PendingPut> puts;
-  std::vector<CacheEntry*> flushed;
-  puts.reserve(keys.size());
-  flushed.reserve(keys.size());
-  for (const CacheKey& key : keys) {
-    auto it = cache_.find(key);
+  for (auto& [key, entry] : cache_) {
+    if (!entry.dirty || (only != nullptr && key.file != *only)) continue;
     RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(key.file));
     RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(key.block));
     RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
-    puts.push_back(
-        PendingPut{server, loc.first_fragment, it->second.buffer.span()});
-    flushed.push_back(&it->second);
+    puts.push_back(PendingPut{server, loc.first_fragment, entry.buffer.span(),
+                              &entry.dirty});
   }
-  RHODOS_RETURN_IF_ERROR(PutPerDisk(std::move(puts)));
-  for (CacheEntry* entry : flushed) entry->dirty = false;
-  return OkStatus();
+  return PutPerDisk(std::move(puts));
 }
 
 Status FileService::PutPerDisk(std::vector<PendingPut> puts) {
-  if (puts.empty()) return OkStatus();
-  sim::PerDeviceFanOut<DiskServer*, disk::WriteRun> per_disk;
-  for (const PendingPut& p : puts) {
-    per_disk.Add(p.server,
-                 disk::WriteRun{p.frag, kFragmentsPerBlock, p.data});
-  }
-  return per_disk.Run(
-      clock_, [](DiskServer* server, std::vector<disk::WriteRun>& runs) {
-        return server->PutBlocksVec(runs);
-      });
+  sim::PerDeviceFanOut<DiskServer*, PendingPut> per_disk;
+  for (const PendingPut& p : puts) per_disk.Add(p.server, p);
+  return per_disk.Run(clock_, [](DiskServer* server,
+                                 std::vector<PendingPut>& group) -> Status {
+    std::vector<disk::WriteRun> runs;
+    for (const PendingPut& p : group) {
+      runs.push_back(disk::WriteRun{p.frag, kFragmentsPerBlock, p.data});
+    }
+    RHODOS_RETURN_IF_ERROR(server->PutBlocksVec(runs));
+    for (const PendingPut& p : group) {
+      if (p.dirty != nullptr) *p.dirty = false;
+    }
+    return OkStatus();
+  });
 }
 
 Status FileService::Sync(FileId id) {
@@ -827,21 +817,32 @@ Status FileService::Flush(FileId id) {
 }
 
 Status FileService::FlushAll() {
-  RHODOS_RETURN_IF_ERROR(WritebackDirty(nullptr));
+  // Best effort per file, so a failed disk costs only the files that need
+  // it. A file's table is stored only once its own data landed: a stored
+  // table must never map blocks that do not hold its bytes yet. Whatever
+  // cannot be written stays in memory, and the first error is returned.
+  Status failed = WritebackDirty(nullptr);
+  const auto keep = [&failed](Status st) {
+    if (failed.ok() && !st.ok()) failed = std::move(st);
+  };
+  std::unordered_set<FileId> unlanded;
+  for (const auto& [key, entry] : cache_) {
+    if (entry.dirty) unlanded.insert(key.file);
+  }
   for (auto& [id, of] : open_files_) {
-    if (of.table_dirty || of.attrs_dirty) {
-      RHODOS_RETURN_IF_ERROR(StoreTable(id, of));
+    if ((of.table_dirty || of.attrs_dirty) && !unlanded.contains(id)) {
+      keep(StoreTable(id, of));
     }
   }
-  // Each StoreParked consumes its entry (LoadTable folds it in) or fails.
-  while (!parked_attrs_.empty()) {
-    RHODOS_RETURN_IF_ERROR(StoreParked(parked_attrs_.begin()->first));
-  }
+  // StoreParked consumes its entry, so walk a copy of the keys.
+  std::vector<FileId> parked;
+  for (const auto& [id, attrs] : parked_attrs_) parked.push_back(id);
+  for (const FileId id : parked) keep(StoreParked(id));
   for (const auto& d : disks_->disks()) {
-    RHODOS_RETURN_IF_ERROR(d->FlushAll());
-    RHODOS_RETURN_IF_ERROR(d->PersistMetadata());
+    keep(d->FlushAll());
+    keep(d->PersistMetadata());
   }
-  return OkStatus();
+  return failed;
 }
 
 // --- block-level interface ----------------------------------------------------
@@ -1408,13 +1409,13 @@ void FileService::Crash() {
 
 std::uint64_t FileService::Version(FileId id) const {
   auto it = versions_.find(id);
-  return it == versions_.end() ? config_.version_base + 1 : it->second;
+  return it == versions_.end() ? TokenSalt() + 1 : it->second;
 }
 
 void FileService::BumpVersion(FileId id) {
   // First mutation moves the file from the implicit version 1 to 2
   // (relative to this service's salt).
-  auto [it, inserted] = versions_.emplace(id, config_.version_base + 2);
+  auto [it, inserted] = versions_.emplace(id, TokenSalt() + 2);
   if (!inserted) ++it->second;
   // Break-before-reply: BumpVersion runs inside the mutating operation, so
   // the listener's callback breaks land before the mutation's reply.

@@ -65,19 +65,16 @@ struct FileServiceConfig {
   // streak. 0 blocks disables read-ahead.
   std::uint32_t readahead_trigger = 2;
   std::uint32_t readahead_blocks = 16;
-  // Added to every version token this service hands out. The sharded
-  // facility salts each shard's tokens (shard id in the top byte) so tokens
-  // minted by different shards can never alias: after a failover reroutes a
-  // file, the first reply from the new shard is guaranteed to look like a
-  // foreign write to the client agent, which drops its clean cached blocks.
-  std::uint64_t version_base = 0;
+  // This service's shard index. It salts every version token (shard id in
+  // the top byte) so tokens minted by different shards never alias: after a
+  // failover the new shard's first reply looks like a foreign write to the
+  // client agent, which drops its clean cached blocks. It also picks the
+  // service's snapshot journal slot, so shards never collide on disk 0.
+  std::uint32_t shard = 0;
   // Snapshot journal region reserved at the tail of disk 0 (checkpoints +
-  // op log for share-count durability), and which tail slot this service
-  // owns — the sharded facility gives each shard its own slot so shards
-  // sharing the substrate never collide. The region is only claimed on
-  // first snapshot/clone use.
+  // op log for share-count durability); each shard owns one slot of this
+  // size. The region is only claimed on first snapshot/clone use.
   std::uint64_t snapshot_region_fragments = 256;
-  std::uint32_t snapshot_region_slot = 0;
 };
 
 struct FileServiceStats {
@@ -205,6 +202,9 @@ class FileService {
   // Sync plus the soft attributes: also stores the table when only access
   // counts or read times changed, parked ones of a closed file included.
   Status Flush(FileId id);
+  // Flush of every file, best effort per file: what cannot be written stays
+  // in memory (a table waits for its own data) and the first error is
+  // returned. The facility's epoch fence runs it before purging a shard.
   Status FlushAll();
 
   // --- Block-level interface for the transaction service -------------------
@@ -411,8 +411,10 @@ class FileService {
     disk::DiskServer* server;
     FragmentIndex frag;
     std::span<const std::uint8_t> data;
+    bool* dirty = nullptr;  // cleared once the block's disk took it
   };
-  // Writes blocks as one submission per disk, disks overlapping.
+  // Writes blocks as one submission per disk, disks overlapping. Every
+  // disk is tried; the first failure is returned.
   Status PutPerDisk(std::vector<PendingPut> puts);
 
   // Reads logical blocks [first, first+count) into out, coalescing
@@ -429,6 +431,9 @@ class FileService {
   disk::WritePolicy PolicyFor(const OpenFile& of) const;
 
   void BumpVersion(FileId id);
+  std::uint64_t TokenSalt() const {
+    return std::uint64_t{config_.shard} << 56;
+  }
 
   disk::DiskRegistry* disks_;
   SimClock* clock_;

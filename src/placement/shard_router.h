@@ -11,16 +11,17 @@
 //
 // Epoch fencing: every suspicion and every readmission edge bumps a global
 // routing epoch and fires the fence hook for every shard. The facility's
-// hook purges the shard's volatile state (FileService::Crash()), which
+// hook flushes the shard (FileService::FlushAll(): delayed writes, hard
+// table changes, parked soft attributes) and then purges its volatile
+// state (FileService::Crash()), which
 //  * guarantees a readmitted shard serves nothing from its pre-failure
 //    cache, and
 //  * bumps every per-file version token, so client agents revalidate the
 //    blocks they cached against whichever shard served them before the
 //    routing change.
-// Sharded file services run write-through (the facility forces this), so
-// the purge keeps all acknowledged data and hard metadata (size, runs,
-// type, lock level). It drops only soft counters — access counts and read
-// times gathered since a file's last index-table store.
+// The flush is best effort per file: what it cannot write (a file on a
+// failed disk) is lost exactly as in a server crash. A facility with one
+// shard fences the same way.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +67,8 @@ class ShardRouter {
     return static_cast<std::uint32_t>(addresses_.size());
   }
   // Bus address of shard `i`: shard 0 keeps the historic "file-service"
-  // address (single-shard facilities are wire-identical to the seed),
-  // shards 1.. listen on "file-service-<i>".
+  // address of the paper's one file service, shards 1.. listen on
+  // "file-service-<i>".
   const std::string& AddressOf(std::uint32_t shard) const {
     return addresses_.at(shard);
   }

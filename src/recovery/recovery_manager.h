@@ -95,7 +95,7 @@ class RecoveryManager {
   // is not kHealthy is suspected on the router (agents route around it from
   // the next request on), and a healthy-again shard is readmitted. Both
   // edges fence via the router's epoch machinery. The facility installs
-  // this only when it actually runs more than one shard.
+  // it at every shard count, one included.
   void SetShardRouter(placement::ShardRouter* router) { router_ = router; }
 
   // One control-loop round: poll disks, mark/repair as edges dictate.

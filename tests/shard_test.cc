@@ -1,7 +1,9 @@
 // The sharded metadata plane end to end: agents routing per-FileId across
 // N file-service shards, cross-shard delete through the two-step protocol,
 // a shard outage served by its ring successor and readmitted with epoch
-// fencing, and a full chaos storm that kills metadata shards mid-workload.
+// fencing, a fence that flushes delayed writes before it purges (one shard
+// is just N=1), and a full chaos storm that kills metadata shards
+// mid-workload.
 //
 // Everything rides on the shared-substrate invariant (docs/SHARDING.md):
 // every shard sits on the same disk registry, so failover is a route
@@ -15,6 +17,7 @@
 
 #include "core/chaos_runner.h"
 #include "core/facility.h"
+#include "file/fsck.h"
 
 namespace rhodos::core {
 namespace {
@@ -222,6 +225,152 @@ TEST(ShardTest, MetricsCountTheFailoverStory) {
   EXPECT_EQ(gauge("placement.file_shards"), 4.0);
   EXPECT_EQ(gauge("placement.naming_shards"), 2.0);
   EXPECT_EQ(gauge("placement.epoch"), 2.0);  // suspect + readmit
+}
+
+// Takes shard `s` out and back in through the control loop: two epoch
+// bumps, each fencing every shard.
+void OutageAndHeal(DistributedFileFacility& f, std::uint32_t s) {
+  f.bus().SetServiceDown(f.placement().AddressOf(s));
+  f.recovery().Tick();
+  f.bus().SetServiceUp(f.placement().AddressOf(s));
+  f.recovery().Tick();
+}
+
+std::uint64_t MainDiskWrites(DistributedFileFacility& f) {
+  std::uint64_t n = 0;
+  for (const auto& d : f.disks().disks()) {
+    n += d->main_stats().write_references;
+  }
+  return n;
+}
+
+TEST(ShardFenceTest, ClosedFileSoftAttributesSurviveAFence) {
+  DistributedFileFacility f(ShardedConfig(4, 1));
+  file::FileService& svc = f.files();
+  auto id = svc.Create(file::ServiceType::kBasic, 4 * kBlockSize);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(svc.Open(*id).ok());
+  ASSERT_TRUE(svc.Write(*id, 0, Pattern(3000, 5)).ok());
+  ASSERT_TRUE(svc.Close(*id).ok());  // stores the grown table
+  ASSERT_TRUE(svc.Open(*id).ok());
+  std::vector<std::uint8_t> out(1000);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(svc.Read(*id, 0, out).ok());
+  ASSERT_TRUE(svc.Close(*id).ok());  // parks the soft attributes
+  const auto before = svc.GetAttributes(*id);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->access_count, 4u);
+  ASSERT_GT(before->last_read_time, 0u);
+
+  OutageAndHeal(f, 1);
+  ASSERT_EQ(f.placement().epoch(), 2u);
+
+  const auto after = svc.GetAttributes(*id);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->access_count, before->access_count);
+  EXPECT_EQ(after->last_read_time, before->last_read_time);
+}
+
+TEST(ShardFenceTest, BasicWritesAreDelayedUntilCloseAtEveryShardCount) {
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    DistributedFileFacility f(ShardedConfig(shards, 1));
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      file::FileService& svc = f.files(s);
+      auto id = svc.Create(file::ServiceType::kBasic, 2 * kBlockSize);
+      ASSERT_TRUE(id.ok());
+      ASSERT_TRUE(svc.Open(*id).ok());
+      const std::uint64_t writes = MainDiskWrites(f);
+      ASSERT_TRUE(svc.Write(*id, 0, Pattern(kBlockSize + 100, 7)).ok());
+      EXPECT_EQ(MainDiskWrites(f), writes) << "shard " << s;
+      ASSERT_TRUE(svc.Close(*id).ok());
+      EXPECT_GT(MainDiskWrites(f), writes) << "shard " << s;
+    }
+  }
+}
+
+TEST(ShardFenceTest, OneShardFailsOverAndHealsLikeAnyShard) {
+  DistributedFileFacility f(ShardedConfig(1, 1));
+  auto& writer = f.AddMachine();
+  auto od = writer.file_agent->Create(naming::ByName("solo"),
+                                      file::ServiceType::kBasic);
+  ASSERT_TRUE(od.ok());
+  ASSERT_TRUE(writer.file_agent->Pwrite(*od, 0, Pattern(5000, 3)).ok());
+  // The bytes now sit in the service's block cache as delayed writes; the
+  // fences below must flush them before purging.
+  ASSERT_TRUE(writer.file_agent->Flush(*od).ok());
+
+  OutageAndHeal(f, 0);
+  ASSERT_TRUE(writer.file_agent->Close(*od).ok());
+
+  const auto snap = f.StatsSnapshot();
+  const auto value = [&snap](const std::string& name) -> double {
+    for (const auto& [n, v] : snap.counters) {
+      if (n == name) return static_cast<double>(v);
+    }
+    for (const auto& [n, v] : snap.gauges) {
+      if (n == name) return v;
+    }
+    ADD_FAILURE() << "metric not in snapshot: " << name;
+    return -1;
+  };
+  EXPECT_EQ(value("file.shard_failovers"), 1.0);
+  EXPECT_EQ(value("file.shard_readmissions"), 1.0);
+  EXPECT_EQ(value("placement.epoch"), 2.0);
+
+  auto& reader = f.AddMachine();
+  auto rod = reader.file_agent->Open(naming::ByName("solo"));
+  ASSERT_TRUE(rod.ok()) << rod.error().message;
+  std::vector<std::uint8_t> out(5000);
+  ASSERT_TRUE(reader.file_agent->Pread(*rod, 0, out).ok());
+  EXPECT_EQ(out, Pattern(5000, 3));
+  ASSERT_TRUE(reader.file_agent->Close(*rod).ok());
+}
+
+TEST(ShardFenceTest, FenceFlushSurvivesAFailedDiskPerFile) {
+  FacilityConfig cfg = ShardedConfig(1, 1);
+  cfg.disk_count = 2;
+  DistributedFileFacility f(cfg);
+  file::FileService& svc = f.files();
+  // One file per disk; the size hint keeps each file's data on its table's
+  // disk.
+  FileId on_disk[2];
+  bool found[2] = {false, false};
+  for (int i = 0; i < 8 && !(found[0] && found[1]); ++i) {
+    auto id = svc.Create(file::ServiceType::kBasic, 2 * kBlockSize);
+    ASSERT_TRUE(id.ok());
+    const std::uint32_t d = file::FileDisk(*id).value;
+    if (!found[d]) {
+      on_disk[d] = *id;
+      found[d] = true;
+    }
+  }
+  ASSERT_TRUE(found[0] && found[1]);
+  for (std::uint32_t d = 0; d < 2; ++d) {
+    ASSERT_TRUE(svc.Open(on_disk[d]).ok());
+    ASSERT_TRUE(svc.Write(on_disk[d], 0,
+                          Pattern(kBlockSize + 500,
+                                  static_cast<std::uint8_t>(d + 1)))
+                    .ok());
+  }
+
+  // Disk 1 dies with a delayed write pending; the fence's flush cannot
+  // land that file, but must still land the disk-0 file and its table.
+  ASSERT_TRUE(f.CrashDisk(DiskId{1}).ok());
+  OutageAndHeal(f, 0);
+
+  std::vector<std::uint8_t> out(kBlockSize + 500);
+  auto n = svc.Read(on_disk[0], 0, out);
+  ASSERT_TRUE(n.ok()) << n.error().message;
+  EXPECT_EQ(*n, out.size());
+  EXPECT_EQ(out, Pattern(kBlockSize + 500, 1));
+
+  ASSERT_TRUE(f.RecoverDisk(DiskId{1}).ok());
+  const std::vector<FileId> ids = {on_disk[0], on_disk[1]};
+  const auto report = file::AuditFiles(svc, ids);
+  EXPECT_TRUE(report.clean()) << report.issues.size() << " issues, first: "
+                              << (report.issues.empty()
+                                      ? std::string()
+                                      : report.issues.front().detail);
 }
 
 TEST(ShardTest, ChaosStormWithShardKillsConvergesClean) {
