@@ -8,7 +8,9 @@
 // write straight from the facility's metrics registry (`bus.calls` in
 // `Facility::StatsSnapshot()`), not from ad-hoc bus counters — the same
 // numbers an operator would read out of DumpStats().
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -175,6 +177,37 @@ BENCHMARK(BM_MessagesPerRead)
     ->Arg(0)  // cold: agent cache dropped first
     ->Arg(1)  // warm: served from the agent cache
     ->Iterations(16);
+
+// Cold four-block positional read: the agent cache is dropped, so every
+// block misses, and the missing blocks form one contiguous run that
+// travels in ONE exchange (§4: one reference per contiguous span). This
+// row is a GATE: a cold run that costs more than one exchange fails the
+// bench, as does a read that returns the wrong bytes.
+void BM_MessagesPerColdRunRead(benchmark::State& state) {
+  Client c(/*delayed_write=*/true);
+  const auto expected = Pattern(4 * kBlock);
+  std::vector<std::uint8_t> out(4 * kBlock);
+  std::uint64_t ops = 0, calls = 0, worst = 0;
+  for (auto _ : state) {
+    c.machine->file_agent->Crash();  // drop the agent cache
+    auto od = *c.machine->file_agent->Open(naming::ByName("target"));
+    c.facility.ResetStats();
+    auto n = c.machine->file_agent->Pread(od, 0, out);
+    const std::uint64_t exchanges = BusCalls(c.facility);
+    if (!n.ok() || *n != out.size() || out != expected) {
+      state.SkipWithError("cold run read failed or returned wrong bytes");
+    }
+    worst = std::max(worst, exchanges);
+    calls += exchanges;
+    ++ops;
+  }
+  if (worst > 1) {
+    state.SkipWithError("a cold four-block read cost more than one exchange");
+  }
+  state.counters["msgs_per_cold_run_read"] =
+      static_cast<double>(calls) / static_cast<double>(ops);
+}
+BENCHMARK(BM_MessagesPerColdRunRead)->Iterations(16);
 
 // One-block positional write under both agent policies: delayed write
 // buffers locally (0 messages until close), write-through pays per write.

@@ -130,9 +130,9 @@ sim::Payload FileAgent::HandlePeerRead(std::span<const std::uint8_t> request) {
   // Copy the range out of clean cached blocks under the cache mutex (the
   // flush path shares these structures); encode the reply outside it. Every
   // byte must come from a clean block — a dirty block holds OUR un-flushed
-  // writes, which the expected token does not cover.
+  // writes, which the expected token does not cover. The reply grows with
+  // what is copied: the requested length is the reader's claim, not ours.
   std::vector<std::uint8_t> data;
-  data.reserve(req->length);
   bool miss = false;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -200,9 +200,9 @@ Result<std::uint64_t> FileAgent::FetchFromPeers(
     obs::Observe(Obs(), "agent.peer_serve_latency_ns",
                  bus_->clock()->Now() - t0);
     ++stats_.peer_fetches;
-    std::memcpy(out.data(), data.data(),
-                std::min<std::size_t>(data.size(), out.size()));
-    return static_cast<std::uint64_t>(data.size());
+    const std::size_t n = std::min(data.size(), out.size());
+    std::memcpy(out.data(), data.data(), n);
+    return static_cast<std::uint64_t>(n);
   }
   return Error{ErrorCode::kUnavailable, "no candidate peer served the read"};
 }
@@ -775,9 +775,9 @@ Result<std::uint64_t> FileAgent::ServerPread(FileId file,
       if (!in.ok()) return Error{ErrorCode::kInternal, "bad pread reply"};
       NoteVersion(file, version);
       AdoptGrant(file, expiry, nullptr);
-      std::memcpy(out.data(), data.data(),
-                  std::min<std::size_t>(data.size(), out.size()));
-      return static_cast<std::uint64_t>(data.size());
+      const std::size_t n = std::min(data.size(), out.size());
+      std::memcpy(out.data(), data.data(), n);
+      return static_cast<std::uint64_t>(n);
     }
     if (kind != kPreadReplyRedirect || no_redirect) {
       return Error{ErrorCode::kInternal, "bad pread reply kind"};
@@ -865,19 +865,44 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
       done += n;
       continue;
     }
-    ++stats_.cache_misses;
-    // Fetch the whole enclosing block so nearby reads hit locally.
-    std::vector<std::uint8_t> blockbuf(kBlockSize, 0);
-    RHODOS_ASSIGN_OR_RETURN(
-        std::uint64_t got,
-        ServerPread(h.file, block * kBlockSize, blockbuf));
-    RHODOS_RETURN_IF_ERROR(
-        InsertBlock(h.file, block, blockbuf, got, /*dirty=*/false));
+    // Miss: fetch the whole enclosing block, extended into a run over the
+    // request's following blocks the cache holds no entry for, in ONE
+    // exchange (paper §4: one reference per contiguous span). The run stops
+    // at the first block with any entry — a dirty one holds our own
+    // unflushed bytes, which the fetched image must never overwrite.
+    const std::uint64_t last_block = (offset + len - 1) / kBlockSize;
+    std::uint64_t run_end = block + 1;
+    while (run_end <= last_block &&
+           !cache_.contains(CacheKey{h.file, run_end})) {
+      ++run_end;
+    }
+    const std::uint64_t run_blocks = run_end - block;
+    stats_.cache_misses += run_blocks;  // blocks, not exchanges
+    std::vector<std::uint8_t> runbuf(run_blocks * kBlockSize, 0);
+    RHODOS_ASSIGN_OR_RETURN(std::uint64_t got,
+                            ServerPread(h.file, block * kBlockSize, runbuf));
+    // Cache every block the reply reached, each with its own valid bytes;
+    // the first is cached even when empty, as a read at EOF always was.
+    const std::uint64_t filled =
+        std::max<std::uint64_t>(1, (got + kBlockSize - 1) / kBlockSize);
+    for (std::uint64_t i = 0; i < filled; ++i) {
+      const std::uint64_t valid =
+          i * kBlockSize < got
+              ? std::min<std::uint64_t>(kBlockSize, got - i * kBlockSize)
+              : 0;
+      RHODOS_RETURN_IF_ERROR(InsertBlock(
+          h.file, block + i,
+          std::span<const std::uint8_t>(runbuf).subspan(i * kBlockSize,
+                                                        kBlockSize),
+          valid, /*dirty=*/false));
+    }
+    const std::uint64_t want =
+        std::min(len - done, run_blocks * kBlockSize - in_block);
     const std::uint64_t usable = got > in_block ? got - in_block : 0;
-    const std::uint64_t take = std::min(n, usable);
-    std::memcpy(out.data() + done, blockbuf.data() + in_block, take);
+    const std::uint64_t take = std::min(want, usable);
+    std::memcpy(out.data() + done, runbuf.data() + in_block, take);
     done += take;
-    if (take < n) break;  // short read from the server: stop at its EOF
+    if (take < want) break;  // short read from the server: stop at its EOF
   }
   return done;
 }

@@ -426,9 +426,12 @@ sim::Payload FileServiceServer::HandlePread(
   auto req = PreadRequest::Decode(body);
   if (!req.ok()) return ErrorReply(req.error());
   const bool hot = NoteReadLoad(req->file);
+  // The decoder refused a wrapping offset + length; round up without
+  // adding to the end, which may sit within a block of 2^64.
+  const std::uint64_t end = req->offset + req->length;
   const std::uint64_t first_block = req->offset / kBlockSize;
   const std::uint64_t end_block =
-      (req->offset + req->length + kBlockSize - 1) / kBlockSize;
+      end / kBlockSize + (end % kBlockSize != 0 ? 1 : 0);
   if (ct_config_.enabled && hot && !req->no_redirect && !req->cb.empty()) {
     // Cache-tier read routing: the file is hot, so point the reader at
     // callback-holding peers instead of the spindles. The reply carries the
@@ -454,7 +457,13 @@ sim::Payload FileServiceServer::HandlePread(
       return std::move(out).Take();
     }
   }
-  std::vector<std::uint8_t> buf(req->length);
+  // Size the reply by what the file holds past the offset, never by the
+  // requested length alone: the length is the caller's claim.
+  auto attrs = service_->GetAttributes(req->file);
+  if (!attrs.ok()) return ErrorReply(attrs.error());
+  const std::uint64_t avail =
+      req->offset < attrs->size ? attrs->size - req->offset : 0;
+  std::vector<std::uint8_t> buf(std::min(req->length, avail));
   auto n = service_->Read(req->file, req->offset, buf);
   Serializer out;
   if (!n.ok()) {

@@ -1,6 +1,16 @@
 #include "agent/fs_protocol.h"
 
+#include <limits>
+
 namespace rhodos::agent {
+
+namespace {
+// A byte range whose end does not wrap: a reply can never be sized, nor a
+// block range computed, from an offset + length past 2^64.
+bool RangeFits(std::uint64_t offset, std::uint64_t length) {
+  return length <= std::numeric_limits<std::uint64_t>::max() - offset;
+}
+}  // namespace
 
 void EncodeStatus(Serializer& out, const Status& status) {
   if (status.ok()) {
@@ -112,7 +122,9 @@ Result<PreadRequest> PreadRequest::Decode(
   r.length = in.U64();
   r.cb = in.String();
   r.no_redirect = in.U8() != 0;
-  if (!in.ok()) return Error{ErrorCode::kInvalidArgument, "bad pread req"};
+  if (!in.ok() || !RangeFits(r.offset, r.length)) {
+    return Error{ErrorCode::kInvalidArgument, "bad pread req"};
+  }
   return r;
 }
 
@@ -133,7 +145,9 @@ Result<PeerReadRequest> PeerReadRequest::Decode(
   r.offset = in.U64();
   r.length = in.U64();
   r.expected_version = in.U64();
-  if (!in.ok()) return Error{ErrorCode::kInvalidArgument, "bad peer read"};
+  if (!in.ok() || !RangeFits(r.offset, r.length)) {
+    return Error{ErrorCode::kInvalidArgument, "bad peer read"};
+  }
   return r;
 }
 

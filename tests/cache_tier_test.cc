@@ -167,6 +167,97 @@ TEST(CacheTierTest, CrashedPeersForceFallbackToOrigin) {
   EXPECT_GE(rejects, 1u) << "a crashed peer must refuse, not serve";
 }
 
+// --- a multi-block run is redirected whole ---------------------------------
+
+// Four blocks of distinct bytes, written and flushed by `w`.
+std::vector<std::uint8_t> WriteFourBlocks(Machine& w, const char* name) {
+  std::vector<std::uint8_t> bytes;
+  for (std::uint8_t b = 0; b < 4; ++b) {
+    const auto block = Pattern(kBlockSize, static_cast<std::uint8_t>(b + 11));
+    bytes.insert(bytes.end(), block.begin(), block.end());
+  }
+  auto wd = *w.file_agent->Create(naming::ByName(name),
+                                  file::ServiceType::kBasic);
+  EXPECT_TRUE(w.file_agent->Pwrite(wd, 0, bytes).ok());
+  EXPECT_TRUE(w.file_agent->Close(wd).ok());
+  return bytes;
+}
+
+TEST(CacheTierTest, RedirectedRunIsServedByAPeerHoldingAllOfIt) {
+  FacilityConfig cfg = TierFacility();
+  cfg.cache_tier.hot_read_threshold = 2;
+  DistributedFileFacility f(cfg);
+  const auto bytes = WriteFourBlocks(f.AddMachine(), "run");
+
+  // The first reader's one-exchange run makes it a holder of [0, 4).
+  Machine& p = f.AddMachine();
+  auto pd = *p.file_agent->Open(naming::ByName("run"));
+  std::vector<std::uint8_t> out(4 * kBlockSize);
+  ASSERT_EQ(*p.file_agent->Pread(pd, 0, out), out.size());
+  ASSERT_EQ(out, bytes);
+
+  // The file is now hot: the second reader's run is redirected to the
+  // holder and served by it whole — one origin and one peer exchange.
+  Machine& r = f.AddMachine();
+  auto rd = *r.file_agent->Open(naming::ByName("run"));
+  std::fill(out.begin(), out.end(), 0);
+  const std::uint64_t calls_before = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(rd, 0, out), out.size());
+  EXPECT_EQ(BusCalls(f) - calls_before, 2u);
+  EXPECT_EQ(out, bytes);
+  EXPECT_EQ(f.file_server().stats().redirects_issued, 1u);
+  EXPECT_EQ(r.file_agent->stats().peer_fetches, 1u);
+  EXPECT_EQ(r.file_agent->stats().peer_fallbacks, 0u);
+  EXPECT_EQ(p.file_agent->stats().peer_serves, 1u);
+
+  // The peer-served run is cached block by block.
+  const std::uint64_t calls_warm = BusCalls(f);
+  std::vector<std::uint8_t> last(kBlockSize);
+  ASSERT_EQ(*r.file_agent->Pread(rd, 3 * kBlockSize, last), last.size());
+  EXPECT_EQ(BusCalls(f), calls_warm);
+  EXPECT_EQ(last, std::vector<std::uint8_t>(bytes.begin() + 3 * kBlockSize,
+                                            bytes.end()));
+}
+
+TEST(CacheTierTest, PeerHoldingPartOfTheRunRefusesAndTheOriginServes) {
+  FacilityConfig cfg = TierFacility();
+  cfg.cache_tier.hot_read_threshold = 2;
+  cfg.agent.cache_blocks = 4;
+  DistributedFileFacility f(cfg);
+  Machine& w = f.AddMachine();
+  const auto bytes = WriteFourBlocks(w, "partial");
+  auto od = *w.file_agent->Create(naming::ByName("other"),
+                                  file::ServiceType::kBasic);
+  ASSERT_TRUE(w.file_agent->Pwrite(od, 0, Pattern(kBlockSize, 3)).ok());
+  ASSERT_TRUE(w.file_agent->Close(od).ok());
+
+  // The holder reads [0, 4), then one block of another file evicts its
+  // least recently used block 0: the origin still believes it holds all
+  // four.
+  Machine& p = f.AddMachine();
+  auto pd = *p.file_agent->Open(naming::ByName("partial"));
+  std::vector<std::uint8_t> out(4 * kBlockSize);
+  ASSERT_EQ(*p.file_agent->Pread(pd, 0, out), out.size());
+  auto po = *p.file_agent->Open(naming::ByName("other"));
+  std::vector<std::uint8_t> one(kBlockSize);
+  ASSERT_TRUE(p.file_agent->Pread(po, 0, one).ok());
+
+  // Redirected to that holder, the reader is refused (block 0 is gone)
+  // and the no-redirect origin pread serves the run: three exchanges.
+  Machine& r = f.AddMachine();
+  auto rd = *r.file_agent->Open(naming::ByName("partial"));
+  std::fill(out.begin(), out.end(), 0);
+  const std::uint64_t calls_before = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(rd, 0, out), out.size());
+  EXPECT_EQ(BusCalls(f) - calls_before, 3u);
+  EXPECT_EQ(out, bytes);
+  EXPECT_EQ(f.file_server().stats().redirects_issued, 1u);
+  EXPECT_EQ(p.file_agent->stats().peer_serves, 0u);
+  EXPECT_EQ(p.file_agent->stats().peer_serve_rejects, 1u);
+  EXPECT_EQ(r.file_agent->stats().peer_fetches, 0u);
+  EXPECT_EQ(r.file_agent->stats().peer_fallbacks, 1u);
+}
+
 // --- load shedding -----------------------------------------------------------
 
 TEST(CacheTierTest, PeerOverServeBudgetRepliesBusyUntilTheWindowRolls) {

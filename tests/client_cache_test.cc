@@ -411,5 +411,162 @@ TEST(ClientCacheTest, AgentCrashMidWritebackLeavesServerConsistent) {
   ASSERT_TRUE(m.file_agent->Close(*re).ok());
 }
 
+// --- cold reads fetch each missing run in one exchange ------------------------
+
+// Writes `blocks` blocks of distinct bytes (plus `tail` bytes) through one
+// machine and closes, so every byte is on the server and no other agent
+// caches the file.
+std::vector<std::uint8_t> WriteShared(Machine& m, const char* name,
+                                      std::uint64_t blocks,
+                                      std::uint64_t tail = 0) {
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    const auto block = Pattern(kBlockSize, static_cast<std::uint8_t>(b + 1));
+    bytes.insert(bytes.end(), block.begin(), block.end());
+  }
+  const auto rest = Pattern(tail, 99);
+  bytes.insert(bytes.end(), rest.begin(), rest.end());
+  auto od = *m.file_agent->Create(naming::ByName(name),
+                                  file::ServiceType::kBasic);
+  EXPECT_TRUE(m.file_agent->Pwrite(od, 0, bytes).ok());
+  EXPECT_TRUE(m.file_agent->Close(od).ok());
+  return bytes;
+}
+
+std::vector<std::uint8_t> Slice(const std::vector<std::uint8_t>& v,
+                                std::uint64_t offset, std::uint64_t n) {
+  return {v.begin() + static_cast<std::ptrdiff_t>(offset),
+          v.begin() + static_cast<std::ptrdiff_t>(offset + n)};
+}
+
+TEST(ClientCacheTest, ColdFourBlockPreadIsOneExchange) {
+  DistributedFileFacility f(CacheFacility());
+  const auto bytes = WriteShared(f.AddMachine(), "run", 4);
+  Machine& r = f.AddMachine();
+  auto od = *r.file_agent->Open(naming::ByName("run"));
+
+  std::vector<std::uint8_t> out(4 * kBlockSize);
+  const std::uint64_t calls_before = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(od, 0, out), out.size());
+  EXPECT_EQ(BusCalls(f) - calls_before, 1u)
+      << "four missing blocks form one run and travel in one exchange";
+  EXPECT_EQ(out, bytes);
+  EXPECT_EQ(r.file_agent->stats().cache_misses, 4u)
+      << "misses count blocks, not exchanges";
+
+  // Every block of the run was cached: a misaligned re-read is local.
+  std::vector<std::uint8_t> mid(2 * kBlockSize);
+  const std::uint64_t calls_warm = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(od, kBlockSize + 100, mid), mid.size());
+  EXPECT_EQ(BusCalls(f), calls_warm);
+  EXPECT_EQ(mid, Slice(bytes, kBlockSize + 100, mid.size()));
+  ASSERT_TRUE(r.file_agent->Close(od).ok());
+}
+
+TEST(ClientCacheTest, CachedMiddleBlockSplitsTheRunInTwo) {
+  DistributedFileFacility f(CacheFacility());
+  const auto bytes = WriteShared(f.AddMachine(), "split", 4);
+  Machine& r = f.AddMachine();
+  auto od = *r.file_agent->Open(naming::ByName("split"));
+  std::vector<std::uint8_t> one(kBlockSize);
+  ASSERT_TRUE(r.file_agent->Pread(od, kBlockSize, one).ok());
+  ASSERT_EQ(one, Slice(bytes, kBlockSize, kBlockSize));
+
+  // Block 1 is cached: block 0 is a run of one, blocks 2-3 a run of two.
+  std::vector<std::uint8_t> out(4 * kBlockSize);
+  const std::uint64_t calls_before = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(od, 0, out), out.size());
+  EXPECT_EQ(BusCalls(f) - calls_before, 2u);
+  EXPECT_EQ(out, bytes);
+  EXPECT_EQ(r.file_agent->stats().cache_hits, 1u);
+  EXPECT_EQ(r.file_agent->stats().cache_misses, 4u);
+  ASSERT_TRUE(r.file_agent->Close(od).ok());
+}
+
+TEST(ClientCacheTest, RunPastEofReturnsTheShortCountAndCachesTheTail) {
+  DistributedFileFacility f(CacheFacility());
+  const auto bytes = WriteShared(f.AddMachine(), "tail", 2, 100);
+  Machine& r = f.AddMachine();
+  auto od = *r.file_agent->Open(naming::ByName("tail"));
+
+  std::vector<std::uint8_t> out(4 * kBlockSize, 0xEE);
+  const std::uint64_t calls_before = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(od, 0, out), bytes.size());
+  EXPECT_EQ(BusCalls(f) - calls_before, 1u);
+  EXPECT_EQ(Slice(out, 0, bytes.size()), bytes);
+
+  // The tail block is cached with exactly its 100 valid bytes: reading
+  // them is local, and the read still ends at EOF.
+  std::vector<std::uint8_t> tail(kBlockSize);
+  const std::uint64_t calls_warm = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(od, 2 * kBlockSize, tail), 100u);
+  EXPECT_EQ(BusCalls(f), calls_warm);
+  EXPECT_EQ(Slice(tail, 0, 100), Slice(bytes, 2 * kBlockSize, 100));
+  ASSERT_TRUE(r.file_agent->Close(od).ok());
+
+  // The server's EOF can also fall inside a run the agent asked for in
+  // full: the file shrinks under an open descriptor whose size is stale.
+  Machine& s = f.AddMachine();
+  auto sd = *s.file_agent->Open(naming::ByName("tail"));
+  const FileId id = *s.file_agent->FileOf(sd);
+  ASSERT_TRUE(f.files().Resize(id, kBlockSize + 10).ok());
+  std::vector<std::uint8_t> shrunk(2 * kBlockSize + 100);
+  ASSERT_EQ(*s.file_agent->Pread(sd, 0, shrunk), kBlockSize + 10);
+  EXPECT_EQ(Slice(shrunk, 0, kBlockSize + 10), Slice(bytes, 0, kBlockSize + 10));
+  std::vector<std::uint8_t> last(10);
+  const std::uint64_t calls_cached = BusCalls(f);
+  ASSERT_EQ(*s.file_agent->Pread(sd, kBlockSize, last), 10u);
+  EXPECT_EQ(BusCalls(f), calls_cached) << "the 10-byte tail was cached";
+  EXPECT_EQ(last, Slice(bytes, kBlockSize, 10));
+  ASSERT_TRUE(s.file_agent->Close(sd).ok());
+}
+
+TEST(ClientCacheTest, UncachedAgentStillReadsRunsCorrectly) {
+  DistributedFileFacility f(CacheFacility(/*cache_blocks=*/0));
+  const auto bytes = WriteShared(f.AddMachine(), "nocache", 4, 300);
+  Machine& r = f.AddMachine();
+  auto od = *r.file_agent->Open(naming::ByName("nocache"));
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<std::uint8_t> out(3 * kBlockSize);
+    const std::uint64_t calls_before = BusCalls(f);
+    ASSERT_EQ(*r.file_agent->Pread(od, 100, out), out.size());
+    EXPECT_EQ(BusCalls(f) - calls_before, 1u) << "pass " << pass;
+    EXPECT_EQ(out, Slice(bytes, 100, out.size())) << "pass " << pass;
+  }
+  std::vector<std::uint8_t> past(2 * kBlockSize);
+  ASSERT_EQ(*r.file_agent->Pread(od, 3 * kBlockSize, past),
+            kBlockSize + 300);
+  EXPECT_EQ(Slice(past, 0, kBlockSize + 300),
+            Slice(bytes, 3 * kBlockSize, kBlockSize + 300));
+  ASSERT_TRUE(r.file_agent->Close(od).ok());
+}
+
+TEST(ClientCacheTest, DirtyBlockInsideARunIsServedLocallyAndNeverOverwritten) {
+  DistributedFileFacility f(CacheFacility());
+  auto bytes = WriteShared(f.AddMachine(), "dirty", 4);
+  Machine& r = f.AddMachine();
+  auto od = *r.file_agent->Open(naming::ByName("dirty"));
+  const auto mine = Pattern(kBlockSize, 77);
+  ASSERT_TRUE(r.file_agent->Pwrite(od, 2 * kBlockSize, mine).ok());
+  ASSERT_EQ(r.file_agent->DirtyBlocksIndexed(), 1u);
+  std::copy(mine.begin(), mine.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(2 * kBlockSize));
+
+  // Blocks 0-1 and 3 are fetched as two runs around the dirty block 2.
+  std::vector<std::uint8_t> out(4 * kBlockSize);
+  const std::uint64_t calls_before = BusCalls(f);
+  ASSERT_EQ(*r.file_agent->Pread(od, 0, out), out.size());
+  EXPECT_EQ(BusCalls(f) - calls_before, 2u);
+  EXPECT_EQ(out, bytes) << "the dirty block serves the agent's own bytes";
+  EXPECT_EQ(r.file_agent->DirtyBlocksIndexed(), 1u);
+
+  ASSERT_TRUE(r.file_agent->Close(od).ok());  // close flushes
+  Machine& other = f.AddMachine();
+  auto od2 = *other.file_agent->Open(naming::ByName("dirty"));
+  ASSERT_EQ(*other.file_agent->Pread(od2, 0, out), out.size());
+  EXPECT_EQ(out, bytes) << "the flushed block is the written one";
+  ASSERT_TRUE(other.file_agent->Close(od2).ok());
+}
+
 }  // namespace
 }  // namespace rhodos::agent
