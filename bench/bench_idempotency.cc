@@ -27,7 +27,7 @@ void BM_LossyWorkload(benchmark::State& state) {
     core::FacilityConfig cfg = DefaultFacility();
     cfg.network.drop_rate = rate;
     cfg.network.duplicate_rate = rate;
-    cfg.agent.rpc_attempts = 128;
+    cfg.agent.rpc.max_attempts = 128;
     cfg.agent.delayed_write = false;  // every op crosses the wire
     core::DistributedFileFacility facility(cfg);
     core::Machine& m = facility.AddMachine();

@@ -8,7 +8,10 @@
 // aborting a victim, whose transfer simply retries.
 //
 // The invariant — total money is conserved — holds at the end despite
-// conflicts, aborts and retries.
+// conflicts, aborts and retries. The facility runs 4 file shards: the one
+// transaction service reaches the ledger through the shard that serves it,
+// and the audit reads it back through the same owner. The exit code is the
+// conservation check.
 //
 // Build & run:  ./build/examples/bank_ledger
 #include <atomic>
@@ -46,6 +49,7 @@ int main() {
   core::FacilityConfig config;
   config.disk_count = 1;
   config.geometry.total_fragments = 16 * 1024;
+  config.sharding.file_shards = 4;
   config.txn.lock_timeout.lt = std::chrono::milliseconds(10);
   config.txn.lock_timeout.n = 4;
   core::DistributedFileFacility facility(config);
@@ -129,7 +133,8 @@ int main() {
 
   // Audit: total money must be conserved.
   std::vector<std::uint8_t> final_state(kAccounts * 8);
-  if (auto read = facility.files().Read(ledger, 0, final_state); !read.ok()) {
+  file::FileService& owner = facility.OwnerOf(ledger);
+  if (auto read = owner.Read(ledger, 0, final_state); !read.ok()) {
     std::fprintf(stderr, "audit read failed: %s\n",
                  read.error().ToString().c_str());
     return 1;
@@ -143,6 +148,9 @@ int main() {
     std::printf(" %lld", static_cast<long long>(bal));
   }
   std::printf("\n");
+  std::printf("ledger served by file shard %u of %u\n",
+              facility.placement().Serving(ledger).shard,
+              facility.file_shard_count());
   const std::int64_t expected = kAccounts * kInitialBalance;
   std::printf("transfers committed: %d, aborted+retried: %d\n",
               committed.load(), aborted.load());

@@ -52,6 +52,9 @@ if [[ "$mode" == "all" || "$mode" == "--plain-only" ]]; then
   echo "== observability: trace dump smoke test =="
   ./build/examples/trace_dump > /dev/null
 
+  echo "== transactions at 4 file shards: bank ledger conserves money =="
+  ./build/examples/bank_ledger > /dev/null
+
   echo "== disk-efficiency baselines =="
   # Re-runs the I/O-sensitive benches and fails if disk references or arm
   # travel regressed >10% against the committed bench/baselines/*.json.

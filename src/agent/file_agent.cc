@@ -13,12 +13,6 @@ namespace {
 // (100001..100003) so every descriptor the agent issues is > 100000 and
 // never collides with the fixed stream constants.
 constexpr ObjectDescriptor kFirstAgentDescriptor = 100'010;
-
-sim::RpcRetryConfig RetryOf(const FileAgentConfig& config) {
-  sim::RpcRetryConfig r = config.rpc;
-  r.max_attempts = config.rpc_attempts;
-  return r;
-}
 }  // namespace
 
 FileAgent::FileAgent(MachineId machine, sim::MessageBus* bus,
@@ -32,7 +26,7 @@ FileAgent::FileAgent(MachineId machine, sim::MessageBus* bus,
   // Identify the machine to the bus so FaultPlan partitions can cut a
   // single caller off from the file service.
   rpcs_.push_back(std::make_unique<sim::RpcClient>(
-      bus, std::move(fs_address), RetryOf(config),
+      bus, std::move(fs_address), config.rpc,
       "machine-" + std::to_string(machine.value)));
   RegisterCallbackService();
 }
@@ -49,7 +43,7 @@ FileAgent::FileAgent(MachineId machine, sim::MessageBus* bus,
   const std::string caller = "machine-" + std::to_string(machine.value);
   for (std::uint32_t s = 0; s < router->ShardCount(); ++s) {
     rpcs_.push_back(std::make_unique<sim::RpcClient>(
-        bus, router->AddressOf(s), RetryOf(config), caller));
+        bus, router->AddressOf(s), config.rpc, caller));
   }
   RegisterCallbackService();
 }
@@ -910,6 +904,11 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
 Result<std::uint64_t> FileAgent::CachedWrite(OpenHandle& h,
                                              std::uint64_t offset,
                                              std::span<const std::uint8_t> in) {
+  // Refused before anything is cached: a wrapping write would land its
+  // tail at the start of the file.
+  if (!RangeFits(offset, in.size())) {
+    return Error{ErrorCode::kInvalidArgument, "write range wraps past 2^64"};
+  }
   if (!config_.delayed_write || config_.cache_blocks == 0) {
     RHODOS_ASSIGN_OR_RETURN(std::uint64_t n,
                             ServerPwrite(h.file, offset, in));

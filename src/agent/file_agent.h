@@ -63,8 +63,7 @@ struct FileAgentConfig {
   // warm opens and clean cached reads with ZERO exchanges. With callbacks
   // off the agent falls back to PR 5 validation-on-open semantics.
   bool callbacks = true;
-  int rpc_attempts = 8;           // shorthand; overrides rpc.max_attempts
-  sim::RpcRetryConfig rpc{};      // backoff/deadline policy for server calls
+  sim::RpcRetryConfig rpc{};  // attempts/backoff/deadline for server calls
   // Background write-behind (checked at the top of data operations; the
   // simulation has no threads). When the agent holds at least
   // `writeback_threshold` dirty blocks across all files, everything is

@@ -8,6 +8,12 @@ namespace rhodos::agent {
 
 namespace {
 
+// Recent request tokens whose replies are kept for duplicate replay.
+constexpr std::size_t kTokenCapacity = 1024;
+// Expiry sweep cadence of the callback table (hygiene only: expired
+// holders are also pruned lazily at grant and break time).
+constexpr SimTime kCallbackSweepInterval = 500 * kSimMillisecond;
+
 sim::Payload ErrorReply(const Error& error) {
   Serializer out;
   EncodeError(out, error);
@@ -38,13 +44,11 @@ std::string_view OpName(FsOp op) {
 
 FileServiceServer::FileServiceServer(file::FileService* service,
                                      sim::MessageBus* bus, std::string address,
-                                     std::size_t token_capacity,
                                      CallbackConfig callbacks,
                                      CacheTierConfig cache_tier)
     : service_(service),
       bus_(bus),
       address_(std::move(address)),
-      token_capacity_(token_capacity),
       cb_config_(callbacks),
       ct_config_(cache_tier),
       rng_state_(cache_tier.rng_seed | 1) {
@@ -293,7 +297,7 @@ void FileServiceServer::SweepExpired() {
   if (!cb_config_.enabled) return;
   const SimTime now = service_->clock()->Now();
   if (now < next_sweep_) return;
-  next_sweep_ = now + cb_config_.sweep_interval_ns;
+  next_sweep_ = now + kCallbackSweepInterval;
   for (auto it = callbacks_.begin(); it != callbacks_.end();) {
     std::erase_if(it->second, [&](const Holder& h) {
       if (h.expiry > now) return false;
@@ -318,7 +322,7 @@ void FileServiceServer::RememberToken(std::uint64_t token,
   if (token_replies_.count(token) != 0) return;
   token_replies_.emplace(token, std::move(reply));
   token_order_.push_back(token);
-  while (token_order_.size() > token_capacity_) {
+  while (token_order_.size() > kTokenCapacity) {
     token_replies_.erase(token_order_.front());
     token_order_.pop_front();
   }

@@ -49,15 +49,11 @@ inline constexpr obs::CounterField<FsServerStats> kFsServerCounters[] = {
 };
 
 // Cache-coherence callback policy (NOT the disk-substrate DiskLease): how
-// long a callback promise stays trustworthy without renewal, and how often
-// the server sweeps its table for expired holders.
+// long a callback promise stays trustworthy without renewal.
 struct CallbackConfig {
   bool enabled = true;
   // Lease duration: the staleness bound when a break cannot be delivered.
   SimTime lease_ns = 2 * kSimSecond;
-  // Expiry sweep cadence (table hygiene; correctness never depends on it —
-  // expired holders are also pruned lazily at grant and break time).
-  SimTime sweep_interval_ns = 500 * kSimMillisecond;
 };
 
 // Cache-tier read fan-out policy (E24): a file whose pread arrival rate
@@ -83,8 +79,7 @@ class FileServiceServer {
  public:
   // Registers the handler under `address` on the bus.
   FileServiceServer(file::FileService* service, sim::MessageBus* bus,
-                    std::string address, std::size_t token_capacity = 1024,
-                    CallbackConfig callbacks = {},
+                    std::string address, CallbackConfig callbacks = {},
                     CacheTierConfig cache_tier = {});
   ~FileServiceServer();
 
@@ -176,7 +171,6 @@ class FileServiceServer {
   file::FileService* service_;
   sim::MessageBus* bus_;
   std::string address_;
-  std::size_t token_capacity_;
   std::unordered_map<std::uint64_t, sim::Payload> token_replies_;
   std::deque<std::uint64_t> token_order_;
   CallbackConfig cb_config_;

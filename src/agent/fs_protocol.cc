@@ -1,16 +1,8 @@
 #include "agent/fs_protocol.h"
 
-#include <limits>
+#include <algorithm>
 
 namespace rhodos::agent {
-
-namespace {
-// A byte range whose end does not wrap: a reply can never be sized, nor a
-// block range computed, from an offset + length past 2^64.
-bool RangeFits(std::uint64_t offset, std::uint64_t length) {
-  return length <= std::numeric_limits<std::uint64_t>::max() - offset;
-}
-}  // namespace
 
 void EncodeStatus(Serializer& out, const Status& status) {
   if (status.ok()) {
@@ -197,7 +189,10 @@ Result<PwriteVecRequest> PwriteVecRequest::Decode(
     r.extents.push_back(std::move(e));
   }
   r.cb = in.String();
-  if (!in.ok() || r.extents.size() != count) {
+  const bool fits = std::all_of(
+      r.extents.begin(), r.extents.end(),
+      [](const PwriteExtent& e) { return RangeFits(e.offset, e.data.size()); });
+  if (!in.ok() || r.extents.size() != count || !fits) {
     return Error{ErrorCode::kInvalidArgument, "bad pwritevec req"};
   }
   return r;

@@ -22,6 +22,12 @@ inline constexpr std::size_t kFragmentSize = 2048;           // bytes
 inline constexpr std::size_t kFragmentsPerBlock = 4;         // 4 * 2K = 8K
 inline constexpr std::size_t kBlockSize = kFragmentSize * kFragmentsPerBlock;
 
+// A byte range [offset, offset + length) whose end does not wrap past 2^64:
+// no reply can be sized, nor block range computed, from one that does.
+constexpr bool RangeFits(std::uint64_t offset, std::uint64_t length) {
+  return length <= ~std::uint64_t{0} - offset;
+}
+
 // The free-space run array is 64x64 (paper §4): row r tracks runs of exactly
 // r+1 contiguous free fragments, each row holding up to 64 run references.
 inline constexpr std::size_t kFreeSpaceRows = 64;

@@ -25,8 +25,6 @@ std::vector<std::uint8_t> ChaosRunner::OpPattern(std::uint64_t op) const {
 
 Result<ChaosReport> ChaosRunner::Run(sim::FaultPlan plan) {
   auto& repl = f_->replication();
-  auto& files = f_->files();
-  auto& txns = f_->transactions();
 
   // --- Setup (before any fault fires) -------------------------------------
   machine_ = f_->MachineCount() > 0 ? &f_->machine(0) : &f_->AddMachine();
@@ -47,10 +45,13 @@ Result<ChaosReport> ChaosRunner::Run(sim::FaultPlan plan) {
 
   txn_files_.clear();
   for (std::uint32_t i = 0; i < config_.txn_files; ++i) {
-    RHODOS_ASSIGN_OR_RETURN(FileId id,
-                            files.Create(file::ServiceType::kTransaction,
-                                         config_.region_bytes));
-    RHODOS_RETURN_IF_ERROR(files.SetLockLevel(id, file::LockLevel::kPage));
+    // Created where the services create (the null id's shard), then
+    // reached through the file's owner like every later access.
+    RHODOS_ASSIGN_OR_RETURN(
+        FileId id, f_->OwnerOf(FileId{}).Create(file::ServiceType::kTransaction,
+                                                config_.region_bytes));
+    RHODOS_RETURN_IF_ERROR(
+        f_->OwnerOf(id).SetLockLevel(id, file::LockLevel::kPage));
     txn_files_.push_back(id);
   }
   txn_oracle_.assign(txn_files_.size(), {});
@@ -122,7 +123,6 @@ Result<ChaosReport> ChaosRunner::Run(sim::FaultPlan plan) {
   Verify(report);
   report.completed = true;
   report.metrics_json = f_->DumpStats(/*json=*/true);
-  (void)txns;
   return report;
 }
 
@@ -318,13 +318,14 @@ void ChaosRunner::HealAndRecover(ChaosReport& report) {
   f_->recovery().Tick();  // observe the recoveries (auto-repairs fire here)
   (void)f_->recovery().RepairAllStale();
   (void)machine_->file_agent->FlushAll();
-  (void)f_->files().FlushAll();
+  for (std::uint32_t s = 0; s < f_->file_shard_count(); ++s) {
+    (void)f_->files(s).FlushAll();
+  }
   report.auto_repairs = f_->recovery().stats().auto_repairs;
 }
 
 void ChaosRunner::Verify(ChaosReport& report) {
   auto& repl = f_->replication();
-  auto& files = f_->files();
 
   // I3: convergence, and I1 re-checked against the post-recovery volume.
   for (std::size_t i = 0; i < groups_.size(); ++i) {
@@ -343,7 +344,7 @@ void ChaosRunner::Verify(ChaosReport& report) {
     }
     for (const auto& r : *replicas) {
       std::vector<std::uint8_t> out(o.data.size());
-      auto n = files.Read(r.file, 0, out);
+      auto n = f_->OwnerOf(r.file).Read(r.file, 0, out);
       if (!n.ok() || *n != o.data.size() || out != o.data) {
         ++report.replica_mismatches;
       }
@@ -355,7 +356,7 @@ void ChaosRunner::Verify(ChaosReport& report) {
     const Oracle& o = txn_oracle_[i];
     if (!o.known) continue;
     std::vector<std::uint8_t> out(o.data.size());
-    auto n = files.Read(txn_files_[i], 0, out);
+    auto n = f_->OwnerOf(txn_files_[i]).Read(txn_files_[i], 0, out);
     if (!n.ok() || *n != o.data.size() || out != o.data) {
       ++report.committed_data_lost;
     }
@@ -388,7 +389,9 @@ void ChaosRunner::Verify(ChaosReport& report) {
   }
 
   // I4: structural audit over every file the chaos touched — including the
-  // images, whose shared runs exercise the refcount reconciliation.
+  // images, whose shared runs exercise the refcount reconciliation. Each
+  // file's table and share counts are read through its owner; the claim
+  // census spans every shard.
   std::vector<FileId> audit;
   for (GroupId g : groups_) {
     auto replicas = repl.Replicas(g);
@@ -399,7 +402,9 @@ void ChaosRunner::Verify(ChaosReport& report) {
   audit.insert(audit.end(), txn_files_.begin(), txn_files_.end());
   audit.insert(audit.end(), agent_file_ids_.begin(), agent_file_ids_.end());
   for (const ImageState& img : images_) audit.push_back(img.id);
-  const file::AuditReport fsck = file::AuditFiles(files, audit);
+  const file::AuditReport fsck = file::AuditFiles(
+      [this](FileId id) -> file::FileService& { return f_->OwnerOf(id); },
+      audit);
   report.fsck_issues = fsck.issues.size();
   report.fsck_clean = fsck.clean();
   report.fsck_refcounts_checked = fsck.refcounts_checked;

@@ -112,6 +112,9 @@ class ChaosRunner {
   // encountered mid-workload are reported, not returned.
   Result<ChaosReport> Run(sim::FaultPlan plan);
 
+  // The workload's transaction files (valid once Run() has set them up).
+  const std::vector<FileId>& txn_files() const { return txn_files_; }
+
  private:
   struct Oracle {
     std::vector<std::uint8_t> data;

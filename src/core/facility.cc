@@ -34,14 +34,16 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
   naming_ = std::make_unique<placement::ShardedNamingService>(
       config_.sharding.naming_shards, config_.sharding.virtual_nodes);
   // The transaction service reserves its log region on disk 0 before any
-  // file allocation touches it. Transactional and replicated files stay on
-  // shard 0 (their services hold server-side state the failover fence must
-  // not purge; see docs/SHARDING.md §"what is sharded").
-  auto disk0 = disks_.Get(DiskId{0});
-  txns_ = std::make_unique<txn::TransactionService>(file_shards_[0].get(),
-                                                    *disk0, config_.txn);
+  // file allocation touches it. One intention log and one replica-group
+  // table sit above every shard: both services reach each file through its
+  // owner, so a transaction spanning shards commits atomically and nothing
+  // they cache can go stale behind an agent's back.
+  const file::FileResolver owner_of =
+      [this](FileId id) -> file::FileService& { return OwnerOf(id); };
+  txns_ = std::make_unique<txn::TransactionService>(&disks_, owner_of,
+                                                    config_.txn);
   replication_ = std::make_unique<replication::ReplicationService>(
-      file_shards_[0].get(), config_.replication);
+      &disks_, &clock_, owner_of, config_.replication);
   anti_entropy_ = std::make_unique<replication::AntiEntropyScanner>(
       replication_.get(), config_.anti_entropy);
   recovery_ = std::make_unique<recovery::RecoveryManager>(
@@ -89,8 +91,8 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
     // peers in lockstep.
     shard_ct.rng_seed = ct.rng_seed + 0x9E37ull * (s + 1);
     file_servers_.push_back(std::make_unique<agent::FileServiceServer>(
-        file_shards_[s].get(), &bus_, router_->AddressOf(s),
-        /*token_capacity=*/1024, config_.callback, shard_ct));
+        file_shards_[s].get(), &bus_, router_->AddressOf(s), config_.callback,
+        shard_ct));
   }
   // Observability: one bundle for the whole facility. The bus carries it to
   // every RpcClient and file agent; server-side layers get it directly.

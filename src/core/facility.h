@@ -20,7 +20,9 @@
 // under multiple MDSes), so ownership is a routing convention: the
 // placement map says which shard serves a FileId, and failover is a route
 // change, not a data migration. The default config (1 shard) is
-// wire-identical to the paper's single-instance topology.
+// wire-identical to the paper's single-instance topology. The one
+// transaction service and the one replication service reach each file
+// through OwnerOf(), so every file has one server-side owner.
 #pragma once
 
 #include <cstdint>
@@ -103,10 +105,18 @@ class DistributedFileFacility {
 
   SimClock& clock() { return clock_; }
   disk::DiskRegistry& disks() { return disks_; }
-  // Shard 0's file service — THE file service of unsharded facilities.
-  file::FileService& files() { return *file_shards_[0]; }
+  // Shard 0's file service: the one file service of a one-shard facility.
+  // Reach a given file through OwnerOf(id) at any shard count.
+  file::FileService& files() { return files(0); }
   file::FileService& files(std::uint32_t shard) {
     return *file_shards_.at(shard);
+  }
+  // The file service that serves `id` right now: the shard an agent's
+  // RouteFile picks, without counting a route. The transaction and
+  // replication services resolve every file through it; a create passes
+  // the null FileId{}.
+  file::FileService& OwnerOf(FileId id) {
+    return *file_shards_[router_->Serving(id).shard];
   }
   std::uint32_t file_shard_count() const {
     return static_cast<std::uint32_t>(file_shards_.size());
@@ -199,8 +209,7 @@ class DistributedFileFacility {
   disk::DiskRegistry disks_;
   std::unique_ptr<placement::ShardRouter> router_;
   // file_shards_[s] listens on router_->AddressOf(s); shard 0 keeps the
-  // historic "file-service" address. The transaction and replication
-  // services wrap shard 0 (transactional files stay unsharded).
+  // historic "file-service" address.
   std::vector<std::unique_ptr<file::FileService>> file_shards_;
   std::unique_ptr<txn::TransactionService> txns_;
   std::unique_ptr<placement::ShardedNamingService> naming_;

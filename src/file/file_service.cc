@@ -16,12 +16,16 @@ using disk::StableMode;
 using disk::WritePolicy;
 using disk::WriteSync;
 
+// Fragments of each shard's snapshot journal slot at the tail of disk 0,
+// claimed only on first snapshot/clone use.
+constexpr std::uint64_t kSnapshotSlotFragments = 256;
+
 FileService::FileService(disk::DiskRegistry* disks, SimClock* clock,
                          FileServiceConfig config)
     : disks_(disks),
       clock_(clock),
       config_(config),
-      snap_journal_(disks, config.snapshot_region_fragments, config.shard),
+      snap_journal_(disks, kSnapshotSlotFragments, config.shard),
       block_pool_(kBlockSize,
                   std::max<std::size_t>(config.block_pool_capacity, 1)) {}
 
@@ -183,26 +187,47 @@ Result<FileId> FileService::Create(ServiceType type,
   if (!placement.ok()) return Error{placement.error()};
 
   const FileId id = MakeFileId(placement->disk, placement->first);
-  OpenFile of;
-  of.table.attributes().service_type = type;
-  of.table.attributes().created_time = clock_ ? clock_->Now() : 0;
-  if (preallocated_blocks > 0) {
-    RHODOS_RETURN_IF_ERROR(of.table.AppendRun(
-        placement->disk, placement->first + 1,
-        static_cast<std::uint32_t>(preallocated_blocks)));
+  // A reused FileId starts from the table built here, not from whatever a
+  // deleted predecessor left parked. The table is cached before any growth
+  // so an eviction of its zero-fill can locate the blocks.
+  ForgetTables(&id);
+  OpenFile& of = open_files_[id];
+  const Status built = [&]() -> Status {
+    of.table.attributes().service_type = type;
+    of.table.attributes().created_time = clock_ ? clock_->Now() : 0;
+    if (preallocated_blocks > 0) {
+      RHODOS_RETURN_IF_ERROR(of.table.AppendRun(
+          placement->disk, placement->first + 1,
+          static_cast<std::uint32_t>(preallocated_blocks)));
+    }
+    if (preallocated_blocks < hint_blocks) {
+      RHODOS_RETURN_IF_ERROR(
+          Grow(id, of, hint_blocks - preallocated_blocks));
+      // The zero-fill lands before the table that maps it, and Create
+      // leaves no dirty block behind: the shard that creates a file need
+      // not be the one that serves it, and a later flush or eviction here
+      // would write zeros over whatever the owner put there meanwhile.
+      RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
+    }
+    // The table fragment and any indirect blocks were allocated just now.
+    return StoreTable(id, of, /*fresh=*/true);
+  }();
+  if (!built.ok()) {
+    // The id was never handed out: give its space back, drop its cache.
+    PurgeCache(id, 0);
+    for (const auto& run : of.table.runs()) {
+      (void)disks_->Free(run.disk, run.first_fragment,
+                         run.contiguous_count * kFragmentsPerBlock);
+    }
+    for (const auto& ib : of.indirect_blocks) {
+      (void)disks_->Free(ib.disk, ib.first_fragment, kFragmentsPerBlock);
+    }
+    (void)disks_->Free(FileDisk(id), FileFitFragment(id), 1);
+    ForgetTables(&id);
+    return Error{built.error()};
   }
-  if (preallocated_blocks < hint_blocks) {
-    RHODOS_RETURN_IF_ERROR(
-        Grow(id, of, hint_blocks - preallocated_blocks));
-  }
-  // The table fragment and any indirect blocks were allocated just now.
-  RHODOS_RETURN_IF_ERROR(StoreTable(id, of, /*fresh=*/true));
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(placement->disk));
   RHODOS_RETURN_IF_ERROR(server->PersistMetadata(WriteSync::kAsynchronous));
-  // A reused FileId starts from the table just stored, not from whatever a
-  // deleted predecessor left parked.
-  ForgetTables(&id);
-  open_files_.emplace(id, std::move(of));
   return id;
 }
 
@@ -580,6 +605,13 @@ Status FileService::Grow(FileId id, OpenFile& of, std::uint64_t blocks) {
       chunk /= 2;  // fall back to smaller extents as the disks fill up
     }
     if (!placement.ok()) {
+      // Out of space: give back every run this growth appended, so the
+      // run list and the free pool are as they were.
+      for (const BlockDescriptor& run :
+           of.table.TruncateBlocks(first_new_block)) {
+        (void)disks_->Free(run.disk, run.first_fragment,
+                           run.contiguous_count * kFragmentsPerBlock);
+      }
       return {ErrorCode::kNoSpace, "disks full while growing file"};
     }
     RHODOS_RETURN_IF_ERROR(
@@ -602,17 +634,22 @@ Status FileService::Grow(FileId id, OpenFile& of, std::uint64_t blocks) {
 Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
                                          std::span<const std::uint8_t> in) {
   obs::SpanScope span(obs::TracerOf(obs_), "file", "write");
+  const std::uint64_t len = in.size();
+  if (!RangeFits(offset, len)) {
+    return Error{ErrorCode::kInvalidArgument, "write range wraps past 2^64"};
+  }
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
   if (of->table.attributes().immutable()) {
     return Error{ErrorCode::kPermissionDenied, "write to immutable snapshot"};
   }
   ++stats_.writes;
-  const std::uint64_t len = in.size();
   if (len == 0) return std::uint64_t{0};
 
-  // Extend the mapping as needed.
+  // Extend the mapping as needed. Round up without adding to the end,
+  // which may sit within a block of 2^64.
+  const std::uint64_t end = offset + len;
   const std::uint64_t needed_blocks =
-      (offset + len + kBlockSize - 1) / kBlockSize;
+      end / kBlockSize + (end % kBlockSize != 0 ? 1 : 0);
   if (needed_blocks > of->table.BlockCount()) {
     RHODOS_RETURN_IF_ERROR(
         Grow(id, *of, needed_blocks - of->table.BlockCount()));

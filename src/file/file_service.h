@@ -71,10 +71,6 @@ struct FileServiceConfig {
   // client agent, which drops its clean cached blocks. It also picks the
   // service's snapshot journal slot, so shards never collide on disk 0.
   std::uint32_t shard = 0;
-  // Snapshot journal region reserved at the tail of disk 0 (checkpoints +
-  // op log for share-count durability); each shard owns one slot of this
-  // size. The region is only claimed on first snapshot/clone use.
-  std::uint64_t snapshot_region_fragments = 256;
 };
 
 struct FileServiceStats {
@@ -454,5 +450,13 @@ class FileService {
   MutationListener mutation_listener_;
   CrashListener crash_listener_;
 };
+
+// The FileService that serves `id` right now. The services layered above
+// the basic file service (transactions, replication) reach every file
+// through one: a sharded facility answers with the file's routed shard, a
+// lone service with itself. A create passes the null FileId{}: no id
+// exists until the registry mints one, so any live shard may create, and
+// the null id names one deterministically.
+using FileResolver = std::function<FileService&(FileId)>;
 
 }  // namespace rhodos::file

@@ -1,5 +1,6 @@
 #include "file/fsck.h"
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -22,13 +23,28 @@ FragmentIndex PackFragment(std::uint64_t key) {
 struct BlockClaims {
   std::uint32_t claims = 0;    // claimants found, with multiplicity
   FileId first_file{};         // a claimant, for issue attribution
+  FileService* owner = nullptr;  // first_file's owner: holds its share count
   FileId unflagged_file{};     // a claimant whose run lacks kRunShared
   bool has_unflagged = false;
 };
 
+// The service's share map, loaded if its journal exists on disk; null when
+// the service never snapshotted.
+const ShareMap* LoadShareMap(FileService& service) {
+  bool have_map = service.snap_journal().loaded();
+  if (!have_map) {
+    if (auto present = service.snap_journal().Probe();
+        present.ok() && *present) {
+      have_map = service.snap_journal().Ensure().ok();
+    }
+  }
+  return have_map ? &service.snap_journal().map() : nullptr;
+}
+
 }  // namespace
 
-AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
+AuditReport AuditFiles(const FileResolver& owner_of,
+                       std::span<const FileId> files,
                        std::span<const ReservedRegion> reserved,
                        bool exhaustive) {
   AuditReport report;
@@ -40,8 +56,8 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
   // — the share map is the judge.
   std::map<std::uint64_t, BlockClaims> data_claims;
 
-  auto check_common = [&](FileId file, DiskId disk, FragmentIndex f,
-                          const char* what) {
+  auto check_common = [&](FileService& service, FileId file, DiskId disk,
+                          FragmentIndex f, const char* what) {
     ++report.fragments_claimed;
     for (const ReservedRegion& r : reserved) {
       if (disk == r.disk && f >= r.first && f < r.first + r.fragments) {
@@ -58,11 +74,12 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
     }
   };
 
-  auto claim_control = [&](FileId file, DiskId disk, FragmentIndex first,
-                           std::uint64_t count, const char* what) {
+  auto claim_control = [&](FileService& service, FileId file, DiskId disk,
+                           FragmentIndex first, std::uint64_t count,
+                           const char* what) {
     for (std::uint64_t i = 0; i < count; ++i) {
       const FragmentIndex f = first + i;
-      check_common(file, disk, f, what);
+      check_common(service, file, disk, f, what);
       const std::uint64_t key = Pack(disk, f);
       if (auto it = owners.find(key); it != owners.end()) {
         report.issues.push_back(AuditIssue{
@@ -75,13 +92,14 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
     }
   };
 
-  auto claim_data = [&](FileId file, const BlockDescriptor& run) {
+  auto claim_data = [&](FileService& service, FileId file,
+                        const BlockDescriptor& run) {
     for (std::uint32_t b = 0; b < run.contiguous_count; ++b) {
       const FragmentIndex block_first =
           run.first_fragment + static_cast<FragmentIndex>(b) *
                                    kFragmentsPerBlock;
       for (std::uint32_t i = 0; i < kFragmentsPerBlock; ++i) {
-        check_common(file, run.disk, block_first + i, "data block");
+        check_common(service, file, run.disk, block_first + i, "data block");
         // Control/data collisions are never legal, shared or not.
         if (auto it = owners.find(Pack(run.disk, block_first + i));
             it != owners.end()) {
@@ -93,7 +111,10 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
         }
       }
       BlockClaims& c = data_claims[Pack(run.disk, block_first)];
-      if (c.claims == 0) c.first_file = file;
+      if (c.claims == 0) {
+        c.first_file = file;
+        c.owner = &service;
+      }
       ++c.claims;
       if (!run.shared()) {
         c.has_unflagged = true;
@@ -102,8 +123,17 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
     }
   };
 
+  // The services that own the listed files, in first-seen order. The null
+  // id's owner (the one service of an unsharded caller) is always among
+  // them, so an exhaustive audit of no files still checks its share map.
+  std::vector<FileService*> services = {&owner_of(FileId{})};
   for (FileId file : files) {
     ++report.files_checked;
+    FileService& service = owner_of(file);
+    if (std::find(services.begin(), services.end(), &service) ==
+        services.end()) {
+      services.push_back(&service);
+    }
     auto attrs = service.GetAttributes(file);
     if (!attrs.ok()) {
       report.issues.push_back(
@@ -113,14 +143,14 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
       continue;
     }
     // The index table fragment itself.
-    claim_control(file, FileDisk(file), FileFitFragment(file), 1,
+    claim_control(service, file, FileDisk(file), FileFitFragment(file), 1,
                   "index table");
     // Indirect blocks.
     auto indirect = service.IndirectBlockLocations(file);
     if (indirect.ok()) {
       for (const auto& ib : *indirect) {
-        claim_control(file, ib.disk, ib.first_fragment, kFragmentsPerBlock,
-                      "indirect block");
+        claim_control(service, file, ib.disk, ib.first_fragment,
+                      kFragmentsPerBlock, "indirect block");
       }
     }
     // Data runs.
@@ -128,7 +158,7 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
     std::uint64_t mapped_blocks = 0;
     if (runs.ok()) {
       for (const auto& run : *runs) {
-        claim_data(file, run);
+        claim_data(service, file, run);
         mapped_blocks += run.contiguous_count;
       }
     }
@@ -142,16 +172,15 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
   }
 
   // --- Reconcile the claim census against the stored share counts ----------
-  // Without a snapshot journal on disk every stored count reads as 1 and
-  // any multiple claim is a plain double allocation.
-  bool have_map = service.snap_journal().loaded();
-  if (!have_map) {
-    if (auto present = service.snap_journal().Probe();
-        present.ok() && *present) {
-      have_map = service.snap_journal().Ensure().ok();
-    }
+  // Each block is judged by the share map of its first claimant's owner
+  // (images live on their origin's shard, so one shard holds every count of
+  // a legally shared block). Without a snapshot journal on disk every
+  // stored count reads as 1 and any multiple claim is a plain double
+  // allocation.
+  std::unordered_map<const FileService*, const ShareMap*> maps;
+  for (FileService* service : services) {
+    maps.emplace(service, LoadShareMap(*service));
   }
-  const ShareMap* map = have_map ? &service.snap_journal().map() : nullptr;
 
   // Run-granular reporting: adjacent blocks with the same defect and the
   // same owning file collapse into one issue naming the whole run.
@@ -182,6 +211,7 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
   };
 
   for (const auto& [key, c] : data_claims) {
+    const ShareMap* map = maps.at(c.owner);
     const std::uint32_t stored =
         map ? map->CountOf(PackDisk(key), PackFragment(key)) : 1;
     ++report.refcounts_checked;
@@ -198,7 +228,9 @@ AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
           c.claims, stored);
     }
   }
-  if (exhaustive && map != nullptr) {
+  for (FileService* service : services) {
+    const ShareMap* map = exhaustive ? maps.at(service) : nullptr;
+    if (map == nullptr) continue;
     // Stored counts for blocks no listed file claims at all: pure leaks.
     map->ForEach([&](DiskId disk, FragmentIndex frag, std::uint32_t stored) {
       const std::uint64_t key = Pack(disk, frag);

@@ -77,14 +77,27 @@ struct AuditReport {
   }
 };
 
-// Audits `files` against the service's disks and share map. Read-only:
-// never repairs. Any fragment a file claims inside one of `reserved` is
-// reported as kReservedOverlap. With `exhaustive` set the caller asserts
-// that `files` lists EVERY live file, which additionally arms the leak
-// check (kRefcountHigh) — including stored counts for blocks no listed
-// file claims at all.
-AuditReport AuditFiles(FileService& service, std::span<const FileId> files,
+// Audits `files` against the disks and share maps. Each file's table and
+// share counts are read through `owner_of(file)`, the service that serves
+// it; the claim census spans every listed file, so two files claiming one
+// fragment are caught whichever services own them. Read-only: never
+// repairs. Any fragment a file claims inside one of `reserved` is reported
+// as kReservedOverlap. With `exhaustive` set the caller asserts that
+// `files` lists EVERY live file, which additionally arms the leak check
+// (kRefcountHigh) — including stored counts for blocks no listed file
+// claims at all.
+AuditReport AuditFiles(const FileResolver& owner_of,
+                       std::span<const FileId> files,
                        std::span<const ReservedRegion> reserved = {},
                        bool exhaustive = false);
+
+// The audit of files that one service serves.
+inline AuditReport AuditFiles(FileService& service,
+                              std::span<const FileId> files,
+                              std::span<const ReservedRegion> reserved = {},
+                              bool exhaustive = false) {
+  return AuditFiles([&service](FileId) -> FileService& { return service; },
+                    files, reserved, exhaustive);
+}
 
 }  // namespace rhodos::file

@@ -17,24 +17,32 @@ ShardRouter::ShardRouter(std::uint32_t file_shards,
   suspected_.assign(n, false);
 }
 
-ShardRouter::Route ShardRouter::Pick(std::uint64_t point) {
-  ++stats_.lookups;
-  const std::vector<std::uint32_t> preference = map_.PreferenceForHash(point);
-  if (preference.empty()) return Route{0, false};
-  for (const std::uint32_t shard : preference) {
-    if (!suspected_[shard]) {
-      const bool rerouted = shard != preference.front();
-      if (rerouted) ++stats_.reroutes;
-      return Route{shard, rerouted};
-    }
+ShardRouter::Route ShardRouter::Walk(std::uint64_t point) const {
+  // A live home (the ring successor, first in the preference order) needs
+  // no preference list: the common case allocates nothing.
+  const std::uint32_t home = map_.ShardForHash(point);
+  if (!suspected_[home]) return Route{home, false};
+  for (const std::uint32_t shard : map_.PreferenceForHash(point)) {
+    if (!suspected_[shard]) return Route{shard, true};
   }
   // Nobody is live; hand back the home shard and let the RPC layer time
   // out, the same failure the unsharded facility exposes.
-  return Route{preference.front(), false};
+  return Route{home, false};
+}
+
+ShardRouter::Route ShardRouter::Pick(std::uint64_t point) {
+  ++stats_.lookups;
+  const Route route = Walk(point);
+  if (route.rerouted) ++stats_.reroutes;
+  return route;
 }
 
 ShardRouter::Route ShardRouter::RouteFile(FileId id) {
   return Pick(Mix64(Resolve(id).value));
+}
+
+ShardRouter::Route ShardRouter::Serving(FileId id) const {
+  return Walk(Mix64(Resolve(id).value));
 }
 
 FileId ShardRouter::Resolve(FileId id) const {

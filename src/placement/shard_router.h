@@ -91,6 +91,10 @@ class ShardRouter {
   // like the unsharded facility with its one service down).
   Route RouteFile(FileId id);
   Route RouteToken(std::uint64_t token);
+  // The route RouteFile(id) would take, uncounted, so placement.lookups
+  // keeps counting agent and naming routes: the server-side services reach
+  // a file's owner through it, from concurrent transactions too.
+  Route Serving(FileId id) const;
 
   // Failover state machine edges (driven by the RecoveryManager). Both are
   // idempotent; an actual edge bumps the epoch and fences every shard.
@@ -119,7 +123,8 @@ class ShardRouter {
   const PlacementMap& map() const { return map_; }
 
  private:
-  Route Pick(std::uint64_t point);
+  Route Walk(std::uint64_t point) const;  // the one preference walk
+  Route Pick(std::uint64_t point);        // Walk() plus the counters
   void BumpEpoch();
   FileId Resolve(FileId id) const;
 

@@ -48,7 +48,7 @@ std::uint32_t ReplicationService::ReadQuorum(const Group& g) const {
 }
 
 bool ReplicationService::DiskReachable(DiskId disk) const {
-  auto server = files_->disks()->Get(disk);
+  auto server = disks_->Get(disk);
   return server.ok() && (*server)->Reachable();
 }
 
@@ -98,7 +98,7 @@ void ReplicationService::QueueHint(GroupId id, Group& g, Replica& r,
   h.version = version;
   h.offset = offset;
   h.data.assign(in.begin(), in.end());
-  h.queued_at = files_->clock() != nullptr ? files_->clock()->Now() : 0;
+  h.queued_at = clock_->Now();
   r.hints.push_back(std::move(h));
   ++stats_.hints_queued;
   (void)g;
@@ -130,11 +130,11 @@ Result<GroupId> ReplicationService::CreateReplicated(
   }
   group.policy = policy;
   for (std::uint32_t i = 0; i < replica_count; ++i) {
-    auto file = files_->Create(type, size_hint);
+    auto file = files_(FileId{}).Create(type, size_hint);
     if (!file.ok()) {
       // Roll back the copies we already made.
       for (const Replica& r : group.replicas) {
-        (void)files_->Delete(r.info.file);
+        (void)files_(r.info.file).Delete(r.info.file);
       }
       return Error{file.error()};
     }
@@ -151,7 +151,8 @@ Status ReplicationService::DeleteReplicated(GroupId group) {
   RHODOS_ASSIGN_OR_RETURN(Group * g, Find(group));
   Status result = OkStatus();
   for (const Replica& r : g->replicas) {
-    if (auto st = files_->Delete(r.info.file); !st.ok()) result = st;
+    const Status st = files_(r.info.file).Delete(r.info.file);
+    if (!st.ok()) result = st;
   }
   groups_.erase(group);
   return result;
@@ -198,11 +199,11 @@ Result<WriteAck> ReplicationService::Write(GroupId group,
     // Quorum fan-out: the replicas live on independent disks, so the copies
     // proceed concurrently, and the caller returns when the W-th fastest
     // replica acks — a slow straggler no longer paces every write (E20).
-    sim::ParallelSection section(files_->clock());
+    sim::ParallelSection section(clock_);
     for (std::size_t i : candidates) {
       Replica& r = g->replicas[i];
       section.BeginLane();
-      auto n = files_->Write(r.info.file, offset, in);
+      auto n = files_(r.info.file).Write(r.info.file, offset, in);
       const SimTime end = section.EndLane();
       if (n.ok() && *n == in.size()) {
         acked.push_back(i);
@@ -220,7 +221,7 @@ Result<WriteAck> ReplicationService::Write(GroupId group,
     }
   }
 
-  const SimTime now = files_->clock() != nullptr ? files_->clock()->Now() : 0;
+  const SimTime now = clock_->Now();
   if (acked.empty()) {
     bool newly_suspected = false;
     for (std::size_t i : failed) {
@@ -308,7 +309,7 @@ Result<ReadAck> ReplicationService::Read(GroupId group, std::uint64_t offset,
   for (std::size_t i : observed) {
     Replica& r = g->replicas[i];
     if (!IsCurrent(*g, r)) break;  // laggards sort after current replicas
-    auto n = files_->Read(r.info.file, offset, out);
+    auto n = files_(r.info.file).Read(r.info.file, offset, out);
     if (!n.ok()) {
       newly_suspected |= Suspect(r);
       continue;
@@ -350,7 +351,7 @@ Result<ReadAck> ReplicationService::Read(GroupId group, std::uint64_t offset,
                    });
   for (std::size_t i : fallback) {
     Replica& r = g->replicas[i];
-    auto n = files_->Read(r.info.file, offset, out);
+    auto n = files_(r.info.file).Read(r.info.file, offset, out);
     if (!n.ok()) continue;
     ReadAck ack;
     ack.bytes = *n;
@@ -398,11 +399,10 @@ Status ReplicationService::CatchUp(GroupId id, Group& g, Replica& r) {
     }
   }
   if (chain_covers) {
-    const SimTime now =
-        files_->clock() != nullptr ? files_->clock()->Now() : 0;
+    const SimTime now = clock_->Now();
     while (!r.hints.empty()) {
       const Hint& h = r.hints.front();
-      auto n = files_->Write(r.info.file, h.offset, h.data);
+      auto n = files_(r.info.file).Write(r.info.file, h.offset, h.data);
       if (!n.ok() || *n != h.data.size()) {
         r.dirty = true;
         if (Suspect(r)) BumpEpoch(g);
@@ -436,7 +436,7 @@ Status ReplicationService::FullCopy(GroupId id, Group& g, Replica& r) {
       if (&cand == &r || cand.info.version != g.version) continue;
       if (pass == 0 && (cand.info.suspected_down || cand.dirty)) continue;
       if (!DiskReachable(cand.info.disk)) continue;
-      if (files_->GetAttributes(cand.info.file).ok()) {
+      if (files_(cand.info.file).GetAttributes(cand.info.file).ok()) {
         source = &cand;
         break;
       }
@@ -445,7 +445,9 @@ Status ReplicationService::FullCopy(GroupId id, Group& g, Replica& r) {
   if (source == nullptr) {
     return {ErrorCode::kUnavailable, "no replica holds the current version"};
   }
-  auto attrs = files_->GetAttributes(source->info.file);
+  FileService& source_owner = files_(source->info.file);
+  FileService& target_owner = files_(r.info.file);
+  auto attrs = source_owner.GetAttributes(source->info.file);
   if (!attrs.ok()) return Error{attrs.error()};
   const std::uint64_t size = attrs->size;
 
@@ -454,7 +456,7 @@ Status ReplicationService::FullCopy(GroupId id, Group& g, Replica& r) {
   // rebuild costs a handful of disk references instead of one per block.
   const std::uint64_t chunk_bytes = std::max<std::uint64_t>(
       kBlockSize,
-      std::uint64_t{files_->config().extent_blocks} * kBlockSize);
+      std::uint64_t{source_owner.config().extent_blocks} * kBlockSize);
   std::vector<std::uint8_t> buf(chunk_bytes);
   const std::size_t replica_index =
       static_cast<std::size_t>(&r - g.replicas.data());
@@ -462,9 +464,9 @@ Status ReplicationService::FullCopy(GroupId id, Group& g, Replica& r) {
   for (std::uint64_t off = 0; off < size; off += chunk_bytes, ++chunk) {
     if (repair_probe_) repair_probe_(id, replica_index, chunk);
     const std::uint64_t n = std::min<std::uint64_t>(chunk_bytes, size - off);
-    auto got = files_->Read(source->info.file, off, {buf.data(), n});
+    auto got = source_owner.Read(source->info.file, off, {buf.data(), n});
     if (!got.ok()) return Error{got.error()};
-    auto put = files_->Write(r.info.file, off, {buf.data(), *got});
+    auto put = target_owner.Write(r.info.file, off, {buf.data(), *got});
     if (!put.ok() || *put != *got) {
       r.dirty = true;
       if (Suspect(r)) BumpEpoch(g);
@@ -472,9 +474,9 @@ Status ReplicationService::FullCopy(GroupId id, Group& g, Replica& r) {
                       : Status{put.error().code, put.error().message};
     }
   }
-  if (size == 0) (void)files_->Resize(r.info.file, 0);
+  if (size == 0) (void)target_owner.Resize(r.info.file, 0);
   r.info.version = g.version;
-  r.ack_time = files_->clock() != nullptr ? files_->clock()->Now() : 0;
+  r.ack_time = clock_->Now();
   r.hints.clear();
   r.hint_overflow = false;
   r.dirty = false;
@@ -501,7 +503,7 @@ Status ReplicationService::Repair(GroupId group) {
   // disks); after the first lane the source chunks come from the block
   // cache, so the overlapped copies do not re-reference the source disk.
   Status result = OkStatus();
-  sim::ParallelSection section(files_->clock());
+  sim::ParallelSection section(clock_);
   for (Replica* r : behind) {
     section.BeginLane();
     if (auto st = CatchUp(group, *g, *r); !st.ok()) result = st;

@@ -118,9 +118,15 @@ inline constexpr obs::CounterField<ReplicationStats> kReplicationCounters[] = {
 
 class ReplicationService {
  public:
-  explicit ReplicationService(file::FileService* files,
-                              ReplicationConfig config = {})
-      : files_(files), config_(config) {}
+  // Each replica is an ordinary file, reached through `files`: the file
+  // service that serves it right now. `disks` and `clock` are the shared
+  // substrate every file service sits on.
+  ReplicationService(disk::DiskRegistry* disks, SimClock* clock,
+                     file::FileResolver files, ReplicationConfig config = {})
+      : disks_(disks),
+        clock_(clock),
+        files_(std::move(files)),
+        config_(config) {}
 
   // Creates a group of `replica_count` copies. Each copy is a normal file;
   // the registry's placement spreads them over disks. `policy` overrides
@@ -261,7 +267,9 @@ class ReplicationService {
   Status CatchUp(GroupId id, Group& g, Replica& r);
   Status FullCopy(GroupId id, Group& g, Replica& r);
 
-  file::FileService* files_;
+  disk::DiskRegistry* disks_;
+  SimClock* clock_;
+  file::FileResolver files_;
   ReplicationConfig config_;
   std::unordered_map<GroupId, Group> groups_;
   std::uint64_t next_group_{1};

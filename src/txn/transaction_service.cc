@@ -12,19 +12,20 @@ using file::FileService;
 using file::LockLevel;
 using file::ServiceType;
 
-TransactionService::TransactionService(FileService* files,
-                                       disk::DiskServer* log_disk,
+TransactionService::TransactionService(disk::DiskRegistry* disks,
+                                       file::FileResolver files,
                                        TxnServiceConfig config)
-    : files_(files),
+    : disks_(disks),
+      files_(std::move(files)),
       config_(config),
       locks_(config.lock_timeout),
-      log_disk_(log_disk),
-      // The log region lives at a FIXED location — immediately after the
-      // disk's metadata region — so a service instance created after a
-      // crash finds the same intentions the pre-crash instance wrote.
-      log_first_fragment_(log_disk->MetadataFragments()),
-      log_(log_disk, log_first_fragment_, config.log_fragments),
-      pipeline_(&log_, log_disk->clock(), &mu_, config.group_commit) {
+      log_disk_(disks->disks().front().get()),
+      // The log region lives at a FIXED location — immediately after disk
+      // 0's metadata region — so a service instance created after a crash
+      // finds the same intentions the pre-crash instance wrote.
+      log_first_fragment_(log_disk_->MetadataFragments()),
+      log_(log_disk_, log_first_fragment_, config.log_fragments),
+      pipeline_(&log_, log_disk_->clock(), &mu_, config.group_commit) {
   // First instance on this disk claims the region; later instances find it
   // already allocated, which is fine — it is the same log.
   (void)log_disk_->AllocateSpecific(log_first_fragment_,
@@ -36,13 +37,13 @@ TransactionService::TransactionService(FileService* files,
   // failed force leaves it pending and lets the write through, the same
   // exposure as an eager reset that fails. The barrier must not take mu_:
   // ApplyCommit holds it while it writes.
-  for (const auto& server : files_->disks()->disks()) {
+  for (const auto& server : disks_->disks()) {
     server->SetWriteBarrier([this] { (void)log_.ForceReset(); });
   }
 }
 
 TransactionService::~TransactionService() {
-  for (const auto& server : files_->disks()->disks()) {
+  for (const auto& server : disks_->disks()) {
     server->SetWriteBarrier({});
   }
 }
@@ -76,7 +77,8 @@ bool TransactionService::IsActive(TxnId txn) const {
 }
 
 Result<LockLevel> TransactionService::LevelOf(FileId file) {
-  RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs, files_->GetAttributes(file));
+  RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs,
+                          files_(file).GetAttributes(file));
   return attrs.locking_level;
 }
 
@@ -119,9 +121,9 @@ Result<FileId> TransactionService::TCreate(TxnId txn, LockLevel level,
     return Error{ErrorCode::kTxnAborted, "broken by lock timeout"};
   }
   RHODOS_ASSIGN_OR_RETURN(FileId file,
-                          files_->Create(ServiceType::kTransaction,
-                                         size_hint));
-  RHODOS_RETURN_IF_ERROR(files_->SetLockLevel(file, level));
+                          files_(FileId{}).Create(ServiceType::kTransaction,
+                                                  size_hint));
+  RHODOS_RETURN_IF_ERROR(files_(file).SetLockLevel(file, level));
   t->touched.insert(file);
   t->created.insert(file);
   // The creator owns the new file exclusively; nobody else can know its
@@ -136,14 +138,14 @@ Status TransactionService::TOpen(TxnId txn, FileId file) {
   std::scoped_lock lk(mu_);
   RHODOS_ASSIGN_OR_RETURN(Txn * t, Live(txn));
   (void)t;
-  return files_->Open(file);
+  return files_(file).Open(file);
 }
 
 Status TransactionService::TClose(TxnId txn, FileId file) {
   std::scoped_lock lk(mu_);
   RHODOS_ASSIGN_OR_RETURN(Txn * t, Live(txn));
   (void)t;
-  return files_->Close(file);
+  return files_(file).Close(file);
 }
 
 Status TransactionService::TDelete(TxnId txn, FileId file) {
@@ -168,7 +170,8 @@ Status TransactionService::TDelete(TxnId txn, FileId file) {
 Result<std::uint64_t> TransactionService::ReadWithOverlay(
     Txn& t, FileId file, std::uint64_t offset, std::span<std::uint8_t> out) {
   // Effective size includes the transaction's own (tentative) growth.
-  RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs, files_->GetAttributes(file));
+  FileService& owner = files_(file);
+  RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs, owner.GetAttributes(file));
   std::uint64_t size = attrs.size;
   if (auto it = t.tentative_size.find(file); it != t.tentative_size.end()) {
     size = std::max(size, it->second);
@@ -177,7 +180,7 @@ Result<std::uint64_t> TransactionService::ReadWithOverlay(
   const std::uint64_t len = std::min<std::uint64_t>(out.size(), size - offset);
   std::memset(out.data(), 0, len);
   // Base content from the (committed) file — may be shorter than len.
-  auto base = files_->Read(file, offset, out.subspan(0, len));
+  auto base = owner.Read(file, offset, out.subspan(0, len));
   if (!base.ok()) return base;
 
   // Overlay tentative pages.
@@ -251,13 +254,12 @@ Result<std::uint64_t> TransactionService::TWrite(
                                       LockMode::kIWrite));
 
   std::scoped_lock lk(mu_);
+  FileService& owner = files_(file);
   t->touched.insert(file);
   auto& tsize = t->tentative_size[file];
   tsize = std::max<std::uint64_t>(
       {tsize, offset + in.size(),
-       files_->GetAttributes(file).ok()
-           ? files_->GetAttributes(file)->size
-           : 0});
+       owner.GetAttributes(file).ok() ? owner.GetAttributes(file)->size : 0});
 
   if (level == LockLevel::kRecord) {
     // Record mode: the tentative data item is the exact byte range; it is
@@ -283,9 +285,9 @@ Result<std::uint64_t> TransactionService::TWrite(
       // Build the isolated copy: current committed content, or zeros when
       // the page is beyond the committed end.
       std::vector<std::uint8_t> image(kBlockSize, 0);
-      RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, files_->BlockCount(file));
+      RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
       if (page < blocks) {
-        RHODOS_RETURN_IF_ERROR(files_->ReadBlock(file, page, image));
+        RHODOS_RETURN_IF_ERROR(owner.ReadBlock(file, page, image));
       }
       it = t->tentative_pages.emplace(key, std::move(image)).first;
     }
@@ -299,7 +301,8 @@ Result<FileAttributes> TransactionService::TGetAttribute(TxnId txn,
                                                          FileId file) {
   std::scoped_lock lk(mu_);
   RHODOS_ASSIGN_OR_RETURN(Txn * t, Live(txn));
-  RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs, files_->GetAttributes(file));
+  RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs,
+                          files_(file).GetAttributes(file));
   if (auto it = t->tentative_size.find(file); it != t->tentative_size.end()) {
     attrs.size = std::max(attrs.size, it->second);
   }
@@ -321,20 +324,21 @@ Result<CommitTechnique> TransactionService::TechniqueFor(FileId file) {
   // shadow paging stages a fresh block and commits through the file
   // service's journaled rebind, which decrements the donor's share count
   // instead of overwriting bytes the snapshot still references.
-  RHODOS_ASSIGN_OR_RETURN(bool shared, files_->HasSharedRuns(file));
+  FileService& owner = files_(file);
+  RHODOS_ASSIGN_OR_RETURN(bool shared, owner.HasSharedRuns(file));
   if (shared) return CommitTechnique::kShadowPage;
   // "use the shadow page technique when the data blocks are not contiguous
   // and the wal technique when the data blocks are contiguous. Whether data
   // blocks are contiguous or not is very easy to determine by using the
   // knowledge of the ... count" (§6.7).
-  RHODOS_ASSIGN_OR_RETURN(bool contiguous, files_->IsContiguous(file));
+  RHODOS_ASSIGN_OR_RETURN(bool contiguous, owner.IsContiguous(file));
   return contiguous ? CommitTechnique::kWal : CommitTechnique::kShadowPage;
 }
 
 Result<LockLevel> TransactionService::SuggestLockLevel(FileId file) {
   std::scoped_lock lk(mu_);
   RHODOS_ASSIGN_OR_RETURN(file::FileAttributes attrs,
-                          files_->GetAttributes(file));
+                          files_(file).GetAttributes(file));
   if (attrs.access_count >= config_.hot_access_threshold) {
     // Frequently used: simultaneous updates are likely, so the fine
     // granularity that "maximizes the concurrent execution of
@@ -352,23 +356,25 @@ Result<LockLevel> TransactionService::SuggestLockLevel(FileId file) {
 Status TransactionService::ApplyDefaultLockLevel(FileId file) {
   RHODOS_ASSIGN_OR_RETURN(LockLevel level, SuggestLockLevel(file));
   std::scoped_lock lk(mu_);
-  return files_->SetLockLevel(file, level);
+  return files_(file).SetLockLevel(file, level);
 }
 
 Status TransactionService::ApplyWalPage(FileId file, std::uint64_t page,
                                         std::span<const std::uint8_t> data) {
-  RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, files_->BlockCount(file));
+  FileService& owner = files_(file);
+  RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
   if (page >= blocks) {
-    RHODOS_RETURN_IF_ERROR(files_->Resize(file, (page + 1) * kBlockSize));
+    RHODOS_RETURN_IF_ERROR(owner.Resize(file, (page + 1) * kBlockSize));
   }
-  return files_->WriteBlock(file, page, data, /*force_write_through=*/true);
+  return owner.WriteBlock(file, page, data, /*force_write_through=*/true);
 }
 
 Status TransactionService::ApplyWalRange(FileId file, std::uint64_t offset,
                                          std::span<const std::uint8_t> data) {
-  auto n = files_->Write(file, offset, data);
+  FileService& owner = files_(file);
+  auto n = owner.Write(file, offset, data);
   if (!n.ok()) return Error{n.error()};
-  return files_->Sync(file);
+  return owner.Sync(file);
 }
 
 Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
@@ -406,7 +412,8 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
       RHODOS_ASSIGN_OR_RETURN(CommitTechnique tech, TechniqueFor(file));
       tech_it = plan->technique.emplace(file.value, tech).first;
     }
-    RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, files_->BlockCount(file));
+    FileService& owner = files_(file);
+    RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
     const std::uint64_t final_size =
         t.tentative_size.count(file) ? t.tentative_size[file] : 0;
 
@@ -419,12 +426,12 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
       // so there is no old value for an ordered main-then-mirror write to
       // protect: both copies go out at once.
       RHODOS_ASSIGN_OR_RETURN(auto placement,
-                              files_->AllocateShadowBlock(file));
+                              owner.AllocateShadowBlock(file));
       // It also skips the write barrier: the commit force that follows is
       // what makes a pending log reset durable, and if that force never
       // lands the block stays unreferenced.
       RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server,
-                              files_->disks()->Get(placement.disk));
+                              disks_->Get(placement.disk));
       RHODOS_RETURN_IF_ERROR(server->PutFreshBlock(
           placement.first, kFragmentsPerBlock, image, disk::Barrier::kSkip));
       RHODOS_RETURN_IF_ERROR(append(IntentionRecord{
@@ -476,11 +483,11 @@ Result<std::optional<DiskId>> TransactionService::ApplyDisk(
     const Txn& t, const CommitPlan& plan, FileId file) {
   using Lane = std::optional<DiskId>;
   // Shared runs commit through the snapshot journal on disk 0.
-  RHODOS_ASSIGN_OR_RETURN(bool shared, files_->HasSharedRuns(file));
+  FileService& owner = files_(file);
+  RHODOS_ASSIGN_OR_RETURN(bool shared, owner.HasSharedRuns(file));
   if (shared) return Lane{};
-  RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, files_->BlockCount(file));
-  RHODOS_ASSIGN_OR_RETURN(auto indirect,
-                          files_->IndirectBlockLocations(file));
+  RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
+  RHODOS_ASSIGN_OR_RETURN(auto indirect, owner.IndirectBlockLocations(file));
   // The index table's fragment lives on the file's home disk; the table
   // may be loaded, and is stored if the apply changes it. Every other
   // block the apply reads or writes must be on that disk too.
@@ -489,7 +496,7 @@ Result<std::optional<DiskId>> TransactionService::ApplyDisk(
   for (const auto& ib : indirect) one_disk = one_disk && ib.disk == home;
   auto add_block = [&](std::uint64_t block) -> Status {
     RHODOS_ASSIGN_OR_RETURN(file::BlockLocation loc,
-                            files_->LocateBlock(file, block));
+                            owner.LocateBlock(file, block));
     one_disk = one_disk && loc.disk == home;
     return OkStatus();
   };
@@ -513,7 +520,7 @@ Result<std::optional<DiskId>> TransactionService::ApplyDisk(
   }
   // A remap can split a run into three; past the table's run capacity the
   // store would allocate an indirect block, possibly on another disk.
-  RHODOS_ASSIGN_OR_RETURN(auto runs, files_->FileRuns(file));
+  RHODOS_ASSIGN_OR_RETURN(auto runs, owner.FileRuns(file));
   if (runs.size() + 2 * remaps >
       file::kDirectRuns + indirect.size() * file::kRunsPerIndirectBlock) {
     return Lane{};
@@ -532,9 +539,8 @@ Status TransactionService::ApplyFileEffects(Txn& t, const CommitPlan& plan,
   }
   for (const CommitPlan::ShadowStage& s : plan.shadows) {
     if (!selected(s.file)) continue;
-    RHODOS_RETURN_IF_ERROR(files_->ReplaceBlock(s.file, s.page,
-                                                s.placement.disk,
-                                                s.placement.first));
+    RHODOS_RETURN_IF_ERROR(files_(s.file).ReplaceBlock(
+        s.file, s.page, s.placement.disk, s.placement.first));
   }
   for (const auto& [fval, w] : t.tentative_ranges) {
     if (!selected(FileId{fval})) continue;
@@ -570,7 +576,7 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
     RHODOS_RETURN_IF_ERROR(plan_file(FileId{fval}));
   }
   RHODOS_RETURN_IF_ERROR(lanes.Run(
-      files_->clock(), [&](DiskId, const std::vector<FileId>& files) {
+      log_disk_->clock(), [&](DiskId, const std::vector<FileId>& files) {
         return ApplyFileEffects(t, plan, [&files](FileId f) {
           return std::find(files.begin(), files.end(), f) != files.end();
         });
@@ -582,10 +588,10 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
   // exact byte size the transaction recorded.
   for (const auto& [file, size] : t.tentative_size) {
     if (t.to_delete.count(file) != 0) continue;
-    RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs,
-                            files_->GetAttributes(file));
+    FileService& owner = files_(file);
+    RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs, owner.GetAttributes(file));
     if (attrs.size != size) {
-      RHODOS_RETURN_IF_ERROR(files_->Resize(file, size));
+      RHODOS_RETURN_IF_ERROR(owner.Resize(file, size));
     }
   }
   // Push any still-buffered blocks (e.g. zero-filled growth) and hard
@@ -594,10 +600,10 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
   // reads and writes are not effects; they stay in memory like a close's.
   for (FileId file : t.touched) {
     if (t.to_delete.count(file) != 0) continue;
-    RHODOS_RETURN_IF_ERROR(files_->Sync(file));
+    RHODOS_RETURN_IF_ERROR(files_(file).Sync(file));
   }
   for (FileId file : t.to_delete) {
-    RHODOS_RETURN_IF_ERROR(files_->Delete(file));
+    RHODOS_RETURN_IF_ERROR(files_(file).Delete(file));
   }
   for (const auto& [fval, tech] : plan.technique) {
     if (tech == CommitTechnique::kWal) {
@@ -661,7 +667,7 @@ Status TransactionService::End(TxnId txn) {
                                              0, 0, {}, 0, TxnStatus::kAbort,
                                              {}});
     }
-    for (FileId f : t.created) (void)files_->Delete(f);
+    for (FileId f : t.created) (void)files_(f).Delete(f);
     Finish(txn);
     return {ErrorCode::kTxnAborted, "aborted by lock timeout at commit"};
   }
@@ -674,7 +680,7 @@ Status TransactionService::End(TxnId txn) {
     // Nothing is promised yet — the commit record was never appended (or
     // could not be): a plain abort.
     ++stats_.aborts_explicit;
-    for (FileId f : t.created) (void)files_->Delete(f);
+    for (FileId f : t.created) (void)files_(f).Delete(f);
     Finish(txn);
     return staged;
   }
@@ -736,7 +742,7 @@ Status TransactionService::Abort(TxnId txn) {
     (void)pipeline_.Append(IntentionRecord{IntentionKind::kStatus, txn, {}, 0,
                                            0, {}, 0, TxnStatus::kAbort, {}});
   }
-  for (FileId f : it->second.created) (void)files_->Delete(f);
+  for (FileId f : it->second.created) (void)files_(f).Delete(f);
   if (locks_.WasBroken(txn)) {
     ++stats_.aborts_broken;
   } else {
@@ -780,17 +786,18 @@ Status TransactionService::Recover() {
             RHODOS_RETURN_IF_ERROR(ApplyWalRange(r.file, r.offset, r.data));
             break;
           case IntentionKind::kShadowMap: {
-            auto loc = files_->LocateBlock(r.file, r.block_index);
+            FileService& owner = files_(r.file);
+            auto loc = owner.LocateBlock(r.file, r.block_index);
             if (loc.ok() && (loc->disk != r.new_disk ||
                              loc->first_fragment != r.new_fragment)) {
               // Re-claim the shadow block (its allocation may have been
               // lost with the unpersisted bitmap), then remap.
-              auto server = files_->disks()->Get(r.new_disk);
+              auto server = disks_->Get(r.new_disk);
               if (server.ok()) {
                 (void)(*server)->AllocateSpecific(r.new_fragment,
                                                   kFragmentsPerBlock);
               }
-              RHODOS_RETURN_IF_ERROR(files_->ReplaceBlock(
+              RHODOS_RETURN_IF_ERROR(owner.ReplaceBlock(
                   r.file, r.block_index, r.new_disk, r.new_fragment));
             }
             break;
@@ -798,16 +805,17 @@ Status TransactionService::Recover() {
           case IntentionKind::kDeleteFile:
             // Tolerant redo: the apply may have deleted the file already
             // (its table then reads as unparseable/scrubbed).
-            (void)files_->Delete(r.file);
+            (void)files_(r.file).Delete(r.file);
             break;
           default:
             break;
         }
         // Restore recorded final size.
         if (r.kind == IntentionKind::kRedoPage && r.offset > 0) {
-          auto attrs = files_->GetAttributes(r.file);
+          FileService& owner = files_(r.file);
+          auto attrs = owner.GetAttributes(r.file);
           if (attrs.ok() && attrs->size < r.offset) {
-            RHODOS_RETURN_IF_ERROR(files_->Resize(r.file, r.offset));
+            RHODOS_RETURN_IF_ERROR(owner.Resize(r.file, r.offset));
           }
         }
       }
@@ -821,7 +829,7 @@ Status TransactionService::Recover() {
       // persisted).
       for (const IntentionRecord& r : trace.records) {
         if (r.kind == IntentionKind::kShadowMap) {
-          auto server = files_->disks()->Get(r.new_disk);
+          auto server = disks_->Get(r.new_disk);
           if (server.ok()) {
             (void)(*server)->FreeFragments(r.new_fragment,
                                            kFragmentsPerBlock);

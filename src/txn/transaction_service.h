@@ -107,11 +107,12 @@ class TransactionService {
     std::uint64_t fragments = 0;
   };
 
-  // The service reserves its log region on `log_disk`, one of `files`'
-  // disks, at construction, and installs the log-reset write barrier on
-  // every disk of `files`' registry: those disks and `files` must outlive
-  // it.
-  TransactionService(file::FileService* files, disk::DiskServer* log_disk,
+  // The service reaches each file through `files`, the file service that
+  // serves it right now, so one intention log covers files of every shard.
+  // It reserves its log region on disk 0 of `disks` at construction and
+  // installs the log-reset write barrier on every disk of `disks`: those
+  // disks and every file service `files` returns must outlive it.
+  TransactionService(disk::DiskRegistry* disks, file::FileResolver files,
                      TxnServiceConfig config = {});
 
   // Removes the write barrier from the disks. A log reset still pending
@@ -190,7 +191,6 @@ class TransactionService {
     return LogRegion{log_disk_->id(), log_first_fragment_,
                      config_.log_fragments};
   }
-  file::FileService* files() { return files_; }
 
   // Technique the paper's rule would pick for this file right now.
   Result<CommitTechnique> TechniqueFor(FileId file);
@@ -288,7 +288,8 @@ class TransactionService {
 
   void Finish(TxnId id);
 
-  file::FileService* files_;
+  disk::DiskRegistry* disks_;
+  file::FileResolver files_;
   TxnServiceConfig config_;
   LockManager locks_;
   disk::DiskServer* log_disk_;

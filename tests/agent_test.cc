@@ -186,6 +186,27 @@ TEST(WriteThroughAgentTest, PwriteIsOneExchangeAndMovesTheVersionToken) {
             reader_before.stale_invalidations);
 }
 
+// Regression: a pwrite whose end passed 2^64 was cached and acknowledged,
+// landed its tail at the start of the file and made Close fail.
+TEST_F(FileAgentTest, PwriteWrappingPastTheAddressSpaceIsRefused) {
+  auto od = m_.file_agent->Create(naming::ByName("wrap"),
+                                  file::ServiceType::kBasic);
+  ASSERT_TRUE(od.ok());
+  const std::vector<std::uint8_t> sevens(100, 7);
+  ASSERT_TRUE(m_.file_agent->Pwrite(*od, 0, sevens).ok());
+  ASSERT_TRUE(m_.file_agent->Flush(*od).ok());
+  auto n = m_.file_agent->Pwrite(*od, ~std::uint64_t{0} - 50,
+                                 std::vector<std::uint8_t>(200, 9));
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.error().code, ErrorCode::kInvalidArgument);
+  std::vector<std::uint8_t> out(200);
+  auto got = m_.file_agent->Pread(*od, 0, out);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(*got, 100u);
+  EXPECT_EQ(std::vector<std::uint8_t>(out.begin(), out.begin() + 100), sevens);
+  EXPECT_TRUE(m_.file_agent->Close(*od).ok());
+}
+
 TEST_F(FileAgentTest, DeleteByNameUnregistersAndPurges) {
   auto od = m_.file_agent->Create(naming::ByName("gone"),
                                   file::ServiceType::kBasic);
@@ -204,7 +225,7 @@ class LossyAgentTest : public ::testing::Test {
     FacilityConfig cfg = SmallFacility();
     cfg.network.drop_rate = 0.15;
     cfg.network.duplicate_rate = 0.3;
-    cfg.agent.rpc_attempts = 64;
+    cfg.agent.rpc.max_attempts = 64;
     // This suite tests at-least-once idempotency, which needs actual wire
     // traffic to lose and duplicate; callbacks would serve most of the
     // workload from the client cache with zero exchanges.

@@ -374,7 +374,7 @@ TEST(ClientCacheTest, ReopenInvalidatesStaleBlocksViaVersionToken) {
 // pre-crash content intact, unflushed bytes absent).
 TEST(ClientCacheTest, AgentCrashMidWritebackLeavesServerConsistent) {
   FacilityConfig cfg = CacheFacility();
-  cfg.agent.rpc_attempts = 2;  // fail fast while the service is down
+  cfg.agent.rpc.max_attempts = 2;  // fail fast while the service is down
   DistributedFileFacility f(cfg);
   Machine& m = f.AddMachine();
   const auto before = Pattern(kBlockSize, 50);

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "file/file_service.h"
+#include "file/fsck.h"
 
 namespace rhodos::file {
 namespace {
@@ -54,6 +55,108 @@ TEST_F(FileServiceTest, CreateWriteReadDelete) {
   EXPECT_EQ(out, data);
   ASSERT_TRUE(service_->Delete(*file).ok());
   EXPECT_FALSE(service_->Read(*file, 0, out).ok());
+}
+
+// Regression: a write whose end passed 2^64 wrapped, grew nothing and
+// wrote its tail over the start of the file.
+TEST_F(FileServiceTest, WriteWrappingPastTheAddressSpaceIsRefused) {
+  auto file = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(file.ok());
+  const std::vector<std::uint8_t> sevens(100, 7);
+  ASSERT_TRUE(service_->Write(*file, 0, sevens).ok());
+  auto n = service_->Write(*file, ~std::uint64_t{0} - 50,
+                           std::vector<std::uint8_t>(200, 9));
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.error().code, ErrorCode::kInvalidArgument);
+  std::vector<std::uint8_t> out(100);
+  ASSERT_TRUE(service_->Read(*file, 0, out).ok());
+  EXPECT_EQ(out, sevens);
+  EXPECT_EQ(service_->GetAttributes(*file)->size, 100u);
+  EXPECT_TRUE(service_->Close(*file).ok());
+}
+
+// Regression: a growth that ran out of space kept every extent it had
+// allocated, so the free pool drained for good, across a crash too.
+TEST(FileServiceGrowthTest, FailedGrowthGivesBackWhatItAllocated) {
+  SimClock clock;
+  disk::DiskRegistry disks;
+  disks.AddDisk(DiskConfig(16 * 1024), &clock);
+  auto service = std::make_unique<FileService>(&disks, &clock);
+  auto file = service->Create(ServiceType::kBasic);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(service->Flush(*file).ok());
+  const std::uint64_t free_before = disks.TotalFreeFragments();
+  auto n = service->Write(*file, std::uint64_t{1} << 40,
+                          std::vector<std::uint8_t>(100, 9));
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.error().code, ErrorCode::kNoSpace);
+  EXPECT_EQ(disks.TotalFreeFragments(), free_before);
+  EXPECT_EQ(*service->BlockCount(*file), 0u);
+  auto big = service->Create(ServiceType::kBasic, 64 * 1024);
+  ASSERT_TRUE(big.ok()) << big.error().message;
+
+  const std::uint64_t free_with_big = disks.TotalFreeFragments();
+  service->Crash();
+  disks.CrashAll();
+  ASSERT_TRUE(disks.RecoverAll().ok());
+  service = std::make_unique<FileService>(&disks, &clock);
+  EXPECT_EQ(disks.TotalFreeFragments(), free_with_big);
+  const std::vector<FileId> ids = {*file, *big};
+  const AuditReport report = AuditFiles(*service, ids);
+  EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
+}
+
+// A create whose size hint fits no disk in one run takes table plus first
+// block, then grows over the disks. It used to store its table while the
+// zero-fill of the grown blocks sat dirty in the cache, so a crash exposed
+// the platters' old bytes, and an eviction during the growth could not
+// find the table it had not stored yet.
+TEST(FileServiceGrowthTest, CreateThatGrowsLeavesNoDirtyBlock) {
+  SimClock clock;
+  disk::DiskRegistry disks;
+  disks.AddDisk(DiskConfig(1024), &clock);
+  disks.AddDisk(DiskConfig(1024), &clock);
+  FileServiceConfig config;
+  config.block_pool_capacity = 4;
+  auto service = std::make_unique<FileService>(&disks, &clock, config);
+
+  // Leave old bytes on most of the platters.
+  std::vector<FileId> old;
+  for (int i = 0; i < 2; ++i) {
+    auto f = service->Create(ServiceType::kBasic, 200 * kBlockSize);
+    ASSERT_TRUE(f.ok()) << f.error().message;
+    ASSERT_TRUE(service->Write(*f, 0, std::vector<std::uint8_t>(
+                                          200 * kBlockSize, 0xEE))
+                    .ok());
+    ASSERT_TRUE(service->Flush(*f).ok());
+    old.push_back(*f);
+  }
+  for (FileId f : old) ASSERT_TRUE(service->Delete(f).ok());
+
+  const std::uint64_t blocks = 300;  // more than one disk holds
+  auto big = service->Create(ServiceType::kBasic, blocks * kBlockSize);
+  ASSERT_TRUE(big.ok()) << big.error().message;
+  ASSERT_EQ(*service->BlockCount(*big), blocks);
+  ASSERT_GT(service->FileRuns(*big)->size(), 1u);
+
+  // Nothing the create did waits in memory: a restarted service reads
+  // every block as the creating one does, the grown ones as zeros.
+  std::vector<std::vector<std::uint8_t>> seen(
+      blocks, std::vector<std::uint8_t>(kBlockSize));
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    ASSERT_TRUE(service->ReadBlock(*big, b, seen[b]).ok());
+  }
+  EXPECT_EQ(seen.back(), std::vector<std::uint8_t>(kBlockSize, 0));
+  service->Crash();
+  service = std::make_unique<FileService>(&disks, &clock, config);
+  std::vector<std::uint8_t> out(kBlockSize);
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    ASSERT_TRUE(service->ReadBlock(*big, b, out).ok());
+    ASSERT_EQ(out, seen[b]) << "block " << b;
+  }
+  const std::vector<FileId> ids = {*big};
+  const AuditReport report = AuditFiles(*service, ids);
+  EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
 }
 
 TEST_F(FileServiceTest, DeleteReturnsAllSpace) {

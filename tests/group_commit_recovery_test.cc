@@ -73,8 +73,8 @@ class GroupCommitRecoveryTest : public ::testing::Test {
     disks_->AddDisk(DiskConfig(fault_seed), &clock_);
     files_ = std::make_unique<FileService>(disks_.get(), &clock_,
                                            FileServiceConfig{});
-    auto d0 = disks_->Get(DiskId{0});
-    txn_ = std::make_unique<TransactionService>(files_.get(), *d0, cfg_);
+    txn_ = std::make_unique<TransactionService>(
+        disks_.get(), [this](FileId) -> FileService& { return *files_; }, cfg_);
   }
 
   // Restart services after a crash, reusing the same disks (the platters).
@@ -83,8 +83,8 @@ class GroupCommitRecoveryTest : public ::testing::Test {
     files_.reset();
     files_ = std::make_unique<FileService>(disks_.get(), &clock_,
                                            FileServiceConfig{});
-    auto d0 = disks_->Get(DiskId{0});
-    txn_ = std::make_unique<TransactionService>(files_.get(), *d0, cfg_);
+    txn_ = std::make_unique<TransactionService>(
+        disks_.get(), [this](FileId) -> FileService& { return *files_; }, cfg_);
   }
 
   sim::DiskModel& Stable() { return (*disks_->Get(DiskId{0}))->stable_device(); }

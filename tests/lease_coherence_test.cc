@@ -140,7 +140,7 @@ TEST(LeaseCoherenceTest, BreakLandsBeforeTheWritersReply) {
 
 TEST(LeaseCoherenceTest, PartitionedReaderServesOnlyUntilLeaseExpiry) {
   FacilityConfig cfg = LeaseFacility();
-  cfg.agent.rpc_attempts = 2;  // fail fast once the service is unreachable
+  cfg.agent.rpc.max_attempts = 2;  // fail fast once the service is unreachable
   DistributedFileFacility f(cfg);
   Machine& m = f.AddMachine();
   const auto bytes = Pattern(kBlockSize, 9);

@@ -49,8 +49,8 @@ class LogResetCrashTest : public ::testing::Test {
     files_.reset();
     files_ = std::make_unique<FileService>(disks_.get(), &clock_,
                                            FileServiceConfig{});
-    auto d0 = disks_->Get(DiskId{0});
-    txn_ = std::make_unique<TransactionService>(files_.get(), *d0);
+    txn_ = std::make_unique<TransactionService>(
+        disks_.get(), [this](FileId) -> FileService& { return *files_; });
   }
 
   // A contiguous page-locked file of kFileBlocks zero blocks: commits to

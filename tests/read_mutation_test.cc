@@ -1,9 +1,12 @@
-// Hostile input for the two read message kinds: kPread bodies sent to the
-// file service and kPeerRead bodies sent to an agent's peer handler are
-// given seeded bit flips, truncations and rewritten offset/length fields
-// (near 0, near the file size, near 2^64). Every reply must be an error or
-// a bounded read that matches the written bytes; run under the sanitizer
-// build, nothing may crash or allocate by a length the caller only claimed.
+// Hostile input for the two read message kinds and the one write message:
+// kPread and kPwriteVec bodies sent to the file service and kPeerRead
+// bodies sent to an agent's peer handler are given seeded bit flips,
+// truncations and rewritten count/offset/length fields (near 0, near the
+// file size, near 2^64). Every read reply must be an error or a bounded
+// read that matches the written bytes, and every write reply an error or
+// the write a byte model predicts, with no space lost to a refused write;
+// run under the sanitizer build, nothing may crash or allocate by a length
+// the caller only claimed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,8 +110,8 @@ Written WriteModelFile(Machine& m) {
   return w;
 }
 
-// Sends `body` as `op` to `address`; returns the served bytes, or the
-// reply's error.
+// Sends `body` as `op` to `address`; returns the served bytes (none for a
+// write), or the reply's error.
 Result<std::vector<std::uint8_t>> Send(DistributedFileFacility& f,
                                        const std::string& address, FsOp op,
                                        const std::vector<std::uint8_t>& body) {
@@ -117,6 +120,7 @@ Result<std::vector<std::uint8_t>> Send(DistributedFileFacility& f,
   if (!r.ok()) return r.error();
   Deserializer in{*r};
   RHODOS_RETURN_IF_ERROR(DecodeStatus(in));
+  if (op == FsOp::kPwriteVec) return std::vector<std::uint8_t>{};
   if (op == FsOp::kPread) {
     in.U64();  // version token
     if (in.U8() != kPreadReplyData) {
@@ -235,6 +239,138 @@ TEST(ReadMutationTest, HostilePeerReadBodiesGetAnErrorOrTheCachedBytes) {
     ++served;
   }
   EXPECT_GT(served, kTrials / 4) << "most mutations must still reach a read";
+}
+
+// --- kPwriteVec ------------------------------------------------------------
+
+// Body layout: count u32, then per extent file u64, offset u64, data
+// (u32 length + bytes); the first extent's offset sits after count + file.
+constexpr std::size_t kCountField = 0;
+constexpr std::size_t kFirstExtentOffset = 4 + 8;
+constexpr int kWriteTrials = 300;
+// ReadFacility()'s one disk, in bytes.
+constexpr std::uint64_t kDiskBytes = 16 * 1024 * kFragmentSize;
+
+// `file` with `data` written at `offset`, zero-filling any gap.
+void ApplyWrite(std::vector<std::uint8_t>& file, std::uint64_t offset,
+                const std::vector<std::uint8_t>& data) {
+  if (data.empty()) return;
+  if (file.size() < offset + data.size()) file.resize(offset + data.size());
+  std::copy(data.begin(), data.end(),
+            file.begin() + static_cast<std::ptrdiff_t>(offset));
+}
+
+std::vector<std::uint8_t> ReadAll(DistributedFileFacility& f, FileId id) {
+  auto attrs = f.OwnerOf(id).GetAttributes(id);
+  EXPECT_TRUE(attrs.ok());
+  std::vector<std::uint8_t> out(attrs.ok() ? attrs->size : 0);
+  EXPECT_TRUE(f.OwnerOf(id).Read(id, 0, out).ok());
+  return out;
+}
+
+// Regression: a write whose end passes 2^64 used to be accepted and land
+// its tail at the start of the file.
+TEST(ReadMutationTest, PwriteVecExtentWrappingPastTheAddressSpaceIsRefused) {
+  DistributedFileFacility f(ReadFacility());
+  const Written w = WriteModelFile(f.AddMachine());
+  const std::uint64_t free_before = f.disks().TotalFreeFragments();
+  PwriteVecRequest req;
+  req.extents.push_back(
+      PwriteExtent{w.id, kMax - 50, std::vector<std::uint8_t>(200, 9)});
+  auto got = Send(f, core::kFileServiceAddress, FsOp::kPwriteVec,
+                  req.Encode());
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ReadAll(f, w.id), w.bytes);
+  EXPECT_EQ(f.disks().TotalFreeFragments(), free_before);
+}
+
+TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
+  DistributedFileFacility f(ReadFacility());
+  const Written w = WriteModelFile(f.AddMachine());
+  std::vector<std::uint8_t> model = w.bytes;
+  Rng rng(22);
+  int applied = 0;
+  int refused = 0;
+  for (int trial = 0; trial < kWriteTrials; ++trial) {
+    PwriteVecRequest base;
+    const std::uint64_t extents = 1 + rng.Below(3);
+    for (std::uint64_t e = 0; e < extents; ++e) {
+      std::vector<std::uint8_t> data(1 + rng.Below(2 * kBlockSize));
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+      base.extents.push_back(
+          PwriteExtent{w.id, rng.Below(model.size() + kBlockSize), data});
+    }
+    std::vector<std::uint8_t> body = base.Encode();
+    switch (rng.Below(4)) {
+      case 0:
+        body[rng.Below(body.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.Below(8));
+        break;
+      case 1:
+        body.resize(rng.Below(body.size()));
+        break;
+      case 2: {
+        const std::uint32_t counts[] = {0, 1, 2, 4, 0xFFFFFFFFu};
+        const std::uint32_t count = counts[rng.Below(5)];
+        for (std::size_t i = 0; i < 4; ++i) {
+          body[kCountField + i] = static_cast<std::uint8_t>(count >> (8 * i));
+        }
+        break;
+      }
+      default:
+        PutU64(body, kFirstExtentOffset, Boundary(rng, model.size()));
+        break;
+    }
+    auto decoded = PwriteVecRequest::Decode(body);
+    const std::uint64_t free_before = f.disks().TotalFreeFragments();
+    const std::uint64_t blocks_before = *f.OwnerOf(w.id).BlockCount(w.id);
+    auto got = Send(f, core::kFileServiceAddress, FsOp::kPwriteVec, body);
+    const std::vector<std::uint8_t> now = ReadAll(f, w.id);
+    // Space may only go to blocks the file now maps (plus at most one
+    // indirect block): a refused write gives back whatever it allocated.
+    const std::uint64_t blocks_after = *f.OwnerOf(w.id).BlockCount(w.id);
+    EXPECT_LE(free_before - f.disks().TotalFreeFragments(),
+              (blocks_after - blocks_before + 1) * kFragmentsPerBlock)
+        << "trial " << trial;
+    if (!decoded.ok()) {
+      ASSERT_FALSE(got.ok()) << "trial " << trial;
+      ASSERT_EQ(now, model) << "trial " << trial;
+      continue;
+    }
+    const bool foreign = std::any_of(
+        decoded->extents.begin(), decoded->extents.end(),
+        [&w](const PwriteExtent& e) { return e.file != w.id; });
+    if (foreign) {
+      // A rewritten file id names nothing or some other file; whatever the
+      // reply, resume from the bytes the model file now holds.
+      model = now;
+      continue;
+    }
+    // Extents apply in order; a failure leaves a prefix applied. An extent
+    // ending past the disk's capacity cannot apply, nor can any after it.
+    std::vector<std::vector<std::uint8_t>> prefixes{model};
+    bool fits = true;
+    for (const PwriteExtent& e : decoded->extents) {
+      fits = e.offset + e.data.size() <= kDiskBytes;
+      if (!fits) break;
+      prefixes.push_back(prefixes.back());
+      ApplyWrite(prefixes.back(), e.offset, e.data);
+    }
+    if (got.ok()) {
+      ASSERT_TRUE(fits) << "trial " << trial << ": a write past the disk";
+      ASSERT_EQ(now, prefixes.back()) << "trial " << trial;
+      ++applied;
+    } else {
+      const auto last = fits ? prefixes.end() - 1 : prefixes.end();
+      ASSERT_NE(std::find(prefixes.begin(), last, now), last)
+          << "trial " << trial << ": " << got.error().message;
+      ++refused;
+    }
+    model = now;
+  }
+  EXPECT_GT(applied, kWriteTrials / 4) << "most mutations must still write";
+  EXPECT_GT(refused, 0) << "some offsets must be refused";
 }
 
 }  // namespace

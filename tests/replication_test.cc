@@ -23,7 +23,8 @@ class ReplicationTest : public ::testing::Test {
     for (int i = 0; i < 3; ++i) disks_.AddDisk(DiskConfig(), &clock_);
     files_ = std::make_unique<FileService>(&disks_, &clock_,
                                            file::FileServiceConfig{});
-    repl_ = std::make_unique<ReplicationService>(files_.get());
+    repl_ = std::make_unique<ReplicationService>(
+        &disks_, &clock_, [this](FileId) -> FileService& { return *files_; });
   }
 
   std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed = 1) {

@@ -169,7 +169,7 @@ TEST(RecoveryIdempotenceTest, RepeatedCrashRecoverCyclesAreStable) {
 
 TEST(BusOutageTest, AgentSurfacesUnavailabilityAndRecovers) {
   core::FacilityConfig cfg = TinyFacility();
-  cfg.agent.rpc_attempts = 2;
+  cfg.agent.rpc.max_attempts = 2;
   core::DistributedFileFacility f(cfg);
   auto& m = f.AddMachine();
   auto od = m.file_agent->Create(naming::ByName("net"),

@@ -11,6 +11,7 @@
 // serves. These tests are the proof that the convention holds under load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -425,6 +426,72 @@ TEST(ShardTest, ShardKillStormDeterministicGivenSeedAndPlan) {
   const std::string first = run();
   const std::string second = run();
   EXPECT_EQ(first, second);
+  EXPECT_NE(first, "setup failed");
+}
+
+// Transactions and replication at 4 shards: the one transaction service and
+// the one replication service follow each file to whichever shard serves it
+// while shards die, fail over and return.
+sim::FaultPlan FourShardKills() {
+  sim::FaultPlan plan;
+  plan.ServiceDown(300 * kSimMillisecond, "file-service-2")
+      .ServiceUp(900 * kSimMillisecond, "file-service-2")
+      .ServiceDown(1200 * kSimMillisecond, "file-service")
+      .ServiceUp(1800 * kSimMillisecond, "file-service")
+      .ServiceDown(2100 * kSimMillisecond, "file-service-3")
+      .ServiceUp(2700 * kSimMillisecond, "file-service-3")
+      .DiskCrash(2900 * kSimMillisecond, 1)
+      .DiskRecover(3300 * kSimMillisecond, 1);
+  return plan;
+}
+
+ChaosWorkloadConfig FourShardWorkload() {
+  ChaosWorkloadConfig wl;
+  wl.seed = 91;
+  wl.operations = 300;
+  wl.txn_files = 4;
+  wl.replica_groups = 3;
+  wl.agent_files = 4;
+  return wl;
+}
+
+TEST(ShardTest, FourShardStormReachesTxnFilesAndReplicasThroughTheirOwners) {
+  DistributedFileFacility f(ShardedConfig(4, 2));
+  ChaosRunner runner(&f, FourShardWorkload());
+  auto report = runner.Run(FourShardKills());
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  EXPECT_GT(report->txn_commits, 0u) << report->Summary();
+  EXPECT_GT(report->replicated_writes, 0u) << report->Summary();
+  EXPECT_GE(f.recovery().stats().shard_failovers, 3u) << report->Summary();
+  EXPECT_GT(f.placement().stats().reroutes, 0u) << report->Summary();
+
+  // The storm is only a test of the owner rule if some transaction file
+  // and some replica live off shard 0.
+  const auto off_zero = [&f](FileId id) {
+    return f.placement().HomeShard(id) != 0;
+  };
+  const auto& txn_files = runner.txn_files();
+  EXPECT_TRUE(std::any_of(txn_files.begin(), txn_files.end(), off_zero));
+  bool replica_off_zero = false;
+  for (auto g : f.replication().GroupIds()) {
+    auto replicas = f.replication().Replicas(g);
+    ASSERT_TRUE(replicas.ok());
+    for (const auto& r : *replicas) replica_off_zero |= off_zero(r.file);
+  }
+  EXPECT_TRUE(replica_off_zero);
+}
+
+TEST(ShardTest, FourShardStormDeterministicGivenSeedAndPlan) {
+  auto run = [] {
+    DistributedFileFacility f(ShardedConfig(4, 2));
+    ChaosRunner runner(&f, FourShardWorkload());
+    auto report = runner.Run(FourShardKills());
+    EXPECT_TRUE(report.ok());
+    return report.ok() ? report->Summary() : std::string("setup failed");
+  };
+  const std::string first = run();
+  EXPECT_EQ(first, run());
   EXPECT_NE(first, "setup failed");
 }
 

@@ -34,8 +34,8 @@ class TxnServiceTest : public ::testing::Test {
     for (int d = 0; d < disk_count; ++d) disks_->AddDisk(DiskConfig(), &clock_);
     files_ = std::make_unique<FileService>(disks_.get(), &clock_,
                                            FileServiceConfig{});
-    auto d0 = disks_->Get(DiskId{0});
-    txn_ = std::make_unique<TransactionService>(files_.get(), *d0, cfg);
+    txn_ = std::make_unique<TransactionService>(
+        disks_.get(), [this](FileId) -> FileService& { return *files_; }, cfg);
   }
 
   // Restart services after a crash, reusing the same disks (the platters).
@@ -44,8 +44,8 @@ class TxnServiceTest : public ::testing::Test {
     files_.reset();
     files_ = std::make_unique<FileService>(disks_.get(), &clock_,
                                            FileServiceConfig{});
-    auto d0 = disks_->Get(DiskId{0});
-    txn_ = std::make_unique<TransactionService>(files_.get(), *d0, cfg);
+    txn_ = std::make_unique<TransactionService>(
+        disks_.get(), [this](FileId) -> FileService& { return *files_; }, cfg);
   }
 
   std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed = 1) {
