@@ -113,7 +113,7 @@ void BM_TimeToRepair(benchmark::State& state) {
 
     std::uint64_t converged = 0;
     for (auto g : gs) {
-      auto c = repl.Converged(g);
+      auto c = repl.AllCurrent(g);
       converged += (c.ok() && *c) ? 1 : 0;
     }
     // The whole point of the vectored rebuild: far fewer references than

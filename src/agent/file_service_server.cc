@@ -430,12 +430,9 @@ sim::Payload FileServiceServer::HandlePread(
   auto req = PreadRequest::Decode(body);
   if (!req.ok()) return ErrorReply(req.error());
   const bool hot = NoteReadLoad(req->file);
-  // The decoder refused a wrapping offset + length; round up without
-  // adding to the end, which may sit within a block of 2^64.
-  const std::uint64_t end = req->offset + req->length;
+  // The decoder refused a wrapping offset + length.
   const std::uint64_t first_block = req->offset / kBlockSize;
-  const std::uint64_t end_block =
-      end / kBlockSize + (end % kBlockSize != 0 ? 1 : 0);
+  const std::uint64_t end_block = BlocksCovering(req->offset + req->length);
   if (ct_config_.enabled && hot && !req->no_redirect && !req->cb.empty()) {
     // Cache-tier read routing: the file is hot, so point the reader at
     // callback-holding peers instead of the spindles. The reply carries the

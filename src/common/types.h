@@ -22,6 +22,12 @@ inline constexpr std::size_t kFragmentSize = 2048;           // bytes
 inline constexpr std::size_t kFragmentsPerBlock = 4;         // 4 * 2K = 8K
 inline constexpr std::size_t kBlockSize = kFragmentSize * kFragmentsPerBlock;
 
+// Blocks that cover `bytes`, rounded up without adding: a byte count
+// within a block of 2^64 must not wrap to a handful of blocks.
+constexpr std::uint64_t BlocksCovering(std::uint64_t bytes) {
+  return bytes / kBlockSize + (bytes % kBlockSize != 0 ? 1 : 0);
+}
+
 // A byte range [offset, offset + length) whose end does not wrap past 2^64:
 // no reply can be sized, nor block range computed, from one that does.
 constexpr bool RangeFits(std::uint64_t offset, std::uint64_t length) {

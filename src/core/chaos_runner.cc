@@ -329,7 +329,7 @@ void ChaosRunner::Verify(ChaosReport& report) {
 
   // I3: convergence, and I1 re-checked against the post-recovery volume.
   for (std::size_t i = 0; i < groups_.size(); ++i) {
-    auto converged = repl.Converged(groups_[i]);
+    auto converged = repl.AllCurrent(groups_[i]);
     if (!converged.ok() || !*converged) {
       ++report.unconverged_groups;
       continue;

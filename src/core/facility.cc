@@ -44,31 +44,11 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
                                                     config_.txn);
   replication_ = std::make_unique<replication::ReplicationService>(
       &disks_, &clock_, owner_of, config_.replication);
-  anti_entropy_ = std::make_unique<replication::AntiEntropyScanner>(
-      replication_.get(), config_.anti_entropy);
-  recovery_ = std::make_unique<recovery::RecoveryManager>(
-      &disks_, replication_.get());
-  recovery_->SetAntiEntropy(anti_entropy_.get());
+  // One recovery loop at every shard count, one included: each Tick()
+  // observes every disk and probes every shard through the one detector.
   detector_ = std::make_unique<recovery::FailureDetector>(&bus_);
-  for (std::uint32_t s = 0; s < file_shards; ++s) {
-    detector_->Watch(router_->AddressOf(s));
-  }
-  // Disks are local to the file service machine, not bus services: the
-  // detector probes them through a local prober instead of burning network
-  // timeouts. Bus addresses still go over the wire.
-  detector_->SetProber([this](const std::string& address) -> bool {
-    const std::string prefix = "disk-";
-    if (address.rfind(prefix, 0) == 0) {
-      const DiskId disk{static_cast<std::uint32_t>(
-          std::strtoul(address.c_str() + prefix.size(), nullptr, 10))};
-      auto server = disks_.Get(disk);
-      return server.ok() && (*server)->Reachable();
-    }
-    return bus_.Probe(address, "failure-detector").ok();
-  });
-  recovery_->SetDiskDetector(detector_.get());
-  // One shard is just N=1: its outage fences and heals like any shard's.
-  recovery_->SetShardRouter(router_.get());
+  recovery_ = std::make_unique<recovery::RecoveryManager>(
+      &disks_, replication_.get(), detector_.get(), router_.get());
   router_->SetFenceHook([this](std::uint32_t s) {
     // Epoch fence: flush (best effort per file; what cannot be written is
     // lost as in a server crash), then purge the shard's volatile state and
@@ -229,7 +209,6 @@ void DistributedFileFacility::ResetStats() {
   txns_->log().ResetStats();
   txns_->pipeline().ResetStats();
   replication_->ResetStats();
-  anti_entropy_->ResetStats();
   recovery_->ResetStats();
   detector_->ResetStats();
   disks_.ResetStats();
@@ -286,7 +265,6 @@ void DistributedFileFacility::PullLayerStats() {
   fold.Sum(txn::kLogPipelineCounters, txns_->pipeline().stats());
   fold.Sum(txn::kTxnLogCounters, txns_->log().stats());
   fold.Sum(replication::kReplicationCounters, replication_->stats());
-  fold.Sum(replication::kAntiEntropyCounters, anti_entropy_->stats());
   fold.Sum(recovery::kRecoveryCounters, recovery_->stats());
   fold.Sum(recovery::kFailureDetectorCounters, detector_->stats());
   const auto& disks = disks_.disks();

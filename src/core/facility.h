@@ -44,7 +44,6 @@
 #include "placement/sharded_naming.h"
 #include "recovery/failure_detector.h"
 #include "recovery/recovery_manager.h"
-#include "replication/anti_entropy.h"
 #include "replication/replication_service.h"
 #include "sim/message_bus.h"
 #include "txn/transaction_service.h"
@@ -75,7 +74,6 @@ struct FacilityConfig {
   // blocks a promise covers.
   agent::CacheTierConfig cache_tier{};
   replication::ReplicationConfig replication{};
-  replication::AntiEntropyConfig anti_entropy{};
   // Metadata-plane partitioning; the default (1/1) is the paper topology.
   placement::ShardingConfig sharding{};
 };
@@ -125,7 +123,6 @@ class DistributedFileFacility {
   placement::ShardedNamingService& naming() { return *naming_; }
   placement::ShardRouter& placement() { return *router_; }
   replication::ReplicationService& replication() { return *replication_; }
-  replication::AntiEntropyScanner& anti_entropy() { return *anti_entropy_; }
   recovery::RecoveryManager& recovery() { return *recovery_; }
   recovery::FailureDetector& detector() { return *detector_; }
   sim::MessageBus& bus() { return bus_; }
@@ -214,9 +211,8 @@ class DistributedFileFacility {
   std::unique_ptr<txn::TransactionService> txns_;
   std::unique_ptr<placement::ShardedNamingService> naming_;
   std::unique_ptr<replication::ReplicationService> replication_;
-  std::unique_ptr<replication::AntiEntropyScanner> anti_entropy_;
-  std::unique_ptr<recovery::RecoveryManager> recovery_;
   std::unique_ptr<recovery::FailureDetector> detector_;
+  std::unique_ptr<recovery::RecoveryManager> recovery_;
   std::vector<std::unique_ptr<agent::FileServiceServer>> file_servers_;
   std::vector<std::unique_ptr<Machine>> machines_;
   std::uint64_t next_pid_{1};

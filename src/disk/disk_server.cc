@@ -26,10 +26,7 @@ DiskServer::DiskServer(DiskId id, DiskServerConfig config, SimClock* clock)
       // The stable mirror charges no simulated time directly; synchronous
       // stable writes bill their cost onto the caller's clock explicitly so
       // asynchronous ones can stay off the critical path (E11).
-      stable_(config.provide_stable_storage
-                  ? std::make_unique<sim::DiskModel>(config.geometry, nullptr,
-                                                     config.fault_seed + 17)
-                  : nullptr),
+      stable_(config.geometry, nullptr, config.fault_seed + 17),
       bitmap_(config.geometry.total_fragments),
       cache_(config.geometry.fragments_per_track,
              config.cache_capacity_tracks),
@@ -44,7 +41,7 @@ DiskServer::DiskServer(DiskId id, DiskServerConfig config, SimClock* clock)
   // a parsable copy, even if no checkpoint ran before a crash.
   (void)PersistMetadata(WriteSync::kSynchronous);
   main_.ResetStats();
-  if (stable_) stable_->ResetStats();
+  stable_.ResetStats();
 }
 
 // --- Allocation -------------------------------------------------------------
@@ -197,20 +194,17 @@ Status DiskServer::WriteMain(FragmentIndex first, std::uint32_t count,
 Status DiskServer::WriteStable(FragmentIndex first, std::uint32_t count,
                                std::span<const std::uint8_t> in,
                                WriteSync sync) {
-  if (!stable_) {
-    return {ErrorCode::kNotSupported, "disk has no stable storage"};
-  }
   if (sync == WriteSync::kAsynchronous) {
     stable_queue_.push_back(PendingStableWrite{
         first, count, std::vector<std::uint8_t>(in.begin(), in.end())});
     return OkStatus();
   }
-  const SimTime before = stable_->stats().time_charged;
-  RHODOS_RETURN_IF_ERROR(stable_->WriteFragments(first, count, in));
+  const SimTime before = stable_.stats().time_charged;
+  RHODOS_RETURN_IF_ERROR(stable_.WriteFragments(first, count, in));
   // Synchronous stable writes hold the caller until the mirror is safe:
   // bill their device time onto the simulated clock.
   if (clock_ != nullptr) {
-    clock_->Advance(stable_->stats().time_charged - before);
+    clock_->Advance(stable_.stats().time_charged - before);
   }
   return OkStatus();
 }
@@ -221,9 +215,6 @@ Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   if (in.size() < static_cast<std::size_t>(count) * kFragmentSize) {
     return {ErrorCode::kInvalidArgument, "put_block buffer too small"};
-  }
-  if (!stable_) {
-    return {ErrorCode::kNotSupported, "disk has no stable storage"};
   }
   if (barrier == Barrier::kObserve && barrier_) barrier_();
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
@@ -315,9 +306,6 @@ Status DiskServer::GetBlocksVec(std::span<const ReadRun> runs,
   }
   if (runs.empty()) return OkStatus();
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "get_block");
-  if (source == ReadSource::kStable && !stable_) {
-    return {ErrorCode::kNotSupported, "disk has no stable storage"};
-  }
   // A merged group reads into scratch and scatters to the member segments.
   std::vector<std::uint8_t> scratch;
   const std::uint64_t hits_before = cache_.stats().hits;
@@ -332,7 +320,7 @@ Status DiskServer::GetBlocksVec(std::span<const ReadRun> runs,
         }
         obs::LatencyScope lat(obs_, "disk.reference_ns");
         if (source == ReadSource::kStable) {
-          RHODOS_RETURN_IF_ERROR(stable_->ReadFragments(first, count, into));
+          RHODOS_RETURN_IF_ERROR(stable_.ReadFragments(first, count, into));
         } else {
           const std::uint64_t hits = cache_.stats().hits;
           const std::uint64_t head = main_.head_track();
@@ -442,8 +430,7 @@ Status DiskServer::DrainStableWrites() {
   while (!stable_queue_.empty()) {
     PendingStableWrite w = std::move(stable_queue_.front());
     stable_queue_.pop_front();
-    if (!stable_) continue;
-    RHODOS_RETURN_IF_ERROR(stable_->WriteFragments(w.first, w.count, w.data));
+    RHODOS_RETURN_IF_ERROR(stable_.WriteFragments(w.first, w.count, w.data));
   }
   return OkStatus();
 }
@@ -463,12 +450,12 @@ void DiskServer::Crash() {
   cache_.InvalidateAll();
   stable_queue_.clear();
   main_.Crash();
-  if (stable_) stable_->Crash();
+  stable_.Crash();
 }
 
 Status DiskServer::Recover() {
   main_.Recover();
-  if (stable_) stable_->Recover();
+  stable_.Recover();
   cache_.InvalidateAll();
   stable_queue_.clear();
 
@@ -479,7 +466,7 @@ Status DiskServer::Recover() {
                     ? main_.ReadFragments(0, static_cast<std::uint32_t>(
                                                  metadata_fragments_),
                                           out)
-                    : stable_->ReadFragments(
+                    : stable_.ReadFragments(
                           0, static_cast<std::uint32_t>(metadata_fragments_),
                           out);
     if (!st.ok()) return false;
@@ -490,8 +477,7 @@ Status DiskServer::Recover() {
     return true;
   };
 
-  if (!try_load(ReadSource::kMain) &&
-      !(stable_ && try_load(ReadSource::kStable))) {
+  if (!try_load(ReadSource::kMain) && !try_load(ReadSource::kStable)) {
     return {ErrorCode::kMediaError,
             "bitmap unrecoverable from both main and stable storage"};
   }
@@ -501,7 +487,7 @@ Status DiskServer::Recover() {
 
 void DiskServer::ResetStats() {
   main_.ResetStats();
-  if (stable_) stable_->ResetStats();
+  stable_.ResetStats();
   cache_.ResetStats();
   free_space_.ResetStats();
   vec_stats_ = VecIoStats{};

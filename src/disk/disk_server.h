@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,7 +76,6 @@ struct DiskServerConfig {
   sim::DiskGeometry geometry;
   std::size_t cache_capacity_tracks = 16;
   bool track_readahead = true;  // sweep the rest of the track on read miss
-  bool provide_stable_storage = true;
   std::uint64_t fault_seed = 1;
 };
 
@@ -258,7 +256,7 @@ class DiskServer {
   void SetFaultPlan(sim::DiskFaultPlan plan) { main_.SetFaultPlan(plan); }
 
   const sim::DiskStats& main_stats() const { return main_.stats(); }
-  const sim::DiskStats& stable_stats() const { return stable_->stats(); }
+  const sim::DiskStats& stable_stats() const { return stable_.stats(); }
   const VecIoStats& vec_stats() const { return vec_stats_; }
   const TrackCacheStats& cache_stats() const { return cache_.stats(); }
   const FreeSpaceStats& free_space_stats() const {
@@ -271,7 +269,7 @@ class DiskServer {
 
   // Test access to the underlying devices.
   sim::DiskModel& main_device() { return main_; }
-  sim::DiskModel& stable_device() { return *stable_; }
+  sim::DiskModel& stable_device() { return stable_; }
 
  private:
   Status CheckReachable() const;
@@ -302,7 +300,7 @@ class DiskServer {
   DiskServerConfig config_;
   SimClock* clock_;
   sim::DiskModel main_;
-  std::unique_ptr<sim::DiskModel> stable_;  // mirror device (stable storage)
+  sim::DiskModel stable_;  // mirror device (stable storage)
   Bitmap bitmap_;
   FreeSpaceArray free_space_;
   TrackCache cache_;

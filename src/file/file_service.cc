@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -167,15 +168,17 @@ Status FileService::StoreParked(FileId id) {
 
 Result<FileId> FileService::Create(ServiceType type,
                                    std::uint64_t size_hint) {
-  const std::uint64_t hint_blocks =
-      (size_hint + kBlockSize - 1) / kBlockSize;
+  const std::uint64_t hint_blocks = BlocksCovering(size_hint);
   // "The file index table and at least the first data block are always
   // contiguous thus eliminating the seek time to retrieve the first data
-  // block" (§5): allocate table fragment + initial data in ONE run.
-  const std::uint32_t want =
-      static_cast<std::uint32_t>(1 + hint_blocks * kFragmentsPerBlock);
-
-  auto placement = disks_->Allocate(want);
+  // block" (§5): allocate table fragment + initial data in ONE run. A hint
+  // past what one allocation can name goes straight to the fallback.
+  const std::uint64_t want = 1 + hint_blocks * kFragmentsPerBlock;
+  auto placement =
+      want <= std::numeric_limits<std::uint32_t>::max()
+          ? disks_->Allocate(static_cast<std::uint32_t>(want))
+          : Result<disk::DiskRegistry::Placement>{
+                Error{ErrorCode::kNoSpace, "size hint exceeds a disk"}};
   std::uint64_t preallocated_blocks = hint_blocks;
   if (!placement.ok() && want > 1) {
     // Could not get table + hint contiguously; take just the table fragment
@@ -524,7 +527,7 @@ Result<std::uint64_t> FileService::Read(FileId id, std::uint64_t offset,
 
 Status FileService::ReadAhead(FileId id, OpenFile& of, std::uint64_t from) {
   const std::uint64_t size_blocks =
-      (of.table.attributes().size + kBlockSize - 1) / kBlockSize;
+      BlocksCovering(of.table.attributes().size);
   const std::uint64_t mapped = std::min(of.table.BlockCount(), size_blocks);
   std::uint64_t limit = std::min<std::uint64_t>(
       mapped, from + config_.readahead_blocks);
@@ -645,11 +648,8 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
   ++stats_.writes;
   if (len == 0) return std::uint64_t{0};
 
-  // Extend the mapping as needed. Round up without adding to the end,
-  // which may sit within a block of 2^64.
-  const std::uint64_t end = offset + len;
-  const std::uint64_t needed_blocks =
-      end / kBlockSize + (end % kBlockSize != 0 ? 1 : 0);
+  // Extend the mapping as needed.
+  const std::uint64_t needed_blocks = BlocksCovering(offset + len);
   if (needed_blocks > of->table.BlockCount()) {
     RHODOS_RETURN_IF_ERROR(
         Grow(id, *of, needed_blocks - of->table.BlockCount()));
@@ -727,7 +727,7 @@ Status FileService::Resize(FileId id, std::uint64_t size) {
     return {ErrorCode::kPermissionDenied, "resize of immutable snapshot"};
   }
   const std::uint64_t old_size = of->table.attributes().size;
-  const std::uint64_t new_blocks = (size + kBlockSize - 1) / kBlockSize;
+  const std::uint64_t new_blocks = BlocksCovering(size);
   if (new_blocks > of->table.BlockCount()) {
     RHODOS_RETURN_IF_ERROR(Grow(id, *of, new_blocks - of->table.BlockCount()));
   } else if (new_blocks < of->table.BlockCount()) {

@@ -3,11 +3,13 @@
 namespace rhodos::recovery {
 
 ServiceState FailureDetector::Probe(const std::string& address) {
-  Entry& e = watched_[address];
+  return Observe(address, bus_->Probe(address, "failure-detector").ok());
+}
+
+ServiceState FailureDetector::Observe(const std::string& address,
+                                      bool answered) {
+  Entry& e = entries_[address];
   ++stats_.probes;
-  const bool answered =
-      prober_ ? prober_(address)
-              : bus_->Probe(address, "failure-detector").ok();
   if (answered) {
     if (e.state == ServiceState::kSuspected ||
         e.state == ServiceState::kDown) {
@@ -19,10 +21,10 @@ ServiceState FailureDetector::Probe(const std::string& address) {
   }
   ++stats_.probe_failures;
   ++e.consecutive_misses;
-  if (e.consecutive_misses >= config_.down_after) {
+  if (e.consecutive_misses >= kDownAfterMisses) {
     if (e.state != ServiceState::kDown) ++stats_.declared_down;
     e.state = ServiceState::kDown;
-  } else if (e.consecutive_misses >= config_.suspect_after) {
+  } else if (e.consecutive_misses >= kSuspectAfterMisses) {
     if (e.state != ServiceState::kSuspected &&
         e.state != ServiceState::kDown) {
       ++stats_.suspicions;
@@ -32,20 +34,9 @@ ServiceState FailureDetector::Probe(const std::string& address) {
   return e.state;
 }
 
-void FailureDetector::ProbeAll() {
-  for (auto& [address, entry] : watched_) (void)Probe(address);
-}
-
 ServiceState FailureDetector::StateOf(const std::string& address) const {
-  auto it = watched_.find(address);
-  return it == watched_.end() ? ServiceState::kUnknown : it->second.state;
-}
-
-bool FailureDetector::AllHealthy() const {
-  for (const auto& [address, entry] : watched_) {
-    if (entry.state != ServiceState::kHealthy) return false;
-  }
-  return true;
+  auto it = entries_.find(address);
+  return it == entries_.end() ? ServiceState::kUnknown : it->second.state;
 }
 
 }  // namespace rhodos::recovery

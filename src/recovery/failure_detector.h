@@ -1,12 +1,13 @@
-// Heartbeat failure detector over the message bus.
+// Heartbeat failure detector.
 //
 // The paper's reliability story assumes somebody notices that a service has
 // stopped answering: retransmission masks loss, but routing around a dead
 // replica and scheduling its repair need an explicit verdict. The detector
-// probes each watched service through the bus (charging real simulated
-// network time) and runs the classic three-state machine:
+// probes a bus service through the bus (charging real simulated network
+// time), or takes a liveness observation made without the bus, and runs
+// the classic three-state machine:
 //
-//   healthy --k failures--> suspected --k more--> down --1 success--> healthy
+//   healthy --1st miss--> suspected --3rd miss--> down --1 answer--> healthy
 //
 // Deliberately timeout-based, not perfect: a partition and a crash look the
 // same from here, which is exactly the ambiguity the recovery orchestrator
@@ -14,10 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "sim/message_bus.h"
 #include "obs/metrics.h"
@@ -25,16 +24,15 @@
 namespace rhodos::recovery {
 
 enum class ServiceState : std::uint8_t {
-  kUnknown = 0,  // never probed / not watched
+  kUnknown = 0,  // never probed or observed
   kHealthy,
   kSuspected,  // missed probes, but not enough to declare death
   kDown,
 };
 
-struct FailureDetectorConfig {
-  int suspect_after = 1;  // consecutive probe misses before kSuspected
-  int down_after = 3;     // consecutive probe misses before kDown
-};
+// Consecutive misses before a service is suspected, and before it is down.
+inline constexpr int kSuspectAfterMisses = 1;
+inline constexpr int kDownAfterMisses = 3;
 
 struct FailureDetectorStats {
   std::uint64_t probes = 0;
@@ -55,26 +53,18 @@ inline constexpr obs::CounterField<FailureDetectorStats>
 
 class FailureDetector {
  public:
-  explicit FailureDetector(sim::MessageBus* bus,
-                           FailureDetectorConfig config = {})
-      : bus_(bus), config_(config) {}
+  explicit FailureDetector(sim::MessageBus* bus) : bus_(bus) {}
 
-  void Watch(std::string address) { watched_[std::move(address)]; }
-
-  // Replaces the bus probe with a local liveness check (true = answered).
-  // The facility uses this to watch disks, which are not bus services and
-  // whose reachability a co-located recovery manager can read directly.
-  using Prober = std::function<bool(const std::string&)>;
-  void SetProber(Prober prober) { prober_ = std::move(prober); }
-
-  // One probe of one service, now; returns its (possibly new) state.
+  // One bus probe of the service at `address`, now; returns its (possibly
+  // new) state.
   ServiceState Probe(const std::string& address);
 
-  // One probe round over every watched service.
-  void ProbeAll();
+  // Feeds one liveness observation made without the bus (true = answered).
+  // Disks are local to the file service machine, not bus services: the
+  // recovery manager reads their reachability directly and reports it here.
+  ServiceState Observe(const std::string& address, bool answered);
 
   ServiceState StateOf(const std::string& address) const;
-  bool AllHealthy() const;
 
   const FailureDetectorStats& stats() const { return stats_; }
   void ResetStats() { stats_ = FailureDetectorStats{}; }
@@ -86,9 +76,7 @@ class FailureDetector {
   };
 
   sim::MessageBus* bus_;
-  Prober prober_;
-  FailureDetectorConfig config_;
-  std::map<std::string, Entry> watched_;  // ordered: deterministic rounds
+  std::map<std::string, Entry> entries_;
   FailureDetectorStats stats_;
 };
 

@@ -2,18 +2,6 @@
 
 namespace rhodos::recovery {
 
-void RecoveryManager::RepairGroupsOnDisk(DiskId disk) {
-  for (replication::GroupId g : replication_->GroupsOnDisk(disk)) {
-    auto converged = replication_->Converged(g);
-    if (converged.ok() && *converged) continue;
-    if (replication_->Repair(g).ok()) {
-      ++stats_.auto_repairs;
-    } else {
-      ++stats_.repair_failures;
-    }
-  }
-}
-
 void RecoveryManager::Tick() {
   ++stats_.ticks;
   const auto& disks = disks_->disks();
@@ -22,65 +10,56 @@ void RecoveryManager::Tick() {
   if (disk_up_.size() < disks.size()) disk_up_.resize(disks.size(), true);
 
   for (std::size_t i = 0; i < disks.size(); ++i) {
-    bool up;
-    if (detector_ != nullptr) {
-      // One probe through the three-state machine: anything short of a
-      // clean kHealthy verdict (suspected or down) routes reads away.
-      const auto state = detector_->Probe(
-          "disk-" + std::to_string(disks[i]->id().value));
-      up = state == ServiceState::kHealthy;
-    } else {
-      up = disks[i]->Reachable();
-    }
+    // One observation through the three-state machine: anything short of
+    // a clean kHealthy verdict (suspected or down) routes reads away.
+    const DiskId disk = disks[i]->id();
+    const bool up =
+        detector_->Observe(sim::DiskFaultTarget(disk.value),
+                           disks[i]->Reachable()) == ServiceState::kHealthy;
     const bool was_up = disk_up_[i];
     disk_up_[i] = up;
     if (was_up && !up) {
       ++stats_.disk_failures_detected;
-      stats_.replicas_marked_down += replication_->MarkDiskDown(disks[i]->id());
+      stats_.replicas_marked_down += replication_->MarkDiskDown(disk);
     } else if (!was_up && up) {
       ++stats_.disk_recoveries_detected;
-      if (scanner_ != nullptr) {
-        // Readmit replicas that are still current; stale ones stay
-        // suspected and the scanner round below converges them.
-        (void)replication_->MarkDiskUp(disks[i]->id());
-      } else if (config_.auto_repair) {
-        RepairGroupsOnDisk(disks[i]->id());
-      }
+      // Readmit replicas that are still current; stale ones stay suspected
+      // and the anti-entropy round below converges them.
+      (void)replication_->MarkDiskUp(disk);
     }
   }
 
-  // Metadata shard failover: probe every shard address through the same
-  // three-state machine the disks use. Suspect → agents route around from
-  // their next request; healthy again → readmit (the router fences on both
-  // edges, so nothing stale survives the transition).
-  if (router_ != nullptr && detector_ != nullptr) {
-    for (std::uint32_t s = 0; s < router_->ShardCount(); ++s) {
-      const bool healthy =
-          detector_->Probe(router_->AddressOf(s)) == ServiceState::kHealthy;
-      if (!healthy && !router_->Suspected(s)) {
-        router_->SuspectShard(s);
-        ++stats_.shard_failovers;
-      } else if (healthy && router_->Suspected(s)) {
-        router_->ReadmitShard(s);
-        ++stats_.shard_readmissions;
-      }
+  for (std::uint32_t s = 0; s < router_->ShardCount(); ++s) {
+    const bool healthy =
+        detector_->Probe(router_->AddressOf(s)) == ServiceState::kHealthy;
+    if (!healthy && !router_->Suspected(s)) {
+      router_->SuspectShard(s);
+      ++stats_.shard_failovers;
+    } else if (healthy && router_->Suspected(s)) {
+      router_->ReadmitShard(s);
+      ++stats_.shard_readmissions;
     }
   }
 
-  // Background anti-entropy: drain complete hint chains everywhere and run
-  // the periodic full version-vector scan. This is what converges replicas
-  // that diverged without a clean failure/recovery edge (flapping disks,
-  // partitions that healed between ticks, torn mid-write copies).
-  if (scanner_ != nullptr && config_.auto_repair) {
-    stats_.auto_repairs += scanner_->Tick();
+  const bool full_scan_due = stats_.ticks % kFullScanEveryTicks == 0;
+  std::size_t caught_up = 0;
+  for (replication::GroupId g : replication_->GroupIds()) {
+    // Hint drain first: it is cheap and may make the full scan a no-op.
+    caught_up += replication_->SyncGroup(g, /*full_copies=*/false);
+    if (full_scan_due) {
+      caught_up += replication_->SyncGroup(g, /*full_copies=*/true);
+    }
   }
+  if (full_scan_due) ++stats_.anti_entropy_scans;
+  stats_.anti_entropy_repairs += caught_up;
+  stats_.auto_repairs += caught_up;
 }
 
 std::size_t RecoveryManager::RepairAllStale() {
   std::size_t repaired = 0;
   for (replication::GroupId g : replication_->GroupIds()) {
-    auto converged = replication_->Converged(g);
-    if (converged.ok() && *converged) continue;
+    auto current = replication_->AllCurrent(g);
+    if (current.ok() && *current) continue;
     if (replication_->Repair(g).ok()) {
       ++repaired;
       ++stats_.auto_repairs;
@@ -93,15 +72,6 @@ std::size_t RecoveryManager::RepairAllStale() {
 
 bool RecoveryManager::DiskBelievedUp(DiskId disk) const {
   return disk.value >= disk_up_.size() || disk_up_[disk.value];
-}
-
-Result<txn::TxnLogAudit> RecoveryManager::AuditIntentionLog(
-    txn::TxnLog& log) {
-  ++stats_.log_audits;
-  RHODOS_ASSIGN_OR_RETURN(txn::TxnLogAudit audit, log.Audit());
-  stats_.log_torn_batches += audit.torn_batches;
-  stats_.log_salvaged_records += audit.salvaged_records;
-  return audit;
 }
 
 }  // namespace rhodos::recovery

@@ -5,19 +5,24 @@
 // replication" for availability (§2.1); availability in practice is a
 // control loop, not a data structure. Each Tick() the manager:
 //
-//  * polls every disk server for liveness — directly via Reachable(), or
-//    through a disk-targeted FailureDetector when one is installed, so
-//    suspicion feeds the same three-state machine the bus services use;
+//  * reports every disk server's reachability to the FailureDetector, so
+//    disk suspicion runs the same three-state machine as the bus services;
 //  * on a failure edge (crash or partition), marks all replicas on that
 //    disk suspected, so the replication service's read path fails over
 //    immediately instead of discovering the corpse one failed read at a
 //    time — and the suspicion bumps the group epoch, fencing the replica;
-//  * on a recovery edge, readmits still-current replicas and lets the
-//    AntiEntropyScanner converge the rest — hint replay first, full copy
-//    when hints cannot cover the gap. Without a scanner the manager falls
-//    back to eager per-disk Repair() (the legacy path).
+//  * on a recovery edge, readmits the disk's still-current replicas;
+//  * probes every file-service shard over the bus: a shard that is not
+//    healthy is suspected on the ShardRouter (agents route around it from
+//    their next request), a healthy-again shard is readmitted, and both
+//    edges fence through the router's epoch machinery;
+//  * runs anti-entropy: every tick it drains complete hint chains in every
+//    group, and every 4th tick it also runs the full scan, which rebuilds
+//    by full copy what hints cannot cover (torn replicas, overflowed hint
+//    queues, replicas readmitted after long partitions). This converges
+//    replicas that diverged without a clean failure/recovery edge.
 //
-// Polling disks directly (rather than through the bus) is deliberate: disk
+// Reading disks directly (rather than through the bus) is deliberate: disk
 // servers are local to the file service machine in the paper's
 // architecture, so their liveness is observable without network ambiguity.
 #pragma once
@@ -29,31 +34,27 @@
 #include "obs/metrics.h"
 #include "placement/shard_router.h"
 #include "recovery/failure_detector.h"
-#include "replication/anti_entropy.h"
 #include "replication/replication_service.h"
-#include "txn/txn_log.h"
 
 namespace rhodos::recovery {
 
-struct RecoveryConfig {
-  bool auto_repair = true;  // repair groups when their disk comes back
-};
+// Ticks between full anti-entropy scans (hint drains run every tick),
+// counted from construction or the last ResetStats.
+inline constexpr std::uint64_t kFullScanEveryTicks = 4;
 
 struct RecoveryStats {
   std::uint64_t ticks = 0;
   std::uint64_t disk_failures_detected = 0;
   std::uint64_t disk_recoveries_detected = 0;
   std::uint64_t replicas_marked_down = 0;
-  std::uint64_t auto_repairs = 0;     // successful Repair() invocations
-  std::uint64_t repair_failures = 0;  // Repair() attempts that errored
-  std::uint64_t log_audits = 0;       // AuditIntentionLog() calls
-  std::uint64_t log_torn_batches = 0;      // torn group-commit frames seen
-  std::uint64_t log_salvaged_records = 0;  // records salvaged from tears
+  std::uint64_t auto_repairs = 0;     // replicas the loop brought current
+  std::uint64_t repair_failures = 0;  // RepairAllStale() groups that errored
   std::uint64_t shard_failovers = 0;    // metadata shards routed around
   std::uint64_t shard_readmissions = 0;  // metadata shards readmitted
+  std::uint64_t anti_entropy_scans = 0;    // full scans run
+  std::uint64_t anti_entropy_repairs = 0;  // replicas anti-entropy caught up
 };
 
-// The log-audit fields are not exported.
 inline constexpr obs::CounterField<RecoveryStats> kRecoveryCounters[] = {
     {"recovery.ticks", &RecoveryStats::ticks},
     {"recovery.disk_failures_detected", &RecoveryStats::disk_failures_detected},
@@ -64,68 +65,42 @@ inline constexpr obs::CounterField<RecoveryStats> kRecoveryCounters[] = {
     {"recovery.repair_failures", &RecoveryStats::repair_failures},
     {"file.shard_failovers", &RecoveryStats::shard_failovers},
     {"file.shard_readmissions", &RecoveryStats::shard_readmissions},
+    {"replication.anti_entropy_scans", &RecoveryStats::anti_entropy_scans},
+    {"replication.anti_entropy_repairs",
+     &RecoveryStats::anti_entropy_repairs},
 };
 
 class RecoveryManager {
  public:
   RecoveryManager(disk::DiskRegistry* disks,
                   replication::ReplicationService* replication,
-                  RecoveryConfig config = {})
-      : disks_(disks), replication_(replication), config_(config) {}
+                  FailureDetector* detector, placement::ShardRouter* router)
+      : disks_(disks),
+        replication_(replication),
+        detector_(detector),
+        router_(router) {}
 
   RecoveryManager(const RecoveryManager&) = delete;
   RecoveryManager& operator=(const RecoveryManager&) = delete;
 
-  // Installs the background anti-entropy scanner. With it set, Tick() stops
-  // eagerly repairing on recovery edges and instead readmits current
-  // replicas (MarkDiskUp) and runs one scanner round, which drains hints
-  // and schedules full copies; caught-up replicas count as auto_repairs.
-  void SetAntiEntropy(replication::AntiEntropyScanner* scanner) {
-    scanner_ = scanner;
-  }
-
-  // Installs a disk-targeted failure detector (probing "disk-<id>"). With
-  // it set, liveness verdicts come from the detector's three-state machine
-  // instead of raw Reachable() polling: a disk counts as up only while the
-  // detector says kHealthy.
-  void SetDiskDetector(FailureDetector* detector) { detector_ = detector; }
-
-  // Installs the metadata shard router. With it (and a detector) set, every
-  // Tick() also probes each file-service shard's bus address: a shard that
-  // is not kHealthy is suspected on the router (agents route around it from
-  // the next request on), and a healthy-again shard is readmitted. Both
-  // edges fence via the router's epoch machinery. The facility installs
-  // it at every shard count, one included.
-  void SetShardRouter(placement::ShardRouter* router) { router_ = router; }
-
-  // One control-loop round: poll disks, mark/repair as edges dictate.
-  // Deterministic: state depends only on the disks' crash flags.
+  // One control-loop round: observe disks, probe shards, mark and repair
+  // as edges dictate, then one anti-entropy round. Deterministic: state
+  // depends only on the disks' and services' fault flags.
   void Tick();
 
   // Forces a repair sweep over every group that has not converged (the
   // end-of-chaos "make the volume whole" pass). Returns groups repaired.
   std::size_t RepairAllStale();
 
-  // Structural scan of an intention log's batch frames on stable storage
-  // (the group-commit pipeline's on-disk format). Run after a crash,
-  // before trusting TransactionService::Recover(): a torn tail batch is
-  // the expected signature of a crash mid-force; the audit reports how
-  // many records the tear's salvageable prefix still yields.
-  Result<txn::TxnLogAudit> AuditIntentionLog(txn::TxnLog& log);
-
   bool DiskBelievedUp(DiskId disk) const;
   const RecoveryStats& stats() const { return stats_; }
   void ResetStats() { stats_ = RecoveryStats{}; }
 
  private:
-  void RepairGroupsOnDisk(DiskId disk);
-
   disk::DiskRegistry* disks_;
   replication::ReplicationService* replication_;
-  replication::AntiEntropyScanner* scanner_ = nullptr;
-  FailureDetector* detector_ = nullptr;
-  placement::ShardRouter* router_ = nullptr;
-  RecoveryConfig config_;
+  FailureDetector* detector_;
+  placement::ShardRouter* router_;
   std::vector<bool> disk_up_;  // last observed liveness, per disk index
   RecoveryStats stats_;
 };

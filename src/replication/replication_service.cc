@@ -52,6 +52,11 @@ bool ReplicationService::DiskReachable(DiskId disk) const {
   return server.ok() && (*server)->Reachable();
 }
 
+bool ReplicationService::Behind(const Group& g, const Replica& r) {
+  return r.info.version != g.version || r.info.epoch != g.epoch ||
+         r.info.suspected_down || r.dirty || !r.hints.empty();
+}
+
 bool ReplicationService::IsCurrent(const Group& g, const Replica& r) const {
   return r.info.version == g.version && r.info.epoch == g.epoch &&
          !r.info.suspected_down && !r.dirty && DiskReachable(r.info.disk);
@@ -318,7 +323,7 @@ Result<ReadAck> ReplicationService::Read(GroupId group, std::uint64_t offset,
     if (i != 0) ++stats_.failovers;
     // Read-repair: any live laggard this read observed converges now, so
     // divergence seen by a read never outlives it. Suspected replicas are
-    // left to the anti-entropy scanner.
+    // left to the recovery manager's anti-entropy round.
     for (std::size_t j : observed) {
       Replica& lag = g->replicas[j];
       if (lag.info.suspected_down) continue;
@@ -493,10 +498,7 @@ Status ReplicationService::Repair(GroupId group) {
   RHODOS_ASSIGN_OR_RETURN(Group * g, Find(group));
   std::vector<Replica*> behind;
   for (Replica& r : g->replicas) {
-    if (r.info.version != g->version || r.info.epoch != g->epoch ||
-        r.info.suspected_down || r.dirty || !r.hints.empty()) {
-      behind.push_back(&r);
-    }
+    if (Behind(*g, r)) behind.push_back(&r);
   }
   if (behind.empty()) return OkStatus();
   // The lagging replicas rebuild concurrently (they sit on different
@@ -519,10 +521,7 @@ std::size_t ReplicationService::SyncGroup(GroupId group, bool full_copies) {
   Group* g = *g_or;
   std::size_t caught_up = 0;
   for (Replica& r : g->replicas) {
-    const bool behind = r.info.version != g->version ||
-                        r.info.epoch != g->epoch || r.info.suspected_down ||
-                        r.dirty || !r.hints.empty();
-    if (!behind || !DiskReachable(r.info.disk)) continue;
+    if (!Behind(*g, r) || !DiskReachable(r.info.disk)) continue;
     if (!full_copies) {
       // Cheap pass: only hint replay or plain readmission; a replica whose
       // gap needs a full copy waits for the periodic full scan.
@@ -568,21 +567,6 @@ std::size_t ReplicationService::MarkDiskUp(DiskId disk) {
   return cleared;
 }
 
-std::vector<GroupId> ReplicationService::GroupsOnDisk(DiskId disk) const {
-  std::vector<GroupId> out;
-  for (const auto& [id, g] : groups_) {
-    for (const Replica& r : g.replicas) {
-      if (r.info.disk == disk) {
-        out.push_back(id);
-        break;
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](GroupId a, GroupId b) { return a.value < b.value; });
-  return out;
-}
-
 std::vector<GroupId> ReplicationService::GroupIds() const {
   std::vector<GroupId> out;
   out.reserve(groups_.size());
@@ -594,13 +578,8 @@ std::vector<GroupId> ReplicationService::GroupIds() const {
 
 Result<bool> ReplicationService::AllCurrent(GroupId group) const {
   RHODOS_ASSIGN_OR_RETURN(const Group* g, Find(group));
-  for (const Replica& r : g->replicas) {
-    if (r.info.version != g->version || r.info.epoch != g->epoch ||
-        r.info.suspected_down || r.dirty || !r.hints.empty()) {
-      return false;
-    }
-  }
-  return true;
+  return std::none_of(g->replicas.begin(), g->replicas.end(),
+                      [g](const Replica& r) { return Behind(*g, r); });
 }
 
 std::uint64_t ReplicationService::TotalPendingHints() const {

@@ -16,8 +16,9 @@
 //  * a read consults up to R live replicas, serves the current version and
 //    inline-repairs any laggard it observed (read-repair);
 //  * writes missed by a suspected or unreachable replica are queued as
-//    hints and drained by the background AntiEntropyScanner (hinted
-//    handoff); overflowing hint queues fall back to a full Repair() copy;
+//    hints and drained by the recovery manager's anti-entropy round on
+//    every tick (hinted handoff); a replica whose hint queue overflowed is
+//    rebuilt by full copy in the periodic full scan;
 //  * below W live replicas a write fails fast with kUnavailable — no
 //    silent success-on-one; a read with no live current replica falls back
 //    to the freshest reachable copy with an explicit `stale` flag.
@@ -174,9 +175,6 @@ class ReplicationService {
   // service; stale replicas stay suspect until repair catches them up).
   std::size_t MarkDiskUp(DiskId disk);
 
-  // Groups with at least one replica on `disk` (repair targeting).
-  std::vector<GroupId> GroupsOnDisk(DiskId disk) const;
-
   // Anti-entropy hook: brings every lagging replica of `group` whose disk
   // is reachable back to current. With `full_copies` false only hint replay
   // (and plain readmission) is attempted — the cheap every-tick pass; the
@@ -189,7 +187,6 @@ class ReplicationService {
   // True when every replica acknowledges the group's current version at the
   // current epoch, none is suspected, and no hints are pending.
   Result<bool> AllCurrent(GroupId group) const;
-  Result<bool> Converged(GroupId group) const { return AllCurrent(group); }
 
   // Pending hinted-handoff entries across all groups (queue-depth gauge).
   std::uint64_t TotalPendingHints() const;
@@ -248,6 +245,9 @@ class ReplicationService {
   std::uint32_t ReadQuorum(const Group& g) const;
 
   bool DiskReachable(DiskId disk) const;
+  // Not yet converged: behind the group's version or epoch, suspected,
+  // dirty, or holding hints still to replay.
+  static bool Behind(const Group& g, const Replica& r);
   // Eligible to serve/accept the current version: current epoch+version,
   // not suspected, not dirty, disk reachable.
   bool IsCurrent(const Group& g, const Replica& r) const;

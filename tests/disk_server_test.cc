@@ -201,17 +201,6 @@ TEST_F(DiskServerTest, InPlaceOriginalAndStableChargesMainThenMirror) {
                 (server_.stable_stats().time_charged - mirror_before));
 }
 
-TEST_F(DiskServerTest, FreshWriteNeedsStableStorage) {
-  DiskServerConfig c = SmallConfig();
-  c.provide_stable_storage = false;
-  DiskServer bare(DiskId{1}, c, &clock_);
-  auto frag = bare.AllocateBlocks(1);
-  ASSERT_TRUE(frag.ok());
-  std::vector<std::uint8_t> payload(kBlockSize, 1);
-  EXPECT_EQ(bare.PutFreshBlock(*frag, 4, payload).error().code,
-            ErrorCode::kNotSupported);
-}
-
 TEST_F(DiskServerTest, AsyncStableWriteIsDeferredAndDrainable) {
   auto frag = server_.AllocateBlocks(1);
   ASSERT_TRUE(frag.ok());

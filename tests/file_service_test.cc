@@ -75,6 +75,49 @@ TEST_F(FileServiceTest, WriteWrappingPastTheAddressSpaceIsRefused) {
   EXPECT_TRUE(service_->Close(*file).ok());
 }
 
+// Regression: Resize rounded the size up to blocks by adding, so a size
+// within a block of 2^64 wrapped to 0 blocks: it freed every block, said
+// OK, and left the file claiming 2^64-1 bytes it could not read.
+TEST_F(FileServiceTest, ResizeNearTheAddressSpaceLimitIsRefused) {
+  auto file = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(file.ok());
+  const auto data = Pattern(3 * kBlockSize);
+  ASSERT_TRUE(service_->Write(*file, 0, data).ok());
+  ASSERT_TRUE(service_->Flush(*file).ok());
+  const std::uint64_t free_before = disks_.TotalFreeFragments();
+  for (const std::uint64_t size :
+       {~std::uint64_t{0}, ~std::uint64_t{0} - kBlockSize + 2,
+        std::uint64_t{1} << 63}) {
+    const Status st = service_->Resize(*file, size);
+    ASSERT_FALSE(st.ok()) << size;
+    EXPECT_EQ(st.error().code, ErrorCode::kNoSpace) << size;
+    EXPECT_EQ(*service_->BlockCount(*file), 3u) << size;
+    EXPECT_EQ(service_->GetAttributes(*file)->size, data.size()) << size;
+    EXPECT_EQ(disks_.TotalFreeFragments(), free_before) << size;
+  }
+  std::vector<std::uint8_t> out(data.size());
+  ASSERT_TRUE(service_->Read(*file, 0, out).ok());
+  EXPECT_EQ(out, data);
+  const std::vector<FileId> ids = {*file};
+  const AuditReport report = AuditFiles(*service_, ids);
+  EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
+}
+
+// Regression: a size hint of 2^30 blocks wrapped the one-run allocation
+// size (table fragment + 4 fragments a block) past 2^32 to a fragment or
+// five, and the table then mapped 2^30 blocks that nobody had allocated.
+TEST_F(FileServiceTest, CreateWithAHintNoDiskHoldsIsRefused) {
+  const std::uint64_t free_before = disks_.TotalFreeFragments();
+  for (const std::uint64_t hint :
+       {std::uint64_t{1} << 43, (std::uint64_t{1} << 43) + 1,
+        ~std::uint64_t{0}}) {
+    auto file = service_->Create(ServiceType::kBasic, hint);
+    ASSERT_FALSE(file.ok()) << hint;
+    EXPECT_EQ(file.error().code, ErrorCode::kNoSpace) << hint;
+    EXPECT_EQ(disks_.TotalFreeFragments(), free_before) << hint;
+  }
+}
+
 // Regression: a growth that ran out of space kept every extent it had
 // allocated, so the free pool drained for good, across a crash too.
 TEST(FileServiceGrowthTest, FailedGrowthGivesBackWhatItAllocated) {

@@ -17,7 +17,6 @@
 
 #include "file/file_service.h"
 #include "file/fsck.h"
-#include "recovery/recovery_manager.h"
 #include "txn/transaction_service.h"
 
 namespace rhodos::txn {
@@ -232,8 +231,7 @@ TEST_F(GroupCommitRecoveryTest, StableCrashAtEveryWriteIsAllOrNothing) {
 
     // Structural log audit BEFORE replay: at most the one torn tail batch
     // the mid-force power cut explains.
-    recovery::RecoveryManager rm(disks_.get(), nullptr);
-    auto audit = rm.AuditIntentionLog(txn_->log());
+    auto audit = txn_->log().Audit();
     ASSERT_TRUE(audit.ok());
     EXPECT_LE(audit->torn_batches, 1u);
     tears_seen += audit->torn_batches;

@@ -1,23 +1,28 @@
-// Hostile input for the two read message kinds and the one write message:
-// kPread and kPwriteVec bodies sent to the file service and kPeerRead
-// bodies sent to an agent's peer handler are given seeded bit flips,
-// truncations and rewritten count/offset/length fields (near 0, near the
-// file size, near 2^64). Every read reply must be an error or a bounded
-// read that matches the written bytes, and every write reply an error or
-// the write a byte model predicts, with no space lost to a refused write;
-// run under the sanitizer build, nothing may crash or allocate by a length
-// the caller only claimed.
+// Hostile input for every file-service request kind. kPread and
+// kPwriteVec bodies sent to the file service and kPeerRead bodies sent to
+// an agent's peer handler are given seeded bit flips, truncations and
+// rewritten count/offset/length fields (near 0, near the file size, near
+// 2^64). Every read reply must be an error or a bounded read that matches
+// the written bytes, and every write reply an error or the write a byte
+// model predicts, with no space lost to a refused write. The remaining
+// kinds (create, delete, open, close, getattr, resize, flush, callback
+// renew, snapshot, clone) get the same treatment against a model of the
+// files they may touch, and the files must audit clean afterwards. Run
+// under the sanitizer build, nothing may crash or allocate by a length the
+// caller only claimed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "agent/fs_protocol.h"
 #include "common/rng.h"
 #include "core/facility.h"
+#include "file/fsck.h"
 
 namespace rhodos::agent {
 namespace {
@@ -371,6 +376,232 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
   }
   EXPECT_GT(applied, kWriteTrials / 4) << "most mutations must still write";
   EXPECT_GT(refused, 0) << "some offsets must be refused";
+}
+
+// --- every other request kind ---------------------------------------------
+
+// Body layouts: FileRequest is token u64, file u64, cb; ResizeRequest is
+// token u64, file u64, size u64, cb; CreateRequest is token u64, type u8,
+// size hint u64, cb.
+constexpr std::size_t kFileField = 8;
+constexpr std::size_t kResizeSizeField = 16;
+constexpr std::size_t kCreateHintField = 9;
+constexpr int kKindTrials = 600;
+
+// Sends `body` as `op` to the file service: the whole reply when its
+// status is OK, else the status's error.
+Result<sim::Payload> Call(DistributedFileFacility& f, FsOp op,
+                          const std::vector<std::uint8_t>& body) {
+  auto r = f.bus().Call(core::kFileServiceAddress,
+                        static_cast<std::uint32_t>(op), body,
+                        "hostile-caller");
+  if (!r.ok()) return r.error();
+  Deserializer in{*r};
+  RHODOS_RETURN_IF_ERROR(DecodeStatus(in));
+  return *r;
+}
+
+// What the model expects of one live file. A create's size hint maps
+// blocks that nothing zeroes, so the bytes of [size, hinted) are not
+// predicted: a resize that grows over them adopts what the file shows.
+struct ModelFile {
+  std::vector<std::uint8_t> bytes;
+  bool immutable = false;
+  std::uint64_t hinted = 0;
+};
+
+// Regression: a kResize body whose size sat within a block of 2^64 was
+// rounded up to 0 blocks, freed the file's every block and succeeded.
+TEST(ReadMutationTest, ResizeNearTheAddressSpaceLimitIsRefused) {
+  DistributedFileFacility f(ReadFacility());
+  const Written w = WriteModelFile(f.AddMachine());
+  const std::uint64_t free_before = f.disks().TotalFreeFragments();
+  for (const std::uint64_t size : {kMax, kMax - kBlockSize + 2,
+                                   std::uint64_t{1} << 63}) {
+    ResizeRequest req{size, w.id, size, ""};
+    auto got = Call(f, FsOp::kResize, req.Encode());
+    ASSERT_FALSE(got.ok()) << size;
+    EXPECT_EQ(got.error().code, ErrorCode::kNoSpace) << size;
+    EXPECT_EQ(ReadAll(f, w.id), w.bytes) << size;
+    EXPECT_EQ(f.disks().TotalFreeFragments(), free_before) << size;
+  }
+}
+
+TEST(ReadMutationTest, HostileBodiesOfEveryOtherKindGetAnErrorOrThePrediction) {
+  DistributedFileFacility f(ReadFacility());
+  const Written w = WriteModelFile(f.AddMachine());
+  std::map<std::uint64_t, ModelFile> live{{w.id.value, {w.bytes, false}}};
+  constexpr FsOp kKinds[] = {
+      FsOp::kResize,  FsOp::kCreate,  FsOp::kDelete,
+      FsOp::kOpen,    FsOp::kClose,   FsOp::kGetAttr,
+      FsOp::kFlush,   FsOp::kCallbackRenew, FsOp::kSnapshot,
+      FsOp::kClone};
+  Rng rng(23);
+  int succeeded = 0;
+  int refused = 0;
+  for (int trial = 0; trial < kKindTrials; ++trial) {
+    const FsOp op = live.empty() ? FsOp::kCreate : kKinds[rng.Below(10)];
+    auto pick = live.begin();
+    std::advance(pick, static_cast<std::ptrdiff_t>(
+                           rng.Below(std::max<std::size_t>(live.size(), 1))));
+    const FileId target = live.empty() ? FileId{} : FileId{pick->first};
+    const std::uint64_t size =
+        live.empty() ? 0 : static_cast<std::uint64_t>(pick->second.bytes.size());
+    const std::uint64_t token = rng.Next() | 1;
+    const std::string cb = trial % 2 == 0 ? "" : "cb-hostile";
+
+    // Build, then mutate: a bit flip, a truncation, or the kind's
+    // size field rewritten to a boundary value.
+    std::vector<std::uint8_t> body;
+    std::size_t size_field = 0;
+    if (op == FsOp::kResize) {
+      body = ResizeRequest{token, target, rng.Below(size + 2 * kBlockSize), cb}
+                 .Encode();
+      size_field = kResizeSizeField;
+    } else if (op == FsOp::kCreate) {
+      body = CreateRequest{token, file::ServiceType::kBasic,
+                           rng.Below(4 * kBlockSize), cb}
+                 .Encode();
+      size_field = kCreateHintField;
+    } else {
+      body = FileRequest{token, target, cb}.Encode();
+    }
+    switch (rng.Below(4)) {
+      case 0:
+        body[rng.Below(body.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.Below(8));
+        break;
+      case 1:
+        body.resize(rng.Below(body.size()));
+        break;
+      case 2:
+        if (size_field != 0) {
+          const std::uint64_t sizes[] = {0, size, std::uint64_t{1} << 63,
+                                         kMax};
+          PutU64(body, size_field, sizes[rng.Below(4)]);
+        }
+        break;
+      default:
+        break;  // unmutated
+    }
+
+    const std::uint64_t free_before = f.disks().TotalFreeFragments();
+    auto got = Call(f, op, body);
+    got.ok() ? ++succeeded : ++refused;
+    const std::string where = "trial " + std::to_string(trial) + " op " +
+                              std::to_string(static_cast<std::uint32_t>(op));
+
+    if (op == FsOp::kCreate) {
+      auto decoded = CreateRequest::Decode(body);
+      if (!decoded.ok()) {
+        ASSERT_FALSE(got.ok()) << where;
+        continue;
+      }
+      if (!got.ok()) {
+        EXPECT_EQ(f.disks().TotalFreeFragments(), free_before) << where;
+        continue;
+      }
+      ASSERT_LE(decoded->size_hint, kDiskBytes) << where;
+      Deserializer in{*got};
+      (void)DecodeStatus(in);
+      const FileId made{in.U64()};
+      ASSERT_EQ(live.count(made.value), 0u) << where << ": id reused";
+      ASSERT_EQ(*f.OwnerOf(made).BlockCount(made),
+                BlocksCovering(decoded->size_hint))
+          << where;
+      live[made.value] =
+          ModelFile{{}, false, BlocksCovering(decoded->size_hint) * kBlockSize};
+      ASSERT_TRUE(ReadAll(f, made).empty()) << where;
+      continue;
+    }
+
+    auto resize = ResizeRequest::Decode(body);
+    auto decoded = op == FsOp::kResize
+                       ? resize.ok() ? Result<FileRequest>{FileRequest{
+                                           resize->token, resize->file, ""}}
+                                     : Result<FileRequest>{resize.error()}
+                       : FileRequest::Decode(body);
+    if (!decoded.ok()) {
+      ASSERT_FALSE(got.ok()) << where;
+      continue;
+    }
+    auto it = live.find(decoded->file.value);
+    if (it == live.end()) {
+      // A rewritten id names nothing the model tracks: whatever the reply,
+      // the tracked files are checked below and audited at the end.
+      continue;
+    }
+    ModelFile& m = it->second;
+    switch (op) {
+      case FsOp::kResize: {
+        if (got.ok()) {
+          ASSERT_FALSE(m.immutable) << where << ": resized a snapshot";
+          ASSERT_LE(resize->size, kDiskBytes) << where;
+          const std::uint64_t old_size = m.bytes.size();
+          m.bytes.resize(resize->size, 0);
+          if (resize->size > old_size && m.hinted > old_size) {
+            const std::vector<std::uint8_t> now = ReadAll(f, decoded->file);
+            ASSERT_EQ(now.size(), m.bytes.size()) << where;
+            const std::uint64_t end = std::min(m.hinted, now.size());
+            std::copy(now.begin() + static_cast<std::ptrdiff_t>(old_size),
+                      now.begin() + static_cast<std::ptrdiff_t>(end),
+                      m.bytes.begin() + static_cast<std::ptrdiff_t>(old_size));
+          }
+          // A shrink frees the blocks past the cut and zeroes the tail of
+          // the kept one: regrowth there reads zeros.
+          if (resize->size < old_size) {
+            m.hinted = std::min<std::uint64_t>(m.hinted, resize->size);
+          }
+        } else {
+          EXPECT_EQ(f.disks().TotalFreeFragments(), free_before)
+              << where << ": a refused resize kept space";
+        }
+        break;
+      }
+      case FsOp::kDelete:
+        if (got.ok()) live.erase(it);
+        break;
+      case FsOp::kOpen:
+      case FsOp::kGetAttr:
+        if (got.ok()) {
+          Deserializer in{*got};
+          (void)DecodeStatus(in);
+          in.U64();  // version token
+          EXPECT_EQ(DecodeAttributes(in).size, m.bytes.size()) << where;
+        }
+        break;
+      case FsOp::kSnapshot:
+      case FsOp::kClone:
+        if (got.ok()) {
+          Deserializer in{*got};
+          (void)DecodeStatus(in);
+          const FileId image{in.U64()};
+          ASSERT_EQ(live.count(image.value), 0u) << where << ": id reused";
+          live[image.value] =
+              ModelFile{m.bytes, op == FsOp::kSnapshot, m.hinted};
+        }
+        break;
+      default:  // close, flush and renew change no bytes
+        break;
+    }
+    if (live.count(decoded->file.value) != 0) {
+      ASSERT_EQ(ReadAll(f, decoded->file), live[decoded->file.value].bytes)
+          << where;
+    }
+  }
+  EXPECT_GT(succeeded, kKindTrials / 4) << "most mutations must still apply";
+  EXPECT_GT(refused, 0) << "some bodies must be refused";
+
+  // Every tracked file still holds what the model says, and the volume
+  // audits clean: no block claimed twice, no share count off.
+  std::vector<FileId> ids;
+  for (const auto& [id, m] : live) {
+    ids.push_back(FileId{id});
+    EXPECT_EQ(ReadAll(f, FileId{id}), m.bytes) << "file " << id;
+  }
+  const file::AuditReport report = file::AuditFiles(
+      [&f](FileId id) -> file::FileService& { return f.OwnerOf(id); }, ids);
+  EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
 }
 
 }  // namespace
