@@ -48,12 +48,9 @@ FileAgent::FileAgent(MachineId machine, sim::MessageBus* bus,
   RegisterCallbackService();
 }
 
-FileAgent::~FileAgent() {
-  if (!cb_address_.empty()) bus_->UnregisterService(cb_address_);
-}
+FileAgent::~FileAgent() { bus_->UnregisterService(cb_address_); }
 
 void FileAgent::RegisterCallbackService() {
-  if (!config_.callbacks) return;
   cb_address_ = "cb-machine-" + std::to_string(machine_.value);
   bus_->RegisterService(
       cb_address_, [this](std::uint32_t opcode,
@@ -79,10 +76,12 @@ sim::Payload FileAgent::HandleCallbackMessage(
   }
   // The server is revoking its promise ahead of a foreign mutation: forget
   // the promise, and let the piggybacked post-mutation token drop this
-  // file's clean cached blocks before they can serve the old image.
+  // file's clean cached blocks before they can serve the old image. A file
+  // with no token caches nothing, so its break records none: otherwise
+  // every break naming a new file id would grow the token table.
   ++stats_.callback_breaks;
   callbacks_.erase(brk->file);
-  NoteVersion(brk->file, brk->version);
+  if (versions_.contains(brk->file)) NoteVersion(brk->file, brk->version);
   EncodeStatus(out, OkStatus());
   return std::move(out).Take();
 }
@@ -93,21 +92,6 @@ sim::Payload FileAgent::HandlePeerRead(std::span<const std::uint8_t> request) {
   if (!req.ok()) {
     EncodeError(out, req.error());
     return std::move(out).Take();
-  }
-  // Load shedding comes first: an overloaded peer must refuse before it
-  // pays for the cache walk. kBusy tells the reader to try the next
-  // candidate, then the origin.
-  if (config_.peer_serve_budget > 0) {
-    const SimTime now = bus_->clock()->Now();
-    if (now - serve_window_start_ >= config_.peer_serve_window_ns) {
-      serve_window_start_ = now;
-      serves_in_window_ = 0;
-    }
-    if (serves_in_window_ >= config_.peer_serve_budget) {
-      ++stats_.peer_serve_rejects;
-      EncodeError(out, {ErrorCode::kBusy, "peer over serve budget"});
-      return std::move(out).Take();
-    }
   }
   // Only an unbroken, unexpired promise at EXACTLY the expected version
   // token vouches for the cached bytes. A break that raced the redirect, a
@@ -157,7 +141,6 @@ sim::Payload FileAgent::HandlePeerRead(std::span<const std::uint8_t> request) {
     EncodeError(out, {ErrorCode::kNotFound, "blocks not cached clean"});
     return std::move(out).Take();
   }
-  ++serves_in_window_;
   ++stats_.peer_serves;
   EncodeStatus(out, OkStatus());
   out.Bytes(data);
@@ -173,13 +156,13 @@ Result<std::uint64_t> FileAgent::FetchFromPeers(
   for (const std::string& peer : peers) {
     if (peer == cb_address_) continue;  // never serve ourselves
     const SimTime t0 = bus_->clock()->Now();
-    // One direct bus call per candidate — no retries: a dead or busy peer
-    // costs one exchange and the reader moves on to the next candidate.
+    // One direct bus call per candidate — no retries: a dead or refusing
+    // peer costs one exchange and the reader moves on to the next one.
     auto r = bus_->Call(peer, static_cast<std::uint32_t>(FsOp::kPeerRead),
                         body, caller);
     if (!r.ok()) continue;
     Deserializer in{*r};
-    if (Status st = DecodeStatus(in); !st.ok()) continue;  // kBusy/refused
+    if (Status st = DecodeStatus(in); !st.ok()) continue;  // refused
     const std::vector<std::uint8_t> data = in.Bytes();
     if (!in.ok()) continue;
     // Adoption check: the bytes are valid at exactly expected_version. If a
@@ -202,7 +185,6 @@ Result<std::uint64_t> FileAgent::FetchFromPeers(
 }
 
 bool FileAgent::HoldsCallback(FileId file) const {
-  if (!config_.callbacks) return false;
   const auto it = callbacks_.find(file);
   if (it == callbacks_.end()) return false;
   if (it->second.expiry <= bus_->clock()->Now()) return false;
@@ -212,7 +194,6 @@ bool FileAgent::HoldsCallback(FileId file) const {
 
 void FileAgent::AdoptGrant(FileId file, SimTime expiry,
                            const file::FileAttributes* attrs) {
-  if (!config_.callbacks) return;
   if (expiry <= 0) return;
   CallbackState& cb = callbacks_[file];
   cb.expiry = expiry;
@@ -844,7 +825,7 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
     const std::uint64_t n =
         std::min<std::uint64_t>(len - done, kBlockSize - in_block);
     CacheEntry* entry = Lookup(h.file, block);
-    if (config_.callbacks && entry != nullptr && !entry->dirty &&
+    if (entry != nullptr && !entry->dirty &&
         entry->valid_bytes >= in_block + n && !HoldsCallback(h.file)) {
       // Clean cached data, but the promise covering it lapsed (lease
       // expiry, broken, or the shard epoch moved): revalidate before

@@ -24,6 +24,10 @@
 //    a mismatched token drops the file's clean cached blocks before they
 //    can serve a stale image — AFS-style validation, Sprite-style delayed
 //    write;
+//  * holds callback promises: it serves break notifications and peer reads
+//    on its own bus address, asks the server for a promise on read-path
+//    replies, and while it holds an unbroken, unexpired promise serves
+//    warm opens and clean cached reads with zero exchanges;
 //  * retries lost messages over the at-least-once RPC client, counting on
 //    idempotence for safety;
 //  * routes every server call through the placement layer when the facility
@@ -57,12 +61,6 @@ enum class SeekWhence : std::uint8_t { kSet = 0, kCurrent = 1, kEnd = 2 };
 struct FileAgentConfig {
   std::size_t cache_blocks = 64;  // client block cache capacity
   bool delayed_write = true;      // false: write through to the server
-  // Callback/lease coherence: the agent registers a bus service for break
-  // notifications, asks the server for callback promises on read-path
-  // replies, and — while it holds an unbroken, unexpired promise — serves
-  // warm opens and clean cached reads with ZERO exchanges. With callbacks
-  // off the agent falls back to PR 5 validation-on-open semantics.
-  bool callbacks = true;
   sim::RpcRetryConfig rpc{};  // attempts/backoff/deadline for server calls
   // Background write-behind (checked at the top of data operations; the
   // simulation has no threads). When the agent holds at least
@@ -72,12 +70,6 @@ struct FileAgentConfig {
   // 0 disables the respective trigger.
   std::size_t writeback_threshold = 32;
   SimTime writeback_age_ns = 200 * kSimMillisecond;
-  // Cache-tier peer serving (E24): peer-read RPCs this agent answers per
-  // `peer_serve_window_ns` of sim time before shedding load with kBusy
-  // (0 = unlimited). A shed reader walks its failover candidates, then
-  // falls back to the origin.
-  std::uint32_t peer_serve_budget = 0;
-  SimTime peer_serve_window_ns = 100 * kSimMillisecond;
 };
 
 struct FileAgentStats {
@@ -99,7 +91,7 @@ struct FileAgentStats {
   std::uint64_t callback_breaks = 0;      // break notifications received
   // Cache-tier read fan-out (E24).
   std::uint64_t peer_serves = 0;         // peer-reads this agent answered
-  std::uint64_t peer_serve_rejects = 0;  // peer-reads refused (busy/stale/miss)
+  std::uint64_t peer_serve_rejects = 0;  // peer-reads refused (stale/miss)
   std::uint64_t peer_fetches = 0;        // reads satisfied from a peer
   std::uint64_t peer_fallbacks = 0;      // redirects that fell back to origin
 };
@@ -202,12 +194,15 @@ class FileAgent {
   void ResetStats();
   MachineId machine() const { return machine_; }
 
-  // Bus address this agent receives callback breaks on (tests partition it
-  // to model undeliverable breaks). Empty when callbacks are disabled.
+  // Bus address this agent receives callback breaks and peer reads on
+  // (tests partition it to model undeliverable breaks).
   const std::string& callback_address() const { return cb_address_; }
   // True while the agent holds an unbroken, unexpired callback promise for
   // `file` granted under the current routing epoch.
   bool HoldsCallback(FileId file) const;
+
+  // Files whose server version token this agent tracks (introspection).
+  std::size_t VersionTokenCount() const { return versions_.size(); }
 
   // Dirty-block accounting, two ways (tests assert they agree): the
   // per-file index the flush path uses, and the full cache scan the old
@@ -311,9 +306,9 @@ class FileAgent {
                                      std::span<const std::uint8_t> request);
   // Cache-tier peer serving: answer another agent's kPeerRead with clean
   // cached bytes — ONLY when this agent's promise is unbroken and its
-  // version token equals the request's expected token; anything else
-  // (including the serve budget being spent) is a refusal and the reader
-  // falls back. Takes cache_mu_ around the cache walk only.
+  // version token equals the request's expected token; anything else is a
+  // refusal and the reader falls back. Takes cache_mu_ around the cache
+  // walk only.
   sim::Payload HandlePeerRead(std::span<const std::uint8_t> request);
   // Walk the redirect's candidate peers; first successful fetch wins.
   // Errors mean "no peer served" and the caller re-reads from the origin.
@@ -378,9 +373,6 @@ class FileAgent {
   // against it). The client-facing API stays externally synchronized, as
   // the rest of the agent always was.
   mutable std::mutex cache_mu_;
-  // Peer-serve load shedding (budget per sim-time window).
-  SimTime serve_window_start_ = 0;
-  std::uint32_t serves_in_window_ = 0;
   // name → FileId bindings, valid while naming_generation_ is current.
   std::map<naming::AttributedName, FileId> name_cache_;
   std::uint64_t naming_generation_ = 0;

@@ -13,6 +13,17 @@ constexpr std::size_t kTokenCapacity = 1024;
 // Expiry sweep cadence of the callback table (hygiene only: expired
 // holders are also pruned lazily at grant and break time).
 constexpr SimTime kCallbackSweepInterval = 500 * kSimMillisecond;
+// The cache tier's pread load window: a file is hot when one window (or
+// the one before it) saw hot_read_threshold preads.
+constexpr SimTime kLoadWindow = 1 * kSimSecond;
+// Candidates per redirect: the first is the power-of-two-choices pick, the
+// rest a failover set the reader walks before the origin fallback.
+constexpr std::size_t kRedirectPeers = 2;
+
+// Seed of shard `shard`'s peer-sampling stream.
+std::uint64_t PeerSamplingSeed(std::uint32_t shard) {
+  return 0x9E3779B97F4A7C15ull + 0x9E37ull * (shard + 1);
+}
 
 sim::Payload ErrorReply(const Error& error) {
   Serializer out;
@@ -44,37 +55,33 @@ std::string_view OpName(FsOp op) {
 
 FileServiceServer::FileServiceServer(file::FileService* service,
                                      sim::MessageBus* bus, std::string address,
-                                     CallbackConfig callbacks,
+                                     CallbackConfig callback,
                                      CacheTierConfig cache_tier)
     : service_(service),
       bus_(bus),
       address_(std::move(address)),
-      cb_config_(callbacks),
+      cb_config_(callback),
       ct_config_(cache_tier),
-      rng_state_(cache_tier.rng_seed | 1) {
+      rng_state_(PeerSamplingSeed(service->config().shard) | 1) {
   bus_->RegisterService(
       address_, [this](std::uint32_t opcode,
                        std::span<const std::uint8_t> request) {
         return Handle(opcode, request);
       });
-  if (cb_config_.enabled) {
-    // Hooking mutations at the service (not the RPC handlers) means every
-    // mutation path — including transaction commits and replication repair
-    // that bypass this adapter — revokes callbacks before acknowledging.
-    service_->SetMutationListener(
-        [this](FileId file, std::uint64_t version) {
-          OnMutation(file, version);
-        });
-    service_->SetCrashListener([this] { OnServiceCrash(); });
-  }
+  // Hooking mutations at the service (not the RPC handlers) means every
+  // mutation path — including transaction commits and replication repair
+  // that bypass this adapter — revokes callbacks before acknowledging.
+  service_->SetMutationListener(
+      [this](FileId file, std::uint64_t version) {
+        OnMutation(file, version);
+      });
+  service_->SetCrashListener([this] { OnServiceCrash(); });
 }
 
 FileServiceServer::~FileServiceServer() {
   bus_->UnregisterService(address_);
-  if (cb_config_.enabled) {
-    service_->SetMutationListener(nullptr);
-    service_->SetCrashListener(nullptr);
-  }
+  service_->SetMutationListener(nullptr);
+  service_->SetCrashListener(nullptr);
 }
 
 std::size_t FileServiceServer::CallbackHolderCount() const {
@@ -95,7 +102,7 @@ std::size_t FileServiceServer::HotFileCount() const {
   for (const auto& [file, load] : read_load_) {
     // A stale window (no reads for over a full window) is cold regardless
     // of its recorded counts.
-    if (now - load.window_start >= 2 * ct_config_.load_window_ns) continue;
+    if (now - load.window_start >= 2 * kLoadWindow) continue;
     if (load.count >= ct_config_.hot_read_threshold ||
         load.prev >= ct_config_.hot_read_threshold) {
       ++n;
@@ -117,13 +124,12 @@ bool FileServiceServer::NoteReadLoad(FileId file) {
   if (!ct_config_.enabled || ct_config_.hot_read_threshold == 0) return false;
   const SimTime now = service_->clock()->Now();
   ReadLoad& load = read_load_[file.value];
-  const SimTime window = ct_config_.load_window_ns;
-  if (now - load.window_start >= window) {
+  if (now - load.window_start >= kLoadWindow) {
     // Roll forward: the just-closed window becomes `prev` when it was the
     // immediately preceding one, else the file idled and both reset.
-    load.prev = (now - load.window_start < 2 * window) ? load.count : 0;
+    load.prev = (now - load.window_start < 2 * kLoadWindow) ? load.count : 0;
     load.count = 0;
-    load.window_start = now - (now - load.window_start) % window;
+    load.window_start = now - (now - load.window_start) % kLoadWindow;
   }
   ++load.count;
   return load.count >= ct_config_.hot_read_threshold ||
@@ -178,8 +184,7 @@ std::vector<std::string> FileServiceServer::PickPeers(
     if (rit->second < end_block) continue;
     candidates.push_back(&h);
   }
-  const std::size_t want =
-      std::min<std::size_t>(ct_config_.redirect_peers, candidates.size());
+  const std::size_t want = std::min(kRedirectPeers, candidates.size());
   for (std::size_t i = 0; i < want; ++i) {
     // Power-of-two-choices: sample two remaining candidates, take the one
     // with fewer redirects assigned. With one candidate left, take it.
@@ -199,7 +204,7 @@ std::vector<std::string> FileServiceServer::PickPeers(
 }
 
 SimTime FileServiceServer::Grant(FileId file, const std::string& cb) {
-  if (!cb_config_.enabled || cb.empty()) return 0;
+  if (cb.empty()) return 0;
   const SimTime now = service_->clock()->Now();
   auto& holders = callbacks_[file.value];
   std::erase_if(holders, [&](const Holder& h) {
@@ -220,7 +225,6 @@ SimTime FileServiceServer::Grant(FileId file, const std::string& cb) {
 }
 
 void FileServiceServer::OnMutation(FileId file, std::uint64_t version) {
-  if (!cb_config_.enabled) return;
   // Cheap early-out: transaction commits on real threads reach this hook;
   // when no promises are outstanding there must be nothing to touch.
   if (callbacks_.empty() && grace_until_ == 0) return;
@@ -256,10 +260,7 @@ void FileServiceServer::OnMutation(FileId file, std::uint64_t version) {
   if (notify.empty()) return;
   // Break-before-reply: these calls complete before the mutating handler
   // assembles its reply, so no acknowledged write can race a stale read.
-  Serializer out;
-  out.U64(file.value);
-  out.U64(version);
-  const sim::Payload body = std::move(out).Take();
+  const sim::Payload body = CallbackBreak{file, version}.Encode();
   // Breaks to distinct holders travel in parallel; the writer pays the
   // slowest round trip (plus per-lane dispatch), not the sum.
   sim::ParallelSection section(clock);
@@ -294,7 +295,6 @@ void FileServiceServer::OnServiceCrash() {
 }
 
 void FileServiceServer::SweepExpired() {
-  if (!cb_config_.enabled) return;
   const SimTime now = service_->clock()->Now();
   if (now < next_sweep_) return;
   next_sweep_ = now + kCallbackSweepInterval;

@@ -51,14 +51,13 @@ inline constexpr obs::CounterField<FsServerStats> kFsServerCounters[] = {
 // Cache-coherence callback policy (NOT the disk-substrate DiskLease): how
 // long a callback promise stays trustworthy without renewal.
 struct CallbackConfig {
-  bool enabled = true;
   // Lease duration: the staleness bound when a break cannot be delivered.
   SimTime lease_ns = 2 * kSimSecond;
 };
 
 // Cache-tier read fan-out policy (E24): a file whose pread arrival rate
-// crosses `hot_read_threshold` per `load_window_ns` is HOT, and cold reads
-// of it are redirected to callback-holding peer agents instead of the
+// crosses `hot_read_threshold` per one-second load window is HOT, and cold
+// reads of it are redirected to callback-holding peer agents instead of the
 // disks. Off by default — it trades one extra exchange per redirected miss
 // for keeping a million-reader hot file off the origin's spindles, a trade
 // the workload has to opt into (benches that gate exact exchange counts
@@ -67,19 +66,16 @@ struct CacheTierConfig {
   bool enabled = false;
   // Preads inside one load window that make a file hot. 0 = never hot.
   std::uint32_t hot_read_threshold = 64;
-  SimTime load_window_ns = 1 * kSimSecond;
-  // Candidates per redirect: the first is the power-of-two-choices pick,
-  // the rest a failover set the reader walks before the origin fallback.
-  std::uint32_t redirect_peers = 2;
-  // Deterministic seed for the power-of-two-choices sampling.
-  std::uint64_t rng_seed = 0x9E3779B97F4A7C15ull;
 };
 
 class FileServiceServer {
  public:
-  // Registers the handler under `address` on the bus.
+  // Registers the handler under `address` on the bus and hooks the
+  // service's mutations and crashes for callback breaks. The peer-sampling
+  // stream is seeded from the service's shard index, so two shards never
+  // sample peers in lockstep.
   FileServiceServer(file::FileService* service, sim::MessageBus* bus,
-                    std::string address, CallbackConfig callbacks = {},
+                    std::string address, CallbackConfig callback = {},
                     CacheTierConfig cache_tier = {});
   ~FileServiceServer();
 
@@ -138,8 +134,8 @@ class FileServiceServer {
   // --- Callback table -------------------------------------------------------
 
   // Issue (or renew) a callback promise for `cb` on `file`. Returns the
-  // lease expiry, or 0 when no promise was granted (callbacks disabled,
-  // empty address). Piggybacked on open/pread/getattr/create/renew replies.
+  // lease expiry, or 0 when no promise was granted (empty address).
+  // Piggybacked on open/pread/getattr/create/renew replies.
   SimTime Grant(FileId file, const std::string& cb);
   // FileService mutation hook: revoke every other holder's promise before
   // the mutation's reply (break-before-reply). `writer` is the mutating
@@ -158,10 +154,10 @@ class FileServiceServer {
   // the threshold — hotness survives a window boundary).
   bool NoteReadLoad(FileId file);
   // Registers [first_block, end_block) as cached by holder `cb` (no-op when
-  // the holder is unknown — callbacks off, empty address).
+  // the holder is unknown or the address empty).
   void NoteHeldBlocks(FileId file, const std::string& cb,
                       std::uint64_t first_block, std::uint64_t end_block);
-  // Picks up to redirect_peers distinct unexpired holders covering the
+  // Picks up to kRedirectPeers distinct unexpired holders covering the
   // range (excluding the requester), least-loaded-of-two-random first.
   std::vector<std::string> PickPeers(FileId file, const std::string& requester,
                                      std::uint64_t first_block,

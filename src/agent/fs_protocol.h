@@ -50,8 +50,8 @@ enum class FsOp : std::uint32_t {
   // a hot file's server redirected asks a callback-holding peer for clean
   // cached blocks. The peer answers ONLY if its promise is unbroken and its
   // version token equals the redirect's expected token — anything else
-  // (broken promise, stale token, blocks evicted, over its serve budget) is
-  // an error and the reader falls back to the origin. Naturally idempotent:
+  // (broken promise, stale token, blocks evicted) is an error and the
+  // reader falls back to the origin. Naturally idempotent:
   // it reads immutable version-stamped bytes and mutates nothing.
   kPeerRead = 15,
 };

@@ -31,7 +31,6 @@ std::string_view ErrorCodeName(ErrorCode code) {
     case ErrorCode::kMessageDropped: return "MESSAGE_DROPPED";
     case ErrorCode::kNotConnected: return "NOT_CONNECTED";
     case ErrorCode::kTimeout: return "TIMEOUT";
-    case ErrorCode::kBusy: return "BUSY";
   }
   return "UNKNOWN";
 }

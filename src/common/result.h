@@ -51,9 +51,6 @@ enum class ErrorCode : std::uint16_t {
   kMessageDropped,
   kNotConnected,
   kTimeout,  // retry/deadline budget exhausted without an answer
-  // Cache-tier peer serving: the peer is over its serve budget (load
-  // shedding) — the reader should try the next candidate, then the origin.
-  kBusy,
 };
 
 std::string_view ErrorCodeName(ErrorCode code);

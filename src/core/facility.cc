@@ -5,7 +5,7 @@
 namespace rhodos::core {
 
 DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
-    : config_(config), bus_(&clock_, config.network), disks_(config.placement) {
+    : config_(config), bus_(&clock_, config.network) {
   for (std::uint32_t i = 0; i < config_.disk_count; ++i) {
     disk::DiskServerConfig dc;
     dc.geometry = i < config_.per_disk_geometry.size()
@@ -61,18 +61,10 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
     if (s < file_servers_.size()) file_servers_[s]->DropCallbacksFenced();
     file_shards_[s]->Crash();
   });
-  // The cache tier rides on callback promises: without them no peer can
-  // vouch for its blocks, so the router must not redirect.
-  agent::CacheTierConfig ct = config_.cache_tier;
-  ct.enabled = ct.enabled && config_.callback.enabled;
   for (std::uint32_t s = 0; s < file_shards; ++s) {
-    agent::CacheTierConfig shard_ct = ct;
-    // Distinct deterministic streams per shard so two shards never sample
-    // peers in lockstep.
-    shard_ct.rng_seed = ct.rng_seed + 0x9E37ull * (s + 1);
     file_servers_.push_back(std::make_unique<agent::FileServiceServer>(
         file_shards_[s].get(), &bus_, router_->AddressOf(s), config_.callback,
-        shard_ct));
+        config_.cache_tier));
   }
   // Observability: one bundle for the whole facility. The bus carries it to
   // every RpcClient and file agent; server-side layers get it directly.
@@ -134,10 +126,8 @@ Machine& DistributedFileFacility::AddMachine() {
   m->id = MachineId{static_cast<std::uint32_t>(machines_.size())};
   // Agents always go through the router; with one shard every route is
   // shard 0 at the historic address, identical to the unrouted path.
-  agent::FileAgentConfig ac = config_.agent;
-  ac.callbacks = ac.callbacks && config_.callback.enabled;
   m->file_agent = std::make_unique<agent::FileAgent>(
-      m->id, &bus_, router_.get(), naming_.get(), ac);
+      m->id, &bus_, router_.get(), naming_.get(), config_.agent);
   m->device_agent = std::make_unique<agent::DeviceAgent>(naming_.get());
   m->txn_agent = std::make_unique<agent::TransactionAgentHost>(
       m->id, txns_.get(), naming_.get());

@@ -59,19 +59,16 @@ struct FacilityConfig {
   std::vector<sim::DiskGeometry> per_disk_geometry{};
   std::size_t disk_cache_tracks = 16;
   bool track_readahead = true;
-  disk::PlacementPolicy placement = disk::PlacementPolicy::kRoundRobin;
   file::FileServiceConfig file{};
   txn::TxnServiceConfig txn{};
   sim::NetworkConfig network{};
   agent::FileAgentConfig agent{};
   // Callback/lease coherence policy shared by every file-service shard.
-  // Disabling it here also turns off the agents' callback participation.
   agent::CallbackConfig callback{};
   // Cache-tier read fan-out (E24): load-aware redirect of cold reads on hot
   // files to callback-holding peer agents. Off by default (opt-in trade:
-  // one extra exchange per redirected miss for origin-disk relief); it
-  // also requires callbacks to be enabled — peers can only vouch for
-  // blocks a promise covers.
+  // one extra exchange per redirected miss for origin-disk relief). Peers
+  // vouch only for blocks an unbroken callback promise covers.
   agent::CacheTierConfig cache_tier{};
   replication::ReplicationConfig replication{};
   // Metadata-plane partitioning; the default (1/1) is the paper topology.

@@ -18,13 +18,19 @@ Result<DiskServer*> DiskRegistry::Get(DiskId id) {
   return disks_[id.value].get();
 }
 
-Result<DiskRegistry::Placement> DiskRegistry::AllocateFrom(
-    std::size_t start_index, std::uint32_t count, const DiskServer* avoid) {
+Result<DiskRegistry::Placement> DiskRegistry::Allocate(std::uint32_t count) {
+  return AllocateAvoiding(count, DiskId{~std::uint32_t{0}});
+}
+
+Result<DiskRegistry::Placement> DiskRegistry::AllocateAvoiding(
+    std::uint32_t count, DiskId avoid_id) {
   if (disks_.empty()) {
     return Error{ErrorCode::kUnavailable, "no disks registered"};
   }
+  const DiskServer* avoid =
+      avoid_id.value < disks_.size() ? disks_[avoid_id.value].get() : nullptr;
   for (std::size_t i = 0; i < disks_.size(); ++i) {
-    DiskServer& d = *disks_[(start_index + i) % disks_.size()];
+    DiskServer& d = *disks_[(next_disk_ + i) % disks_.size()];
     if (&d == avoid && disks_.size() > 1) continue;
     auto frag = d.AllocateFragments(count);
     if (frag.ok()) {
@@ -35,36 +41,6 @@ Result<DiskRegistry::Placement> DiskRegistry::AllocateFrom(
   return Error{ErrorCode::kNoSpace,
                "no disk has " + std::to_string(count) +
                    " contiguous free fragments"};
-}
-
-Result<DiskRegistry::Placement> DiskRegistry::Allocate(std::uint32_t count) {
-  return AllocateAvoiding(count, DiskId{~std::uint32_t{0}});
-}
-
-Result<DiskRegistry::Placement> DiskRegistry::AllocateAvoiding(
-    std::uint32_t count, DiskId avoid) {
-  const DiskServer* avoid_ptr =
-      avoid.value < disks_.size() ? disks_[avoid.value].get() : nullptr;
-  switch (policy_) {
-    case PlacementPolicy::kRoundRobin:
-      return AllocateFrom(next_disk_, count, avoid_ptr);
-    case PlacementPolicy::kFirstFit:
-      return AllocateFrom(0, count, avoid_ptr);
-    case PlacementPolicy::kMostFree: {
-      std::size_t best = 0;
-      std::uint64_t best_free = 0;
-      for (std::size_t i = 0; i < disks_.size(); ++i) {
-        if (disks_[i].get() == avoid_ptr && disks_.size() > 1) continue;
-        const std::uint64_t free = disks_[i]->FreeFragmentCount();
-        if (free > best_free) {
-          best_free = free;
-          best = i;
-        }
-      }
-      return AllocateFrom(best, count, avoid_ptr);
-    }
-  }
-  return Error{ErrorCode::kInternal, "bad placement policy"};
 }
 
 Status DiskRegistry::Free(DiskId disk, FragmentIndex first,

@@ -3,8 +3,8 @@
 // "There is one disk server corresponding to each disk in the RHODOS
 // system" and "there is practically no limitation on the number of disks
 // connected" (§4, §7). A file may be partitioned over several disks, so the
-// file service allocates through this registry, which spreads data with a
-// simple rotating / most-free placement policy.
+// file service allocates through this registry, which spreads data by
+// rotating across the disks (striping).
 #pragma once
 
 #include <memory>
@@ -17,17 +17,8 @@
 
 namespace rhodos::disk {
 
-enum class PlacementPolicy : std::uint8_t {
-  kRoundRobin,  // rotate across disks (striping)
-  kMostFree,    // pick the disk with the most free fragments
-  kFirstFit,    // always try disk 0 first (single-disk behaviour)
-};
-
 class DiskRegistry {
  public:
-  explicit DiskRegistry(PlacementPolicy policy = PlacementPolicy::kRoundRobin)
-      : policy_(policy) {}
-
   // Creates and registers a new disk server; returns its id.
   DiskId AddDisk(DiskServerConfig config, SimClock* clock);
 
@@ -38,10 +29,9 @@ class DiskRegistry {
     return disks_;
   }
 
-  PlacementPolicy policy() const { return policy_; }
-
-  // Allocates `count` contiguous fragments on some disk chosen by the
-  // placement policy; returns the disk and first fragment.
+  // Allocates `count` contiguous fragments on the first disk, from the
+  // round-robin cursor on, that has room; returns the disk and first
+  // fragment and moves the cursor past that disk.
   struct Placement {
     DiskId disk;
     FragmentIndex first;
@@ -61,10 +51,6 @@ class DiskRegistry {
   void ResetStats();
 
  private:
-  Result<Placement> AllocateFrom(std::size_t start_index, std::uint32_t count,
-                                 const DiskServer* avoid);
-
-  PlacementPolicy policy_;
   std::vector<std::unique_ptr<DiskServer>> disks_;
   std::size_t next_disk_{0};  // round-robin cursor
 };

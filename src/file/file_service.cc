@@ -20,6 +20,8 @@ using disk::WriteSync;
 // Fragments of each shard's snapshot journal slot at the tail of disk 0,
 // claimed only on first snapshot/clone use.
 constexpr std::uint64_t kSnapshotSlotFragments = 256;
+// Consecutive sequential reads that arm read-ahead.
+constexpr std::uint32_t kReadAheadTrigger = 2;
 
 FileService::FileService(disk::DiskRegistry* disks, SimClock* clock,
                          FileServiceConfig config)
@@ -511,7 +513,7 @@ Result<std::uint64_t> FileService::Read(FileId id, std::uint64_t offset,
     of->sequential_streak =
         offset == of->next_expected_offset ? of->sequential_streak + 1 : 1;
     of->next_expected_offset = offset + len;
-    if (of->sequential_streak >= config_.readahead_trigger) {
+    if (of->sequential_streak >= kReadAheadTrigger) {
       // Prefetch failures must not fail the read that triggered them.
       Status ra = ReadAhead(id, *of, last_block + 1);
       (void)ra;

@@ -58,12 +58,11 @@ struct FileServiceConfig {
   // When true, a growing file first tries to extend its last extent in
   // place (AllocateSpecific), preserving contiguity.
   bool extend_in_place = true;
-  // Sequential read-ahead: after `readahead_trigger` consecutive reads that
-  // each pick up where the previous one ended, prefetch up to
-  // `readahead_blocks` blocks past the read into the block cache (extended
-  // to the next track boundary when the run allows). Any seek cancels the
-  // streak. 0 blocks disables read-ahead.
-  std::uint32_t readahead_trigger = 2;
+  // Sequential read-ahead: after two consecutive reads that each pick up
+  // where the previous one ended, prefetch up to `readahead_blocks` blocks
+  // past the read into the block cache (extended to the next track boundary
+  // when the run allows). Any seek cancels the streak. 0 blocks disables
+  // read-ahead.
   std::uint32_t readahead_blocks = 16;
   // This service's shard index. It salts every version token (shard id in
   // the top byte) so tokens minted by different shards never alias: after a

@@ -127,12 +127,6 @@ Result<GroupId> ReplicationService::CreateReplicated(
     return Error{ErrorCode::kInvalidArgument, "need at least one replica"};
   }
   Group group;
-  if (policy.write_quorum == 0) {
-    policy.write_quorum = config_.default_policy.write_quorum;
-  }
-  if (policy.read_quorum == 0) {
-    policy.read_quorum = config_.default_policy.read_quorum;
-  }
   group.policy = policy;
   for (std::uint32_t i = 0; i < replica_count; ++i) {
     auto file = files_(FileId{}).Create(type, size_hint);
@@ -340,10 +334,7 @@ Result<ReadAck> ReplicationService::Read(GroupId group, std::uint64_t offset,
 
   // Degraded mode: no live replica carries the current version at the
   // current epoch. Serve the freshest reachable clean copy, explicitly
-  // flagged stale, or fail when the config forbids it.
-  if (!config_.allow_stale_reads) {
-    return Error{ErrorCode::kUnavailable, "no current replica is readable"};
-  }
+  // flagged stale.
   std::vector<std::size_t> fallback;
   for (std::size_t i = 0; i < g->replicas.size(); ++i) {
     const Replica& r = g->replicas[i];

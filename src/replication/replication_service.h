@@ -48,13 +48,9 @@ struct GroupPolicy {
 };
 
 struct ReplicationConfig {
-  GroupPolicy default_policy{};
   // Hints kept per lagging replica before the queue overflows and the
   // replica is demoted to full-copy repair.
   std::uint32_t max_hints_per_replica = 64;
-  // When no current replica is reachable, serve the freshest reachable copy
-  // with ReadAck::stale set instead of failing the read.
-  bool allow_stale_reads = true;
 };
 
 struct ReplicaInfo {
@@ -151,8 +147,8 @@ class ReplicationService {
 
   // Quorum read: observes up to R live replicas, serves the current
   // version, and inline-repairs observed laggards. With no live current
-  // replica it serves the freshest reachable copy with `stale` set (when
-  // the config allows), or fails with kUnavailable.
+  // replica it serves the freshest reachable copy with `stale` set, or
+  // fails with kUnavailable when no replica is readable at all.
   Result<ReadAck> Read(GroupId group, std::uint64_t offset,
                        std::span<std::uint8_t> out);
 

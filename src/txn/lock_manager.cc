@@ -53,7 +53,6 @@ bool LockManager::Grantable(LockLevel level, const LockRecord& rec) const {
       }
     }
   }
-  if (!config_.cross_level_checking) return true;
   // The §6.1 relaxation: granted locks at OTHER levels also conflict when
   // their byte ranges overlap (a file-level lock overlaps everything in
   // the file; a record lock overlaps the pages covering it; and so on).
@@ -71,14 +70,10 @@ bool LockManager::Grantable(LockLevel level, const LockRecord& rec) const {
   return true;
 }
 
-bool LockManager::BreakLapsedHolders(LockLevel level, const LockRecord& rec) {
+bool LockManager::BreakLapsedHolders(const LockRecord& rec) {
   const auto now = Clock::now();
   std::vector<TxnId> victims;
   for (std::size_t lv = 0; lv < 3; ++lv) {
-    if (!config_.cross_level_checking &&
-        lv != static_cast<std::size_t>(level)) {
-      continue;
-    }
     auto it = tables_[lv].queues.find(rec.item.file);
     if (it == tables_[lv].queues.end()) continue;
     for (const LockRecord& other : it->second) {
@@ -201,7 +196,7 @@ Status LockManager::SetLock(LockLevel level, TxnId txn, ProcessId process,
       }
       // Our invulnerability grace for the holders has expired.
       rec_it->retry_count += 1;
-      BreakLapsedHolders(level, *rec_it);
+      BreakLapsedHolders(*rec_it);
       // BreakLapsedHolders only erases OTHER transactions' records, so
       // rec_it is still valid here; but we may have broken a holder whose
       // departure grants us — loop around and re-test.

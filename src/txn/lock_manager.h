@@ -16,6 +16,13 @@
 // is broken even without competitors — the transaction is suspected
 // deadlocked or permanently blocked.
 //
+// §6.1 assumes "a file cannot be subjected to more than one level of
+// locking by concurrent transactions", noting "this constraint can be
+// relaxed, if required, at a later stage". The manager always applies the
+// relaxation: a request is validated against overlapping granted locks in
+// EVERY level's table, so a record-mode transaction and a file-mode
+// transaction on the same file conflict correctly.
+//
 // Thread safety: fully thread safe; this is the one component of the
 // facility where real concurrency is the phenomenon under study (E8/E9).
 #pragma once
@@ -58,13 +65,6 @@ struct LockRecord {
 struct LockTimeoutConfig {
   std::chrono::milliseconds lt{50};  // invulnerability period LT
   std::uint32_t n = 4;               // max N renewals (N*LT lifetime cap)
-  // §6.1 assumes "a file cannot be subjected to more than one level of
-  // locking by concurrent transactions", noting "this constraint can be
-  // relaxed, if required, at a later stage". With cross-level checking on
-  // (the relaxation, default), a request is validated against overlapping
-  // granted locks in EVERY level's table, so a record-mode transaction and
-  // a file-mode transaction on the same file conflict correctly.
-  bool cross_level_checking = true;
 };
 
 struct LockStats {
@@ -157,16 +157,14 @@ class LockManager {
     return tables_[static_cast<std::size_t>(level)];
   }
 
-  // Grant rules of Table 1 + FIFO fairness; with cross-level checking the
-  // request is also tested against granted locks in the other levels'
-  // tables. Must hold mu_.
+  // Grant rules of Table 1 + FIFO fairness; the request is also tested
+  // against granted locks in the other levels' tables. Must hold mu_.
   bool Grantable(LockLevel level, const LockRecord& rec) const;
   // True iff `rec` is an IR->IW conversion by its own transaction.
   bool IsConversion(const LockTable& table, const LockRecord& rec) const;
-  // Breaks conflicting holders (across all levels when cross-level
-  // checking is on) whose invulnerability has lapsed; returns true if any
-  // lock was broken. Must hold mu_.
-  bool BreakLapsedHolders(LockLevel level, const LockRecord& rec);
+  // Breaks conflicting holders at every level whose invulnerability has
+  // lapsed; returns true if any lock was broken. Must hold mu_.
+  bool BreakLapsedHolders(const LockRecord& rec);
   // Removes every record of `txn` and marks it broken. Must hold mu_.
   void BreakTransaction(TxnId txn);
   void NotePeak();

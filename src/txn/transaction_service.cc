@@ -12,6 +12,12 @@ using file::FileService;
 using file::LockLevel;
 using file::ServiceType;
 
+// Default-locking-level heuristic (§7): a file accessed at least this often
+// counts as hot and defaults to record locking; a colder file at least this
+// large defaults to file locking; page otherwise.
+constexpr std::uint64_t kHotAccessThreshold = 32;
+constexpr std::uint64_t kLargeFileBytes = 1024 * 1024;
+
 TransactionService::TransactionService(disk::DiskRegistry* disks,
                                        file::FileResolver files,
                                        TxnServiceConfig config)
@@ -339,13 +345,13 @@ Result<LockLevel> TransactionService::SuggestLockLevel(FileId file) {
   std::scoped_lock lk(mu_);
   RHODOS_ASSIGN_OR_RETURN(file::FileAttributes attrs,
                           files_(file).GetAttributes(file));
-  if (attrs.access_count >= config_.hot_access_threshold) {
+  if (attrs.access_count >= kHotAccessThreshold) {
     // Frequently used: simultaneous updates are likely, so the fine
     // granularity that "maximizes the concurrent execution of
     // transactions" (§7) pays for its extra lock records.
     return LockLevel::kRecord;
   }
-  if (attrs.size >= config_.large_file_bytes) {
+  if (attrs.size >= kLargeFileBytes) {
     // Large and cold: updates tend to be bulk, and "there are fewer locks
     // to manage" at file level (§6.1).
     return LockLevel::kFile;

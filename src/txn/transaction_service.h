@@ -64,11 +64,6 @@ struct TxnServiceConfig {
   enum class TechniqueOverride : std::uint8_t { kAuto, kWalAlways,
                                                 kShadowAlways };
   TechniqueOverride technique = TechniqueOverride::kAuto;
-  // Default-locking-level heuristic (§7): a file accessed at least this
-  // often counts as hot and defaults to record locking; a colder file at
-  // least this large defaults to file locking; page otherwise.
-  std::uint64_t hot_access_threshold = 32;
-  std::uint64_t large_file_bytes = 1024 * 1024;
 };
 
 struct TxnServiceStats {

@@ -126,13 +126,13 @@ TEST_F(FileAgentTest, DelayedWritesReachServerAtClose) {
 }
 
 // A write-through agent sends each pwrite as a write batch of one extent:
-// one exchange, applied on the server before the reply. The writer adopts
-// the reply's version token, so its own cached copy stays valid, while
-// another machine's reopen sees the token move and drops its stale copy.
+// one exchange, applied on the server before the reply, plus the break the
+// server sends each other holder of a callback promise. The writer adopts
+// the reply's version token, so its own cached copy stays valid, while the
+// break's token drops another machine's stale copy.
 TEST(WriteThroughAgentTest, PwriteIsOneExchangeAndMovesTheVersionToken) {
   FacilityConfig cfg = SmallFacility();
   cfg.agent.delayed_write = false;
-  cfg.agent.callbacks = false;  // no break traffic: count only the write
   DistributedFileFacility f(cfg);
   Machine& writer = f.AddMachine();
   Machine& reader = f.AddMachine();
@@ -155,11 +155,16 @@ TEST(WriteThroughAgentTest, PwriteIsOneExchangeAndMovesTheVersionToken) {
   ASSERT_TRUE(reader.file_agent->Close(*rod).ok());
 
   const auto new_bytes = Pattern(kBlockSize, 7);
+  const FileAgentStats reader_before = reader.file_agent->stats();
   const auto calls_before = f.bus().stats().calls;
   auto n = writer.file_agent->Pwrite(*od, 0, new_bytes);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, kBlockSize);
-  EXPECT_EQ(f.bus().stats().calls, calls_before + 1);
+  // The write, and the break to the reader, whose promise outlived its
+  // close.
+  EXPECT_EQ(f.bus().stats().calls, calls_before + 2);
+  EXPECT_EQ(reader.file_agent->stats().callback_breaks,
+            reader_before.callback_breaks + 1);
   std::vector<std::uint8_t> on_server(kBlockSize);
   ASSERT_TRUE(f.files().Read(*file, 0, on_server).ok());
   EXPECT_EQ(on_server, new_bytes);
@@ -176,8 +181,7 @@ TEST(WriteThroughAgentTest, PwriteIsOneExchangeAndMovesTheVersionToken) {
   EXPECT_EQ(writer.file_agent->stats().cache_hits,
             writer_before.cache_hits + 1);
 
-  // The reader's reopen revalidates: the old block is dropped and re-read.
-  const FileAgentStats reader_before = reader.file_agent->stats();
+  // The break dropped the reader's old block: its reopen re-reads it.
   rod = reader.file_agent->Open(naming::ByName("wt"));
   ASSERT_TRUE(rod.ok());
   ASSERT_TRUE(reader.file_agent->Pread(*rod, 0, out).ok());
@@ -227,9 +231,9 @@ class LossyAgentTest : public ::testing::Test {
     cfg.network.duplicate_rate = 0.3;
     cfg.agent.rpc.max_attempts = 64;
     // This suite tests at-least-once idempotency, which needs actual wire
-    // traffic to lose and duplicate; callbacks would serve most of the
-    // workload from the client cache with zero exchanges.
-    cfg.callback.enabled = false;
+    // traffic to lose and duplicate: a write-through agent sends every
+    // pwrite to the server instead of batching them into one flush.
+    cfg.agent.delayed_write = false;
     facility_ = std::make_unique<DistributedFileFacility>(cfg);
     m_ = &facility_->AddMachine();
   }

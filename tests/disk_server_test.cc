@@ -306,7 +306,7 @@ TEST_F(DiskServerTest, LargestFreeRunTracksFragmentation) {
 
 TEST(DiskRegistryTest, RoundRobinSpreadsAllocations) {
   SimClock clock;
-  DiskRegistry registry(PlacementPolicy::kRoundRobin);
+  DiskRegistry registry;
   for (int i = 0; i < 4; ++i) registry.AddDisk(SmallConfig(), &clock);
   std::set<std::uint32_t> used;
   for (int i = 0; i < 4; ++i) {
@@ -317,34 +317,9 @@ TEST(DiskRegistryTest, RoundRobinSpreadsAllocations) {
   EXPECT_EQ(used.size(), 4u);
 }
 
-TEST(DiskRegistryTest, FirstFitSticksToDiskZero) {
-  SimClock clock;
-  DiskRegistry registry(PlacementPolicy::kFirstFit);
-  for (int i = 0; i < 3; ++i) registry.AddDisk(SmallConfig(), &clock);
-  for (int i = 0; i < 5; ++i) {
-    auto p = registry.Allocate(8);
-    ASSERT_TRUE(p.ok());
-    EXPECT_EQ(p->disk.value, 0u);
-  }
-}
-
-TEST(DiskRegistryTest, MostFreePicksEmptiestDisk) {
-  SimClock clock;
-  DiskRegistry registry(PlacementPolicy::kMostFree);
-  registry.AddDisk(SmallConfig(), &clock);
-  registry.AddDisk(SmallConfig(), &clock);
-  // Drain disk 0 a bit.
-  auto d0 = registry.Get(DiskId{0});
-  ASSERT_TRUE(d0.ok());
-  ASSERT_TRUE((*d0)->AllocateFragments(200).ok());
-  auto p = registry.Allocate(8);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->disk.value, 1u);
-}
-
 TEST(DiskRegistryTest, AvoidanceGoesElsewhere) {
   SimClock clock;
-  DiskRegistry registry(PlacementPolicy::kRoundRobin);
+  DiskRegistry registry;
   registry.AddDisk(SmallConfig(), &clock);
   registry.AddDisk(SmallConfig(), &clock);
   for (int i = 0; i < 6; ++i) {
@@ -356,15 +331,19 @@ TEST(DiskRegistryTest, AvoidanceGoesElsewhere) {
 
 TEST(DiskRegistryTest, FallsBackWhenPreferredDiskFull) {
   SimClock clock;
-  DiskRegistry registry(PlacementPolicy::kFirstFit);
+  DiskRegistry registry;
   registry.AddDisk(SmallConfig(), &clock);
   registry.AddDisk(SmallConfig(), &clock);
-  auto d0 = registry.Get(DiskId{0});
-  const auto all = static_cast<std::uint32_t>((*d0)->FreeFragmentCount());
-  ASSERT_TRUE((*d0)->AllocateFragments(all).ok());
+  // The first allocation lands on disk 0 and moves the cursor to disk 1.
+  auto first = registry.Allocate(8);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->disk.value, 0u);
+  auto d1 = registry.Get(DiskId{1});
+  const auto all = static_cast<std::uint32_t>((*d1)->FreeFragmentCount());
+  ASSERT_TRUE((*d1)->AllocateFragments(all).ok());
   auto p = registry.Allocate(8);
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->disk.value, 1u);
+  EXPECT_EQ(p->disk.value, 0u);
 }
 
 TEST(DiskRegistryTest, NoDisksIsAnError) {

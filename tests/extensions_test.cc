@@ -84,23 +84,6 @@ TEST(CrossLevelLockTest, CompatibleModesShareAcrossLevels) {
                   .ok());
 }
 
-TEST(CrossLevelLockTest, RelaxationCanBeDisabled) {
-  txn::LockTimeoutConfig cfg;
-  cfg.cross_level_checking = false;  // the paper's original constraint
-  LockManager lm(cfg);
-  ASSERT_TRUE(lm.TryLock(LockLevel::kFile, TxnId{1}, kProc,
-                         TxnPhase::kLocking, DataItem::File(FileId{9}),
-                         LockMode::kIWrite)
-                  .ok());
-  // Without the relaxation, levels are blind to each other (the caller is
-  // then responsible for keeping each file at one level).
-  EXPECT_TRUE(lm.TryLock(LockLevel::kRecord, TxnId{2}, kProc,
-                         TxnPhase::kLocking,
-                         DataItem::Record(FileId{9}, 0, 10),
-                         LockMode::kIWrite)
-                  .ok());
-}
-
 TEST(CrossLevelLockTest, TimeoutBreaksCrossLevelHolder) {
   txn::LockTimeoutConfig cfg;
   cfg.lt = std::chrono::milliseconds(20);
@@ -121,14 +104,17 @@ TEST(CrossLevelLockTest, TimeoutBreaksCrossLevelHolder) {
 
 // --- default locking level ---------------------------------------------------------
 
+// The heuristic's thresholds: a file is hot from this many accesses on,
+// and large from this many bytes on.
+constexpr std::uint64_t kHotAccesses = 32;
+constexpr std::uint64_t kLargeFileBytes = 1024 * 1024;
+
 class DefaultLevelTest : public ::testing::Test {
  protected:
   DefaultLevelTest() : facility_(Config()) {}
   static core::FacilityConfig Config() {
     core::FacilityConfig c;
     c.geometry.total_fragments = 16 * 1024;
-    c.txn.hot_access_threshold = 8;
-    c.txn.large_file_bytes = 64 * 1024;
     return c;
   }
   core::DistributedFileFacility facility_;
@@ -179,7 +165,7 @@ TEST_F(DefaultLevelTest, HotFileDefaultsToRecord) {
   // no table is stored, and the threshold flips the suggested level.
   const std::uint64_t stores = files.stats().fit_stores;
   std::uint64_t last = count(*file);
-  while (last < Config().txn.hot_access_threshold) {
+  while (last < kHotAccesses) {
     commit(*file);
     const std::uint64_t now = count(*file);
     ASSERT_GT(now, last);
@@ -203,11 +189,17 @@ TEST_F(DefaultLevelTest, HotFileDefaultsToRecord) {
 
 TEST_F(DefaultLevelTest, LargeColdFileDefaultsToFile) {
   auto file = facility_.files().Create(file::ServiceType::kTransaction,
-                                       128 * 1024);
+                                       kLargeFileBytes);
   ASSERT_TRUE(file.ok());
-  std::vector<std::uint8_t> buf(128 * 1024, 1);
+  std::vector<std::uint8_t> buf(kLargeFileBytes - 1, 1);
   ASSERT_TRUE(facility_.files().Write(*file, 0, buf).ok());  // one access
   auto level = facility_.transactions().SuggestLockLevel(*file);
+  ASSERT_TRUE(level.ok());
+  EXPECT_EQ(*level, LockLevel::kPage) << "one byte short of large";
+  const std::vector<std::uint8_t> last_byte(1, 1);
+  ASSERT_TRUE(
+      facility_.files().Write(*file, kLargeFileBytes - 1, last_byte).ok());
+  level = facility_.transactions().SuggestLockLevel(*file);
   ASSERT_TRUE(level.ok());
   EXPECT_EQ(*level, LockLevel::kFile);
 }

@@ -487,7 +487,7 @@ TEST_F(FileServiceTest, LargeFileUsesIndirectBlocksAndSurvivesReload) {
 }
 
 TEST_F(FileServiceTest, StripingSpreadsExtentsAcrossDisks) {
-  disk::DiskRegistry disks(disk::PlacementPolicy::kRoundRobin);
+  disk::DiskRegistry disks;
   for (int i = 0; i < 4; ++i) disks.AddDisk(DiskConfig(), &clock_);
   FileServiceConfig cfg;
   cfg.extent_blocks = 4;

@@ -73,26 +73,6 @@ TEST(LeaseCoherenceTest, WarmOpenAndWarmReadCostZeroExchanges) {
   EXPECT_EQ(BusCalls(f) - before, 0u) << "read-only local close is free";
 }
 
-TEST(LeaseCoherenceTest, DisabledCallbacksRestoreValidateOnOpen) {
-  FacilityConfig cfg = LeaseFacility();
-  cfg.callback.enabled = false;
-  DistributedFileFacility f(cfg);
-  Machine& m = f.AddMachine();
-  auto od = *m.file_agent->Create(naming::ByName("plain"),
-                                  file::ServiceType::kBasic);
-  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, Pattern(256)).ok());
-  ASSERT_TRUE(m.file_agent->Close(od).ok());
-
-  const std::uint64_t before = BusCalls(f);
-  auto warm = m.file_agent->Open(naming::ByName("plain"));
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(BusCalls(f) - before, 1u)
-      << "without callbacks a warm open is the PR 5 validate-on-open";
-  EXPECT_FALSE(m.file_agent->HoldsCallback(*m.file_agent->FileOf(*warm)));
-  EXPECT_EQ(f.file_server().stats().callback_grants, 0u);
-  ASSERT_TRUE(m.file_agent->Close(*warm).ok());
-}
-
 // --- break-before-reply ------------------------------------------------------
 
 TEST(LeaseCoherenceTest, BreakLandsBeforeTheWritersReply) {
@@ -332,10 +312,8 @@ TEST(LeaseCoherenceTest, RedirectDuringBreakFallsBackToFreshBytes) {
   // flush right after the server's (redirect) reply is formed — the
   // single-threaded sim's way of interleaving "write completes while the
   // redirect is in flight".
-  agent::FileAgentConfig ac = f.config().agent;
-  ac.callbacks = true;
   agent::FileAgent reader(MachineId{88}, &f.bus(), "brk-wrapper",
-                          &f.naming(), ac);
+                          &f.naming(), f.config().agent);
   bool armed = false;
   bool fired = false;
   f.bus().RegisterService(

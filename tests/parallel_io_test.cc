@@ -433,7 +433,6 @@ class ReadAheadTest : public ::testing::Test {
   void SetUp() override {
     disks_.AddDisk(RaDiskConfig(), &clock_);
     file::FileServiceConfig fc;
-    fc.readahead_trigger = 2;
     fc.readahead_blocks = 8;
     service_ = std::make_unique<file::FileService>(&disks_, &clock_, fc);
     auto file = service_->Create(file::ServiceType::kBasic,

@@ -2,7 +2,8 @@
 // kPwriteVec bodies sent to the file service and kPeerRead bodies sent to
 // an agent's peer handler are given seeded bit flips, truncations and
 // rewritten count/offset/length fields (near 0, near the file size, near
-// 2^64). Every read reply must be an error or a bounded read that matches
+// 2^64). kCallbackBreak bodies and unknown opcodes sent to an agent's
+// break handler must leave the agent serving the model's bytes. Every read reply must be an error or a bounded read that matches
 // the written bytes, and every write reply an error or the write a byte
 // model predicts, with no space lost to a refused write. The remaining
 // kinds (create, delete, open, close, getattr, resize, flush, callback
@@ -244,6 +245,142 @@ TEST(ReadMutationTest, HostilePeerReadBodiesGetAnErrorOrTheCachedBytes) {
     ++served;
   }
   EXPECT_GT(served, kTrials / 4) << "most mutations must still reach a read";
+}
+
+// --- kCallbackBreak ---------------------------------------------------------
+
+constexpr int kBreakTrials = 600;
+// Body layout: file u64, version u64.
+constexpr std::size_t kBreakBodySize = 16;
+
+// Sends `body` as `opcode` to an agent's callback address. The reply must
+// be one status and nothing after it.
+Status SendToAgent(DistributedFileFacility& f, const std::string& address,
+                   std::uint32_t opcode,
+                   const std::vector<std::uint8_t>& body) {
+  auto r = f.bus().Call(address, opcode, body, "hostile-caller");
+  if (!r.ok()) return r.error();
+  Deserializer in{*r};
+  const Status status = DecodeStatus(in);
+  EXPECT_TRUE(in.ok()) << "reply is not a status";
+  EXPECT_EQ(in.remaining(), 0u) << "reply carries more than a status";
+  return status;
+}
+
+// Seeded bit flips, truncations and extensions of break bodies whose
+// version is the current token, 0, near 2^64 or random, mixed with unknown
+// opcodes, against an agent that caches the whole model file under a
+// promise while another machine keeps rewriting it. After every message
+// the agent's own pread returns the model's bytes, and a peer read at a
+// token the agent no longer vouches for is refused.
+TEST(ReadMutationTest, HostileBreakBodiesLeaveTheAgentServingTheModel) {
+  DistributedFileFacility f(ReadFacility());
+  Machine& writer = f.AddMachine();
+  Written w = WriteModelFile(writer);
+  const std::uint64_t size = w.bytes.size();
+  auto wd = *writer.file_agent->Open(naming::ByName("model"));
+  Machine& peer = f.AddMachine();
+  auto od = *peer.file_agent->Open(naming::ByName("model"));
+  const std::string address = peer.file_agent->callback_address();
+  std::vector<std::uint8_t> out(size);
+  ASSERT_EQ(*peer.file_agent->Pread(od, 0, out), size);
+  const auto peer_read = [&](std::uint64_t version) {
+    return Send(f, address, FsOp::kPeerRead,
+                PeerReadRequest{w.id, 0, size, version}.Encode());
+  };
+
+  Rng rng(24);
+  int breaks = 0;
+  int served = 0;
+  for (int trial = 0; trial < kBreakTrials; ++trial) {
+    const std::string where = "trial " + std::to_string(trial);
+    if (trial % 16 == 15) {
+      // A real write: the server breaks the peer's promise and the model
+      // moves on.
+      const std::uint64_t at = rng.Below(size);
+      std::vector<std::uint8_t> patch(1 + rng.Below(size - at));
+      for (auto& b : patch) b = static_cast<std::uint8_t>(rng.Next());
+      ASSERT_TRUE(writer.file_agent->Pwrite(wd, at, patch).ok()) << where;
+      ASSERT_TRUE(writer.file_agent->Flush(wd).ok()) << where;
+      std::copy(patch.begin(), patch.end(),
+                w.bytes.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    const std::uint64_t held = f.files().Version(w.id);
+    const std::uint64_t versions[] = {held, held - 1, held + 1, 0,
+                                      kMax - rng.Below(3), rng.Next()};
+    CallbackBreak base{rng.Chance(0.9) ? w.id : FileId{rng.Next()},
+                       versions[rng.Below(6)]};
+    std::vector<std::uint8_t> body = base.Encode();
+    switch (rng.Below(4)) {
+      case 0:
+        body[rng.Below(body.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.Below(8));
+        break;
+      case 1:
+        body.resize(rng.Below(kBreakBodySize));
+        break;
+      case 2:
+        for (std::uint64_t n = 1 + rng.Below(kBreakBodySize); n > 0; --n) {
+          body.push_back(static_cast<std::uint8_t>(rng.Next()));
+        }
+        break;
+      default:
+        break;  // unmutated
+    }
+    // One message in eight carries an opcode the agent does not serve.
+    std::uint32_t opcode = static_cast<std::uint32_t>(FsOp::kCallbackBreak);
+    if (rng.Below(8) == 0) {
+      do {
+        opcode = rng.Chance(0.5) ? static_cast<std::uint32_t>(rng.Below(32))
+                                 : static_cast<std::uint32_t>(rng.Next());
+      } while (opcode == static_cast<std::uint32_t>(FsOp::kCallbackBreak) ||
+               opcode == static_cast<std::uint32_t>(FsOp::kPeerRead));
+    }
+
+    const Status st = SendToAgent(f, address, opcode, body);
+    auto decoded = CallbackBreak::Decode(body);
+    bool broke = false;
+    if (opcode != static_cast<std::uint32_t>(FsOp::kCallbackBreak)) {
+      ASSERT_FALSE(st.ok()) << where;
+      EXPECT_EQ(st.error().code, ErrorCode::kNotSupported) << where;
+    } else if (!decoded.ok()) {
+      ASSERT_FALSE(st.ok()) << where;
+    } else {
+      ASSERT_TRUE(st.ok()) << where << ": " << st.error().message;
+      broke = decoded->file == w.id;
+      breaks += broke ? 1 : 0;
+    }
+
+    // A broken promise vouches for nothing, not even the bytes the agent
+    // still caches at the token it held.
+    auto before = peer_read(held);
+    if (broke) {
+      EXPECT_FALSE(peer.file_agent->HoldsCallback(w.id)) << where;
+      ASSERT_FALSE(before.ok()) << where << ": served after its break";
+    } else if (before.ok()) {
+      ASSERT_EQ(*before, w.bytes) << where;
+      ++served;
+    }
+
+    ASSERT_EQ(*peer.file_agent->Pread(od, 0, out), size) << where;
+    ASSERT_EQ(out, w.bytes) << where;
+
+    // The pread re-armed the promise at the current token: the agent serves
+    // that token and no other.
+    if (broke) {
+      auto after = peer_read(decoded->version);
+      if (decoded->version == f.files().Version(w.id)) {
+        ASSERT_TRUE(after.ok()) << where << ": " << after.error().message;
+        ASSERT_EQ(*after, w.bytes) << where;
+      } else {
+        ASSERT_FALSE(after.ok()) << where << ": served a token it lost";
+      }
+    }
+  }
+  EXPECT_GT(breaks, kBreakTrials / 4) << "most breaks must still decode";
+  EXPECT_GT(served, kBreakTrials / 4) << "most promises must still serve";
+  // Breaks naming files the agent never touched leave nothing behind.
+  EXPECT_EQ(peer.file_agent->VersionTokenCount(), 1u);
 }
 
 // --- kPwriteVec ------------------------------------------------------------

@@ -425,24 +425,6 @@ TEST(ReplicationQuorumTest, ReadFallsBackToStaleWhenNoCurrentReplicaLives) {
   EXPECT_LT(ack->version, *f.replication().CurrentVersion(*group));
   EXPECT_EQ(out, v1);
   EXPECT_GE(f.replication().stats().stale_reads, 1u);
-
-  // The same situation with stale fallback disabled is a typed failure.
-  core::FacilityConfig strict = MatrixConfig(3);
-  strict.replication.allow_stale_reads = false;
-  core::DistributedFileFacility f2(strict);
-  auto g2 = f2.replication().CreateReplicated(
-      file::ServiceType::kTransaction, 3, kRegion, GroupPolicy{2, 2});
-  ASSERT_TRUE(g2.ok());
-  ASSERT_TRUE(f2.replication().Write(*g2, 0, v1, 1).ok());
-  auto reps2 = *f2.replication().Replicas(*g2);
-  ASSERT_TRUE(f2.PartitionDisk(reps2[0].disk).ok());
-  f2.recovery().Tick();
-  ASSERT_TRUE(f2.replication().Write(*g2, 0, Pattern(2), 2).ok());
-  ASSERT_TRUE(f2.CrashDisk(reps2[1].disk).ok());
-  ASSERT_TRUE(f2.CrashDisk(reps2[2].disk).ok());
-  ASSERT_TRUE(f2.HealDisk(reps2[0].disk).ok());
-  EXPECT_EQ(f2.replication().Read(*g2, 0, out).error().code,
-            ErrorCode::kUnavailable);
 }
 
 TEST(ReplicationQuorumTest, WriteFailsFastBelowQuorumWithNoSideEffects) {

@@ -36,7 +36,7 @@ class ReplicationTest : public ::testing::Test {
   }
 
   SimClock clock_;
-  disk::DiskRegistry disks_{disk::PlacementPolicy::kRoundRobin};
+  disk::DiskRegistry disks_;
   std::unique_ptr<FileService> files_;
   std::unique_ptr<ReplicationService> repl_;
 };
