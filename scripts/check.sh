@@ -28,12 +28,12 @@ run_suite() {
   cmake --build "$dir" -j "$jobs"
   ctest --test-dir "$dir" --output-on-failure -j "$jobs"
   # The full run above covers every labelled matrix (txn, repl, shard,
-  # lease, snap, cachetier, recovery, hostile); CI can also run one alone
-  # with `ctest -L`.
+  # lease, snap, cachetier, cache, recovery, hostile); CI can also run one
+  # alone with `ctest -L`.
   # A label that selects nothing means a suite lost its label: fail loudly.
   local label
-  for label in txn repl shard lease snap cachetier recovery hostile; do
-    if ctest --test-dir "$dir" -N -L "$label" | grep -q "Total Tests: 0"; then
+  for label in txn repl shard lease snap cachetier cache recovery hostile; do
+    if ctest --test-dir "$dir" -N -L "^${label}\$" | grep -q "Total Tests: 0"; then
       echo "no test carries the ctest label '$label'" >&2
       exit 1
     fi

@@ -119,7 +119,7 @@ sim::Payload FileAgent::HandlePeerRead(std::span<const std::uint8_t> request) {
     while (pos < end) {
       const std::uint64_t block = pos / kBlockSize;
       const std::uint64_t in_block = pos % kBlockSize;
-      CacheEntry* entry = Lookup(req->file, block);
+      CacheEntry* entry = cache_.Touch(BlockKey{req->file, block});
       if (entry == nullptr || entry->dirty) {
         miss = true;
         break;
@@ -281,14 +281,12 @@ Result<sim::Payload> FileAgent::Call(std::uint32_t shard, FsOp op,
 
 void FileAgent::InvalidateStaleClean(FileId file,
                                      const std::set<std::uint64_t>* keep) {
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->first.file == file && !it->second.dirty &&
-        (keep == nullptr || keep->count(it->first.block) == 0)) {
-      lru_.erase(it->second.lru_pos);
-      it = cache_.erase(it);
+  for (const std::uint64_t block : cache_.index().Blocks(file)) {
+    const BlockKey key{file, block};
+    if (!cache_.Peek(key)->dirty &&
+        (keep == nullptr || keep->count(block) == 0)) {
+      cache_.Erase(key);
       ++stats_.stale_invalidations;
-    } else {
-      ++it;
     }
   }
 }
@@ -499,16 +497,15 @@ Status FileAgent::Delete(const naming::AttributedName& name) {
                                            << ns.error().ToString());
   }
   // Drop cached blocks and per-file bookkeeping of the dead file.
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->first.file == file) {
-      lru_.erase(it->second.lru_pos);
-      it = cache_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
+  for (const std::uint64_t block : cache_.index().Blocks(file)) {
+    const BlockKey key{file, block};
+    if (cache_.Peek(key)->dirty) --dirty_blocks_;
+    cache_.Erase(key);
+    ++stats_.invalidations;
   }
-  DropFileState(file);
+  first_dirty_at_.erase(file);
+  versions_.erase(file);
+  callbacks_.erase(file);
   for (auto it = name_cache_.begin(); it != name_cache_.end();) {
     it = (it->second == file) ? name_cache_.erase(it) : std::next(it);
   }
@@ -517,36 +514,31 @@ Status FileAgent::Delete(const naming::AttributedName& name) {
 
 // --- cache -------------------------------------------------------------------------
 
-FileAgent::CacheEntry* FileAgent::Lookup(FileId file, std::uint64_t block) {
-  auto it = cache_.find(CacheKey{file, block});
-  if (it == cache_.end()) return nullptr;
-  if (it->second.lru_pos != lru_.begin()) {
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(it->first);
-    it->second.lru_pos = lru_.begin();
-  }
-  return &it->second;
-}
-
-void FileAgent::MarkDirty(FileId file, std::uint64_t block) {
-  if (dirty_[file].insert(block).second) ++dirty_blocks_;
+void FileAgent::MarkDirty(FileId file, CacheEntry& entry) {
+  if (entry.dirty) return;
+  entry.dirty = true;
+  ++dirty_blocks_;
   first_dirty_at_.emplace(file, bus_->clock()->Now());
 }
 
-void FileAgent::DropFileState(FileId file) {
-  if (auto it = dirty_.find(file); it != dirty_.end()) {
-    dirty_blocks_ -= it->second.size();
-    dirty_.erase(it);
+std::set<std::uint64_t> FileAgent::DirtySet(FileId file) const {
+  std::set<std::uint64_t> dirty;
+  for (const std::uint64_t block : cache_.index().Blocks(file)) {
+    if (cache_.Peek(BlockKey{file, block})->dirty) dirty.insert(block);
   }
-  first_dirty_at_.erase(file);
-  versions_.erase(file);
-  callbacks_.erase(file);
+  return dirty;
+}
+
+std::vector<FileId> FileAgent::DirtyFiles() const {
+  std::vector<FileId> files;
+  files.reserve(first_dirty_at_.size());
+  for (const auto& [file, since] : first_dirty_at_) files.push_back(file);
+  return files;
 }
 
 std::size_t FileAgent::BuildExtents(FileId file,
+                                    const std::set<std::uint64_t>& blocks,
                                     std::vector<PwriteExtent>& out) {
-  const auto dit = dirty_.find(file);
-  if (dit == dirty_.end() || dit->second.empty()) return 0;
   const std::size_t before = out.size();
   // The set is ordered, so one pass coalesces adjacent blocks. A block can
   // only be glued onto the previous one when that block's cached bytes fill
@@ -554,8 +546,8 @@ std::size_t FileAgent::BuildExtents(FileId file,
   std::uint64_t prev_block = 0;
   std::uint64_t prev_len = 0;
   bool have_prev = false;
-  for (const std::uint64_t block : dit->second) {
-    const CacheEntry& entry = cache_.at(CacheKey{file, block});
+  for (const std::uint64_t block : blocks) {
+    const CacheEntry& entry = *cache_.Peek(BlockKey{file, block});
     if (have_prev && block == prev_block + 1 && prev_len == kBlockSize) {
       std::vector<std::uint8_t>& run = out.back().data;
       run.insert(run.end(), entry.data.begin(),
@@ -588,9 +580,9 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
   // leaves its files dirty for the next trigger to retry.
   std::map<std::uint32_t, std::vector<FileId>> by_shard;
   for (const FileId file : files) {
-    const auto dit = dirty_.find(file);
-    if (dit == dirty_.end() || dit->second.empty()) continue;
-    by_shard[RouteShard(file)].push_back(file);
+    if (first_dirty_at_.contains(file)) {
+      by_shard[RouteShard(file)].push_back(file);
+    }
   }
   for (const auto& [shard, shard_files] : by_shard) {
     PwriteVecRequest req;
@@ -606,8 +598,8 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
       for (const FileId file : shard_files) {
         PerFile pf;
         pf.file = file;
-        pf.blocks = dirty_.at(file);
-        pf.extents = BuildExtents(file, req.extents);
+        pf.blocks = DirtySet(file);
+        pf.extents = BuildExtents(file, pf.blocks, req.extents);
         flushed.push_back(std::move(pf));
       }
     }
@@ -635,14 +627,12 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
     stats_.writeback_runs += req.extents.size();
     for (const PerFile& pf : flushed) {
       for (const std::uint64_t block : pf.blocks) {
-        if (auto it = cache_.find(CacheKey{pf.file, block});
-            it != cache_.end()) {
-          it->second.dirty = false;
+        if (CacheEntry* entry = cache_.Peek(BlockKey{pf.file, block})) {
+          entry->dirty = false;
         }
         ++stats_.writebacks;
       }
       dirty_blocks_ -= pf.blocks.size();
-      dirty_.erase(pf.file);
       first_dirty_at_.erase(pf.file);
       if (auto it = tokens.find(pf.file); it != tokens.end()) {
         AdoptWriteVersion(pf.file, it->second, pf.extents, pf.blocks);
@@ -657,10 +647,7 @@ void FileAgent::MaybeBackgroundWriteback() {
   if (config_.writeback_threshold > 0 &&
       dirty_blocks_ >= config_.writeback_threshold) {
     // Eager path: the whole cache's dirty data in one exchange.
-    std::vector<FileId> files;
-    files.reserve(dirty_.size());
-    for (const auto& [file, blocks] : dirty_) files.push_back(file);
-    (void)FlushDirtyFiles(files);
+    (void)FlushDirtyFiles(DirtyFiles());
     return;
   }
   if (config_.writeback_age_ns <= 0) return;
@@ -673,40 +660,29 @@ void FileAgent::MaybeBackgroundWriteback() {
 }
 
 Status FileAgent::EvictOne() {
-  for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-    auto it = cache_.find(*rit);
-    if (it != cache_.end() && !it->second.dirty) {
-      lru_.erase(it->second.lru_pos);
-      cache_.erase(it);
-      return OkStatus();
-    }
+  const auto clean = [](const BlockKey&, const CacheEntry& e) {
+    return !e.dirty;
+  };
+  const BlockKey* victim = cache_.Victim(clean);
+  if (victim == nullptr) return {ErrorCode::kInternal, "empty cache"};
+  if (cache_.Peek(*victim)->dirty) {
+    // Every cached block is dirty: push the whole cache in one batched
+    // exchange, then the LRU victim is clean and can go.
+    RHODOS_RETURN_IF_ERROR(FlushDirtyFiles(DirtyFiles()));
+    victim = cache_.Victim(clean);
   }
-  if (lru_.empty()) return {ErrorCode::kInternal, "empty cache"};
-  // Every cached block is dirty: push the whole cache in one batched
-  // exchange, then the LRU victim is clean and can go.
-  std::vector<FileId> files;
-  files.reserve(dirty_.size());
-  for (const auto& [file, blocks] : dirty_) files.push_back(file);
-  RHODOS_RETURN_IF_ERROR(FlushDirtyFiles(files));
-  const CacheKey victim = lru_.back();
-  auto it = cache_.find(victim);
-  lru_.erase(it->second.lru_pos);
-  cache_.erase(it);
+  if (victim != nullptr) cache_.Erase(*victim);
   return OkStatus();
 }
 
 Status FileAgent::InsertBlock(FileId file, std::uint64_t block,
                               std::span<const std::uint8_t> data,
-                              std::uint64_t valid_bytes, bool dirty) {
+                              std::uint64_t valid_bytes) {
   if (config_.cache_blocks == 0) return OkStatus();
-  if (CacheEntry* existing = Lookup(file, block)) {
+  if (CacheEntry* existing = cache_.Touch(BlockKey{file, block})) {
     std::memcpy(existing->data.data(), data.data(),
                 std::min<std::size_t>(data.size(), kBlockSize));
     existing->valid_bytes = std::max(existing->valid_bytes, valid_bytes);
-    if (dirty && !existing->dirty) {
-      existing->dirty = true;
-      MarkDirty(file, block);
-    }
     return OkStatus();
   }
   while (cache_.size() >= config_.cache_blocks) {
@@ -717,12 +693,7 @@ Status FileAgent::InsertBlock(FileId file, std::uint64_t block,
   std::memcpy(entry.data.data(), data.data(),
               std::min<std::size_t>(data.size(), kBlockSize));
   entry.valid_bytes = valid_bytes;
-  entry.dirty = dirty;
-  const CacheKey key{file, block};
-  lru_.push_front(key);
-  entry.lru_pos = lru_.begin();
-  cache_.emplace(key, std::move(entry));
-  if (dirty) MarkDirty(file, block);
+  cache_.Insert(BlockKey{file, block}, std::move(entry));
   return OkStatus();
 }
 
@@ -824,7 +795,7 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
     const std::uint64_t in_block = pos % kBlockSize;
     const std::uint64_t n =
         std::min<std::uint64_t>(len - done, kBlockSize - in_block);
-    CacheEntry* entry = Lookup(h.file, block);
+    CacheEntry* entry = cache_.Touch(BlockKey{h.file, block});
     if (entry != nullptr && !entry->dirty &&
         entry->valid_bytes >= in_block + n && !HoldsCallback(h.file)) {
       // Clean cached data, but the promise covering it lapsed (lease
@@ -832,7 +803,7 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
       // serving. The renew both checks the version token (dropping the
       // block if the file changed) and re-arms the zero-exchange path.
       RHODOS_RETURN_IF_ERROR(RenewCallback(h.file));
-      entry = Lookup(h.file, block);
+      entry = cache_.Touch(BlockKey{h.file, block});
     }
     if (entry != nullptr && entry->valid_bytes >= in_block + n) {
       ++stats_.cache_hits;
@@ -848,7 +819,7 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
     const std::uint64_t last_block = (offset + len - 1) / kBlockSize;
     std::uint64_t run_end = block + 1;
     while (run_end <= last_block &&
-           !cache_.contains(CacheKey{h.file, run_end})) {
+           !cache_.Contains(BlockKey{h.file, run_end})) {
       ++run_end;
     }
     const std::uint64_t run_blocks = run_end - block;
@@ -869,7 +840,7 @@ Result<std::uint64_t> FileAgent::CachedRead(OpenHandle& h,
           h.file, block + i,
           std::span<const std::uint8_t>(runbuf).subspan(i * kBlockSize,
                                                         kBlockSize),
-          valid, /*dirty=*/false));
+          valid));
     }
     const std::uint64_t want =
         std::min(len - done, run_blocks * kBlockSize - in_block);
@@ -903,7 +874,7 @@ Result<std::uint64_t> FileAgent::CachedWrite(OpenHandle& h,
       const std::uint64_t in_block = pos % kBlockSize;
       const std::uint64_t len =
           std::min<std::uint64_t>(n - done, kBlockSize - in_block);
-      if (CacheEntry* entry = Lookup(h.file, block); entry != nullptr) {
+      if (CacheEntry* entry = cache_.Touch(BlockKey{h.file, block})) {
         std::memcpy(entry->data.data() + in_block, in.data() + done, len);
         entry->valid_bytes = std::max(entry->valid_bytes, in_block + len);
       }
@@ -921,7 +892,7 @@ Result<std::uint64_t> FileAgent::CachedWrite(OpenHandle& h,
     const std::uint64_t in_block = pos % kBlockSize;
     const std::uint64_t n =
         std::min<std::uint64_t>(in.size() - done, kBlockSize - in_block);
-    CacheEntry* entry = Lookup(h.file, block);
+    CacheEntry* entry = cache_.Touch(BlockKey{h.file, block});
     if (entry == nullptr) {
       // Populate the block (read-modify-write) unless we overwrite it all.
       std::vector<std::uint8_t> blockbuf(kBlockSize, 0);
@@ -933,18 +904,14 @@ Result<std::uint64_t> FileAgent::CachedWrite(OpenHandle& h,
         valid = *got;
         ++stats_.cache_misses;
       }
-      RHODOS_RETURN_IF_ERROR(
-          InsertBlock(h.file, block, blockbuf, valid, /*dirty=*/false));
-      entry = Lookup(h.file, block);
+      RHODOS_RETURN_IF_ERROR(InsertBlock(h.file, block, blockbuf, valid));
+      entry = cache_.Touch(BlockKey{h.file, block});
     } else {
       ++stats_.cache_hits;
     }
     std::memcpy(entry->data.data() + in_block, in.data() + done, n);
     entry->valid_bytes = std::max(entry->valid_bytes, in_block + n);
-    if (!entry->dirty) {
-      entry->dirty = true;
-      MarkDirty(h.file, block);
-    }
+    MarkDirty(h.file, *entry);
     done += n;
   }
   h.size = std::max(h.size, offset + done);
@@ -1080,12 +1047,7 @@ Status FileAgent::Flush(ObjectDescriptor od) {
   return FlushDirtyFiles({&file, 1});
 }
 
-Status FileAgent::FlushAll() {
-  std::vector<FileId> files;
-  files.reserve(dirty_.size());
-  for (const auto& [file, blocks] : dirty_) files.push_back(file);
-  return FlushDirtyFiles(files);
-}
+Status FileAgent::FlushAll() { return FlushDirtyFiles(DirtyFiles()); }
 
 Result<FileId> FileAgent::FileOf(ObjectDescriptor od) const {
   auto it = handles_.find(od);
@@ -1098,34 +1060,13 @@ Result<FileId> FileAgent::FileOf(ObjectDescriptor od) const {
 void FileAgent::Crash() {
   stats_.invalidations += cache_.size();
   handles_.clear();
-  cache_.clear();
-  lru_.clear();
-  dirty_.clear();
+  cache_.Clear();
   dirty_blocks_ = 0;
   first_dirty_at_.clear();
   versions_.clear();
   callbacks_.clear();
   name_cache_.clear();
   naming_generation_ = 0;
-}
-
-std::size_t FileAgent::DirtyBlocksIndexed(FileId file) const {
-  const auto it = dirty_.find(file);
-  return it == dirty_.end() ? 0 : it->second.size();
-}
-
-std::size_t FileAgent::DirtyBlocksScanned() const {
-  std::size_t n = 0;
-  for (const auto& [key, entry] : cache_) n += entry.dirty ? 1 : 0;
-  return n;
-}
-
-std::size_t FileAgent::DirtyBlocksScanned(FileId file) const {
-  std::size_t n = 0;
-  for (const auto& [key, entry] : cache_) {
-    if (key.file == file && entry.dirty) ++n;
-  }
-  return n;
 }
 
 }  // namespace rhodos::agent

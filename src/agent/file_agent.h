@@ -14,11 +14,12 @@
 //    the operations idempotent and the file service "nearly stateless";
 //  * caches "a substantial amount of file data to avoid trying to access
 //    the file service for each request from a client", block-grained with
-//    a delayed-write policy. A per-file dirty-block index coalesces
-//    adjacent dirty blocks into runs and pushes a whole file (or the whole
-//    cache) to the server in ONE PwriteVec exchange at flush/close/eviction
-//    pressure; a background write-behind flushes on dirty-count or sim-time
-//    age so Close is not a latency cliff;
+//    a delayed-write policy. The cache's per-file index yields a file's
+//    dirty blocks in block order, so adjacent ones coalesce into runs; a
+//    whole file (or the whole cache) goes to the server in ONE PwriteVec
+//    exchange at flush/close/eviction pressure; a background write-behind
+//    flushes on dirty-count or sim-time age so Close is not a latency
+//    cliff;
 //  * keeps its cache coherent across machines with the server's per-file
 //    version tokens (piggybacked on open/getattr/pread/pwrite replies):
 //    a mismatched token drops the file's clean cached blocks before they
@@ -37,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "agent/fs_protocol.h"
+#include "common/lru_cache.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
 #include "common/types.h"
@@ -204,13 +205,9 @@ class FileAgent {
   // Files whose server version token this agent tracks (introspection).
   std::size_t VersionTokenCount() const { return versions_.size(); }
 
-  // Dirty-block accounting, two ways (tests assert they agree): the
-  // per-file index the flush path uses, and the full cache scan the old
-  // flush path used.
-  std::size_t DirtyBlocksIndexed() const { return dirty_blocks_; }
-  std::size_t DirtyBlocksIndexed(FileId file) const;
-  std::size_t DirtyBlocksScanned() const;
-  std::size_t DirtyBlocksScanned(FileId file) const;
+  // Dirty cached blocks, of every file or of one (introspection/tests).
+  std::size_t DirtyBlocks() const { return dirty_blocks_; }
+  std::size_t DirtyBlocks(FileId file) const { return DirtySet(file).size(); }
 
  private:
   struct OpenHandle {
@@ -236,21 +233,10 @@ class FileAgent {
     bool attrs_valid = false;  // attrs trustworthy for zero-exchange opens
   };
 
-  struct CacheKey {
-    FileId file;
-    std::uint64_t block;
-    friend bool operator==(const CacheKey&, const CacheKey&) = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return std::hash<std::uint64_t>{}(k.file.value * 912871ULL ^ k.block);
-    }
-  };
   struct CacheEntry {
     std::vector<std::uint8_t> data;  // kBlockSize
     std::uint64_t valid_bytes = 0;   // bytes of the block that are meaningful
     bool dirty = false;
-    std::list<CacheKey>::iterator lru_pos;
   };
 
   Result<OpenHandle*> Handle(ObjectDescriptor od);
@@ -263,23 +249,27 @@ class FileAgent {
   std::uint32_t RouteShard(FileId file);
   std::uint32_t RouteTokenShard(std::uint64_t token);
 
-  // Cache plumbing.
-  CacheEntry* Lookup(FileId file, std::uint64_t block);
+  // Cache plumbing. Every fill is clean and happens under the file's
+  // current known version token, so all clean entries of a file are at
+  // versions_[file].
   Status InsertBlock(FileId file, std::uint64_t block,
                      std::span<const std::uint8_t> data,
-                     std::uint64_t valid_bytes, bool dirty);
+                     std::uint64_t valid_bytes);
   Status EvictOne();
 
-  // Dirty-block index plumbing. Invariant: dirty_ holds exactly the keys of
-  // cache entries whose dirty flag is set (and dirty_blocks_ their count);
-  // every fill happens under the file's current known version token, so all
-  // clean entries of a file are at versions_[file].
-  void MarkDirty(FileId file, std::uint64_t block);
-  void DropFileState(FileId file);  // delete/crash bookkeeping
+  // Dirty-block plumbing. Invariant: dirty_blocks_ counts the entries whose
+  // dirty flag is set, and first_dirty_at_ holds exactly the files that
+  // have one.
+  void MarkDirty(FileId file, CacheEntry& entry);
+  // `file`'s dirty blocks, found through the cache's per-file index.
+  std::set<std::uint64_t> DirtySet(FileId file) const;
+  // Every file with a dirty block, in the order a batched flush sends them.
+  std::vector<FileId> DirtyFiles() const;
 
-  // Builds coalesced (offset, run) extents from `file`'s dirty blocks;
+  // Builds coalesced (offset, run) extents from `file`'s dirty `blocks`;
   // appends to `out`, returns how many extents were added.
-  std::size_t BuildExtents(FileId file, std::vector<PwriteExtent>& out);
+  std::size_t BuildExtents(FileId file, const std::set<std::uint64_t>& blocks,
+                           std::vector<PwriteExtent>& out);
   // Flushes the dirty blocks of `files` (must be distinct) to the server in
   // ONE PwriteVec exchange; marks them clean and adopts the reply's version
   // tokens. No-op when nothing is dirty.
@@ -353,19 +343,18 @@ class FileAgent {
   FileAgentConfig config_;
   mutable sim::RpcHealth health_agg_;  // scratch for rpc_health()
   std::unordered_map<ObjectDescriptor, OpenHandle> handles_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
-  std::list<CacheKey> lru_;
-  // Per-file dirty-block index (ordered sets so runs coalesce in one pass).
-  std::unordered_map<FileId, std::set<std::uint64_t>> dirty_;
+  BlockLruCache<CacheEntry> cache_;
   std::size_t dirty_blocks_ = 0;
-  // Sim time each file first went dirty (for the age trigger).
+  // Sim time each file with dirty blocks first went dirty (for the age
+  // trigger). Its iteration order is the file order of a whole-cache flush,
+  // so the extents of a batched PwriteVec.
   std::unordered_map<FileId, SimTime> first_dirty_at_;
   // Latest server version token seen per file.
   std::unordered_map<FileId, std::uint64_t> versions_;
   // Callback promises held, keyed by file.
   std::unordered_map<FileId, CallbackState> callbacks_;
   std::string cb_address_;
-  // Guards cache_/lru_ where the bus-facing peer-serve path overlaps the
+  // Guards cache_ where the bus-facing peer-serve path overlaps the
   // flush path: HandlePeerRead's cache walk, and FlushDirtyFiles' two
   // bookkeeping sections. NEVER held across an RPC — the flush releases it
   // around its PwriteVec exchange, so a slow peer-serve can't stall the

@@ -18,8 +18,7 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
   }
   const std::uint32_t file_shards =
       config_.sharding.file_shards == 0 ? 1 : config_.sharding.file_shards;
-  router_ = std::make_unique<placement::ShardRouter>(
-      file_shards, config_.sharding.virtual_nodes);
+  router_ = std::make_unique<placement::ShardRouter>(file_shards);
   // Every shard serves from the SAME disk registry: ownership is a routing
   // convention, so a failover target can load any file's index table from
   // the shared substrate. Every shard runs the configured write policy; the
@@ -32,7 +31,7 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
         std::make_unique<file::FileService>(&disks_, &clock_, fc));
   }
   naming_ = std::make_unique<placement::ShardedNamingService>(
-      config_.sharding.naming_shards, config_.sharding.virtual_nodes);
+      config_.sharding.naming_shards);
   // The transaction service reserves its log region on disk 0 before any
   // file allocation touches it. One intention log and one replica-group
   // table sit above every shard: both services reach each file through its

@@ -1,13 +1,13 @@
 #include "disk/track_cache.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace rhodos::disk {
 
 bool TrackCache::Contains(FragmentIndex f) const {
-  auto it = tracks_.find(TrackOf(f));
-  if (it == tracks_.end()) return false;
-  return it->second.present[f % fragments_per_track_];
+  const TrackEntry* entry = tracks_.Peek(TrackOf(f));
+  return entry != nullptr && entry->present[f % fragments_per_track_];
 }
 
 bool TrackCache::Lookup(FragmentIndex first, std::uint32_t count,
@@ -63,7 +63,8 @@ void TrackCache::FlushDirtyRange(
         fn) {
   const FragmentIndex end =
       count == ~std::uint32_t{0} ? ~FragmentIndex{0} : first + count;
-  for (auto& [track, entry] : tracks_) {
+  // Map order: it decides the order fragments reach the platter.
+  tracks_.ForEach([&](std::uint64_t track, TrackEntry& entry) {
     for (std::uint32_t slot = 0; slot < fragments_per_track_; ++slot) {
       if (!entry.dirty[slot]) continue;
       const FragmentIndex f = track * fragments_per_track_ + slot;
@@ -72,39 +73,27 @@ void TrackCache::FlushDirtyRange(
       entry.dirty[slot] = false;
       ++stats_.dirty_writebacks;
     }
-  }
+  });
 }
 
 std::size_t TrackCache::DirtyCount() const {
   std::size_t n = 0;
-  for (const auto& [track, entry] : tracks_) {
+  tracks_.ForEach([&n](std::uint64_t, const TrackEntry& entry) {
     for (bool d : entry.dirty) n += d ? 1 : 0;
-  }
+  });
   return n;
 }
 
-void TrackCache::InvalidateAll() {
-  tracks_.clear();
-  lru_.clear();
-}
+void TrackCache::InvalidateAll() { tracks_.Clear(); }
 
 TrackCache::TrackEntry& TrackCache::Touch(std::uint64_t track) {
-  auto it = tracks_.find(track);
-  if (it == tracks_.end()) {
-    TrackEntry entry;
-    entry.data.resize(static_cast<std::size_t>(fragments_per_track_) *
-                      kFragmentSize);
-    entry.present.assign(fragments_per_track_, false);
-    entry.dirty.assign(fragments_per_track_, false);
-    lru_.push_front(track);
-    entry.lru_pos = lru_.begin();
-    it = tracks_.emplace(track, std::move(entry)).first;
-  } else if (it->second.lru_pos != lru_.begin()) {
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(track);
-    it->second.lru_pos = lru_.begin();
-  }
-  return it->second;
+  if (TrackEntry* entry = tracks_.Touch(track)) return *entry;
+  TrackEntry entry;
+  entry.data.resize(static_cast<std::size_t>(fragments_per_track_) *
+                    kFragmentSize);
+  entry.present.assign(fragments_per_track_, false);
+  entry.dirty.assign(fragments_per_track_, false);
+  return tracks_.Insert(track, std::move(entry));
 }
 
 void TrackCache::EvictIfNeeded() {
@@ -112,19 +101,9 @@ void TrackCache::EvictIfNeeded() {
     // Evict the least-recently-used *clean* track; keep dirty tracks until
     // flushed. If everything is dirty, evict the LRU track anyway — the
     // caller is responsible for flushing before relying on delayed writes.
-    std::uint64_t victim = lru_.back();
-    for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-      const auto& entry = tracks_.at(*rit);
-      bool has_dirty = false;
-      for (bool d : entry.dirty) has_dirty |= d;
-      if (!has_dirty) {
-        victim = *rit;
-        break;
-      }
-    }
-    auto it = tracks_.find(victim);
-    lru_.erase(it->second.lru_pos);
-    tracks_.erase(it);
+    tracks_.Erase(*tracks_.Victim([](std::uint64_t, const TrackEntry& e) {
+      return std::find(e.dirty.begin(), e.dirty.end(), true) == e.dirty.end();
+    }));
     ++stats_.evictions;
   }
 }

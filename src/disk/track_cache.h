@@ -14,11 +14,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/types.h"
 #include "obs/metrics.h"
 
@@ -96,7 +95,6 @@ class TrackCache {
     std::vector<std::uint8_t> data;    // fragments_per_track * kFragmentSize
     std::vector<bool> present;
     std::vector<bool> dirty;
-    std::list<std::uint64_t>::iterator lru_pos;
   };
 
   std::uint64_t TrackOf(FragmentIndex f) const {
@@ -107,8 +105,7 @@ class TrackCache {
 
   std::uint32_t fragments_per_track_;
   std::size_t capacity_tracks_;
-  std::unordered_map<std::uint64_t, TrackEntry> tracks_;
-  std::list<std::uint64_t> lru_;  // front = most recently used
+  LruCache<std::uint64_t, TrackEntry> tracks_;
   TrackCacheStats stats_;
 };
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <deque>
 #include <limits>
-#include <unordered_set>
 #include <utility>
 
 #include "sim/parallel.h"
@@ -28,9 +27,7 @@ FileService::FileService(disk::DiskRegistry* disks, SimClock* clock,
     : disks_(disks),
       clock_(clock),
       config_(config),
-      snap_journal_(disks, kSnapshotSlotFragments, config.shard),
-      block_pool_(kBlockSize,
-                  std::max<std::size_t>(config.block_pool_capacity, 1)) {}
+      snap_journal_(disks, kSnapshotSlotFragments, config.shard) {}
 
 WritePolicy FileService::PolicyFor(const OpenFile& of) const {
   // "The delayed-write together with write-through policies are adapted to
@@ -319,27 +316,14 @@ Status FileService::Close(FileId id) {
 
 // --- cache plumbing ------------------------------------------------------------
 
-FileService::CacheEntry* FileService::CacheLookup(FileId id,
-                                                  std::uint64_t block) {
-  auto it = cache_.find(CacheKey{id, block});
-  if (it == cache_.end()) return nullptr;
-  if (it->second.lru_pos != lru_.begin()) {
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(it->first);
-    it->second.lru_pos = lru_.begin();
-  }
-  return &it->second;
-}
-
-Status FileService::WritebackEntry(const CacheKey& key, CacheEntry& entry) {
+Status FileService::WritebackEntry(const BlockKey& key, CacheEntry& entry) {
   if (!entry.dirty) return OkStatus();
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(key.file));
   RHODOS_ASSIGN_OR_RETURN(BlockLocation loc,
                           of->table.Locate(key.block));
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
   RHODOS_RETURN_IF_ERROR(server->PutBlock(loc.first_fragment,
-                                          kFragmentsPerBlock,
-                                          entry.buffer.span()));
+                                          kFragmentsPerBlock, entry.data));
   entry.dirty = false;
   return OkStatus();
 }
@@ -347,32 +331,24 @@ Status FileService::WritebackEntry(const CacheKey& key, CacheEntry& entry) {
 Status FileService::EvictOne() {
   // Prefer the least-recently-used clean entry; if all are dirty, write the
   // LRU one back first.
-  for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-    auto it = cache_.find(*rit);
-    if (it != cache_.end() && !it->second.dirty) {
-      NoteDropped(it->second);
-      lru_.erase(it->second.lru_pos);
-      cache_.erase(it);
-      return OkStatus();
-    }
-  }
-  if (lru_.empty()) {
+  const BlockKey* victim = cache_.Victim(
+      [](const BlockKey&, const CacheEntry& e) { return !e.dirty; });
+  if (victim == nullptr) {
     return {ErrorCode::kInternal, "evict from empty cache"};
   }
-  const CacheKey victim = lru_.back();
-  auto it = cache_.find(victim);
-  RHODOS_RETURN_IF_ERROR(WritebackEntry(victim, it->second));
-  NoteDropped(it->second);
-  lru_.erase(it->second.lru_pos);
-  cache_.erase(it);
+  const BlockKey key = *victim;
+  CacheEntry& entry = *cache_.Peek(key);
+  RHODOS_RETURN_IF_ERROR(WritebackEntry(key, entry));
+  NoteDropped(entry);
+  cache_.Erase(key);
   return OkStatus();
 }
 
 Result<FileService::CacheEntry*> FileService::CacheInsert(
     FileId id, std::uint64_t block, std::span<const std::uint8_t> data,
     bool dirty) {
-  if (auto* existing = CacheLookup(id, block)) {
-    std::memcpy(existing->buffer.data(), data.data(), kBlockSize);
+  if (CacheEntry* existing = cache_.Touch(BlockKey{id, block})) {
+    std::memcpy(existing->data.data(), data.data(), kBlockSize);
     existing->dirty = existing->dirty || dirty;
     if (dirty && existing->prefetched) {
       // Overwritten before ever being read: the prefetch bought nothing.
@@ -381,21 +357,14 @@ Result<FileService::CacheEntry*> FileService::CacheInsert(
     }
     return existing;
   }
-  auto buffer = block_pool_.Acquire();
-  while (!buffer.has_value()) {
-    RHODOS_RETURN_IF_ERROR(EvictOne());
-    buffer = block_pool_.Acquire();
-  }
-  std::memcpy(buffer->data(), data.data(), kBlockSize);
-  const CacheKey key{id, block};
-  lru_.push_front(key);
-  CacheEntry entry;
-  entry.buffer = std::move(*buffer);
-  entry.dirty = dirty;
-  entry.lru_pos = lru_.begin();
-  auto [it, inserted] = cache_.emplace(key, std::move(entry));
-  (void)inserted;
-  return &it->second;
+  const std::size_t capacity =
+      std::max<std::size_t>(config_.block_pool_capacity, 1);
+  while (cache_.size() >= capacity) RHODOS_RETURN_IF_ERROR(EvictOne());
+  return &cache_.Insert(
+      BlockKey{id, block},
+      CacheEntry{std::vector<std::uint8_t>(data.begin(),
+                                           data.begin() + kBlockSize),
+                 dirty, /*prefetched=*/false});
 }
 
 // --- read path -------------------------------------------------------------------
@@ -417,8 +386,8 @@ Status FileService::ReadBlocks(FileId id, OpenFile& of, std::uint64_t first,
   std::uint64_t b = first;
   while (b < first + count) {
     std::uint8_t* dst = out.data() + (b - first) * kBlockSize;
-    if (CacheEntry* hit = CacheLookup(id, b)) {
-      std::memcpy(dst, hit->buffer.data(), kBlockSize);
+    if (CacheEntry* hit = cache_.Touch(BlockKey{id, b})) {
+      std::memcpy(dst, hit->data.data(), kBlockSize);
       ++stats_.cache_hits;
       if (hit->prefetched) {
         hit->prefetched = false;
@@ -431,7 +400,7 @@ Status FileService::ReadBlocks(FileId id, OpenFile& of, std::uint64_t first,
     std::uint64_t span_blocks = 1;
     while (span_blocks < loc.contiguous_blocks &&
            b + span_blocks < first + count &&
-           cache_.find(CacheKey{id, b + span_blocks}) == cache_.end()) {
+           !cache_.Contains(BlockKey{id, b + span_blocks})) {
       ++span_blocks;
     }
     stats_.cache_misses += span_blocks;
@@ -535,14 +504,14 @@ Status FileService::ReadAhead(FileId id, OpenFile& of, std::uint64_t from) {
       mapped, from + config_.readahead_blocks);
   // Skip blocks the cache already holds; stop at the first gap's run.
   std::uint64_t b = from;
-  while (b < limit && cache_.find(CacheKey{id, b}) != cache_.end()) ++b;
+  while (b < limit && cache_.Contains(BlockKey{id, b})) ++b;
   if (b >= limit) return OkStatus();
   RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of.table.Locate(b));
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
   std::uint64_t n = 1;
   auto extendable = [&] {
     return n < loc.contiguous_blocks &&
-           cache_.find(CacheKey{id, b + n}) == cache_.end();
+           !cache_.Contains(BlockKey{id, b + n});
   };
   while (b + n < limit && extendable()) ++n;
   // Track-align the prefetch end: if the run keeps going, sweep to the end
@@ -636,6 +605,23 @@ Status FileService::Grow(FileId id, OpenFile& of, std::uint64_t blocks) {
   return OkStatus();
 }
 
+Status FileService::ZeroUnwritten(FileId id, OpenFile& of, std::uint64_t end,
+                                  std::uint64_t mapped) {
+  const std::uint64_t first = BlocksCovering(of.table.attributes().size);
+  end = std::min(end, mapped);
+  if (first >= end) return OkStatus();
+  RHODOS_RETURN_IF_ERROR(EnsureExclusive(id, of, first, end - first));
+  const std::vector<std::uint8_t> zeros(kBlockSize, 0);
+  for (std::uint64_t b = first; b < end; ++b) {
+    if (!of.written_past_size.contains(b)) {
+      RHODOS_RETURN_IF_ERROR(CacheInsert(id, b, zeros, /*dirty=*/true));
+    }
+  }
+  of.written_past_size.erase(of.written_past_size.begin(),
+                             of.written_past_size.lower_bound(end));
+  return OkStatus();
+}
+
 Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
                                          std::span<const std::uint8_t> in) {
   obs::SpanScope span(obs::TracerOf(obs_), "file", "write");
@@ -650,12 +636,13 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
   ++stats_.writes;
   if (len == 0) return std::uint64_t{0};
 
-  // Extend the mapping as needed.
+  // Extend the mapping as needed; a gap before the data reads as zeros.
+  const std::uint64_t mapped = of->table.BlockCount();
   const std::uint64_t needed_blocks = BlocksCovering(offset + len);
-  if (needed_blocks > of->table.BlockCount()) {
-    RHODOS_RETURN_IF_ERROR(
-        Grow(id, *of, needed_blocks - of->table.BlockCount()));
+  if (needed_blocks > mapped) {
+    RHODOS_RETURN_IF_ERROR(Grow(id, *of, needed_blocks - mapped));
   }
+  RHODOS_RETURN_IF_ERROR(ZeroUnwritten(id, *of, offset / kBlockSize, mapped));
 
   // Copy-on-write: any block about to be overwritten must be exclusively
   // ours BEFORE it can be dirtied — snapshots sharing it keep the old copy.
@@ -729,10 +716,11 @@ Status FileService::Resize(FileId id, std::uint64_t size) {
     return {ErrorCode::kPermissionDenied, "resize of immutable snapshot"};
   }
   const std::uint64_t old_size = of->table.attributes().size;
+  const std::uint64_t mapped = of->table.BlockCount();
   const std::uint64_t new_blocks = BlocksCovering(size);
-  if (new_blocks > of->table.BlockCount()) {
-    RHODOS_RETURN_IF_ERROR(Grow(id, *of, new_blocks - of->table.BlockCount()));
-  } else if (new_blocks < of->table.BlockCount()) {
+  if (new_blocks > mapped) {
+    RHODOS_RETURN_IF_ERROR(Grow(id, *of, new_blocks - mapped));
+  } else if (new_blocks < mapped) {
     // Shared runs beyond the cut: truncation, decrements, and frees must be
     // one journaled all-or-nothing unit (a crash after freeing but before
     // the table persisted would leave the table claiming freed blocks).
@@ -788,6 +776,9 @@ Status FileService::Resize(FileId id, std::uint64_t size) {
                 kBlockSize - size % kBlockSize);
     RHODOS_RETURN_IF_ERROR(CacheInsert(id, last, block, /*dirty=*/true));
   }
+  if (size > old_size) {
+    RHODOS_RETURN_IF_ERROR(ZeroUnwritten(id, *of, new_blocks, mapped));
+  }
   of->table.attributes().size = size;
   of->table_dirty = true;
   BumpVersion(id);
@@ -810,14 +801,27 @@ Status FileService::WritebackDirty(const FileId* only) {
   // in one vectored request; independent disks overlap. This is what turns
   // N delayed-write completions into a handful of disk references instead
   // of N. A failed disk keeps its blocks dirty; the other disks' land.
+  // One file's blocks come in block order from the per-file index; every
+  // file's come in the cache's map order.
+  std::vector<BlockKey> dirty;
+  const auto note = [&dirty](const BlockKey& key, const CacheEntry& entry) {
+    if (entry.dirty) dirty.push_back(key);
+  };
+  if (only == nullptr) {
+    cache_.ForEach(note);
+  } else {
+    for (const std::uint64_t b : cache_.index().Blocks(*only)) {
+      note(BlockKey{*only, b}, *cache_.Peek(BlockKey{*only, b}));
+    }
+  }
   std::vector<PendingPut> puts;
-  for (auto& [key, entry] : cache_) {
-    if (!entry.dirty || (only != nullptr && key.file != *only)) continue;
+  for (const BlockKey& key : dirty) {
+    CacheEntry& entry = *cache_.Peek(key);
     RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(key.file));
     RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(key.block));
     RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
-    puts.push_back(PendingPut{server, loc.first_fragment, entry.buffer.span(),
-                              &entry.dirty});
+    puts.push_back(
+        PendingPut{server, loc.first_fragment, entry.data, &entry.dirty});
   }
   return PutPerDisk(std::move(puts));
 }
@@ -864,12 +868,8 @@ Status FileService::FlushAll() {
   const auto keep = [&failed](Status st) {
     if (failed.ok() && !st.ok()) failed = std::move(st);
   };
-  std::unordered_set<FileId> unlanded;
-  for (const auto& [key, entry] : cache_) {
-    if (entry.dirty) unlanded.insert(key.file);
-  }
   for (auto& [id, of] : open_files_) {
-    if ((of.table_dirty || of.attrs_dirty) && !unlanded.contains(id)) {
+    if ((of.table_dirty || of.attrs_dirty) && !HoldsDirty(id)) {
       keep(StoreTable(id, of));
     }
   }
@@ -908,6 +908,9 @@ Status FileService::WriteBlock(FileId id, std::uint64_t block_index,
     return {ErrorCode::kBadAddress, "write beyond mapped blocks"};
   }
   RHODOS_RETURN_IF_ERROR(EnsureExclusive(id, *of, block_index, 1));
+  if (block_index >= BlocksCovering(of->table.attributes().size)) {
+    of->written_past_size.insert(block_index);
+  }
   RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
                           CacheInsert(id, block_index, in, /*dirty=*/true));
   if (force_write_through || PolicyFor(*of) == WritePolicy::kWriteThrough) {
@@ -956,6 +959,9 @@ Status FileService::ReplaceBlock(FileId id, std::uint64_t block_index,
     return {ErrorCode::kPermissionDenied, "rebind in immutable snapshot"};
   }
   RHODOS_ASSIGN_OR_RETURN(BlockLocation old, of->table.Locate(block_index));
+  if (block_index >= BlocksCovering(of->table.attributes().size)) {
+    of->written_past_size.insert(block_index);
+  }
   if ((old.flags & kRunShared) != 0) {
     RHODOS_RETURN_IF_ERROR(snap_journal_.Ensure());
     const std::uint32_t share =
@@ -988,11 +994,7 @@ Status FileService::ReplaceBlock(FileId id, std::uint64_t block_index,
   RHODOS_RETURN_IF_ERROR(
       disks_->Free(old.disk, old.first_fragment, kFragmentsPerBlock));
   // The logical block now lives elsewhere; the cached copy is stale.
-  if (auto it = cache_.find(CacheKey{id, block_index}); it != cache_.end()) {
-    NoteDropped(it->second);
-    lru_.erase(it->second.lru_pos);
-    cache_.erase(it);
-  }
+  Drop(BlockKey{id, block_index});
   BumpVersion(id);
   return StoreTable(id, *of);
 }
@@ -1011,16 +1013,24 @@ Result<disk::DiskRegistry::Placement> FileService::AllocateShadowBlock(
 
 // --- snapshots and clones (E23) -----------------------------------------------
 
-void FileService::PurgeCache(FileId id, std::uint64_t from) {
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->first.file == id && it->first.block >= from) {
-      NoteDropped(it->second);
-      lru_.erase(it->second.lru_pos);
-      it = cache_.erase(it);
-    } else {
-      ++it;
-    }
+void FileService::Drop(const BlockKey& key) {
+  if (const CacheEntry* entry = cache_.Peek(key)) {
+    NoteDropped(*entry);
+    cache_.Erase(key);
   }
+}
+
+void FileService::PurgeCache(FileId id, std::uint64_t from) {
+  for (const std::uint64_t b : cache_.index().Blocks(id, from)) {
+    Drop(BlockKey{id, b});
+  }
+}
+
+bool FileService::HoldsDirty(FileId id) const {
+  for (const std::uint64_t b : cache_.index().Blocks(id)) {
+    if (cache_.Peek(BlockKey{id, b})->dirty) return true;
+  }
+  return false;
 }
 
 void FileService::BuildRelease(const BlockDescriptor& run, SnapOp& op) {
@@ -1433,9 +1443,9 @@ void FileService::Crash() {
   // and must be dropped (with a grace period covering outstanding leases)
   // rather than broken — there is no server left to send the breaks.
   if (crash_listener_) crash_listener_();
-  for (const auto& [key, entry] : cache_) NoteDropped(entry);
-  cache_.clear();
-  lru_.clear();
+  cache_.ForEach(
+      [this](const BlockKey&, const CacheEntry& entry) { NoteDropped(entry); });
+  cache_.Clear();
   ForgetTables(nullptr);
   // The share map and journal head are volatile; RecoverSnapshots rebuilds
   // them from the stable region.

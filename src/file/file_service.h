@@ -13,10 +13,10 @@
 //    blocks costs ONE get_block instead of n;
 //  * persists every file index table to stable storage ("a copy of the
 //    file index table is always available in stable storage");
-//  * caches data blocks in buffers from its block pool with a
-//    delayed-write policy for basic files and write-through for
-//    transaction files ("the delayed-write together with write-through
-//    policies are adapted");
+//  * caches data blocks in its block pool, an LRU cache of
+//    `block_pool_capacity` blocks, with a delayed-write policy for basic
+//    files and write-through for transaction files ("the delayed-write
+//    together with write-through policies are adapted");
 //  * may partition a file across disks — consecutive extents are placed by
 //    the registry's policy, which is how striping arises.
 //
@@ -27,16 +27,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
 #include "common/types.h"
 #include "disk/disk_registry.h"
-#include "file/buffer_pool.h"
 #include "file/file_index_table.h"
 #include "file/file_types.h"
 #include "file/snap_journal.h"
@@ -45,9 +45,9 @@
 namespace rhodos::file {
 
 struct FileServiceConfig {
-  // Block-cache capacity, in 8 KiB buffers (the block pool of §5). Every
+  // Block-cache capacity, in 8 KiB blocks (the block pool of §5). Every
   // read and write stages through the cache, so the service clamps this to
-  // at least one buffer.
+  // at least one block. Buffers are allocated as blocks enter the cache.
   std::size_t block_pool_capacity = 256;
   // Write policy for BASIC files; transaction files always write through.
   disk::WritePolicy basic_write_policy = disk::WritePolicy::kDelayed;
@@ -278,6 +278,8 @@ class FileService {
   disk::DiskRegistry* disks() { return disks_; }
   SimClock* clock() { return clock_; }
   const FileServiceConfig& config() const { return config_; }
+  // Blocks the block cache holds now.
+  std::size_t CachedBlocks() const { return cache_.size(); }
 
   // Contiguity of the file's layout, 1.0 = fully contiguous (bench metric).
   Result<double> ContiguityIndex(FileId id);
@@ -305,23 +307,17 @@ class FileService {
     // consecutive reads have matched it.
     std::uint64_t next_expected_offset = ~std::uint64_t{0};
     std::uint32_t sequential_streak = 0;
+    // Mapped blocks past the size's last block hold whatever the platter
+    // held (Create maps a size hint's run without writing it), except these:
+    // blocks a block-level write (WriteBlock, ReplaceBlock) defined before
+    // the size grew over them, as a transaction's page apply does.
+    std::set<std::uint64_t> written_past_size;
   };
 
-  struct CacheKey {
-    FileId file;
-    std::uint64_t block;
-    friend bool operator==(const CacheKey&, const CacheKey&) = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return std::hash<std::uint64_t>{}(k.file.value * 1000003ULL ^ k.block);
-    }
-  };
   struct CacheEntry {
-    PooledBuffer buffer;  // kBlockSize bytes
+    std::vector<std::uint8_t> data;  // kBlockSize bytes
     bool dirty = false;
     bool prefetched = false;  // brought in by read-ahead, not yet read
-    std::list<CacheKey>::iterator lru_pos;
   };
 
   // Soft attributes of a closed file whose last close found nothing else
@@ -374,6 +370,10 @@ class FileService {
 
   // Drops every cache entry of `id` at logical block >= `from`.
   void PurgeCache(FileId id, std::uint64_t from);
+  // Drops one cache entry, if cached.
+  void Drop(const BlockKey& key);
+  // True when a block of `id` waits in the cache for its disk.
+  bool HoldsDirty(FileId id) const;
   // Persists the table of `id` (fragment + indirect blocks) to original and
   // stable storage. `fresh` says the table's locations were allocated by
   // the caller and hold nothing live (Create), so each block's two copies
@@ -383,14 +383,19 @@ class FileService {
   // Grows the file by `blocks` logical blocks, preferring in-place
   // extension, then fresh extents placed by the registry.
   Status Grow(FileId id, OpenFile& of, std::uint64_t blocks);
+  // Before the size grows: zero-fills the blocks in [size's last block,
+  // min(end, mapped)) that the file never wrote, so the growth exposes
+  // zeros. `mapped` is the block count before any Grow of this growth
+  // (Grow zero-fills what it maps).
+  Status ZeroUnwritten(FileId id, OpenFile& of, std::uint64_t end,
+                       std::uint64_t mapped);
 
   // Cache plumbing.
-  CacheEntry* CacheLookup(FileId id, std::uint64_t block);
   Result<CacheEntry*> CacheInsert(FileId id, std::uint64_t block,
                                   std::span<const std::uint8_t> data,
                                   bool dirty);
   Status EvictOne();
-  Status WritebackEntry(const CacheKey& key, CacheEntry& entry);
+  Status WritebackEntry(const BlockKey& key, CacheEntry& entry);
   // Accounting hook for an entry leaving the cache (eviction, purge,
   // crash): an unread prefetched block counts as wasted read-ahead.
   void NoteDropped(const CacheEntry& entry) {
@@ -434,13 +439,11 @@ class FileService {
   SimClock* clock_;
   FileServiceConfig config_;
   SnapJournal snap_journal_;
-  BufferPool block_pool_;
   std::unordered_map<FileId, OpenFile> open_files_;
   // Never holds a FileId that open_files_ holds: LoadTable moves an entry
   // back into the table it folds into.
   std::unordered_map<FileId, ParkedAttrs> parked_attrs_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
-  std::list<CacheKey> lru_;  // front = most recent
+  BlockLruCache<CacheEntry> cache_;
   // Mutation counters behind Version(). Entries outlive Delete on purpose
   // (see Version() comment); absent entries read as version 1.
   std::unordered_map<FileId, std::uint64_t> versions_;

@@ -18,15 +18,13 @@ std::uint64_t HashKey(std::string_view s) {
   return h;
 }
 
-PlacementMap::PlacementMap(std::uint32_t shard_count,
-                           std::uint32_t virtual_nodes)
-    : virtual_nodes_(virtual_nodes == 0 ? 1 : virtual_nodes) {
+PlacementMap::PlacementMap(std::uint32_t shard_count) {
   for (std::uint32_t s = 0; s < shard_count; ++s) AddShard(s);
 }
 
 void PlacementMap::AddShard(std::uint32_t shard) {
   if (!shards_.insert(shard).second) return;
-  for (std::uint32_t v = 0; v < virtual_nodes_; ++v) {
+  for (std::uint32_t v = 0; v < kVirtualNodes; ++v) {
     const std::uint64_t point =
         Mix64((static_cast<std::uint64_t>(shard) << 32) | v);
     auto [it, inserted] = ring_.emplace(point, shard);

@@ -6,7 +6,7 @@
 // directory lookups on the hot path. This is consistent hashing with
 // virtual nodes (the Lustre-MDS-split analogue of our reproduction):
 //
-//  * each shard owns `virtual_nodes` points on a 64-bit ring; a key hashes
+//  * each shard owns kVirtualNodes points on a 64-bit ring; a key hashes
 //    to a point and belongs to the first shard point at or clockwise after
 //    it;
 //  * adding or removing a shard moves only the keys whose ring successor
@@ -36,12 +36,14 @@ std::uint64_t Mix64(std::uint64_t x);
 // FNV-1a over the bytes of `s` (attribute keys, addresses).
 std::uint64_t HashKey(std::string_view s);
 
+// Ring points per shard. More virtual nodes smooth the load split at the
+// cost of a larger ring (lookups stay O(log ring)).
+inline constexpr std::uint32_t kVirtualNodes = 64;
+
 class PlacementMap {
  public:
-  // Shards are numbered 0..shard_count-1. More virtual nodes smooth the
-  // load split at the cost of a larger ring (lookups stay O(log ring)).
-  explicit PlacementMap(std::uint32_t shard_count = 1,
-                        std::uint32_t virtual_nodes = 64);
+  // Shards are numbered 0..shard_count-1.
+  explicit PlacementMap(std::uint32_t shard_count = 1);
 
   void AddShard(std::uint32_t shard);
   void RemoveShard(std::uint32_t shard);
@@ -76,7 +78,6 @@ class PlacementMap {
   }
 
  private:
-  std::uint32_t virtual_nodes_;
   std::set<std::uint32_t> shards_;
   // point -> shard. Ties cannot happen in practice (64-bit points), but the
   // map keeps the smaller shard id deterministically if they did.

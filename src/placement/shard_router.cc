@@ -6,9 +6,8 @@ std::string FileShardAddress(std::uint32_t shard) {
   return shard == 0 ? "file-service" : "file-service-" + std::to_string(shard);
 }
 
-ShardRouter::ShardRouter(std::uint32_t file_shards,
-                         std::uint32_t virtual_nodes)
-    : map_(file_shards == 0 ? 1 : file_shards, virtual_nodes) {
+ShardRouter::ShardRouter(std::uint32_t file_shards)
+    : map_(file_shards == 0 ? 1 : file_shards) {
   const std::uint32_t n = map_.ShardCount();
   addresses_.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {

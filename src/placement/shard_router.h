@@ -41,7 +41,6 @@ namespace rhodos::placement {
 struct ShardingConfig {
   std::uint32_t file_shards = 1;
   std::uint32_t naming_shards = 1;
-  std::uint32_t virtual_nodes = 64;  // ring points per shard
 };
 
 struct ShardRouterStats {
@@ -60,8 +59,7 @@ inline constexpr obs::CounterField<ShardRouterStats> kShardRouterCounters[] = {
 
 class ShardRouter {
  public:
-  explicit ShardRouter(std::uint32_t file_shards,
-                       std::uint32_t virtual_nodes = 64);
+  explicit ShardRouter(std::uint32_t file_shards);
 
   std::uint32_t ShardCount() const {
     return static_cast<std::uint32_t>(addresses_.size());

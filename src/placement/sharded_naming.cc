@@ -5,9 +5,8 @@
 
 namespace rhodos::placement {
 
-ShardedNamingService::ShardedNamingService(std::uint32_t naming_shards,
-                                           std::uint32_t virtual_nodes)
-    : map_(naming_shards == 0 ? 1 : naming_shards, virtual_nodes) {
+ShardedNamingService::ShardedNamingService(std::uint32_t naming_shards)
+    : map_(naming_shards == 0 ? 1 : naming_shards) {
   shards_.reserve(map_.ShardCount());
   for (std::uint32_t s = 0; s < map_.ShardCount(); ++s) {
     shards_.push_back(std::make_unique<naming::NamingService>());

@@ -54,8 +54,7 @@ inline constexpr obs::CounterField<NamingShardingStats>
 
 class ShardedNamingService : public naming::NamingFacade {
  public:
-  explicit ShardedNamingService(std::uint32_t naming_shards = 1,
-                                std::uint32_t virtual_nodes = 64);
+  explicit ShardedNamingService(std::uint32_t naming_shards = 1);
 
   // --- NamingFacade --------------------------------------------------------
 

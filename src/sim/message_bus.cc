@@ -182,13 +182,11 @@ RpcClient::RpcClient(MessageBus* bus, std::string address,
       jitter_rng_(0x9E3779B9u ^ std::hash<std::string>{}(address_)) {}
 
 SimTime RpcClient::BackoffDelay(int attempt) {
-  double nominal = static_cast<double>(config_.initial_backoff);
-  for (int i = 1; i < attempt; ++i) nominal *= config_.backoff_multiplier;
-  nominal = std::min(nominal, static_cast<double>(config_.max_backoff));
-  if (config_.jitter > 0.0) {
-    const double u = jitter_rng_.NextDouble();  // [0,1)
-    nominal *= 1.0 + config_.jitter * (2.0 * u - 1.0);
-  }
+  double nominal = static_cast<double>(kInitialBackoff);
+  for (int i = 1; i < attempt; ++i) nominal *= kBackoffMultiplier;
+  nominal = std::min(nominal, static_cast<double>(kMaxBackoff));
+  const double u = jitter_rng_.NextDouble();  // [0,1)
+  nominal *= 1.0 + kBackoffJitter * (2.0 * u - 1.0);
   return std::max<SimTime>(1, static_cast<SimTime>(nominal));
 }
 
@@ -210,7 +208,7 @@ Result<Payload> RpcClient::Call(std::uint32_t opcode,
     ++health_.failures;
     ++health_.consecutive_failures;
     // Circuit-breaker trip: the exact call that crossed the threshold.
-    if (health_.consecutive_failures == config_.unhealthy_threshold) {
+    if (health_.consecutive_failures == kUnhealthyThreshold) {
       obs::Count(o, "rpc.circuit_trips");
     }
     obs::Observe(o, "rpc.call_latency_ns", Elapsed(start));

@@ -278,24 +278,31 @@ class MessageBus {
 
 // --- At-least-once RPC with production retry semantics -------------------------
 
-// Retry policy for one RpcClient. Backoff doubles per attempt with
-// deterministic jitter; with jitter <= 0.33 and multiplier >= 2 the delay
-// sequence is strictly increasing (min of step n+1 exceeds max of step n),
-// which the backoff tests rely on.
+// Backoff of every RpcClient: the delay starts at kInitialBackoff, grows by
+// kBackoffMultiplier per attempt up to kMaxBackoff, and is spread by
+// +/- kBackoffJitter of itself, deterministically per endpoint.
+inline constexpr SimTime kInitialBackoff = 1 * kSimMillisecond;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr SimTime kMaxBackoff = 256 * kSimMillisecond;
+inline constexpr double kBackoffJitter = 0.25;
+// Below the cap the delay sequence is strictly increasing (the least delay
+// of step n+1 exceeds the largest of step n), which the backoff tests rely
+// on.
+static_assert(kBackoffMultiplier * (1.0 - kBackoffJitter) >
+                  1.0 + kBackoffJitter,
+              "backoff must grow faster than its jitter spreads it");
+// Consecutive failed Call()s after which the peer is suspected dead (the
+// circuit-breaker threshold: a lossy link yields interleaved successes, a
+// dead service yields an unbroken failure run).
+inline constexpr std::uint64_t kUnhealthyThreshold = 3;
+
+// Retry policy for one RpcClient.
 struct RpcRetryConfig {
   int max_attempts = 8;
-  SimTime initial_backoff = 1 * kSimMillisecond;
-  double backoff_multiplier = 2.0;
-  SimTime max_backoff = 256 * kSimMillisecond;
-  double jitter = 0.25;  // +/- fraction of the nominal delay
   // Total simulated-time budget for one Call(), including timeout waits and
   // backoff sleeps. 0 = unlimited (bounded by max_attempts alone). When the
   // budget is exhausted the call fails with kTimeout.
   SimTime deadline = 0;
-  // Consecutive failed Call()s after which the peer is suspected dead (the
-  // circuit-breaker threshold: a lossy link yields interleaved successes, a
-  // dead service yields an unbroken failure run).
-  std::uint64_t unhealthy_threshold = 3;
 };
 
 // Health ledger of one RpcClient: enough to tell "lossy" (failures with
@@ -346,10 +353,10 @@ class RpcClient {
     health_ = RpcHealth{.consecutive_failures = health_.consecutive_failures};
   }
 
-  // Circuit-breaker verdict: true once unhealthy_threshold consecutive
+  // Circuit-breaker verdict: true once kUnhealthyThreshold consecutive
   // Call()s have failed. A later success closes the circuit again.
   bool SuspectedDead() const {
-    return health_.consecutive_failures >= config_.unhealthy_threshold;
+    return health_.consecutive_failures >= kUnhealthyThreshold;
   }
 
   // Backoff delays charged by the most recent Call() (test introspection).

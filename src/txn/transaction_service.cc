@@ -262,10 +262,10 @@ Result<std::uint64_t> TransactionService::TWrite(
   std::scoped_lock lk(mu_);
   FileService& owner = files_(file);
   t->touched.insert(file);
+  auto attrs = owner.GetAttributes(file);
+  const std::uint64_t committed = attrs.ok() ? attrs->size : 0;
   auto& tsize = t->tentative_size[file];
-  tsize = std::max<std::uint64_t>(
-      {tsize, offset + in.size(),
-       owner.GetAttributes(file).ok() ? owner.GetAttributes(file)->size : 0});
+  tsize = std::max<std::uint64_t>({tsize, offset + in.size(), committed});
 
   if (level == LockLevel::kRecord) {
     // Record mode: the tentative data item is the exact byte range; it is
@@ -288,12 +288,19 @@ Result<std::uint64_t> TransactionService::TWrite(
     auto key = std::make_pair(file.value, page);
     auto it = t->tentative_pages.find(key);
     if (it == t->tentative_pages.end()) {
-      // Build the isolated copy: current committed content, or zeros when
-      // the page is beyond the committed end.
+      // Build the isolated copy: current committed content, zeros past
+      // the committed end. A mapped block there holds whatever its platter
+      // held (a size hint maps its run unwritten), so its bytes are not
+      // the file's.
       std::vector<std::uint8_t> image(kBlockSize, 0);
       RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
       if (page < blocks) {
         RHODOS_RETURN_IF_ERROR(owner.ReadBlock(file, page, image));
+        const std::uint64_t start = page * kBlockSize;
+        const std::uint64_t kept =
+            std::clamp(committed, start, start + kBlockSize) - start;
+        std::fill(image.begin() + static_cast<std::ptrdiff_t>(kept),
+                  image.end(), std::uint8_t{0});
       }
       it = t->tentative_pages.emplace(key, std::move(image)).first;
     }

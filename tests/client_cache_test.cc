@@ -52,7 +52,7 @@ TEST(ClientCacheTest, FlushPushes64DirtyBlocksInOneExchange) {
   for (std::uint64_t b = 0; b < 64; ++b) {
     ASSERT_TRUE(m.file_agent->Pwrite(od, b * kBlockSize, block).ok());
   }
-  ASSERT_EQ(m.file_agent->DirtyBlocksIndexed(), 64u);
+  ASSERT_EQ(m.file_agent->DirtyBlocks(), 64u);
 
   const std::uint64_t calls_before = BusCalls(f);
   ASSERT_TRUE(m.file_agent->Flush(od).ok());
@@ -61,7 +61,7 @@ TEST(ClientCacheTest, FlushPushes64DirtyBlocksInOneExchange) {
   EXPECT_EQ(m.file_agent->stats().writeback_batches, 1u);
   EXPECT_EQ(m.file_agent->stats().writeback_runs, 1u)
       << "64 adjacent full blocks coalesce into a single run";
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(), 0u);
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
   ASSERT_TRUE(m.file_agent->Close(od).ok());
 
   // The data actually reached the server: a second machine reads it back.
@@ -109,19 +109,19 @@ TEST(ClientCacheTest, FlushIsPerFileAndLeavesOtherFilesDirty) {
   }
   const FileId f1 = *m.file_agent->FileOf(od1);
   const FileId f2 = *m.file_agent->FileOf(od2);
-  ASSERT_EQ(m.file_agent->DirtyBlocksIndexed(), 8u);
+  ASSERT_EQ(m.file_agent->DirtyBlocks(), 8u);
 
   const std::uint64_t calls_before = BusCalls(f);
   ASSERT_TRUE(m.file_agent->Flush(od1).ok());
   EXPECT_EQ(BusCalls(f) - calls_before, 1u);
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(f1), 0u);
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(f2), 4u)
+  EXPECT_EQ(m.file_agent->DirtyBlocks(f1), 0u);
+  EXPECT_EQ(m.file_agent->DirtyBlocks(f2), 4u)
       << "flushing one descriptor must not touch the other file's blocks";
   ASSERT_TRUE(m.file_agent->FlushAll().ok());
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(), 0u);
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
 }
 
-TEST(ClientCacheTest, DirtyIndexAgreesWithFullCacheScan) {
+TEST(ClientCacheTest, DirtyCountAgreesWithPerFileIndex) {
   DistributedFileFacility f(CacheFacility(/*cache_blocks=*/16));
   Machine& m = f.AddMachine();
   auto od1 = *m.file_agent->Create(naming::ByName("scan-a"),
@@ -131,15 +131,12 @@ TEST(ClientCacheTest, DirtyIndexAgreesWithFullCacheScan) {
   const FileId f1 = *m.file_agent->FileOf(od1);
   const FileId f2 = *m.file_agent->FileOf(od2);
 
+  // The running count the write-behind trigger reads must equal what the
+  // cache's per-file index holds dirty.
   auto check = [&](const char* where) {
-    EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(),
-              m.file_agent->DirtyBlocksScanned())
+    EXPECT_EQ(m.file_agent->DirtyBlocks(),
+              m.file_agent->DirtyBlocks(f1) + m.file_agent->DirtyBlocks(f2))
         << where;
-    for (FileId file : {f1, f2}) {
-      EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(file),
-                m.file_agent->DirtyBlocksScanned(file))
-          << where << " file " << file.value;
-    }
   };
 
   check("empty");
@@ -168,7 +165,7 @@ TEST(ClientCacheTest, DirtyIndexAgreesWithFullCacheScan) {
 
   m.file_agent->Crash();
   check("after crash");
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(), 0u);
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
 }
 
 TEST(ClientCacheTest, ThresholdTriggersBackgroundWriteback) {
@@ -185,7 +182,7 @@ TEST(ClientCacheTest, ThresholdTriggersBackgroundWriteback) {
   EXPECT_EQ(m.file_agent->stats().writeback_batches, 0u);
   ASSERT_TRUE(m.file_agent->Pwrite(od, 4 * kBlockSize, block).ok());
   EXPECT_EQ(m.file_agent->stats().writeback_batches, 1u);
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(), 1u)
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 1u)
       << "only the write that followed the flush should still be dirty";
   ASSERT_TRUE(m.file_agent->Close(od).ok());
 }
@@ -198,7 +195,7 @@ TEST(ClientCacheTest, AgeTriggersBackgroundWriteback) {
   auto od = *m.file_agent->Create(naming::ByName("aged"),
                                   file::ServiceType::kBasic);
   ASSERT_TRUE(m.file_agent->Pwrite(od, 0, Pattern(kBlockSize, 4)).ok());
-  ASSERT_EQ(m.file_agent->DirtyBlocksIndexed(), 1u);
+  ASSERT_EQ(m.file_agent->DirtyBlocks(), 1u);
 
   // Young dirty data survives the next operation untouched...
   std::vector<std::uint8_t> out(16);
@@ -210,7 +207,7 @@ TEST(ClientCacheTest, AgeTriggersBackgroundWriteback) {
   f.clock().Advance(60 * kSimMillisecond);
   ASSERT_TRUE(m.file_agent->Pread(od, 0, out).ok());
   EXPECT_EQ(m.file_agent->stats().writeback_batches, 1u);
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(), 0u);
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
   ASSERT_TRUE(m.file_agent->Close(od).ok());
 }
 
@@ -390,7 +387,7 @@ TEST(ClientCacheTest, AgentCrashMidWritebackLeavesServerConsistent) {
   ASSERT_TRUE(m.file_agent->Pwrite(od, 0, Pattern(kBlockSize, 51)).ok());
   f.bus().SetServiceDown(core::kFileServiceAddress);
   EXPECT_FALSE(m.file_agent->Flush(od).ok());
-  EXPECT_EQ(m.file_agent->DirtyBlocksIndexed(), 1u)
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 1u)
       << "a failed flush keeps the data dirty for a later retry";
   m.file_agent->Crash();
   f.bus().SetServiceUp(core::kFileServiceAddress);
@@ -548,7 +545,7 @@ TEST(ClientCacheTest, DirtyBlockInsideARunIsServedLocallyAndNeverOverwritten) {
   auto od = *r.file_agent->Open(naming::ByName("dirty"));
   const auto mine = Pattern(kBlockSize, 77);
   ASSERT_TRUE(r.file_agent->Pwrite(od, 2 * kBlockSize, mine).ok());
-  ASSERT_EQ(r.file_agent->DirtyBlocksIndexed(), 1u);
+  ASSERT_EQ(r.file_agent->DirtyBlocks(), 1u);
   std::copy(mine.begin(), mine.end(),
             bytes.begin() + static_cast<std::ptrdiff_t>(2 * kBlockSize));
 
@@ -558,7 +555,7 @@ TEST(ClientCacheTest, DirtyBlockInsideARunIsServedLocallyAndNeverOverwritten) {
   ASSERT_EQ(*r.file_agent->Pread(od, 0, out), out.size());
   EXPECT_EQ(BusCalls(f) - calls_before, 2u);
   EXPECT_EQ(out, bytes) << "the dirty block serves the agent's own bytes";
-  EXPECT_EQ(r.file_agent->DirtyBlocksIndexed(), 1u);
+  EXPECT_EQ(r.file_agent->DirtyBlocks(), 1u);
 
   ASSERT_TRUE(r.file_agent->Close(od).ok());  // close flushes
   Machine& other = f.AddMachine();

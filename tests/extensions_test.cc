@@ -8,7 +8,6 @@
 
 #include "agent/fs_protocol.h"
 #include "core/facility.h"
-#include "file/buffer_pool.h"
 #include "txn/lock_manager.h"
 
 namespace rhodos {
@@ -348,47 +347,6 @@ TEST(FsProtocolTest, AttributesRoundTripIncludesAccessCount) {
   agent::EncodeAttributes(out, a);
   Deserializer in{out.buffer()};
   EXPECT_EQ(agent::DecodeAttributes(in), a);
-}
-
-// --- buffer pools --------------------------------------------------------------------
-
-TEST(BufferPoolTest, AcquireReleaseCycle) {
-  file::BufferPool pool(kFragmentSize, 2);
-  EXPECT_EQ(pool.available(), 2u);
-  auto a = pool.Acquire();
-  auto b = pool.Acquire();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(pool.available(), 0u);
-  EXPECT_FALSE(pool.Acquire().has_value());  // exhausted
-  EXPECT_EQ(pool.stats().exhaustions, 1u);
-  a.reset();  // RAII return
-  EXPECT_EQ(pool.available(), 1u);
-  auto c = pool.Acquire();
-  ASSERT_TRUE(c.has_value());
-}
-
-TEST(BufferPoolTest, BuffersComeBackZeroed) {
-  file::BufferPool pool(64, 1);
-  {
-    auto buf = pool.Acquire();
-    std::fill(buf->data(), buf->data() + buf->size(), std::uint8_t{0xAA});
-  }
-  auto again = pool.Acquire();
-  ASSERT_TRUE(again.has_value());
-  for (std::size_t i = 0; i < again->size(); ++i) {
-    EXPECT_EQ(again->data()[i], 0) << "stale data leaked through the pool";
-  }
-}
-
-TEST(BufferPoolTest, MoveTransfersOwnership) {
-  file::BufferPool pool(64, 1);
-  auto a = pool.Acquire();
-  file::PooledBuffer b = std::move(*a);
-  EXPECT_TRUE(b.valid());
-  EXPECT_EQ(pool.available(), 0u);
-  b = file::PooledBuffer{};  // releases
-  EXPECT_EQ(pool.available(), 1u);
 }
 
 }  // namespace

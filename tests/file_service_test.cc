@@ -3,6 +3,7 @@
 // the block-level interface the transaction service uses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -200,6 +201,144 @@ TEST(FileServiceGrowthTest, CreateThatGrowsLeavesNoDirtyBlock) {
   const std::vector<FileId> ids = {*big};
   const AuditReport report = AuditFiles(*service, ids);
   EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
+}
+
+// A size hint maps its run without writing it. A deleted file's bytes used
+// to show through when a growing Resize or a write with a gap before it
+// exposed that run; those bytes must read as zeros.
+class UnwrittenHintTest : public FileServiceTest {
+ protected:
+  // Leaves 0xAB on the blocks a 4-block hint maps next, then creates it.
+  FileId HintedFileOverOldBytes() {
+    auto old = service_->Create(ServiceType::kBasic);
+    EXPECT_TRUE(old.ok());
+    EXPECT_TRUE(service_
+                    ->Write(*old, 0,
+                            std::vector<std::uint8_t>(4 * kBlockSize, 0xAB))
+                    .ok());
+    EXPECT_TRUE(service_->Flush(*old).ok());
+    const FragmentIndex first = service_->LocateBlock(*old, 0)->first_fragment;
+    EXPECT_TRUE(service_->Delete(*old).ok());
+    auto file = service_->Create(ServiceType::kBasic, 4 * kBlockSize);
+    EXPECT_TRUE(file.ok());
+    // The new run reuses the old blocks, so the test can see them.
+    EXPECT_EQ(service_->LocateBlock(*file, 0)->first_fragment, first);
+    return *file;
+  }
+  std::uint64_t NonzeroBytes(FileId file, std::uint64_t length) {
+    std::vector<std::uint8_t> out(length);
+    EXPECT_EQ(*service_->Read(file, 0, out), length);
+    return static_cast<std::uint64_t>(
+        std::count_if(out.begin(), out.end(), [](auto b) { return b != 0; }));
+  }
+};
+
+TEST_F(UnwrittenHintTest, GrowingResizeExposesZeros) {
+  const FileId file = HintedFileOverOldBytes();
+  ASSERT_TRUE(service_->Resize(file, 2 * kBlockSize).ok());
+  EXPECT_EQ(NonzeroBytes(file, 2 * kBlockSize), 0u);
+  // And after the cache is gone: the zeros reached the platter.
+  ASSERT_TRUE(service_->Close(file).ok());
+  service_->Crash();
+  EXPECT_EQ(NonzeroBytes(file, 2 * kBlockSize), 0u);
+}
+
+TEST_F(UnwrittenHintTest, WriteAfterAGapExposesZerosBeforeIt) {
+  const FileId file = HintedFileOverOldBytes();
+  const std::vector<std::uint8_t> ten(10, 0x5C);
+  ASSERT_TRUE(service_->Write(file, 3 * kBlockSize, ten).ok());
+  EXPECT_EQ(NonzeroBytes(file, 3 * kBlockSize), 0u);
+  std::vector<std::uint8_t> out(10);
+  ASSERT_TRUE(service_->Read(file, 3 * kBlockSize, out).ok());
+  EXPECT_EQ(out, ten);
+}
+
+TEST_F(UnwrittenHintTest, GrowthAfterAReloadStillExposesZeros) {
+  const FileId file = HintedFileOverOldBytes();
+  ASSERT_TRUE(service_->Close(file).ok());
+  service_->Crash();
+  ASSERT_TRUE(service_->Resize(file, 3 * kBlockSize).ok());
+  EXPECT_EQ(NonzeroBytes(file, 3 * kBlockSize), 0u);
+}
+
+// A transaction's page apply writes a mapped block past the size, then
+// grows the size over it: the growth keeps that block and zeroes the rest.
+TEST_F(UnwrittenHintTest, GrowthKeepsABlockWrittenPastTheSize) {
+  const FileId file = HintedFileOverOldBytes();
+  const auto page = Pattern(kBlockSize, 0x11);
+  ASSERT_TRUE(service_->WriteBlock(file, 2, page, true).ok());
+  ASSERT_TRUE(service_->Resize(file, 2 * kBlockSize + 100).ok());
+  EXPECT_EQ(NonzeroBytes(file, 2 * kBlockSize), 0u);
+  std::vector<std::uint8_t> out(100);
+  ASSERT_TRUE(service_->Read(file, 2 * kBlockSize, out).ok());
+  EXPECT_EQ(out, std::vector<std::uint8_t>(page.begin(), page.begin() + 100));
+}
+
+TEST_F(FileServiceTest, SyncWritesOnlyThatFilesDirtyBlocks) {
+  auto a = service_->Create(ServiceType::kBasic);
+  auto b = service_->Create(ServiceType::kBasic);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(service_->Flush(*a).ok() && service_->Flush(*b).ok());
+  ASSERT_TRUE(service_->Write(*a, 0, Pattern(3 * kBlockSize, 1)).ok());
+  ASSERT_TRUE(service_->Write(*b, 0, Pattern(2 * kBlockSize, 2)).ok());
+  // Sync stores a grown file's table too; only data blocks are counted.
+  ASSERT_TRUE(service_->Sync(*a).ok());
+  ASSERT_TRUE(service_->Sync(*b).ok());
+  ASSERT_TRUE(service_->Write(*a, 0, Pattern(3 * kBlockSize, 3)).ok());
+  ASSERT_TRUE(service_->Write(*b, 0, Pattern(2 * kBlockSize, 4)).ok());
+
+  disk::DiskServer* disk = *disks_.Get(DiskId{0});
+  auto platter = [&](FileId f, std::uint64_t block) {
+    const FragmentIndex frag = service_->LocateBlock(f, block)->first_fragment;
+    return disk->main_device().RawFragment(frag)[0];
+  };
+  const auto written = [&] { return disk->main_stats().fragments_written; };
+  const std::uint64_t before = written();
+  ASSERT_TRUE(service_->Sync(*a).ok());
+  EXPECT_EQ(written() - before, 3 * kFragmentsPerBlock)
+      << "Sync(a) writes a's three dirty blocks and nothing else";
+  for (std::uint64_t blk = 0; blk < 3; ++blk) {
+    EXPECT_EQ(platter(*a, blk), Pattern(kBlockSize, 3)[0]);
+  }
+  for (std::uint64_t blk = 0; blk < 2; ++blk) {
+    EXPECT_EQ(platter(*b, blk), Pattern(kBlockSize, 2)[0])
+        << "b's new bytes must still wait in the cache";
+  }
+  const std::uint64_t after_a = written();
+  ASSERT_TRUE(service_->Sync(*b).ok());
+  EXPECT_EQ(written() - after_a, 2 * kFragmentsPerBlock);
+  EXPECT_EQ(platter(*b, 0), Pattern(kBlockSize, 4)[0]);
+}
+
+TEST(FileServiceCacheTest, CacheNeverHoldsMoreThanThePoolCapacity) {
+  for (const std::size_t capacity : {0u, 1u, 3u, 8u}) {
+    SCOPED_TRACE(capacity);
+    SimClock clock;
+    disk::DiskRegistry disks;
+    disks.AddDisk(DiskConfig(), &clock);
+    FileServiceConfig config;
+    config.block_pool_capacity = capacity;
+    FileService service(&disks, &clock, config);
+    const std::size_t bound = std::max<std::size_t>(capacity, 1);
+    auto a = service.Create(ServiceType::kBasic, 4 * kBlockSize);
+    auto b = service.Create(ServiceType::kBasic);
+    ASSERT_TRUE(a.ok() && b.ok());
+    std::vector<std::uint8_t> out(3 * kBlockSize);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE(service
+                      .Write(i % 2 ? *a : *b, (i % 5) * kBlockSize,
+                             std::vector<std::uint8_t>(kBlockSize + 7, 1))
+                      .ok());
+      EXPECT_LE(service.CachedBlocks(), bound) << "after write " << i;
+      ASSERT_TRUE(service.Read(*a, 0, out).ok());
+      EXPECT_LE(service.CachedBlocks(), bound) << "after read " << i;
+      if (capacity == 0) {
+        EXPECT_EQ(service.CachedBlocks(), 1u);
+      }
+    }
+    ASSERT_TRUE(service.Sync(*a).ok());
+    EXPECT_LE(service.CachedBlocks(), bound);
+  }
 }
 
 TEST_F(FileServiceTest, DeleteReturnsAllSpace) {

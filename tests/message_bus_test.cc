@@ -298,11 +298,13 @@ TEST(RpcClientTest, CircuitBreakerTellsDeadFromLossy) {
   bus.RegisterService("svc", Echo);
   RpcRetryConfig rc;
   rc.max_attempts = 2;
-  rc.unhealthy_threshold = 3;
   RpcClient rpc(&bus, "svc", rc);
 
   bus.SetServiceDown("svc");
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(rpc.Call(0, {}).ok());
+  for (std::uint64_t i = 0; i < kUnhealthyThreshold; ++i) {
+    EXPECT_FALSE(rpc.SuspectedDead());
+    EXPECT_FALSE(rpc.Call(0, {}).ok());
+  }
   EXPECT_TRUE(rpc.SuspectedDead());  // an unbroken failure run: dead
 
   bus.SetServiceUp("svc");
@@ -319,7 +321,6 @@ TEST(RpcClientTest, LossyLinkDoesNotTripTheBreaker) {
   bus.RegisterService("svc", Echo);
   RpcRetryConfig rc;
   rc.max_attempts = 16;
-  rc.unhealthy_threshold = 3;
   RpcClient rpc(&bus, "svc", rc);
   int ok = 0;
   for (int i = 0; i < 40; ++i) {

@@ -538,13 +538,11 @@ Result<sim::Payload> Call(DistributedFileFacility& f, FsOp op,
   return *r;
 }
 
-// What the model expects of one live file. A create's size hint maps
-// blocks that nothing zeroes, so the bytes of [size, hinted) are not
-// predicted: a resize that grows over them adopts what the file shows.
+// What the model expects of one live file. Bytes a file never wrote read
+// as zeros, those a create's size hint mapped included.
 struct ModelFile {
   std::vector<std::uint8_t> bytes;
   bool immutable = false;
-  std::uint64_t hinted = 0;
 };
 
 // Regression: a kResize body whose size sat within a block of 2^64 was
@@ -646,8 +644,7 @@ TEST(ReadMutationTest, HostileBodiesOfEveryOtherKindGetAnErrorOrThePrediction) {
       ASSERT_EQ(*f.OwnerOf(made).BlockCount(made),
                 BlocksCovering(decoded->size_hint))
           << where;
-      live[made.value] =
-          ModelFile{{}, false, BlocksCovering(decoded->size_hint) * kBlockSize};
+      live[made.value] = ModelFile{{}, false};
       ASSERT_TRUE(ReadAll(f, made).empty()) << where;
       continue;
     }
@@ -674,21 +671,7 @@ TEST(ReadMutationTest, HostileBodiesOfEveryOtherKindGetAnErrorOrThePrediction) {
         if (got.ok()) {
           ASSERT_FALSE(m.immutable) << where << ": resized a snapshot";
           ASSERT_LE(resize->size, kDiskBytes) << where;
-          const std::uint64_t old_size = m.bytes.size();
           m.bytes.resize(resize->size, 0);
-          if (resize->size > old_size && m.hinted > old_size) {
-            const std::vector<std::uint8_t> now = ReadAll(f, decoded->file);
-            ASSERT_EQ(now.size(), m.bytes.size()) << where;
-            const std::uint64_t end = std::min(m.hinted, now.size());
-            std::copy(now.begin() + static_cast<std::ptrdiff_t>(old_size),
-                      now.begin() + static_cast<std::ptrdiff_t>(end),
-                      m.bytes.begin() + static_cast<std::ptrdiff_t>(old_size));
-          }
-          // A shrink frees the blocks past the cut and zeroes the tail of
-          // the kept one: regrowth there reads zeros.
-          if (resize->size < old_size) {
-            m.hinted = std::min<std::uint64_t>(m.hinted, resize->size);
-          }
         } else {
           EXPECT_EQ(f.disks().TotalFreeFragments(), free_before)
               << where << ": a refused resize kept space";
@@ -715,7 +698,7 @@ TEST(ReadMutationTest, HostileBodiesOfEveryOtherKindGetAnErrorOrThePrediction) {
           const FileId image{in.U64()};
           ASSERT_EQ(live.count(image.value), 0u) << where << ": id reused";
           live[image.value] =
-              ModelFile{m.bytes, op == FsOp::kSnapshot, m.hinted};
+              ModelFile{m.bytes, op == FsOp::kSnapshot};
         }
         break;
       default:  // close, flush and renew change no bytes

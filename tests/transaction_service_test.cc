@@ -122,6 +122,39 @@ TEST_F(TxnServiceTest, CommitMakesWritesVisible) {
   EXPECT_EQ(txn_->stats().commits, 2u);  // MakeFile + this one
 }
 
+// A page image was built from the whole mapped block, and a size hint maps
+// its run without writing it: a deleted file's bytes past the committed end
+// rode the commit and showed once a later write grew the file over them.
+TEST_F(TxnServiceTest, BytesPastTheCommittedEndStayZeroThroughGrowth) {
+  auto t0 = txn_->Begin(ProcessId{1});
+  auto old = txn_->TCreate(*t0, LockLevel::kPage, 2 * kBlockSize);
+  ASSERT_TRUE(old.ok());
+  ASSERT_TRUE(txn_->TWrite(*t0, *old, 0,
+                           std::vector<std::uint8_t>(2 * kBlockSize, 0xAB))
+                  .ok());
+  ASSERT_TRUE(txn_->End(*t0).ok());
+  auto t1 = txn_->Begin(ProcessId{1});
+  ASSERT_TRUE(txn_->TDelete(*t1, *old).ok());
+  ASSERT_TRUE(txn_->End(*t1).ok());
+
+  auto t2 = txn_->Begin(ProcessId{1});
+  auto file = txn_->TCreate(*t2, LockLevel::kPage, 2 * kBlockSize);
+  ASSERT_TRUE(file.ok());
+  const std::vector<std::uint8_t> eight(8, 0x11);
+  ASSERT_TRUE(txn_->TWrite(*t2, *file, 0, eight).ok());
+  ASSERT_TRUE(txn_->End(*t2).ok());
+  auto t3 = txn_->Begin(ProcessId{1});
+  ASSERT_TRUE(txn_->TWrite(*t3, *file, kBlockSize + 4, eight).ok());
+  ASSERT_TRUE(txn_->End(*t3).ok());
+
+  std::vector<std::uint8_t> out(kBlockSize + 12);
+  ASSERT_EQ(*files_->Read(*file, 0, out), out.size());
+  std::vector<std::uint8_t> expected(out.size(), 0);
+  std::fill(expected.begin(), expected.begin() + 8, 0x11);
+  std::fill(expected.end() - 8, expected.end(), 0x11);
+  EXPECT_EQ(out, expected);
+}
+
 TEST_F(TxnServiceTest, AbortDiscardsEverything) {
   const FileId file = MakeFile(LockLevel::kPage, kBlockSize, 7);
   const auto before = Pattern(kBlockSize, 7);
