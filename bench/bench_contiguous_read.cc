@@ -21,7 +21,8 @@ FileId MakeFile(core::DistributedFileFacility& f, std::uint64_t blocks,
     // exactly what repeated shadow-page commits do to a file (§6.7).
     for (std::uint64_t b = 0; b < blocks; ++b) {
       auto old = f.files().LocateBlock(*file, b);
-      auto shadow = f.files().AllocateShadowBlock(*file);
+      auto shadows = f.files().AllocateShadowBlocks(*file, 1);
+      const auto* shadow = &shadows->front();
       auto server = f.disks().Get(shadow->disk);
       std::vector<std::uint8_t> content(kBlockSize);
       (void)f.files().ReadBlock(*file, b, content);

@@ -37,15 +37,21 @@ bool TrackCache::Lookup(FragmentIndex first, std::uint32_t count,
 void TrackCache::Install(FragmentIndex first, std::uint32_t count,
                          std::span<const std::uint8_t> data, bool dirty) {
   if (!enabled()) return;
-  for (std::uint32_t i = 0; i < count; ++i) {
+  // One touch and one copy per track segment: the recency order is what a
+  // touch per fragment would leave, since eviction waits for the end.
+  for (std::uint32_t i = 0; i < count;) {
     const FragmentIndex f = first + i;
-    TrackEntry& entry = Touch(TrackOf(f));
     const std::size_t slot = f % fragments_per_track_;
+    const std::uint32_t n = std::min<std::uint32_t>(
+        count - i, fragments_per_track_ - static_cast<std::uint32_t>(slot));
+    TrackEntry& entry = Touch(TrackOf(f));
     std::memcpy(entry.data.data() + slot * kFragmentSize,
                 data.data() + static_cast<std::size_t>(i) * kFragmentSize,
-                kFragmentSize);
-    entry.present[slot] = true;
-    if (dirty) entry.dirty[slot] = true;
+                static_cast<std::size_t>(n) * kFragmentSize);
+    const auto at = static_cast<std::ptrdiff_t>(slot);
+    std::fill_n(entry.present.begin() + at, n, true);
+    if (dirty) std::fill_n(entry.dirty.begin() + at, n, true);
+    i += n;
   }
   EvictIfNeeded();
 }

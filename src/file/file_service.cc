@@ -999,16 +999,39 @@ Status FileService::ReplaceBlock(FileId id, std::uint64_t block_index,
   return StoreTable(id, *of);
 }
 
-Result<disk::DiskRegistry::Placement> FileService::AllocateShadowBlock(
-    FileId id) {
-  // Prefer the file's home disk so the shadow write stays on one spindle.
-  auto server = disks_->Get(FileDisk(id));
-  if (server.ok()) {
-    if (auto frag = (*server)->AllocateBlocks(1); frag.ok()) {
-      return disk::DiskRegistry::Placement{(*server)->id(), *frag};
+Result<std::vector<disk::DiskRegistry::Placement>>
+FileService::AllocateShadowBlocks(FileId id, std::uint32_t count) {
+  std::vector<disk::DiskRegistry::Placement> blocks;
+  // Prefer one run on the file's home disk: the shadow writes then stay on
+  // one spindle, in one reference.
+  auto home = disks_->Get(FileDisk(id));
+  if (home.ok() && count > 1) {
+    if (auto frag = (*home)->AllocateBlocks(count); frag.ok()) {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        blocks.push_back({(*home)->id(), *frag + i * kFragmentsPerBlock});
+      }
+      return blocks;
     }
   }
-  return disks_->Allocate(kFragmentsPerBlock);
+  // No run free: one block per page, on the home disk while it has room.
+  while (blocks.size() < count) {
+    Result<disk::DiskRegistry::Placement> block =
+        Error{ErrorCode::kNoSpace, "no free block"};
+    if (home.ok()) {
+      if (auto frag = (*home)->AllocateBlocks(1); frag.ok()) {
+        block = disk::DiskRegistry::Placement{(*home)->id(), *frag};
+      }
+    }
+    if (!block.ok()) block = disks_->Allocate(kFragmentsPerBlock);
+    if (!block.ok()) {
+      for (const auto& b : blocks) {
+        (void)disks_->Free(b.disk, b.first, kFragmentsPerBlock);
+      }
+      return Error{block.error()};
+    }
+    blocks.push_back(*block);
+  }
+  return blocks;
 }
 
 // --- snapshots and clones (E23) -----------------------------------------------

@@ -228,9 +228,12 @@ class FileService {
   Status ReplaceBlock(FileId id, std::uint64_t block_index, DiskId disk,
                       FragmentIndex fragment);
 
-  // Allocates one free block on the file's home disk (or any disk) without
-  // linking it into any file — shadow-page staging space.
-  Result<disk::DiskRegistry::Placement> AllocateShadowBlock(FileId id);
+  // Allocates `count` free blocks without linking them into any file —
+  // shadow-page staging space for pages homed on `id`'s disk: one
+  // contiguous run there when one is free, else one block per page, on
+  // that disk or any disk with room. On failure none stays allocated.
+  Result<std::vector<disk::DiskRegistry::Placement>> AllocateShadowBlocks(
+      FileId id, std::uint32_t count);
 
   // --- Failure model --------------------------------------------------------
 

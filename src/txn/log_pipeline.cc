@@ -1,31 +1,83 @@
 #include "txn/log_pipeline.h"
 
+#include <algorithm>
+#include <iterator>
+
+#include "sim/parallel.h"
+
 namespace rhodos::txn {
 
-// One group-commit batch: the accumulating frame payload plus the state a
-// waiting committer observes. Tickets are shared_ptrs to this, so a batch
-// outlives both the queue and the pipeline's interest in it.
+// One group-commit batch: the accumulating frame payload and fresh runs,
+// plus the state a waiting committer observes. Tickets share it, so a
+// batch outlives both the queue and the pipeline's interest in it.
 struct LogPipeline::Batch {
   TxnLog::BatchFramePayload frame;
+  std::vector<FreshRun> runs;      // written by the flush that forces
+  std::vector<Status> run_status;  // per run, once resolved
   std::uint32_t commits = 0;   // commit-status records aboard
   SimTime first_append = 0;    // sim time the batch opened
   bool sealed = false;         // no further records may join
   bool resolved = false;       // force finished (or batch discarded)
-  Status status;               // meaningful once resolved
+  Status status;               // the force's, meaningful once resolved
 };
 
-LogPipeline::LogPipeline(TxnLog* log, SimClock* clock, std::mutex* io_mu,
-                         GroupCommitConfig config)
-    : log_(log), clock_(clock), io_mu_(io_mu), config_(config) {}
+LogPipeline::LogPipeline(TxnLog* log, disk::DiskServer* log_disk,
+                         std::mutex* io_mu, GroupCommitConfig config)
+    : log_(log),
+      log_disk_(log_disk),
+      clock_(log_disk->clock()),
+      io_mu_(io_mu),
+      config_(config) {}
 
-Result<LogPipeline::Ticket> LogPipeline::Append(const IntentionRecord& record) {
+Status LogPipeline::WriteAndForce(
+    std::span<const std::shared_ptr<Batch>> batches,
+    std::span<const TxnLog::BatchFramePayload> frames) {
+  // An item without a run is the force.
+  struct Item {
+    const FreshRun* run;
+    Status* status;
+  };
+  Status forced;
+  sim::PerDeviceFanOut<DiskId, Item> lanes;
+  for (const auto& b : batches) {
+    for (std::size_t i = 0; i < b->runs.size(); ++i) {
+      lanes.Add(b->runs[i].disk->id(), Item{&b->runs[i], &b->run_status[i]});
+    }
+  }
+  lanes.Add(log_disk_->id(), Item{nullptr, &forced});
+  (void)lanes.Run(clock_, [&](DiskId, const std::vector<Item>& items) {
+    for (const Item& item : items) {
+      if (item.run == nullptr) {
+        *item.status = log_->AppendFrames(frames);
+        continue;
+      }
+      // No barrier: the force beside the run makes a pending log reset
+      // durable, and until it lands nothing refers to the run.
+      const FreshRun& run = *item.run;
+      const auto fragments =
+          static_cast<std::uint32_t>(run.image.size() / kFragmentSize);
+      *item.status = run.disk->PutFreshBlock(run.first, fragments, run.image,
+                                             disk::Barrier::kSkip);
+    }
+    return OkStatus();
+  });
+  for (const auto& b : batches) b->runs.clear();
+  return forced;
+}
+
+Result<LogPipeline::Ticket> LogPipeline::Append(const IntentionRecord& record,
+                                                std::vector<FreshRun> runs) {
   if (!config_.enabled) {
     // Pipeline off: the paper's original rule — force at append time.
-    auto ticket = std::make_shared<Batch>();
-    ticket->sealed = true;
-    ticket->resolved = true;
-    ticket->status = log_->Append(record);
-    return ticket;
+    auto batch = std::make_shared<Batch>();
+    AppendRecordFrame(batch->frame.payload, record, log_->generation());
+    batch->frame.records = 1;
+    batch->runs = std::move(runs);
+    batch->run_status.resize(batch->runs.size());
+    batch->sealed = true;
+    batch->resolved = true;
+    batch->status = WriteAndForce({&batch, 1}, {&batch->frame, 1});
+    return Ticket{batch, 0, batch->run_status.size()};
   }
   // The generation changes only at quiescence, when the pipeline has just
   // been emptied, so a frame never outlives the generation it is framed in.
@@ -51,7 +103,10 @@ Result<LogPipeline::Ticket> LogPipeline::Append(const IntentionRecord& record) {
       record.status == TxnStatus::kCommit) {
     ++open_->commits;
   }
-  Ticket ticket = open_;
+  const Ticket ticket{open_, open_->runs.size(),
+                      open_->runs.size() + runs.size()};
+  std::move(runs.begin(), runs.end(), std::back_inserter(open_->runs));
+  open_->run_status.resize(open_->runs.size());
   if (open_->commits >= config_.max_batch) {
     SealLocked(SealReason::kFull);
   } else if (clock_->Now() - open_->first_append >= config_.flush_deadline) {
@@ -80,38 +135,40 @@ void LogPipeline::SealLocked(SealReason reason) {
 }
 
 Status LogPipeline::AwaitDurable(const Ticket& ticket) {
-  if (ticket == nullptr) {
+  Batch* const batch = ticket.batch.get();
+  if (batch == nullptr) {
     return {ErrorCode::kInternal, "null group-commit ticket"};
   }
   std::unique_lock lk(mu_);
-  while (!ticket->resolved) {
+  while (!batch->resolved) {
     if (flushing_) {
       // A leader is forcing right now; it resolves or unseats on return.
-      cv_.wait(lk, [&] { return ticket->resolved || !flushing_; });
+      cv_.wait(lk, [&] { return batch->resolved || !flushing_; });
       continue;
     }
-    if (!ticket->sealed) {
+    if (!batch->sealed) {
       // An unsealed batch is the open one: we would lead its flush. Give
       // other committers a real-time window to pile on first.
       if (config_.leader_window.count() > 0) {
         const bool changed =
             cv_.wait_for(lk, config_.leader_window, [&] {
-              return ticket->resolved || ticket->sealed || flushing_;
+              return batch->resolved || batch->sealed || flushing_;
             });
         if (changed) continue;
       }
       SealLocked(SealReason::kWindow);
     }
-    // Lead: force everything sealed so far in one vectored put. Frames go
-    // down in append order, so a commit record can never become durable
-    // before the intention records it covers.
+    // Lead: force everything sealed so far in one vectored put, and write
+    // the fresh runs the batches carry beside it. Frames go down in append
+    // order, so a commit record can never become durable before the
+    // intention records it covers.
     flushing_ = true;
-    std::vector<Ticket> take(sealed_.begin(), sealed_.end());
+    std::vector<std::shared_ptr<Batch>> take(sealed_.begin(), sealed_.end());
     sealed_.clear();
     std::vector<TxnLog::BatchFramePayload> frames;
     frames.reserve(take.size());
     std::uint64_t taken_bytes = 0;
-    for (const Ticket& b : take) {
+    for (const auto& b : take) {
       taken_bytes += TxnLog::kBatchOverhead + b->frame.payload.size();
       frames.push_back(std::move(b->frame));
     }
@@ -122,7 +179,7 @@ Status LogPipeline::AwaitDurable(const Ticket& ticket) {
       // Lock order: the io mutex is strictly outside the pipeline mutex.
       // It also serializes the (thread-unsafe) sim clock the disk bills.
       std::scoped_lock io(*io_mu_);
-      forced = log_->AppendFrames(frames);
+      forced = WriteAndForce(take, frames);
       done_at = clock_->Now();
     }
     lk.lock();
@@ -145,12 +202,16 @@ Status LogPipeline::AwaitDurable(const Ticket& ticket) {
     flushing_ = false;
     cv_.notify_all();
   }
-  return ticket->status;
+  if (!batch->status.ok()) return batch->status;
+  for (std::size_t i = ticket.first_run; i < ticket.end_run; ++i) {
+    if (!batch->run_status[i].ok()) return batch->run_status[i];
+  }
+  return OkStatus();
 }
 
 void LogPipeline::DiscardPending() {
   std::scoped_lock lk(mu_);
-  for (const Ticket& b : sealed_) {
+  for (const auto& b : sealed_) {
     stats_.discarded_records += b->frame.records;
     b->sealed = true;
     b->resolved = true;

@@ -15,6 +15,16 @@
 // pause for joiners). Failure stays per-batch: a failed force resolves
 // only the transactions whose records rode in it.
 //
+// A commit record may carry fresh runs: the transaction's shadow pages,
+// staged in blocks nothing durable refers to yet. The flush that forces
+// the record's batch writes them too, as the lanes of one section keyed by
+// disk (each run main ‖ mirror, DiskServer::PutFreshBlock); the log disk's
+// lane writes its own runs first, then forces. No write order separates a
+// page from the force that commits it: each kShadowMap record carries its
+// page's checksum, and recovery redoes a commit only if its pages read
+// back intact (TransactionService::Recover). A commit is acknowledged only
+// if its runs and the force all succeeded.
+//
 // Locking protocol: Append() runs under the transaction service's big
 // mutex (the "io mutex", which also serializes the sim clock);
 // AwaitDurable() must be entered WITHOUT it, and the flush leader
@@ -28,10 +38,12 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "common/sim_clock.h"
+#include "disk/disk_server.h"
 #include "obs/observability.h"
 #include "txn/txn_log.h"
 
@@ -73,29 +85,47 @@ inline constexpr obs::CounterField<LogPipelineStats> kLogPipelineCounters[] = {
     {"txn.group_commit.seals_window", &LogPipelineStats::seals_window},
 };
 
+// Whole blocks to write at `first` on `disk` with the commit record they
+// ride: freshly allocated, so main and mirror go out together.
+struct FreshRun {
+  disk::DiskServer* disk = nullptr;
+  FragmentIndex first = 0;
+  std::vector<std::uint8_t> image;  // a multiple of kBlockSize bytes
+};
+
 class LogPipeline {
  public:
   struct Batch;  // defined in log_pipeline.cc
-  using Ticket = std::shared_ptr<Batch>;
+  // One append's claim on its batch: the batch, and the slice of the
+  // batch's fresh runs the append brought.
+  struct Ticket {
+    std::shared_ptr<Batch> batch;
+    std::size_t first_run = 0;
+    std::size_t end_run = 0;
+  };
 
   // `io_mu` is the transaction service's mutex (see the locking protocol
-  // above); `clock` is the log device's sim clock, read only under it.
-  LogPipeline(TxnLog* log, SimClock* clock, std::mutex* io_mu,
+  // above); `log_disk` holds the log, and its sim clock is read only under
+  // `io_mu`.
+  LogPipeline(TxnLog* log, disk::DiskServer* log_disk, std::mutex* io_mu,
               GroupCommitConfig config);
 
   LogPipeline(const LogPipeline&) = delete;
   LogPipeline& operator=(const LogPipeline&) = delete;
 
-  // Appends one record to the open batch. Caller must hold the io mutex.
-  // The record is NOT durable until the returned ticket resolves; pass it
-  // to AwaitDurable for records that gate an acknowledgement (the commit
+  // Appends one record, and the fresh runs the flush forcing it must also
+  // write, to the open batch. Caller must hold the io mutex. The record is
+  // NOT durable until the returned ticket resolves; pass it to
+  // AwaitDurable for records that gate an acknowledgement (the commit
   // status record), drop it for records the next flush may carry freely.
-  // With the pipeline disabled this forces immediately and the ticket
-  // returns already resolved.
-  Result<Ticket> Append(const IntentionRecord& record);
+  // With the pipeline disabled this writes the runs and forces
+  // immediately, and the ticket returns already resolved.
+  Result<Ticket> Append(const IntentionRecord& record,
+                        std::vector<FreshRun> runs = {});
 
   // Blocks until the ticket's batch has been forced to stable storage and
-  // returns the force's status. Caller must NOT hold the io mutex.
+  // returns the force's status, or else the first failure among the
+  // ticket's own runs. Caller must NOT hold the io mutex.
   Status AwaitDurable(const Ticket& ticket);
 
   // Drops every record not yet forced. Legal only at quiescence (no
@@ -114,7 +144,14 @@ class LogPipeline {
   // Seals the open batch (mu_ held).
   void SealLocked(SealReason reason);
 
+  // Writes the fresh runs of `batches`, setting each run's status, and
+  // forces `frames`: one lane per disk, the force last in the log disk's
+  // lane. Returns the force's status. Caller holds the io mutex.
+  Status WriteAndForce(std::span<const std::shared_ptr<Batch>> batches,
+                       std::span<const TxnLog::BatchFramePayload> frames);
+
   TxnLog* log_;
+  disk::DiskServer* log_disk_;
   SimClock* clock_;
   std::mutex* io_mu_;
   GroupCommitConfig config_;
@@ -122,8 +159,8 @@ class LogPipeline {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  Ticket open_;                 // batch still accepting records
-  std::deque<Ticket> sealed_;   // sealed, not yet forced
+  std::shared_ptr<Batch> open_;                // still accepting records
+  std::deque<std::shared_ptr<Batch>> sealed_;  // sealed, not yet forced
   bool flushing_ = false;       // a leader holds the force right now
   std::uint64_t pending_bytes_ = 0;  // staged but unforced log bytes
   LogPipelineStats stats_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/serializer.h"
+#include "disk/stable_frame.h"
 #include "sim/parallel.h"
 
 namespace rhodos::txn {
@@ -31,7 +33,7 @@ TransactionService::TransactionService(disk::DiskRegistry* disks,
       // finds the same intentions the pre-crash instance wrote.
       log_first_fragment_(log_disk_->MetadataFragments()),
       log_(log_disk_, log_first_fragment_, config.log_fragments),
-      pipeline_(&log_, log_disk_->clock(), &mu_, config.group_commit) {
+      pipeline_(&log_, log_disk_, &mu_, config.group_commit) {
   // First instance on this disk claims the region; later instances find it
   // already allocated, which is fine — it is the same log.
   (void)log_disk_->AllocateSpecific(log_first_fragment_,
@@ -390,6 +392,64 @@ Status TransactionService::ApplyWalRange(FileId file, std::uint64_t offset,
   return owner.Sync(file);
 }
 
+namespace {
+
+// What a kShadowMap record carries in `data`: the checksum of its page.
+std::vector<std::uint8_t> PageChecksum(std::span<const std::uint8_t> page) {
+  Serializer out;
+  out.U64(disk::BlockChecksum(page));
+  return out.buffer();
+}
+
+}  // namespace
+
+Result<std::vector<FreshRun>> TransactionService::PlaceShadows(
+    const Txn& t, CommitPlan& plan) {
+  // The pages homed on one disk share one allocation: one contiguous run
+  // there when the disk has one free.
+  std::vector<std::pair<DiskId, std::vector<CommitPlan::ShadowStage*>>> homes;
+  for (CommitPlan::ShadowStage& s : plan.shadows) {
+    const DiskId home = file::FileDisk(s.file);
+    auto it = std::find_if(homes.begin(), homes.end(),
+                           [home](const auto& h) { return h.first == home; });
+    if (it == homes.end()) it = homes.insert(homes.end(), {home, {}});
+    it->second.push_back(&s);
+  }
+  std::vector<FreshRun> runs;
+  for (std::size_t h = 0; h < homes.size(); ++h) {
+    const auto& pages = homes[h].second;
+    const FileId file = pages.front()->file;
+    auto blocks = files_(file).AllocateShadowBlocks(
+        file, static_cast<std::uint32_t>(pages.size()));
+    if (!blocks.ok()) {
+      // Nothing refers to the blocks already placed: give them back.
+      for (std::size_t j = 0; j < h; ++j) {
+        for (const CommitPlan::ShadowStage* s : homes[j].second) {
+          (void)disks_->Free(s->placement.disk, s->placement.first,
+                             kFragmentsPerBlock);
+        }
+      }
+      return Error{blocks.error()};
+    }
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      CommitPlan::ShadowStage& s = *pages[i];
+      s.placement = (*blocks)[i];
+      // A block that starts where the last run ends extends that run.
+      FreshRun* last = runs.empty() ? nullptr : &runs.back();
+      if (last == nullptr || last->disk->id() != s.placement.disk ||
+          last->first + last->image.size() / kFragmentSize !=
+              s.placement.first) {
+        RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server,
+                                disks_->Get(s.placement.disk));
+        last = &runs.emplace_back(FreshRun{server, s.placement.first, {}});
+      }
+      const auto& image = t.tentative_pages.at({s.file.value, s.page});
+      last->image.insert(last->image.end(), image.begin(), image.end());
+    }
+  }
+  return runs;
+}
+
 Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
   t.phase = TxnPhase::kUnlocking;
 
@@ -402,10 +462,11 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
   }
 
   // Every intention goes to the group-commit pipeline; nothing here is
-  // forced individually. The last append is the commit status record, so
+  // written or forced. The last append is the commit status record, so
   // the ticket left in the plan is the one End() must await.
-  auto append = [&](const IntentionRecord& r) -> Status {
-    auto ticket = pipeline_.Append(r);
+  auto append = [&](const IntentionRecord& r,
+                    std::vector<FreshRun> runs = {}) -> Status {
+    auto ticket = pipeline_.Append(r, std::move(runs));
     if (!ticket.ok()) return Error{ticket.error()};
     plan->commit_ticket = std::move(*ticket);
     return OkStatus();
@@ -416,41 +477,41 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
                       TxnStatus::kTentative, {}}));
   t.logged_begin = true;
 
-  // Per-file technique choice and shadow staging.
-  for (auto& [key, image] : t.tentative_pages) {
+  // Per-file technique choice. A shadow-paged file's existing pages are
+  // shadowed; a page past its end grows the file through WAL.
+  for (const auto& [key, image] : t.tentative_pages) {
     const FileId file{key.first};
-    const std::uint64_t page = key.second;
     auto tech_it = plan->technique.find(file.value);
     if (tech_it == plan->technique.end()) {
       RHODOS_ASSIGN_OR_RETURN(CommitTechnique tech, TechniqueFor(file));
       tech_it = plan->technique.emplace(file.value, tech).first;
     }
-    FileService& owner = files_(file);
-    RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
-    const std::uint64_t final_size =
-        t.tentative_size.count(file) ? t.tentative_size[file] : 0;
+    if (tech_it->second != CommitTechnique::kShadowPage) continue;
+    RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks,
+                            files_(file).BlockCount(file));
+    if (key.second < blocks) {
+      plan->shadows.push_back(CommitPlan::ShadowStage{file, key.second, {}});
+    }
+  }
+  RHODOS_ASSIGN_OR_RETURN(std::vector<FreshRun> runs, PlaceShadows(t, *plan));
 
-    if (tech_it->second == CommitTechnique::kShadowPage && page < blocks) {
-      // Shadow page: write the new image to a fresh block now (original +
-      // stable — it must survive anything once the commit record lands),
-      // and log only the remap intention. This data write precedes the
-      // commit record's force, preserving write-ahead order. The block was
-      // just allocated and nothing durable refers to it before that force,
-      // so there is no old value for an ordered main-then-mirror write to
-      // protect: both copies go out at once.
-      RHODOS_ASSIGN_OR_RETURN(auto placement,
-                              owner.AllocateShadowBlock(file));
-      // It also skips the write barrier: the commit force that follows is
-      // what makes a pending log reset durable, and if that force never
-      // lands the block stays unreferenced.
-      RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server,
-                              disks_->Get(placement.disk));
-      RHODOS_RETURN_IF_ERROR(server->PutFreshBlock(
-          placement.first, kFragmentsPerBlock, image, disk::Barrier::kSkip));
+  auto shadow = plan->shadows.begin();
+  for (const auto& [key, image] : t.tentative_pages) {
+    const FileId file{key.first};
+    const std::uint64_t page = key.second;
+    const std::uint64_t final_size =
+        t.tentative_size.count(file) ? t.tentative_size.at(file) : 0;
+    if (shadow != plan->shadows.end() && shadow->file == file &&
+        shadow->page == page) {
+      // Shadow page: log only the remap intention and the page's checksum.
+      // The image itself rides the commit record to its fresh block, in
+      // the flush that forces the record; recovery redoes the remap only
+      // if the block reads back with this checksum.
       RHODOS_RETURN_IF_ERROR(append(IntentionRecord{
           IntentionKind::kShadowMap, id, file, page, final_size,
-          placement.disk, placement.first, TxnStatus::kTentative, {}}));
-      plan->shadows.push_back(CommitPlan::ShadowStage{file, page, placement});
+          shadow->placement.disk, shadow->placement.first,
+          TxnStatus::kTentative, PageChecksum(image)}));
+      ++shadow;
     } else {
       // WAL: the page image itself is the intention (redo record). The
       // file's final size rides in `offset` so recovery can re-grow.
@@ -477,11 +538,13 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
         TxnStatus::kTentative, {}}));
   }
 
-  // THE COMMIT POINT record: the transaction is durable once the batch
-  // carrying this record reaches stable storage — which is exactly what
-  // the ticket left in the plan resolves on.
+  // THE COMMIT POINT record, carrying the shadow runs: the transaction is
+  // durable once the flush that forces this record's batch has also
+  // written its runs — which is exactly what the ticket left in the plan
+  // resolves on.
   return append(IntentionRecord{IntentionKind::kStatus, id, {}, 0, 0, {}, 0,
-                                TxnStatus::kCommit, {}});
+                                TxnStatus::kCommit, {}},
+                std::move(runs));
 }
 
 bool TransactionService::IsShadowed(const CommitPlan& plan, FileId file,
@@ -625,8 +688,12 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
       ++stats_.shadow_commits;
     }
   }
-  if (!t.tentative_ranges.empty() && plan.technique.empty()) {
-    ++stats_.wal_commits;  // pure record-mode commit
+  // Record-locked files commit their range writes by WAL.
+  std::unordered_set<std::uint64_t> range_files;
+  for (const auto& [fval, w] : t.tentative_ranges) {
+    if (!plan.technique.contains(fval) && range_files.insert(fval).second) {
+      ++stats_.wal_commits;
+    }
   }
 
   // The completed record needs no acknowledgement: if it is lost, recovery
@@ -767,6 +834,43 @@ Status TransactionService::Abort(TxnId txn) {
 
 // --- recovery ------------------------------------------------------------------------
 
+TransactionService::Remap TransactionService::RemapState(
+    const IntentionRecord& r) {
+  // A table that no longer loads means the file is gone.
+  auto loc = files_(r.file).LocateBlock(r.file, r.block_index);
+  if (!loc.ok()) return Remap::kNoFile;
+  return loc->disk == r.new_disk && loc->first_fragment == r.new_fragment
+             ? Remap::kApplied
+             : Remap::kPending;
+}
+
+Result<bool> TransactionService::ShadowsLanded(
+    const std::vector<IntentionRecord>& records) {
+  std::vector<std::uint8_t> copy(kBlockSize);
+  for (const IntentionRecord& r : records) {
+    if (r.kind != IntentionKind::kShadowMap) continue;
+    if (r.data.size() != 8) {
+      return Error{ErrorCode::kMediaError,
+                   "shadow-map record of transaction " +
+                       std::to_string(r.txn.value) + " has a " +
+                       std::to_string(r.data.size()) + "-byte checksum"};
+    }
+    // A remap already in place was applied after an acknowledged flush;
+    // the page may have been rewritten in place since.
+    if (RemapState(r) != Remap::kPending) continue;
+    Deserializer in{r.data};
+    const std::uint64_t expected = in.U64();
+    RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server, disks_->Get(r.new_disk));
+    for (const disk::ReadSource source :
+         {disk::ReadSource::kMain, disk::ReadSource::kStable}) {
+      RHODOS_RETURN_IF_ERROR(
+          server->GetBlock(r.new_fragment, kFragmentsPerBlock, copy, source));
+      if (disk::BlockChecksum(copy) != expected) return false;
+    }
+  }
+  return true;
+}
+
 Status TransactionService::Recover() {
   obs::SpanScope span(obs::TracerOf(obs_), "txn", "recover");
   // Anything still in the pipeline predates the crash being recovered
@@ -786,6 +890,17 @@ Status TransactionService::Recover() {
     }
   }));
 
+  // A commit's shadow pages went to disk beside its force, not before it,
+  // so a durable commit record does not prove they landed. A commit whose
+  // pages do not all read back intact on both copies is discarded like a
+  // tentative one. Every check runs before anything is redone or freed:
+  // a read error fails recovery with the disks untouched.
+  for (auto& [txn_value, trace] : traces) {
+    if (trace.final_status != TxnStatus::kCommit) continue;
+    RHODOS_ASSIGN_OR_RETURN(bool landed, ShadowsLanded(trace.records));
+    if (!landed) trace.final_status = TxnStatus::kAbort;
+  }
+
   for (auto& [txn_value, trace] : traces) {
     if (trace.final_status == TxnStatus::kCommit) {
       // Committed but the changes may not all have been applied: redo.
@@ -799,18 +914,18 @@ Status TransactionService::Recover() {
             RHODOS_RETURN_IF_ERROR(ApplyWalRange(r.file, r.offset, r.data));
             break;
           case IntentionKind::kShadowMap: {
-            FileService& owner = files_(r.file);
-            auto loc = owner.LocateBlock(r.file, r.block_index);
-            if (loc.ok() && (loc->disk != r.new_disk ||
-                             loc->first_fragment != r.new_fragment)) {
-              // Re-claim the shadow block (its allocation may have been
-              // lost with the unpersisted bitmap), then remap.
-              auto server = disks_->Get(r.new_disk);
-              if (server.ok()) {
-                (void)(*server)->AllocateSpecific(r.new_fragment,
-                                                  kFragmentsPerBlock);
-              }
-              RHODOS_RETURN_IF_ERROR(owner.ReplaceBlock(
+            const Remap state = RemapState(r);
+            if (state == Remap::kNoFile) break;
+            // Re-claim the shadow block: its allocation may have been lost
+            // with the unpersisted bitmap, even where the remapped table
+            // reached the disk. Then remap, unless that is done.
+            auto server = disks_->Get(r.new_disk);
+            if (server.ok()) {
+              (void)(*server)->AllocateSpecific(r.new_fragment,
+                                                kFragmentsPerBlock);
+            }
+            if (state == Remap::kPending) {
+              RHODOS_RETURN_IF_ERROR(files_(r.file).ReplaceBlock(
                   r.file, r.block_index, r.new_disk, r.new_fragment));
             }
             break;
@@ -837,16 +952,18 @@ Status TransactionService::Recover() {
       ++stats_.recovered_redone;
     } else if (trace.final_status == TxnStatus::kTentative ||
                trace.final_status == TxnStatus::kAbort) {
-      // Never committed: discard. Shadow blocks staged before the crash are
-      // returned to the free pool (harmless if the allocation was never
-      // persisted).
+      // Not committed, or committed over pages that did not land: discard.
+      // Shadow blocks staged before the crash are returned to the free
+      // pool (harmless if the allocation was never persisted); a block the
+      // file already maps is the file's.
       for (const IntentionRecord& r : trace.records) {
-        if (r.kind == IntentionKind::kShadowMap) {
-          auto server = disks_->Get(r.new_disk);
-          if (server.ok()) {
-            (void)(*server)->FreeFragments(r.new_fragment,
-                                           kFragmentsPerBlock);
-          }
+        if (r.kind != IntentionKind::kShadowMap ||
+            RemapState(r) == Remap::kApplied) {
+          continue;
+        }
+        auto server = disks_->Get(r.new_disk);
+        if (server.ok()) {
+          (void)(*server)->FreeFragments(r.new_fragment, kFragmentsPerBlock);
         }
       }
       ++stats_.recovered_discarded;

@@ -21,9 +21,12 @@
 //     preserves the contiguity the disk layout worked for), and always for
 //     record-level locking;
 //   * the shadow-page technique otherwise (less commit I/O, but it
-//     scatters blocks — the E7 trade-off).
+//     scatters blocks — the E7 trade-off). The shadow pages go to fresh
+//     blocks in the same flush as the force that commits them.
 // Recovery replays the log: committed-but-incomplete transactions are
-// redone; tentative ones are discarded and their shadow blocks freed.
+// redone if their shadow pages read back intact; tentative ones, and
+// committed ones whose pages did not land, are discarded and their shadow
+// blocks freed.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +74,8 @@ struct TxnServiceStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts_explicit = 0;
   std::uint64_t aborts_broken = 0;  // victims of the timeout rule
-  std::uint64_t wal_commits = 0;    // per touched file
-  std::uint64_t shadow_commits = 0;
+  std::uint64_t wal_commits = 0;    // per file a commit wrote by WAL
+  std::uint64_t shadow_commits = 0;  // per shadow-paged file
   std::uint64_t pages_logged = 0;
   std::uint64_t ranges_logged = 0;
   std::uint64_t recovered_redone = 0;
@@ -242,11 +245,12 @@ class TransactionService {
                                         std::span<std::uint8_t> out);
 
   // Commit machinery. End() runs in three acts:
-  //  1. StageCommit (under mu_): pick techniques, stage shadow blocks,
-  //     append every intention record — including the commit status — to
-  //     the group-commit pipeline;
-  //  2. AwaitDurable (mu_ RELEASED): block until the batch carrying the
-  //     commit record is forced to stable storage;
+  //  1. StageCommit (under mu_): pick techniques, allocate shadow blocks,
+  //     append every intention record — including the commit status, which
+  //     carries the shadow pages — to the group-commit pipeline; nothing is
+  //     written yet;
+  //  2. AwaitDurable (mu_ RELEASED): block until the flush that forces the
+  //     batch carrying the commit record has also written its shadow pages;
   //  3. ApplyCommit (under mu_ again): make the changes permanent.
   // Locks release only after act 2 — strict 2PL would be violated if
   // another transaction could read state whose commit record might still
@@ -263,6 +267,10 @@ class TransactionService {
     std::vector<ShadowStage> shadows;
   };
   Status StageCommit(TxnId id, Txn& t, CommitPlan* plan);
+  // Allocates the blocks of plan.shadows — the pages homed on one disk as
+  // one contiguous run when it has one, else one block per page — and
+  // returns the runs of page images to write there.
+  Result<std::vector<FreshRun>> PlaceShadows(const Txn& t, CommitPlan& plan);
   Status ApplyCommit(TxnId id, Txn& t, CommitPlan& plan);
   static bool IsShadowed(const CommitPlan& plan, FileId file,
                          std::uint64_t page);
@@ -282,6 +290,15 @@ class TransactionService {
                        std::span<const std::uint8_t> data);
 
   void Finish(TxnId id);
+
+  // Recovery: where a kShadowMap record's remap stands — the file is
+  // gone, it maps the page to the shadow block already, or the remap is
+  // still to be applied — and whether every pending remap of `records`
+  // has its block read back intact on both copies. A malformed checksum
+  // or a read error fails.
+  enum class Remap : std::uint8_t { kNoFile, kApplied, kPending };
+  Remap RemapState(const IntentionRecord& r);
+  Result<bool> ShadowsLanded(const std::vector<IntentionRecord>& records);
 
   disk::DiskRegistry* disks_;
   file::FileResolver files_;

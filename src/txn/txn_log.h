@@ -71,7 +71,10 @@ struct IntentionRecord {
   DiskId new_disk{};               // kShadowMap
   FragmentIndex new_fragment = 0;  // kShadowMap
   TxnStatus status{TxnStatus::kTentative};  // kStatus
-  std::vector<std::uint8_t> data;  // kRedoPage / kRedoRange payload
+  // kRedoPage / kRedoRange: the payload. kShadowMap: the 8-byte
+  // disk::BlockChecksum of the page image written to the new block, which
+  // recovery checks both copies against before it redoes the remap.
+  std::vector<std::uint8_t> data;
 };
 
 struct TxnLogStats {

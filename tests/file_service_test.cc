@@ -578,8 +578,9 @@ TEST_F(FileServiceTest, ReplaceBlockRelinksAndFreesOld) {
   ASSERT_TRUE(old_loc.ok());
 
   // Stage a shadow block with fresh content and relink.
-  auto shadow = service_->AllocateShadowBlock(*file);
-  ASSERT_TRUE(shadow.ok());
+  auto shadows = service_->AllocateShadowBlocks(*file, 1);
+  ASSERT_TRUE(shadows.ok());
+  const auto* shadow = &shadows->front();
   auto server = disks_.Get(shadow->disk);
   const auto fresh = Pattern(kBlockSize, 0xCC);
   ASSERT_TRUE(

@@ -1,0 +1,439 @@
+// Crash and timing tests for shadow pages that ride the commit force.
+//
+// A transaction's shadow pages are written by the same flush that forces
+// its commit record, as lanes of one section keyed by disk: nothing orders
+// a page before the force any more. Recovery makes up for it by checking
+// each pending page against the checksum its kShadowMap record carries. The
+// crash tests put the shadowed file on disk 1 and the intention log on
+// disk 0's stable device, tear one device at a time, and check what
+// recovery makes of it; the timing tests check what the overlap saves.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+
+#include "file/file_service.h"
+#include "sim/parallel.h"
+#include "txn/transaction_service.h"
+
+namespace rhodos::txn {
+namespace {
+
+using file::FileService;
+using file::FileServiceConfig;
+using file::LockLevel;
+
+constexpr std::uint64_t kFileBlocks = 4;
+constexpr std::uint8_t kNew = 0xD4;    // written by the transaction
+constexpr std::uint8_t kLater = 0xE5;  // written in place after it
+
+// With no seek cost, every reference costs rotation plus transfer wherever
+// the head rests, so a commit costs the same on either disk.
+disk::DiskServerConfig DiskConfig() {
+  disk::DiskServerConfig c;
+  c.geometry.total_fragments = 8192;
+  c.geometry.fragments_per_track = 32;
+  c.geometry.seek_base = 0;
+  c.geometry.seek_per_track = 0;
+  c.cache_capacity_tracks = 16;
+  return c;
+}
+
+// What one reference of `fragments` costs under DiskConfig().
+SimTime Reference(std::uint32_t fragments) {
+  const sim::DiskGeometry g = DiskConfig().geometry;
+  return g.rotational_latency + fragments * g.transfer_per_fragment;
+}
+
+std::vector<std::uint8_t> Block(std::uint8_t fill) {
+  return std::vector<std::uint8_t>(kBlockSize, fill);
+}
+
+sim::DiskFaultPlan TearAfter(std::int64_t writes) {
+  sim::DiskFaultPlan plan;
+  plan.crash_after_writes = writes;
+  return plan;
+}
+
+class ShadowOverlapTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    conflicts_ = sim::LaneConflicts();
+    Rebuild();
+  }
+
+  void TearDown() override { EXPECT_EQ(sim::LaneConflicts(), conflicts_); }
+
+  // Fresh disks, then fresh services.
+  void Rebuild() {
+    txn_.reset();
+    files_.reset();
+    disks_ = std::make_unique<disk::DiskRegistry>();
+    for (int d = 0; d < 2; ++d) disks_->AddDisk(DiskConfig(), &clock_);
+    Restart();
+  }
+
+  void Restart() {
+    txn_.reset();
+    files_.reset();
+    files_ = std::make_unique<FileService>(disks_.get(), &clock_,
+                                           FileServiceConfig{});
+    TxnServiceConfig config;
+    config.technique = TxnServiceConfig::TechniqueOverride::kShadowAlways;
+    txn_ = std::make_unique<TransactionService>(
+        disks_.get(), [this](FileId) -> FileService& { return *files_; },
+        config);
+  }
+
+  disk::DiskServer& Disk(std::uint32_t d) { return **disks_->Get(DiskId{d}); }
+
+  // A page-locked file of kFileBlocks zero blocks homed on disk `d`, with
+  // the bitmap persisted so recovery starts from exactly this allocation.
+  FileId MakeFileOn(std::uint32_t d) {
+    for (;;) {
+      auto file = files_->Create(file::ServiceType::kTransaction,
+                                 kFileBlocks * kBlockSize);
+      EXPECT_TRUE(file.ok());
+      if (file::FileDisk(*file).value != d) continue;
+      EXPECT_TRUE(files_->SetLockLevel(*file, LockLevel::kPage).ok());
+      EXPECT_TRUE(files_->Resize(*file, kFileBlocks * kBlockSize).ok());
+      EXPECT_TRUE(files_->FlushAll().ok());
+      return *file;
+    }
+  }
+
+  // One transaction writing `fill` over `pages` of `file`; returns End's
+  // status.
+  Status Commit(FileId file, std::initializer_list<std::uint64_t> pages,
+                std::uint8_t fill = kNew) {
+    auto t = txn_->Begin(ProcessId{1});
+    EXPECT_TRUE(t.ok());
+    for (std::uint64_t page : pages) {
+      EXPECT_TRUE(txn_->TWrite(*t, file, page * kBlockSize, Block(fill)).ok());
+    }
+    return txn_->End(*t);
+  }
+
+  // Power cut, then the restart order up to (not including) transaction
+  // recovery.
+  void CrashAndRestart() {
+    disks_->CrashAll();
+    files_->Crash();
+    ASSERT_TRUE(disks_->RecoverAll().ok());
+    Restart();
+    ASSERT_TRUE(files_->RecoverSnapshots().ok());
+  }
+
+  // The shadow-map records the stable log holds.
+  std::vector<IntentionRecord> ShadowRecords() {
+    std::vector<IntentionRecord> out;
+    EXPECT_TRUE(txn_->log()
+                    .Scan([&](const IntentionRecord& r) {
+                      if (r.kind == IntentionKind::kShadowMap) {
+                        out.push_back(r);
+                      }
+                    })
+                    .ok());
+    return out;
+  }
+
+  std::vector<std::uint8_t> ReadBlock(FileId file, std::uint64_t block) {
+    std::vector<std::uint8_t> out(kBlockSize);
+    EXPECT_TRUE(files_->ReadBlock(file, block, out).ok());
+    return out;
+  }
+
+  SimClock clock_;
+  std::unique_ptr<disk::DiskRegistry> disks_;
+  std::unique_ptr<FileService> files_;
+  std::unique_ptr<TransactionService> txn_;
+  std::uint64_t conflicts_ = 0;
+};
+
+// --- crashes -----------------------------------------------------------------
+
+// The force lands but one copy of the shadow page tears: the commit record
+// is durable, its page is not, so recovery discards the transaction.
+TEST_F(ShadowOverlapTest, TornShadowCopyUnderALandedForceIsDiscarded) {
+  for (const bool tear_mirror : {false, true}) {
+    Rebuild();
+    const FileId file = MakeFileOn(1);
+    disk::DiskServer& d1 = Disk(1);
+    const std::uint64_t free_before = d1.FreeFragmentCount();
+    (tear_mirror ? d1.stable_device() : d1.main_device())
+        .SetFaultPlan(TearAfter(0));
+    EXPECT_FALSE(Commit(file, {0}).ok()) << "tear_mirror=" << tear_mirror;
+    EXPECT_EQ(txn_->log().stats().forces, 1u) << "the force landed";
+
+    CrashAndRestart();
+    const std::vector<IntentionRecord> shadows = ShadowRecords();
+    ASSERT_EQ(shadows.size(), 1u);
+    ASSERT_TRUE(txn_->Recover().ok());
+    EXPECT_EQ(txn_->stats().recovered_redone, 0u);
+    EXPECT_EQ(txn_->stats().recovered_discarded, 1u);
+    EXPECT_EQ(ReadBlock(file, 0), Block(0)) << "tear_mirror=" << tear_mirror;
+    EXPECT_FALSE(d1.IsFragmentAllocated(shadows[0].new_fragment));
+    EXPECT_EQ(d1.FreeFragmentCount(), free_before);
+  }
+}
+
+// The shadow page lands but the force tears: the commit record never
+// reached the log, so the transaction is discarded as it always was.
+TEST_F(ShadowOverlapTest, LandedShadowUnderATornForceIsDiscarded) {
+  const FileId file = MakeFileOn(1);
+  disk::DiskServer& d1 = Disk(1);
+  const std::uint64_t free_before = d1.FreeFragmentCount();
+  const std::uint64_t writes_before = d1.main_stats().write_references;
+  Disk(0).stable_device().SetFaultPlan(TearAfter(0));
+  EXPECT_FALSE(Commit(file, {0}).ok());
+  EXPECT_EQ(d1.main_stats().write_references, writes_before + 1)
+      << "the shadow page landed";
+
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(txn_->stats().recovered_redone, 0u);
+  EXPECT_EQ(ReadBlock(file, 0), Block(0));
+  EXPECT_EQ(d1.FreeFragmentCount(), free_before);
+}
+
+// Page and force both land, then the apply tears (the remapped index
+// table's store): recovery finds the page intact and redoes the remap.
+TEST_F(ShadowOverlapTest, LandedShadowAndForceWithATornApplyIsRedone) {
+  for (const bool tear_mirror : {false, true}) {
+    Rebuild();
+    const FileId file = MakeFileOn(1);
+    disk::DiskServer& d1 = Disk(1);
+    // Either device: the shadow copy, then the table store.
+    (tear_mirror ? d1.stable_device() : d1.main_device())
+        .SetFaultPlan(TearAfter(1));
+    EXPECT_FALSE(Commit(file, {0}).ok()) << "tear_mirror=" << tear_mirror;
+    EXPECT_EQ(txn_->stats().commits, 1u) << "the force went through";
+
+    CrashAndRestart();
+    ASSERT_TRUE(txn_->Recover().ok());
+    EXPECT_EQ(txn_->stats().recovered_redone, 1u);
+    EXPECT_EQ(ReadBlock(file, 0), Block(kNew)) << "tear_mirror=" << tear_mirror;
+    auto loc = files_->LocateBlock(file, 0);
+    ASSERT_TRUE(loc.ok());
+    EXPECT_TRUE(d1.IsFragmentAllocated(loc->first_fragment))
+        << "tear_mirror=" << tear_mirror << " at " << loc->first_fragment;
+  }
+}
+
+// A copy that cannot be read leaves recovery unable to decide: it fails
+// and changes nothing, and a later attempt with the device healthy redoes
+// the transaction.
+TEST_F(ShadowOverlapTest, VerificationReadErrorFailsRecoverAndFreesNothing) {
+  const FileId file = MakeFileOn(1);
+  disk::DiskServer& d1 = Disk(1);
+  d1.main_device().SetFaultPlan(TearAfter(1));  // tears the apply
+  EXPECT_FALSE(Commit(file, {0}).ok());
+
+  CrashAndRestart();
+  const std::vector<IntentionRecord> shadows = ShadowRecords();
+  ASSERT_EQ(shadows.size(), 1u);
+  auto old_loc = files_->LocateBlock(file, 0);  // caches the table
+  ASSERT_TRUE(old_loc.ok());
+  ASSERT_NE(old_loc->first_fragment, shadows[0].new_fragment);
+  ASSERT_TRUE(d1.AllocateSpecific(shadows[0].new_fragment, kFragmentsPerBlock)
+                  .ok());
+  const std::uint64_t free_before = d1.FreeFragmentCount();
+  sim::DiskFaultPlan unreadable;
+  unreadable.media_error_rate = 1.0;
+  d1.stable_device().SetFaultPlan(unreadable);
+  const Status failed = txn_->Recover();
+  EXPECT_EQ(failed.code(), ErrorCode::kMediaError);
+  EXPECT_EQ(txn_->stats().recovered_redone, 0u);
+  EXPECT_EQ(txn_->stats().recovered_discarded, 0u);
+  EXPECT_EQ(d1.FreeFragmentCount(), free_before);
+  EXPECT_TRUE(d1.IsFragmentAllocated(shadows[0].new_fragment));
+  auto loc = files_->LocateBlock(file, 0);
+  ASSERT_TRUE(loc.ok());
+  EXPECT_EQ(loc->first_fragment, old_loc->first_fragment);
+
+  d1.stable_device().SetFaultPlan({});
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(txn_->stats().recovered_redone, 1u);
+  EXPECT_EQ(ReadBlock(file, 0), Block(kNew));
+}
+
+// A shadow-map record's checksum is 8 bytes; any other length is a
+// damaged log, which recovery reports instead of trusting.
+TEST_F(ShadowOverlapTest, ShadowMapWithAMalformedChecksumFailsRecover) {
+  const FileId file = MakeFileOn(1);
+  for (const std::size_t bytes : {0u, 3u, 9u}) {
+    const TxnId t{100 + bytes};
+    ASSERT_TRUE(txn_->log()
+                    .Append(IntentionRecord{IntentionKind::kBegin, t, {}, 0, 0,
+                                            {}, 0, TxnStatus::kTentative, {}})
+                    .ok());
+    IntentionRecord shadow{IntentionKind::kShadowMap, t, file, 0, 0,
+                           DiskId{1}, 4000, TxnStatus::kTentative, {}};
+    shadow.data.assign(bytes, 0x5A);
+    ASSERT_TRUE(txn_->log().Append(shadow).ok());
+    ASSERT_TRUE(txn_->log()
+                    .Append(IntentionRecord{IntentionKind::kStatus, t, {}, 0,
+                                            0, {}, 0, TxnStatus::kCommit, {}})
+                    .ok());
+    EXPECT_EQ(txn_->Recover().code(), ErrorCode::kMediaError)
+        << bytes << "-byte checksum";
+    EXPECT_EQ(ReadBlock(file, 0), Block(0));
+    ASSERT_TRUE(txn_->log().Truncate().ok());
+  }
+}
+
+// A remap already applied is the file's block: a later in-place write may
+// change its bytes, and recovery must neither check nor free it.
+TEST_F(ShadowOverlapTest, AppliedRemapRewrittenInPlaceIsKept) {
+  const FileId file = MakeFileOn(1);
+  // An open transaction keeps the log from resetting at the commit.
+  auto open = txn_->Begin(ProcessId{2});
+  ASSERT_TRUE(open.ok());
+  ASSERT_TRUE(Commit(file, {0}).ok());
+  auto loc = files_->LocateBlock(file, 0);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_TRUE(files_->Write(file, 0, Block(kLater)).ok());
+  ASSERT_TRUE(files_->FlushAll().ok());
+
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(txn_->stats().recovered_redone, 1u);
+  EXPECT_EQ(txn_->stats().recovered_discarded, 0u);
+  EXPECT_EQ(ReadBlock(file, 0), Block(kLater));
+  EXPECT_TRUE(Disk(1).IsFragmentAllocated(loc->first_fragment));
+}
+
+// --- timing ------------------------------------------------------------------
+
+// On disk 1 the shadow page and the force on disk 0 overlap: the commit
+// pays the slower of the two plus two lane dispatches, where the same
+// commit on the log's disk pays both in turn.
+TEST_F(ShadowOverlapTest, CommitOnTheOtherDiskHidesTheForce) {
+  const FileId on_log_disk = MakeFileOn(0);
+  const FileId off_log_disk = MakeFileOn(1);
+  // After one commit, each timed commit finds a log reset pending and
+  // forces the same frames at offset 0.
+  ASSERT_TRUE(Commit(on_log_disk, {1}).ok());
+
+  auto timed = [&](FileId file) {
+    const SimTime t0 = clock_.Now();
+    EXPECT_TRUE(Commit(file, {0}).ok());
+    return clock_.Now() - t0;
+  };
+  const SimTime serial = timed(on_log_disk);
+  const SimTime force_before = Disk(0).stable_stats().time_charged;
+  const SimTime overlapped = timed(off_log_disk);
+  const SimTime force = Disk(0).stable_stats().time_charged - force_before;
+  EXPECT_EQ(txn_->stats().shadow_commits, 3u);
+  ASSERT_GT(force, 2 * sim::kLaneDispatchCost);
+  EXPECT_EQ(serial - overlapped, force - 2 * sim::kLaneDispatchCost);
+  EXPECT_EQ(ReadBlock(off_log_disk, 0), Block(kNew));
+}
+
+// Two pages homed on one disk get one contiguous run, staged with one
+// reference per device: the second page adds only its own index-table
+// re-store to a one-page commit.
+TEST_F(ShadowOverlapTest, TwoShadowPagesOnOneDiskShareOneRun) {
+  const FileId file = MakeFileOn(1);
+  disk::DiskServer& d1 = Disk(1);
+  // A one-block hole, which one-block-per-page allocation would fill first.
+  auto hole = d1.AllocateBlocks(1);
+  ASSERT_TRUE(hole.ok());
+  ASSERT_TRUE(d1.AllocateBlocks(1).ok());
+  ASSERT_TRUE(d1.FreeFragments(*hole, kFragmentsPerBlock).ok());
+  auto writes = [&](std::initializer_list<std::uint64_t> pages) {
+    const std::uint64_t main = d1.main_stats().write_references;
+    const std::uint64_t mirror = d1.stable_stats().write_references;
+    EXPECT_TRUE(Commit(file, pages).ok());
+    return std::pair{d1.main_stats().write_references - main,
+                     d1.stable_stats().write_references - mirror};
+  };
+  const auto two = writes({0, 2});
+  auto first = files_->LocateBlock(file, 0);
+  auto second = files_->LocateBlock(file, 2);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(second->disk, first->disk);
+  EXPECT_EQ(second->first_fragment, first->first_fragment + kFragmentsPerBlock);
+  EXPECT_NE(first->first_fragment, *hole);
+  EXPECT_EQ(ReadBlock(file, 0), Block(kNew));
+  EXPECT_EQ(ReadBlock(file, 2), Block(kNew));
+
+  const auto one = writes({1});
+  EXPECT_EQ(two.first, one.first + 1);
+  EXPECT_EQ(two.second, one.second + 1);
+}
+
+// --- the flush itself --------------------------------------------------------
+
+class FreshRunFlushTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int d = 0; d < 2; ++d) disks_.AddDisk(DiskConfig(), &clock_);
+    disk::DiskServer& d0 = Disk(0);
+    const FragmentIndex first = d0.MetadataFragments();
+    ASSERT_TRUE(d0.AllocateSpecific(first, 16).ok());
+    log_ = std::make_unique<TxnLog>(&d0, first, 16);
+    pipeline_ = std::make_unique<LogPipeline>(log_.get(), &d0, &mu_,
+                                              GroupCommitConfig{});
+  }
+
+  disk::DiskServer& Disk(std::uint32_t d) { return **disks_.Get(DiskId{d}); }
+
+  // Commits one record carrying a `blocks`-block run on disk `d`; returns
+  // the elapsed sim time.
+  SimTime CommitWithRun(std::uint32_t d, std::uint32_t blocks) {
+    disk::DiskServer& server = Disk(d);
+    auto first = server.AllocateBlocks(blocks);
+    EXPECT_TRUE(first.ok());
+    std::vector<FreshRun> runs;
+    runs.push_back(FreshRun{&server, *first,
+                            std::vector<std::uint8_t>(blocks * kBlockSize, 7)});
+    const SimTime t0 = clock_.Now();
+    auto ticket = [&] {
+      std::scoped_lock io(mu_);
+      return pipeline_->Append(
+          IntentionRecord{IntentionKind::kStatus, TxnId{1}, {}, 0, 0, {}, 0,
+                          TxnStatus::kCommit, {}},
+          std::move(runs));
+    }();
+    EXPECT_TRUE(ticket.ok());
+    EXPECT_TRUE(pipeline_->AwaitDurable(*ticket).ok());
+    return clock_.Now() - t0;
+  }
+
+  SimClock clock_;
+  disk::DiskRegistry disks_;
+  std::mutex mu_;
+  std::unique_ptr<TxnLog> log_;
+  std::unique_ptr<LogPipeline> pipeline_;
+};
+
+// Two blocks on disk 1 go out as one reference per device, in a lane
+// beside the force on disk 0: the flush costs the slower lane plus two
+// dispatches.
+TEST_F(FreshRunFlushTest, RunOnAnotherDiskOverlapsTheForce) {
+  const std::uint64_t conflicts = sim::LaneConflicts();
+  const SimTime elapsed = CommitWithRun(1, 2);
+  EXPECT_EQ(Disk(1).main_stats().write_references, 1u);
+  EXPECT_EQ(Disk(1).main_stats().fragments_written, 2 * kFragmentsPerBlock);
+  EXPECT_EQ(Disk(1).stable_stats().write_references, 1u);
+  EXPECT_EQ(Disk(0).stable_stats().write_references, 1u);  // the force
+  EXPECT_EQ(Disk(0).main_stats().write_references, 0u);
+  // Main and mirror of the run overlap too, inside the run's lane.
+  const SimTime run =
+      Reference(2 * kFragmentsPerBlock) + 2 * sim::kLaneDispatchCost;
+  EXPECT_EQ(elapsed, std::max(run, Reference(1)) + 2 * sim::kLaneDispatchCost);
+  EXPECT_EQ(sim::LaneConflicts(), conflicts);
+}
+
+// On the log's own disk there is nothing to overlap: the run, then the
+// force, with no dispatch charged around them.
+TEST_F(FreshRunFlushTest, RunOnTheLogDiskPrecedesTheForce) {
+  const SimTime elapsed = CommitWithRun(0, 1);
+  EXPECT_EQ(Disk(0).main_stats().write_references, 1u);
+  EXPECT_EQ(Disk(0).stable_stats().write_references, 2u);  // mirror, force
+  EXPECT_EQ(elapsed, Reference(kFragmentsPerBlock) +
+                         2 * sim::kLaneDispatchCost + Reference(1));
+}
+
+}  // namespace
+}  // namespace rhodos::txn

@@ -99,8 +99,9 @@ EndCost TimedEnd(TransactionService& txn, TxnId t, disk::DiskRegistry& disks,
 
 // Makes `file` non-contiguous so its commits take the shadow-page path.
 void Fragment(FileService& files, disk::DiskRegistry& disks, FileId file) {
-  auto shadow = files.AllocateShadowBlock(file);
-  ASSERT_TRUE(shadow.ok());
+  auto shadows = files.AllocateShadowBlocks(file, 1);
+  ASSERT_TRUE(shadows.ok());
+  const auto* shadow = &shadows->front();
   std::vector<std::uint8_t> image(kBlockSize);
   ASSERT_TRUE(files.ReadBlock(file, 1, image).ok());
   ASSERT_TRUE((*disks.Get(shadow->disk))
@@ -224,6 +225,34 @@ TEST_F(TxnServiceTest, FragmentedFileCommitsViaShadowPage) {
   std::vector<std::uint8_t> out(kBlockSize);
   ASSERT_TRUE(files_->Read(file, 2 * kBlockSize, out).ok());
   EXPECT_EQ(out, update);
+}
+
+// txn.wal_commits counts each file a commit wrote by WAL, a record-locked
+// file included whatever else the transaction wrote.
+TEST_F(TxnServiceTest, WalCommitsCountEveryRecordLockedFileWritten) {
+  const FileId records = MakeFile(LockLevel::kRecord, 1000, 1);
+  const FileId more_records = MakeFile(LockLevel::kRecord, 1000, 2);
+  const FileId pages = MakeFile(LockLevel::kPage, 4 * kBlockSize, 3);
+  Fragment(*files_, *disks_, pages);
+
+  txn_->ResetStats();
+  auto mixed = txn_->Begin(ProcessId{1});
+  ASSERT_TRUE(txn_->TWrite(*mixed, records, 10, Pattern(8, 0x21)).ok());
+  ASSERT_TRUE(txn_->TWrite(*mixed, pages, 2 * kBlockSize,
+                           Pattern(kBlockSize, 0x22)).ok());
+  ASSERT_TRUE(txn_->End(*mixed).ok());
+  EXPECT_EQ(txn_->stats().wal_commits, 1u);
+  EXPECT_EQ(txn_->stats().shadow_commits, 1u);
+
+  txn_->ResetStats();
+  auto two_files = txn_->Begin(ProcessId{1});
+  ASSERT_TRUE(txn_->TWrite(*two_files, records, 10, Pattern(8, 0x23)).ok());
+  ASSERT_TRUE(txn_->TWrite(*two_files, records, 40, Pattern(8, 0x24)).ok());
+  ASSERT_TRUE(
+      txn_->TWrite(*two_files, more_records, 20, Pattern(8, 0x25)).ok());
+  ASSERT_TRUE(txn_->End(*two_files).ok());
+  EXPECT_EQ(txn_->stats().wal_commits, 2u);
+  EXPECT_EQ(txn_->stats().shadow_commits, 0u);
 }
 
 // --- commit-time overlap ---------------------------------------------------------
@@ -577,8 +606,9 @@ TEST_F(TxnServiceTest, TornIntentionLogIsNeverPartiallyReplayed) {
 }
 
 // The staged shadow page is written main and mirror at once, so a crash
-// can tear either copy. Before the commit force that is harmless: the
-// transaction is discarded and its block is free again after recovery.
+// can tear either copy. The force after it in the same lane may still
+// land, but recovery finds the page torn: the transaction is discarded and
+// its block is free again after recovery.
 TEST_F(TxnServiceTest, TornShadowStagingIsDiscardedAndItsBlockFreed) {
   for (const bool tear_mirror : {false, true}) {
     Rebuild(TxnServiceConfig{});
