@@ -27,12 +27,12 @@ run_suite() {
   cmake -B "$dir" -S . "$@" >/dev/null
   cmake --build "$dir" -j "$jobs"
   ctest --test-dir "$dir" --output-on-failure -j "$jobs"
-  # The full run above covers every labelled matrix (txn, repl, shard,
-  # lease, snap, cachetier, cache, recovery, hostile, crash); CI can also
-  # run one alone with `ctest -L`.
+  # The full run above covers every labelled matrix (disk, txn, repl,
+  # shard, lease, snap, cachetier, cache, recovery, hostile, crash); CI
+  # can also run one alone with `ctest -L`.
   # A label that selects nothing means a suite lost its label: fail loudly.
   local label
-  for label in txn repl shard lease snap cachetier cache recovery hostile crash; do
+  for label in disk txn repl shard lease snap cachetier cache recovery hostile crash; do
     if ctest --test-dir "$dir" -N -L "^${label}\$" | grep -q "Total Tests: 0"; then
       echo "no test carries the ctest label '$label'" >&2
       exit 1

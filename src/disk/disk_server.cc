@@ -442,8 +442,20 @@ Status DiskServer::PersistMetadata(WriteSync sync) {
   bitmap_.SerializeTo(ser);
   std::vector<std::uint8_t> region(metadata_fragments_ * kFragmentSize, 0);
   std::memcpy(region.data(), ser.buffer().data(), ser.size());
-  return PutBlock(0, static_cast<std::uint32_t>(metadata_fragments_), region,
-                  StableMode::kOriginalAndStable, sync);
+  RHODOS_RETURN_IF_ERROR(
+      PutBlock(0, static_cast<std::uint32_t>(metadata_fragments_), region,
+               StableMode::kOriginalAndStable, sync));
+  // The newest image supersedes any queued for the mirror, so at most one
+  // waits there: the one an asynchronous persist just queued, at the back.
+  const auto older = stable_queue_.end() -
+                     (sync == WriteSync::kAsynchronous ? 1 : 0);
+  stable_queue_.erase(
+      std::remove_if(stable_queue_.begin(), older,
+                     [this](const PendingStableWrite& w) {
+                       return w.first < metadata_fragments_;
+                     }),
+      older);
+  return OkStatus();
 }
 
 void DiskServer::Crash() {

@@ -228,7 +228,9 @@ class DiskServer {
 
   // Writes the bitmap to its reserved region (original + stable): the
   // "vital structural information" of §2.1. The file and transaction
-  // services call this at allocation-visible commit points.
+  // services call this at allocation-visible commit points. An image
+  // replaces any older one still queued for the mirror, so at most one
+  // metadata image waits in the asynchronous stable queue.
   Status PersistMetadata(WriteSync sync = WriteSync::kSynchronous);
 
   // Machine crash: volatile state (track cache, delayed writes, async

@@ -999,6 +999,12 @@ Status FileService::ReplaceBlock(FileId id, std::uint64_t block_index,
   return StoreTable(id, *of);
 }
 
+Status FileService::CacheDurableBlock(FileId id, std::uint64_t block_index,
+                                      std::span<const std::uint8_t> image) {
+  RHODOS_RETURN_IF_ERROR(CacheInsert(id, block_index, image, /*dirty=*/false));
+  return OkStatus();
+}
+
 Result<std::vector<disk::DiskRegistry::Placement>>
 FileService::AllocateShadowBlocks(FileId id, std::uint32_t count) {
   std::vector<disk::DiskRegistry::Placement> blocks;

@@ -227,6 +227,11 @@ class FileService {
   // freed. Persists the index table (original + stable).
   Status ReplaceBlock(FileId id, std::uint64_t block_index, DiskId disk,
                       FragmentIndex fragment);
+  // Caches `image`, which logical block `block_index` already holds on
+  // disk, as a clean block. A shadow commit hands over the pages it
+  // remapped this way, so a read after the commit costs no disk reference.
+  Status CacheDurableBlock(FileId id, std::uint64_t block_index,
+                           std::span<const std::uint8_t> image);
 
   // Allocates `count` free blocks without linking them into any file —
   // shadow-page staging space for pages homed on `id`'s disk: one

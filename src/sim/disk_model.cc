@@ -12,7 +12,34 @@ DiskModel::DiskModel(DiskGeometry geometry, SimClock* clock,
     : geometry_(geometry),
       clock_(clock),
       fault_rng_(fault_seed),
-      platter_(geometry.total_fragments * kFragmentSize, 0) {}
+      chunks_((geometry.total_fragments * kFragmentSize + kChunkBytes - 1) /
+              kChunkBytes) {}
+
+void DiskModel::CopyOut(std::uint64_t at, std::span<std::uint8_t> out) const {
+  while (!out.empty()) {
+    const std::size_t within = at % kChunkBytes;
+    const std::size_t n = std::min(out.size(), kChunkBytes - within);
+    if (const Chunk* chunk = chunks_[at / kChunkBytes].get()) {
+      std::memcpy(out.data(), chunk->data() + within, n);
+    } else {
+      std::memset(out.data(), 0, n);
+    }
+    at += n;
+    out = out.subspan(n);
+  }
+}
+
+void DiskModel::CopyIn(std::uint64_t at, std::span<const std::uint8_t> in) {
+  while (!in.empty()) {
+    const std::size_t within = at % kChunkBytes;
+    const std::size_t n = std::min(in.size(), kChunkBytes - within);
+    std::unique_ptr<Chunk>& chunk = chunks_[at / kChunkBytes];
+    if (chunk == nullptr) chunk = std::make_unique<Chunk>();  // zero-filled
+    std::memcpy(chunk->data() + within, in.data(), n);
+    at += n;
+    in = in.subspan(n);
+  }
+}
 
 Status DiskModel::ValidateRange(FragmentIndex first,
                                 std::uint32_t count) const {
@@ -66,8 +93,8 @@ Status DiskModel::ReadFragments(FragmentIndex first, std::uint32_t count,
     return {ErrorCode::kMediaError,
             "unrecoverable read error at fragment " + std::to_string(first)};
   }
-  std::memcpy(out.data(), platter_.data() + first * kFragmentSize,
-              static_cast<std::size_t>(count) * kFragmentSize);
+  CopyOut(first * kFragmentSize,
+          out.first(static_cast<std::size_t>(count) * kFragmentSize));
   return OkStatus();
 }
 
@@ -91,8 +118,8 @@ Status DiskModel::WriteFragments(FragmentIndex first, std::uint32_t count,
       const auto persisted =
           static_cast<std::uint32_t>(fault_rng_.Below(count));
       if (persisted > 0) {
-        std::memcpy(platter_.data() + first * kFragmentSize, in.data(),
-                    static_cast<std::size_t>(persisted) * kFragmentSize);
+        CopyIn(first * kFragmentSize,
+               in.first(static_cast<std::size_t>(persisted) * kFragmentSize));
         stats_.fragments_written += persisted;
       }
       crashed_ = true;
@@ -103,20 +130,29 @@ Status DiskModel::WriteFragments(FragmentIndex first, std::uint32_t count,
     --writes_until_crash_;
   }
 
-  std::memcpy(platter_.data() + first * kFragmentSize, in.data(),
-              static_cast<std::size_t>(count) * kFragmentSize);
+  CopyIn(first * kFragmentSize,
+         in.first(static_cast<std::size_t>(count) * kFragmentSize));
   stats_.fragments_written += count;
   return OkStatus();
 }
 
 std::span<const std::uint8_t> DiskModel::RawFragment(FragmentIndex f) const {
-  return {platter_.data() + f * kFragmentSize, kFragmentSize};
+  static constexpr std::array<std::uint8_t, kFragmentSize> kZeroFragment{};
+  const std::uint64_t at = f * kFragmentSize;
+  const Chunk* chunk = chunks_[at / kChunkBytes].get();
+  if (chunk == nullptr) return kZeroFragment;
+  return {chunk->data() + at % kChunkBytes, kFragmentSize};
+}
+
+std::uint64_t DiskModel::ResidentBytes() const {
+  return kChunkBytes * static_cast<std::uint64_t>(std::count_if(
+                           chunks_.begin(), chunks_.end(),
+                           [](const auto& chunk) { return chunk != nullptr; }));
 }
 
 void DiskModel::RawOverwrite(FragmentIndex f,
                              std::span<const std::uint8_t> data) {
-  std::memcpy(platter_.data() + f * kFragmentSize, data.data(),
-              std::min(data.size(), kFragmentSize));
+  CopyIn(f * kFragmentSize, data.first(std::min(data.size(), kFragmentSize)));
 }
 
 }  // namespace rhodos::sim

@@ -16,9 +16,17 @@
 //
 // Fault injection supports the reliability experiments: media errors on
 // read, torn writes, and whole-disk crash/recover cycles.
+//
+// The platter is sparse: it holds one block-sized chunk (kFragmentsPerBlock
+// fragments) per slot, allocated by the first write that touches it, and a
+// chunk never written reads as zeros. A model's memory therefore follows
+// the data written to it, not its geometry; the cost model does not see
+// the difference.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -132,21 +140,35 @@ class DiskModel {
   void Recover() { crashed_ = false; }
   bool crashed() const { return crashed_; }
 
-  // Direct platter access for tests and recovery assertions; charges no cost.
+  // Direct platter access for tests and recovery assertions; charges no
+  // cost. A RawFragment span is valid only until the next write to its
+  // chunk: a fragment of a chunk never written is a shared zero fragment,
+  // which the write does not change.
   std::span<const std::uint8_t> RawFragment(FragmentIndex f) const;
   void RawOverwrite(FragmentIndex f, std::span<const std::uint8_t> data);
 
+  // Bytes of platter the model holds: one chunk per slot written so far.
+  std::uint64_t ResidentBytes() const;
+
  private:
+  static constexpr std::size_t kChunkBytes = kBlockSize;
+  using Chunk = std::array<std::uint8_t, kChunkBytes>;
+
   Status ValidateRange(FragmentIndex first, std::uint32_t count) const;
   void ChargeReference(FragmentIndex first, std::uint32_t count,
                        bool charge_seek);
+  // The one copy between the platter and a caller's buffer, at platter
+  // byte address `at`, chunk by chunk. CopyOut reads an absent chunk as
+  // zeros; CopyIn allocates it.
+  void CopyOut(std::uint64_t at, std::span<std::uint8_t> out) const;
+  void CopyIn(std::uint64_t at, std::span<const std::uint8_t> in);
 
   DiskGeometry geometry_;
   SimClock* clock_;
   Rng fault_rng_;
   DiskFaultPlan faults_;
   DiskStats stats_;
-  std::vector<std::uint8_t> platter_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // null: never written
   std::uint64_t head_track_{0};
   std::int64_t writes_until_crash_{-1};
   bool crashed_{false};

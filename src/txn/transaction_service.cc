@@ -659,6 +659,13 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
       }));
   RHODOS_RETURN_IF_ERROR(ApplyFileEffects(
       t, plan, [&serial](FileId f) { return serial.contains(f); }));
+  // Each remapped page's new block holds its image since the commit force:
+  // keep that image cached. Inserting only now, outside the lanes, keeps
+  // an eviction's write-back out of them.
+  for (const CommitPlan::ShadowStage& s : plan.shadows) {
+    RHODOS_RETURN_IF_ERROR(files_(s.file).CacheDurableBlock(
+        s.file, s.page, t.tentative_pages.at({s.file.value, s.page})));
+  }
   // Sizes recorded by the transaction (growth via ranges/pages). Applying
   // whole page images rounds the size up to a block boundary; settle on the
   // exact byte size the transaction recorded.

@@ -1,7 +1,13 @@
 // Unit tests for the simulated disk: cost model, reference counting,
-// continuation reads, fault injection.
+// continuation reads, fault injection, and the sparse platter against a
+// dense reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+
+#include "common/rng.h"
 #include "common/sim_clock.h"
 #include "sim/disk_model.h"
 
@@ -127,6 +133,111 @@ TEST(DiskModelTest, RawAccessBypassesCostModel) {
   auto raw = disk.RawFragment(7);
   EXPECT_EQ(raw[0], 0x5A);
   EXPECT_EQ(clock.Now(), 0);
+}
+
+// --- sparse platter --------------------------------------------------------
+
+TEST(DiskModelTest, FreshModelHoldsNoPlatterAndOneWriteOneChunk) {
+  DiskGeometry g;
+  g.total_fragments = (std::uint64_t{1} << 30) / kFragmentSize;  // 1 GiB
+  DiskModel disk(g, nullptr);
+  EXPECT_EQ(disk.ResidentBytes(), 0u);
+  // Reads of never-written fragments are zeros and allocate nothing.
+  std::vector<std::uint8_t> out(kFragmentSize * 3, 0xEE);
+  ASSERT_TRUE(disk.ReadFragments(g.total_fragments - 3, 3, out).ok());
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(disk.RawFragment(12345)[0], 0);
+  EXPECT_EQ(disk.ResidentBytes(), 0u);
+
+  const std::vector<std::uint8_t> in(kFragmentSize, 0x3C);
+  ASSERT_TRUE(disk.WriteFragments(4097, 1, in).ok());
+  EXPECT_EQ(disk.ResidentBytes(), kFragmentsPerBlock * kFragmentSize);
+  // Another fragment of the same chunk allocates nothing more.
+  disk.RawOverwrite(4096, in);
+  EXPECT_EQ(disk.ResidentBytes(), kFragmentsPerBlock * kFragmentSize);
+  // A write straddling a chunk boundary allocates both chunks.
+  const std::vector<std::uint8_t> two(kFragmentSize * 2, 0x4D);
+  ASSERT_TRUE(disk.WriteFragments(8 * kFragmentsPerBlock - 1, 2, two).ok());
+  EXPECT_EQ(disk.ResidentBytes(), 3 * kFragmentsPerBlock * kFragmentSize);
+}
+
+// Seeded random operations against a dense byte-vector platter: every
+// read, and the raw view of every fragment at the end, must agree.
+TEST(DiskModelTest, SparsePlatterMatchesADenseReference) {
+  DiskGeometry g;
+  g.total_fragments = 203;  // not a whole number of chunks
+  g.fragments_per_track = 16;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    DiskModel disk(g, nullptr, /*fault_seed=*/seed);
+    // The reference replays the model's fault draws: a torn write keeps
+    // the prefix the model's own fault Rng picks.
+    Rng faults(seed);
+    std::vector<std::uint8_t> dense(g.total_fragments * kFragmentSize, 0);
+    std::set<std::uint64_t> chunks;  // chunks some write reached
+    auto wrote = [&chunks](FragmentIndex from, std::uint64_t fragments) {
+      for (FragmentIndex f = from; f < from + fragments; ++f) {
+        chunks.insert(f / kFragmentsPerBlock);
+      }
+    };
+    std::vector<std::uint8_t> buf;
+    for (int op = 0; op < 300; ++op) {
+      const std::uint64_t kind = rng.Below(10);
+      const auto count = static_cast<std::uint32_t>(1 + rng.Below(9));
+      const FragmentIndex first = rng.Below(g.total_fragments - count + 1);
+      const std::size_t at = first * kFragmentSize;
+      const std::size_t bytes = std::size_t{count} * kFragmentSize;
+      if (kind < 4) {
+        buf.assign(bytes, 0xAA);
+        ASSERT_TRUE(disk.ReadFragments(first, count, buf).ok());
+        ASSERT_EQ(0, std::memcmp(buf.data(), dense.data() + at, bytes))
+            << "read [" << first << ", +" << count << ")";
+      } else if (kind < 8) {
+        buf.resize(bytes);
+        for (auto& b : buf) b = static_cast<std::uint8_t>(rng.Below(256));
+        if (kind == 7 && rng.Chance(0.3)) {
+          disk.SetFaultPlan(DiskFaultPlan{
+              .crash_after_writes = static_cast<std::int64_t>(rng.Below(2))});
+        }
+        const Status st = disk.WriteFragments(first, count, buf);
+        if (st.ok()) {
+          std::memcpy(dense.data() + at, buf.data(), bytes);
+          wrote(first, count);
+        } else {
+          // Torn: a prefix of the fault Rng's choosing persisted.
+          ASSERT_EQ(st.code(), ErrorCode::kDiskCrashed);
+          const std::uint64_t persisted = faults.Below(count);
+          std::memcpy(dense.data() + at, buf.data(),
+                      persisted * kFragmentSize);
+          wrote(first, persisted);
+          disk.Recover();
+        }
+      } else if (kind == 8) {
+        buf.resize(kFragmentSize);
+        for (auto& b : buf) b = static_cast<std::uint8_t>(rng.Below(256));
+        // A raw overwrite may be shorter than a fragment.
+        const std::size_t len = 1 + rng.Below(kFragmentSize);
+        disk.RawOverwrite(first, std::span(buf).first(len));
+        std::memcpy(dense.data() + at, buf.data(), len);
+        wrote(first, 1);
+      } else {
+        disk.Crash();
+        buf.resize(kFragmentSize);
+        EXPECT_EQ(disk.ReadFragments(first, 1, buf).code(),
+                  ErrorCode::kDiskCrashed);
+        disk.Recover();
+      }
+    }
+    for (FragmentIndex f = 0; f < g.total_fragments; ++f) {
+      const auto raw = disk.RawFragment(f);
+      ASSERT_EQ(0, std::memcmp(raw.data(), dense.data() + f * kFragmentSize,
+                               kFragmentSize))
+          << "fragment " << f;
+    }
+    EXPECT_EQ(disk.ResidentBytes(), chunks.size() * kBlockSize);
+  }
 }
 
 }  // namespace

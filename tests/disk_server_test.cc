@@ -216,6 +216,45 @@ TEST_F(DiskServerTest, AsyncStableWriteIsDeferredAndDrainable) {
   EXPECT_EQ(out, payload);
 }
 
+// A metadata image supersedes any older one still queued for the mirror;
+// other asynchronous stable writes keep their place in the queue.
+TEST_F(DiskServerTest, NewerMetadataImageSupersedesTheQueuedOne) {
+  auto data_frag = server_.AllocateBlocks(1);
+  ASSERT_TRUE(data_frag.ok());
+  const std::vector<std::uint8_t> payload(kBlockSize, 0x5E);
+  ASSERT_TRUE(server_.PutBlock(*data_frag, 4, payload,
+                               StableMode::kOriginalAndStable,
+                               WriteSync::kAsynchronous).ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(server_.AllocateFragments(3).ok());
+    ASSERT_TRUE(server_.PersistMetadata(WriteSync::kAsynchronous).ok());
+    EXPECT_EQ(server_.PendingStableWrites(), 2u);
+  }
+  // A synchronous image reaches the mirror now: the queued one is stale.
+  auto last = server_.AllocateFragments(5);
+  ASSERT_TRUE(last.ok());
+  ASSERT_TRUE(server_.PersistMetadata(WriteSync::kSynchronous).ok());
+  EXPECT_EQ(server_.PendingStableWrites(), 1u);
+  ASSERT_TRUE(server_.DrainStableWrites().ok());
+
+  const auto n = static_cast<std::uint32_t>(server_.MetadataFragments());
+  std::vector<std::uint8_t> main(n * kFragmentSize);
+  std::vector<std::uint8_t> mirror(n * kFragmentSize);
+  ASSERT_TRUE(server_.GetBlock(0, n, main).ok());
+  ASSERT_TRUE(server_.GetBlock(0, n, mirror, ReadSource::kStable).ok());
+  EXPECT_EQ(mirror, main);
+  std::vector<std::uint8_t> out(kBlockSize);
+  ASSERT_TRUE(
+      server_.GetBlock(*data_frag, 4, out, ReadSource::kStable).ok());
+  EXPECT_EQ(out, payload);
+  // Recovery from the mirror alone knows the last allocation.
+  const std::vector<std::uint8_t> garbage(kFragmentSize, 0xFF);
+  server_.main_device().RawOverwrite(0, garbage);
+  server_.Crash();
+  ASSERT_TRUE(server_.Recover().ok());
+  EXPECT_TRUE(server_.IsFragmentAllocated(*last + 4));
+}
+
 TEST_F(DiskServerTest, SyncStableWriteCostsMoreThanAsync) {
   auto frag = server_.AllocateBlocks(2);
   ASSERT_TRUE(frag.ok());

@@ -341,6 +341,25 @@ TEST(FileServiceCacheTest, CacheNeverHoldsMoreThanThePoolCapacity) {
   }
 }
 
+// Create persists the bitmap asynchronously. Each image replaces the one
+// still queued for the mirror, so creates leave at most one queued, and a
+// drain leaves the mirror equal to the last persisted image.
+TEST_F(FileServiceTest, CreatesQueueAtMostOneBitmapImageForTheMirror) {
+  disk::DiskServer& disk = **disks_.Get(DiskId{0});
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(service_->Create(ServiceType::kBasic, kBlockSize).ok());
+    EXPECT_LE(disk.PendingStableWrites(), 1u);
+  }
+  const auto n = static_cast<std::uint32_t>(disk.MetadataFragments());
+  std::vector<std::uint8_t> main(n * kFragmentSize);
+  ASSERT_TRUE(disk.GetBlock(0, n, main).ok());
+  ASSERT_TRUE(disk.DrainStableWrites().ok());
+  EXPECT_EQ(disk.PendingStableWrites(), 0u);
+  std::vector<std::uint8_t> mirror(n * kFragmentSize);
+  ASSERT_TRUE(disk.GetBlock(0, n, mirror, disk::ReadSource::kStable).ok());
+  EXPECT_EQ(mirror, main);
+}
+
 TEST_F(FileServiceTest, DeleteReturnsAllSpace) {
   const std::uint64_t free_before = disks_.TotalFreeFragments();
   auto file = service_->Create(ServiceType::kBasic, 64 * 1024);

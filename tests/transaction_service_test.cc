@@ -227,6 +227,40 @@ TEST_F(TxnServiceTest, FragmentedFileCommitsViaShadowPage) {
   EXPECT_EQ(out, update);
 }
 
+// A shadow commit leaves each remapped page's committed image cached in
+// the file service: the read after it reaches no disk. After a server
+// crash the same read goes to the page's new block and finds the same
+// bytes.
+TEST_F(TxnServiceTest, ShadowCommitKeepsTheCommittedPageCached) {
+  const FileId file = MakeFile(LockLevel::kPage, 4 * kBlockSize);
+  Fragment(*files_, *disks_, file);
+  const std::uint64_t conflicts = sim::LaneConflicts();
+  auto t = txn_->Begin(ProcessId{1});
+  const auto update = Pattern(kBlockSize, 0x61);
+  ASSERT_TRUE(txn_->TWrite(*t, file, 2 * kBlockSize, update).ok());
+  ASSERT_TRUE(txn_->End(*t).ok());
+  ASSERT_EQ(txn_->stats().shadow_commits, 1u);
+  EXPECT_EQ(sim::LaneConflicts(), conflicts);
+
+  disk::DiskServer& disk = **disks_->Get(DiskId{0});
+  // Any get_block counts a platter reference or a track-cache lookup.
+  auto disk_reads = [&disk] {
+    return disk.main_stats().read_references + disk.cache_stats().hits +
+           disk.cache_stats().misses;
+  };
+  const std::uint64_t before = disk_reads();
+  std::vector<std::uint8_t> out(kBlockSize);
+  ASSERT_TRUE(files_->ReadBlock(file, 2, out).ok());
+  EXPECT_EQ(out, update);
+  EXPECT_EQ(disk_reads(), before);
+
+  files_->Crash();
+  std::fill(out.begin(), out.end(), 0);
+  ASSERT_TRUE(files_->ReadBlock(file, 2, out).ok());
+  EXPECT_EQ(out, update);
+  EXPECT_GT(disk_reads(), before);
+}
+
 // txn.wal_commits counts each file a commit wrote by WAL, a record-locked
 // file included whatever else the transaction wrote.
 TEST_F(TxnServiceTest, WalCommitsCountEveryRecordLockedFileWritten) {
