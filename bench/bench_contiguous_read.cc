@@ -27,7 +27,7 @@ FileId MakeFile(core::DistributedFileFacility& f, std::uint64_t blocks,
       std::vector<std::uint8_t> content(kBlockSize);
       (void)f.files().ReadBlock(*file, b, content);
       (void)(*server)->PutBlock(shadow->first, kFragmentsPerBlock, content);
-      (void)f.files().ReplaceBlock(*file, b, shadow->disk, shadow->first);
+      (void)f.files().ReplaceBlocks(*file, {{b, shadow->disk, shadow->first}});
       // Pin the freed slot and burn the rest of the track, so consecutive
       // shadow blocks land on DIFFERENT tracks — otherwise best-fit reuse
       // plus track readahead would mask the fragmentation.

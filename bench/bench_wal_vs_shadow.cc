@@ -141,8 +141,8 @@ void BM_RhodosHybrid_FragmentedFile(benchmark::State& state) {
     auto server = facility.disks().Get(shadow->disk);
     (void)(*server)->PutBlock(shadow->first, kFragmentsPerBlock,
                               Pattern(kBlockSize));
-    (void)facility.files().ReplaceBlock(*file, 7, shadow->disk,
-                                        shadow->first);
+    (void)facility.files().ReplaceBlocks(*file,
+                                         {{7, shadow->disk, shadow->first}});
     txns.ResetStats();
     for (int i = 0; i < 10; ++i) {
       auto t = txns.Begin(ProcessId{1});

@@ -47,7 +47,9 @@ namespace rhodos::disk {
 // the OLD value. That order is paid only where an old value must survive.
 // A location that holds no live data yet — a freshly allocated shadow page
 // or index-table fragment that nothing durable refers to — has no old
-// value to protect; PutFreshBlock writes its two copies concurrently.
+// value to protect, and neither has a one-fragment index table whose
+// re-store a durable log record redoes; PutFreshBlock writes their two
+// copies concurrently.
 enum class StableMode : std::uint8_t {
   kNone,               // original location only
   kStableOnly,         // exclusively stable storage (the intention log and
@@ -191,14 +193,18 @@ class DiskServer {
     return PutBlocksVec({&run, 1}, stable, sync, policy);
   }
 
-  // put_block to a location that holds no live data (freshly allocated,
-  // not yet referenced by anything durable): the main copy and the stable
-  // mirror are written synchronously and write-through, as with
-  // kOriginalAndStable, but concurrently — one lane per device — so the
-  // caller pays the slower copy instead of both. A crash may tear either
-  // copy, which is harmless: nothing refers to the location until the
-  // caller's own commit point, which follows this call. kSkip is for a
-  // caller whose commit point also settles whatever the barrier guards.
+  // put_block to a location whose old value need not survive a crash: the
+  // main copy and the stable mirror are written synchronously and
+  // write-through, as with kOriginalAndStable, but concurrently — one lane
+  // per device — so the caller pays the slower copy instead of both. A
+  // crash may tear either copy. That is harmless for a location that holds
+  // no live data (freshly allocated, not yet referenced by anything
+  // durable), since nothing refers to it until the caller's own commit
+  // point, which follows this call; and for a one-fragment index table
+  // whose re-store a durable log record redoes, since a fragment tears
+  // whole and recovery redoes or re-stores the copy left behind. kSkip is
+  // for a caller whose commit point also settles whatever the barrier
+  // guards.
   Status PutFreshBlock(FragmentIndex first, std::uint32_t count,
                        std::span<const std::uint8_t> in,
                        Barrier barrier = Barrier::kObserve);

@@ -85,7 +85,7 @@ Result<FileService::OpenFile*> FileService::LoadTable(FileId id) {
   return &it->second;
 }
 
-Status FileService::StoreTable(FileId id, OpenFile& of, bool fresh) {
+Status FileService::StoreTable(FileId id, OpenFile& of, TableStore how) {
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(FileDisk(id)));
 
   // Provision (or release) indirect blocks to match the run count.
@@ -114,14 +114,18 @@ Status FileService::StoreTable(FileId id, OpenFile& of, bool fresh) {
         disks_->Free(ib.disk, ib.first_fragment, kFragmentsPerBlock));
   }
 
-  // A fresh table has no old copy to protect: both copies of each block go
-  // out concurrently. A re-store keeps the careful main-then-mirror order.
-  auto put = [fresh](DiskServer* to, FragmentIndex first, std::uint32_t count,
-                     std::span<const std::uint8_t> data) {
-    return fresh ? to->PutFreshBlock(first, count, data)
-                 : to->PutBlock(first, count, data,
-                                StableMode::kOriginalAndStable,
-                                WriteSync::kSynchronous);
+  // Both copies of each block go out at once where no old copy must
+  // survive a crash: a fresh table, or a logged one-fragment re-store.
+  // Every other store keeps the careful main-then-mirror order.
+  const bool at_once = how == TableStore::kFresh ||
+                       (how == TableStore::kRedone && needed == 0);
+  auto put = [at_once](DiskServer* to, FragmentIndex first,
+                       std::uint32_t count,
+                       std::span<const std::uint8_t> data) {
+    return at_once ? to->PutFreshBlock(first, count, data)
+                   : to->PutBlock(first, count, data,
+                                  StableMode::kOriginalAndStable,
+                                  WriteSync::kSynchronous);
   };
   // Indirect blocks first, then the table fragment that references them —
   // so a crash between the two leaves the old (still valid) table in place.
@@ -212,7 +216,7 @@ Result<FileId> FileService::Create(ServiceType type,
       RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
     }
     // The table fragment and any indirect blocks were allocated just now.
-    return StoreTable(id, of, /*fresh=*/true);
+    return StoreTable(id, of, TableStore::kFresh);
   }();
   if (!built.ok()) {
     // The id was never handed out: give its space back, drop its cache.
@@ -952,50 +956,77 @@ Result<std::vector<BlockDescriptor>> FileService::IndirectBlockLocations(
   return of->indirect_blocks;
 }
 
-Status FileService::ReplaceBlock(FileId id, std::uint64_t block_index,
-                                 DiskId disk, FragmentIndex fragment) {
-  RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
-  if (of->table.attributes().immutable()) {
-    return {ErrorCode::kPermissionDenied, "rebind in immutable snapshot"};
-  }
-  RHODOS_ASSIGN_OR_RETURN(BlockLocation old, of->table.Locate(block_index));
-  if (block_index >= BlocksCovering(of->table.attributes().size)) {
-    of->written_past_size.insert(block_index);
-  }
-  if ((old.flags & kRunShared) != 0) {
-    RHODOS_RETURN_IF_ERROR(snap_journal_.Ensure());
-    const std::uint32_t share =
-        snap_journal_.map().CountOf(old.disk, old.first_fragment);
-    if (share >= 2) {
-      // The donor block also belongs to a snapshot/clone: rebinding must
-      // decrement, not free, and the decrement + rebind must be one
-      // journaled unit so a crash never half-applies the shadow commit.
-      SnapOp op;
-      op.kind = SnapOpKind::kRelease;
-      op.file = id;
-      op.rebind = true;
-      op.first_block = block_index;
-      op.block_count = 1;
-      op.new_disk = disk;
-      op.new_fragment = fragment;
-      op.ref_edits.push_back(
-          SnapRefEdit{old.disk, old.first_fragment, 1, share - 1});
-      RHODOS_ASSIGN_OR_RETURN(const std::uint64_t seq,
-                              snap_journal_.LogOp(op));
-      RHODOS_RETURN_IF_ERROR(ApplySnapOp(op));
-      RHODOS_RETURN_IF_ERROR(snap_journal_.LogDone(seq));
-      ++stats_.shared_releases;
-      return OkStatus();
+Status FileService::ReplaceBlocks(FileId id,
+                                  const std::vector<BlockRebind>& rebinds) {
+  // Each remap lands in the cached table; one store persists the ones the
+  // snapshot journal's own table stores have not carried yet.
+  bool unstored = false;
+  for (const BlockRebind& r : rebinds) {
+    RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
+    if (of->table.attributes().immutable()) {
+      return {ErrorCode::kPermissionDenied, "rebind in immutable snapshot"};
     }
-    // Stale flag (last owner): clear it lazily and free as usual.
-    RHODOS_RETURN_IF_ERROR(of->table.ClearSharedInRange(block_index, 1));
+    RHODOS_ASSIGN_OR_RETURN(BlockLocation old,
+                            of->table.Locate(r.block_index));
+    if (r.block_index >= BlocksCovering(of->table.attributes().size)) {
+      of->written_past_size.insert(r.block_index);
+    }
+    if ((old.flags & kRunShared) != 0) {
+      RHODOS_RETURN_IF_ERROR(snap_journal_.Ensure());
+      const std::uint32_t share =
+          snap_journal_.map().CountOf(old.disk, old.first_fragment);
+      if (share >= 2) {
+        // The donor block also belongs to a snapshot/clone: rebinding must
+        // decrement, not free, and the decrement + rebind must be one
+        // journaled unit so a crash never half-applies the shadow commit.
+        // Its table store carries every remap made so far.
+        SnapOp op;
+        op.kind = SnapOpKind::kRelease;
+        op.file = id;
+        op.rebind = true;
+        op.first_block = r.block_index;
+        op.block_count = 1;
+        op.new_disk = r.disk;
+        op.new_fragment = r.fragment;
+        op.ref_edits.push_back(
+            SnapRefEdit{old.disk, old.first_fragment, 1, share - 1});
+        RHODOS_ASSIGN_OR_RETURN(const std::uint64_t seq,
+                                snap_journal_.LogOp(op));
+        RHODOS_RETURN_IF_ERROR(ApplySnapOp(op));
+        RHODOS_RETURN_IF_ERROR(snap_journal_.LogDone(seq));
+        ++stats_.shared_releases;
+        unstored = false;
+        continue;
+      }
+      // Stale flag (last owner): clear it lazily and free as usual.
+      RHODOS_RETURN_IF_ERROR(of->table.ClearSharedInRange(r.block_index, 1));
+    }
+    RHODOS_RETURN_IF_ERROR(
+        of->table.ReplaceBlock(r.block_index, r.disk, r.fragment));
+    of->table_dirty = true;
+    unstored = true;
+    RHODOS_RETURN_IF_ERROR(
+        disks_->Free(old.disk, old.first_fragment, kFragmentsPerBlock));
+    // The logical block now lives elsewhere; the cached copy is stale.
+    Drop(BlockKey{id, r.block_index});
+    BumpVersion(id);
   }
-  RHODOS_RETURN_IF_ERROR(of->table.ReplaceBlock(block_index, disk, fragment));
-  RHODOS_RETURN_IF_ERROR(
-      disks_->Free(old.disk, old.first_fragment, kFragmentsPerBlock));
-  // The logical block now lives elsewhere; the cached copy is stale.
-  Drop(BlockKey{id, block_index});
-  BumpVersion(id);
+  if (!unstored) return OkStatus();
+  RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
+  return StoreTable(id, *of, TableStore::kRedone);
+}
+
+Status FileService::ReconcileTableCopies(FileId id) {
+  RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(FileDisk(id)));
+  std::vector<std::uint8_t> main(kFragmentSize);
+  std::vector<std::uint8_t> mirror(kFragmentSize);
+  RHODOS_RETURN_IF_ERROR(server->GetBlock(FileFitFragment(id), 1, main));
+  RHODOS_RETURN_IF_ERROR(server->GetBlock(FileFitFragment(id), 1, mirror,
+                                          ReadSource::kStable));
+  // A main copy that does not parse was scrubbed by a delete (or damaged):
+  // storing the mirror's table over it could revive a deleted file.
+  if (main == mirror || !ParseFitFragment(main).ok()) return OkStatus();
+  RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
   return StoreTable(id, *of);
 }
 

@@ -110,6 +110,14 @@ inline constexpr obs::CounterField<FileServiceStats> kFileServiceCounters[] = {
     {"file.shared_releases", &FileServiceStats::shared_releases},
 };
 
+// One shadow remap: logical block `block_index` now lives in the block at
+// (disk, fragment).
+struct BlockRebind {
+  std::uint64_t block_index = 0;
+  DiskId disk{};
+  FragmentIndex fragment = 0;
+};
+
 class FileService {
  public:
   FileService(disk::DiskRegistry* disks, SimClock* clock,
@@ -222,11 +230,17 @@ class FileService {
   // criterion for choosing WAL over shadow paging at commit (§6.7).
   Result<bool> IsContiguous(FileId id);
 
-  // Shadow-page commit primitive: rebinds logical block `block_index` to a
-  // freshly written physical block at (disk, fragment); the old block is
-  // freed. Persists the index table (original + stable).
-  Status ReplaceBlock(FileId id, std::uint64_t block_index, DiskId disk,
-                      FragmentIndex fragment);
+  // Shadow-page commit primitive: rebinds each listed logical block to its
+  // freshly written physical block and frees the old one, then persists the
+  // index table once for all of them. The caller holds a durable log record
+  // that redoes these remaps (a committed kShadowMap), so a one-fragment
+  // table goes to its main copy and its mirror at once; a table with
+  // indirect blocks keeps main-then-mirror (see TableStore).
+  Status ReplaceBlocks(FileId id, const std::vector<BlockRebind>& rebinds);
+  // Recovery after a committed remap: when the main copy of `id`'s index
+  // table parses and differs from the mirror, stores the table to both, so
+  // a later fall-back to the mirror never maps a block the remap replaced.
+  Status ReconcileTableCopies(FileId id);
   // Caches `image`, which logical block `block_index` already holds on
   // disk, as a clean block. A shadow commit hands over the pages it
   // remapped this way, so a read after the commit costs no disk reference.
@@ -317,7 +331,7 @@ class FileService {
     std::uint32_t sequential_streak = 0;
     // Mapped blocks past the size's last block hold whatever the platter
     // held (Create maps a size hint's run without writing it), except these:
-    // blocks a block-level write (WriteBlock, ReplaceBlock) defined before
+    // blocks a block-level write (WriteBlock, ReplaceBlocks) defined before
     // the size grew over them, as a transaction's page apply does.
     std::set<std::uint64_t> written_past_size;
   };
@@ -382,11 +396,26 @@ class FileService {
   void Drop(const BlockKey& key);
   // True when a block of `id` waits in the cache for its disk.
   bool HoldsDirty(FileId id) const;
+  // How a table store writes each block's main copy and stable mirror.
+  enum class TableStore : std::uint8_t {
+    // Main, then mirror: a crash leaves one intact copy of the old table,
+    // the only way back where no log record redoes the store (close/Sync,
+    // Resize, SetLockLevel, the snapshot journal's apply).
+    kCareful,
+    // A durable log record redoes this store (a committed remap), so the
+    // old table need not survive. A one-fragment table goes to both copies
+    // at once: a fragment tears whole, leaving each copy old or new, and
+    // recovery redoes a remap main lacks or re-stores a stale mirror. A
+    // table with indirect blocks stays careful, since a 4-fragment block
+    // can tear midway.
+    kRedone,
+    // The locations were just allocated and hold nothing live (Create).
+    kFresh,
+  };
   // Persists the table of `id` (fragment + indirect blocks) to original and
-  // stable storage. `fresh` says the table's locations were allocated by
-  // the caller and hold nothing live (Create), so each block's two copies
-  // may be written concurrently; otherwise main goes before mirror.
-  Status StoreTable(FileId id, OpenFile& of, bool fresh = false);
+  // stable storage.
+  Status StoreTable(FileId id, OpenFile& of,
+                    TableStore how = TableStore::kCareful);
 
   // Grows the file by `blocks` logical blocks, preferring in-place
   // extension, then fresh extents placed by the registry.

@@ -613,10 +613,19 @@ Status TransactionService::ApplyFileEffects(Txn& t, const CommitPlan& plan,
       RHODOS_RETURN_IF_ERROR(ApplyWalPage(file, key.second, image));
     }
   }
+  // One table store per file: plan.shadows comes in (file, page) order, so
+  // each file's remaps are adjacent.
+  std::vector<std::pair<FileId, std::vector<file::BlockRebind>>> remaps;
   for (const CommitPlan::ShadowStage& s : plan.shadows) {
     if (!selected(s.file)) continue;
-    RHODOS_RETURN_IF_ERROR(files_(s.file).ReplaceBlock(
-        s.file, s.page, s.placement.disk, s.placement.first));
+    if (remaps.empty() || remaps.back().first != s.file) {
+      remaps.emplace_back(s.file, std::vector<file::BlockRebind>{});
+    }
+    remaps.back().second.push_back(
+        file::BlockRebind{s.page, s.placement.disk, s.placement.first});
+  }
+  for (const auto& [file, rebinds] : remaps) {
+    RHODOS_RETURN_IF_ERROR(files_(file).ReplaceBlocks(file, rebinds));
   }
   for (const auto& [fval, w] : t.tentative_ranges) {
     if (!selected(FileId{fval})) continue;
@@ -932,8 +941,15 @@ Status TransactionService::Recover() {
                                                 kFragmentsPerBlock);
             }
             if (state == Remap::kPending) {
-              RHODOS_RETURN_IF_ERROR(files_(r.file).ReplaceBlock(
-                  r.file, r.block_index, r.new_disk, r.new_fragment));
+              RHODOS_RETURN_IF_ERROR(files_(r.file).ReplaceBlocks(
+                  r.file, {file::BlockRebind{r.block_index, r.new_disk,
+                                             r.new_fragment}}));
+            } else {
+              // The apply writes the table's two copies at once, and a
+              // crash can land only one: main maps the remap, but the
+              // mirror may still map the replaced block.
+              RHODOS_RETURN_IF_ERROR(
+                  files_(r.file).ReconcileTableCopies(r.file));
             }
             break;
           }

@@ -124,6 +124,41 @@ TEST(DiskModelTest, CrashAfterNWritesTearsTheNthWrite) {
   EXPECT_EQ(out, data);  // pre-crash writes intact
 }
 
+// The fault model the one-fragment table stores rest on: a torn write
+// persists a strict prefix of its fragments, so a torn one-fragment write
+// leaves the old bytes, whatever the fault seed draws.
+TEST(DiskModelTest, TornWritePersistsAStrictPrefix) {
+  const std::vector<std::uint8_t> old_bytes(kFragmentSize * 4, 0x11);
+  const std::vector<std::uint8_t> new_bytes(kFragmentSize * 4, 0x22);
+  std::set<std::uint32_t> prefixes;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    for (const std::uint32_t count : {1u, 4u}) {
+      SimClock clock;
+      DiskModel disk(SmallGeometry(), &clock, seed);
+      ASSERT_TRUE(disk.WriteFragments(8, count, old_bytes).ok());
+      disk.SetFaultPlan(DiskFaultPlan{.crash_after_writes = 0});
+      EXPECT_EQ(disk.WriteFragments(8, count, new_bytes).code(),
+                ErrorCode::kDiskCrashed);
+      std::uint32_t persisted = 0;
+      while (persisted < count &&
+             disk.RawFragment(8 + persisted)[0] == new_bytes[0]) {
+        ++persisted;
+      }
+      for (std::uint32_t f = 0; f < count; ++f) {
+        const auto raw = disk.RawFragment(8 + f);
+        const std::uint8_t want = f < persisted ? 0x22 : 0x11;
+        EXPECT_TRUE(std::all_of(raw.begin(), raw.end(),
+                                [want](std::uint8_t b) { return b == want; }))
+            << "seed " << seed << ", fragment " << f << " of " << count;
+      }
+      EXPECT_LT(persisted, count) << "seed " << seed;
+      if (count > 1) prefixes.insert(persisted);
+    }
+  }
+  // Over 64 seeds the 4-fragment tear lands at more than one point.
+  EXPECT_GT(prefixes.size(), 1u);
+}
+
 TEST(DiskModelTest, RawAccessBypassesCostModel) {
   SimClock clock;
   DiskModel disk(SmallGeometry(), &clock);

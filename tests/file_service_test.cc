@@ -605,7 +605,7 @@ TEST_F(FileServiceTest, ReplaceBlockRelinksAndFreesOld) {
   ASSERT_TRUE(
       (*server)->PutBlock(shadow->first, kFragmentsPerBlock, fresh).ok());
   ASSERT_TRUE(
-      service_->ReplaceBlock(*file, 1, shadow->disk, shadow->first).ok());
+      service_->ReplaceBlocks(*file, {{1, shadow->disk, shadow->first}}).ok());
 
   std::vector<std::uint8_t> out(kBlockSize);
   ASSERT_TRUE(service_->Read(*file, kBlockSize, out).ok());

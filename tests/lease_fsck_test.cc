@@ -162,9 +162,9 @@ TEST_F(FsckTest, DetectsDoubleAllocation) {
   // Corrupt: point b's block 0 at a's block 0 (bypassing the free).
   auto a_loc = files_->LocateBlock(*a, 0);
   ASSERT_TRUE(a_loc.ok());
-  // ReplaceBlock frees b's old block, then b claims a's fragments.
-  ASSERT_TRUE(files_->ReplaceBlock(*b, 0, a_loc->disk,
-                                   a_loc->first_fragment)
+  // ReplaceBlocks frees b's old block, then b claims a's fragments.
+  ASSERT_TRUE(files_->ReplaceBlocks(*b, {{0, a_loc->disk,
+                                          a_loc->first_fragment}})
                   .ok());
   const std::vector<FileId> ids{*a, *b};
   const auto report = file::AuditFiles(*files_, ids);

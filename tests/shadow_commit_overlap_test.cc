@@ -219,6 +219,35 @@ TEST_F(ShadowOverlapTest, LandedShadowAndForceWithATornApplyIsRedone) {
   }
 }
 
+// Page and force land, then the apply's table store lands on the main
+// copy only. Recovery finds the remap applied and must still bring the
+// mirror up to date: a later loss of the main copy falls back to the
+// mirror, which must not map the replaced block.
+TEST_F(ShadowOverlapTest, TornApplyLeavesNoStaleMirrorBehind) {
+  const FileId file = MakeFileOn(1);
+  disk::DiskServer& d1 = Disk(1);
+  // The shadow page's mirror copy, then the table's.
+  d1.stable_device().SetFaultPlan(TearAfter(1));
+  EXPECT_FALSE(Commit(file, {0}).ok());
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(txn_->stats().recovered_redone, 1u);
+  std::vector<std::uint8_t> main(kFragmentSize);
+  std::vector<std::uint8_t> mirror(kFragmentSize);
+  ASSERT_TRUE(d1.GetBlock(file::FileFitFragment(file), 1, main).ok());
+  ASSERT_TRUE(d1.GetBlock(file::FileFitFragment(file), 1, mirror,
+                          disk::ReadSource::kStable)
+                  .ok());
+  EXPECT_EQ(main, mirror);
+
+  d1.main_device().RawOverwrite(
+      file::FileFitFragment(file),
+      std::vector<std::uint8_t>(kFragmentSize, 0xFF));
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(ReadBlock(file, 0), Block(kNew));
+}
+
 // A copy that cannot be read leaves recovery unable to decide: it fails
 // and changes nothing, and a later attempt with the device healthy redoes
 // the transaction.
@@ -330,24 +359,41 @@ TEST_F(ShadowOverlapTest, CommitOnTheOtherDiskHidesTheForce) {
 }
 
 // Two pages homed on one disk get one contiguous run, staged with one
-// reference per device: the second page adds only its own index-table
-// re-store to a one-page commit.
+// reference per device, and one store of the file's index table, whose
+// two copies go out at once: the second page adds only its own transfer
+// to a one-page commit.
 TEST_F(ShadowOverlapTest, TwoShadowPagesOnOneDiskShareOneRun) {
   const FileId file = MakeFileOn(1);
+  const FileId on_log_disk = MakeFileOn(0);
   disk::DiskServer& d1 = Disk(1);
   // A one-block hole, which one-block-per-page allocation would fill first.
   auto hole = d1.AllocateBlocks(1);
   ASSERT_TRUE(hole.ok());
   ASSERT_TRUE(d1.AllocateBlocks(1).ok());
   ASSERT_TRUE(d1.FreeFragments(*hole, kFragmentsPerBlock).ok());
-  auto writes = [&](std::initializer_list<std::uint64_t> pages) {
-    const std::uint64_t main = d1.main_stats().write_references;
-    const std::uint64_t mirror = d1.stable_stats().write_references;
-    EXPECT_TRUE(Commit(file, pages).ok());
-    return std::pair{d1.main_stats().write_references - main,
-                     d1.stable_stats().write_references - mirror};
+  // After one commit, each timed commit finds a log reset pending and
+  // forces the same frames at offset 0.
+  ASSERT_TRUE(Commit(on_log_disk, {0}).ok());
+  struct Cost {
+    std::uint64_t main_writes, mirror_writes, table_stores;
+    SimTime elapsed;
   };
-  const auto two = writes({0, 2});
+  auto commit = [&](std::initializer_list<std::uint64_t> pages) {
+    auto t = txn_->Begin(ProcessId{1});
+    EXPECT_TRUE(t.ok());
+    for (std::uint64_t page : pages) {
+      EXPECT_TRUE(txn_->TWrite(*t, file, page * kBlockSize, Block(kNew)).ok());
+    }
+    const Cost before{d1.main_stats().write_references,
+                      d1.stable_stats().write_references,
+                      files_->stats().fit_stores, clock_.Now()};
+    EXPECT_TRUE(txn_->End(*t).ok());
+    return Cost{d1.main_stats().write_references - before.main_writes,
+                d1.stable_stats().write_references - before.mirror_writes,
+                files_->stats().fit_stores - before.table_stores,
+                clock_.Now() - before.elapsed};
+  };
+  const Cost two = commit({0, 2});
   auto first = files_->LocateBlock(file, 0);
   auto second = files_->LocateBlock(file, 2);
   ASSERT_TRUE(first.ok() && second.ok());
@@ -356,10 +402,50 @@ TEST_F(ShadowOverlapTest, TwoShadowPagesOnOneDiskShareOneRun) {
   EXPECT_NE(first->first_fragment, *hole);
   EXPECT_EQ(ReadBlock(file, 0), Block(kNew));
   EXPECT_EQ(ReadBlock(file, 2), Block(kNew));
+  EXPECT_EQ(two.table_stores, 1u);
+  // The flush: the run's two copies (a lane each) in a lane beside the
+  // force. The apply: the table's two copies, a lane each.
+  const SimTime flush =
+      Reference(2 * kFragmentsPerBlock) + 4 * sim::kLaneDispatchCost;
+  const SimTime apply = Reference(1) + 2 * sim::kLaneDispatchCost;
+  EXPECT_EQ(two.elapsed, flush + apply);
 
-  const auto one = writes({1});
-  EXPECT_EQ(two.first, one.first + 1);
-  EXPECT_EQ(two.second, one.second + 1);
+  const Cost one = commit({1});
+  EXPECT_EQ(one.table_stores, 1u);
+  EXPECT_EQ(two.main_writes, one.main_writes);
+  EXPECT_EQ(two.mirror_writes, one.mirror_writes);
+  EXPECT_EQ(two.elapsed - one.elapsed, Reference(2 * kFragmentsPerBlock) -
+                                           Reference(kFragmentsPerBlock));
+}
+
+// A committed remap stores a one-fragment table's two copies at once, but
+// a table with an indirect block keeps main then mirror for each block: a
+// 4-fragment copy can tear midway, and the careful order keeps one intact.
+TEST_F(ShadowOverlapTest, IndirectBlocksKeepARemapStoreCareful) {
+  const FileId small = MakeFileOn(1);
+  auto remap = [&](FileId file, std::uint64_t block) {
+    auto fresh = files_->AllocateShadowBlocks(file, 1);
+    EXPECT_TRUE(fresh.ok());
+    const SimTime t0 = clock_.Now();
+    EXPECT_TRUE(files_
+                    ->ReplaceBlocks(file, {{block, fresh->front().disk,
+                                            fresh->front().first}})
+                    .ok());
+    return clock_.Now() - t0;
+  };
+  EXPECT_EQ(remap(small, 0), Reference(1) + 2 * sim::kLaneDispatchCost);
+
+  // Every other block remapped: more runs than the table fragment holds.
+  constexpr std::uint64_t kBlocks = 2 * file::kDirectRuns + 2;
+  auto large = files_->Create(file::ServiceType::kTransaction,
+                              kBlocks * kBlockSize);
+  ASSERT_TRUE(large.ok());
+  for (std::uint64_t b = 0; b < kBlocks; b += 2) remap(*large, b);
+  auto indirect = files_->IndirectBlockLocations(*large);
+  ASSERT_TRUE(indirect.ok());
+  ASSERT_EQ(indirect->size(), 1u);
+  EXPECT_EQ(remap(*large, 1),
+            2 * Reference(kFragmentsPerBlock) + 2 * Reference(1));
 }
 
 // --- the flush itself --------------------------------------------------------

@@ -221,7 +221,7 @@ TEST(ShardOwnerTest, AuditCatchesABlockClaimedFromTwoShards) {
   auto a_loc = f.OwnerOf(a).LocateBlock(a, 0);
   ASSERT_TRUE(a_loc.ok());
   ASSERT_TRUE(f.OwnerOf(b)
-                  .ReplaceBlock(b, 0, a_loc->disk, a_loc->first_fragment)
+                  .ReplaceBlocks(b, {{0, a_loc->disk, a_loc->first_fragment}})
                   .ok());
   const file::AuditReport report = file::AuditFiles(owner_of, ids);
   EXPECT_GE(report.CountOf(file::AuditIssue::Kind::kRefcountLow), 1u);

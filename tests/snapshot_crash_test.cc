@@ -386,10 +386,11 @@ TEST_F(SnapshotFsckTest, SharedClaimWithoutFlagIsFlagMissing) {
   ASSERT_TRUE(files_->Write(*d, 0, Pattern(kBlockSize, 2)).ok());
   auto c_loc = files_->LocateBlock(*c, 0);
   ASSERT_TRUE(c_loc.ok());
-  // Point d at c's block (ReplaceBlock with share count 1 takes the legacy
+  // Point d at c's block (ReplaceBlocks with share count 1 takes the legacy
   // unflagged path), then align the stored count with the two claimants.
   ASSERT_TRUE(
-      files_->ReplaceBlock(*d, 0, c_loc->disk, c_loc->first_fragment).ok());
+      files_->ReplaceBlocks(*d, {{0, c_loc->disk, c_loc->first_fragment}})
+          .ok());
   ASSERT_TRUE(
       files_->TestSetShareCount(c_loc->disk, c_loc->first_fragment, 1, 2)
           .ok());

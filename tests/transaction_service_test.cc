@@ -107,7 +107,8 @@ void Fragment(FileService& files, disk::DiskRegistry& disks, FileId file) {
   ASSERT_TRUE((*disks.Get(shadow->disk))
                   ->PutBlock(shadow->first, kFragmentsPerBlock, image)
                   .ok());
-  ASSERT_TRUE(files.ReplaceBlock(file, 1, shadow->disk, shadow->first).ok());
+  ASSERT_TRUE(
+      files.ReplaceBlocks(file, {{1, shadow->disk, shadow->first}}).ok());
   ASSERT_FALSE(*files.IsContiguous(file));
 }
 
