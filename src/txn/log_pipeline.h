@@ -115,8 +115,9 @@ class LogPipeline {
 
   // Appends one record, and the fresh runs the flush forcing it must also
   // write, to the open batch. Caller must hold the io mutex. The record is
-  // NOT durable until the returned ticket resolves; pass it to
-  // AwaitDurable for records that gate an acknowledgement (the commit
+  // serialized before Append returns, so the caller may keep or move it.
+  // It is NOT durable until the returned ticket resolves; pass the ticket
+  // to AwaitDurable for records that gate an acknowledgement (the commit
   // status record), drop it for records the next flush may carry freely.
   // With the pipeline disabled this writes the runs and forces
   // immediately, and the ticket returns already resolved.

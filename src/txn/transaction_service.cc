@@ -44,7 +44,8 @@ TransactionService::TransactionService(disk::DiskRegistry* disks,
   // newer than those commits, so every put forces the reset first. A
   // failed force leaves it pending and lets the write through, the same
   // exposure as an eager reset that fails. The barrier must not take mu_:
-  // ApplyCommit holds it while it writes.
+  // the service's own writes (a commit's Redo, a create) pass the barrier
+  // with mu_ held.
   for (const auto& server : disks_->disks()) {
     server->SetWriteBarrier([this] { (void)log_.ForceReset(); });
   }
@@ -374,24 +375,6 @@ Status TransactionService::ApplyDefaultLockLevel(FileId file) {
   return files_(file).SetLockLevel(file, level);
 }
 
-Status TransactionService::ApplyWalPage(FileId file, std::uint64_t page,
-                                        std::span<const std::uint8_t> data) {
-  FileService& owner = files_(file);
-  RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
-  if (page >= blocks) {
-    RHODOS_RETURN_IF_ERROR(owner.Resize(file, (page + 1) * kBlockSize));
-  }
-  return owner.WriteBlock(file, page, data, /*force_write_through=*/true);
-}
-
-Status TransactionService::ApplyWalRange(FileId file, std::uint64_t offset,
-                                         std::span<const std::uint8_t> data) {
-  FileService& owner = files_(file);
-  auto n = owner.Write(file, offset, data);
-  if (!n.ok()) return Error{n.error()};
-  return owner.Sync(file);
-}
-
 namespace {
 
 // What a kShadowMap record carries in `data`: the checksum of its page.
@@ -404,11 +387,11 @@ std::vector<std::uint8_t> PageChecksum(std::span<const std::uint8_t> page) {
 }  // namespace
 
 Result<std::vector<FreshRun>> TransactionService::PlaceShadows(
-    const Txn& t, CommitPlan& plan) {
+    const Txn& t, std::vector<ShadowStage>& shadows) {
   // The pages homed on one disk share one allocation: one contiguous run
   // there when the disk has one free.
-  std::vector<std::pair<DiskId, std::vector<CommitPlan::ShadowStage*>>> homes;
-  for (CommitPlan::ShadowStage& s : plan.shadows) {
+  std::vector<std::pair<DiskId, std::vector<ShadowStage*>>> homes;
+  for (ShadowStage& s : shadows) {
     const DiskId home = file::FileDisk(s.file);
     auto it = std::find_if(homes.begin(), homes.end(),
                            [home](const auto& h) { return h.first == home; });
@@ -424,7 +407,7 @@ Result<std::vector<FreshRun>> TransactionService::PlaceShadows(
     if (!blocks.ok()) {
       // Nothing refers to the blocks already placed: give them back.
       for (std::size_t j = 0; j < h; ++j) {
-        for (const CommitPlan::ShadowStage* s : homes[j].second) {
+        for (const ShadowStage* s : homes[j].second) {
           (void)disks_->Free(s->placement.disk, s->placement.first,
                              kFragmentsPerBlock);
         }
@@ -432,7 +415,7 @@ Result<std::vector<FreshRun>> TransactionService::PlaceShadows(
       return Error{blocks.error()};
     }
     for (std::size_t i = 0; i < pages.size(); ++i) {
-      CommitPlan::ShadowStage& s = *pages[i];
+      ShadowStage& s = *pages[i];
       s.placement = (*blocks)[i];
       // A block that starts where the last run ends extends that run.
       FreshRun* last = runs.empty() ? nullptr : &runs.back();
@@ -462,13 +445,18 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
   }
 
   // Every intention goes to the group-commit pipeline; nothing here is
-  // written or forced. The last append is the commit status record, so
-  // the ticket left in the plan is the one End() must await.
-  auto append = [&](const IntentionRecord& r,
+  // written or forced. The pipeline serializes a record as it appends it,
+  // so the plan keeps the redo records themselves for ApplyCommit. The
+  // last append is the commit status record, so the ticket left in the
+  // plan is the one End() must await.
+  auto append = [&](IntentionRecord r,
                     std::vector<FreshRun> runs = {}) -> Status {
     auto ticket = pipeline_.Append(r, std::move(runs));
     if (!ticket.ok()) return Error{ticket.error()};
     plan->commit_ticket = std::move(*ticket);
+    if (r.kind != IntentionKind::kBegin && r.kind != IntentionKind::kStatus) {
+      plan->records.push_back(std::move(r));
+    }
     return OkStatus();
   };
 
@@ -479,6 +467,7 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
 
   // Per-file technique choice. A shadow-paged file's existing pages are
   // shadowed; a page past its end grows the file through WAL.
+  std::vector<ShadowStage> shadows;
   for (const auto& [key, image] : t.tentative_pages) {
     const FileId file{key.first};
     auto tech_it = plan->technique.find(file.value);
@@ -490,18 +479,21 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
     RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks,
                             files_(file).BlockCount(file));
     if (key.second < blocks) {
-      plan->shadows.push_back(CommitPlan::ShadowStage{file, key.second, {}});
+      shadows.push_back(ShadowStage{file, key.second, {}});
     }
   }
-  RHODOS_ASSIGN_OR_RETURN(std::vector<FreshRun> runs, PlaceShadows(t, *plan));
+  RHODOS_ASSIGN_OR_RETURN(std::vector<FreshRun> runs,
+                          PlaceShadows(t, shadows));
 
-  auto shadow = plan->shadows.begin();
-  for (const auto& [key, image] : t.tentative_pages) {
+  // A WAL page's image moves into its record: only a shadowed page's
+  // image is needed after the commit, to cache it (ApplyCommit).
+  auto shadow = shadows.begin();
+  for (auto& [key, image] : t.tentative_pages) {
     const FileId file{key.first};
     const std::uint64_t page = key.second;
     const std::uint64_t final_size =
         t.tentative_size.count(file) ? t.tentative_size.at(file) : 0;
-    if (shadow != plan->shadows.end() && shadow->file == file &&
+    if (shadow != shadows.end() && shadow->file == file &&
         shadow->page == page) {
       // Shadow page: log only the remap intention and the page's checksum.
       // The image itself rides the commit record to its fresh block, in
@@ -514,17 +506,19 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
       ++shadow;
     } else {
       // WAL: the page image itself is the intention (redo record). The
-      // file's final size rides in `offset` so recovery can re-grow.
+      // file's final size rides in `offset`, as in a kShadowMap record.
       RHODOS_RETURN_IF_ERROR(append(IntentionRecord{
           IntentionKind::kRedoPage, id, file, page, final_size, {}, 0,
-          TxnStatus::kTentative, image}));
+          TxnStatus::kTentative, std::move(image)}));
       ++stats_.pages_logged;
     }
   }
-  for (const auto& [fval, w] : t.tentative_ranges) {
+  for (auto& [fval, w] : t.tentative_ranges) {
+    // Record-locked files commit their range writes by WAL.
+    plan->technique.emplace(fval, CommitTechnique::kWal);
     RHODOS_RETURN_IF_ERROR(append(IntentionRecord{
         IntentionKind::kRedoRange, id, FileId{fval}, 0, w.offset, {}, 0,
-        TxnStatus::kTentative, w.data}));
+        TxnStatus::kTentative, std::move(w.data)}));
     ++stats_.ranges_logged;
   }
 
@@ -547,16 +541,8 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
                 std::move(runs));
 }
 
-bool TransactionService::IsShadowed(const CommitPlan& plan, FileId file,
-                                    std::uint64_t page) {
-  return std::any_of(plan.shadows.begin(), plan.shadows.end(),
-                     [&](const CommitPlan::ShadowStage& s) {
-                       return s.file == file && s.page == page;
-                     });
-}
-
 Result<std::optional<DiskId>> TransactionService::ApplyDisk(
-    const Txn& t, const CommitPlan& plan, FileId file) {
+    std::span<const IntentionRecord> records, FileId file) {
   using Lane = std::optional<DiskId>;
   // Shared runs commit through the snapshot journal on disk 0.
   FileService& owner = files_(file);
@@ -577,21 +563,19 @@ Result<std::optional<DiskId>> TransactionService::ApplyDisk(
     return OkStatus();
   };
   std::size_t remaps = 0;
-  for (const auto& [key, image] : t.tentative_pages) {
-    if (key.first != file.value) continue;
-    if (IsShadowed(plan, file, key.second)) {
+  for (const IntentionRecord& r : records) {
+    if (r.file != file) continue;
+    if (r.kind == IntentionKind::kShadowMap) {
       ++remaps;
-      continue;
-    }
-    if (key.second >= blocks) return Lane{};  // grows the file
-    RHODOS_RETURN_IF_ERROR(add_block(key.second));
-  }
-  for (const auto& [fval, w] : t.tentative_ranges) {
-    if (fval != file.value || w.data.empty()) continue;
-    const std::uint64_t last = (w.offset + w.data.size() - 1) / kBlockSize;
-    if (last >= blocks) return Lane{};  // grows the file
-    for (std::uint64_t b = w.offset / kBlockSize; b <= last; ++b) {
-      RHODOS_RETURN_IF_ERROR(add_block(b));
+    } else if (r.kind == IntentionKind::kRedoPage) {
+      if (r.block_index >= blocks) return Lane{};  // grows the file
+      RHODOS_RETURN_IF_ERROR(add_block(r.block_index));
+    } else if (r.kind == IntentionKind::kRedoRange && !r.data.empty()) {
+      const std::uint64_t last = (r.offset + r.data.size() - 1) / kBlockSize;
+      if (last >= blocks) return Lane{};  // grows the file
+      for (std::uint64_t b = r.offset / kBlockSize; b <= last; ++b) {
+        RHODOS_RETURN_IF_ERROR(add_block(b));
+      }
     }
   }
   // A remap can split a run into three; past the table's run capacity the
@@ -604,88 +588,158 @@ Result<std::optional<DiskId>> TransactionService::ApplyDisk(
   return one_disk ? Lane{home} : Lane{};
 }
 
-template <typename Pred>
-Status TransactionService::ApplyFileEffects(Txn& t, const CommitPlan& plan,
-                                            Pred selected) {
-  for (auto& [key, image] : t.tentative_pages) {
-    const FileId file{key.first};
-    if (selected(file) && !IsShadowed(plan, file, key.second)) {
-      RHODOS_RETURN_IF_ERROR(ApplyWalPage(file, key.second, image));
+Status TransactionService::Redo(std::span<const IntentionRecord> records,
+                                RedoStep step,
+                                const std::function<bool(FileId)>& selected) {
+  auto chosen = [&](const IntentionRecord& r, IntentionKind kind) {
+    return r.kind == kind && (!selected || selected(r.file));
+  };
+  switch (step) {
+    case RedoStep::kWrites: {
+      // Before anything is written, note where each remap stands (no write
+      // here changes it) and claim every block the records remap or write:
+      // a crash may have lost an allocation with the unpersisted bitmap
+      // even where the table that maps the block reached the disk (a
+      // staged shadow block, or one a growth appended), and a page write
+      // that grows its file must not allocate one of them.
+      auto claim = [&](DiskId disk, FragmentIndex first) {
+        if (auto server = disks_->Get(disk); server.ok()) {
+          (void)(*server)->AllocateSpecific(first, kFragmentsPerBlock);
+        }
+      };
+      // Per file, the remaps still to apply, with one table store. A file
+      // whose remaps are all in place re-stores its table only where its
+      // two copies differ: they go out at once, and a crash can land one.
+      std::map<std::uint64_t, std::vector<file::BlockRebind>> remaps;
+      for (const IntentionRecord& r : records) {
+        if (chosen(r, IntentionKind::kShadowMap)) {
+          const Remap state = RemapState(r);
+          if (state == Remap::kNoFile) continue;
+          claim(r.new_disk, r.new_fragment);
+          auto& rebinds = remaps[r.file.value];
+          if (state == Remap::kPending) {
+            rebinds.push_back(
+                file::BlockRebind{r.block_index, r.new_disk, r.new_fragment});
+          }
+          continue;
+        }
+        const bool page = chosen(r, IntentionKind::kRedoPage);
+        if (!page && !chosen(r, IntentionKind::kRedoRange)) continue;
+        const std::uint64_t first =
+            page ? r.block_index : r.offset / kBlockSize;
+        const std::uint64_t end =
+            page ? first + 1
+                 : (r.offset + r.data.size() + kBlockSize - 1) / kBlockSize;
+        for (std::uint64_t b = first; b < end; ++b) {
+          auto loc = files_(r.file).LocateBlock(r.file, b);
+          if (loc.ok()) claim(loc->disk, loc->first_fragment);
+        }
+      }
+      for (const IntentionRecord& r : records) {
+        if (!chosen(r, IntentionKind::kRedoPage)) continue;
+        FileService& owner = files_(r.file);
+        RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks,
+                                owner.BlockCount(r.file));
+        if (r.block_index >= blocks) {
+          // Never past the final size: no later step shrinks a file.
+          RHODOS_RETURN_IF_ERROR(owner.Resize(
+              r.file, std::min(r.offset, (r.block_index + 1) * kBlockSize)));
+        }
+        RHODOS_RETURN_IF_ERROR(owner.WriteBlock(
+            r.file, r.block_index, r.data, /*force_write_through=*/true));
+      }
+      for (const auto& [fval, rebinds] : remaps) {
+        const FileId file{fval};
+        FileService& owner = files_(file);
+        RHODOS_RETURN_IF_ERROR(rebinds.empty()
+                                   ? owner.ReconcileTableCopies(file)
+                                   : owner.ReplaceBlocks(file, rebinds));
+      }
+      for (const IntentionRecord& r : records) {
+        if (!chosen(r, IntentionKind::kRedoRange)) continue;
+        FileService& owner = files_(r.file);
+        auto n = owner.Write(r.file, r.offset, r.data);
+        if (!n.ok()) return Error{n.error()};
+        RHODOS_RETURN_IF_ERROR(owner.Sync(r.file));
+      }
+      return OkStatus();
     }
-  }
-  // One table store per file: plan.shadows comes in (file, page) order, so
-  // each file's remaps are adjacent.
-  std::vector<std::pair<FileId, std::vector<file::BlockRebind>>> remaps;
-  for (const CommitPlan::ShadowStage& s : plan.shadows) {
-    if (!selected(s.file)) continue;
-    if (remaps.empty() || remaps.back().first != s.file) {
-      remaps.emplace_back(s.file, std::vector<file::BlockRebind>{});
+    case RedoStep::kSizes: {
+      // Range writes set their own size. A file the commit deletes keeps
+      // its size.
+      std::map<std::uint64_t, std::uint64_t> sizes;
+      for (const IntentionRecord& r : records) {
+        if (chosen(r, IntentionKind::kRedoPage) ||
+            chosen(r, IntentionKind::kShadowMap)) {
+          sizes[r.file.value] = std::max(sizes[r.file.value], r.offset);
+        }
+      }
+      for (const IntentionRecord& r : records) {
+        if (r.kind == IntentionKind::kDeleteFile) sizes.erase(r.file.value);
+      }
+      for (const auto& [fval, size] : sizes) {
+        const FileId file{fval};
+        auto attrs = files_(file).GetAttributes(file);
+        if (attrs.ok() && attrs->size < size) {
+          RHODOS_RETURN_IF_ERROR(files_(file).Resize(file, size));
+        }
+      }
+      return OkStatus();
     }
-    remaps.back().second.push_back(
-        file::BlockRebind{s.page, s.placement.disk, s.placement.first});
+    case RedoStep::kDeletes:
+      for (const IntentionRecord& r : records) {
+        // A table that no longer loads means the file is gone already.
+        if (chosen(r, IntentionKind::kDeleteFile) &&
+            files_(r.file).GetAttributes(r.file).ok()) {
+          RHODOS_RETURN_IF_ERROR(files_(r.file).Delete(r.file));
+        }
+      }
+      return OkStatus();
   }
-  for (const auto& [file, rebinds] : remaps) {
-    RHODOS_RETURN_IF_ERROR(files_(file).ReplaceBlocks(file, rebinds));
-  }
-  for (const auto& [fval, w] : t.tentative_ranges) {
-    if (!selected(FileId{fval})) continue;
-    RHODOS_RETURN_IF_ERROR(ApplyWalRange(FileId{fval}, w.offset, w.data));
-  }
-  return OkStatus();
+  return {ErrorCode::kInternal, "bad redo step"};
 }
 
 Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
-  // Make the changes permanent. After the commit point each file's page
-  // writes, shadow remaps and range writes are an independent redo step,
-  // so files whose apply stays on one disk run as one lane per disk, each
-  // lane owning its disk. A file that grows, touches shared runs or spans
-  // disks applies serially afterwards.
+  // Make the changes permanent by redoing the commit's records, as
+  // recovery would. Each file's page writes, shadow remaps and range
+  // writes are an independent redo step, so files whose writes stay on one
+  // disk run as one lane per disk, each lane owning its disk. A file that
+  // grows, touches shared runs or spans disks writes serially afterwards.
   sim::PerDeviceFanOut<DiskId, FileId> lanes;
   std::unordered_set<FileId> serial;
   std::unordered_set<FileId> planned;
-  auto plan_file = [&](FileId file) -> Status {
-    if (!planned.insert(file).second) return OkStatus();
-    RHODOS_ASSIGN_OR_RETURN(std::optional<DiskId> disk,
-                            ApplyDisk(t, plan, file));
-    if (disk.has_value()) {
-      lanes.Add(*disk, file);
-    } else {
-      serial.insert(file);
+  for (const IntentionRecord& r : plan.records) {
+    if (r.kind == IntentionKind::kDeleteFile ||
+        !planned.insert(r.file).second) {
+      continue;
     }
-    return OkStatus();
-  };
-  for (const auto& [key, image] : t.tentative_pages) {
-    RHODOS_RETURN_IF_ERROR(plan_file(FileId{key.first}));
-  }
-  for (const auto& [fval, w] : t.tentative_ranges) {
-    RHODOS_RETURN_IF_ERROR(plan_file(FileId{fval}));
+    RHODOS_ASSIGN_OR_RETURN(std::optional<DiskId> disk,
+                            ApplyDisk(plan.records, r.file));
+    if (disk.has_value()) {
+      lanes.Add(*disk, r.file);
+    } else {
+      serial.insert(r.file);
+    }
   }
   RHODOS_RETURN_IF_ERROR(lanes.Run(
       log_disk_->clock(), [&](DiskId, const std::vector<FileId>& files) {
-        return ApplyFileEffects(t, plan, [&files](FileId f) {
+        return Redo(plan.records, RedoStep::kWrites, [&files](FileId f) {
           return std::find(files.begin(), files.end(), f) != files.end();
         });
       }));
-  RHODOS_RETURN_IF_ERROR(ApplyFileEffects(
-      t, plan, [&serial](FileId f) { return serial.contains(f); }));
+  RHODOS_RETURN_IF_ERROR(
+      Redo(plan.records, RedoStep::kWrites,
+           [&serial](FileId f) { return serial.contains(f); }));
   // Each remapped page's new block holds its image since the commit force:
   // keep that image cached. Inserting only now, outside the lanes, keeps
   // an eviction's write-back out of them.
-  for (const CommitPlan::ShadowStage& s : plan.shadows) {
-    RHODOS_RETURN_IF_ERROR(files_(s.file).CacheDurableBlock(
-        s.file, s.page, t.tentative_pages.at({s.file.value, s.page})));
+  for (const IntentionRecord& r : plan.records) {
+    if (r.kind != IntentionKind::kShadowMap) continue;
+    RHODOS_RETURN_IF_ERROR(files_(r.file).CacheDurableBlock(
+        r.file, r.block_index, t.tentative_pages.at({r.file.value,
+                                                     r.block_index})));
   }
-  // Sizes recorded by the transaction (growth via ranges/pages). Applying
-  // whole page images rounds the size up to a block boundary; settle on the
-  // exact byte size the transaction recorded.
-  for (const auto& [file, size] : t.tentative_size) {
-    if (t.to_delete.count(file) != 0) continue;
-    FileService& owner = files_(file);
-    RHODOS_ASSIGN_OR_RETURN(FileAttributes attrs, owner.GetAttributes(file));
-    if (attrs.size != size) {
-      RHODOS_RETURN_IF_ERROR(owner.Resize(file, size));
-    }
-  }
+  RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kSizes));
   // Push any still-buffered blocks (e.g. zero-filled growth) and hard
   // table changes to the platter: a committed transaction's effects must
   // not sit in a volatile cache. Access counts bumped by the transaction's
@@ -694,21 +748,12 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
     if (t.to_delete.count(file) != 0) continue;
     RHODOS_RETURN_IF_ERROR(files_(file).Sync(file));
   }
-  for (FileId file : t.to_delete) {
-    RHODOS_RETURN_IF_ERROR(files_(file).Delete(file));
-  }
+  RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kDeletes));
   for (const auto& [fval, tech] : plan.technique) {
     if (tech == CommitTechnique::kWal) {
       ++stats_.wal_commits;
     } else {
       ++stats_.shadow_commits;
-    }
-  }
-  // Record-locked files commit their range writes by WAL.
-  std::unordered_set<std::uint64_t> range_files;
-  for (const auto& [fval, w] : t.tentative_ranges) {
-    if (!plan.technique.contains(fval) && range_files.insert(fval).second) {
-      ++stats_.wal_commits;
     }
   }
 
@@ -719,7 +764,6 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
       IntentionRecord{IntentionKind::kStatus, id, {}, 0, 0, {}, 0,
                       TxnStatus::kCompleted, {}});
   if (!completed.ok()) return Error{completed.error()};
-  t.status = TxnStatus::kCompleted;
   return OkStatus();
 }
 
@@ -806,7 +850,6 @@ Status TransactionService::End(TxnId txn) {
     Finish(txn);
     return durable;
   }
-  t.status = TxnStatus::kCommit;
   ++stats_.commits;
   const Status applied = ApplyCommit(txn, t, plan);
   if (!applied.ok()) {
@@ -831,7 +874,6 @@ Status TransactionService::Abort(TxnId txn) {
     return {ErrorCode::kTxnNotActive, "tabort while a commit is in flight"};
   }
   it->second.phase = TxnPhase::kUnlocking;
-  it->second.status = TxnStatus::kAbort;
   if (it->second.logged_begin) {
     // Best-effort marker: if it never flushes, recovery discards the
     // transaction as tentative — the same outcome.
@@ -919,56 +961,11 @@ Status TransactionService::Recover() {
 
   for (auto& [txn_value, trace] : traces) {
     if (trace.final_status == TxnStatus::kCommit) {
-      // Committed but the changes may not all have been applied: redo.
-      for (const IntentionRecord& r : trace.records) {
-        switch (r.kind) {
-          case IntentionKind::kRedoPage:
-            RHODOS_RETURN_IF_ERROR(ApplyWalPage(r.file, r.block_index,
-                                                r.data));
-            break;
-          case IntentionKind::kRedoRange:
-            RHODOS_RETURN_IF_ERROR(ApplyWalRange(r.file, r.offset, r.data));
-            break;
-          case IntentionKind::kShadowMap: {
-            const Remap state = RemapState(r);
-            if (state == Remap::kNoFile) break;
-            // Re-claim the shadow block: its allocation may have been lost
-            // with the unpersisted bitmap, even where the remapped table
-            // reached the disk. Then remap, unless that is done.
-            auto server = disks_->Get(r.new_disk);
-            if (server.ok()) {
-              (void)(*server)->AllocateSpecific(r.new_fragment,
-                                                kFragmentsPerBlock);
-            }
-            if (state == Remap::kPending) {
-              RHODOS_RETURN_IF_ERROR(files_(r.file).ReplaceBlocks(
-                  r.file, {file::BlockRebind{r.block_index, r.new_disk,
-                                             r.new_fragment}}));
-            } else {
-              // The apply writes the table's two copies at once, and a
-              // crash can land only one: main maps the remap, but the
-              // mirror may still map the replaced block.
-              RHODOS_RETURN_IF_ERROR(
-                  files_(r.file).ReconcileTableCopies(r.file));
-            }
-            break;
-          }
-          case IntentionKind::kDeleteFile:
-            // Tolerant redo: the apply may have deleted the file already
-            // (its table then reads as unparseable/scrubbed).
-            (void)files_(r.file).Delete(r.file);
-            break;
-          default:
-            break;
-        }
-        // Restore recorded final size.
-        if (r.kind == IntentionKind::kRedoPage && r.offset > 0) {
-          FileService& owner = files_(r.file);
-          auto attrs = owner.GetAttributes(r.file);
-          if (attrs.ok() && attrs->size < r.offset) {
-            RHODOS_RETURN_IF_ERROR(owner.Resize(r.file, r.offset));
-          }
-        }
+      // Committed but the changes may not all have been applied: redo
+      // them, step by step, as End applies them.
+      for (const RedoStep step :
+           {RedoStep::kWrites, RedoStep::kSizes, RedoStep::kDeletes}) {
+        RHODOS_RETURN_IF_ERROR(Redo(trace.records, step));
       }
       // Nothing records the redo itself: redo is idempotent, and the
       // eager reset below removes the whole log once all are settled.
@@ -984,10 +981,7 @@ Status TransactionService::Recover() {
             RemapState(r) == Remap::kApplied) {
           continue;
         }
-        auto server = disks_->Get(r.new_disk);
-        if (server.ok()) {
-          (void)(*server)->FreeFragments(r.new_fragment, kFragmentsPerBlock);
-        }
+        (void)disks_->Free(r.new_disk, r.new_fragment, kFragmentsPerBlock);
       }
       ++stats_.recovered_discarded;
     }

@@ -23,13 +23,15 @@
 //   * the shadow-page technique otherwise (less commit I/O, but it
 //     scatters blocks — the E7 trade-off). The shadow pages go to fresh
 //     blocks in the same flush as the force that commits them.
-// Recovery replays the log: committed-but-incomplete transactions are
-// redone if their shadow pages read back intact; tentative ones, and
-// committed ones whose pages did not land, are discarded and their shadow
-// blocks freed.
+// Everything after the force is redo work, and one Redo does it: a commit
+// redoes the records it just logged, and recovery redoes the committed
+// transactions it finds in the log whose shadow pages read back intact.
+// Tentative transactions, and committed ones whose pages did not land,
+// are discarded and their shadow blocks freed.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -211,7 +213,6 @@ class TransactionService {
   struct Txn {
     ProcessId process{};
     TxnPhase phase{TxnPhase::kLocking};
-    TxnStatus status{TxnStatus::kTentative};
     bool logged_begin = false;
     // Tentative data: per file, per logical page, the page image as the
     // transaction sees it (page/file mode), plus raw byte-range writes
@@ -247,55 +248,55 @@ class TransactionService {
   // Commit machinery. End() runs in three acts:
   //  1. StageCommit (under mu_): pick techniques, allocate shadow blocks,
   //     append every intention record — including the commit status, which
-  //     carries the shadow pages — to the group-commit pipeline; nothing is
-  //     written yet;
+  //     carries the shadow pages — to the group-commit pipeline, and keep
+  //     the redo records in the plan; nothing is written yet;
   //  2. AwaitDurable (mu_ RELEASED): block until the flush that forces the
   //     batch carrying the commit record has also written its shadow pages;
-  //  3. ApplyCommit (under mu_ again): make the changes permanent.
-  // Locks release only after act 2 — strict 2PL would be violated if
-  // another transaction could read state whose commit record might still
-  // be lost in a crash.
+  //  3. ApplyCommit (under mu_ again): Redo the plan's records.
+  // Locks release in Finish(), after act 3 — strict 2PL would be violated
+  // if another transaction could read state whose commit record might
+  // still be lost in a crash, or that the redo has not written yet.
   struct CommitPlan {
     bool has_effects = false;
     LogPipeline::Ticket commit_ticket;  // resolves at the durability point
     std::unordered_map<std::uint64_t, CommitTechnique> technique;
-    struct ShadowStage {
-      FileId file;
-      std::uint64_t page;
-      disk::DiskRegistry::Placement placement;
-    };
-    std::vector<ShadowStage> shadows;
+    std::vector<IntentionRecord> records;  // the redo records, in log order
   };
   Status StageCommit(TxnId id, Txn& t, CommitPlan* plan);
-  // Allocates the blocks of plan.shadows — the pages homed on one disk as
-  // one contiguous run when it has one, else one block per page — and
-  // returns the runs of page images to write there.
-  Result<std::vector<FreshRun>> PlaceShadows(const Txn& t, CommitPlan& plan);
+  struct ShadowStage {
+    FileId file;
+    std::uint64_t page;
+    disk::DiskRegistry::Placement placement;
+  };
+  // Allocates the blocks of `shadows` — the pages homed on one disk as one
+  // contiguous run when it has one, else one block per page — and returns
+  // the runs of page images to write there.
+  Result<std::vector<FreshRun>> PlaceShadows(const Txn& t,
+                                             std::vector<ShadowStage>& shadows);
   Status ApplyCommit(TxnId id, Txn& t, CommitPlan& plan);
-  static bool IsShadowed(const CommitPlan& plan, FileId file,
-                         std::uint64_t page);
-  // The one disk `file`'s apply references (table, written blocks), or
-  // nullopt when it must apply serially: it grows, has shared runs, may
-  // allocate an indirect block, or spans disks.
-  Result<std::optional<DiskId>> ApplyDisk(const Txn& t,
-                                          const CommitPlan& plan,
-                                          FileId file);
-  // Applies the page writes, shadow remaps and range writes of the files
-  // `selected` accepts, in commit order.
-  template <typename Pred>
-  Status ApplyFileEffects(Txn& t, const CommitPlan& plan, Pred selected);
-  Status ApplyWalPage(FileId file, std::uint64_t page,
-                      std::span<const std::uint8_t> data);
-  Status ApplyWalRange(FileId file, std::uint64_t offset,
-                       std::span<const std::uint8_t> data);
+  // The one disk that redoing `file`'s writes from `records` references
+  // (table, written blocks), or nullopt when it must write serially: it
+  // grows, has shared runs, may allocate an indirect block, or spans disks.
+  Result<std::optional<DiskId>> ApplyDisk(
+      std::span<const IntentionRecord> records, FileId file);
+
+  // The steps of a redo, in the order a commit applies them: the writes
+  // (page writes, each file's remaps with one table store, range writes),
+  // each file grown to the final size its records carry, the deletes.
+  enum class RedoStep : std::uint8_t { kWrites, kSizes, kDeletes };
+  // Applies `step` of a committed transaction's `records` to the files
+  // `selected` accepts (every file when it is empty). Idempotent, so a
+  // recovery may redo a commit that was applied before the crash.
+  Status Redo(std::span<const IntentionRecord> records, RedoStep step,
+              const std::function<bool(FileId)>& selected = {});
 
   void Finish(TxnId id);
 
-  // Recovery: where a kShadowMap record's remap stands — the file is
-  // gone, it maps the page to the shadow block already, or the remap is
-  // still to be applied — and whether every pending remap of `records`
-  // has its block read back intact on both copies. A malformed checksum
-  // or a read error fails.
+  // Where a kShadowMap record's remap stands: the file is gone, it maps
+  // the page to the shadow block already, or the remap is still to be
+  // applied. Recovery: whether every pending remap of `records` has its
+  // block read back intact on both copies; a malformed checksum or a read
+  // error fails.
   enum class Remap : std::uint8_t { kNoFile, kApplied, kPending };
   Remap RemapState(const IntentionRecord& r);
   Result<bool> ShadowsLanded(const std::vector<IntentionRecord>& records);

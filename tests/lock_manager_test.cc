@@ -249,7 +249,9 @@ TEST(LockManagerTest, SetLockBlocksUntilRelease) {
                                  LockMode::kIWrite);
     granted = st.ok();
   });
-  std::this_thread::sleep_for(5ms);
+  // The waiter queues its record and counts its wait in one hold of the
+  // manager's mutex: once its record shows, it is blocked.
+  while (lm.RecordCount(LockLevel::kPage) != 2) std::this_thread::yield();
   EXPECT_FALSE(granted.load());
   lm.ReleaseAll(kT1);
   waiter.join();

@@ -5,13 +5,18 @@
 // record, so its two copies go out as lanes of one section instead of main
 // then mirror; a one-fragment copy tears whole, leaving each copy old or
 // new. These tests cut power at every write of disk 1's main device, then
-// at every write of its mirror device, through two commit shapes: two
-// shadowed files on disk 1, and a WAL file on disk 0 beside a shadowed
-// file on disk 1. After recovery the commit is all or nothing, both copies
-// of every table parse and map the same blocks, and fsck is clean.
+// at every write of its mirror device, through three commit shapes: two
+// shadowed files on disk 1; a WAL file on disk 0 beside a shadowed file on
+// disk 1; and the same two files growing, the WAL file by part of a page
+// past its end and the shadowed file inside its last block. After
+// recovery the commit is all or nothing, to the byte and in each file's
+// size, both copies of every table parse and map the same blocks, and
+// fsck is clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "file/file_service.h"
 #include "file/fsck.h"
@@ -25,6 +30,7 @@ using file::FileService;
 using file::FileServiceConfig;
 
 constexpr std::uint64_t kFileBlocks = 4;
+constexpr std::uint64_t kFileBytes = kFileBlocks * kBlockSize;
 constexpr std::uint8_t kNew = 0xC3;
 
 disk::DiskServerConfig DiskConfig() {
@@ -35,17 +41,45 @@ disk::DiskServerConfig DiskConfig() {
   return c;
 }
 
-std::vector<std::uint8_t> Block(std::uint8_t fill) {
-  return std::vector<std::uint8_t>(kBlockSize, fill);
+enum class Shape { kTwoShadows, kWalAndShadow, kGrowth };
+
+// One file of a shape: its home disk, whether it is fragmented (so the
+// paper's rule shadows it), its size before the commit, and the bytes of
+// kNew the commit writes at `offset`.
+struct FileCase {
+  std::uint32_t disk;
+  bool fragmented;
+  std::uint64_t size;
+  std::uint64_t offset;
+  std::uint64_t len;
+};
+
+std::vector<FileCase> Cases(Shape shape) {
+  switch (shape) {
+    case Shape::kTwoShadows:
+      return {{1, true, kFileBytes, 0, kBlockSize},
+              {1, true, kFileBytes, 0, kBlockSize}};
+    case Shape::kWalAndShadow:
+      return {{0, false, kFileBytes, 0, kBlockSize},
+              {1, true, kFileBytes, 0, kBlockSize}};
+    case Shape::kGrowth:
+      // The WAL file's new page is past its mapped end; the shadowed
+      // file's write starts before its end and stays inside its last block,
+      // reaching that block's last fragment so a torn shadow page shows.
+      return {{0, false, kFileBytes, kFileBytes, 100},
+              {1, true, kFileBytes - kBlockSize + 100,
+               kFileBytes - kBlockSize + 50, kBlockSize - 192}};
+  }
+  return {};
 }
 
-enum class Shape { kTwoShadows, kWalAndShadow };
-
 std::string Describe(Shape shape, bool tear_mirror, int k) {
-  return std::string(shape == Shape::kTwoShadows ? "two shadows"
-                                                 : "WAL + shadow") +
-         ", tear disk 1's " + (tear_mirror ? "mirror" : "main") +
-         " device after " + std::to_string(k) + " writes";
+  const char* name = shape == Shape::kTwoShadows     ? "two shadows"
+                     : shape == Shape::kWalAndShadow ? "WAL + shadow"
+                                                     : "growth";
+  return std::string(name) + ", tear disk 1's " +
+         (tear_mirror ? "mirror" : "main") + " device after " +
+         std::to_string(k) + " writes";
 }
 
 class ShadowApplyCrashTest : public ::testing::Test {
@@ -75,48 +109,62 @@ class ShadowApplyCrashTest : public ::testing::Test {
 
   disk::DiskServer& Disk(std::uint32_t d) { return **disks_->Get(DiskId{d}); }
 
-  // A page-locked file of kFileBlocks zero blocks homed on disk `d`, with
-  // the bitmap persisted. A fragmented file's first block is cut off from
-  // the rest, so the paper's rule shadows it.
-  FileId MakeFileOn(std::uint32_t d, bool fragmented) {
-    const std::uint64_t hint = fragmented ? 1 : kFileBlocks;
+  // A page-locked file of `c.size` zero bytes over kFileBlocks blocks
+  // homed on disk `c.disk`, with the bitmap persisted. A fragmented file's
+  // first block is cut off from the rest, so the paper's rule shadows it.
+  FileId MakeFile(const FileCase& c) {
+    const std::uint64_t hint = c.fragmented ? 1 : kFileBlocks;
     for (;;) {
       auto file =
           files_->Create(file::ServiceType::kTransaction, hint * kBlockSize);
       EXPECT_TRUE(file.ok());
-      if (file::FileDisk(*file).value != d) continue;
-      if (fragmented) {
-        (void)Disk(d).AllocateSpecific(
+      if (file::FileDisk(*file).value != c.disk) continue;
+      if (c.fragmented) {
+        (void)Disk(c.disk).AllocateSpecific(
             file::FileFitFragment(*file) + 1 + kFragmentsPerBlock,
             kFragmentsPerBlock);
       }
       EXPECT_TRUE(files_->SetLockLevel(*file, file::LockLevel::kPage).ok());
-      EXPECT_TRUE(files_->Resize(*file, kFileBlocks * kBlockSize).ok());
+      EXPECT_TRUE(files_->Resize(*file, c.size).ok());
       EXPECT_TRUE(files_->FlushAll().ok());
       EXPECT_EQ(*txn_->TechniqueFor(*file),
-                fragmented ? CommitTechnique::kShadowPage
-                           : CommitTechnique::kWal);
+                c.fragmented ? CommitTechnique::kShadowPage
+                             : CommitTechnique::kWal);
       return *file;
     }
   }
 
-  std::vector<FileId> MakeFiles(Shape shape) {
-    if (shape == Shape::kTwoShadows) {
-      const FileId a = MakeFileOn(1, true);
-      return {a, MakeFileOn(1, true)};
-    }
-    const FileId wal = MakeFileOn(0, false);
-    return {wal, MakeFileOn(1, true)};
-  }
-
-  // One transaction writing kNew over page 0 of every file.
-  Status Commit(const std::vector<FileId>& files) {
+  // One transaction writing each case's bytes of kNew to its file.
+  Status Commit(const std::vector<FileCase>& cases,
+                const std::vector<FileId>& files) {
     auto t = txn_->Begin(ProcessId{1});
     EXPECT_TRUE(t.ok());
-    for (const FileId f : files) {
-      EXPECT_TRUE(txn_->TWrite(*t, f, 0, Block(kNew)).ok());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::vector<std::uint8_t> data(cases[i].len, kNew);
+      EXPECT_TRUE(txn_->TWrite(*t, files[i], cases[i].offset, data).ok());
     }
     return txn_->End(*t);
+  }
+
+  // The file holds exactly the case's bytes: zeros, with kNew over the
+  // write if it committed, and no byte past the size it should have.
+  void ExpectContent(FileId file, const FileCase& c, bool committed,
+                     const std::string& where) {
+    const std::uint64_t end = std::max(c.size, c.offset + c.len);
+    const std::uint64_t size = committed ? end : c.size;
+    auto attrs = files_->GetAttributes(file);
+    ASSERT_TRUE(attrs.ok()) << where;
+    EXPECT_EQ(attrs->size, size) << where;
+    std::vector<std::uint8_t> expected(size, 0);
+    if (committed) {
+      std::fill_n(expected.begin() + static_cast<std::ptrdiff_t>(c.offset),
+                  c.len, kNew);
+    }
+    std::vector<std::uint8_t> bytes(end + kBlockSize);
+    auto n = files_->Read(file, 0, bytes);
+    ASSERT_TRUE(n.ok()) << where;
+    bytes.resize(*n);
+    EXPECT_EQ(bytes, expected) << where;
   }
 
   void CrashAndRestart() {
@@ -154,13 +202,15 @@ class ShadowApplyCrashTest : public ::testing::Test {
         ASSERT_LT(k, 64) << "the commit never ran out of writes";
         const std::string where = Describe(shape, tear_mirror, k);
         Rebuild();
-        const std::vector<FileId> files = MakeFiles(shape);
+        const std::vector<FileCase> cases = Cases(shape);
+        std::vector<FileId> files;
+        for (const FileCase& c : cases) files.push_back(MakeFile(c));
         sim::DiskModel& device = tear_mirror ? Disk(1).stable_device()
                                              : Disk(1).main_device();
         sim::DiskFaultPlan plan;
         plan.crash_after_writes = k;
         device.SetFaultPlan(plan);
-        const Status ended = Commit(files);
+        const Status ended = Commit(cases, files);
         const bool tore = device.crashed();
         device.SetFaultPlan({});
         EXPECT_EQ(ended.ok(), !tore) << where;
@@ -170,11 +220,9 @@ class ShadowApplyCrashTest : public ::testing::Test {
         const bool committed =
             ended.ok() || txn_->stats().recovered_redone > 0;
         if (tore) ++(committed ? redone : discarded);
-        for (const FileId f : files) {
-          std::vector<std::uint8_t> page(kBlockSize);
-          ASSERT_TRUE(files_->ReadBlock(f, 0, page).ok()) << where;
-          EXPECT_EQ(page, Block(committed ? kNew : 0)) << where;
-          ExpectTableCopiesAgree(f, where);
+        for (std::size_t i = 0; i < files.size(); ++i) {
+          ExpectContent(files[i], cases[i], committed, where);
+          ExpectTableCopiesAgree(files[i], where);
         }
         const TransactionService::LogRegion log = txn_->log_region();
         const file::ReservedRegion reserved[] = {
@@ -204,6 +252,13 @@ TEST_F(ShadowApplyCrashTest, TwoShadowedTablesSurviveATearAtEveryWrite) {
 
 TEST_F(ShadowApplyCrashTest, WalBesideAShadowedTableSurvivesATearAtEveryWrite) {
   RunMatrix(Shape::kWalAndShadow);
+}
+
+// A redone growth keeps its exact size: the WAL page past the end grows
+// the file only to the committed size, and the shadowed file takes the
+// size its remap record carries.
+TEST_F(ShadowApplyCrashTest, GrowingFilesKeepTheirExactSizeAtEveryWrite) {
+  RunMatrix(Shape::kGrowth);
 }
 
 }  // namespace
