@@ -30,11 +30,15 @@ struct RunResult {
 
 template <typename Fn>
 RunResult Measure(core::DistributedFileFacility& facility, Fn&& body) {
+  // A commit's writes ride the next force, or a checkpoint: land the
+  // setup's before the window opens, and the body's before it closes.
+  (void)facility.transactions().Checkpoint();
   facility.ResetStats();
   const std::uint64_t log0 =
       facility.transactions().log().stats().bytes_logged;
   const SimTime t0 = facility.clock().Now();
   body();
+  (void)facility.transactions().Checkpoint();
   RunResult r;
   r.sim_time = facility.clock().Now() - t0;
   r.disk_writes = TotalWriteRefs(facility);

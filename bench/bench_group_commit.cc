@@ -58,6 +58,9 @@ StormResult RunStorm(core::DistributedFileFacility& facility) {
     files.push_back(*file);
   }
 
+  // A commit's writes ride the next force, or a checkpoint: land the
+  // setup's before the window opens, and the storm's before it closes.
+  (void)txns.Checkpoint();
   const std::uint64_t commits0 = txns.stats().commits;
   const std::uint64_t forces0 = txns.log().stats().forces;
   const std::uint64_t batches0 = txns.log().stats().batches;
@@ -79,6 +82,7 @@ StormResult RunStorm(core::DistributedFileFacility& facility) {
     });
   }
   for (std::thread& t : writers) t.join();
+  (void)txns.Checkpoint();
 
   StormResult r;
   r.commits = txns.stats().commits - commits0;

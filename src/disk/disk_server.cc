@@ -181,13 +181,17 @@ Status DiskServer::CheckReachable() const {
 
 Status DiskServer::WriteMain(FragmentIndex first, std::uint32_t count,
                              std::span<const std::uint8_t> in,
-                             WritePolicy policy) {
+                             WritePolicy policy, CacheFill fill) {
   if (policy == WritePolicy::kDelayed && cache_.enabled()) {
     cache_.Install(first, count, in, /*dirty=*/true);
     return OkStatus();
   }
   RHODOS_RETURN_IF_ERROR(main_.WriteFragments(first, count, in));
-  cache_.Install(first, count, in);
+  if (fill == CacheFill::kAllocate) {
+    cache_.Install(first, count, in);
+  } else {
+    cache_.Update(first, count, in);
+  }
   return OkStatus();
 }
 
@@ -211,12 +215,12 @@ Status DiskServer::WriteStable(FragmentIndex first, std::uint32_t count,
 
 Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
                                  std::span<const std::uint8_t> in,
-                                 Barrier barrier) {
+                                 CacheFill fill) {
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   if (in.size() < static_cast<std::size_t>(count) * kFragmentSize) {
     return {ErrorCode::kInvalidArgument, "put_block buffer too small"};
   }
-  if (barrier == Barrier::kObserve && barrier_) barrier_();
+  RHODOS_RETURN_IF_ERROR(RunWriteBarrier());
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   obs::LatencyScope lat(obs_, "disk.reference_ns");
   if (span.recording()) {
@@ -227,7 +231,8 @@ Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
   sim::ParallelSection section(clock_);
   section.BeginLane();
   ObserveSeek(first, main_.head_track());
-  const Status main = WriteMain(first, count, in, WritePolicy::kWriteThrough);
+  const Status main =
+      WriteMain(first, count, in, WritePolicy::kWriteThrough, fill);
   section.EndLane();
   section.BeginLane();
   const Status mirror = WriteStable(first, count, in, WriteSync::kSynchronous);
@@ -351,7 +356,7 @@ Status DiskServer::GetBlocksVec(std::span<const ReadRun> runs,
 
 Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
                                 StableMode stable, WriteSync sync,
-                                WritePolicy policy) {
+                                WritePolicy policy, CacheFill fill) {
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   for (const WriteRun& r : runs) {
     if (r.in.size() < static_cast<std::size_t>(r.count) * kFragmentSize) {
@@ -359,7 +364,7 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
     }
   }
   if (runs.empty()) return OkStatus();
-  if (barrier_) barrier_();
+  RHODOS_RETURN_IF_ERROR(RunWriteBarrier());
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   if (span.recording()) {
     span.SetDetail(SubmissionLabel(runs.size()) +
@@ -394,7 +399,7 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
         obs::LatencyScope lat(obs_, "disk.reference_ns");
         if (to_platter) ObserveSeek(first, main_.head_track());
         if (stable != StableMode::kStableOnly) {
-          RHODOS_RETURN_IF_ERROR(WriteMain(first, count, data, policy));
+          RHODOS_RETURN_IF_ERROR(WriteMain(first, count, data, policy, fill));
         }
         if (stable == StableMode::kNone) return OkStatus();
         return WriteStable(first, count, data, sync);

@@ -61,9 +61,13 @@ enum class StableMode : std::uint8_t {
 // Whether put_block returns before or after the stable-storage write.
 enum class WriteSync : std::uint8_t { kSynchronous, kAsynchronous };
 
-// Whether a put_block first runs the disk's write barrier
-// (DiskServer::SetWriteBarrier).
-enum class Barrier : std::uint8_t { kObserve, kSkip };
+// Whether a put_block's main copy fills the track cache. A write whose
+// data a cache above the disk holds (the file service's block pool) need
+// not take a track from the blocks reads swept in.
+enum class CacheFill : std::uint8_t {
+  kAllocate,      // install the written fragments, as a read would
+  kResidentOnly,  // update only tracks already cached
+};
 
 // Which device get_block reads.
 enum class ReadSource : std::uint8_t { kMain, kStable };
@@ -175,7 +179,8 @@ class DiskServer {
   Status PutBlocksVec(std::span<const WriteRun> runs,
                       StableMode stable = StableMode::kNone,
                       WriteSync sync = WriteSync::kSynchronous,
-                      WritePolicy policy = WritePolicy::kWriteThrough);
+                      WritePolicy policy = WritePolicy::kWriteThrough,
+                      CacheFill fill = CacheFill::kAllocate);
 
   Status GetBlock(FragmentIndex first, std::uint32_t count,
                   std::span<std::uint8_t> out,
@@ -188,9 +193,10 @@ class DiskServer {
                   std::span<const std::uint8_t> in,
                   StableMode stable = StableMode::kNone,
                   WriteSync sync = WriteSync::kSynchronous,
-                  WritePolicy policy = WritePolicy::kWriteThrough) {
+                  WritePolicy policy = WritePolicy::kWriteThrough,
+                  CacheFill fill = CacheFill::kAllocate) {
     const WriteRun run{first, count, in};
-    return PutBlocksVec({&run, 1}, stable, sync, policy);
+    return PutBlocksVec({&run, 1}, stable, sync, policy, fill);
   }
 
   // put_block to a location whose old value need not survive a crash: the
@@ -202,21 +208,24 @@ class DiskServer {
   // durable), since nothing refers to it until the caller's own commit
   // point, which follows this call; and for a one-fragment index table
   // whose re-store a durable log record redoes, since a fragment tears
-  // whole and recovery redoes or re-stores the copy left behind. kSkip is
-  // for a caller whose commit point also settles whatever the barrier
-  // guards.
+  // whole and recovery redoes or re-stores the copy left behind.
   Status PutFreshBlock(FragmentIndex first, std::uint32_t count,
                        std::span<const std::uint8_t> in,
-                       Barrier barrier = Barrier::kObserve);
+                       CacheFill fill = CacheFill::kAllocate);
 
   // A hook every put_block (PutBlocksVec, PutFreshBlock) runs before its
-  // first reference; an empty function removes it. The transaction
-  // service installs one on every disk so that no write lands while its
-  // intention log still holds already-applied commits a recovery would
-  // redo over it (txn_log.h, ResetLazily). It runs inside the caller's
-  // serialization of this disk and may write to another disk.
-  using WriteBarrier = std::function<void()>;
+  // first reference; an empty function removes it. A barrier that fails
+  // refuses the put: it returns the barrier's error and writes nothing.
+  // The transaction service installs one on every disk: a write its
+  // intention log does not cover first runs a checkpoint, so that no
+  // recovery redoes a logged commit over it, and is refused while the log
+  // cannot be reset (TransactionService::Checkpoint). It runs inside the
+  // caller's serialization of this disk and may write to any disk.
+  using WriteBarrier = std::function<Status()>;
   void SetWriteBarrier(WriteBarrier barrier) { barrier_ = std::move(barrier); }
+  // Runs the write barrier now, as the next put would
+  // (DiskRegistry::RunWriteBarriers).
+  Status RunWriteBarrier() { return barrier_ ? barrier_() : OkStatus(); }
 
   // Forces any delayed-write data for [first, first+count) to the platter.
   Status FlushBlock(FragmentIndex first, std::uint32_t count);
@@ -284,7 +293,8 @@ class DiskServer {
   Status ReadMain(FragmentIndex first, std::uint32_t count,
                   std::span<std::uint8_t> out);
   Status WriteMain(FragmentIndex first, std::uint32_t count,
-                   std::span<const std::uint8_t> in, WritePolicy policy);
+                   std::span<const std::uint8_t> in, WritePolicy policy,
+                   CacheFill fill = CacheFill::kAllocate);
   Status WriteStable(FragmentIndex first, std::uint32_t count,
                      std::span<const std::uint8_t> in, WriteSync sync);
   void ReadAheadTrack(FragmentIndex first, std::uint32_t count);

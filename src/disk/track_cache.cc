@@ -34,6 +34,20 @@ bool TrackCache::Lookup(FragmentIndex first, std::uint32_t count,
   return true;
 }
 
+void TrackCache::Update(FragmentIndex first, std::uint32_t count,
+                        std::span<const std::uint8_t> data) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const FragmentIndex f = first + i;
+    TrackEntry* entry = tracks_.Peek(TrackOf(f));
+    if (entry == nullptr) continue;
+    const std::size_t slot = f % fragments_per_track_;
+    std::memcpy(entry->data.data() + slot * kFragmentSize,
+                data.data() + static_cast<std::size_t>(i) * kFragmentSize,
+                kFragmentSize);
+    entry->present[slot] = true;
+  }
+}
+
 void TrackCache::Install(FragmentIndex first, std::uint32_t count,
                          std::span<const std::uint8_t> data, bool dirty) {
   if (!enabled()) return;

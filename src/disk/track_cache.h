@@ -62,6 +62,12 @@ class TrackCache {
   // part of a request still needs the platter.
   bool Contains(FragmentIndex f) const;
 
+  // Copies fragments into the tracks the cache holds already, allocating
+  // none and leaving the recency order as it is: keeps the cache coherent
+  // under a write without evicting the tracks reads swept in.
+  void Update(FragmentIndex first, std::uint32_t count,
+              std::span<const std::uint8_t> data);
+
   // Installs fragments into the cache, evicting LRU tracks as needed.
   // `dirty` marks them as not yet on the platter (delayed-write policy).
   void Install(FragmentIndex first, std::uint32_t count,

@@ -85,10 +85,9 @@ Result<FileService::OpenFile*> FileService::LoadTable(FileId id) {
   return &it->second;
 }
 
-Status FileService::StoreTable(FileId id, OpenFile& of, TableStore how) {
+Status FileService::ProvisionIndirect(FileId id, OpenFile& of,
+                                      std::vector<BlockDescriptor>& released) {
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(FileDisk(id)));
-
-  // Provision (or release) indirect blocks to match the run count.
   const std::size_t needed = of.table.IndirectBlockCount();
   if (needed > kIndirectRefs) {
     return {ErrorCode::kFileTooLarge,
@@ -106,19 +105,72 @@ Status FileService::StoreTable(FileId id, OpenFile& of, TableStore how) {
       of.indirect_blocks.push_back(
           BlockDescriptor{placement.disk, placement.first, 1});
     }
+    NoteUnpersisted(of, of.indirect_blocks.back().disk);
   }
   while (of.indirect_blocks.size() > needed) {
-    const BlockDescriptor ib = of.indirect_blocks.back();
+    released.push_back(of.indirect_blocks.back());
     of.indirect_blocks.pop_back();
+  }
+  return OkStatus();
+}
+
+std::vector<std::uint8_t> FileService::SerializeFragment(
+    const OpenFile& of) const {
+  Serializer ser;
+  of.table.SerializeFragment(ser, of.indirect_blocks);
+  std::vector<std::uint8_t> fragment(kFragmentSize, 0);
+  std::memcpy(fragment.data(), ser.buffer().data(), ser.size());
+  return fragment;
+}
+
+void FileService::NoteUnpersisted(OpenFile& of, DiskId disk) {
+  if (std::find(of.unpersisted.begin(), of.unpersisted.end(), disk) ==
+      of.unpersisted.end()) {
+    of.unpersisted.push_back(disk);
+  }
+}
+
+void FileService::TableChanged(OpenFile& of) {
+  if (logging_ > 0) {
+    of.table_logged = true;
+    ++of.logged_epoch;
+  } else {
+    of.table_dirty = true;
+  }
+}
+
+Status FileService::StoreTable(FileId id, OpenFile& of, TableStore how) {
+  if (logging_ > 0) {
+    // The intention log stores it (TakeLoggedWrites).
+    of.table_logged = true;
+    ++of.logged_epoch;
+    return OkStatus();
+  }
+  RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(FileDisk(id)));
+
+  // Provision (or release) indirect blocks to match the run count.
+  std::vector<BlockDescriptor> released;
+  RHODOS_RETURN_IF_ERROR(ProvisionIndirect(id, of, released));
+  for (const BlockDescriptor& ib : released) {
     RHODOS_RETURN_IF_ERROR(
         disks_->Free(ib.disk, ib.first_fragment, kFragmentsPerBlock));
   }
+  const std::size_t needed = of.indirect_blocks.size();
+  // A careful store never maps a block that its disk's stored bitmap may
+  // call free: nothing else would claim it after a crash.
+  if (how == TableStore::kCareful) {
+    for (const DiskId disk : of.unpersisted) {
+      RHODOS_ASSIGN_OR_RETURN(DiskServer * holder, disks_->Get(disk));
+      RHODOS_RETURN_IF_ERROR(
+          holder->PersistMetadata(WriteSync::kAsynchronous));
+    }
+    of.unpersisted.clear();
+  }
 
-  // Both copies of each block go out at once where no old copy must
-  // survive a crash: a fresh table, or a logged one-fragment re-store.
-  // Every other store keeps the careful main-then-mirror order.
-  const bool at_once = how == TableStore::kFresh ||
-                       (how == TableStore::kRedone && needed == 0);
+  // Both copies of each block of a fresh table go out at once: no old copy
+  // must survive a crash. Every other store keeps the careful
+  // main-then-mirror order.
+  const bool at_once = how == TableStore::kFresh;
   auto put = [at_once](DiskServer* to, FragmentIndex first,
                        std::uint32_t count,
                        std::span<const std::uint8_t> data) {
@@ -137,12 +189,10 @@ Status FileService::StoreTable(FileId id, OpenFile& of, TableStore how) {
                                kFragmentsPerBlock, block));
   }
 
-  Serializer ser;
-  of.table.SerializeFragment(ser, of.indirect_blocks);
-  std::vector<std::uint8_t> fragment(kFragmentSize, 0);
-  std::memcpy(fragment.data(), ser.buffer().data(), ser.size());
-  RHODOS_RETURN_IF_ERROR(put(server, FileFitFragment(id), 1, fragment));
+  RHODOS_RETURN_IF_ERROR(
+      put(server, FileFitFragment(id), 1, SerializeFragment(of)));
   of.table_dirty = false;
+  of.table_logged = false;
   of.attrs_dirty = false;
   ++stats_.fit_stores;
   return OkStatus();
@@ -234,6 +284,7 @@ Result<FileId> FileService::Create(ServiceType type,
   }
   RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(placement->disk));
   RHODOS_RETURN_IF_ERROR(server->PersistMetadata(WriteSync::kAsynchronous));
+  std::erase(of.unpersisted, placement->disk);
   return id;
 }
 
@@ -309,7 +360,9 @@ Status FileService::Close(FileId id) {
   // changes. A table store for soft attributes alone would cost a
   // synchronous write to the main copy and the stable mirror per close.
   RHODOS_RETURN_IF_ERROR(Sync(id));
-  if (of.pins > 0) return OkStatus();
+  // A logged table is newer than its stored copies: it stays cached until
+  // the intention log has stored it.
+  if (of.pins > 0 || of.table_logged) return OkStatus();
   if (of.attrs_dirty) {
     parked_attrs_[id] = ParkedAttrs{of.table.attributes().access_count,
                                     of.table.attributes().last_read_time};
@@ -321,7 +374,7 @@ Status FileService::Close(FileId id) {
 // --- cache plumbing ------------------------------------------------------------
 
 Status FileService::WritebackEntry(const BlockKey& key, CacheEntry& entry) {
-  if (!entry.dirty) return OkStatus();
+  if (!entry.dirty && !entry.logged) return OkStatus();
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(key.file));
   RHODOS_ASSIGN_OR_RETURN(BlockLocation loc,
                           of->table.Locate(key.block));
@@ -329,14 +382,17 @@ Status FileService::WritebackEntry(const BlockKey& key, CacheEntry& entry) {
   RHODOS_RETURN_IF_ERROR(server->PutBlock(loc.first_fragment,
                                           kFragmentsPerBlock, entry.data));
   entry.dirty = false;
+  entry.logged = false;
   return OkStatus();
 }
 
 Status FileService::EvictOne() {
-  // Prefer the least-recently-used clean entry; if all are dirty, write the
-  // LRU one back first.
-  const BlockKey* victim = cache_.Victim(
-      [](const BlockKey&, const CacheEntry& e) { return !e.dirty; });
+  // Prefer the least-recently-used clean entry; if all are dirty or logged,
+  // write the LRU one back first.
+  const BlockKey* victim = cache_.Victim([](const BlockKey&,
+                                            const CacheEntry& e) {
+    return !e.dirty && !e.logged;
+  });
   if (victim == nullptr) {
     return {ErrorCode::kInternal, "evict from empty cache"};
   }
@@ -351,9 +407,12 @@ Status FileService::EvictOne() {
 Result<FileService::CacheEntry*> FileService::CacheInsert(
     FileId id, std::uint64_t block, std::span<const std::uint8_t> data,
     bool dirty) {
+  // Under a LoggedApply a written block is the intention log's to write.
+  const bool logged = dirty && logging_ > 0;
   if (CacheEntry* existing = cache_.Touch(BlockKey{id, block})) {
     std::memcpy(existing->data.data(), data.data(), kBlockSize);
-    existing->dirty = existing->dirty || dirty;
+    existing->dirty = existing->dirty || (dirty && !logged);
+    existing->logged = existing->logged || logged;
     if (dirty && existing->prefetched) {
       // Overwritten before ever being read: the prefetch bought nothing.
       existing->prefetched = false;
@@ -368,7 +427,7 @@ Result<FileService::CacheEntry*> FileService::CacheInsert(
       BlockKey{id, block},
       CacheEntry{std::vector<std::uint8_t>(data.begin(),
                                            data.begin() + kBlockSize),
-                 dirty, /*prefetched=*/false});
+                 dirty && !logged, /*prefetched=*/false, logged});
 }
 
 // --- read path -------------------------------------------------------------------
@@ -563,6 +622,7 @@ Status FileService::Grow(FileId id, OpenFile& of, std::uint64_t blocks) {
           (*server)
               ->AllocateSpecific(next, chunk * kFragmentsPerBlock)
               .ok()) {
+        NoteUnpersisted(of, last.disk);
         RHODOS_RETURN_IF_ERROR(of.table.AppendRun(last.disk, next, chunk));
         remaining -= chunk;
         continue;
@@ -592,11 +652,12 @@ Status FileService::Grow(FileId id, OpenFile& of, std::uint64_t blocks) {
       }
       return {ErrorCode::kNoSpace, "disks full while growing file"};
     }
+    NoteUnpersisted(of, placement->disk);
     RHODOS_RETURN_IF_ERROR(
         of.table.AppendRun(placement->disk, placement->first, chunk));
     remaining -= chunk;
   }
-  of.table_dirty = true;
+  TableChanged(of);
   // Extents may reuse freed fragments whose platters still hold old data;
   // a flat file must read back zeros in never-written regions. Zero-fill
   // the new blocks through the cache (dirty, so the zeros reach the disk
@@ -688,7 +749,7 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
 
     RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
                             CacheInsert(id, block, data, /*dirty=*/true));
-    if (policy == WritePolicy::kWriteThrough) {
+    if (policy == WritePolicy::kWriteThrough && logging_ == 0) {
       RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(block));
       RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
       puts.push_back(PendingPut{server, loc.first_fragment, data});
@@ -704,7 +765,7 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
   of->attrs_dirty = true;
   if (offset + len > attrs.size) {
     attrs.size = offset + len;
-    of->table_dirty = true;
+    TableChanged(*of);
   }
   stats_.bytes_written += len;
   BumpVersion(id);
@@ -784,7 +845,7 @@ Status FileService::Resize(FileId id, std::uint64_t size) {
     RHODOS_RETURN_IF_ERROR(ZeroUnwritten(id, *of, new_blocks, mapped));
   }
   of->table.attributes().size = size;
-  of->table_dirty = true;
+  TableChanged(*of);
   BumpVersion(id);
   return StoreTable(id, *of);
 }
@@ -808,8 +869,8 @@ Status FileService::WritebackDirty(const FileId* only) {
   // One file's blocks come in block order from the per-file index; every
   // file's come in the cache's map order.
   std::vector<BlockKey> dirty;
-  const auto note = [&dirty](const BlockKey& key, const CacheEntry& entry) {
-    if (entry.dirty) dirty.push_back(key);
+  const auto note = [&](const BlockKey& key, const CacheEntry& entry) {
+    if (entry.dirty || (only == nullptr && entry.logged)) dirty.push_back(key);
   };
   if (only == nullptr) {
     cache_.ForEach(note);
@@ -824,8 +885,7 @@ Status FileService::WritebackDirty(const FileId* only) {
     RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(key.file));
     RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(key.block));
     RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
-    puts.push_back(
-        PendingPut{server, loc.first_fragment, entry.data, &entry.dirty});
+    puts.push_back(PendingPut{server, loc.first_fragment, entry.data, &entry});
   }
   return PutPerDisk(std::move(puts));
 }
@@ -833,6 +893,9 @@ Status FileService::WritebackDirty(const FileId* only) {
 Status FileService::PutPerDisk(std::vector<PendingPut> puts) {
   sim::PerDeviceFanOut<DiskServer*, PendingPut> per_disk;
   for (const PendingPut& p : puts) per_disk.Add(p.server, p);
+  if (per_disk.devices() > 1) {
+    RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
+  }
   return per_disk.Run(clock_, [](DiskServer* server,
                                  std::vector<PendingPut>& group) -> Status {
     std::vector<disk::WriteRun> runs;
@@ -841,13 +904,18 @@ Status FileService::PutPerDisk(std::vector<PendingPut> puts) {
     }
     RHODOS_RETURN_IF_ERROR(server->PutBlocksVec(runs));
     for (const PendingPut& p : group) {
-      if (p.dirty != nullptr) *p.dirty = false;
+      if (p.entry != nullptr) {
+        p.entry->dirty = false;
+        p.entry->logged = false;
+      }
     }
     return OkStatus();
   });
 }
 
 Status FileService::Sync(FileId id) {
+  // What a logged apply changes is the intention log's to write.
+  if (logging_ > 0) return OkStatus();
   RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
   auto it = open_files_.find(id);
   if (it == open_files_.end() || !it->second.table_dirty) return OkStatus();
@@ -868,12 +936,17 @@ Status FileService::FlushAll() {
   // it. A file's table is stored only once its own data landed: a stored
   // table must never map blocks that do not hold its bytes yet. Whatever
   // cannot be written stays in memory, and the first error is returned.
+  // The disks' write barriers run first: a checkpoint of the intention log
+  // lands what the log owes before anything else is written, and a log
+  // that cannot be checkpointed refuses every write.
+  RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
   Status failed = WritebackDirty(nullptr);
   const auto keep = [&failed](Status st) {
     if (failed.ok() && !st.ok()) failed = std::move(st);
   };
   for (auto& [id, of] : open_files_) {
-    if ((of.table_dirty || of.attrs_dirty) && !HoldsDirty(id)) {
+    if ((of.table_dirty || of.table_logged || of.attrs_dirty) &&
+        !HoldsDirty(id)) {
       keep(StoreTable(id, of));
     }
   }
@@ -902,8 +975,7 @@ Status FileService::ReadBlock(FileId id, std::uint64_t block_index,
 }
 
 Status FileService::WriteBlock(FileId id, std::uint64_t block_index,
-                               std::span<const std::uint8_t> in,
-                               bool force_write_through) {
+                               std::span<const std::uint8_t> in) {
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
   if (of->table.attributes().immutable()) {
     return {ErrorCode::kPermissionDenied, "write to immutable snapshot"};
@@ -917,7 +989,7 @@ Status FileService::WriteBlock(FileId id, std::uint64_t block_index,
   }
   RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
                           CacheInsert(id, block_index, in, /*dirty=*/true));
-  if (force_write_through || PolicyFor(*of) == WritePolicy::kWriteThrough) {
+  if (PolicyFor(*of) == WritePolicy::kWriteThrough && logging_ == 0) {
     RHODOS_ASSIGN_OR_RETURN(BlockLocation loc,
                             of->table.Locate(block_index));
     RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
@@ -968,6 +1040,11 @@ Status FileService::ReplaceBlocks(FileId id,
     }
     RHODOS_ASSIGN_OR_RETURN(BlockLocation old,
                             of->table.Locate(r.block_index));
+    if (old.disk == r.disk && old.first_fragment == r.fragment) {
+      // Carried already: whatever is cached for the block predates it.
+      Drop(BlockKey{id, r.block_index});
+      continue;
+    }
     if (r.block_index >= BlocksCovering(of->table.attributes().size)) {
       of->written_past_size.insert(r.block_index);
     }
@@ -1003,17 +1080,23 @@ Status FileService::ReplaceBlocks(FileId id,
     }
     RHODOS_RETURN_IF_ERROR(
         of->table.ReplaceBlock(r.block_index, r.disk, r.fragment));
-    of->table_dirty = true;
+    TableChanged(*of);
     unstored = true;
-    RHODOS_RETURN_IF_ERROR(
-        disks_->Free(old.disk, old.first_fragment, kFragmentsPerBlock));
+    if (logging_ > 0) {
+      // Freed only once the table that drops it has landed.
+      of->logged_frees.push_back(
+          BlockDescriptor{old.disk, old.first_fragment, 1});
+    } else {
+      RHODOS_RETURN_IF_ERROR(
+          disks_->Free(old.disk, old.first_fragment, kFragmentsPerBlock));
+    }
     // The logical block now lives elsewhere; the cached copy is stale.
     Drop(BlockKey{id, r.block_index});
     BumpVersion(id);
   }
   if (!unstored) return OkStatus();
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
-  return StoreTable(id, *of, TableStore::kRedone);
+  return StoreTable(id, *of);
 }
 
 Status FileService::ReconcileTableCopies(FileId id) {
@@ -1034,6 +1117,80 @@ Status FileService::CacheDurableBlock(FileId id, std::uint64_t block_index,
                                       std::span<const std::uint8_t> image) {
   RHODOS_RETURN_IF_ERROR(CacheInsert(id, block_index, image, /*dirty=*/false));
   return OkStatus();
+}
+
+Result<LoggedWrites> FileService::TakeLoggedWrites(FileId id) {
+  LoggedWrites out;
+  out.file = id;
+  RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
+  for (const std::uint64_t b : cache_.index().Blocks(id)) {
+    const CacheEntry& entry = *cache_.Peek(BlockKey{id, b});
+    if (!entry.logged) continue;
+    RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(b));
+    RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
+    out.writes.push_back(LoggedWrite{server, loc.first_fragment,
+                                     kFragmentsPerBlock, entry.data,
+                                     LoggedWrite::Copies::kMain, b});
+  }
+  out.frees = std::move(of->logged_frees);
+  of->logged_frees.clear();
+  // The log's redo re-claims what a logged apply allocated until a
+  // checkpoint persists the bitmaps.
+  of->unpersisted.clear();
+  if (!of->table_logged) return out;
+  RHODOS_RETURN_IF_ERROR(ProvisionIndirect(id, *of, out.frees));
+  const auto copies = of->indirect_blocks.empty()
+                          ? LoggedWrite::Copies::kAtOnce
+                          : LoggedWrite::Copies::kMainThenMirror;
+  // Indirect blocks first, then the fragment that references them.
+  for (std::size_t i = 0; i < of->indirect_blocks.size(); ++i) {
+    const BlockDescriptor& ib = of->indirect_blocks[i];
+    RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(ib.disk));
+    out.writes.push_back(LoggedWrite{server, ib.first_fragment,
+                                     kFragmentsPerBlock,
+                                     of->table.SerializeIndirectBlock(i),
+                                     copies});
+  }
+  RHODOS_ASSIGN_OR_RETURN(DiskServer * home, disks_->Get(FileDisk(id)));
+  out.writes.push_back(LoggedWrite{home, FileFitFragment(id), 1,
+                                   SerializeFragment(*of), copies});
+  out.epoch = of->logged_epoch;
+  ++stats_.fit_stores;
+  return out;
+}
+
+Status FileService::WriteLogged(const LoggedWrite& w) {
+  constexpr auto kFill = disk::CacheFill::kResidentOnly;
+  switch (w.copies) {
+    case LoggedWrite::Copies::kMain:
+      return w.disk->PutBlock(w.first, w.count, w.data,
+                              disk::StableMode::kNone,
+                              disk::WriteSync::kSynchronous,
+                              disk::WritePolicy::kWriteThrough, kFill);
+    case LoggedWrite::Copies::kAtOnce:
+      return w.disk->PutFreshBlock(w.first, w.count, w.data, kFill);
+    case LoggedWrite::Copies::kMainThenMirror:
+      return w.disk->PutBlock(w.first, w.count, w.data,
+                              disk::StableMode::kOriginalAndStable,
+                              disk::WriteSync::kSynchronous,
+                              disk::WritePolicy::kWriteThrough, kFill);
+  }
+  return {ErrorCode::kInternal, "bad logged write"};
+}
+
+void FileService::LoggedWritesLanded(const LoggedWrites& writes) {
+  for (const LoggedWrite& w : writes.writes) {
+    if (w.copies != LoggedWrite::Copies::kMain) continue;
+    CacheEntry* entry = cache_.Peek(BlockKey{writes.file, w.block});
+    if (entry != nullptr && entry->logged && entry->data == w.data) {
+      entry->logged = false;
+    }
+  }
+  auto it = open_files_.find(writes.file);
+  if (it != open_files_.end() && it->second.table_logged &&
+      it->second.logged_epoch == writes.epoch) {
+    it->second.table_logged = false;
+  }
 }
 
 Result<std::vector<disk::DiskRegistry::Placement>>
@@ -1088,7 +1245,8 @@ void FileService::PurgeCache(FileId id, std::uint64_t from) {
 
 bool FileService::HoldsDirty(FileId id) const {
   for (const std::uint64_t b : cache_.index().Blocks(id)) {
-    if (cache_.Peek(BlockKey{id, b})->dirty) return true;
+    const CacheEntry& entry = *cache_.Peek(BlockKey{id, b});
+    if (entry.dirty || entry.logged) return true;
   }
   return false;
 }
@@ -1218,7 +1376,7 @@ Status FileService::EnsureExclusive(FileId id, OpenFile& of,
       // no journal entry needed, the share map already says "exclusive".
       RHODOS_RETURN_IF_ERROR(
           of.table.ClearSharedInRange(b, piece.block_count));
-      of.table_dirty = true;
+      TableChanged(of);
       b += piece.block_count;
     } else {
       RHODOS_ASSIGN_OR_RETURN(
@@ -1294,6 +1452,13 @@ Result<std::uint32_t> FileService::CowSplit(FileId id, OpenFile& of,
 }
 
 Status FileService::ApplySnapOp(const SnapOp& op) {
+  // The snapshot journal redoes this operation, not the intention log:
+  // its stores are real even inside a LoggedApply.
+  struct Unlogged {
+    int& logging;
+    int saved;
+    ~Unlogged() { logging = saved; }
+  } unlogged{logging_, std::exchange(logging_, 0)};
   // Re-install the absolute counts first: inline they are already in the
   // map (LogOp applied them), at recovery this is the redo.
   for (const SnapRefEdit& e : op.ref_edits) {

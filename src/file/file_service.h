@@ -118,6 +118,39 @@ struct BlockRebind {
   FragmentIndex fragment = 0;
 };
 
+// One write of a file's logged state (see FileService::TakeLoggedWrites):
+// a data block to its main location, or a block of its index table to its
+// main copy and its stable mirror. FileService::WriteLogged issues it.
+struct LoggedWrite {
+  enum class Copies : std::uint8_t {
+    kMain,            // a data block
+    kAtOnce,          // a one-fragment table: both copies concurrently
+    kMainThenMirror,  // a table with indirect blocks: the careful order
+  };
+  disk::DiskServer* disk = nullptr;
+  FragmentIndex first = 0;
+  std::uint32_t count = 0;
+  std::vector<std::uint8_t> data;
+  Copies copies = Copies::kMain;
+  std::uint64_t block = 0;  // logical block of a kMain write
+
+  // Whether the write occupies both of `disk`'s devices, not only the main
+  // one, and whether it must run alone, after every write beside it, in
+  // the order TakeLoggedWrites returned (a careful table may span disks).
+  bool both_devices() const { return copies != Copies::kMain; }
+  bool in_order() const { return copies == Copies::kMainThenMirror; }
+};
+
+// Everything a file's logged state owes the disks, in the order to write
+// it, and the blocks its remaps replaced, to free once it has landed.
+struct LoggedWrites {
+  FileId file{};
+  std::uint64_t epoch = 0;  // of the table image these writes carry
+  std::vector<LoggedWrite> writes;
+  std::vector<BlockDescriptor> frees;
+  bool empty() const { return writes.empty() && frees.empty(); }
+};
+
 class FileService {
  public:
   FileService(disk::DiskRegistry* disks, SimClock* clock,
@@ -143,7 +176,8 @@ class FileService {
   // stored only if a hard attribute changed). Soft attributes (access
   // count, last read time) do not earn a mirrored table store of their
   // own; the last close parks them in memory and the next table load folds
-  // them back in.
+  // them back in. A table whose changes the intention log owns stays
+  // cached until the log has stored it.
   Status Close(FileId id);
 
   Result<std::uint64_t> Read(FileId id, std::uint64_t offset,
@@ -199,15 +233,18 @@ class FileService {
   // Durability of the file's data and hard metadata: writes back its dirty
   // cached blocks and stores its index table only if a hard attribute
   // (size, runs, service type, lock level) changed. Soft attributes stay
-  // dirty in memory and ride the next table store. Close and transaction
-  // commits (and their recovery redo) go through here.
+  // dirty in memory and ride the next table store. What a LoggedApply
+  // changed is the intention log's to write, and Sync leaves it.
   Status Sync(FileId id);
   // Sync plus the soft attributes: also stores the table when only access
   // counts or read times changed, parked ones of a closed file included.
   Status Flush(FileId id);
-  // Flush of every file, best effort per file: what cannot be written stays
-  // in memory (a table waits for its own data) and the first error is
-  // returned. The facility's epoch fence runs it before purging a shard.
+  // Flush of every file, logged state included, best effort per file: what
+  // cannot be written stays in memory (a table waits for its own data) and
+  // the first error is returned. The disks' write barriers run first, so
+  // a checkpoint lands what the intention log owes; a barrier's refusal
+  // fails the flush before anything is written. The facility's epoch
+  // fence runs it before purging a shard.
   Status FlushAll();
 
   // --- Block-level interface for the transaction service -------------------
@@ -220,8 +257,7 @@ class FileService {
   Status ReadBlock(FileId id, std::uint64_t block_index,
                    std::span<std::uint8_t> out);
   Status WriteBlock(FileId id, std::uint64_t block_index,
-                    std::span<const std::uint8_t> in,
-                    bool force_write_through = false);
+                    std::span<const std::uint8_t> in);
 
   // Physical location of a logical block (for WAL/shadow decisions).
   Result<BlockLocation> LocateBlock(FileId id, std::uint64_t block_index);
@@ -231,11 +267,11 @@ class FileService {
   Result<bool> IsContiguous(FileId id);
 
   // Shadow-page commit primitive: rebinds each listed logical block to its
-  // freshly written physical block and frees the old one, then persists the
-  // index table once for all of them. The caller holds a durable log record
-  // that redoes these remaps (a committed kShadowMap), so a one-fragment
-  // table goes to its main copy and its mirror at once; a table with
-  // indirect blocks keeps main-then-mirror (see TableStore).
+  // freshly written physical block and frees the old one, then stores the
+  // index table once for all of them. Under a LoggedApply (a commit's
+  // redo) the table is only marked logged and the old blocks are freed
+  // once it has landed (TakeLoggedWrites). A rebind the table already
+  // carries only drops the block's cached copy.
   Status ReplaceBlocks(FileId id, const std::vector<BlockRebind>& rebinds);
   // Recovery after a committed remap: when the main copy of `id`'s index
   // table parses and differs from the mirror, stores the table to both, so
@@ -246,6 +282,45 @@ class FileService {
   // remapped this way, so a read after the commit costs no disk reference.
   Status CacheDurableBlock(FileId id, std::uint64_t block_index,
                            std::span<const std::uint8_t> image);
+
+  // --- Logged apply: the intention log owns the write-back --------------------
+
+  // While one is alive, the service applies changes to its caches only (a
+  // transaction's redo after its commit force): written blocks and changed
+  // tables are marked logged instead of written, and a remap keeps the
+  // block it replaces allocated. Sync and Close write nothing a log owns;
+  // TakeLoggedWrites hands the state over. Scopes nest.
+  class LoggedApply {
+   public:
+    explicit LoggedApply(FileService& service) : service_(service) {
+      ++service_.logging_;
+    }
+    ~LoggedApply() { --service_.logging_; }
+    LoggedApply(const LoggedApply&) = delete;
+    LoggedApply& operator=(const LoggedApply&) = delete;
+
+   private:
+    FileService& service_;
+  };
+
+  // The writes `id`'s logged state owes: each logged block, then, if its
+  // table is logged, the table's indirect blocks and fragment (allocating
+  // or releasing indirect blocks as the runs need). The log's record redoes
+  // the table store, so the old table need not survive it: a one-fragment
+  // table goes to both copies at once, since a fragment tears whole and
+  // recovery re-stores a stale copy, while a table with indirect blocks
+  // keeps main then mirror, since a 4-fragment block can tear midway. The
+  // state stays logged (cached, never evicted unwritten, skipped by Sync)
+  // until LoggedWritesLanded reports these writes done.
+  Result<LoggedWrites> TakeLoggedWrites(FileId id);
+  // Issues one of those writes, write-through, as its copies require. Its
+  // main copy updates only tracks the disk's track cache already holds:
+  // the service's block pool caches what it lands.
+  static Status WriteLogged(const LoggedWrite& w);
+  // `writes` reached the disks: a block still holding the image written
+  // and a table unchanged since the capture stop being logged. Only flips
+  // flags, so it is safe to call from inside another operation's put.
+  void LoggedWritesLanded(const LoggedWrites& writes);
 
   // Allocates `count` free blocks without linking them into any file —
   // shadow-page staging space for pages homed on `id`'s disk: one
@@ -319,6 +394,17 @@ class FileService {
     // Hard changes (size, runs, service type, lock level): stored at close
     // at the latest.
     bool table_dirty = false;
+    // Hard changes a logged apply made: the intention log stores them (see
+    // TakeLoggedWrites), so Sync and Close leave them alone and Close keeps
+    // the table cached. `logged_epoch` counts them.
+    bool table_logged = false;
+    std::uint64_t logged_epoch = 0;
+    // Blocks a logged remap replaced, freed once its table has landed.
+    std::vector<BlockDescriptor> logged_frees;
+    // Disks whose in-memory bitmap holds an allocation this table maps
+    // (a growth, an indirect block) that their stored bitmap may lack: a
+    // careful table store persists them first.
+    std::vector<DiskId> unpersisted;
     // Soft attribute changes (access count, last read time): ride the next
     // table store or an explicit Flush/FlushAll, never a store of their own
     // — not at close (which parks them) and not at a transaction commit.
@@ -340,6 +426,9 @@ class FileService {
     std::vector<std::uint8_t> data;  // kBlockSize bytes
     bool dirty = false;
     bool prefetched = false;  // brought in by read-ahead, not yet read
+    // Written by a logged apply and not yet on its disk: the intention log
+    // owns the write-back, so Sync skips it and eviction prefers others.
+    bool logged = false;
   };
 
   // Soft attributes of a closed file whose last close found nothing else
@@ -390,32 +479,39 @@ class FileService {
   // releasing `run`, appending to `op`.
   void BuildRelease(const BlockDescriptor& run, SnapOp& op);
 
+  // Records a hard change to `of`'s table: logged under a LoggedApply,
+  // dirty otherwise.
+  void TableChanged(OpenFile& of);
+
   // Drops every cache entry of `id` at logical block >= `from`.
   void PurgeCache(FileId id, std::uint64_t from);
   // Drops one cache entry, if cached.
   void Drop(const BlockKey& key);
-  // True when a block of `id` waits in the cache for its disk.
+  // True when a block of `id` waits in the cache for its disk (dirty or
+  // logged).
   bool HoldsDirty(FileId id) const;
   // How a table store writes each block's main copy and stable mirror.
+  // (A store the intention log redoes is TakeLoggedWrites' to issue.)
   enum class TableStore : std::uint8_t {
     // Main, then mirror: a crash leaves one intact copy of the old table,
     // the only way back where no log record redoes the store (close/Sync,
     // Resize, SetLockLevel, the snapshot journal's apply).
     kCareful,
-    // A durable log record redoes this store (a committed remap), so the
-    // old table need not survive. A one-fragment table goes to both copies
-    // at once: a fragment tears whole, leaving each copy old or new, and
-    // recovery redoes a remap main lacks or re-stores a stale mirror. A
-    // table with indirect blocks stays careful, since a 4-fragment block
-    // can tear midway.
-    kRedone,
     // The locations were just allocated and hold nothing live (Create).
     kFresh,
   };
   // Persists the table of `id` (fragment + indirect blocks) to original and
-  // stable storage.
+  // stable storage; under a LoggedApply it only marks the table logged.
   Status StoreTable(FileId id, OpenFile& of,
                     TableStore how = TableStore::kCareful);
+  // Allocates the indirect blocks `of`'s runs need on top of those it has,
+  // or moves the ones it no longer needs to `released`.
+  Status ProvisionIndirect(FileId id, OpenFile& of,
+                           std::vector<BlockDescriptor>& released);
+  // The table fragment's image.
+  std::vector<std::uint8_t> SerializeFragment(const OpenFile& of) const;
+  // Records that `disk`'s stored bitmap may lack an allocation `of` maps.
+  static void NoteUnpersisted(OpenFile& of, DiskId disk);
 
   // Grows the file by `blocks` logical blocks, preferring in-place
   // extension, then fresh extents placed by the registry.
@@ -439,8 +535,8 @@ class FileService {
     if (entry.prefetched) ++stats_.readahead_wasted;
   }
   // Writes back every dirty cached block (of one file when `only` is
-  // non-null, of all files otherwise) as per-disk vectored batches issued
-  // under one overlapped section.
+  // non-null, of all files otherwise, logged blocks included) as per-disk
+  // vectored batches issued under one overlapped section.
   Status WritebackDirty(const FileId* only);
 
   // One block bound for the disk service.
@@ -448,10 +544,11 @@ class FileService {
     disk::DiskServer* server;
     FragmentIndex frag;
     std::span<const std::uint8_t> data;
-    bool* dirty = nullptr;  // cleared once the block's disk took it
+    CacheEntry* entry = nullptr;  // made clean once the block's disk took it
   };
   // Writes blocks as one submission per disk, disks overlapping. Every
-  // disk is tried; the first failure is returned.
+  // disk's write barrier runs before the section opens. Every disk is
+  // tried; the first failure is returned.
   Status PutPerDisk(std::vector<PendingPut> puts);
 
   // Reads logical blocks [first, first+count) into out, coalescing
@@ -486,6 +583,7 @@ class FileService {
   std::unordered_map<FileId, std::uint64_t> versions_;
   FileServiceStats stats_;
   obs::Observability* obs_ = nullptr;
+  int logging_ = 0;  // open LoggedApply scopes
   MutationListener mutation_listener_;
   CrashListener crash_listener_;
 };

@@ -198,6 +198,7 @@ Result<WriteAck> ReplicationService::Write(GroupId group,
     // Quorum fan-out: the replicas live on independent disks, so the copies
     // proceed concurrently, and the caller returns when the W-th fastest
     // replica acks — a slow straggler no longer paces every write (E20).
+    RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
     sim::ParallelSection section(clock_);
     for (std::size_t i : candidates) {
       Replica& r = g->replicas[i];
@@ -495,6 +496,7 @@ Status ReplicationService::Repair(GroupId group) {
   // The lagging replicas rebuild concurrently (they sit on different
   // disks); after the first lane the source chunks come from the block
   // cache, so the overlapped copies do not re-reference the source disk.
+  RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
   Status result = OkStatus();
   sim::ParallelSection section(clock_);
   for (Replica* r : behind) {

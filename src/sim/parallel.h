@@ -147,8 +147,10 @@ class ParallelSection {
 };
 
 // Work grouped by the device it touches, for issuing one lane per device.
-// Groups keep the order their devices were first added in, and items keep
-// their order within a group.
+// A key may also name a group of devices (a disk's main device and its
+// stable mirror, say), so long as no two keys share a device. Groups keep
+// the order their keys were first added in, and items keep their order
+// within a group.
 template <typename Device, typename Item>
 class PerDeviceFanOut {
  public:
@@ -161,6 +163,9 @@ class PerDeviceFanOut {
     }
     it->second.push_back(std::move(item));
   }
+
+  // Devices with work.
+  std::size_t devices() const { return groups_.size(); }
 
   // Calls `lane(device, items)` once per device. A single device runs
   // inline: no section opens and no dispatch is charged. Several run as

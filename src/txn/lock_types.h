@@ -40,7 +40,6 @@ enum class TxnStatus : std::uint8_t {
   kTentative = 0,
   kCommit = 1,
   kAbort = 2,
-  kCompleted = 3,  // changes made permanent, intentions removed
 };
 
 // A lockable data item: a byte range of a file. The three granularities

@@ -22,46 +22,89 @@ struct LogPipeline::Batch {
 };
 
 LogPipeline::LogPipeline(TxnLog* log, disk::DiskServer* log_disk,
-                         std::mutex* io_mu, GroupCommitConfig config)
+                         std::recursive_mutex* io_mu, GroupCommitConfig config)
     : log_(log),
       log_disk_(log_disk),
       clock_(log_disk->clock()),
       io_mu_(io_mu),
       config_(config) {}
 
+namespace {
+
+// A flush lane: one disk's main device, or both of its devices.
+struct LaneKey {
+  DiskId disk;
+  bool main_only;
+  friend bool operator==(const LaneKey&, const LaneKey&) = default;
+};
+
+}  // namespace
+
 Status LogPipeline::WriteAndForce(
     std::span<const std::shared_ptr<Batch>> batches,
     std::span<const TxnLog::BatchFramePayload> frames) {
-  // An item without a run is the force.
+  const CoveredWrites covered;
+  std::vector<Owed> owed;
+  if (collect_) collect_(owed);
+  // An item with neither a write nor a run is the force.
   struct Item {
+    const Owed* write;
     const FreshRun* run;
     Status* status;
   };
-  Status forced;
-  sim::PerDeviceFanOut<DiskId, Item> lanes;
+  // Disks where something writes both copies: all their work shares a lane.
+  std::vector<DiskId> both;
+  auto note_both = [&both](DiskId disk) {
+    if (std::find(both.begin(), both.end(), disk) == both.end()) {
+      both.push_back(disk);
+    }
+  };
+  for (const Owed& o : owed) {
+    if (o.both_devices && !o.in_order) note_both(o.disk);
+  }
   for (const auto& b : batches) {
-    for (std::size_t i = 0; i < b->runs.size(); ++i) {
-      lanes.Add(b->runs[i].disk->id(), Item{&b->runs[i], &b->run_status[i]});
+    for (const FreshRun& run : b->runs) note_both(run.disk->id());
+  }
+  auto key = [&both](DiskId disk, bool main_only) {
+    return LaneKey{disk, main_only && std::find(both.begin(), both.end(),
+                                                disk) == both.end()};
+  };
+  Status forced;
+  sim::PerDeviceFanOut<LaneKey, Item> lanes;
+  for (const Owed& o : owed) {
+    if (!o.in_order) {
+      lanes.Add(key(o.disk, !o.both_devices), Item{&o, nullptr, o.status});
     }
   }
-  lanes.Add(log_disk_->id(), Item{nullptr, &forced});
-  (void)lanes.Run(clock_, [&](DiskId, const std::vector<Item>& items) {
+  for (const auto& b : batches) {
+    for (std::size_t i = 0; i < b->runs.size(); ++i) {
+      lanes.Add(key(b->runs[i].disk->id(), false),
+                Item{nullptr, &b->runs[i], &b->run_status[i]});
+    }
+  }
+  if (!frames.empty()) {
+    lanes.Add(key(log_disk_->id(), false), Item{nullptr, nullptr, &forced});
+  }
+  (void)lanes.Run(clock_, [&](LaneKey, const std::vector<Item>& items) {
     for (const Item& item : items) {
-      if (item.run == nullptr) {
+      if (item.write != nullptr) {
+        *item.status = item.write->write();
+      } else if (item.run != nullptr) {
+        const FreshRun& run = *item.run;
+        const auto fragments =
+            static_cast<std::uint32_t>(run.image.size() / kFragmentSize);
+        *item.status = run.disk->PutFreshBlock(run.first, fragments, run.image);
+      } else {
         *item.status = log_->AppendFrames(frames);
-        continue;
       }
-      // No barrier: the force beside the run makes a pending log reset
-      // durable, and until it lands nothing refers to the run.
-      const FreshRun& run = *item.run;
-      const auto fragments =
-          static_cast<std::uint32_t>(run.image.size() / kFragmentSize);
-      *item.status = run.disk->PutFreshBlock(run.first, fragments, run.image,
-                                             disk::Barrier::kSkip);
     }
     return OkStatus();
   });
+  for (const Owed& o : owed) {
+    if (o.in_order) *o.status = o.write();
+  }
   for (const auto& b : batches) b->runs.clear();
+  if (settle_) settle_();
   return forced;
 }
 
@@ -79,8 +122,9 @@ Result<LogPipeline::Ticket> LogPipeline::Append(const IntentionRecord& record,
     batch->status = WriteAndForce({&batch, 1}, {&batch->frame, 1});
     return Ticket{batch, 0, batch->run_status.size()};
   }
-  // The generation changes only at quiescence, when the pipeline has just
-  // been emptied, so a frame never outlives the generation it is framed in.
+  // The generation changes only at a checkpoint that finds the pipeline
+  // empty, or at recovery after it was emptied, so a frame never outlives
+  // the generation it is framed in.
   std::vector<std::uint8_t> frame;
   AppendRecordFrame(frame, record, log_->generation());
   std::scoped_lock lk(mu_);
@@ -230,6 +274,11 @@ void LogPipeline::DiscardPending() {
 bool LogPipeline::HasPending() const {
   std::scoped_lock lk(mu_);
   return pending_bytes_ != 0;
+}
+
+std::uint64_t LogPipeline::PendingBytes() const {
+  std::scoped_lock lk(mu_);
+  return pending_bytes_;
 }
 
 LogPipelineStats LogPipeline::stats() const {

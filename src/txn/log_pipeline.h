@@ -17,16 +17,27 @@
 //
 // A commit record may carry fresh runs: the transaction's shadow pages,
 // staged in blocks nothing durable refers to yet. The flush that forces
-// the record's batch writes them too, as the lanes of one section keyed by
-// disk (each run main ‖ mirror, DiskServer::PutFreshBlock); the log disk's
-// lane writes its own runs first, then forces. No write order separates a
-// page from the force that commits it: each kShadowMap record carries its
-// page's checksum, and recovery redoes a commit only if its pages read
-// back intact (TransactionService::Recover). A commit is acknowledged only
-// if its runs and the force all succeeded.
+// the record's batch writes them too (each run main ‖ mirror,
+// DiskServer::PutFreshBlock). No write order separates a page from the
+// force that commits it: each kShadowMap record carries its page's
+// checksum, and recovery redoes a commit only if its pages read back
+// intact (TransactionService::Recover). A commit is acknowledged only if
+// its runs and the force all succeeded.
+//
+// Every flush also carries the write-behind: the writes that commits
+// acknowledged at earlier forces still owe (SetWriteBehind). The force,
+// the runs and the write-behind go out as the lanes of one section, keyed
+// by device: the log force owns the log disk's stable device, a data block
+// owns its disk's main device, and a run or an index table, which write
+// both copies, own both of their disk's devices, so whatever else touches
+// that disk joins their lane. A disk's lane writes its write-behind first,
+// then its runs, then, on the log disk, the force. A table with indirect
+// blocks, which keeps main then mirror and may span disks, goes out after
+// the section, in order.
 //
 // Locking protocol: Append() runs under the transaction service's big
-// mutex (the "io mutex", which also serializes the sim clock);
+// mutex (the "io mutex", which also serializes the sim clock, and which
+// the service's write barrier may take again on the same thread);
 // AwaitDurable() must be entered WITHOUT it, and the flush leader
 // re-acquires it around the device write. The pipeline's own mutex is
 // strictly inner: it is never held while the io mutex is taken.
@@ -36,6 +47,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -71,7 +83,7 @@ struct LogPipelineStats {
   std::uint64_t seals_full = 0;      // sealed at max_batch commit records
   std::uint64_t seals_deadline = 0;  // sealed by the sim-time deadline
   std::uint64_t seals_window = 0;    // sealed by a flush leader
-  std::uint64_t discarded_records = 0;  // dropped at quiescent truncation
+  std::uint64_t discarded_records = 0;  // dropped unforced at recovery
 };
 
 // discarded_records is not exported.
@@ -107,8 +119,8 @@ class LogPipeline {
   // `io_mu` is the transaction service's mutex (see the locking protocol
   // above); `log_disk` holds the log, and its sim clock is read only under
   // `io_mu`.
-  LogPipeline(TxnLog* log, disk::DiskServer* log_disk, std::mutex* io_mu,
-              GroupCommitConfig config);
+  LogPipeline(TxnLog* log, disk::DiskServer* log_disk,
+              std::recursive_mutex* io_mu, GroupCommitConfig config);
 
   LogPipeline(const LogPipeline&) = delete;
   LogPipeline& operator=(const LogPipeline&) = delete;
@@ -129,12 +141,38 @@ class LogPipeline {
   // ticket's own runs. Caller must NOT hold the io mutex.
   Status AwaitDurable(const Ticket& ticket);
 
-  // Drops every record not yet forced. Legal only at quiescence (no
-  // transaction in flight, hence no waiter) — the service calls it right
-  // before truncating the log.
+  // Drops every record not yet forced. Legal only with no waiter: at
+  // recovery, before the log is replayed.
   void DiscardPending();
 
+  // One write the write-behind owes: the disk it writes, which of that
+  // disk's devices it occupies (the main one, or both copies at once),
+  // whether it must instead run after the section in the order collected
+  // (a table that keeps main then mirror and may span disks), the write
+  // itself, and where its status goes.
+  struct Owed {
+    DiskId disk;
+    bool both_devices = false;
+    bool in_order = false;
+    std::function<Status()> write;
+    Status* status = nullptr;
+  };
+  // Installs the write-behind: at every flush `collect` appends what
+  // acknowledged commits still owe, the flush writes it beside its force,
+  // and `settle` runs once every status is set. Both run under the io
+  // mutex, and the writes must stay valid until `settle` returns.
+  void SetWriteBehind(std::function<void(std::vector<Owed>&)> collect,
+                      std::function<void()> settle) {
+    collect_ = std::move(collect);
+    settle_ = std::move(settle);
+  }
+  // Writes the write-behind alone, one lane per device group, and settles
+  // it (a checkpoint). Caller holds the io mutex.
+  void FlushWriteBehind() { (void)WriteAndForce({}, {}); }
+
   bool HasPending() const;
+  // Log bytes staged but not yet forced.
+  std::uint64_t PendingBytes() const;
   LogPipelineStats stats() const;
   void ResetStats();
   void SetObservability(obs::Observability* o) { obs_ = o; }
@@ -145,17 +183,20 @@ class LogPipeline {
   // Seals the open batch (mu_ held).
   void SealLocked(SealReason reason);
 
-  // Writes the fresh runs of `batches`, setting each run's status, and
-  // forces `frames`: one lane per disk, the force last in the log disk's
-  // lane. Returns the force's status. Caller holds the io mutex.
+  // Writes the write-behind and the fresh runs of `batches`, setting each
+  // one's status, and forces `frames` (when there are any): lanes keyed by
+  // device, as the header comment says. Returns the force's status. Caller
+  // holds the io mutex.
   Status WriteAndForce(std::span<const std::shared_ptr<Batch>> batches,
                        std::span<const TxnLog::BatchFramePayload> frames);
 
   TxnLog* log_;
   disk::DiskServer* log_disk_;
   SimClock* clock_;
-  std::mutex* io_mu_;
+  std::recursive_mutex* io_mu_;
   GroupCommitConfig config_;
+  std::function<void(std::vector<Owed>&)> collect_;
+  std::function<void()> settle_;
   obs::Observability* obs_ = nullptr;
 
   mutable std::mutex mu_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 
 #include "common/serializer.h"
 #include "disk/stable_frame.h"
@@ -39,16 +40,38 @@ TransactionService::TransactionService(disk::DiskRegistry* disks,
   (void)log_disk_->AllocateSpecific(log_first_fragment_,
                                     static_cast<std::uint32_t>(
                                         config.log_fragments));
-  // While a quiescent log reset is pending, the log still holds applied
-  // commits that a recovery would redo. Any write to any disk could be
-  // newer than those commits, so every put forces the reset first. A
-  // failed force leaves it pending and lets the write through, the same
-  // exposure as an eager reset that fails. The barrier must not take mu_:
-  // the service's own writes (a commit's Redo, a create) pass the barrier
-  // with mu_ held.
+  // While the log holds commits, a recovery would redo them, and any write
+  // the log does not cover could be newer than they are: every such put
+  // runs a checkpoint first, which lands what the log covers and resets
+  // it. A put whose checkpoint cannot reset the log — a commit in flight,
+  // a failed force or redo that only Recover() settles, a write that did
+  // not land — is refused: a recovery would redo the log over it, and a
+  // block the log's remaps replaced may be taken by a file the log does
+  // not name. The service's own writes, and the barrier's, are covered
+  // (CoveredWrites); a put inside one of the service's operations comes
+  // back with mu_ held, which is why mu_ is recursive.
   for (const auto& server : disks_->disks()) {
-    server->SetWriteBarrier([this] { (void)log_.ForceReset(); });
+    server->SetWriteBarrier([this]() -> Status {
+      if (CoveredWrites::active() || !checkpoint_due_.load()) {
+        return OkStatus();
+      }
+      std::scoped_lock lk(mu_);
+      return CheckpointLocked(/*eager=*/true);
+    });
   }
+  pipeline_.SetWriteBehind(
+      [this](std::vector<LogPipeline::Owed>& out) {
+        for (Owed& o : owed_) {
+          o.status.assign(o.writes.writes.size(), OkStatus());
+          for (std::size_t i = 0; i < o.writes.writes.size(); ++i) {
+            const file::LoggedWrite& w = o.writes.writes[i];
+            out.push_back({w.disk->id(), w.both_devices(), w.in_order(),
+                           [&w] { return FileService::WriteLogged(w); },
+                           &o.status[i]});
+          }
+        }
+      },
+      [this] { SettleWriteBehind(); });
 }
 
 TransactionService::~TransactionService() {
@@ -377,12 +400,25 @@ Status TransactionService::ApplyDefaultLockLevel(FileId file) {
 
 namespace {
 
-// What a kShadowMap record carries in `data`: the checksum of its page.
-std::vector<std::uint8_t> PageChecksum(std::span<const std::uint8_t> page) {
+// What a kShadowMap record carries in `data`: the checksum of its page,
+// then the block the remap replaces, unless that block is shared with a
+// snapshot (its share count, not the log, decides its fate).
+constexpr std::size_t kShadowChecksumBytes = 8;
+constexpr std::size_t kShadowDataBytes = kShadowChecksumBytes + 4 + 8;
+
+std::vector<std::uint8_t> ShadowData(std::span<const std::uint8_t> page,
+                                     const file::BlockLocation& old) {
   Serializer out;
   out.U64(disk::BlockChecksum(page));
+  if ((old.flags & kRunShared) == 0) {
+    out.U32(old.disk.value);
+    out.U64(old.first_fragment);
+  }
   return out.buffer();
 }
+
+// Upper bound on the log bytes one record takes besides its payload.
+constexpr std::uint64_t kRecordBytesBound = 128;
 
 }  // namespace
 
@@ -463,7 +499,6 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
   RHODOS_RETURN_IF_ERROR(append(
       IntentionRecord{IntentionKind::kBegin, id, {}, 0, 0, {}, 0,
                       TxnStatus::kTentative, {}}));
-  t.logged_begin = true;
 
   // Per-file technique choice. A shadow-paged file's existing pages are
   // shadowed; a page past its end grows the file through WAL.
@@ -495,14 +530,16 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
         t.tentative_size.count(file) ? t.tentative_size.at(file) : 0;
     if (shadow != shadows.end() && shadow->file == file &&
         shadow->page == page) {
-      // Shadow page: log only the remap intention and the page's checksum.
-      // The image itself rides the commit record to its fresh block, in
-      // the flush that forces the record; recovery redoes the remap only
-      // if the block reads back with this checksum.
+      // Shadow page: log only the remap intention, the page's checksum and
+      // the block it replaces. The image itself rides the commit record to
+      // its fresh block, in the flush that forces the record; recovery
+      // redoes the remap only if the block reads back with this checksum.
+      RHODOS_ASSIGN_OR_RETURN(file::BlockLocation old,
+                              files_(file).LocateBlock(file, page));
       RHODOS_RETURN_IF_ERROR(append(IntentionRecord{
           IntentionKind::kShadowMap, id, file, page, final_size,
           shadow->placement.disk, shadow->placement.first,
-          TxnStatus::kTentative, PageChecksum(image)}));
+          TxnStatus::kTentative, ShadowData(image, old)}));
       ++shadow;
     } else {
       // WAL: the page image itself is the intention (redo record). The
@@ -541,59 +578,8 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
                 std::move(runs));
 }
 
-Result<std::optional<DiskId>> TransactionService::ApplyDisk(
-    std::span<const IntentionRecord> records, FileId file) {
-  using Lane = std::optional<DiskId>;
-  // Shared runs commit through the snapshot journal on disk 0.
-  FileService& owner = files_(file);
-  RHODOS_ASSIGN_OR_RETURN(bool shared, owner.HasSharedRuns(file));
-  if (shared) return Lane{};
-  RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks, owner.BlockCount(file));
-  RHODOS_ASSIGN_OR_RETURN(auto indirect, owner.IndirectBlockLocations(file));
-  // The index table's fragment lives on the file's home disk; the table
-  // may be loaded, and is stored if the apply changes it. Every other
-  // block the apply reads or writes must be on that disk too.
-  const DiskId home = file::FileDisk(file);
-  bool one_disk = true;
-  for (const auto& ib : indirect) one_disk = one_disk && ib.disk == home;
-  auto add_block = [&](std::uint64_t block) -> Status {
-    RHODOS_ASSIGN_OR_RETURN(file::BlockLocation loc,
-                            owner.LocateBlock(file, block));
-    one_disk = one_disk && loc.disk == home;
-    return OkStatus();
-  };
-  std::size_t remaps = 0;
-  for (const IntentionRecord& r : records) {
-    if (r.file != file) continue;
-    if (r.kind == IntentionKind::kShadowMap) {
-      ++remaps;
-    } else if (r.kind == IntentionKind::kRedoPage) {
-      if (r.block_index >= blocks) return Lane{};  // grows the file
-      RHODOS_RETURN_IF_ERROR(add_block(r.block_index));
-    } else if (r.kind == IntentionKind::kRedoRange && !r.data.empty()) {
-      const std::uint64_t last = (r.offset + r.data.size() - 1) / kBlockSize;
-      if (last >= blocks) return Lane{};  // grows the file
-      for (std::uint64_t b = r.offset / kBlockSize; b <= last; ++b) {
-        RHODOS_RETURN_IF_ERROR(add_block(b));
-      }
-    }
-  }
-  // A remap can split a run into three; past the table's run capacity the
-  // store would allocate an indirect block, possibly on another disk.
-  RHODOS_ASSIGN_OR_RETURN(auto runs, owner.FileRuns(file));
-  if (runs.size() + 2 * remaps >
-      file::kDirectRuns + indirect.size() * file::kRunsPerIndirectBlock) {
-    return Lane{};
-  }
-  return one_disk ? Lane{home} : Lane{};
-}
-
 Status TransactionService::Redo(std::span<const IntentionRecord> records,
-                                RedoStep step,
-                                const std::function<bool(FileId)>& selected) {
-  auto chosen = [&](const IntentionRecord& r, IntentionKind kind) {
-    return r.kind == kind && (!selected || selected(r.file));
-  };
+                                RedoStep step) {
   switch (step) {
     case RedoStep::kWrites: {
       // Before anything is written, note where each remap stands (no write
@@ -607,24 +593,20 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
           (void)(*server)->AllocateSpecific(first, kFragmentsPerBlock);
         }
       };
-      // Per file, the remaps still to apply, with one table store. A file
-      // whose remaps are all in place re-stores its table only where its
-      // two copies differ: they go out at once, and a crash can land one.
+      // Per file, the remaps with one table store; a remap in place only
+      // drops what is cached for its page, which may be an older commit's
+      // image.
       std::map<std::uint64_t, std::vector<file::BlockRebind>> remaps;
       for (const IntentionRecord& r : records) {
-        if (chosen(r, IntentionKind::kShadowMap)) {
-          const Remap state = RemapState(r);
-          if (state == Remap::kNoFile) continue;
+        if (r.kind == IntentionKind::kShadowMap) {
+          if (RemapState(r) == Remap::kNoFile) continue;
           claim(r.new_disk, r.new_fragment);
-          auto& rebinds = remaps[r.file.value];
-          if (state == Remap::kPending) {
-            rebinds.push_back(
-                file::BlockRebind{r.block_index, r.new_disk, r.new_fragment});
-          }
+          remaps[r.file.value].push_back(
+              file::BlockRebind{r.block_index, r.new_disk, r.new_fragment});
           continue;
         }
-        const bool page = chosen(r, IntentionKind::kRedoPage);
-        if (!page && !chosen(r, IntentionKind::kRedoRange)) continue;
+        const bool page = r.kind == IntentionKind::kRedoPage;
+        if (!page && r.kind != IntentionKind::kRedoRange) continue;
         const std::uint64_t first =
             page ? r.block_index : r.offset / kBlockSize;
         const std::uint64_t end =
@@ -636,7 +618,7 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
         }
       }
       for (const IntentionRecord& r : records) {
-        if (!chosen(r, IntentionKind::kRedoPage)) continue;
+        if (r.kind != IntentionKind::kRedoPage) continue;
         FileService& owner = files_(r.file);
         RHODOS_ASSIGN_OR_RETURN(std::uint64_t blocks,
                                 owner.BlockCount(r.file));
@@ -645,18 +627,15 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
           RHODOS_RETURN_IF_ERROR(owner.Resize(
               r.file, std::min(r.offset, (r.block_index + 1) * kBlockSize)));
         }
-        RHODOS_RETURN_IF_ERROR(owner.WriteBlock(
-            r.file, r.block_index, r.data, /*force_write_through=*/true));
+        RHODOS_RETURN_IF_ERROR(
+            owner.WriteBlock(r.file, r.block_index, r.data));
       }
       for (const auto& [fval, rebinds] : remaps) {
         const FileId file{fval};
-        FileService& owner = files_(file);
-        RHODOS_RETURN_IF_ERROR(rebinds.empty()
-                                   ? owner.ReconcileTableCopies(file)
-                                   : owner.ReplaceBlocks(file, rebinds));
+        RHODOS_RETURN_IF_ERROR(files_(file).ReplaceBlocks(file, rebinds));
       }
       for (const IntentionRecord& r : records) {
-        if (!chosen(r, IntentionKind::kRedoRange)) continue;
+        if (r.kind != IntentionKind::kRedoRange) continue;
         FileService& owner = files_(r.file);
         auto n = owner.Write(r.file, r.offset, r.data);
         if (!n.ok()) return Error{n.error()};
@@ -669,8 +648,8 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
       // its size.
       std::map<std::uint64_t, std::uint64_t> sizes;
       for (const IntentionRecord& r : records) {
-        if (chosen(r, IntentionKind::kRedoPage) ||
-            chosen(r, IntentionKind::kShadowMap)) {
+        if (r.kind == IntentionKind::kRedoPage ||
+            r.kind == IntentionKind::kShadowMap) {
           sizes[r.file.value] = std::max(sizes[r.file.value], r.offset);
         }
       }
@@ -689,7 +668,7 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
     case RedoStep::kDeletes:
       for (const IntentionRecord& r : records) {
         // A table that no longer loads means the file is gone already.
-        if (chosen(r, IntentionKind::kDeleteFile) &&
+        if (r.kind == IntentionKind::kDeleteFile &&
             files_(r.file).GetAttributes(r.file).ok()) {
           RHODOS_RETURN_IF_ERROR(files_(r.file).Delete(r.file));
         }
@@ -699,55 +678,59 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
   return {ErrorCode::kInternal, "bad redo step"};
 }
 
-Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
-  // Make the changes permanent by redoing the commit's records, as
-  // recovery would. Each file's page writes, shadow remaps and range
-  // writes are an independent redo step, so files whose writes stay on one
-  // disk run as one lane per disk, each lane owning its disk. A file that
-  // grows, touches shared runs or spans disks writes serially afterwards.
-  sim::PerDeviceFanOut<DiskId, FileId> lanes;
-  std::unordered_set<FileId> serial;
-  std::unordered_set<FileId> planned;
+Status TransactionService::ApplyCommit(const Txn& t, const CommitPlan& plan) {
+  // The commit is durable: make it permanent in the owners' caches only,
+  // redoing its records as recovery would, and hand what that leaves owed
+  // to the next flush. What does write now — a snapshot journal's rebind,
+  // a delete — the log covers too.
+  const CoveredWrites covered;
+  // A remap frees the block it replaces, a delete frees the file's, and a
+  // growth allocates: the bitmaps change only then.
   for (const IntentionRecord& r : plan.records) {
-    if (r.kind == IntentionKind::kDeleteFile ||
-        !planned.insert(r.file).second) {
-      continue;
+    bitmaps_dirty_ = bitmaps_dirty_ || r.kind == IntentionKind::kShadowMap ||
+                     r.kind == IntentionKind::kDeleteFile;
+  }
+  std::unordered_map<FileId, std::uint64_t> blocks_before;
+  {
+    std::deque<FileService::LoggedApply> logged;
+    std::vector<FileService*> owners;
+    for (FileId file : t.touched) {
+      FileService* owner = &files_(file);
+      if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
+        owners.push_back(owner);
+        logged.emplace_back(*owner);
+      }
+      if (auto blocks = owner->BlockCount(file); blocks.ok()) {
+        blocks_before[file] = *blocks;
+      }
     }
-    RHODOS_ASSIGN_OR_RETURN(std::optional<DiskId> disk,
-                            ApplyDisk(plan.records, r.file));
-    if (disk.has_value()) {
-      lanes.Add(*disk, r.file);
-    } else {
-      serial.insert(r.file);
+    RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kWrites));
+    // Each remapped page's new block holds its image since the commit
+    // force: keep that image cached.
+    for (const IntentionRecord& r : plan.records) {
+      if (r.kind != IntentionKind::kShadowMap) continue;
+      RHODOS_RETURN_IF_ERROR(files_(r.file).CacheDurableBlock(
+          r.file, r.block_index,
+          t.tentative_pages.at({r.file.value, r.block_index})));
+    }
+    RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kSizes));
+    for (FileId file : t.touched) {
+      if (t.to_delete.contains(file)) continue;
+      auto blocks = files_(file).BlockCount(file);
+      bitmaps_dirty_ = bitmaps_dirty_ || !blocks.ok() ||
+                       *blocks != blocks_before[file];
+      RHODOS_RETURN_IF_ERROR(Owe(file));
     }
   }
-  RHODOS_RETURN_IF_ERROR(lanes.Run(
-      log_disk_->clock(), [&](DiskId, const std::vector<FileId>& files) {
-        return Redo(plan.records, RedoStep::kWrites, [&files](FileId f) {
-          return std::find(files.begin(), files.end(), f) != files.end();
-        });
-      }));
-  RHODOS_RETURN_IF_ERROR(
-      Redo(plan.records, RedoStep::kWrites,
-           [&serial](FileId f) { return serial.contains(f); }));
-  // Each remapped page's new block holds its image since the commit force:
-  // keep that image cached. Inserting only now, outside the lanes, keeps
-  // an eviction's write-back out of them.
-  for (const IntentionRecord& r : plan.records) {
-    if (r.kind != IntentionKind::kShadowMap) continue;
-    RHODOS_RETURN_IF_ERROR(files_(r.file).CacheDurableBlock(
-        r.file, r.block_index, t.tentative_pages.at({r.file.value,
-                                                     r.block_index})));
-  }
-  RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kSizes));
-  // Push any still-buffered blocks (e.g. zero-filled growth) and hard
-  // table changes to the platter: a committed transaction's effects must
-  // not sit in a volatile cache. Access counts bumped by the transaction's
-  // reads and writes are not effects; they stay in memory like a close's.
-  for (FileId file : t.touched) {
-    if (t.to_delete.count(file) != 0) continue;
-    RHODOS_RETURN_IF_ERROR(files_(file).Sync(file));
-  }
+  // A deleted file's owed writes must not land on blocks its delete frees;
+  // the blocks its remaps replaced go with it.
+  std::erase_if(owed_, [&](const Owed& o) {
+    if (!t.to_delete.contains(o.writes.file)) return false;
+    for (const BlockDescriptor& b : o.writes.frees) {
+      (void)disks_->Free(b.disk, b.first_fragment, kFragmentsPerBlock);
+    }
+    return true;
+  });
   RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kDeletes));
   for (const auto& [fval, tech] : plan.technique) {
     if (tech == CommitTechnique::kWal) {
@@ -756,33 +739,107 @@ Status TransactionService::ApplyCommit(TxnId id, Txn& t, CommitPlan& plan) {
       ++stats_.shadow_commits;
     }
   }
-
-  // The completed record needs no acknowledgement: if it is lost, recovery
-  // merely redoes an idempotent apply. It rides whatever batch flushes
-  // next (or is discarded at the quiescent reset).
-  auto completed = pipeline_.Append(
-      IntentionRecord{IntentionKind::kStatus, id, {}, 0, 0, {}, 0,
-                      TxnStatus::kCompleted, {}});
-  if (!completed.ok()) return Error{completed.error()};
   return OkStatus();
+}
+
+Status TransactionService::Owe(FileId file) {
+  FileService& owner = files_(file);
+  RHODOS_ASSIGN_OR_RETURN(file::LoggedWrites writes,
+                          owner.TakeLoggedWrites(file));
+  if (!writes.empty()) owed_.push_back(Owed{&owner, std::move(writes), {}});
+  return OkStatus();
+}
+
+void TransactionService::SettleWriteBehind() {
+  std::erase_if(owed_, [this](const Owed& o) {
+    for (const Status& st : o.status) {
+      if (!st.ok()) return false;
+    }
+    o.owner->LoggedWritesLanded(o.writes);
+    // The table that dropped each block has landed.
+    for (const BlockDescriptor& b : o.writes.frees) {
+      (void)disks_->Free(b.disk, b.first_fragment, kFragmentsPerBlock);
+    }
+    return true;
+  });
+}
+
+bool TransactionService::LogHasRoomFor(const Txn& t) const {
+  std::uint64_t need =
+      TxnLog::kBatchOverhead + 2 * kRecordBytesBound +
+      (kBlockSize + kRecordBytesBound) * t.tentative_pages.size() +
+      kRecordBytesBound * t.to_delete.size();
+  for (const auto& [fval, w] : t.tentative_ranges) {
+    need += kRecordBytesBound + w.data.size();
+  }
+  return log_.BytesUsed() + pipeline_.PendingBytes() + need <=
+         log_.Capacity();
+}
+
+Status TransactionService::Checkpoint() {
+  std::scoped_lock lk(mu_);
+  return CheckpointLocked(/*eager=*/true);
+}
+
+Status TransactionService::CheckpointLocked(bool eager) {
+  const CoveredWrites covered;
+  // A commit whose outcome only Recover() can settle keeps the log as it
+  // is.
+  if (log_needs_recovery_) {
+    return {ErrorCode::kUnavailable,
+            "checkpoint: the intention log awaits recovery"};
+  }
+  if (owed_.empty() && log_.BytesUsed() == 0) {
+    // Nothing logged since the last reset: at most that reset to land.
+    const Status reset = eager ? log_.ForceReset() : OkStatus();
+    NoteCheckpointDue();
+    return reset;
+  }
+  pipeline_.FlushWriteBehind();
+  if (!owed_.empty()) {
+    return {ErrorCode::kUnavailable,
+            "checkpoint: the write-behind did not land"};
+  }
+  // The blocks the write-behind freed, and the allocations the log's redo
+  // would re-claim, reach the stored bitmaps before the log lets go.
+  if (bitmaps_dirty_) {
+    RHODOS_RETURN_IF_ERROR(PersistBitmaps());
+    bitmaps_dirty_ = false;
+  }
+  // A commit in flight keeps the log as it is: its records may be forced
+  // and not yet redone.
+  if (unsettled_ > 0 || pipeline_.HasPending()) {
+    return {ErrorCode::kUnavailable, "checkpoint: a commit is in flight"};
+  }
+  log_.ResetLazily();
+  const Status reset = eager ? log_.ForceReset() : OkStatus();
+  NoteCheckpointDue();
+  return reset;
+}
+
+void TransactionService::NoteCheckpointDue() {
+  checkpoint_due_.store(log_needs_recovery_ || unsettled_ > 0 ||
+                        !owed_.empty() || log_.BytesUsed() > 0 ||
+                        log_.reset_pending());
+}
+
+Status TransactionService::PersistBitmaps() {
+  // One lane per disk: each bitmap goes main then mirror on its own disk.
+  sim::PerDeviceFanOut<disk::DiskServer*, disk::DiskServer*> lanes;
+  for (const auto& server : disks_->disks()) {
+    lanes.Add(server.get(), server.get());
+  }
+  return lanes.Run(log_disk_->clock(),
+                   [](disk::DiskServer* server,
+                      const std::vector<disk::DiskServer*>&) {
+                     return server->PersistMetadata();
+                   });
 }
 
 void TransactionService::Finish(TxnId id) {
   locks_.ReleaseAll(id);
   locks_.ClearBroken(id);
   txns_.erase(id);
-  // Checkpoint: with no transaction in flight every intention is resolved,
-  // so the log can be reset (remove_intention in bulk) — UNLESS some commit
-  // record was written whose changes were never fully applied (a disk died
-  // mid-apply). That redo information must survive until Recover(). The
-  // reset stays in memory: the next commit force, or the write barrier
-  // before any other write, makes it durable.
-  if (txns_.empty() && !log_needs_recovery_) {
-    // Records still sitting in the pipeline at quiescence are completed /
-    // abort markers nobody awaits; drop them with the log.
-    pipeline_.DiscardPending();
-    log_.ResetLazily();
-  }
 }
 
 Status TransactionService::End(TxnId txn) {
@@ -802,11 +859,6 @@ Status TransactionService::End(TxnId txn) {
   if (locks_.WasBroken(txn)) {
     // The timeout rule already broke our locks: abort instead of commit.
     ++stats_.aborts_broken;
-    if (t.logged_begin) {
-      (void)pipeline_.Append(IntentionRecord{IntentionKind::kStatus, txn, {},
-                                             0, 0, {}, 0, TxnStatus::kAbort,
-                                             {}});
-    }
     for (FileId f : t.created) (void)files_(f).Delete(f);
     Finish(txn);
     return {ErrorCode::kTxnAborted, "aborted by lock timeout at commit"};
@@ -814,6 +866,9 @@ Status TransactionService::End(TxnId txn) {
 
   obs::SpanScope commit_span(obs::TracerOf(obs_), "txn", "commit");
   obs::LatencyScope lat(obs_, "txn.commit_latency_ns");
+  // A log that may not take this commit's records is checkpointed first;
+  // the next force lands its reset.
+  if (!LogHasRoomFor(t)) (void)CheckpointLocked(/*eager=*/false);
   CommitPlan plan;
   const Status staged = StageCommit(txn, t, &plan);
   if (!staged.ok()) {
@@ -835,6 +890,8 @@ Status TransactionService::End(TxnId txn) {
   // covering our commit record returns. Our locks stay held throughout:
   // no other transaction may observe state whose commit record could
   // still be lost.
+  ++unsettled_;
+  NoteCheckpointDue();
   lk.unlock();
   const Status durable = pipeline_.AwaitDurable(plan.commit_ticket);
   lk.lock();
@@ -844,17 +901,20 @@ Status TransactionService::End(TxnId txn) {
     // stable storage: whether our commit record survived is unknowable
     // here. Report an abort, but keep everything recovery needs to
     // arbitrate — created files stay (a salvaged commit record must find
-    // them) and the log holds until Recover() replays or discards us.
+    // them) and the log holds until Recover() replays or discards us; the
+    // write barrier refuses what the log does not cover until then.
+    --unsettled_;
     ++stats_.aborts_explicit;
     log_needs_recovery_ = true;
     Finish(txn);
     return durable;
   }
   ++stats_.commits;
-  const Status applied = ApplyCommit(txn, t, plan);
+  const Status applied = ApplyCommit(t, plan);
+  --unsettled_;
   if (!applied.ok()) {
-    // The commit point is durable but applying failed (e.g. a disk died):
-    // the transaction IS committed; recovery must redo it from the log.
+    // The commit point is durable but its redo failed: the transaction IS
+    // committed; recovery must redo it from the log.
     log_needs_recovery_ = true;
   }
   Finish(txn);
@@ -873,13 +933,8 @@ Status TransactionService::Abort(TxnId txn) {
     // released); its outcome is already decided.
     return {ErrorCode::kTxnNotActive, "tabort while a commit is in flight"};
   }
+  // Nothing of a transaction in its locking phase is in the log.
   it->second.phase = TxnPhase::kUnlocking;
-  if (it->second.logged_begin) {
-    // Best-effort marker: if it never flushes, recovery discards the
-    // transaction as tentative — the same outcome.
-    (void)pipeline_.Append(IntentionRecord{IntentionKind::kStatus, txn, {}, 0,
-                                           0, {}, 0, TxnStatus::kAbort, {}});
-  }
   for (FileId f : it->second.created) (void)files_(f).Delete(f);
   if (locks_.WasBroken(txn)) {
     ++stats_.aborts_broken;
@@ -903,19 +958,26 @@ TransactionService::Remap TransactionService::RemapState(
 }
 
 Result<bool> TransactionService::ShadowsLanded(
-    const std::vector<IntentionRecord>& records) {
+    const std::vector<IntentionRecord>& records, const PageSet& later,
+    const std::set<std::uint64_t>& deleted) {
   std::vector<std::uint8_t> copy(kBlockSize);
   for (const IntentionRecord& r : records) {
     if (r.kind != IntentionKind::kShadowMap) continue;
-    if (r.data.size() != 8) {
+    if (r.data.size() != kShadowChecksumBytes &&
+        r.data.size() != kShadowDataBytes) {
       return Error{ErrorCode::kMediaError,
                    "shadow-map record of transaction " +
-                       std::to_string(r.txn.value) + " has a " +
-                       std::to_string(r.data.size()) + "-byte checksum"};
+                       std::to_string(r.txn.value) + " carries " +
+                       std::to_string(r.data.size()) + " bytes"};
     }
-    // A remap already in place was applied after an acknowledged flush;
-    // the page may have been rewritten in place since.
-    if (RemapState(r) != Remap::kPending) continue;
+    // A later commit overwrote the page (and may have freed this block),
+    // or a remap already in place was applied after an acknowledged flush
+    // (the page may have been rewritten in place since).
+    if (deleted.contains(r.file.value) ||
+        later.contains({r.file.value, r.block_index}) ||
+        RemapState(r) != Remap::kPending) {
+      continue;
+    }
     Deserializer in{r.data};
     const std::uint64_t expected = in.U64();
     RHODOS_ASSIGN_OR_RETURN(disk::DiskServer * server, disks_->Get(r.new_disk));
@@ -931,64 +993,206 @@ Result<bool> TransactionService::ShadowsLanded(
 
 Status TransactionService::Recover() {
   obs::SpanScope span(obs::TracerOf(obs_), "txn", "recover");
+  std::scoped_lock lk(mu_);
+  const CoveredWrites covered;
   // Anything still in the pipeline predates the crash being recovered
-  // from and was never forced; the persistent image is the only truth.
+  // from and was never forced, and whatever the write-behind owed, the log
+  // redoes: the persistent image is the only truth.
   pipeline_.DiscardPending();
+  owed_.clear();
   struct TxnTrace {
     TxnStatus final_status = TxnStatus::kTentative;
+    std::uint64_t commit_at = 0;  // scan position of the commit record
     std::vector<IntentionRecord> records;
   };
   std::map<std::uint64_t, TxnTrace> traces;
+  std::uint64_t position = 0;
   RHODOS_RETURN_IF_ERROR(log_.Scan([&](const IntentionRecord& r) {
     TxnTrace& trace = traces[r.txn.value];
     if (r.kind == IntentionKind::kStatus) {
       trace.final_status = r.status;
+      trace.commit_at = position;
     } else if (r.kind != IntentionKind::kBegin) {
       trace.records.push_back(r);
     }
+    ++position;
   }));
+  // Commits in the order their records reached the log, which is the order
+  // strict 2PL serialized them in.
+  std::vector<TxnTrace*> commits;
+  for (auto& [txn_value, trace] : traces) {
+    if (trace.final_status == TxnStatus::kCommit) commits.push_back(&trace);
+  }
+  std::sort(commits.begin(), commits.end(),
+            [](const TxnTrace* a, const TxnTrace* b) {
+              return a->commit_at < b->commit_at;
+            });
 
   // A commit's shadow pages went to disk beside its force, not before it,
-  // so a durable commit record does not prove they landed. A commit whose
-  // pages do not all read back intact on both copies is discarded like a
-  // tentative one. Every check runs before anything is redone or freed:
-  // a read error fails recovery with the disks untouched.
-  for (auto& [txn_value, trace] : traces) {
-    if (trace.final_status != TxnStatus::kCommit) continue;
-    RHODOS_ASSIGN_OR_RETURN(bool landed, ShadowsLanded(trace.records));
-    if (!landed) trace.final_status = TxnStatus::kAbort;
+  // so a durable commit record does not prove they landed. Newest first, a
+  // commit whose pages do not all read back intact on both copies is
+  // discarded like a tentative one; pages a later standing commit
+  // overwrites are not checked. Every check runs before anything is redone
+  // or freed: a read error fails recovery with the disks untouched.
+  PageSet later;
+  std::set<std::uint64_t> deleted;
+  for (auto it = commits.rbegin(); it != commits.rend(); ++it) {
+    TxnTrace& trace = **it;
+    RHODOS_ASSIGN_OR_RETURN(bool landed,
+                            ShadowsLanded(trace.records, later, deleted));
+    if (!landed) {
+      trace.final_status = TxnStatus::kAbort;
+      continue;
+    }
+    for (const IntentionRecord& r : trace.records) {
+      if (r.kind == IntentionKind::kDeleteFile) {
+        deleted.insert(r.file.value);
+      } else if (r.kind == IntentionKind::kRedoRange) {
+        for (std::uint64_t b = r.offset / kBlockSize;
+             b * kBlockSize < r.offset + r.data.size(); ++b) {
+          later.insert({r.file.value, b});
+        }
+      } else {
+        later.insert({r.file.value, r.block_index});
+      }
+    }
   }
 
+  // Not committed, or committed over pages that did not land: discard.
+  // Shadow blocks staged before the crash are returned to the free pool
+  // (harmless if the allocation was never persisted); a block the file
+  // already maps is the file's.
+  std::vector<FileId> files;
   for (auto& [txn_value, trace] : traces) {
-    if (trace.final_status == TxnStatus::kCommit) {
-      // Committed but the changes may not all have been applied: redo
-      // them, step by step, as End applies them.
+    for (const IntentionRecord& r : trace.records) {
+      if (!deleted.contains(r.file.value) &&
+          std::find(files.begin(), files.end(), r.file) == files.end()) {
+        files.push_back(r.file);
+      }
+    }
+    if (trace.final_status == TxnStatus::kCommit) continue;
+    for (const IntentionRecord& r : trace.records) {
+      if (r.kind != IntentionKind::kShadowMap ||
+          RemapState(r) == Remap::kApplied) {
+        continue;
+      }
+      (void)disks_->Free(r.new_disk, r.new_fragment, kFragmentsPerBlock);
+    }
+    ++stats_.recovered_discarded;
+  }
+
+  // Every block a recovered table maps is allocated: the bitmap that held
+  // an allocation the write-behind made (a growth, an indirect block) may
+  // not have landed with the table.
+  for (FileId file : files) {
+    auto runs = files_(file).FileRuns(file);
+    auto indirect = files_(file).IndirectBlockLocations(file);
+    if (!runs.ok() || !indirect.ok()) continue;
+    runs->insert(runs->end(), indirect->begin(), indirect->end());
+    for (const BlockDescriptor& run : *runs) {
+      auto server = disks_->Get(run.disk);
+      if (!server.ok()) continue;
+      for (std::uint32_t b = 0; b < std::max<std::uint32_t>(
+                                        run.contiguous_count, 1);
+           ++b) {
+        (void)(*server)->AllocateSpecific(
+            run.first_fragment + b * kFragmentsPerBlock, kFragmentsPerBlock);
+      }
+    }
+  }
+
+  // Redo every standing commit in commit order, into the owners' caches.
+  // A file a standing commit deletes takes only its delete.
+  std::vector<BlockDescriptor> replaced;
+  {
+    std::deque<FileService::LoggedApply> logged;
+    std::vector<FileService*> owners;
+    for (FileId file : files) {
+      FileService* owner = &files_(file);
+      if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
+        owners.push_back(owner);
+        logged.emplace_back(*owner);
+      }
+    }
+    for (TxnTrace* trace : commits) {
+      if (trace->final_status != TxnStatus::kCommit) continue;
+      std::vector<IntentionRecord> records;
+      for (IntentionRecord& r : trace->records) {
+        if (r.kind == IntentionKind::kShadowMap &&
+            r.data.size() == kShadowDataBytes) {
+          Deserializer in{r.data};
+          (void)in.U64();
+          const DiskId disk{in.U32()};
+          replaced.push_back(BlockDescriptor{disk, in.U64(), 1});
+        }
+        if (r.kind == IntentionKind::kDeleteFile ||
+            !deleted.contains(r.file.value)) {
+          records.push_back(std::move(r));
+        }
+      }
       for (const RedoStep step :
            {RedoStep::kWrites, RedoStep::kSizes, RedoStep::kDeletes}) {
-        RHODOS_RETURN_IF_ERROR(Redo(trace.records, step));
+        RHODOS_RETURN_IF_ERROR(Redo(records, step));
       }
-      // Nothing records the redo itself: redo is idempotent, and the
-      // eager reset below removes the whole log once all are settled.
       ++stats_.recovered_redone;
-    } else if (trace.final_status == TxnStatus::kTentative ||
-               trace.final_status == TxnStatus::kAbort) {
-      // Not committed, or committed over pages that did not land: discard.
-      // Shadow blocks staged before the crash are returned to the free
-      // pool (harmless if the allocation was never persisted); a block the
-      // file already maps is the file's.
-      for (const IntentionRecord& r : trace.records) {
-        if (r.kind != IntentionKind::kShadowMap ||
-            RemapState(r) == Remap::kApplied) {
-          continue;
-        }
-        (void)disks_->Free(r.new_disk, r.new_fragment, kFragmentsPerBlock);
-      }
-      ++stats_.recovered_discarded;
     }
-    // kCompleted: fully applied before the crash; nothing to do.
+    // A table's two copies go out at once, and a crash can land one: a
+    // table whose copies differ is stored again.
+    for (FileId file : files) {
+      if (files_(file).GetAttributes(file).ok()) {
+        RHODOS_RETURN_IF_ERROR(files_(file).ReconcileTableCopies(file));
+      }
+    }
   }
+  // Land it all. The blocks the redo released stand with the ones the
+  // log's remaps replaced: each is freed below if no file maps it.
+  for (FileId file : files) {
+    FileService& owner = files_(file);
+    RHODOS_ASSIGN_OR_RETURN(file::LoggedWrites writes,
+                            owner.TakeLoggedWrites(file));
+    replaced.insert(replaced.end(), writes.frees.begin(), writes.frees.end());
+    writes.frees.clear();
+    if (!writes.empty()) owed_.push_back(Owed{&owner, std::move(writes), {}});
+  }
+  pipeline_.FlushWriteBehind();
+  if (!owed_.empty()) {
+    log_needs_recovery_ = true;
+    NoteCheckpointDue();
+    return {ErrorCode::kUnavailable, "recovery: a redo write did not land"};
+  }
+  // A replaced block stays allocated until the table that drops it lands,
+  // and the bitmap that frees it may not have: free each one no file the
+  // log names maps. A file the log does not name wrote nothing while the
+  // log held the record: its put would have had to pass the write barrier,
+  // which lets a put through only once a checkpoint has reset the log.
+  std::vector<BlockDescriptor> mapped;
+  for (FileId file : files) {
+    RHODOS_ASSIGN_OR_RETURN(auto runs, files_(file).FileRuns(file));
+    RHODOS_ASSIGN_OR_RETURN(auto indirect,
+                            files_(file).IndirectBlockLocations(file));
+    mapped.insert(mapped.end(), runs.begin(), runs.end());
+    mapped.insert(mapped.end(), indirect.begin(), indirect.end());
+  }
+  for (const BlockDescriptor& b : replaced) {
+    const bool in_use = std::any_of(
+        mapped.begin(), mapped.end(), [&b](const BlockDescriptor& run) {
+          return run.disk == b.disk && b.first_fragment >= run.first_fragment &&
+                 b.first_fragment < run.first_fragment +
+                                        static_cast<FragmentIndex>(
+                                            run.contiguous_count) *
+                                            kFragmentsPerBlock;
+        });
+    auto server = disks_->Get(b.disk);
+    if (!in_use && server.ok() &&
+        (*server)->IsFragmentAllocated(b.first_fragment)) {
+      (void)disks_->Free(b.disk, b.first_fragment, kFragmentsPerBlock);
+    }
+  }
+  RHODOS_RETURN_IF_ERROR(PersistBitmaps());
+  bitmaps_dirty_ = false;
   log_needs_recovery_ = false;
   (void)log_.Truncate();
+  NoteCheckpointDue();
   return OkStatus();
 }
 

@@ -23,18 +23,25 @@
 //   * the shadow-page technique otherwise (less commit I/O, but it
 //     scatters blocks — the E7 trade-off). The shadow pages go to fresh
 //     blocks in the same flush as the force that commits them.
-// Everything after the force is redo work, and one Redo does it: a commit
-// redoes the records it just logged, and recovery redoes the committed
-// transactions it finds in the log whose shadow pages read back intact.
-// Tentative transactions, and committed ones whose pages did not land,
-// are discarded and their shadow blocks freed.
+// Everything after the force is redo work, and one Redo does it. The
+// commit is no-force (ARIES's no-force/redo rule): End redoes the records
+// it just logged into the owning file service's caches only and returns;
+// the writes that leaves owed (WAL pages, remapped tables) ride the next
+// log force as its write-behind, and a block a remap replaced is freed
+// once its table has landed. The records stay in the log until a
+// checkpoint (Checkpoint) has landed everything the log covers and
+// persisted the bitmaps. Recovery redoes, in commit order, every committed
+// transaction the log holds whose shadow pages read back intact; tentative
+// transactions, and committed ones whose pages did not land, are
+// discarded and their shadow blocks freed.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -110,14 +117,14 @@ class TransactionService {
   // The service reaches each file through `files`, the file service that
   // serves it right now, so one intention log covers files of every shard.
   // It reserves its log region on disk 0 of `disks` at construction and
-  // installs the log-reset write barrier on every disk of `disks`: those
+  // installs the checkpoint write barrier on every disk of `disks`: those
   // disks and every file service `files` returns must outlive it.
   TransactionService(disk::DiskRegistry* disks, file::FileResolver files,
                      TxnServiceConfig config = {});
 
-  // Removes the write barrier from the disks. A log reset still pending
-  // stays pending: the next instance's Recover() redoes the last
-  // generation, so nothing else may write to the disks before it runs.
+  // Removes the write barrier from the disks. What the log still covers
+  // stays in it: the next instance's Recover() redoes it, so nothing else
+  // may write to the disks before it runs.
   ~TransactionService();
 
   TransactionService(const TransactionService&) = delete;
@@ -164,10 +171,22 @@ class TransactionService {
 
   // --- Recovery ---------------------------------------------------------------
 
-  // Replays the intention log after a crash: redoes committed-but-
-  // incomplete transactions, discards tentative ones (freeing their shadow
-  // blocks). Call once, before accepting new transactions.
+  // Replays the intention log after a crash: redoes every committed
+  // transaction it holds, discards tentative ones (freeing their shadow
+  // blocks), frees the blocks committed remaps replaced that no file maps
+  // any more, then lands everything and resets the log. Call once, before
+  // accepting new transactions.
   Status Recover();
+
+  // Lands everything the log covers — the write-behind, the blocks it
+  // frees and, after a commit that changed them, every disk's bitmap —
+  // then resets the log. Fails with kUnavailable, the log kept, while a
+  // commit is in flight or after a failed force or redo until Recover()
+  // has run. Runs by itself when the log cannot take the next commit, and
+  // from the write barrier before any write the log does not cover (a
+  // fence's FlushAll included), which refuses the write when it fails;
+  // benches call it before reading counters.
+  Status Checkpoint();
 
   // --- Introspection -----------------------------------------------------------
 
@@ -213,7 +232,6 @@ class TransactionService {
   struct Txn {
     ProcessId process{};
     TxnPhase phase{TxnPhase::kLocking};
-    bool logged_begin = false;
     // Tentative data: per file, per logical page, the page image as the
     // transaction sees it (page/file mode), plus raw byte-range writes
     // (record mode).
@@ -251,11 +269,13 @@ class TransactionService {
   //     carries the shadow pages — to the group-commit pipeline, and keep
   //     the redo records in the plan; nothing is written yet;
   //  2. AwaitDurable (mu_ RELEASED): block until the flush that forces the
-  //     batch carrying the commit record has also written its shadow pages;
-  //  3. ApplyCommit (under mu_ again): Redo the plan's records.
+  //     batch carrying the commit record has also written its shadow pages
+  //     (and whatever earlier commits owed);
+  //  3. ApplyCommit (under mu_ again): Redo the plan's records into the
+  //     owners' caches and hand what they owe to the next flush.
   // Locks release in Finish(), after act 3 — strict 2PL would be violated
   // if another transaction could read state whose commit record might
-  // still be lost in a crash, or that the redo has not written yet.
+  // still be lost in a crash, or that the redo has not made visible yet.
   struct CommitPlan {
     bool has_effects = false;
     LogPipeline::Ticket commit_ticket;  // resolves at the durability point
@@ -273,33 +293,48 @@ class TransactionService {
   // the runs of page images to write there.
   Result<std::vector<FreshRun>> PlaceShadows(const Txn& t,
                                              std::vector<ShadowStage>& shadows);
-  Status ApplyCommit(TxnId id, Txn& t, CommitPlan& plan);
-  // The one disk that redoing `file`'s writes from `records` references
-  // (table, written blocks), or nullopt when it must write serially: it
-  // grows, has shared runs, may allocate an indirect block, or spans disks.
-  Result<std::optional<DiskId>> ApplyDisk(
-      std::span<const IntentionRecord> records, FileId file);
+  Status ApplyCommit(const Txn& t, const CommitPlan& plan);
+  // Whether the log has room for `t`'s commit records beside what it holds.
+  bool LogHasRoomFor(const Txn& t) const;
+  // Appends `file`'s logged state to the write-behind.
+  Status Owe(FileId file);
+
+  // Persists every disk's bitmap, the disks overlapping.
+  Status PersistBitmaps();
+  // Checkpoint with mu_ held. `eager` makes the reset durable at once, as
+  // the write barrier needs; otherwise the next force does it. Fails when
+  // the log could not be reset.
+  Status CheckpointLocked(bool eager);
+  // Sets checkpoint_due_ from what the log holds, owes or awaits.
+  void NoteCheckpointDue();
+  // After a flush: the write-behind groups whose writes all landed leave
+  // the list, their owners learn it, and their replaced blocks are freed.
+  void SettleWriteBehind();
 
   // The steps of a redo, in the order a commit applies them: the writes
   // (page writes, each file's remaps with one table store, range writes),
   // each file grown to the final size its records carry, the deletes.
   enum class RedoStep : std::uint8_t { kWrites, kSizes, kDeletes };
-  // Applies `step` of a committed transaction's `records` to the files
-  // `selected` accepts (every file when it is empty). Idempotent, so a
-  // recovery may redo a commit that was applied before the crash.
-  Status Redo(std::span<const IntentionRecord> records, RedoStep step,
-              const std::function<bool(FileId)>& selected = {});
+  // Applies `step` of a committed transaction's `records`, in the order
+  // they were logged. Idempotent, so a recovery may redo a commit that was
+  // applied before the crash.
+  Status Redo(std::span<const IntentionRecord> records, RedoStep step);
 
   void Finish(TxnId id);
 
   // Where a kShadowMap record's remap stands: the file is gone, it maps
   // the page to the shadow block already, or the remap is still to be
-  // applied. Recovery: whether every pending remap of `records` has its
-  // block read back intact on both copies; a malformed checksum or a read
-  // error fails.
+  // applied. Recovery: whether every pending remap of `records` that no
+  // later commit overwrites (`later`: file and page; `deleted`: files) has
+  // its block read back intact on both copies — a later commit may have
+  // replaced and freed the block of an earlier one. A malformed record or
+  // a read error fails.
   enum class Remap : std::uint8_t { kNoFile, kApplied, kPending };
   Remap RemapState(const IntentionRecord& r);
-  Result<bool> ShadowsLanded(const std::vector<IntentionRecord>& records);
+  using PageSet = std::set<std::pair<std::uint64_t, std::uint64_t>>;
+  Result<bool> ShadowsLanded(const std::vector<IntentionRecord>& records,
+                             const PageSet& later,
+                             const std::set<std::uint64_t>& deleted);
 
   disk::DiskRegistry* disks_;
   file::FileResolver files_;
@@ -310,12 +345,32 @@ class TransactionService {
   TxnLog log_;
   LogPipeline pipeline_;
 
-  mutable std::mutex mu_;  // guards txns_ and file-service access
+  // Guards txns_, the write-behind and file-service access. Recursive: the
+  // write barrier takes it, and the service's own writes pass the barrier
+  // with it held.
+  mutable std::recursive_mutex mu_;
   std::unordered_map<TxnId, Txn> txns_;
   std::uint64_t next_txn_{1};
-  // Set when a logged commit could not be fully applied (disk failure
-  // mid-apply): blocks log truncation until Recover() has redone it.
+  // Set when a commit's force failed (its record may have landed) or its
+  // redo failed: blocks log truncation, and so every write the log does
+  // not cover, until Recover() has settled it.
   bool log_needs_recovery_ = false;
+  // Commits between staging and the capture of their write-behind: their
+  // records must stay in the log.
+  int unsettled_ = 0;
+  // A commit since the last checkpoint remapped, deleted or grew a file:
+  // the next checkpoint persists the bitmaps before the log lets go.
+  bool bitmaps_dirty_ = false;
+  // The write-behind: per file, what acknowledged commits still owe, and
+  // the owner that holds it logged.
+  struct Owed {
+    file::FileService* owner;
+    file::LoggedWrites writes;
+    std::vector<Status> status;  // set by the flush that carries them
+  };
+  std::vector<Owed> owed_;
+  // The log holds records or owes writes: the barrier must checkpoint.
+  std::atomic<bool> checkpoint_due_{false};
   TxnServiceStats stats_;
   obs::Observability* obs_ = nullptr;
 };

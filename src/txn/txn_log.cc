@@ -1,5 +1,7 @@
 #include "txn/txn_log.h"
 
+#include <algorithm>
+
 namespace rhodos::txn {
 
 namespace {
@@ -50,6 +52,11 @@ void WalkImage(std::span<const std::uint8_t> image,
       audit.generation = batch.words[1];
       batch = disk::ReadFrame(image, kBatchMagic, audit.generation,
                               kBatchWords);
+    }
+    if (batch.state == disk::FrameState::kValid && batch.words[0] == 0 &&
+        !batch.payload.empty()) {
+      pos += batch.size;  // padding to the end of a fragment
+      continue;
     }
     bool stopped_torn = false;
     const std::uint64_t replayed =
@@ -115,6 +122,8 @@ void AppendRecordFrame(std::vector<std::uint8_t>& out,
                    generation, payload.buffer());
 }
 
+thread_local int CoveredWrites::depth_ = 0;
+
 TxnLog::TxnLog(disk::DiskServer* server, FragmentIndex first_fragment,
                std::uint64_t fragment_count)
     : region_(server, first_fragment, fragment_count) {}
@@ -129,26 +138,44 @@ Status TxnLog::Append(const IntentionRecord& record) {
 Status TxnLog::AppendFrames(std::span<const BatchFramePayload> frames) {
   if (frames.empty()) return OkStatus();
   std::uint64_t need = 0;
+  std::uint64_t largest = 0;
   for (const BatchFramePayload& f : frames) {
     need += kBatchOverhead + f.payload.size();
+    largest = std::max<std::uint64_t>(largest,
+                                      kBatchOverhead + f.payload.size());
   }
   if (region_.head() + need > region_.capacity()) {
     return {ErrorCode::kNoSpace, "intention log full"};
   }
+  // When the fragment this force ends in has less room left than the
+  // largest frame it carries, a padding frame (no records) fills it: the
+  // next force then starts on a fresh fragment instead of rewriting this
+  // one and likely running into the next. The force writes that fragment
+  // anyway, so the padding costs no write, and the region is whole
+  // fragments, so it always fits.
+  const std::uint64_t end = region_.head() + need;
+  const std::uint64_t room =
+      (kFragmentSize - end % kFragmentSize) % kFragmentSize;
+  const std::uint64_t pad = room > kBatchOverhead && room < largest ? room : 0;
   std::span<std::uint8_t> out = region_.staging();
   for (const BatchFramePayload& f : frames) {
     const std::uint32_t words[kBatchWords] = {f.records, generation_};
     disk::WriteFrame(out, kBatchMagic, generation_, f.payload, words);
     out = out.subspan(kBatchOverhead + f.payload.size());
   }
+  if (pad > 0) {
+    const std::vector<std::uint8_t> filler(pad - kBatchOverhead, 0);
+    const std::uint32_t words[kBatchWords] = {0, generation_};
+    disk::WriteFrame(out, kBatchMagic, generation_, filler, words);
+  }
   // A pending reset is made durable by this force: the head is 0 and the
-  // frames carry the new generation. Clearing the mark first also keeps
-  // the disk write barrier from forcing the reset under our own put.
+  // frames carry the new generation.
+  const CoveredWrites covered;
   const bool was_pending = reset_pending_.exchange(false);
   appended_ = true;  // even a failed force may have torn frames in place
   // One put however many batch frames the force carries; a failed one
   // leaves the head at the last byte known durable.
-  const Status forced = region_.Append(need);
+  const Status forced = region_.Append(need + pad);
   if (!forced.ok()) {
     if (was_pending) reset_pending_.store(true);
     return forced;
@@ -202,6 +229,7 @@ void TxnLog::ResetLazily() {
 
 Status TxnLog::ForceReset() {
   if (!reset_pending_.exchange(false)) return OkStatus();
+  const CoveredWrites covered;
   // Only the first fragment is written: a scan stops at the first frame
   // of another generation, so everything after this empty frame is dead.
   std::uint8_t empty[kBatchOverhead];

@@ -8,7 +8,8 @@
 // ahead logging when the file's data blocks are contiguous (WAL preserves
 // contiguity) or by the shadow page technique when they are not; record
 // level locking always uses WAL. After the changes are permanent the
-// records are removed.
+// records are removed: the transaction service keeps them until a
+// checkpoint has landed every write they cover, then resets the log.
 //
 // TxnLog is the persistent representation: an append-only region of
 // fragments written EXCLUSIVELY to stable storage (put_block's
@@ -22,15 +23,19 @@
 // is replayed record by record: every record frame whose own checksum
 // holds is a prefix the device persisted before the tear, and the
 // write-ahead append order guarantees a commit-status record never
-// salvages without the intention records it covers.
+// salvages without the intention records it covers. A batch frame with
+// no records and a payload is padding: a force whose last fragment has
+// less room left than its largest frame fills that room with one, so the
+// next force starts on a fresh fragment instead of rewriting the partial
+// one and running into the next; the scan steps over it.
 //
 // `gen` is the log generation. Every reset starts a new generation at
 // offset 0, the scan stops at the first frame of another generation than
 // the frame at offset 0, and both checksums are seeded with it: bytes an
 // earlier generation left further into the region are never replayed,
 // even when a torn force leaves one of its record frames aligned where a
-// new one should be. That is what lets the quiescent reset stay in
-// memory (ResetLazily): the next force lands at offset 0 under the new
+// new one should be. That is what lets a reset stay in memory
+// (ResetLazily): the next force lands at offset 0 under the new
 // generation and makes the reset durable for free.
 #pragma once
 
@@ -56,7 +61,7 @@ enum class IntentionKind : std::uint8_t {
   kRedoPage = 2,   // WAL: full 8 KiB page image to write in place
   kRedoRange = 3,  // WAL: byte-range image (record-level locking)
   kShadowMap = 4,  // shadow page: logical block -> new physical block
-  kStatus = 5,     // intention flag transition (commit / abort / completed)
+  kStatus = 5,     // intention flag transition (commit / abort)
   kDeleteFile = 6, // committed delete: redo releases the file's blocks
 };
 
@@ -73,7 +78,10 @@ struct IntentionRecord {
   TxnStatus status{TxnStatus::kTentative};  // kStatus
   // kRedoPage / kRedoRange: the payload. kShadowMap: the 8-byte
   // disk::BlockChecksum of the page image written to the new block, which
-  // recovery checks both copies against before it redoes the remap.
+  // recovery checks both copies against before it redoes the remap, then
+  // the disk (4 bytes) and first fragment (8 bytes) of the block the remap
+  // replaces, which recovery frees if no file maps it any more; a shared
+  // replaced block is left out.
   std::vector<std::uint8_t> data;
 };
 
@@ -97,9 +105,25 @@ inline constexpr obs::CounterField<TxnLogStats> kTxnLogCounters[] = {
     {"txn.log.torn_batches", &TxnLogStats::torn_batches},
 };
 
+// While one is alive on a thread, that thread's disk writes are ones the
+// intention log covers — the log's own writes, a flush, a checkpoint, a
+// commit's redo, recovery — and the transaction service's write barrier
+// lets them through.
+class CoveredWrites {
+ public:
+  CoveredWrites() { ++depth_; }
+  ~CoveredWrites() { --depth_; }
+  CoveredWrites(const CoveredWrites&) = delete;
+  CoveredWrites& operator=(const CoveredWrites&) = delete;
+  static bool active() { return depth_ > 0; }
+
+ private:
+  static thread_local int depth_;
+};
+
 // Result of a read-only structural walk of the persistent log image.
 struct TxnLogAudit {
-  std::uint64_t batches = 0;
+  std::uint64_t batches = 0;  // padding frames not counted
   std::uint64_t records = 0;
   std::uint64_t torn_batches = 0;
   std::uint64_t salvaged_records = 0;
@@ -134,8 +158,9 @@ class TxnLog {
   // batch of one.
   Status Append(const IntentionRecord& record);
 
-  // Group-commit force: stages every frame contiguously at the head and
-  // pushes the whole run to stable storage with one put. The payloads'
+  // Group-commit force: stages every frame contiguously at the head, and
+  // the padding when it is due, and pushes the whole run to stable
+  // storage with one put. The payloads'
   // record frames must have been framed under generation(). On failure the
   // head does not advance, so a later append restages over the (possibly
   // torn) region. A force at offset 0 also makes a pending reset durable.
@@ -157,15 +182,17 @@ class TxnLog {
   // image still holds the previous generation, which a recovery would
   // redo. It becomes durable with the next force (which lands at offset 0
   // under the new generation) or with ForceReset(), whichever comes first.
-  // Safe only when no transaction is active (the service checkpoints at
-  // quiescence). A log with nothing forced since its last reset stays as
-  // it is.
+  // Safe only once every write the records cover has landed and no record
+  // framed under the current generation waits to be forced
+  // (TransactionService::Checkpoint checks both). A log with nothing
+  // forced since its last reset stays as it is.
   void ResetLazily();
 
   // Makes a pending reset durable: writes an empty batch frame of the new
   // generation at offset 0, so a scan finds an empty log and adopts the
   // generation. No-op when no reset is pending. A failed write leaves the
-  // reset pending.
+  // reset pending, and the write barrier's checkpoint then refuses the
+  // put it guards.
   Status ForceReset();
 
   // Eager remove_intention: ResetLazily() then ForceReset().
@@ -186,9 +213,8 @@ class TxnLog {
   // there has nothing to remove.
   bool appended_ = false;
   // Set by ResetLazily, cleared by whichever write makes the reset
-  // durable. Atomic because the disk write barrier (which calls
-  // ForceReset) also runs on threads outside the transaction service's
-  // mutex; the write itself stays serialized like every disk operation.
+  // durable. Atomic so that reset_pending() may be read without the
+  // transaction service's mutex; the writes stay serialized by it.
   std::atomic<bool> reset_pending_{false};
   TxnLogStats stats_;
 };

@@ -266,7 +266,7 @@ TEST_F(UnwrittenHintTest, GrowthAfterAReloadStillExposesZeros) {
 TEST_F(UnwrittenHintTest, GrowthKeepsABlockWrittenPastTheSize) {
   const FileId file = HintedFileOverOldBytes();
   const auto page = Pattern(kBlockSize, 0x11);
-  ASSERT_TRUE(service_->WriteBlock(file, 2, page, true).ok());
+  ASSERT_TRUE(service_->WriteBlock(file, 2, page).ok());
   ASSERT_TRUE(service_->Resize(file, 2 * kBlockSize + 100).ok());
   EXPECT_EQ(NonzeroBytes(file, 2 * kBlockSize), 0u);
   std::vector<std::uint8_t> out(100);

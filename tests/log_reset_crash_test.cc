@@ -1,14 +1,14 @@
-// Crash tests for the window in which the intention log's quiescent reset
-// is still in memory only (TxnLog::ResetLazily). Until the next commit
-// force lands, the log on stable storage still holds the last commit,
-// and a recovery would redo it. Every write that is not a commit must
-// therefore force the reset first (the disks' write barrier), or a crash
-// would let the redo overwrite the newer state. Each test commits at
-// quiescence, writes something else, crashes, recovers, and checks that
-// the later state survived.
+// Crash tests for the window in which the intention log still holds
+// commits. Committed records stay in the log until a checkpoint, and a
+// recovery would redo them. Every write the log does not cover must
+// therefore run a checkpoint first (the disks' write barrier), which lands
+// what the log covers and resets it, or a crash would let the redo
+// overwrite the newer state. Each test commits, writes something else,
+// crashes, recovers, and checks that the later state survived.
 #include <gtest/gtest.h>
 
 #include "file/file_service.h"
+#include "file/fsck.h"
 #include "txn/transaction_service.h"
 
 namespace rhodos::txn {
@@ -44,13 +44,14 @@ class LogResetCrashTest : public ::testing::Test {
     Restart();
   }
 
-  void Restart() {
+  void Restart(TxnServiceConfig config = {}) {
     txn_.reset();
     files_.reset();
     files_ = std::make_unique<FileService>(disks_.get(), &clock_,
                                            FileServiceConfig{});
     txn_ = std::make_unique<TransactionService>(
-        disks_.get(), [this](FileId) -> FileService& { return *files_; });
+        disks_.get(), [this](FileId) -> FileService& { return *files_; },
+        config);
   }
 
   // A contiguous page-locked file of kFileBlocks zero blocks: commits to
@@ -65,8 +66,8 @@ class LogResetCrashTest : public ::testing::Test {
     return *file;
   }
 
-  // Commits kCommitted to `block` of each file in one transaction and
-  // leaves the service quiescent, with the log reset pending.
+  // Commits kCommitted to `block` of each file in one transaction, which
+  // stays in the log.
   void Commit(std::initializer_list<FileId> files, std::uint64_t block = 0) {
     auto t = txn_->Begin(ProcessId{1});
     ASSERT_TRUE(t.ok());
@@ -75,7 +76,7 @@ class LogResetCrashTest : public ::testing::Test {
           txn_->TWrite(*t, file, block * kBlockSize, Block(kCommitted)).ok());
     }
     ASSERT_TRUE(txn_->End(*t).ok());
-    ASSERT_TRUE(txn_->log().reset_pending());
+    ASSERT_GT(txn_->log().BytesUsed(), 0u);
   }
 
   // Power cut, then the facility's restart order: disks, snapshot redo,
@@ -104,7 +105,7 @@ class LogResetCrashTest : public ::testing::Test {
 TEST_F(LogResetCrashTest, WithNoLaterWriteRecoveryRedoesTheCommit) {
   const FileId file = MakeFile();
   Commit({file});
-  // The quiescent reset wrote nothing: the commit is still in the log.
+  // Nothing reset the log: the commit is still in it.
   EXPECT_EQ(txn_->log().stats().reset_writes, 0u);
   CrashAndRecover();
   EXPECT_EQ(txn_->stats().recovered_redone, 1u);
@@ -121,7 +122,7 @@ TEST_F(LogResetCrashTest, BasicWriteOnEitherDiskSurvives) {
   for (int d : {1, 0}) {
     ASSERT_TRUE(files_->Write(on_disk[d], 0, Block(kLater)).ok());
     ASSERT_TRUE(files_->Flush(on_disk[d]).ok());
-    // The first write forced the reset; the second found none pending.
+    // The first write checkpointed; the second found nothing to do.
     EXPECT_FALSE(txn_->log().reset_pending());
     EXPECT_EQ(txn_->log().stats().reset_writes, 1u);
   }
@@ -191,19 +192,72 @@ TEST_F(LogResetCrashTest, FlushAllSurvives) {
   EXPECT_EQ(ReadBlock(file, 0), Block(kLater));
 }
 
+// A log that cannot take the next commit is checkpointed before it, and
+// the reset stays in memory: the commit's force lands at offset 0 under
+// the new generation.
 TEST_F(LogResetCrashTest, NextCommitForceCarriesTheReset) {
+  TxnServiceConfig config;
+  config.log_fragments = 8;  // 16 KiB: one page image and a little more
+  Restart(config);
   const FileId file = MakeFile();
   Commit({file});
   const std::uint64_t forces = txn_->log().stats().forces;
+  const std::uint64_t used = txn_->log().BytesUsed();
   Commit({file}, /*block=*/1);
-  // One force per commit and no reset write: the second commit's force
-  // landed at offset 0 under the new generation.
+  // One force per commit and no reset write.
   EXPECT_EQ(txn_->log().stats().forces, forces + 1);
   EXPECT_EQ(txn_->log().stats().reset_writes, 0u);
+  EXPECT_LE(txn_->log().BytesUsed(), used + 256);
   CrashAndRecover();
   EXPECT_EQ(txn_->stats().recovered_redone, 1u);  // the second commit only
   EXPECT_EQ(ReadBlock(file, 0), Block(kCommitted));
   EXPECT_EQ(ReadBlock(file, 1), Block(kCommitted));
+}
+
+// A growth's block is allocated in memory; the bitmap that holds it must
+// reach the disk no later than the table that maps it, whether a basic
+// write's close stores that table or a commit's write-behind does.
+TEST_F(LogResetCrashTest, GrownBlockStaysAllocatedAfterACrash) {
+  for (const bool basic : {true, false}) {
+    txn_.reset();
+    files_.reset();
+    SetUp();
+    FileId file;
+    if (basic) {
+      auto created = files_->Create(file::ServiceType::kBasic,
+                                    kFileBlocks * kBlockSize);
+      ASSERT_TRUE(created.ok());
+      file = *created;
+      ASSERT_TRUE(files_->Resize(file, kFileBlocks * kBlockSize).ok());
+      ASSERT_TRUE(files_->FlushAll().ok());
+      const std::vector<std::uint8_t> tail(100, kLater);
+      ASSERT_TRUE(files_->Write(file, kFileBlocks * kBlockSize, tail).ok());
+      ASSERT_TRUE(files_->Close(file).ok());
+    } else {
+      file = MakeFile();
+      ASSERT_TRUE(files_->FlushAll().ok());
+      auto t = txn_->Begin(ProcessId{1});
+      ASSERT_TRUE(t.ok());
+      const std::vector<std::uint8_t> tail(100, kCommitted);
+      ASSERT_TRUE(txn_->TWrite(*t, file, kFileBlocks * kBlockSize, tail).ok());
+      ASSERT_TRUE(txn_->End(*t).ok());
+      // The next commit's force carries the grown table.
+      Commit({file});
+    }
+    CrashAndRecover();
+    auto attrs = files_->GetAttributes(file);
+    ASSERT_TRUE(attrs.ok());
+    EXPECT_EQ(attrs->size, kFileBlocks * kBlockSize + 100) << basic;
+    const TransactionService::LogRegion log = txn_->log_region();
+    const file::ReservedRegion reserved[] = {
+        {log.disk, log.first, log.fragments}};
+    const FileId audited[] = {file};
+    const file::AuditReport report =
+        file::AuditFiles(*files_, audited, reserved);
+    EXPECT_EQ(report.CountOf(file::AuditIssue::Kind::kUnallocatedClaim), 0u)
+        << (basic ? "basic write" : "commit");
+    EXPECT_TRUE(report.clean()) << (basic ? "basic write" : "commit");
+  }
 }
 
 }  // namespace

@@ -212,7 +212,10 @@ TEST_P(CrashAtomicityTest, RandomCrashNeverTearsACommit) {
   for (auto& b : new_state) b = static_cast<std::uint8_t>(rng.Next());
   auto t1 = txns.Begin(ProcessId{1});
   (void)txns.TWrite(*t1, *file, 0, new_state);
-  (void)txns.End(*t1);  // may die anywhere inside
+  // May die anywhere inside the commit or the write-behind it leaves.
+  (void)txns.End(*t1);
+  (void)txns.Checkpoint();
+  (*server)->SetFaultPlan({});
 
   facility.CrashServers();
   ASSERT_TRUE(facility.RecoverServers().ok());

@@ -1,17 +1,19 @@
-// Power cuts through a commit whose apply writes each remapped index
-// table's main copy and mirror at once.
+// Power cuts through a no-force commit and the force that carries its
+// write-behind.
 //
-// A committed shadow remap's table store is redone from its kShadowMap
-// record, so its two copies go out as lanes of one section instead of main
-// then mirror; a one-fragment copy tears whole, leaving each copy old or
-// new. These tests cut power at every write of disk 1's main device, then
-// at every write of its mirror device, through three commit shapes: two
+// A commit is acknowledged at its force; the writes its redo leaves — WAL
+// pages in place, each remapped index table — ride the next commit's
+// force. A committed shadow remap's table store is redone from its
+// kShadowMap record, so its two copies go out at once; a one-fragment copy
+// tears whole, leaving each copy old or new. These tests cut power at
+// every write of each device, through two consecutive commits (the second
+// one's force carries the first one's write-behind) in four shapes: two
 // shadowed files on disk 1; a WAL file on disk 0 beside a shadowed file on
-// disk 1; and the same two files growing, the WAL file by part of a page
-// past its end and the shadowed file inside its last block. After
-// recovery the commit is all or nothing, to the byte and in each file's
-// size, both copies of every table parse and map the same blocks, and
-// fsck is clean.
+// disk 1; the same two files growing, the WAL file by part of a page past
+// its end and the shadowed file inside its last block; and a shadowed
+// file whose remap needs a new indirect block. After recovery each commit
+// is all or nothing, to the byte and in each file's size, both copies of
+// every table parse and map the same blocks, and fsck is clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,18 +43,36 @@ disk::DiskServerConfig DiskConfig() {
   return c;
 }
 
-enum class Shape { kTwoShadows, kWalAndShadow, kGrowth };
+enum class Shape { kTwoShadows, kWalAndShadow, kGrowth, kIndirect };
+
+// Blocks of kIndirect's file, and remaps that leave it one run short of
+// filling its table fragment: one more split needs an indirect block.
+constexpr std::uint64_t kManyBlocks = 70;
+constexpr std::uint64_t kSetupRemaps = (file::kDirectRuns - 1) / 2;
 
 // One file of a shape: its home disk, whether it is fragmented (so the
 // paper's rule shadows it), its size before the commit, and the bytes of
-// kNew the commit writes at `offset`.
+// kNew the commit writes at `offset`. A file of many runs is kManyBlocks
+// long with every other block of its first half remapped.
 struct FileCase {
   std::uint32_t disk;
   bool fragmented;
   std::uint64_t size;
   std::uint64_t offset;
   std::uint64_t len;
+  bool many_runs = false;
 };
+
+// The second commit of every matrix: a page of a contiguous file on the
+// log's disk.
+constexpr FileCase kSecond{0, false, kFileBytes, kBlockSize, kBlockSize};
+
+// The devices a matrix tears, one per sweep.
+struct Tear {
+  std::uint32_t disk;
+  bool mirror;
+};
+constexpr Tear kTears[] = {{1, false}, {1, true}, {0, false}, {0, true}};
 
 std::vector<FileCase> Cases(Shape shape) {
   switch (shape) {
@@ -69,16 +89,21 @@ std::vector<FileCase> Cases(Shape shape) {
       return {{0, false, kFileBytes, kFileBytes, 100},
               {1, true, kFileBytes - kBlockSize + 100,
                kFileBytes - kBlockSize + 50, kBlockSize - 192}};
+    case Shape::kIndirect:
+      // A block in the middle of the file's last run: the split adds two.
+      return {{1, true, kManyBlocks * kBlockSize, (kManyBlocks - 4) * kBlockSize,
+               kBlockSize, true}};
   }
   return {};
 }
 
-std::string Describe(Shape shape, bool tear_mirror, int k) {
+std::string Describe(Shape shape, Tear tear, int k) {
   const char* name = shape == Shape::kTwoShadows     ? "two shadows"
                      : shape == Shape::kWalAndShadow ? "WAL + shadow"
-                                                     : "growth";
-  return std::string(name) + ", tear disk 1's " +
-         (tear_mirror ? "mirror" : "main") + " device after " +
+                     : shape == Shape::kGrowth       ? "growth"
+                                                     : "indirect";
+  return std::string(name) + ", tear disk " + std::to_string(tear.disk) +
+         "'s " + (tear.mirror ? "mirror" : "main") + " device after " +
          std::to_string(k) + " writes";
 }
 
@@ -113,13 +138,25 @@ class ShadowApplyCrashTest : public ::testing::Test {
   // homed on disk `c.disk`, with the bitmap persisted. A fragmented file's
   // first block is cut off from the rest, so the paper's rule shadows it.
   FileId MakeFile(const FileCase& c) {
-    const std::uint64_t hint = c.fragmented ? 1 : kFileBlocks;
+    const std::uint64_t hint =
+        c.many_runs ? kManyBlocks : c.fragmented ? 1 : kFileBlocks;
     for (;;) {
       auto file =
           files_->Create(file::ServiceType::kTransaction, hint * kBlockSize);
       EXPECT_TRUE(file.ok());
       if (file::FileDisk(*file).value != c.disk) continue;
-      if (c.fragmented) {
+      if (c.many_runs) {
+        for (std::uint64_t i = 0; i < kSetupRemaps; ++i) {
+          auto fresh = files_->AllocateShadowBlocks(*file, 1);
+          EXPECT_TRUE(fresh.ok());
+          EXPECT_TRUE(files_
+                          ->ReplaceBlocks(*file, {{2 * i + 1,
+                                                   fresh->front().disk,
+                                                   fresh->front().first}})
+                          .ok());
+        }
+        EXPECT_EQ(files_->FileRuns(*file)->size(), file::kDirectRuns - 1);
+      } else if (c.fragmented) {
         (void)Disk(c.disk).AllocateSpecific(
             file::FileFitFragment(*file) + 1 + kFragmentsPerBlock,
             kFragmentsPerBlock);
@@ -146,15 +183,13 @@ class ShadowApplyCrashTest : public ::testing::Test {
     return txn_->End(*t);
   }
 
-  // The file holds exactly the case's bytes: zeros, with kNew over the
-  // write if it committed, and no byte past the size it should have.
-  void ExpectContent(FileId file, const FileCase& c, bool committed,
-                     const std::string& where) {
+  // Whether the file holds exactly the case's bytes: zeros, with kNew over
+  // the write if it committed, and no byte past the size it should have.
+  bool Holds(FileId file, const FileCase& c, bool committed) {
     const std::uint64_t end = std::max(c.size, c.offset + c.len);
     const std::uint64_t size = committed ? end : c.size;
     auto attrs = files_->GetAttributes(file);
-    ASSERT_TRUE(attrs.ok()) << where;
-    EXPECT_EQ(attrs->size, size) << where;
+    if (!attrs.ok() || attrs->size != size) return false;
     std::vector<std::uint8_t> expected(size, 0);
     if (committed) {
       std::fill_n(expected.begin() + static_cast<std::ptrdiff_t>(c.offset),
@@ -162,9 +197,41 @@ class ShadowApplyCrashTest : public ::testing::Test {
     }
     std::vector<std::uint8_t> bytes(end + kBlockSize);
     auto n = files_->Read(file, 0, bytes);
-    ASSERT_TRUE(n.ok()) << where;
+    if (!n.ok()) return false;
     bytes.resize(*n);
-    EXPECT_EQ(bytes, expected) << where;
+    return bytes == expected;
+  }
+
+  // Each commit left all of its files committed or none: returns whether
+  // it committed.
+  bool ExpectAllOrNothing(const std::vector<FileCase>& cases,
+                          const std::vector<FileId>& files,
+                          const std::string& where) {
+    const bool committed = Holds(files.front(), cases.front(), true);
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      EXPECT_TRUE(Holds(files[i], cases[i], committed))
+          << where << ": file " << i << (committed ? " not" : "")
+          << " committed";
+      ExpectTableCopiesAgree(files[i], where);
+    }
+    return committed;
+  }
+
+  void ExpectFsckClean(const std::vector<FileId>& files,
+                       const std::string& where) {
+    const TransactionService::LogRegion log = txn_->log_region();
+    const file::ReservedRegion reserved[] = {
+        {log.disk, log.first, log.fragments}};
+    const file::AuditReport report =
+        file::AuditFiles(*files_, files, reserved);
+    EXPECT_TRUE(report.clean())
+        << where << ": "
+        << (report.issues.empty() ? "" : report.issues.front().detail);
+  }
+
+  sim::DiskModel& Device(Tear tear) {
+    return tear.mirror ? Disk(tear.disk).stable_device()
+                       : Disk(tear.disk).main_device();
   }
 
   void CrashAndRestart() {
@@ -191,51 +258,53 @@ class ShadowApplyCrashTest : public ::testing::Test {
     EXPECT_EQ(main_table->table.runs(), mirror_table->table.runs()) << where;
   }
 
+  // Commits the shape, then a second commit whose force carries the
+  // first one's write-behind, with one device torn after k writes, for
+  // every k until the two commits no longer reach the tear.
   void RunMatrix(Shape shape) {
-    for (const bool tear_mirror : {false, true}) {
-      // Tears that recovery discarded (a shadow page did not land) and
-      // tears it redone (the apply did not finish): the sweep must reach
-      // both the flush and the apply.
-      int discarded = 0;
-      int redone = 0;
+    for (const Tear tear : kTears) {
+      int torn_first = 0;   // the tear hit the first commit's own section
+      int torn_second = 0;  // ... or the one carrying its write-behind
       for (int k = 0;; ++k) {
-        ASSERT_LT(k, 64) << "the commit never ran out of writes";
-        const std::string where = Describe(shape, tear_mirror, k);
+        ASSERT_LT(k, 64) << "the commits never ran out of writes";
+        const std::string where = Describe(shape, tear, k);
         Rebuild();
         const std::vector<FileCase> cases = Cases(shape);
         std::vector<FileId> files;
         for (const FileCase& c : cases) files.push_back(MakeFile(c));
-        sim::DiskModel& device = tear_mirror ? Disk(1).stable_device()
-                                             : Disk(1).main_device();
+        const FileId second = MakeFile(kSecond);
+        sim::DiskModel& device = Device(tear);
         sim::DiskFaultPlan plan;
         plan.crash_after_writes = k;
         device.SetFaultPlan(plan);
-        const Status ended = Commit(cases, files);
+        const Status first_ended = Commit(cases, files);
+        const bool tore_first = device.crashed();
+        const Status second_ended = Commit({kSecond}, {second});
         const bool tore = device.crashed();
         device.SetFaultPlan({});
-        EXPECT_EQ(ended.ok(), !tore) << where;
+        if (!tore) {
+          EXPECT_TRUE(first_ended.ok()) << where;
+          EXPECT_TRUE(second_ended.ok()) << where;
+        }
 
         CrashAndRestart();
         ASSERT_TRUE(txn_->Recover().ok()) << where;
-        const bool committed =
-            ended.ok() || txn_->stats().recovered_redone > 0;
-        if (tore) ++(committed ? redone : discarded);
-        for (std::size_t i = 0; i < files.size(); ++i) {
-          ExpectContent(files[i], cases[i], committed, where);
-          ExpectTableCopiesAgree(files[i], where);
-        }
-        const TransactionService::LogRegion log = txn_->log_region();
-        const file::ReservedRegion reserved[] = {
-            {log.disk, log.first, log.fragments}};
-        const file::AuditReport report =
-            file::AuditFiles(*files_, files, reserved);
-        EXPECT_TRUE(report.clean())
-            << where << ": "
-            << (report.issues.empty() ? "" : report.issues.front().detail);
+        const bool first = ExpectAllOrNothing(cases, files, where);
+        EXPECT_TRUE(first || !first_ended.ok()) << where;
+        const bool second_committed =
+            ExpectAllOrNothing({kSecond}, {second}, where);
+        EXPECT_TRUE(second_committed || !second_ended.ok()) << where;
+        files.push_back(second);
+        ExpectFsckClean(files, where);
         if (!tore) break;
+        ++(tore_first ? torn_first : torn_second);
       }
-      EXPECT_GT(discarded, 0) << Describe(shape, tear_mirror, 0);
-      EXPECT_GT(redone, 0) << Describe(shape, tear_mirror, 0);
+      // Disk 1 holds the shadow pages and the tables the second force
+      // carries: its sweeps reach both sections.
+      if (tear.disk == 1) {
+        EXPECT_GT(torn_first, 0) << Describe(shape, tear, 0);
+        EXPECT_GT(torn_second, 0) << Describe(shape, tear, 0);
+      }
     }
   }
 
@@ -259,6 +328,93 @@ TEST_F(ShadowApplyCrashTest, WalBesideAShadowedTableSurvivesATearAtEveryWrite) {
 // size its remap record carries.
 TEST_F(ShadowApplyCrashTest, GrowingFilesKeepTheirExactSizeAtEveryWrite) {
   RunMatrix(Shape::kGrowth);
+}
+
+// The write-behind allocates the indirect block the split needs and frees
+// nothing until the table lands: no block is claimed twice or left free
+// under a claim.
+TEST_F(ShadowApplyCrashTest, RemapNeedingAnIndirectBlockSurvivesEveryWrite) {
+  RunMatrix(Shape::kIndirect);
+}
+
+// Acknowledged at the force, then power is cut before anything else is
+// written: recovery redoes every shape from the log alone, and a remap's
+// replaced block is free again.
+TEST_F(ShadowApplyCrashTest, CrashAfterTheForceWithNothingWrittenIsRedone) {
+  for (const Shape shape : {Shape::kTwoShadows, Shape::kWalAndShadow,
+                            Shape::kGrowth, Shape::kIndirect}) {
+    const std::string where = Describe(shape, kTears[0], 0);
+    Rebuild();
+    const std::vector<FileCase> cases = Cases(shape);
+    std::vector<FileId> files;
+    for (const FileCase& c : cases) files.push_back(MakeFile(c));
+    const std::uint64_t free_before = Disk(1).FreeFragmentCount();
+    ASSERT_TRUE(Commit(cases, files).ok()) << where;
+    CrashAndRestart();
+    ASSERT_TRUE(txn_->Recover().ok()) << where;
+    EXPECT_EQ(txn_->stats().recovered_redone, 1u) << where;
+    EXPECT_TRUE(ExpectAllOrNothing(cases, files, where)) << where;
+    ExpectFsckClean(files, where);
+    if (shape == Shape::kTwoShadows) {
+      EXPECT_EQ(Disk(1).FreeFragmentCount(), free_before) << where;
+    }
+  }
+}
+
+// A checkpoint cut at every write of every device: the commit it lands
+// was acknowledged, so recovery always finds it committed.
+TEST_F(ShadowApplyCrashTest, CrashMidCheckpointAtEveryWrite) {
+  for (const Tear tear : kTears) {
+    for (int k = 0;; ++k) {
+      ASSERT_LT(k, 64) << "the checkpoint never ran out of writes";
+      const std::string where = Describe(Shape::kWalAndShadow, tear, k);
+      Rebuild();
+      const std::vector<FileCase> cases = Cases(Shape::kWalAndShadow);
+      std::vector<FileId> files;
+      for (const FileCase& c : cases) files.push_back(MakeFile(c));
+      ASSERT_TRUE(Commit(cases, files).ok()) << where;
+      sim::DiskModel& device = Device(tear);
+      sim::DiskFaultPlan plan;
+      plan.crash_after_writes = k;
+      device.SetFaultPlan(plan);
+      const Status checkpointed = txn_->Checkpoint();
+      const bool tore = device.crashed();
+      device.SetFaultPlan({});
+      EXPECT_EQ(checkpointed.ok(), !tore) << where;
+      CrashAndRestart();
+      ASSERT_TRUE(txn_->Recover().ok()) << where;
+      EXPECT_TRUE(ExpectAllOrNothing(cases, files, where)) << where;
+      ExpectFsckClean(files, where);
+      if (!tore) break;
+    }
+  }
+}
+
+// A basic write after a no-force commit on the same file lands after what
+// the commit owed, and recovery does not redo the commit over it.
+TEST_F(ShadowApplyCrashTest, BasicWriteAfterANoForceCommitSurvivesACrash) {
+  const std::vector<FileCase> cases = Cases(Shape::kWalAndShadow);
+  Rebuild();
+  std::vector<FileId> files;
+  for (const FileCase& c : cases) files.push_back(MakeFile(c));
+  ASSERT_TRUE(Commit(cases, files).ok());
+  constexpr std::uint8_t kLater = 0x5E;
+  const std::vector<std::uint8_t> later(100, kLater);
+  for (const FileId file : files) {
+    ASSERT_TRUE(files_->Write(file, 100, later).ok());
+    ASSERT_TRUE(files_->Close(file).ok());
+  }
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(txn_->stats().recovered_redone, 0u);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    std::vector<std::uint8_t> expected(kBlockSize, kNew);
+    std::fill_n(expected.begin() + 100, later.size(), kLater);
+    std::vector<std::uint8_t> bytes(kBlockSize);
+    ASSERT_TRUE(files_->Read(files[i], 0, bytes).ok());
+    EXPECT_EQ(bytes, expected) << "file " << i;
+  }
+  ExpectFsckClean(files, "basic write after a commit");
 }
 
 }  // namespace

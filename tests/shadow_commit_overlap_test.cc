@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "file/file_service.h"
+#include "file/fsck.h"
 #include "sim/parallel.h"
 #include "txn/transaction_service.h"
 
@@ -195,18 +196,20 @@ TEST_F(ShadowOverlapTest, LandedShadowUnderATornForceIsDiscarded) {
   EXPECT_EQ(d1.FreeFragmentCount(), free_before);
 }
 
-// Page and force both land, then the apply tears (the remapped index
-// table's store): recovery finds the page intact and redoes the remap.
+// Page and force both land, then the write-behind tears (the remapped
+// index table's store): recovery finds the page intact, redoes the remap
+// and frees the block it replaced, which the bitmap on disk still held.
 TEST_F(ShadowOverlapTest, LandedShadowAndForceWithATornApplyIsRedone) {
   for (const bool tear_mirror : {false, true}) {
     Rebuild();
     const FileId file = MakeFileOn(1);
     disk::DiskServer& d1 = Disk(1);
+    const std::uint64_t free_before = d1.FreeFragmentCount();
     // Either device: the shadow copy, then the table store.
     (tear_mirror ? d1.stable_device() : d1.main_device())
         .SetFaultPlan(TearAfter(1));
-    EXPECT_FALSE(Commit(file, {0}).ok()) << "tear_mirror=" << tear_mirror;
-    EXPECT_EQ(txn_->stats().commits, 1u) << "the force went through";
+    EXPECT_TRUE(Commit(file, {0}).ok()) << "tear_mirror=" << tear_mirror;
+    EXPECT_FALSE(txn_->Checkpoint().ok()) << "tear_mirror=" << tear_mirror;
 
     CrashAndRestart();
     ASSERT_TRUE(txn_->Recover().ok());
@@ -216,19 +219,22 @@ TEST_F(ShadowOverlapTest, LandedShadowAndForceWithATornApplyIsRedone) {
     ASSERT_TRUE(loc.ok());
     EXPECT_TRUE(d1.IsFragmentAllocated(loc->first_fragment))
         << "tear_mirror=" << tear_mirror << " at " << loc->first_fragment;
+    EXPECT_EQ(d1.FreeFragmentCount(), free_before)
+        << "tear_mirror=" << tear_mirror;
   }
 }
 
-// Page and force land, then the apply's table store lands on the main
-// copy only. Recovery finds the remap applied and must still bring the
-// mirror up to date: a later loss of the main copy falls back to the
+// Page and force land, then the write-behind's table store lands on the
+// main copy only. Recovery finds the remap applied and must still bring
+// the mirror up to date: a later loss of the main copy falls back to the
 // mirror, which must not map the replaced block.
 TEST_F(ShadowOverlapTest, TornApplyLeavesNoStaleMirrorBehind) {
   const FileId file = MakeFileOn(1);
   disk::DiskServer& d1 = Disk(1);
   // The shadow page's mirror copy, then the table's.
   d1.stable_device().SetFaultPlan(TearAfter(1));
-  EXPECT_FALSE(Commit(file, {0}).ok());
+  EXPECT_TRUE(Commit(file, {0}).ok());
+  EXPECT_FALSE(txn_->Checkpoint().ok());
   CrashAndRestart();
   ASSERT_TRUE(txn_->Recover().ok());
   EXPECT_EQ(txn_->stats().recovered_redone, 1u);
@@ -254,8 +260,9 @@ TEST_F(ShadowOverlapTest, TornApplyLeavesNoStaleMirrorBehind) {
 TEST_F(ShadowOverlapTest, VerificationReadErrorFailsRecoverAndFreesNothing) {
   const FileId file = MakeFileOn(1);
   disk::DiskServer& d1 = Disk(1);
-  d1.main_device().SetFaultPlan(TearAfter(1));  // tears the apply
-  EXPECT_FALSE(Commit(file, {0}).ok());
+  d1.main_device().SetFaultPlan(TearAfter(1));  // tears the write-behind
+  EXPECT_TRUE(Commit(file, {0}).ok());
+  EXPECT_FALSE(txn_->Checkpoint().ok());
 
   CrashAndRestart();
   const std::vector<IntentionRecord> shadows = ShadowRecords();
@@ -310,25 +317,158 @@ TEST_F(ShadowOverlapTest, ShadowMapWithAMalformedChecksumFailsRecover) {
   }
 }
 
-// A remap already applied is the file's block: a later in-place write may
-// change its bytes, and recovery must neither check nor free it.
+// A remap already applied is the file's block: its bytes may have changed
+// in place since (here behind the service's back, on both copies), and
+// recovery must neither check nor free it.
 TEST_F(ShadowOverlapTest, AppliedRemapRewrittenInPlaceIsKept) {
   const FileId file = MakeFileOn(1);
-  // An open transaction keeps the log from resetting at the commit.
-  auto open = txn_->Begin(ProcessId{2});
-  ASSERT_TRUE(open.ok());
+  const FileId other = MakeFileOn(0);
   ASSERT_TRUE(Commit(file, {0}).ok());
+  // The next commit's force carries the remapped table; both commits stay
+  // in the log.
+  ASSERT_TRUE(Commit(other, {0}).ok());
   auto loc = files_->LocateBlock(file, 0);
   ASSERT_TRUE(loc.ok());
-  ASSERT_TRUE(files_->Write(file, 0, Block(kLater)).ok());
-  ASSERT_TRUE(files_->FlushAll().ok());
+  const std::vector<std::uint8_t> later(kFragmentSize, kLater);
+  for (std::uint32_t f = 0; f < kFragmentsPerBlock; ++f) {
+    Disk(1).main_device().RawOverwrite(loc->first_fragment + f, later);
+    Disk(1).stable_device().RawOverwrite(loc->first_fragment + f, later);
+  }
 
   CrashAndRestart();
   ASSERT_TRUE(txn_->Recover().ok());
-  EXPECT_EQ(txn_->stats().recovered_redone, 1u);
+  EXPECT_EQ(txn_->stats().recovered_redone, 2u);
   EXPECT_EQ(txn_->stats().recovered_discarded, 0u);
   EXPECT_EQ(ReadBlock(file, 0), Block(kLater));
   EXPECT_TRUE(Disk(1).IsFragmentAllocated(loc->first_fragment));
+}
+
+// A long log: a later commit replaces the block an earlier one remapped
+// to, and once its table has landed another commit takes the freed hole.
+// Recovery must not check the earlier remap's page against that block —
+// it would discard an acknowledged commit and free a live block — nor
+// free the reused block as a replaced one.
+TEST_F(ShadowOverlapTest, RecoveryOverALongLogKeepsAReusedBlock) {
+  const FileId file = MakeFileOn(1);
+  const FileId other = MakeFileOn(1);
+  ASSERT_TRUE(Commit(file, {0}, 0x11).ok());
+  auto first = files_->LocateBlock(file, 0);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(Commit(file, {0}, 0x22).ok());   // replaces `first`
+  ASSERT_TRUE(Commit(other, {0}, 0x33).ok());  // carries that table
+  ASSERT_TRUE(Commit(other, {1}, 0x44).ok());  // may take the hole
+  auto reused = files_->LocateBlock(other, 1);
+  ASSERT_TRUE(reused.ok());
+  ASSERT_EQ(reused->first_fragment, first->first_fragment)
+      << "the test needs the freed block reused";
+
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(txn_->stats().recovered_redone, 4u);
+  EXPECT_EQ(txn_->stats().recovered_discarded, 0u);
+  EXPECT_EQ(ReadBlock(file, 0), Block(0x22));
+  EXPECT_EQ(ReadBlock(other, 0), Block(0x33));
+  EXPECT_EQ(ReadBlock(other, 1), Block(0x44));
+  EXPECT_TRUE(Disk(1).IsFragmentAllocated(reused->first_fragment));
+  const FileId audited[] = {file, other};
+  const TransactionService::LogRegion log = txn_->log_region();
+  const file::ReservedRegion reserved[] = {
+      {log.disk, log.first, log.fragments}};
+  EXPECT_TRUE(file::AuditFiles(*files_, audited, reserved).clean());
+}
+
+// A commit N leaves its table and a growth page owed; the next commit's
+// force tears, so only Recover() can settle the log, yet that force
+// carried N's write-behind and freed the block N's remap replaced. Until
+// Recover() runs, a write the log does not cover — a basic write to N's
+// page, a create that could take the freed block — is refused and writes
+// nothing: recovery will redo N, and would redo it over the one and free
+// the block under the other. After Recover() both go through and survive
+// the next power cut.
+TEST_F(ShadowOverlapTest, UncoveredWritesWaitForRecoveryAfterATornForce) {
+  const FileId file = MakeFileOn(1);
+  const FileId other = MakeFileOn(1);
+  auto replaced = files_->LocateBlock(file, 0);
+  ASSERT_TRUE(replaced.ok());
+  // Page 0 is remapped, the page past the end grows the file by WAL.
+  ASSERT_TRUE(Commit(file, {0, kFileBlocks}).ok());
+  ASSERT_EQ(ShadowRecords().size(), 1u);
+  Disk(0).stable_device().SetFaultPlan(TearAfter(0));
+  EXPECT_FALSE(Commit(other, {0}).ok());
+  ASSERT_FALSE(Disk(1).IsFragmentAllocated(replaced->first_fragment))
+      << "the torn force carried N's table and freed the replaced block";
+
+  auto writes = [this] {
+    std::uint64_t n = 0;
+    for (const auto& d : disks_->disks()) {
+      n += d->main_stats().write_references +
+           d->stable_stats().write_references;
+    }
+    return n;
+  };
+  const std::uint64_t before = writes();
+  const auto later = Block(kLater);
+  // A basic write to each of N's pages: the remapped one and the WAL one.
+  auto basic = [&] {
+    return files_->Write(file, 0, later).ok() &&
+           files_->Write(file, kFileBlocks * kBlockSize, later).ok() &&
+           files_->Sync(file).ok();
+  };
+  EXPECT_FALSE(basic());
+  auto created = files_->Create(file::ServiceType::kTransaction, kBlockSize);
+  EXPECT_FALSE(created.ok());
+  EXPECT_FALSE(txn_->Checkpoint().ok());
+  EXPECT_EQ(writes(), before);
+
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(ReadBlock(file, 0), Block(kNew));
+  EXPECT_EQ(ReadBlock(file, kFileBlocks), Block(kNew));
+  EXPECT_EQ(ReadBlock(other, 0), Block(0));
+
+  // The log is settled: the same writes go through, and a crash keeps them.
+  ASSERT_TRUE(basic());
+  std::vector<FileId> audited = {file, other};
+  for (int i = 0; i < 4; ++i) {
+    auto fresh = files_->Create(file::ServiceType::kTransaction, kBlockSize);
+    ASSERT_TRUE(fresh.ok());
+    audited.push_back(*fresh);
+  }
+  ASSERT_TRUE(files_->FlushAll().ok());
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(ReadBlock(file, 0), later);
+  EXPECT_EQ(ReadBlock(file, kFileBlocks), later);
+  const TransactionService::LogRegion log = txn_->log_region();
+  const file::ReservedRegion reserved[] = {
+      {log.disk, log.first, log.fragments}};
+  const auto report = file::AuditFiles(*files_, audited, reserved);
+  EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
+}
+
+// A getattr, sync or close of a file whose committed changes the log
+// still owes writes nothing, and the close keeps the committed table:
+// the next force or checkpoint carries the writes.
+TEST_F(ShadowOverlapTest, MetaOpsOnALoggedFileWriteNothing) {
+  const FileId file = MakeFileOn(1);
+  ASSERT_TRUE(files_->Open(file).ok());
+  ASSERT_TRUE(Commit(file, {0}).ok());
+  auto writes = [this] {
+    std::uint64_t n = 0;
+    for (const auto& d : disks_->disks()) {
+      n += d->main_stats().write_references +
+           d->stable_stats().write_references;
+    }
+    return n;
+  };
+  const std::uint64_t before = writes();
+  ASSERT_TRUE(files_->GetAttributes(file).ok());
+  ASSERT_TRUE(files_->Sync(file).ok());
+  ASSERT_TRUE(files_->Close(file).ok());
+  EXPECT_EQ(writes(), before);
+  EXPECT_EQ(ReadBlock(file, 0), Block(kNew));
+  ASSERT_TRUE(txn_->Checkpoint().ok());
+  EXPECT_GT(writes(), before);
 }
 
 // --- timing ------------------------------------------------------------------
@@ -339,19 +479,21 @@ TEST_F(ShadowOverlapTest, AppliedRemapRewrittenInPlaceIsKept) {
 TEST_F(ShadowOverlapTest, CommitOnTheOtherDiskHidesTheForce) {
   const FileId on_log_disk = MakeFileOn(0);
   const FileId off_log_disk = MakeFileOn(1);
-  // After one commit, each timed commit finds a log reset pending and
-  // forces the same frames at offset 0.
   ASSERT_TRUE(Commit(on_log_disk, {1}).ok());
 
+  // Each timed commit follows a checkpoint: it carries no write-behind
+  // and forces the same frames at offset 0.
+  SimTime force = 0;
   auto timed = [&](FileId file) {
+    EXPECT_TRUE(txn_->Checkpoint().ok());
     const SimTime t0 = clock_.Now();
+    const SimTime force_before = Disk(0).stable_stats().time_charged;
     EXPECT_TRUE(Commit(file, {0}).ok());
+    force = Disk(0).stable_stats().time_charged - force_before;
     return clock_.Now() - t0;
   };
   const SimTime serial = timed(on_log_disk);
-  const SimTime force_before = Disk(0).stable_stats().time_charged;
   const SimTime overlapped = timed(off_log_disk);
-  const SimTime force = Disk(0).stable_stats().time_charged - force_before;
   EXPECT_EQ(txn_->stats().shadow_commits, 3u);
   ASSERT_GT(force, 2 * sim::kLaneDispatchCost);
   EXPECT_EQ(serial - overlapped, force - 2 * sim::kLaneDispatchCost);
@@ -359,9 +501,9 @@ TEST_F(ShadowOverlapTest, CommitOnTheOtherDiskHidesTheForce) {
 }
 
 // Two pages homed on one disk get one contiguous run, staged with one
-// reference per device, and one store of the file's index table, whose
-// two copies go out at once: the second page adds only its own transfer
-// to a one-page commit.
+// reference per device, and one store of the file's index table, which
+// the next force carries: the second page adds only its own transfer to a
+// one-page commit.
 TEST_F(ShadowOverlapTest, TwoShadowPagesOnOneDiskShareOneRun) {
   const FileId file = MakeFileOn(1);
   const FileId on_log_disk = MakeFileOn(0);
@@ -371,14 +513,15 @@ TEST_F(ShadowOverlapTest, TwoShadowPagesOnOneDiskShareOneRun) {
   ASSERT_TRUE(hole.ok());
   ASSERT_TRUE(d1.AllocateBlocks(1).ok());
   ASSERT_TRUE(d1.FreeFragments(*hole, kFragmentsPerBlock).ok());
-  // After one commit, each timed commit finds a log reset pending and
-  // forces the same frames at offset 0.
   ASSERT_TRUE(Commit(on_log_disk, {0}).ok());
   struct Cost {
     std::uint64_t main_writes, mirror_writes, table_stores;
     SimTime elapsed;
   };
+  // Each commit follows a checkpoint: it carries no write-behind and
+  // forces the same frames at offset 0.
   auto commit = [&](std::initializer_list<std::uint64_t> pages) {
+    EXPECT_TRUE(txn_->Checkpoint().ok());
     auto t = txn_->Begin(ProcessId{1});
     EXPECT_TRUE(t.ok());
     for (std::uint64_t page : pages) {
@@ -404,11 +547,9 @@ TEST_F(ShadowOverlapTest, TwoShadowPagesOnOneDiskShareOneRun) {
   EXPECT_EQ(ReadBlock(file, 2), Block(kNew));
   EXPECT_EQ(two.table_stores, 1u);
   // The flush: the run's two copies (a lane each) in a lane beside the
-  // force. The apply: the table's two copies, a lane each.
-  const SimTime flush =
-      Reference(2 * kFragmentsPerBlock) + 4 * sim::kLaneDispatchCost;
-  const SimTime apply = Reference(1) + 2 * sim::kLaneDispatchCost;
-  EXPECT_EQ(two.elapsed, flush + apply);
+  // force.
+  EXPECT_EQ(two.elapsed,
+            Reference(2 * kFragmentsPerBlock) + 4 * sim::kLaneDispatchCost);
 
   const Cost one = commit({1});
   EXPECT_EQ(one.table_stores, 1u);
@@ -418,22 +559,34 @@ TEST_F(ShadowOverlapTest, TwoShadowPagesOnOneDiskShareOneRun) {
                                            Reference(kFragmentsPerBlock));
 }
 
-// A committed remap stores a one-fragment table's two copies at once, but
-// a table with an indirect block keeps main then mirror for each block: a
-// 4-fragment copy can tear midway, and the careful order keeps one intact.
+// A committed remap's write-behind stores a one-fragment table's two
+// copies at once, but a table with an indirect block keeps main then
+// mirror for each block: a 4-fragment copy can tear midway, and the
+// careful order keeps one intact.
 TEST_F(ShadowOverlapTest, IndirectBlocksKeepARemapStoreCareful) {
-  const FileId small = MakeFileOn(1);
+  using Copies = file::LoggedWrite::Copies;
   auto remap = [&](FileId file, std::uint64_t block) {
     auto fresh = files_->AllocateShadowBlocks(file, 1);
     EXPECT_TRUE(fresh.ok());
-    const SimTime t0 = clock_.Now();
     EXPECT_TRUE(files_
                     ->ReplaceBlocks(file, {{block, fresh->front().disk,
                                             fresh->front().first}})
                     .ok());
-    return clock_.Now() - t0;
   };
-  EXPECT_EQ(remap(small, 0), Reference(1) + 2 * sim::kLaneDispatchCost);
+  // How the write-behind of one logged remap writes each table block.
+  auto logged_remap = [&](FileId file, std::uint64_t block) {
+    FileService::LoggedApply logged(*files_);
+    remap(file, block);
+    auto writes = files_->TakeLoggedWrites(file);
+    EXPECT_TRUE(writes.ok());
+    std::vector<Copies> copies;
+    for (const file::LoggedWrite& w : writes->writes) {
+      copies.push_back(w.copies);
+    }
+    return copies;
+  };
+  const FileId small = MakeFileOn(1);
+  EXPECT_EQ(logged_remap(small, 0), std::vector<Copies>{Copies::kAtOnce});
 
   // Every other block remapped: more runs than the table fragment holds.
   constexpr std::uint64_t kBlocks = 2 * file::kDirectRuns + 2;
@@ -444,8 +597,9 @@ TEST_F(ShadowOverlapTest, IndirectBlocksKeepARemapStoreCareful) {
   auto indirect = files_->IndirectBlockLocations(*large);
   ASSERT_TRUE(indirect.ok());
   ASSERT_EQ(indirect->size(), 1u);
-  EXPECT_EQ(remap(*large, 1),
-            2 * Reference(kFragmentsPerBlock) + 2 * Reference(1));
+  EXPECT_EQ(logged_remap(*large, 1),
+            (std::vector<Copies>{Copies::kMainThenMirror,
+                                 Copies::kMainThenMirror}));
 }
 
 // --- the flush itself --------------------------------------------------------
@@ -488,7 +642,7 @@ class FreshRunFlushTest : public ::testing::Test {
 
   SimClock clock_;
   disk::DiskRegistry disks_;
-  std::mutex mu_;
+  std::recursive_mutex mu_;
   std::unique_ptr<TxnLog> log_;
   std::unique_ptr<LogPipeline> pipeline_;
 };

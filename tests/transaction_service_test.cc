@@ -74,9 +74,11 @@ class TxnServiceTest : public ::testing::Test {
   std::unique_ptr<TransactionService> txn_;
 };
 
-// End()'s elapsed sim time against the time every device charged during
-// it: the two are equal when the commit's references run one after
-// another, and the gap is what overlapped lanes saved.
+// The elapsed sim time of End() and of the checkpoint that lands the
+// write-behind it leaves, against the time every device charged during
+// them: the two are equal when the references run one after another, and
+// the gap is what overlapped lanes saved. A checkpoint first lands what
+// earlier commits owed.
 struct EndCost {
   SimTime elapsed = 0;
   SimTime device = 0;
@@ -84,6 +86,7 @@ struct EndCost {
 
 EndCost TimedEnd(TransactionService& txn, TxnId t, disk::DiskRegistry& disks,
                  SimClock& clock) {
+  EXPECT_TRUE(txn.Checkpoint().ok());
   auto device_time = [&disks] {
     SimTime sum = 0;
     for (const auto& d : disks.disks()) {
@@ -94,6 +97,7 @@ EndCost TimedEnd(TransactionService& txn, TxnId t, disk::DiskRegistry& disks,
   const SimTime device_before = device_time();
   const SimTime t0 = clock.Now();
   EXPECT_TRUE(txn.End(t).ok());
+  EXPECT_TRUE(txn.Checkpoint().ok());
   return EndCost{clock.Now() - t0, device_time() - device_before};
 }
 
@@ -230,8 +234,8 @@ TEST_F(TxnServiceTest, FragmentedFileCommitsViaShadowPage) {
 
 // A shadow commit leaves each remapped page's committed image cached in
 // the file service: the read after it reaches no disk. After a server
-// crash the same read goes to the page's new block and finds the same
-// bytes.
+// crash and the log's redo the same read goes to the page's new block and
+// finds the same bytes.
 TEST_F(TxnServiceTest, ShadowCommitKeepsTheCommittedPageCached) {
   const FileId file = MakeFile(LockLevel::kPage, 4 * kBlockSize);
   Fragment(*files_, *disks_, file);
@@ -255,7 +259,10 @@ TEST_F(TxnServiceTest, ShadowCommitKeepsTheCommittedPageCached) {
   EXPECT_EQ(out, update);
   EXPECT_EQ(disk_reads(), before);
 
+  // The remapped table was still owed to the next force: the crashed
+  // server recovers it from the log.
   files_->Crash();
+  ASSERT_TRUE(txn_->Recover().ok());
   std::fill(out.begin(), out.end(), 0);
   ASSERT_TRUE(files_->ReadBlock(file, 2, out).ok());
   EXPECT_EQ(out, update);
@@ -371,15 +378,18 @@ TEST_F(TxnServiceTest, RecordModeBuffersByteRanges) {
 
 // A commit stores the index table only for hard changes (size, runs): the
 // access counts its reads and writes bump stay in memory. The log lives on
-// stable storage only, so main-disk writes are the commit's data and table
-// writes.
+// stable storage only, so the main-disk writes of the commit and of the
+// next one's force, which carries its write-behind, are the commit's data
+// and table writes.
 TEST_F(TxnServiceTest, CommitStoresTheIndexTableOnlyForHardChanges) {
   disk::DiskServer* d0 = *disks_->Get(DiskId{0});
   struct Cost {
     std::uint64_t fit_stores;
     std::uint64_t main_writes;
   };
+  FileId probe = MakeFile(LockLevel::kRecord, 64, 7);
   auto commit = [&](FileId file, std::uint64_t offset, std::size_t len) {
+    EXPECT_TRUE(txn_->Checkpoint().ok());
     files_->ResetStats();
     const auto main_before = d0->main_stats().write_references;
     auto t = txn_->Begin(ProcessId{1});
@@ -388,6 +398,10 @@ TEST_F(TxnServiceTest, CommitStoresTheIndexTableOnlyForHardChanges) {
                             ReadIntent::kForUpdate).ok());
     EXPECT_TRUE(txn_->TWrite(*t, file, offset, Pattern(len, 0x3C)).ok());
     EXPECT_TRUE(txn_->End(*t).ok());
+    // A record write in place writes only its log force at its commit.
+    auto next = txn_->Begin(ProcessId{1});
+    EXPECT_TRUE(txn_->TWrite(*next, probe, 0, Pattern(8, 0x3D)).ok());
+    EXPECT_TRUE(txn_->End(*next).ok());
     return Cost{files_->stats().fit_stores,
                 d0->main_stats().write_references - main_before};
   };
@@ -410,6 +424,7 @@ TEST_F(TxnServiceTest, CommitStoresTheIndexTableOnlyForHardChanges) {
   cfg.technique = TxnServiceConfig::TechniqueOverride::kShadowAlways;
   Rebuild(cfg);
   d0 = *disks_->Get(DiskId{0});
+  probe = MakeFile(LockLevel::kRecord, 64, 7);
   const FileId paged = MakeFile(LockLevel::kPage, 4 * kBlockSize);
   EXPECT_EQ(commit(paged, kBlockSize, kBlockSize).fit_stores, 1u);
   EXPECT_GE(txn_->stats().shadow_commits, 1u);
@@ -620,6 +635,8 @@ TEST_F(TxnServiceTest, TornIntentionLogIsNeverPartiallyReplayed) {
     tear.crash_after_writes = crash_after;
     (*d0)->stable_device().SetFaultPlan(tear);
     const Status end = txn_->End(*t);  // dies at some log append (or not)
+    // A tear that End() did not reach must not hit the recovery instead.
+    (*d0)->stable_device().SetFaultPlan({});
 
     disks_->CrashAll();
     files_->Crash();
@@ -684,9 +701,9 @@ TEST_F(TxnServiceTest, TornShadowStagingIsDiscardedAndItsBlockFreed) {
   }
 }
 
-// A tear after the commit force hits the apply (the index-table store of
-// the remap): recovery redoes the remap to the staged page, whose two
-// copies were both complete before the force.
+// A tear after the commit force hits the write-behind (the index-table
+// store of the remap): recovery redoes the remap to the staged page, whose
+// two copies were both complete before the force.
 TEST_F(TxnServiceTest, TearAfterTheCommitForceIsRedoneToTheNewPage) {
   for (const bool tear_mirror : {false, true}) {
     Rebuild(TxnServiceConfig{});
@@ -697,8 +714,9 @@ TEST_F(TxnServiceTest, TearAfterTheCommitForceIsRedoneToTheNewPage) {
 
     auto t = txn_->Begin(ProcessId{1});
     ASSERT_TRUE(txn_->TWrite(*t, file, 2 * kBlockSize, new_bytes).ok());
-    // Main device: the shadow copy, then the table store. Mirror device:
-    // the shadow copy, the log force, then the table store.
+    // Main device: the shadow copy, then the table store the checkpoint
+    // lands. Mirror device: the shadow copy, the log force, then the table
+    // store.
     sim::DiskFaultPlan tear;
     tear.crash_after_writes = tear_mirror ? 2 : 1;
     if (tear_mirror) {
@@ -706,9 +724,9 @@ TEST_F(TxnServiceTest, TearAfterTheCommitForceIsRedoneToTheNewPage) {
     } else {
       d0->main_device().SetFaultPlan(tear);
     }
-    EXPECT_FALSE(txn_->End(*t).ok()) << "tear_mirror=" << tear_mirror;
-    EXPECT_EQ(txn_->stats().commits, 2u)  // the force went through
-        << "tear_mirror=" << tear_mirror;
+    // Acknowledged at the force; the tear hits the write-behind.
+    EXPECT_TRUE(txn_->End(*t).ok()) << "tear_mirror=" << tear_mirror;
+    EXPECT_FALSE(txn_->Checkpoint().ok()) << "tear_mirror=" << tear_mirror;
 
     disks_->CrashAll();
     files_->Crash();
@@ -725,13 +743,17 @@ TEST_F(TxnServiceTest, TearAfterTheCommitForceIsRedoneToTheNewPage) {
   }
 }
 
-TEST_F(TxnServiceTest, LogTruncatesAtQuiescence) {
+// Committed records stay in the log until a checkpoint has landed what
+// they cover.
+TEST_F(TxnServiceTest, LogTruncatesAtACheckpoint) {
   const FileId file = MakeFile(LockLevel::kPage, kBlockSize);
   auto t = txn_->Begin(ProcessId{1});
   ASSERT_TRUE(txn_->TWrite(*t, file, 0, Pattern(64)).ok());
   ASSERT_TRUE(txn_->End(*t).ok());
-  // Last transaction finished: the log was checkpointed empty.
+  EXPECT_GT(txn_->log().BytesUsed(), 0u);
+  ASSERT_TRUE(txn_->Checkpoint().ok());
   EXPECT_EQ(txn_->log().BytesUsed(), 0u);
+  EXPECT_FALSE(txn_->log().reset_pending());
 }
 
 }  // namespace

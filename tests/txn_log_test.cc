@@ -150,6 +150,34 @@ std::vector<std::uint64_t> ReplayedTxns(disk::DiskServer* server,
   return txns;
 }
 
+// A force whose last fragment has less room left than its largest frame
+// fills the rest with a padding frame, so the next force writes only the
+// fragments its own frames need; the scan steps over the padding. A
+// force with room to spare pads nothing.
+TEST_F(TxnLogTest, PaddingStartsTheNextForceOnAFreshFragment) {
+  TxnLog log(&server_, first_, 64);
+  ASSERT_TRUE(log.Append(Range(1, 1800, 1)).ok());
+  EXPECT_EQ(log.BytesUsed(), kFragmentSize);
+  const std::uint64_t written = server_.stable_stats().fragments_written;
+  ASSERT_TRUE(log.Append(Range(2, 100, 2)).ok());
+  EXPECT_EQ(server_.stable_stats().fragments_written, written + 1);
+  const std::uint64_t head = log.BytesUsed();
+  ASSERT_TRUE(log.Append(Range(3, 100, 3)).ok());
+  EXPECT_EQ(log.BytesUsed(), head + (head - kFragmentSize));
+
+  EXPECT_EQ(ReplayedTxns(&server_, first_),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+  auto audit = log.Audit();
+  ASSERT_TRUE(audit.ok());
+  EXPECT_TRUE(audit->clean());
+  EXPECT_EQ(audit->batches, 3u);
+  EXPECT_EQ(audit->records, 3u);
+  // Appends after a scan continue past the padding, not over it.
+  TxnLog reopened(&server_, first_, 64);
+  ASSERT_TRUE(reopened.Scan([](const IntentionRecord&) {}).ok());
+  EXPECT_EQ(reopened.BytesUsed(), log.BytesUsed());
+}
+
 TEST_F(TxnLogTest, LazyResetWritesNothingUntilTheNextForce) {
   TxnLog log(&server_, first_, 64);
   ASSERT_TRUE(log.Append(Page(1, 0, 1)).ok());
