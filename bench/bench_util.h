@@ -17,6 +17,7 @@
 
 #include "core/facility.h"
 #include "obs/metrics.h"
+#include "sim/parallel.h"
 
 namespace rhodos::bench {
 
@@ -36,7 +37,8 @@ inline void WriteMetricsJson(const char* argv0,
 
 // Drop-in replacement for BENCHMARK_MAIN(): installs a process-wide
 // metrics drain so every facility a bench builds contributes its final
-// StatsSnapshot(), then writes <binary>.metrics.json on exit.
+// StatsSnapshot(), then writes <binary>.metrics.json on exit, with the
+// process's lane conflicts (sim::LaneConflicts) as `sim.lane_conflicts`.
 #define RHODOS_BENCH_MAIN()                                                  \
   int main(int argc, char** argv) {                                          \
     rhodos::obs::MetricsRegistry rhodos_bench_drain;                         \
@@ -46,6 +48,8 @@ inline void WriteMetricsJson(const char* argv0,
     ::benchmark::RunSpecifiedBenchmarks();                                   \
     ::benchmark::Shutdown();                                                 \
     rhodos::obs::SetGlobalMetricsDrain(nullptr);                             \
+    rhodos_bench_drain.SetCounter("sim.lane_conflicts",                      \
+                                  rhodos::sim::LaneConflicts());             \
     rhodos::bench::WriteMetricsJson(argv[0], rhodos_bench_drain);            \
     return 0;                                                                \
   }                                                                          \

@@ -16,12 +16,19 @@
 # `--check` (which scripts/check.sh runs), so batching/elevator wins cannot
 # silently rot. Lower is always better for these counters; improvements
 # should be re-recorded.
+#
+# `--check` also fails when a bench reports a nonzero `sim.lane_conflicts`
+# (a device referenced from two lanes of one overlapped section, which
+# charges one device to two lanes at once). bench_read_fanout and
+# bench_shard_scaling are exempt: their lanes pose as concurrent clients
+# and share disks until the simulator models device occupancy.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BENCHES=(bench_contiguous_read bench_fault_recovery bench_striping bench_group_commit bench_basic_vs_txn bench_wal_vs_shadow bench_messages_per_op bench_client_cache bench_replica_faults bench_shard_scaling bench_callback_storm bench_snapshot bench_read_fanout)
 KEYS=(disk.read_references disk.write_references disk.stable.write_references disk.tracks_seeked txn.log.forces bus.calls agent.writeback_batches replication.degraded_writes replication.hints_queued replication.read_repairs placement.lookups placement.reroutes file.callback_breaks agent.callback_renewals file.cow_blocks_copied agent.peer_serves file.redirects_issued)
+LANE_CONFLICT_EXEMPT=(bench_read_fanout bench_shard_scaling)
 BUILD=build
 BASELINES=bench/baselines
 TOLERANCE=1.10
@@ -79,6 +86,15 @@ if failed:
 EOF
 }
 
+lane_conflicts() {
+  # lane_conflicts <metrics.json> — the run's sim.lane_conflicts count.
+  python3 - "$1" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    print(int(json.load(f).get("counters", {}).get("sim.lane_conflicts", 0)))
+EOF
+}
+
 fail=0
 for bench in "${BENCHES[@]}"; do
   bin="$BUILD/bench/$bench"
@@ -107,12 +123,21 @@ for bench in "${BENCHES[@]}"; do
     extract "$metrics" "$BUILD/$bench.current.json"
     compare "$bench" "$BASELINES/$bench.json" "$BUILD/$bench.current.json" \
       || fail=1
+    conflicts=$(lane_conflicts "$metrics")
+    if [[ " ${LANE_CONFLICT_EXEMPT[*]} " == *" $bench "* ]]; then
+      echo "  $bench: sim.lane_conflicts=$conflicts [exempt]"
+    elif [[ "$conflicts" -ne 0 ]]; then
+      echo "  $bench: sim.lane_conflicts=$conflicts [CONFLICTS]"
+      fail=1
+    else
+      echo "  $bench: sim.lane_conflicts=0 [ok]"
+    fi
   fi
 done
 
 if [[ "$mode" == "check" ]]; then
   if [[ $fail -ne 0 ]]; then
-    echo "disk-efficiency baselines regressed (>$TOLERANCE x)" >&2
+    echo "disk-efficiency baselines regressed (>$TOLERANCE x) or lanes conflicted" >&2
     exit 1
   fi
   echo "disk-efficiency baselines hold."

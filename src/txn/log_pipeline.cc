@@ -31,6 +31,14 @@ LogPipeline::LogPipeline(TxnLog* log, disk::DiskServer* log_disk,
 
 namespace {
 
+// Bounds on the write-behind groups that wait for a later force. A logged
+// block leaves the file service's block pool only through a synchronous
+// write-back on a read, so at most kMaxWaitingGroups wait; and nothing
+// waits once the log is within 1/kNoWaitLogShare of full, so the
+// checkpoint a full log triggers lands at most one force's worth.
+constexpr std::size_t kMaxWaitingGroups = 8;
+constexpr std::uint64_t kNoWaitLogShare = 32;
+
 // A flush lane: one disk's main device, or both of its devices.
 struct LaneKey {
   DiskId disk;
@@ -69,11 +77,92 @@ Status LogPipeline::WriteAndForce(
     return LaneKey{disk, main_only && std::find(both.begin(), both.end(),
                                                 disk) == both.end()};
   };
+  auto lane_of = [&key](const Owed& o) {
+    return key(o.disk, !o.both_devices);
+  };
+
+  // References per lane. The force and the runs set the flush's depth.
+  std::vector<std::pair<LaneKey, std::size_t>> load;
+  auto refs = [&load](LaneKey lane) -> std::size_t& {
+    auto it = std::find_if(load.begin(), load.end(),
+                           [&lane](const auto& l) { return l.first == lane; });
+    if (it == load.end()) it = load.insert(load.end(), {lane, 0});
+    return it->second;
+  };
+  std::size_t depth = 0;
+  for (const auto& b : batches) {
+    for (const FreshRun& run : b->runs) {
+      depth = std::max(depth, ++refs(key(run.disk->id(), false)));
+    }
+  }
+  if (!frames.empty()) {
+    depth = std::max(depth, ++refs(key(log_disk_->id(), false)));
+  }
+  // The groups, as runs of consecutive writes. A group of data blocks
+  // alone may wait for a later force while the log has room; a table rides
+  // the next force, and a flush with no force (a checkpoint) carries
+  // everything. Beyond kMaxWaitingGroups, the oldest groups ride.
+  struct Group {
+    std::size_t begin, end;
+    bool may_wait;
+  };
+  std::vector<Group> groups;
+  const bool room = !frames.empty() &&
+                    log_->BytesUsed() + PendingBytes() +
+                            log_->Capacity() / kNoWaitLogShare <
+                        log_->Capacity();
+  std::size_t waitable = 0;
+  for (std::size_t i = 0, end = 0; i < owed.size(); i = end) {
+    end = i + 1;
+    while (end < owed.size() && owed[end].group == owed[i].group) ++end;
+    const bool data_only = std::none_of(
+        owed.begin() + static_cast<std::ptrdiff_t>(i),
+        owed.begin() + static_cast<std::ptrdiff_t>(end),
+        [](const Owed& o) { return o.both_devices; });
+    groups.push_back({i, end, room && data_only});
+    waitable += groups.back().may_wait ? 1 : 0;
+  }
+  for (std::size_t must_ride = waitable - std::min(waitable, kMaxWaitingGroups);
+       Group& g : groups) {
+    if (must_ride > 0 && g.may_wait) {
+      g.may_wait = false;
+      --must_ride;
+    }
+  }
+  // What rides: every group that may not wait, then each that may, oldest
+  // first, if no lane it joins grows past the depth or carries anything
+  // else (a group longer than the depth would otherwise never ride).
+  std::vector<char> rides(owed.size(), 1);
+  for (const Group& g : groups) {
+    for (std::size_t k = g.begin; k < g.end && !g.may_wait; ++k) {
+      if (!owed[k].in_order) ++refs(lane_of(owed[k]));
+    }
+  }
+  for (const Group& g : groups) {
+    if (!g.may_wait) continue;
+    const auto first = owed.begin() + static_cast<std::ptrdiff_t>(g.begin);
+    const auto last = owed.begin() + static_cast<std::ptrdiff_t>(g.end);
+    for (auto o = first; o != last; ++o) ++refs(lane_of(*o));
+    const bool fits = std::all_of(first, last, [&](const Owed& o) {
+      const LaneKey lane = lane_of(o);
+      const std::size_t n = refs(lane);
+      return n <= depth ||
+             n == static_cast<std::size_t>(std::count_if(
+                      first, last,
+                      [&](const Owed& w) { return lane_of(w) == lane; }));
+    });
+    if (fits) continue;
+    for (std::size_t k = g.begin; k < g.end; ++k) {
+      --refs(lane_of(owed[k]));
+      rides[k] = 0;
+    }
+  }
+
   Status forced;
   sim::PerDeviceFanOut<LaneKey, Item> lanes;
-  for (const Owed& o : owed) {
-    if (!o.in_order) {
-      lanes.Add(key(o.disk, !o.both_devices), Item{&o, nullptr, o.status});
+  for (std::size_t i = 0; i < owed.size(); ++i) {
+    if (rides[i] && !owed[i].in_order) {
+      lanes.Add(lane_of(owed[i]), Item{&owed[i], nullptr, owed[i].status});
     }
   }
   for (const auto& b : batches) {
@@ -100,8 +189,8 @@ Status LogPipeline::WriteAndForce(
     }
     return OkStatus();
   });
-  for (const Owed& o : owed) {
-    if (o.in_order) *o.status = o.write();
+  for (std::size_t i = 0; i < owed.size(); ++i) {
+    if (rides[i] && owed[i].in_order) *owed[i].status = owed[i].write();
   }
   for (const auto& b : batches) b->runs.clear();
   if (settle_) settle_();

@@ -24,7 +24,7 @@
 // intact (TransactionService::Recover). A commit is acknowledged only if
 // its runs and the force all succeeded.
 //
-// Every flush also carries the write-behind: the writes that commits
+// A flush also carries the write-behind: the writes that commits
 // acknowledged at earlier forces still owe (SetWriteBehind). The force,
 // the runs and the write-behind go out as the lanes of one section, keyed
 // by device: the log force owns the log disk's stable device, a data block
@@ -34,6 +34,15 @@
 // then its runs, then, on the log disk, the force. A table with indirect
 // blocks, which keeps main then mirror and may span disks, goes out after
 // the section, in order.
+//
+// The write-behind fills idle devices (the paper's delayed write, §5): the
+// force and the runs set the flush's depth, the most references any one
+// lane serves for them, and a group of data blocks alone rides only if no
+// lane it joins grows past that depth (or the lanes it joins are idle).
+// Otherwise it stays owed for a later force: at most 8 groups, the oldest
+// riding first, and none once the log is within 1/32 of full. A group with
+// a table rides at once, and a flush with no force (a checkpoint) carries
+// everything.
 //
 // Locking protocol: Append() runs under the transaction service's big
 // mutex (the "io mutex", which also serializes the sim clock, and which
@@ -148,26 +157,30 @@ class LogPipeline {
   // One write the write-behind owes: the disk it writes, which of that
   // disk's devices it occupies (the main one, or both copies at once),
   // whether it must instead run after the section in the order collected
-  // (a table that keeps main then mirror and may span disks), the write
-  // itself, and where its status goes.
+  // (a table that keeps main then mirror and may span disks), the group it
+  // rides or waits with (consecutive writes of one group), the write
+  // itself, and where its status goes. A write the flush does not carry
+  // keeps its status.
   struct Owed {
     DiskId disk;
     bool both_devices = false;
     bool in_order = false;
+    std::size_t group = 0;
     std::function<Status()> write;
     Status* status = nullptr;
   };
   // Installs the write-behind: at every flush `collect` appends what
-  // acknowledged commits still owe, the flush writes it beside its force,
-  // and `settle` runs once every status is set. Both run under the io
-  // mutex, and the writes must stay valid until `settle` returns.
+  // acknowledged commits still owe, the flush writes what it carries
+  // beside its force, and `settle` runs once every status is set. Both run
+  // under the io mutex, and the writes must stay valid until `settle`
+  // returns.
   void SetWriteBehind(std::function<void(std::vector<Owed>&)> collect,
                       std::function<void()> settle) {
     collect_ = std::move(collect);
     settle_ = std::move(settle);
   }
-  // Writes the write-behind alone, one lane per device group, and settles
-  // it (a checkpoint). Caller holds the io mutex.
+  // Writes the whole write-behind alone, one lane per device group, and
+  // settles it (a checkpoint). Caller holds the io mutex.
   void FlushWriteBehind() { (void)WriteAndForce({}, {}); }
 
   bool HasPending() const;
@@ -183,10 +196,10 @@ class LogPipeline {
   // Seals the open batch (mu_ held).
   void SealLocked(SealReason reason);
 
-  // Writes the write-behind and the fresh runs of `batches`, setting each
-  // one's status, and forces `frames` (when there are any): lanes keyed by
-  // device, as the header comment says. Returns the force's status. Caller
-  // holds the io mutex.
+  // Writes the fresh runs of `batches` and what it carries of the
+  // write-behind, setting each one's status, and forces `frames` (when
+  // there are any): lanes keyed by device, as the header comment says.
+  // Returns the force's status. Caller holds the io mutex.
   Status WriteAndForce(std::span<const std::shared_ptr<Batch>> batches,
                        std::span<const TxnLog::BatchFramePayload> frames);
 

@@ -44,10 +44,11 @@ TransactionService::TransactionService(disk::DiskRegistry* disks,
   // the log does not cover could be newer than they are: every such put
   // runs a checkpoint first, which lands what the log covers and resets
   // it. A put whose checkpoint cannot reset the log — a commit in flight,
-  // a failed force or redo that only Recover() settles, a write that did
-  // not land — is refused: a recovery would redo the log over it, and a
-  // block the log's remaps replaced may be taken by a file the log does
-  // not name. The service's own writes, and the barrier's, are covered
+  // a failed redo that only Recover() settles, a failed force while the
+  // log's device is down, a write that did not land — is refused: a
+  // recovery would redo the log over it, and a block the log's remaps
+  // replaced may be taken by a file the log does not name. The service's
+  // own writes, and the barrier's, are covered
   // (CoveredWrites); a put inside one of the service's operations comes
   // back with mu_ held, which is why mu_ is recursive.
   for (const auto& server : disks_->disks()) {
@@ -61,11 +62,15 @@ TransactionService::TransactionService(disk::DiskRegistry* disks,
   }
   pipeline_.SetWriteBehind(
       [this](std::vector<LogPipeline::Owed>& out) {
-        for (Owed& o : owed_) {
-          o.status.assign(o.writes.writes.size(), OkStatus());
+        // A write the flush does not carry keeps this status.
+        const Status not_carried{ErrorCode::kUnavailable,
+                                 "owed write waits for a later force"};
+        for (std::size_t g = 0; g < owed_.size(); ++g) {
+          Owed& o = owed_[g];
+          o.status.assign(o.writes.writes.size(), not_carried);
           for (std::size_t i = 0; i < o.writes.writes.size(); ++i) {
             const file::LoggedWrite& w = o.writes.writes[i];
-            out.push_back({w.disk->id(), w.both_devices(), w.in_order(),
+            out.push_back({w.disk->id(), w.both_devices(), w.in_order(), g,
                            [&w] { return FileService::WriteLogged(w); },
                            &o.status[i]});
           }
@@ -681,7 +686,7 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
 Status TransactionService::ApplyCommit(const Txn& t, const CommitPlan& plan) {
   // The commit is durable: make it permanent in the owners' caches only,
   // redoing its records as recovery would, and hand what that leaves owed
-  // to the next flush. What does write now — a snapshot journal's rebind,
+  // to the write-behind. What does write now — a snapshot journal's rebind,
   // a delete — the log covers too.
   const CoveredWrites covered;
   // A remap frees the block it replaces, a delete frees the file's, and a
@@ -746,7 +751,19 @@ Status TransactionService::Owe(FileId file) {
   FileService& owner = files_(file);
   RHODOS_ASSIGN_OR_RETURN(file::LoggedWrites writes,
                           owner.TakeLoggedWrites(file));
-  if (!writes.empty()) owed_.push_back(Owed{&owner, std::move(writes), {}});
+  if (writes.empty()) return OkStatus();
+  // The capture holds the file's whole logged state, so it replaces a group
+  // the file still owes in place; only the frees add up.
+  auto it = std::find_if(owed_.begin(), owed_.end(), [file](const Owed& o) {
+    return o.writes.file == file;
+  });
+  if (it == owed_.end()) {
+    owed_.push_back(Owed{&owner, std::move(writes), {}});
+    return OkStatus();
+  }
+  writes.frees.insert(writes.frees.begin(), it->writes.frees.begin(),
+                      it->writes.frees.end());
+  *it = Owed{&owner, std::move(writes), {}};
   return OkStatus();
 }
 
@@ -783,13 +800,17 @@ Status TransactionService::Checkpoint() {
 
 Status TransactionService::CheckpointLocked(bool eager) {
   const CoveredWrites covered;
-  // A commit whose outcome only Recover() can settle keeps the log as it
-  // is.
-  if (log_needs_recovery_) {
+  // A failed redo keeps the log as it is until Recover() settles it. After
+  // failed forces, a checkpoint whose reset lands settles the log: their
+  // commits were reported aborted and reached no cache, and no recovery
+  // sees past the reset. While the log's device is down nothing would.
+  const bool settles = doubt_ == Doubt::kForce;
+  if (doubt_ == Doubt::kRedo ||
+      (settles && log_disk_->stable_device().crashed())) {
     return {ErrorCode::kUnavailable,
             "checkpoint: the intention log awaits recovery"};
   }
-  if (owed_.empty() && log_.BytesUsed() == 0) {
+  if (!settles && owed_.empty() && log_.BytesUsed() == 0) {
     // Nothing logged since the last reset: at most that reset to land.
     const Status reset = eager ? log_.ForceReset() : OkStatus();
     NoteCheckpointDue();
@@ -812,13 +833,22 @@ Status TransactionService::CheckpointLocked(bool eager) {
     return {ErrorCode::kUnavailable, "checkpoint: a commit is in flight"};
   }
   log_.ResetLazily();
-  const Status reset = eager ? log_.ForceReset() : OkStatus();
+  const Status reset = eager || settles ? log_.ForceReset() : OkStatus();
+  if (settles && reset.ok()) {
+    // The failed commits' shadow blocks are free again.
+    doubt_ = Doubt::kNone;
+    for (const IntentionRecord& r : doubtful_) {
+      (void)disks_->Free(r.new_disk, r.new_fragment, kFragmentsPerBlock);
+    }
+    if (!doubtful_.empty()) bitmaps_dirty_ = !PersistBitmaps().ok();
+    doubtful_.clear();
+  }
   NoteCheckpointDue();
   return reset;
 }
 
 void TransactionService::NoteCheckpointDue() {
-  checkpoint_due_.store(log_needs_recovery_ || unsettled_ > 0 ||
+  checkpoint_due_.store(doubt_ != Doubt::kNone || unsettled_ > 0 ||
                         !owed_.empty() || log_.BytesUsed() > 0 ||
                         log_.reset_pending());
 }
@@ -901,11 +931,15 @@ Status TransactionService::End(TxnId txn) {
     // stable storage: whether our commit record survived is unknowable
     // here. Report an abort, but keep everything recovery needs to
     // arbitrate — created files stay (a salvaged commit record must find
-    // them) and the log holds until Recover() replays or discards us; the
-    // write barrier refuses what the log does not cover until then.
+    // them) and the log holds until Recover() replays or discards us or a
+    // checkpoint resets it; the write barrier refuses what the log does not
+    // cover until then.
     --unsettled_;
     ++stats_.aborts_explicit;
-    log_needs_recovery_ = true;
+    doubt_ = std::max(doubt_, Doubt::kForce);
+    for (IntentionRecord& r : plan.records) {
+      if (r.kind == IntentionKind::kShadowMap) doubtful_.push_back(std::move(r));
+    }
     Finish(txn);
     return durable;
   }
@@ -915,7 +949,7 @@ Status TransactionService::End(TxnId txn) {
   if (!applied.ok()) {
     // The commit point is durable but its redo failed: the transaction IS
     // committed; recovery must redo it from the log.
-    log_needs_recovery_ = true;
+    doubt_ = Doubt::kRedo;
   }
   Finish(txn);
   return applied;
@@ -997,8 +1031,14 @@ Status TransactionService::Recover() {
   const CoveredWrites covered;
   // Anything still in the pipeline predates the crash being recovered
   // from and was never forced, and whatever the write-behind owed, the log
-  // redoes: the persistent image is the only truth.
+  // redoes: the persistent image is the only truth. The blocks the
+  // write-behind was to free stand with the ones the log's remaps replaced.
   pipeline_.DiscardPending();
+  std::vector<BlockDescriptor> replaced;
+  for (const Owed& o : owed_) {
+    replaced.insert(replaced.end(), o.writes.frees.begin(),
+                    o.writes.frees.end());
+  }
   owed_.clear();
   struct TxnTrace {
     TxnStatus final_status = TxnStatus::kTentative;
@@ -1017,6 +1057,19 @@ Status TransactionService::Recover() {
     }
     ++position;
   }));
+  // A commit whose force failed may have left none of its records in the
+  // log, but its shadow blocks are allocated in this instance all the same.
+  for (IntentionRecord& r : doubtful_) {
+    TxnTrace& trace = traces[r.txn.value];
+    const bool logged = std::any_of(
+        trace.records.begin(), trace.records.end(),
+        [&r](const IntentionRecord& l) {
+          return l.kind == IntentionKind::kShadowMap &&
+                 l.new_disk == r.new_disk && l.new_fragment == r.new_fragment;
+        });
+    if (!logged) trace.records.push_back(std::move(r));
+  }
+  doubtful_.clear();
   // Commits in the order their records reached the log, which is the order
   // strict 2PL serialized them in.
   std::vector<TxnTrace*> commits;
@@ -1103,7 +1156,6 @@ Status TransactionService::Recover() {
 
   // Redo every standing commit in commit order, into the owners' caches.
   // A file a standing commit deletes takes only its delete.
-  std::vector<BlockDescriptor> replaced;
   {
     std::deque<FileService::LoggedApply> logged;
     std::vector<FileService*> owners;
@@ -1156,7 +1208,7 @@ Status TransactionService::Recover() {
   }
   pipeline_.FlushWriteBehind();
   if (!owed_.empty()) {
-    log_needs_recovery_ = true;
+    doubt_ = Doubt::kRedo;
     NoteCheckpointDue();
     return {ErrorCode::kUnavailable, "recovery: a redo write did not land"};
   }
@@ -1190,7 +1242,7 @@ Status TransactionService::Recover() {
   }
   RHODOS_RETURN_IF_ERROR(PersistBitmaps());
   bitmaps_dirty_ = false;
-  log_needs_recovery_ = false;
+  doubt_ = Doubt::kNone;
   (void)log_.Truncate();
   NoteCheckpointDue();
   return OkStatus();

@@ -26,9 +26,11 @@
 // Everything after the force is redo work, and one Redo does it. The
 // commit is no-force (ARIES's no-force/redo rule): End redoes the records
 // it just logged into the owning file service's caches only and returns;
-// the writes that leaves owed (WAL pages, remapped tables) ride the next
-// log force as its write-behind, and a block a remap replaced is freed
-// once its table has landed. The records stay in the log until a
+// the writes that leaves owed ride later log forces as their write-behind:
+// a remapped table the next force, a file's WAL pages the first force
+// whose lanes they do not lengthen (log_pipeline.h), a later commit to the
+// file replacing the pages that still wait. A block a remap replaced is
+// freed once its table has landed. The records stay in the log until a
 // checkpoint (Checkpoint) has landed everything the log covers and
 // persisted the bitmaps. Recovery redoes, in commit order, every committed
 // transaction the log holds whose shadow pages read back intact; tentative
@@ -181,11 +183,13 @@ class TransactionService {
   // Lands everything the log covers — the write-behind, the blocks it
   // frees and, after a commit that changed them, every disk's bitmap —
   // then resets the log. Fails with kUnavailable, the log kept, while a
-  // commit is in flight or after a failed force or redo until Recover()
-  // has run. Runs by itself when the log cannot take the next commit, and
-  // from the write barrier before any write the log does not cover (a
-  // fence's FlushAll included), which refuses the write when it fails;
-  // benches call it before reading counters.
+  // commit is in flight, after a failed redo until Recover() has run, and
+  // after a failed force while the log's device is down; once it is back,
+  // the checkpoint settles the failed commits as aborted and frees their
+  // shadow blocks. Runs by itself when the log cannot take the next
+  // commit, and from the write barrier before any write the log does not
+  // cover (a fence's FlushAll included), which refuses the write when it
+  // fails; benches call it before reading counters.
   Status Checkpoint();
 
   // --- Introspection -----------------------------------------------------------
@@ -270,9 +274,9 @@ class TransactionService {
   //     the redo records in the plan; nothing is written yet;
   //  2. AwaitDurable (mu_ RELEASED): block until the flush that forces the
   //     batch carrying the commit record has also written its shadow pages
-  //     (and whatever earlier commits owed);
+  //     (and what it carries of what earlier commits owed);
   //  3. ApplyCommit (under mu_ again): Redo the plan's records into the
-  //     owners' caches and hand what they owe to the next flush.
+  //     owners' caches and hand what they owe to the write-behind.
   // Locks release in Finish(), after act 3 — strict 2PL would be violated
   // if another transaction could read state whose commit record might
   // still be lost in a crash, or that the redo has not made visible yet.
@@ -296,7 +300,8 @@ class TransactionService {
   Status ApplyCommit(const Txn& t, const CommitPlan& plan);
   // Whether the log has room for `t`'s commit records beside what it holds.
   bool LogHasRoomFor(const Txn& t) const;
-  // Appends `file`'s logged state to the write-behind.
+  // Hands `file`'s logged state to the write-behind: a new group, or the
+  // file's group in place.
   Status Owe(FileId file);
 
   // Persists every disk's bitmap, the disks overlapping.
@@ -309,6 +314,7 @@ class TransactionService {
   void NoteCheckpointDue();
   // After a flush: the write-behind groups whose writes all landed leave
   // the list, their owners learn it, and their replaced blocks are freed.
+  // A group the flush did not carry, or whose write failed, stays.
   void SettleWriteBehind();
 
   // The steps of a redo, in the order a commit applies them: the writes
@@ -351,10 +357,19 @@ class TransactionService {
   mutable std::recursive_mutex mu_;
   std::unordered_map<TxnId, Txn> txns_;
   std::uint64_t next_txn_{1};
-  // Set when a commit's force failed (its record may have landed) or its
-  // redo failed: blocks log truncation, and so every write the log does
-  // not cover, until Recover() has settled it.
-  bool log_needs_recovery_ = false;
+  // What a failed commit left the log awaiting. Until it is settled, the
+  // log is not truncated, and so every write the log does not cover is
+  // refused.
+  //  kForce: a commit's force failed, so its record may have landed. It
+  //    was reported aborted and reached no cache: a checkpoint, whose log
+  //    reset no recovery can see past, settles it (CheckpointLocked).
+  //  kRedo: a committed transaction's redo, or recovery's landing of it,
+  //    failed: only Recover() settles it.
+  enum class Doubt : std::uint8_t { kNone, kForce, kRedo };
+  Doubt doubt_ = Doubt::kNone;
+  // The kShadowMap records of commits whose force failed: the log may hold
+  // none of them, and their shadow blocks are allocated in this instance.
+  std::vector<IntentionRecord> doubtful_;
   // Commits between staging and the capture of their write-behind: their
   // records must stay in the log.
   int unsettled_ = 0;
@@ -362,7 +377,8 @@ class TransactionService {
   // the next checkpoint persists the bitmaps before the log lets go.
   bool bitmaps_dirty_ = false;
   // The write-behind: per file, what acknowledged commits still owe, and
-  // the owner that holds it logged.
+  // the owner that holds it logged, oldest first. A file has at most one
+  // group: a later commit's capture replaces it in place.
   struct Owed {
     file::FileService* owner;
     file::LoggedWrites writes;

@@ -446,6 +446,63 @@ TEST_F(ShadowOverlapTest, UncoveredWritesWaitForRecoveryAfterATornForce) {
   EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
 }
 
+// The same torn force, the stable device then back (a transient error):
+// the next write the log does not cover runs a checkpoint that settles the
+// log, with no restart and while another transaction is live, and the
+// write goes through. The failed commit stays aborted and its shadow block
+// is free again. While the device is still down nothing settles.
+TEST_F(ShadowOverlapTest, UncoveredWritesGoThroughOnceTheLogDeviceIsBack) {
+  const FileId file = MakeFileOn(1);
+  const FileId other = MakeFileOn(1);
+  ASSERT_TRUE(Commit(file, {0, kFileBlocks}).ok());
+  Disk(0).stable_device().SetFaultPlan(TearAfter(0));
+  EXPECT_FALSE(Commit(other, {0}).ok());
+  Disk(0).stable_device().SetFaultPlan({});
+  const auto later = Block(kLater);
+  auto basic = [&] {
+    return files_->Write(file, 0, later).ok() &&
+           files_->Write(file, kFileBlocks * kBlockSize, later).ok() &&
+           files_->Sync(file).ok();
+  };
+  EXPECT_FALSE(basic()) << "the log's device is still down";
+  EXPECT_FALSE(files_->Create(file::ServiceType::kTransaction, kBlockSize).ok());
+  EXPECT_FALSE(txn_->Checkpoint().ok());
+  auto located = files_->LocateBlock(other, 0);
+  ASSERT_TRUE(located.ok());
+  const std::uint64_t free_before = Disk(1).FreeFragmentCount();
+
+  Disk(0).stable_device().Recover();
+  auto live = txn_->Begin(ProcessId{2});
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(
+      txn_->TWrite(*live, other, kBlockSize, Block(kLater)).ok());
+  ASSERT_TRUE(basic()) << "a live transaction does not hold the settle up";
+  EXPECT_EQ(Disk(1).FreeFragmentCount(), free_before + kFragmentsPerBlock)
+      << "the failed commit's shadow block is free again";
+  EXPECT_EQ(files_->LocateBlock(other, 0)->first_fragment,
+            located->first_fragment);
+  EXPECT_EQ(ReadBlock(other, 0), Block(0));
+  ASSERT_TRUE(txn_->End(*live).ok());
+
+  std::vector<FileId> audited = {file, other};
+  auto created = files_->Create(file::ServiceType::kTransaction, kBlockSize);
+  ASSERT_TRUE(created.ok());
+  audited.push_back(*created);
+  ASSERT_TRUE(Commit(other, {0}).ok()) << "commits go on as before";
+  ASSERT_TRUE(files_->FlushAll().ok());
+  CrashAndRestart();
+  ASSERT_TRUE(txn_->Recover().ok());
+  EXPECT_EQ(ReadBlock(file, 0), later);
+  EXPECT_EQ(ReadBlock(file, kFileBlocks), later);
+  EXPECT_EQ(ReadBlock(other, 0), Block(kNew));
+  EXPECT_EQ(ReadBlock(other, 1), Block(kLater));
+  const TransactionService::LogRegion log = txn_->log_region();
+  const file::ReservedRegion reserved[] = {
+      {log.disk, log.first, log.fragments}};
+  const auto report = file::AuditFiles(*files_, audited, reserved);
+  EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
+}
+
 // A getattr, sync or close of a file whose committed changes the log
 // still owes writes nothing, and the close keeps the committed table:
 // the next force or checkpoint carries the writes.
