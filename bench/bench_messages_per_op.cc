@@ -5,7 +5,7 @@
 // delayed write costs ZERO messages, and the idempotent protocol (§3)
 // means every cold operation is a fixed, small number of request/reply
 // exchanges. This bench measures the exchange count per open / read /
-// write straight from the facility's metrics registry (`bus.calls` in
+// write / write+close straight from the facility's metrics registry (`bus.calls` in
 // `Facility::StatsSnapshot()`), not from ad-hoc bus counters — the same
 // numbers an operator would read out of DumpStats().
 #include <algorithm>
@@ -232,6 +232,43 @@ void BM_MessagesPerWrite(benchmark::State& state) {
 BENCHMARK(BM_MessagesPerWrite)
     ->Arg(0)  // write-through
     ->Arg(1)  // delayed write
+    ->Iterations(16);
+
+// One-block write then close with a delayed-write agent: the dirty block
+// and the close travel as ONE PwriteVec batch. Warm, the agent holds its
+// callback promise, so the open is agent-local and the batch carries a
+// sync; after an agent crash the open goes to the server and the batch
+// carries the close. This row is a GATE: a write+close that costs more
+// than one exchange fails the bench.
+void BM_MessagesPerWriteClose(benchmark::State& state) {
+  const bool warm = state.range(0) == 1;
+  Client c(/*delayed_write=*/true);
+  const auto data = Pattern(kBlock);
+  std::uint64_t ops = 0, calls = 0, worst = 0;
+  for (auto _ : state) {
+    if (!warm) c.machine->file_agent->Crash();  // forget the promise
+    auto od = c.machine->file_agent->Open(naming::ByName("target"));
+    if (!od.ok()) state.SkipWithError("open failed");
+    c.facility.ResetStats();
+    if (!c.machine->file_agent->Pwrite(*od, 0, data).ok() ||
+        !c.machine->file_agent->Close(*od).ok()) {
+      state.SkipWithError("write or close failed");
+    }
+    const std::uint64_t exchanges = BusCalls(c.facility);
+    worst = std::max(worst, exchanges);
+    calls += exchanges;
+    ++ops;
+  }
+  if (worst > 1) {
+    state.SkipWithError("a one-block write and close cost more than one "
+                        "exchange");
+  }
+  state.counters["msgs_per_write_close"] =
+      static_cast<double>(calls) / static_cast<double>(ops);
+}
+BENCHMARK(BM_MessagesPerWriteClose)
+    ->Arg(0)  // after an agent crash: the batch closes the server's open
+    ->Arg(1)  // warm: callback-local open, the batch syncs
     ->Iterations(16);
 
 }  // namespace

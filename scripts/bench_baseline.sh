@@ -15,7 +15,9 @@
 # more disk references or longer seeks than 1.10x the recorded value fails
 # `--check` (which scripts/check.sh runs), so batching/elevator wins cannot
 # silently rot. Lower is always better for these counters; improvements
-# should be re-recorded.
+# should be re-recorded, and `--check` marks a counter more than 10% below
+# its baseline `IMPROVED (re-record)` (without failing), so a baseline that
+# no longer matches the tree is visible.
 #
 # `--check` also fails when a bench reports a nonzero `sim.lane_conflicts`
 # (a device referenced from two lanes of one overlapped section, which
@@ -60,7 +62,8 @@ EOF
 }
 
 compare() {
-  # compare <bench> <baseline.json> <current.json> — >10% worse fails.
+  # compare <bench> <baseline.json> <current.json> — >10% worse fails,
+  # >10% better is flagged for re-recording.
   python3 - "$1" "$2" "$3" <<'EOF'
 import json, sys
 bench, base_path, cur_path = sys.argv[1:4]
@@ -80,6 +83,8 @@ for key, base_value in sorted(base.items()):
     elif base_value == 0 and value > 0:
         status = "REGRESSED"
         failed = True
+    elif value < base_value * (2 - tolerance):
+        status = "IMPROVED (re-record)"
     print(f"  {bench}: {key} baseline={base_value} now={value} [{status}]")
 if failed:
     sys.exit(1)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -428,37 +429,20 @@ Status FileAgent::Close(ObjectDescriptor od) {
   obs::OpScope op(obs::TracerOf(Obs()), "agent", "close");
   obs::LatencyScope lat(Obs(), "agent.op_latency_ns");
   RHODOS_ASSIGN_OR_RETURN(OpenHandle * h, Handle(od));
-  RHODOS_RETURN_IF_ERROR(Flush(od));
-  if (h->local) {
-    // Opened under a callback promise with no server exchange — the server
-    // never pinned it, so the close is agent-local too (zero exchanges
-    // when nothing was written). A written handle still owes the service a
-    // flush: the server-side close normally forces the service's delayed
-    // writes to disk, and skipping it must not weaken close-to-stable.
-    if (h->wrote) {
-      FileRequest req{0, h->file, cb_address_};
-      const auto body = req.Encode();
-      RHODOS_ASSIGN_OR_RETURN(sim::Payload reply,
-                              Call(RouteShard(h->file), FsOp::kFlush, body));
-      Deserializer in{reply};
-      if (Status st = DecodeStatus(in); !st.ok()) return st;
-    }
-    handles_.erase(od);
-    return OkStatus();
-  }
-  FileRequest req{0, h->file, cb_address_};
-  const auto body = req.Encode();
-  RHODOS_ASSIGN_OR_RETURN(sim::Payload reply,
-                          Call(RouteShard(h->file), FsOp::kClose, body));
-  Deserializer in{reply};
-  if (Status st = DecodeStatus(in);
-      !st.ok() && st.code() != ErrorCode::kBadDescriptor) {
-    return st;
-  }
-  // A kBadDescriptor reply means the serving shard lost its open-file state
-  // (a fence purged it, or failover rerouted us to a shard that never saw
-  // the open); the descriptor is gone either way. A fence flushed the data
-  // first; a server crash lost it, yet this close still reports success.
+  // At most one exchange: the file's dirty blocks (possibly none) travel
+  // with the close as their batch's finish. A handle opened under a
+  // callback promise was never pinned by the server, so it owes no server
+  // close: one that wrote still owes a sync (the server-side close normally
+  // forces the service's delayed writes to disk, and skipping it must not
+  // weaken close-to-stable); one that never wrote sends nothing unless
+  // the file holds dirty blocks.
+  const PwriteFinish finish = !h->local ? PwriteFinish::kClose
+                              : h->wrote ? PwriteFinish::kSync
+                                         : PwriteFinish::kNone;
+  const FileId file = h->file;
+  // A failed batch leaves the blocks dirty and the descriptor open, so the
+  // close can be retried.
+  RHODOS_RETURN_IF_ERROR(FlushDirtyFiles({&file, 1}, finish, file));
   handles_.erase(od);
   return OkStatus();
 }
@@ -568,7 +552,8 @@ std::size_t FileAgent::BuildExtents(FileId file,
   return out.size() - before;
 }
 
-Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
+Status FileAgent::FlushDirtyFiles(std::span<const FileId> files,
+                                  PwriteFinish finish, FileId finish_file) {
   struct PerFile {
     FileId file;
     std::uint64_t extents = 0;
@@ -579,14 +564,26 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
   // exchange. Bookkeeping is applied per successful batch; a failed batch
   // leaves its files dirty for the next trigger to retry.
   std::map<std::uint32_t, std::vector<FileId>> by_shard;
+  const bool finishing = finish != PwriteFinish::kNone;
+  std::optional<std::uint32_t> finish_shard;
   for (const FileId file : files) {
     if (first_dirty_at_.contains(file)) {
-      by_shard[RouteShard(file)].push_back(file);
+      const std::uint32_t shard = RouteShard(file);
+      by_shard[shard].push_back(file);
+      if (finishing && file == finish_file) finish_shard = shard;
     }
+  }
+  if (finishing && !finish_shard) {
+    finish_shard = RouteShard(finish_file);
+    by_shard.try_emplace(*finish_shard);
   }
   for (const auto& [shard, shard_files] : by_shard) {
     PwriteVecRequest req;
     req.cb = cb_address_;
+    if (shard == finish_shard) {
+      req.finish = finish;
+      req.finish_file = finish_file;
+    }
     std::vector<PerFile> flushed;
     {
       // Snapshot the dirty index and copy the extent bytes under the cache
@@ -603,7 +600,7 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
         flushed.push_back(std::move(pf));
       }
     }
-    if (req.extents.empty()) continue;
+    if (req.extents.empty() && req.finish == PwriteFinish::kNone) continue;
 
     const auto body = req.Encode();
     RHODOS_ASSIGN_OR_RETURN(sim::Payload reply,
@@ -617,13 +614,14 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
       const FileId f{in.U64()};
       tokens[f] = in.U64();
     }
+    Status finished = DecodeStatus(in);
     if (!in.ok()) return Error{ErrorCode::kInternal, "bad pwritevec reply"};
 
     // Re-acquire for the clean-marking + token adoption; a peer-serve that
     // slipped in during the exchange saw a consistent pre-flush cache (the
     // blocks were still dirty, so it refused them — never torn bytes).
     std::lock_guard<std::mutex> lock(cache_mu_);
-    ++stats_.writeback_batches;
+    if (!req.extents.empty()) ++stats_.writeback_batches;
     stats_.writeback_runs += req.extents.size();
     for (const PerFile& pf : flushed) {
       for (const std::uint64_t block : pf.blocks) {
@@ -638,6 +636,17 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files) {
         AdoptWriteVersion(pf.file, it->second, pf.extents, pf.blocks);
       }
     }
+    // A close answered kBadDescriptor: the serving shard holds no open
+    // state for the file (a fence purged it, failover rerouted us to a
+    // shard that never saw the open, or this is a retransmission whose
+    // first delivery closed it), so it is closed either way. A fence
+    // flushed the data first; a server crash lost it, yet the close still
+    // reports success.
+    if (req.finish == PwriteFinish::kClose &&
+        finished.code() == ErrorCode::kBadDescriptor) {
+      finished = OkStatus();
+    }
+    RHODOS_RETURN_IF_ERROR(finished);
   }
   return OkStatus();
 }

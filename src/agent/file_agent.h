@@ -17,9 +17,10 @@
 //    a delayed-write policy. The cache's per-file index yields a file's
 //    dirty blocks in block order, so adjacent ones coalesce into runs; a
 //    whole file (or the whole cache) goes to the server in ONE PwriteVec
-//    exchange at flush/close/eviction pressure; a background write-behind
-//    flushes on dirty-count or sim-time age so Close is not a latency
-//    cliff;
+//    exchange at flush/close/eviction pressure, and a close rides its
+//    file's batch, so pwrite+close is one exchange; a background
+//    write-behind flushes on dirty-count or sim-time age so Close is not a
+//    latency cliff;
 //  * keeps its cache coherent across machines with the server's per-file
 //    version tokens (piggybacked on open/getattr/pread/pwrite replies):
 //    a mismatched token drops the file's clean cached blocks before they
@@ -215,11 +216,12 @@ class FileAgent {
     std::uint64_t cursor = 0;
     std::uint64_t size = 0;  // agent's view; refreshed on open/getattr
     // Opened without a server exchange (under a callback promise): the
-    // server holds no pin for it, so its close is agent-local too.
+    // server holds no pin for it, so its close sends no server close.
     bool local = false;
     // Wrote through this handle: a LOCAL close must still force the
     // service's delayed writes (normally the server-side close's job) so
-    // close-to-stable durability survives the zero-exchange open.
+    // close-to-stable durability survives the zero-exchange open; its
+    // batch carries a sync finish instead of a close.
     bool wrote = false;
   };
 
@@ -271,9 +273,15 @@ class FileAgent {
   std::size_t BuildExtents(FileId file, const std::set<std::uint64_t>& blocks,
                            std::vector<PwriteExtent>& out);
   // Flushes the dirty blocks of `files` (must be distinct) to the server in
-  // ONE PwriteVec exchange; marks them clean and adopts the reply's version
-  // tokens. No-op when nothing is dirty.
-  Status FlushDirtyFiles(std::span<const FileId> files);
+  // ONE PwriteVec exchange per shard; marks them clean and adopts the
+  // reply's version tokens. A `finish` other than kNone rides the batch to
+  // `finish_file`'s shard (sent even when that file has nothing dirty) and
+  // runs on it once every extent applied; its status is returned, a close
+  // the server no longer knows counting as done. No-op when nothing is
+  // dirty and there is no finish.
+  Status FlushDirtyFiles(std::span<const FileId> files,
+                         PwriteFinish finish = PwriteFinish::kNone,
+                         FileId finish_file = {});
   // Age/threshold write-behind; failures are swallowed (the data stays
   // dirty and the next trigger retries).
   void MaybeBackgroundWriteback();

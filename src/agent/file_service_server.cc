@@ -36,11 +36,9 @@ std::string_view OpName(FsOp op) {
     case FsOp::kCreate: return "create";
     case FsOp::kDelete: return "delete";
     case FsOp::kOpen: return "open";
-    case FsOp::kClose: return "close";
     case FsOp::kPread: return "pread";
     case FsOp::kGetAttr: return "getattr";
     case FsOp::kResize: return "resize";
-    case FsOp::kFlush: return "flush";
     case FsOp::kPwriteVec: return "pwrite";
     case FsOp::kCallbackBreak: return "cb-break";
     case FsOp::kCallbackRenew: return "cb-renew";
@@ -331,20 +329,26 @@ void FileServiceServer::RememberToken(std::uint64_t token,
 sim::Payload FileServiceServer::Handle(std::uint32_t opcode,
                                        std::span<const std::uint8_t> request) {
   ++stats_.requests;
-  current_requester_.clear();
   SweepExpired();
   obs::SpanScope span(obs::TracerOf(bus_->observability()), "service",
                       OpName(static_cast<FsOp>(opcode)));
+  sim::Payload reply = Dispatch(opcode, request);
+  // The writer is spared only its own mutation's break: a mutation that
+  // reaches the service later by another path (a commit, a repair) breaks
+  // every holder.
+  current_requester_.clear();
+  return reply;
+}
+
+sim::Payload FileServiceServer::Dispatch(
+    std::uint32_t opcode, std::span<const std::uint8_t> request) {
   switch (static_cast<FsOp>(opcode)) {
     case FsOp::kCreate: return HandleCreate(request);
     case FsOp::kDelete: return HandleDelete(request);
-    case FsOp::kOpen:
-    case FsOp::kClose: return HandleOpenClose(static_cast<FsOp>(opcode),
-                                              request);
+    case FsOp::kOpen: return HandleOpen(request);
     case FsOp::kPread: return HandlePread(request);
     case FsOp::kGetAttr: return HandleGetAttr(request);
     case FsOp::kResize: return HandleResize(request);
-    case FsOp::kFlush: return HandleFlush(request);
     case FsOp::kPwriteVec: return HandlePwriteVec(request);
     case FsOp::kCallbackRenew: return HandleRenew(request);
     case FsOp::kSnapshot:
@@ -397,15 +401,11 @@ sim::Payload FileServiceServer::HandleDelete(
   return reply;
 }
 
-sim::Payload FileServiceServer::HandleOpenClose(
-    FsOp op, std::span<const std::uint8_t> body) {
+sim::Payload FileServiceServer::HandleOpen(
+    std::span<const std::uint8_t> body) {
   auto req = FileRequest::Decode(body);
   if (!req.ok()) return ErrorReply(req.error());
   Serializer out;
-  if (op == FsOp::kClose) {
-    EncodeStatus(out, service_->Close(req->file));
-    return std::move(out).Take();
-  }
   // An open reply carries the version token and attributes, so the agent
   // primes its handle (size, cursor bounds) and validates its cache with a
   // single exchange instead of open+getattr.
@@ -493,9 +493,10 @@ sim::Payload FileServiceServer::HandlePwriteVec(
   if (!req.ok()) return ErrorReply(req.error());
   current_requester_ = req->cb;
   // Extents apply in order through the service's vectored write path. A
-  // mid-batch failure leaves a prefix applied — harmless, because every
-  // extent is positional: the agent keeps the whole batch dirty and the
-  // retry re-produces the same bytes.
+  // mid-batch failure leaves a prefix applied and runs no finish —
+  // harmless, because every extent is positional: the agent keeps the
+  // whole batch dirty and its descriptor open, and the retry re-produces
+  // the same bytes.
   std::uint64_t total = 0;
   std::vector<FileId> files;  // distinct, in first-appearance order
   for (const PwriteExtent& e : req->extents) {
@@ -506,6 +507,18 @@ sim::Payload FileServiceServer::HandlePwriteVec(
       files.push_back(e.file);
     }
   }
+  // Every extent applied: the close (or sync) the batch carries runs now,
+  // so the data and the close cost one exchange.
+  Status finished = OkStatus();
+  switch (req->finish) {
+    case PwriteFinish::kNone: break;
+    case PwriteFinish::kClose:
+      finished = service_->Close(req->finish_file);
+      break;
+    case PwriteFinish::kSync:
+      finished = service_->Flush(req->finish_file);
+      break;
+  }
   Serializer out;
   EncodeStatus(out, OkStatus());
   out.U64(total);
@@ -514,6 +527,7 @@ sim::Payload FileServiceServer::HandlePwriteVec(
     out.U64(f.value);
     out.U64(service_->Version(f));
   }
+  EncodeStatus(out, finished);
   return std::move(out).Take();
 }
 
@@ -576,15 +590,6 @@ sim::Payload FileServiceServer::HandleCapture(
   sim::Payload reply = std::move(out).Take();
   RememberToken(req->token, reply);
   return reply;
-}
-
-sim::Payload FileServiceServer::HandleFlush(
-    std::span<const std::uint8_t> body) {
-  auto req = FileRequest::Decode(body);
-  if (!req.ok()) return ErrorReply(req.error());
-  Serializer out;
-  EncodeStatus(out, service_->Flush(req->file));
-  return std::move(out).Take();
 }
 
 sim::Payload FileServiceServer::HandleRenew(

@@ -115,15 +115,16 @@ class FileServiceServer {
 
   sim::Payload Handle(std::uint32_t opcode,
                       std::span<const std::uint8_t> request);
+  sim::Payload Dispatch(std::uint32_t opcode,
+                        std::span<const std::uint8_t> request);
 
   sim::Payload HandleCreate(std::span<const std::uint8_t> body);
   sim::Payload HandleDelete(std::span<const std::uint8_t> body);
-  sim::Payload HandleOpenClose(FsOp op, std::span<const std::uint8_t> body);
+  sim::Payload HandleOpen(std::span<const std::uint8_t> body);
   sim::Payload HandlePread(std::span<const std::uint8_t> body);
   sim::Payload HandlePwriteVec(std::span<const std::uint8_t> body);
   sim::Payload HandleGetAttr(std::span<const std::uint8_t> body);
   sim::Payload HandleResize(std::span<const std::uint8_t> body);
-  sim::Payload HandleFlush(std::span<const std::uint8_t> body);
   sim::Payload HandleRenew(std::span<const std::uint8_t> body);
   sim::Payload HandleCapture(FsOp op, std::span<const std::uint8_t> body);
 

@@ -173,6 +173,8 @@ std::vector<std::uint8_t> PwriteVecRequest::Encode() const {
     out.Bytes(e.data);
   }
   out.String(cb);
+  out.U8(static_cast<std::uint8_t>(finish));
+  out.U64(finish_file.value);
   return std::move(out).Take();
 }
 
@@ -189,10 +191,14 @@ Result<PwriteVecRequest> PwriteVecRequest::Decode(
     r.extents.push_back(std::move(e));
   }
   r.cb = in.String();
+  const std::uint8_t finish = in.U8();
+  r.finish = static_cast<PwriteFinish>(finish);
+  r.finish_file = FileId{in.U64()};
   const bool fits = std::all_of(
       r.extents.begin(), r.extents.end(),
       [](const PwriteExtent& e) { return RangeFits(e.offset, e.data.size()); });
-  if (!in.ok() || r.extents.size() != count || !fits) {
+  if (!in.ok() || r.extents.size() != count || !fits ||
+      finish > static_cast<std::uint8_t>(PwriteFinish::kSync)) {
     return Error{ErrorCode::kInvalidArgument, "bad pwritevec req"};
   }
   return r;

@@ -8,6 +8,14 @@
 // The few operations that are not naturally idempotent (create, delete,
 // resize) carry a client-generated token; the server remembers recent
 // tokens and replays the original reply instead of re-executing.
+// A close rides the write batch that carries the file's dirty blocks, as
+// its finish. A replayed batch re-applies its positional extents, then a
+// `sync` finish forces the same bytes again, and a `close` finish runs the
+// close again: it closes the table the replayed extents reloaded, or
+// answers kBadDescriptor (which the agent takes as closed) when the first
+// delivery left nothing open. While another handle holds the file open,
+// that second close releases one of its pins, as a retransmitted close
+// always has.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +35,12 @@ enum class FsOp : std::uint32_t {
   kCreate = 1,
   kDelete = 2,
   kOpen = 3,
-  kClose = 4,
+  // 4 was close and 9 was flush; both are now the finish of a kPwriteVec.
   kPread = 5,
   // 6 was a single-extent pwrite; a write-through pwrite is now a one-extent
-  // kPwriteVec. The number stays reserved so no other opcode moves.
+  // kPwriteVec. The numbers stay reserved so no other opcode moves.
   kGetAttr = 7,
   kResize = 8,
-  kFlush = 9,
   kPwriteVec = 10,
   // Callback/lease coherence (cache callbacks, NOT the disk-substrate
   // DiskLease): kCallbackBreak is the one server->agent message in the
@@ -88,7 +95,7 @@ struct CreateRequest {
   static Result<CreateRequest> Decode(std::span<const std::uint8_t> data);
 };
 
-struct FileRequest {  // delete/open/close/getattr/flush/callback-renew
+struct FileRequest {  // delete/open/getattr/callback-renew/snapshot/clone
   std::uint64_t token = 0;
   FileId file{};
   std::string cb;
@@ -143,14 +150,26 @@ struct PwriteExtent {
   std::vector<std::uint8_t> data;
 };
 
-// The one write request: many (file, offset, run) extents per message — a
-// batched write-behind flush, or a single write-through pwrite as a batch
-// of one. Every extent is positional and therefore idempotent — replaying
-// the whole batch re-produces the same file state. The reply carries the
-// bytes applied and the per-file version tokens after all extents applied.
+// What a write batch does to one file once every extent applied: nothing,
+// close it (FileService::Close: the service's delayed writes and hard
+// table changes reach the disks, and the open pin goes), or force it
+// without closing (FileService::Flush, for a handle the server never
+// pinned).
+enum class PwriteFinish : std::uint8_t { kNone = 0, kClose = 1, kSync = 2 };
+
+// The one write request and the one close: many (file, offset, run)
+// extents per message — a batched write-behind flush, a single
+// write-through pwrite as a batch of one, or a close carrying its file's
+// dirty blocks (possibly none). Every extent is positional and therefore
+// idempotent — replaying the whole batch re-produces the same file state.
+// The finish runs on `finish_file` only if every extent applied. The reply
+// carries the bytes applied and the per-file version tokens after all
+// extents applied, then the finish's status (OK for kNone).
 struct PwriteVecRequest {
   std::vector<PwriteExtent> extents;
   std::string cb;
+  PwriteFinish finish = PwriteFinish::kNone;
+  FileId finish_file{};
 
   std::vector<std::uint8_t> Encode() const;
   static Result<PwriteVecRequest> Decode(std::span<const std::uint8_t> bytes);

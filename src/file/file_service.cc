@@ -4,6 +4,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "sim/parallel.h"
@@ -716,49 +717,78 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
       (offset + len - 1) / kBlockSize - offset / kBlockSize + 1));
 
   const WritePolicy policy = PolicyFor(*of);
+  const bool through = policy == WritePolicy::kWriteThrough && logging_ == 0;
   // Assemble every block first (whole aligned blocks write straight from
   // the caller's span; partial blocks stage through a read-modify-write
   // buffer), then push the write-through set to the disks as per-disk
   // vectored batches so a striped write fans out across spindles.
   std::vector<PendingPut> puts;
   std::deque<std::vector<std::uint8_t>> staged;  // keeps RMW buffers alive
-  std::uint64_t written = 0;
-  while (written < len) {
-    const std::uint64_t pos = offset + written;
-    const std::uint64_t block = pos / kBlockSize;
-    const std::uint64_t in_block = pos % kBlockSize;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(len - written, kBlockSize - in_block);
+  // A write-through block goes into the pool clean before its put runs, so
+  // a refused write must not leave it readable: each touched block keeps
+  // the image its disk lacks (a dirty or logged entry), and every other
+  // entry goes, leaving the disk's copy to answer.
+  std::vector<std::pair<std::uint64_t, std::optional<CacheEntry>>> undo;
+  const Status assembled = [&]() -> Status {
+    std::uint64_t written = 0;
+    while (written < len) {
+      const std::uint64_t pos = offset + written;
+      const std::uint64_t block = pos / kBlockSize;
+      const std::uint64_t in_block = pos % kBlockSize;
+      const std::uint64_t n =
+          std::min<std::uint64_t>(len - written, kBlockSize - in_block);
 
-    const bool whole_block = in_block == 0 && n == kBlockSize;
-    const bool beyond_old_data =
-        block * kBlockSize >= of->table.attributes().size;
-    std::span<const std::uint8_t> data;
-    if (whole_block) {
-      data = in.subspan(written, kBlockSize);
-    } else {
-      staged.emplace_back(kBlockSize);
-      std::vector<std::uint8_t>& full = staged.back();
-      if (!beyond_old_data) {
-        // Partial overwrite of existing data: read-modify-write.
-        RHODOS_RETURN_IF_ERROR(ReadBlocks(id, *of, block, 1, full));
+      const bool whole_block = in_block == 0 && n == kBlockSize;
+      const bool beyond_old_data =
+          block * kBlockSize >= of->table.attributes().size;
+      std::span<const std::uint8_t> data;
+      if (whole_block) {
+        data = in.subspan(written, kBlockSize);
+      } else {
+        staged.emplace_back(kBlockSize);
+        std::vector<std::uint8_t>& full = staged.back();
+        if (!beyond_old_data) {
+          // Partial overwrite of existing data: read-modify-write.
+          RHODOS_RETURN_IF_ERROR(ReadBlocks(id, *of, block, 1, full));
+        }
+        std::memcpy(full.data() + in_block, in.data() + written, n);
+        data = full;
       }
-      std::memcpy(full.data() + in_block, in.data() + written, n);
-      data = full;
-    }
 
-    RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
-                            CacheInsert(id, block, data, /*dirty=*/true));
-    if (policy == WritePolicy::kWriteThrough && logging_ == 0) {
-      RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(block));
-      RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
-      puts.push_back(PendingPut{server, loc.first_fragment, data});
-      entry->dirty = false;
+      if (through) {
+        const CacheEntry* previous = cache_.Peek(BlockKey{id, block});
+        undo.emplace_back(block, std::nullopt);
+        if (previous != nullptr && (previous->dirty || previous->logged)) {
+          undo.back().second = *previous;
+        }
+      }
+      RHODOS_ASSIGN_OR_RETURN(CacheEntry * entry,
+                              CacheInsert(id, block, data, /*dirty=*/true));
+      if (through) {
+        RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(block));
+        RHODOS_ASSIGN_OR_RETURN(DiskServer * server, disks_->Get(loc.disk));
+        puts.push_back(PendingPut{server, loc.first_fragment, data});
+        entry->dirty = false;
+      }
+      written += n;
     }
-    written += n;
+    return PutPerDisk(std::move(puts));
+  }();
+  if (!assembled.ok()) {
+    for (auto& [block, kept] : undo) {
+      const BlockKey key{id, block};
+      if (!kept) {
+        cache_.Erase(key);
+      } else if (CacheEntry* entry = cache_.Peek(key)) {
+        *entry = std::move(*kept);
+      } else if (auto back = CacheInsert(id, block, kept->data, false);
+                 back.ok()) {
+        // Evicted by a later block of this write: put the image back.
+        **back = std::move(*kept);
+      }
+    }
+    return assembled.error();
   }
-
-  RHODOS_RETURN_IF_ERROR(PutPerDisk(std::move(puts)));
 
   auto& attrs = of->table.attributes();
   attrs.access_count += 1;

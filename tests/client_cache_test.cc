@@ -1,7 +1,7 @@
 // Coherent write-behind client caching (paper §2.2, §5): the file agent's
 // per-file dirty-block index, batched PwriteVec flushes, background
-// write-behind, version-token cache coherence across machines, and the
-// generation-validated name cache.
+// write-behind, the close that rides its file's batch, version-token cache
+// coherence across machines, and the generation-validated name cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -563,6 +563,155 @@ TEST(ClientCacheTest, DirtyBlockInsideARunIsServedLocallyAndNeverOverwritten) {
   ASSERT_EQ(*other.file_agent->Pread(od2, 0, out), out.size());
   EXPECT_EQ(out, bytes) << "the flushed block is the written one";
   ASSERT_TRUE(other.file_agent->Close(od2).ok());
+}
+
+// --- a close rides its file's write-back batch ---------------------------------
+
+// Reads `n` bytes of `name` at offset 0 through a fresh machine, whose
+// agent caches nothing.
+std::vector<std::uint8_t> ColdRead(DistributedFileFacility& f,
+                                   const char* name, std::uint64_t n) {
+  Machine& reader = f.AddMachine();
+  auto od = reader.file_agent->Open(naming::ByName(name));
+  EXPECT_TRUE(od.ok());
+  std::vector<std::uint8_t> out(n);
+  EXPECT_EQ(*reader.file_agent->Pread(*od, 0, out), n);
+  EXPECT_TRUE(reader.file_agent->Close(*od).ok());
+  return out;
+}
+
+// Opens `name` through the server: the agent first forgets the callback
+// promise that would make the open (and so its close) agent-local.
+ObjectDescriptor OpenAtServer(Machine& m, const char* name) {
+  m.file_agent->Crash();
+  const std::uint64_t fast = m.file_agent->stats().callback_fast_opens;
+  auto od = m.file_agent->Open(naming::ByName(name));
+  EXPECT_TRUE(od.ok());
+  EXPECT_EQ(m.file_agent->stats().callback_fast_opens, fast);
+  return *od;
+}
+
+TEST(ClientCacheTest, CloseCostsOneExchangeOrNone) {
+  DistributedFileFacility f(CacheFacility());
+  Machine& m = f.AddMachine();
+  const auto data = Pattern(kBlockSize, 3);
+  auto close_calls = [&](ObjectDescriptor od) {
+    const std::uint64_t before = BusCalls(f);
+    EXPECT_TRUE(m.file_agent->Close(od).ok());
+    return BusCalls(f) - before;
+  };
+
+  // The creator holds a promise, so its open is callback-local.
+  auto od = *m.file_agent->Create(naming::ByName("one"),
+                                  file::ServiceType::kBasic);
+  const FileId id = *m.file_agent->FileOf(od);
+  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, data).ok());
+  EXPECT_EQ(close_calls(od), 1u) << "dirty callback-local close";
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
+  EXPECT_EQ(m.file_agent->stats().writeback_batches, 1u);
+
+  od = *m.file_agent->Open(naming::ByName("one"));
+  EXPECT_EQ(close_calls(od), 0u) << "clean callback-local close";
+
+  od = OpenAtServer(m, "one");
+  ASSERT_TRUE(m.file_agent->Pwrite(od, kBlockSize, data).ok());
+  EXPECT_EQ(close_calls(od), 1u) << "dirty close of a server open";
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
+  EXPECT_EQ(m.file_agent->stats().writeback_batches, 2u);
+
+  od = OpenAtServer(m, "one");
+  EXPECT_EQ(close_calls(od), 1u) << "clean close of a server open";
+  EXPECT_EQ(m.file_agent->stats().writeback_batches, 2u)
+      << "a batch that carries only a close is no write-back";
+
+  std::vector<std::uint8_t> both = data;
+  both.insert(both.end(), data.begin(), data.end());
+  EXPECT_EQ(ColdRead(f, "one", 2 * kBlockSize), both);
+  EXPECT_EQ(f.files().GetAttributes(id)->ref_count, 0u)
+      << "every server open was closed by its batch";
+}
+
+TEST(ClientCacheTest, RefusedCloseKeepsTheDescriptorAndTheDirtyBlocks) {
+  DistributedFileFacility f(CacheFacility());
+  Machine& m = f.AddMachine();
+  auto od = *m.file_agent->Create(naming::ByName("origin"),
+                                  file::ServiceType::kBasic);
+  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, Pattern(kBlockSize, 4)).ok());
+  auto snap = m.file_agent->Snapshot(od);
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(m.file_agent->Close(od).ok());
+
+  // The write-behind cache takes a write to the snapshot; its close is
+  // where the server refuses it, like a deferred error of close(2).
+  auto sd = m.file_agent->OpenById(*snap);
+  ASSERT_TRUE(sd.ok());
+  ASSERT_TRUE(m.file_agent->Pwrite(*sd, 0, Pattern(kBlockSize, 5)).ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Status st = m.file_agent->Close(*sd);
+    ASSERT_FALSE(st.ok()) << "attempt " << attempt;
+    EXPECT_EQ(st.code(), ErrorCode::kPermissionDenied);
+    EXPECT_TRUE(m.file_agent->FileOf(*sd).ok()) << "the descriptor stays";
+    EXPECT_EQ(m.file_agent->DirtyBlocks(*snap), 1u) << "the block stays";
+  }
+  std::vector<std::uint8_t> out(kBlockSize);
+  ASSERT_TRUE(f.files().Read(*snap, 0, out).ok());
+  EXPECT_EQ(out, Pattern(kBlockSize, 4)) << "the snapshot kept its bytes";
+}
+
+TEST(ClientCacheTest, CloseRetriedAfterAFailedExchangeSucceeds) {
+  FacilityConfig cfg = CacheFacility();
+  cfg.agent.rpc.max_attempts = 2;  // fail fast while the service is down
+  DistributedFileFacility f(cfg);
+  Machine& m = f.AddMachine();
+  auto od = *m.file_agent->Create(naming::ByName("retry"),
+                                  file::ServiceType::kBasic);
+  const FileId id = *m.file_agent->FileOf(od);
+  ASSERT_TRUE(m.file_agent->Close(od).ok());
+  od = OpenAtServer(m, "retry");
+  const auto data = Pattern(2 * kBlockSize, 6);
+  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, data).ok());
+
+  f.bus().SetServiceDown(core::kFileServiceAddress);
+  EXPECT_FALSE(m.file_agent->Close(od).ok());
+  EXPECT_TRUE(m.file_agent->FileOf(od).ok()) << "the descriptor stays";
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 2u) << "the blocks stay dirty";
+  f.bus().SetServiceUp(core::kFileServiceAddress);
+
+  ASSERT_TRUE(m.file_agent->Close(od).ok());
+  EXPECT_FALSE(m.file_agent->FileOf(od).ok());
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
+  EXPECT_EQ(ColdRead(f, "retry", data.size()), data);
+  EXPECT_EQ(f.files().GetAttributes(id)->ref_count, 0u);
+}
+
+// The batch's first reply is lost after the server wrote the block and
+// closed the file; the retransmission writes the same bytes again and
+// closes again, and the close reports success.
+TEST(ClientCacheTest, CloseWhoseReplyIsLostSucceedsOnTheRetransmission) {
+  DistributedFileFacility f(CacheFacility());
+  Machine& m = f.AddMachine();
+  auto od = *m.file_agent->Create(naming::ByName("lossy"),
+                                  file::ServiceType::kBasic);
+  ASSERT_TRUE(m.file_agent->Close(od).ok());
+  od = OpenAtServer(m, "lossy");
+  const auto data = Pattern(kBlockSize, 8);
+  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, data).ok());
+
+  // The bus's loss draws, from its fixed seed, at this rate: the first
+  // request arrives, its reply is lost, and the retransmission and its
+  // reply both arrive.
+  sim::NetworkConfig lossy = f.bus().config();
+  lossy.drop_rate = 0.5;
+  f.bus().SetConfig(lossy);
+  EXPECT_TRUE(m.file_agent->Close(od).ok());
+  lossy.drop_rate = 0.0;
+  f.bus().SetConfig(lossy);
+  ASSERT_EQ(f.bus().stats().drops_request, 0u);
+  ASSERT_EQ(f.bus().stats().drops_reply, 1u);
+
+  EXPECT_FALSE(m.file_agent->FileOf(od).ok());
+  EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
+  EXPECT_EQ(ColdRead(f, "lossy", data.size()), data);
 }
 
 }  // namespace

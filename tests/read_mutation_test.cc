@@ -2,15 +2,17 @@
 // kPwriteVec bodies sent to the file service and kPeerRead bodies sent to
 // an agent's peer handler are given seeded bit flips, truncations and
 // rewritten count/offset/length fields (near 0, near the file size, near
-// 2^64). kCallbackBreak bodies and unknown opcodes sent to an agent's
-// break handler must leave the agent serving the model's bytes. Every read reply must be an error or a bounded read that matches
-// the written bytes, and every write reply an error or the write a byte
-// model predicts, with no space lost to a refused write. The remaining
-// kinds (create, delete, open, close, getattr, resize, flush, callback
-// renew, snapshot, clone) get the same treatment against a model of the
-// files they may touch, and the files must audit clean afterwards. Run
-// under the sanitizer build, nothing may crash or allocate by a length the
-// caller only claimed.
+// 2^64); kPwriteVec bodies also get a rewritten finish kind and finish
+// file. kCallbackBreak bodies and unknown opcodes sent to an agent's
+// break handler must leave the agent serving the model's bytes. Every
+// read reply must be an error or a bounded read that matches the written
+// bytes, and every write reply an error that ran no close or sync, or the
+// write a byte model predicts followed by the predicted close or sync,
+// with no space lost to a refused write. The remaining kinds (create,
+// delete, open, getattr, resize, callback renew, snapshot, clone) get the
+// same treatment against a model of the files they may touch, and the
+// files must audit clean afterwards. Run under the sanitizer build,
+// nothing may crash or allocate by a length the caller only claimed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -387,8 +389,12 @@ TEST(ReadMutationTest, HostileBreakBodiesLeaveTheAgentServingTheModel) {
 
 // Body layout: count u32, then per extent file u64, offset u64, data
 // (u32 length + bytes); the first extent's offset sits after count + file.
+// The callback address (u32 length + bytes) follows the extents, and the
+// body ends with the finish kind u8 and the finish's file u64.
 constexpr std::size_t kCountField = 0;
 constexpr std::size_t kFirstExtentOffset = 4 + 8;
+constexpr std::size_t kFinishFromEnd = 1 + 8;
+constexpr std::size_t kFinishFileFromEnd = 8;
 constexpr int kWriteTrials = 300;
 // ReadFacility()'s one disk, in bytes.
 constexpr std::uint64_t kDiskBytes = 16 * 1024 * kFragmentSize;
@@ -400,6 +406,37 @@ void ApplyWrite(std::vector<std::uint8_t>& file, std::uint64_t offset,
   if (file.size() < offset + data.size()) file.resize(offset + data.size());
   std::copy(data.begin(), data.end(),
             file.begin() + static_cast<std::ptrdiff_t>(offset));
+}
+
+// A kPwriteVec reply: the batch's status, then the status of the finish
+// it carried (OK when the batch failed or carried none).
+struct BatchReply {
+  Status batch;
+  Status finish;
+};
+
+std::string Why(const Status& st) {
+  return st.ok() ? "ok" : st.error().ToString();
+}
+
+BatchReply SendBatch(DistributedFileFacility& f,
+                     const std::vector<std::uint8_t>& body) {
+  auto r = f.bus().Call(core::kFileServiceAddress,
+                        static_cast<std::uint32_t>(FsOp::kPwriteVec), body,
+                        "hostile-caller");
+  if (!r.ok()) return {Status{r.error()}, OkStatus()};
+  Deserializer in{*r};
+  Status batch = DecodeStatus(in);
+  if (!batch.ok()) return {std::move(batch), OkStatus()};
+  in.U64();  // bytes applied
+  const std::uint32_t files = in.U32();
+  for (std::uint32_t i = 0; i < files && in.ok(); ++i) {
+    in.U64();  // file
+    in.U64();  // version token
+  }
+  Status finish = DecodeStatus(in);
+  if (!in.ok()) return {Status{ErrorCode::kInternal, "malformed reply"}, {}};
+  return {std::move(batch), std::move(finish)};
 }
 
 std::vector<std::uint8_t> ReadAll(DistributedFileFacility& f, FileId id) {
@@ -430,10 +467,17 @@ TEST(ReadMutationTest, PwriteVecExtentWrappingPastTheAddressSpaceIsRefused) {
 TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
   DistributedFileFacility f(ReadFacility());
   const Written w = WriteModelFile(f.AddMachine());
+  file::FileService& owner = f.OwnerOf(w.id);
+  // Enough pins that no close a batch runs can drop the file's last one:
+  // each close shows as one reference fewer.
+  for (int i = 0; i < kWriteTrials; ++i) ASSERT_TRUE(owner.Open(w.id).ok());
+  const auto refs = [&] { return owner.GetAttributes(w.id)->ref_count; };
+  std::uint32_t open_refs = refs();
   std::vector<std::uint8_t> model = w.bytes;
   Rng rng(22);
   int applied = 0;
   int refused = 0;
+  int closed = 0;
   for (int trial = 0; trial < kWriteTrials; ++trial) {
     PwriteVecRequest base;
     const std::uint64_t extents = 1 + rng.Below(3);
@@ -443,8 +487,10 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
       base.extents.push_back(
           PwriteExtent{w.id, rng.Below(model.size() + kBlockSize), data});
     }
+    base.finish = static_cast<PwriteFinish>(rng.Below(3));
+    base.finish_file = w.id;
     std::vector<std::uint8_t> body = base.Encode();
-    switch (rng.Below(4)) {
+    switch (rng.Below(6)) {
       case 0:
         body[rng.Below(body.size())] ^=
             static_cast<std::uint8_t>(1u << rng.Below(8));
@@ -460,24 +506,36 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
         }
         break;
       }
-      default:
+      case 3:
         PutU64(body, kFirstExtentOffset, Boundary(rng, model.size()));
+        break;
+      case 4: {
+        const std::uint8_t kinds[] = {0, 1, 2, 3, 0xFF};
+        body[body.size() - kFinishFromEnd] = kinds[rng.Below(5)];
+        break;
+      }
+      default:
+        PutU64(body, body.size() - kFinishFileFromEnd,
+               Boundary(rng, w.id.value + 1));
         break;
     }
     auto decoded = PwriteVecRequest::Decode(body);
     const std::uint64_t free_before = f.disks().TotalFreeFragments();
-    const std::uint64_t blocks_before = *f.OwnerOf(w.id).BlockCount(w.id);
-    auto got = Send(f, core::kFileServiceAddress, FsOp::kPwriteVec, body);
+    const std::uint64_t blocks_before = *owner.BlockCount(w.id);
+    const BatchReply got = SendBatch(f, body);
     const std::vector<std::uint8_t> now = ReadAll(f, w.id);
+    const std::string where = "trial " + std::to_string(trial);
     // Space may only go to blocks the file now maps (plus at most one
     // indirect block): a refused write gives back whatever it allocated.
-    const std::uint64_t blocks_after = *f.OwnerOf(w.id).BlockCount(w.id);
+    const std::uint64_t blocks_after = *owner.BlockCount(w.id);
     EXPECT_LE(free_before - f.disks().TotalFreeFragments(),
               (blocks_after - blocks_before + 1) * kFragmentsPerBlock)
-        << "trial " << trial;
+        << where;
     if (!decoded.ok()) {
-      ASSERT_FALSE(got.ok()) << "trial " << trial;
-      ASSERT_EQ(now, model) << "trial " << trial;
+      ASSERT_FALSE(got.batch.ok()) << where;
+      ASSERT_EQ(got.batch.code(), ErrorCode::kInvalidArgument) << where;
+      ASSERT_EQ(now, model) << where;
+      ASSERT_EQ(refs(), open_refs) << where << ": a refused body closed";
       continue;
     }
     const bool foreign = std::any_of(
@@ -485,8 +543,9 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
         [&w](const PwriteExtent& e) { return e.file != w.id; });
     if (foreign) {
       // A rewritten file id names nothing or some other file; whatever the
-      // reply, resume from the bytes the model file now holds.
+      // reply, resume from the bytes and pins the model file now holds.
       model = now;
+      open_refs = refs();
       continue;
     }
     // Extents apply in order; a failure leaves a prefix applied. An extent
@@ -499,20 +558,38 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
       prefixes.push_back(prefixes.back());
       ApplyWrite(prefixes.back(), e.offset, e.data);
     }
-    if (got.ok()) {
-      ASSERT_TRUE(fits) << "trial " << trial << ": a write past the disk";
-      ASSERT_EQ(now, prefixes.back()) << "trial " << trial;
+    const bool closes = decoded->finish == PwriteFinish::kClose &&
+                        decoded->finish_file == w.id;
+    if (got.batch.ok()) {
+      ASSERT_TRUE(fits) << where << ": a write past the disk";
+      ASSERT_EQ(now, prefixes.back()) << where;
+      // The finish ran after the write: a close of the pinned file drops
+      // one reference, a sync of it or a batch with no finish succeeds and
+      // keeps them all, and a finish aimed elsewhere leaves them alone.
+      if (closes) {
+        ASSERT_TRUE(got.finish.ok()) << where << ": " << Why(got.finish);
+        ASSERT_EQ(refs(), open_refs - 1) << where;
+        ++closed;
+      } else {
+        if (decoded->finish_file == w.id) {
+          ASSERT_TRUE(got.finish.ok()) << where << ": " << Why(got.finish);
+        }
+        ASSERT_EQ(refs(), open_refs) << where;
+      }
       ++applied;
     } else {
       const auto last = fits ? prefixes.end() - 1 : prefixes.end();
       ASSERT_NE(std::find(prefixes.begin(), last, now), last)
-          << "trial " << trial << ": " << got.error().message;
+          << where << ": " << Why(got.batch);
+      ASSERT_EQ(refs(), open_refs) << where << ": a refused batch closed";
       ++refused;
     }
     model = now;
+    open_refs = refs();
   }
   EXPECT_GT(applied, kWriteTrials / 4) << "most mutations must still write";
   EXPECT_GT(refused, 0) << "some offsets must be refused";
+  EXPECT_GT(closed, 0) << "some batches must close";
 }
 
 // --- every other request kind ---------------------------------------------
@@ -567,15 +644,14 @@ TEST(ReadMutationTest, HostileBodiesOfEveryOtherKindGetAnErrorOrThePrediction) {
   const Written w = WriteModelFile(f.AddMachine());
   std::map<std::uint64_t, ModelFile> live{{w.id.value, {w.bytes, false}}};
   constexpr FsOp kKinds[] = {
-      FsOp::kResize,  FsOp::kCreate,  FsOp::kDelete,
-      FsOp::kOpen,    FsOp::kClose,   FsOp::kGetAttr,
-      FsOp::kFlush,   FsOp::kCallbackRenew, FsOp::kSnapshot,
-      FsOp::kClone};
+      FsOp::kResize,  FsOp::kCreate,        FsOp::kDelete,
+      FsOp::kOpen,    FsOp::kGetAttr,       FsOp::kCallbackRenew,
+      FsOp::kSnapshot, FsOp::kClone};
   Rng rng(23);
   int succeeded = 0;
   int refused = 0;
   for (int trial = 0; trial < kKindTrials; ++trial) {
-    const FsOp op = live.empty() ? FsOp::kCreate : kKinds[rng.Below(10)];
+    const FsOp op = live.empty() ? FsOp::kCreate : kKinds[rng.Below(std::size(kKinds))];
     auto pick = live.begin();
     std::advance(pick, static_cast<std::ptrdiff_t>(
                            rng.Below(std::max<std::size_t>(live.size(), 1))));
@@ -701,7 +777,7 @@ TEST(ReadMutationTest, HostileBodiesOfEveryOtherKindGetAnErrorOrThePrediction) {
               ModelFile{m.bytes, op == FsOp::kSnapshot};
         }
         break;
-      default:  // close, flush and renew change no bytes
+      default:  // renew changes no bytes
         break;
     }
     if (live.count(decoded->file.value) != 0) {

@@ -503,6 +503,31 @@ TEST_F(ShadowOverlapTest, UncoveredWritesGoThroughOnceTheLogDeviceIsBack) {
   EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
 }
 
+// The same torn force, the stable device still down: the write barrier
+// refuses a write-through write after it put its bytes in the block pool,
+// and the pool gives the committed image back, so a read sees the old
+// bytes now and after the log settles.
+TEST_F(ShadowOverlapTest, ARefusedBasicWriteLeavesTheOldBytesReadable) {
+  const FileId file = MakeFileOn(1);
+  const FileId other = MakeFileOn(1);
+  ASSERT_TRUE(Commit(file, {0, kFileBlocks}).ok());
+  Disk(0).stable_device().SetFaultPlan(TearAfter(0));
+  EXPECT_FALSE(Commit(other, {0}).ok());
+  Disk(0).stable_device().SetFaultPlan({});
+
+  for (const std::uint64_t block : {std::uint64_t{0}, kFileBlocks}) {
+    auto refused = files_->Write(file, block * kBlockSize, Block(kLater));
+    ASSERT_FALSE(refused.ok()) << "block " << block;
+    EXPECT_EQ(refused.error().code, ErrorCode::kUnavailable);
+    EXPECT_EQ(ReadBlock(file, block), Block(kNew)) << "block " << block;
+  }
+
+  Disk(0).stable_device().Recover();
+  ASSERT_TRUE(files_->FlushAll().ok());
+  EXPECT_EQ(ReadBlock(file, 0), Block(kNew));
+  EXPECT_EQ(ReadBlock(file, kFileBlocks), Block(kNew));
+}
+
 // A getattr, sync or close of a file whose committed changes the log
 // still owes writes nothing, and the close keeps the committed table:
 // the next force or checkpoint carries the writes.
