@@ -264,6 +264,12 @@ std::uint64_t FileAgent::NextToken() {
   return (static_cast<std::uint64_t>(machine_.value) << 48) | next_token_++;
 }
 
+std::uint64_t FileAgent::NextCloseToken() {
+  // Bit 47 keeps the two sequences apart.
+  return (static_cast<std::uint64_t>(machine_.value) << 48) |
+         (std::uint64_t{1} << 47) | next_close_token_++;
+}
+
 Result<FileAgent::OpenHandle*> FileAgent::Handle(ObjectDescriptor od) {
   auto it = handles_.find(od);
   if (it == handles_.end()) {
@@ -583,6 +589,7 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files,
     if (shard == finish_shard) {
       req.finish = finish;
       req.finish_file = finish_file;
+      if (finish == PwriteFinish::kClose) req.token = NextCloseToken();
     }
     std::vector<PerFile> flushed;
     {
@@ -638,10 +645,10 @@ Status FileAgent::FlushDirtyFiles(std::span<const FileId> files,
     }
     // A close answered kBadDescriptor: the serving shard holds no open
     // state for the file (a fence purged it, failover rerouted us to a
-    // shard that never saw the open, or this is a retransmission whose
-    // first delivery closed it), so it is closed either way. A fence
-    // flushed the data first; a server crash lost it, yet the close still
-    // reports success.
+    // shard that never saw the open, or the shard forgot the token of a
+    // retransmission whose first delivery closed it), so it is closed
+    // either way. A fence flushed the data first; a server crash lost it,
+    // yet the close still reports success.
     if (req.finish == PwriteFinish::kClose &&
         finished.code() == ErrorCode::kBadDescriptor) {
       finished = OkStatus();

@@ -337,6 +337,9 @@ class FileAgent {
                                     std::span<const std::uint8_t> in);
 
   std::uint64_t NextToken();
+  // Tokens of the batches that close, a sequence of their own so that the
+  // tokens that route creates stay as they were.
+  std::uint64_t NextCloseToken();
 
   // The facility's observability bundle travels on the bus; null-safe.
   obs::Observability* Obs() const { return bus_->observability(); }
@@ -375,6 +378,7 @@ class FileAgent {
   std::uint64_t naming_generation_ = 0;
   ObjectDescriptor next_descriptor_;
   std::uint64_t next_token_{1};
+  std::uint64_t next_close_token_{1};
   FileAgentStats stats_;
 };
 

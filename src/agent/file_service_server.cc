@@ -433,12 +433,16 @@ sim::Payload FileServiceServer::HandlePread(
   // The decoder refused a wrapping offset + length.
   const std::uint64_t first_block = req->offset / kBlockSize;
   const std::uint64_t end_block = BlocksCovering(req->offset + req->length);
-  if (ct_config_.enabled && hot && !req->no_redirect && !req->cb.empty()) {
-    // Cache-tier read routing: the file is hot, so point the reader at
-    // callback-holding peers instead of the spindles. The reply carries the
-    // expected version token (the peer serves ONLY at exactly this token)
-    // and a callback grant: the reader will cache the peer-served blocks,
-    // so the server must know to break it on the next write.
+  // Cache-tier read routing: the file is hot and serving the range would
+  // reach a disk, so point the reader at callback-holding peers. The
+  // detour costs the reader one exchange and saves the origin a disk
+  // reference; a range the origin holds in memory (block pool or track
+  // cache) is cheaper to serve here, in one exchange. The redirect carries
+  // the expected version token (the peer serves ONLY at exactly this
+  // token) and a callback grant: the reader will cache the peer-served
+  // blocks, so the server must know to break it on the next write.
+  if (ct_config_.enabled && hot && !req->no_redirect && !req->cb.empty() &&
+      !service_->Resident(req->file, first_block, end_block)) {
     std::vector<std::string> peers =
         PickPeers(req->file, req->cb, first_block, end_block);
     if (!peers.empty()) {
@@ -491,6 +495,15 @@ sim::Payload FileServiceServer::HandlePwriteVec(
     std::span<const std::uint8_t> body) {
   auto req = PwriteVecRequest::Decode(body);
   if (!req.ok()) return ErrorReply(req.error());
+  // A close is not idempotent: run twice, it would drop another holder's
+  // pin. A retransmitted closing batch replays its first reply.
+  const bool tokened = req->finish == PwriteFinish::kClose;
+  if (tokened) {
+    if (const sim::Payload* replay = FindToken(req->token)) {
+      ++stats_.duplicate_replays;
+      return *replay;
+    }
+  }
   current_requester_ = req->cb;
   // Extents apply in order through the service's vectored write path. A
   // mid-batch failure leaves a prefix applied and runs no finish —
@@ -516,7 +529,9 @@ sim::Payload FileServiceServer::HandlePwriteVec(
       finished = service_->Close(req->finish_file);
       break;
     case PwriteFinish::kSync:
-      finished = service_->Flush(req->finish_file);
+      // The data and any hard table change land before the reply; soft
+      // attributes ride the next table store, as after a close.
+      finished = service_->Sync(req->finish_file);
       break;
   }
   Serializer out;
@@ -528,7 +543,9 @@ sim::Payload FileServiceServer::HandlePwriteVec(
     out.U64(service_->Version(f));
   }
   EncodeStatus(out, finished);
-  return std::move(out).Take();
+  sim::Payload reply = std::move(out).Take();
+  if (tokened) RememberToken(req->token, reply);
+  return reply;
 }
 
 sim::Payload FileServiceServer::HandleGetAttr(

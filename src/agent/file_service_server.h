@@ -2,7 +2,7 @@
 //
 // The adapter is what makes the file service "nearly stateless" (§3): the
 // only per-client state it keeps is a bounded table of recently executed
-// non-idempotent requests (create/delete/resize tokens) so that an
+// non-idempotent requests (create/delete/resize/close tokens) so that an
 // at-least-once retransmission replays the original reply instead of
 // re-executing. Positional reads and writes need no such memory — they are
 // idempotent by construction.
@@ -57,11 +57,12 @@ struct CallbackConfig {
 
 // Cache-tier read fan-out policy (E24): a file whose pread arrival rate
 // crosses `hot_read_threshold` per one-second load window is HOT, and cold
-// reads of it are redirected to callback-holding peer agents instead of the
-// disks. Off by default — it trades one extra exchange per redirected miss
-// for keeping a million-reader hot file off the origin's spindles, a trade
-// the workload has to opt into (benches that gate exact exchange counts
-// keep the paper topology).
+// reads of it that the origin would serve from disk are redirected to
+// callback-holding peer agents (a range its block pool or track cache holds
+// is served as bytes). Off by default — it trades one extra exchange per
+// redirected miss for keeping a million-reader hot file off the origin's
+// spindles, a trade the workload has to opt into (benches that gate exact
+// exchange counts keep the paper topology).
 struct CacheTierConfig {
   bool enabled = false;
   // Preads inside one load window that make a file hot. 0 = never hot.

@@ -175,6 +175,7 @@ std::vector<std::uint8_t> PwriteVecRequest::Encode() const {
   out.String(cb);
   out.U8(static_cast<std::uint8_t>(finish));
   out.U64(finish_file.value);
+  out.U64(token);
   return std::move(out).Take();
 }
 
@@ -194,6 +195,7 @@ Result<PwriteVecRequest> PwriteVecRequest::Decode(
   const std::uint8_t finish = in.U8();
   r.finish = static_cast<PwriteFinish>(finish);
   r.finish_file = FileId{in.U64()};
+  r.token = in.U64();
   const bool fits = std::all_of(
       r.extents.begin(), r.extents.end(),
       [](const PwriteExtent& e) { return RangeFits(e.offset, e.data.size()); });

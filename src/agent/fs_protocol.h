@@ -152,8 +152,8 @@ struct PwriteExtent {
 
 // What a write batch does to one file once every extent applied: nothing,
 // close it (FileService::Close: the service's delayed writes and hard
-// table changes reach the disks, and the open pin goes), or force it
-// without closing (FileService::Flush, for a handle the server never
+// table changes reach the disks, and the open pin goes), or sync it
+// without closing (FileService::Sync, for a handle the server never
 // pinned).
 enum class PwriteFinish : std::uint8_t { kNone = 0, kClose = 1, kSync = 2 };
 
@@ -162,14 +162,18 @@ enum class PwriteFinish : std::uint8_t { kNone = 0, kClose = 1, kSync = 2 };
 // write-through pwrite as a batch of one, or a close carrying its file's
 // dirty blocks (possibly none). Every extent is positional and therefore
 // idempotent — replaying the whole batch re-produces the same file state.
-// The finish runs on `finish_file` only if every extent applied. The reply
-// carries the bytes applied and the per-file version tokens after all
-// extents applied, then the finish's status (OK for kNone).
+// A close is not: a batch that closes carries an idempotency token, and a
+// retransmission of it gets the remembered reply instead of dropping a
+// second pin. The finish runs on `finish_file` only if every extent
+// applied. The reply carries the bytes applied and the per-file version
+// tokens after all extents applied, then the finish's status (OK for
+// kNone).
 struct PwriteVecRequest {
   std::vector<PwriteExtent> extents;
   std::string cb;
   PwriteFinish finish = PwriteFinish::kNone;
   FileId finish_file{};
+  std::uint64_t token = 0;  // idempotency token of a kClose batch
 
   std::vector<std::uint8_t> Encode() const;
   static Result<PwriteVecRequest> Decode(std::span<const std::uint8_t> bytes);

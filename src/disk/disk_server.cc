@@ -171,6 +171,14 @@ void DiskServer::ReadAheadTrack(FragmentIndex first, std::uint32_t count) {
   }
 }
 
+bool DiskServer::TrackCached(FragmentIndex first, std::uint32_t count) const {
+  if (!Reachable()) return false;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (!cache_.Contains(first + i)) return false;
+  }
+  return true;
+}
+
 Status DiskServer::CheckReachable() const {
   if (partitioned_) {
     return {ErrorCode::kUnavailable,

@@ -227,6 +227,11 @@ class DiskServer {
   // (DiskRegistry::RunWriteBarriers).
   Status RunWriteBarrier() { return barrier_ ? barrier_() : OkStatus(); }
 
+  // True iff the server is reachable and every fragment of [first,
+  // first+count) sits in its track cache, so a get_block of the range would
+  // reach no platter. Changes no recency order and counts nothing.
+  bool TrackCached(FragmentIndex first, std::uint32_t count) const;
+
   // Forces any delayed-write data for [first, first+count) to the platter.
   Status FlushBlock(FragmentIndex first, std::uint32_t count);
   // Flushes all delayed writes and drains the asynchronous stable queue.

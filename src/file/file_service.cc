@@ -501,6 +501,30 @@ Status FileService::ReadBlocks(FileId id, OpenFile& of, std::uint64_t first,
   return OkStatus();
 }
 
+bool FileService::Resident(FileId id, std::uint64_t first,
+                           std::uint64_t end) const {
+  if (first >= end) return false;
+  const auto it = open_files_.find(id);
+  const OpenFile* of = it == open_files_.end() ? nullptr : &it->second;
+  if (of != nullptr &&
+      end > std::min(of->table.BlockCount(),
+                     BlocksCovering(of->table.attributes().size))) {
+    return false;
+  }
+  for (std::uint64_t b = first; b < end; ++b) {
+    if (cache_.Contains(BlockKey{id, b})) continue;
+    if (of == nullptr) return false;
+    auto loc = of->table.Locate(b);
+    if (!loc.ok()) return false;
+    auto server = disks_->Get(loc->disk);
+    if (!server.ok() ||
+        !(*server)->TrackCached(loc->first_fragment, kFragmentsPerBlock)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<std::uint64_t> FileService::Read(FileId id, std::uint64_t offset,
                                         std::span<std::uint8_t> out) {
   obs::SpanScope span(obs::TracerOf(obs_), "file", "read");

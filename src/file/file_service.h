@@ -377,6 +377,13 @@ class FileService {
   const FileServiceConfig& config() const { return config_; }
   // Blocks the block cache holds now.
   std::size_t CachedBlocks() const { return cache_.size(); }
+  // True iff a read of blocks [first, end) would reach no disk: each block
+  // sits in the block pool, or the file's table is cached and all of the
+  // block's fragments sit in its disk's track cache (loading the table is
+  // itself a disk reference). Changes no recency order, loads nothing and
+  // counts nothing. An empty range is not resident, nor, when the table is
+  // cached, one past the end of the file or of its mapped blocks.
+  bool Resident(FileId id, std::uint64_t first, std::uint64_t end) const;
 
   // Contiguity of the file's layout, 1.0 = fully contiguous (bench metric).
   Result<double> ContiguityIndex(FileId id);

@@ -39,11 +39,31 @@ FacilityConfig TierFacility() {
   c.agent.writeback_age_ns = 0;
   c.cache_tier.enabled = true;
   c.cache_tier.hot_read_threshold = 4;
+  // The origin holds one block in memory and its disks keep no track
+  // cache, so a read of any other block reaches a disk: only such a read
+  // of a hot file is redirected (a resident one is served in one exchange).
+  c.file.block_pool_capacity = 1;
+  c.disk_cache_tracks = 0;
   return c;
+}
+
+// Reads block 1 of `id` at its origin, so the origin's one-block pool no
+// longer holds block 0 and the next cold read of block 0 reaches a disk.
+void EvictBlockZero(DistributedFileFacility& f, FileId id) {
+  std::vector<std::uint8_t> one(kBlockSize);
+  auto n = f.OwnerOf(id).Read(id, kBlockSize, one);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, kBlockSize);
 }
 
 std::uint64_t BusCalls(DistributedFileFacility& f) {
   return f.bus().stats().calls;
+}
+
+std::uint64_t DiskReads(DistributedFileFacility& f) {
+  std::uint64_t n = 0;
+  for (const auto& d : f.disks().disks()) n += d->main_stats().read_references;
+  return n;
 }
 
 // Direct agent->agent peer read, as FetchFromPeers would issue it. Returns
@@ -72,7 +92,9 @@ TEST(CacheTierTest, HotFileColdReadsArePeerServed) {
   const auto bytes = Pattern(kBlockSize, 3);
   auto wd = *w.file_agent->Create(naming::ByName("hot"),
                                   file::ServiceType::kBasic);
+  const FileId id = *w.file_agent->FileOf(wd);
   ASSERT_TRUE(w.file_agent->Pwrite(wd, 0, bytes).ok());
+  ASSERT_TRUE(w.file_agent->Pwrite(wd, kBlockSize, Pattern(kBlockSize)).ok());
   ASSERT_TRUE(w.file_agent->Flush(wd).ok());
 
   // Each fresh machine contributes one cold origin pread; once the per-file
@@ -84,6 +106,7 @@ TEST(CacheTierTest, HotFileColdReadsArePeerServed) {
     Machine& r = f.AddMachine();
     readers.push_back(&r);
     auto rd = *r.file_agent->Open(naming::ByName("hot"));
+    EvictBlockZero(f, id);
     ASSERT_TRUE(r.file_agent->Pread(rd, 0, out).ok());
     EXPECT_EQ(out, bytes) << "reader " << i;
     ASSERT_TRUE(r.file_agent->Close(rd).ok());
@@ -134,7 +157,9 @@ TEST(CacheTierTest, CrashedPeersForceFallbackToOrigin) {
   const auto bytes = Pattern(kBlockSize, 9);
   auto wd = *w.file_agent->Create(naming::ByName("fragile"),
                                   file::ServiceType::kBasic);
+  const FileId id = *w.file_agent->FileOf(wd);
   ASSERT_TRUE(w.file_agent->Pwrite(wd, 0, bytes).ok());
+  ASSERT_TRUE(w.file_agent->Pwrite(wd, kBlockSize, Pattern(kBlockSize)).ok());
   ASSERT_TRUE(w.file_agent->Flush(wd).ok());
 
   // Two peers warm up and register as holders, then lose everything. The
@@ -153,6 +178,7 @@ TEST(CacheTierTest, CrashedPeersForceFallbackToOrigin) {
 
   Machine& r = f.AddMachine();
   auto rd = *r.file_agent->Open(naming::ByName("fragile"));
+  EvictBlockZero(f, id);
   const std::uint64_t before = BusCalls(f);
   ASSERT_TRUE(r.file_agent->Pread(rd, 0, out).ok());
   EXPECT_EQ(out, bytes) << "the fallback must serve the true bytes";
@@ -258,6 +284,119 @@ TEST(CacheTierTest, PeerHoldingPartOfTheRunRefusesAndTheOriginServes) {
   EXPECT_EQ(r.file_agent->stats().peer_fallbacks, 1u);
 }
 
+// --- the origin serves what it holds in memory -------------------------------
+
+// A redirect costs the reader an exchange to buy the origin a disk
+// reference, so a hot file's range the origin holds in memory is served as
+// bytes even when a peer holds it: from the block pool, or from its disk's
+// track cache. The reader then holds the range like any origin-served
+// reader, and a later read of it that would reach a disk is redirected.
+TEST(CacheTierTest, ResidentBlocksAreServedByTheOriginInOneExchange) {
+  FacilityConfig cfg = TierFacility();
+  cfg.cache_tier.hot_read_threshold = 2;
+  cfg.disk_cache_tracks = 2;     // two tracks of 8 blocks each
+  cfg.track_readahead = false;   // a read caches only its own fragments
+  DistributedFileFacility f(cfg);
+  Machine& w = f.AddMachine();
+  const auto bytes = Pattern(24 * kBlockSize, 5);
+  auto wd = *w.file_agent->Create(naming::ByName("mixed"),
+                                  file::ServiceType::kBasic);
+  const FileId id = *w.file_agent->FileOf(wd);
+  ASSERT_TRUE(w.file_agent->Pwrite(wd, 0, bytes).ok());
+  ASSERT_TRUE(w.file_agent->Close(wd).ok());
+  auto block = [&](std::uint64_t b) {
+    return std::vector<std::uint8_t>(bytes.begin() + b * kBlockSize,
+                                     bytes.begin() + (b + 1) * kBlockSize);
+  };
+  auto read_at_origin = [&](std::uint64_t b) {
+    std::vector<std::uint8_t> one(kBlockSize);
+    ASSERT_TRUE(f.files().Read(id, b * kBlockSize, one).ok());
+  };
+
+  // Two preads make the file hot and `a` a holder of blocks 10 and 18.
+  std::vector<std::uint8_t> out(kBlockSize);
+  Machine& a = f.AddMachine();
+  auto ad = *a.file_agent->Open(naming::ByName("mixed"));
+  ASSERT_TRUE(a.file_agent->Pread(ad, 10 * kBlockSize, out).ok());
+  ASSERT_TRUE(a.file_agent->Pread(ad, 18 * kBlockSize, out).ok());
+  Machine& r = f.AddMachine();
+  auto rd = *r.file_agent->Open(naming::ByName("mixed"));
+  Machine& q = f.AddMachine();
+  auto qd = *q.file_agent->Open(naming::ByName("mixed"));
+
+  // Blocks 8 apart sit on different tracks. Block 18 is in the pool, block
+  // 10 only in the track cache, block 2 in neither.
+  read_at_origin(10);
+  read_at_origin(18);
+  EXPECT_TRUE(f.files().Resident(id, 18, 19));
+  EXPECT_TRUE(f.files().Resident(id, 10, 11));
+  EXPECT_FALSE(f.files().Resident(id, 2, 3));
+  EXPECT_FALSE(f.files().Resident(id, 10, 19)) << "one block reaches a disk";
+  EXPECT_FALSE(f.files().Resident(id, 23, 25)) << "past the end of the file";
+  EXPECT_FALSE(f.files().Resident(id, 18, 18)) << "an empty range";
+
+  const std::uint64_t refs = DiskReads(f);
+  for (const std::uint64_t b : {18u, 10u}) {
+    const std::uint64_t before = BusCalls(f);
+    ASSERT_TRUE(r.file_agent->Pread(rd, b * kBlockSize, out).ok());
+    EXPECT_EQ(out, block(b)) << "block " << b;
+    EXPECT_EQ(BusCalls(f) - before, 1u) << "block " << b;
+  }
+  EXPECT_EQ(DiskReads(f), refs) << "the origin's memory served both";
+  EXPECT_EQ(f.file_server().stats().redirects_issued, 0u);
+
+  // Block 10 leaves the origin's memory and `a` can no longer serve it:
+  // the next cold read of it is redirected, and r, which the data path
+  // registered as a holder, serves it.
+  read_at_origin(2);
+  read_at_origin(18);
+  ASSERT_FALSE(f.files().Resident(id, 10, 11));
+  a.file_agent->Crash();
+  const std::uint64_t before = BusCalls(f);
+  ASSERT_TRUE(q.file_agent->Pread(qd, 10 * kBlockSize, out).ok());
+  EXPECT_EQ(out, block(10));
+  EXPECT_LE(BusCalls(f) - before, 3u) << "a redirect, then a refusal at most";
+  EXPECT_EQ(f.file_server().stats().redirects_issued, 1u);
+  EXPECT_EQ(q.file_agent->stats().peer_fetches, 1u);
+  EXPECT_EQ(r.file_agent->stats().peer_serves, 1u);
+}
+
+// The query is read-only: it neither refreshes a pooled block's recency nor
+// loads an index table.
+TEST(CacheTierTest, ResidencyQueryMovesNoVictimAndLoadsNoTable) {
+  FacilityConfig cfg = TierFacility();
+  cfg.file.block_pool_capacity = 2;
+  cfg.file.readahead_blocks = 0;  // the pool holds what the test reads
+  cfg.disk_cache_tracks = 16;
+  DistributedFileFacility f(cfg);
+  file::FileService& fs = f.files();
+  const FileId id = *fs.Create(file::ServiceType::kBasic);
+  ASSERT_TRUE(fs.Write(id, 0, Pattern(3 * kBlockSize, 9)).ok());
+  ASSERT_TRUE(fs.Sync(id).ok());
+  std::vector<std::uint8_t> one(kBlockSize);
+  ASSERT_TRUE(fs.Read(id, 0, one).ok());
+  ASSERT_TRUE(fs.Read(id, kBlockSize, one).ok());  // block 0 is the victim
+  ASSERT_TRUE(fs.Resident(id, 2, 3)) << "its track is cached";
+
+  // Without a cached table, only pooled blocks are resident: finding a
+  // block's track would cost the table load.
+  ASSERT_TRUE(fs.Open(id).ok());
+  ASSERT_TRUE(fs.Close(id).ok());
+  const std::uint64_t loads = fs.stats().fit_loads;
+  EXPECT_TRUE(fs.Resident(id, 0, 2));
+  EXPECT_FALSE(fs.Resident(id, 2, 3));
+  EXPECT_EQ(fs.stats().fit_loads, loads);
+
+  // Block 0 stayed the least recent: reading block 2 evicts it, not 1.
+  ASSERT_TRUE(fs.Read(id, 2 * kBlockSize, one).ok());
+  const std::uint64_t hits = fs.stats().cache_hits;
+  ASSERT_TRUE(fs.Read(id, kBlockSize, one).ok());
+  EXPECT_EQ(fs.stats().cache_hits, hits + 1) << "block 1 is still pooled";
+  const std::uint64_t misses = fs.stats().cache_misses;
+  ASSERT_TRUE(fs.Read(id, 0, one).ok());
+  EXPECT_EQ(fs.stats().cache_misses, misses + 1) << "block 0 was evicted";
+}
+
 // --- the peer vouches only for what the token covers -------------------------
 
 TEST(CacheTierTest, PeerRefusesStaleTokenBrokenPromiseAndUncachedBlocks) {
@@ -313,6 +452,7 @@ TEST(CacheTierTest, ShardFailoverFencesRedirectsAndServesFreshBytes) {
                                   file::ServiceType::kBasic);
   const FileId id = *w.file_agent->FileOf(wd);
   ASSERT_TRUE(w.file_agent->Pwrite(wd, 0, v1).ok());
+  ASSERT_TRUE(w.file_agent->Pwrite(wd, kBlockSize, Pattern(kBlockSize)).ok());
   ASSERT_TRUE(w.file_agent->Flush(wd).ok());
 
   std::vector<std::uint8_t> out(kBlockSize);
@@ -321,6 +461,7 @@ TEST(CacheTierTest, ShardFailoverFencesRedirectsAndServesFreshBytes) {
     Machine& r = f.AddMachine();
     readers.push_back(&r);
     auto rd = *r.file_agent->Open(naming::ByName("fenced-hot"));
+    EvictBlockZero(f, id);
     ASSERT_TRUE(r.file_agent->Pread(rd, 0, out).ok());
     EXPECT_EQ(out, v1);
   }
@@ -447,6 +588,7 @@ std::string RunTierStorm(std::uint64_t seed) {
   auto wd = *w.file_agent->Create(naming::ByName("storm"),
                                   file::ServiceType::kBasic);
   EXPECT_TRUE(w.file_agent->Pwrite(wd, 0, oracle).ok());
+  EXPECT_TRUE(w.file_agent->Pwrite(wd, kBlockSize, Pattern(kBlockSize)).ok());
   EXPECT_TRUE(w.file_agent->Flush(wd).ok());
   const FileId id = *w.file_agent->FileOf(wd);
 
@@ -468,6 +610,7 @@ std::string RunTierStorm(std::uint64_t seed) {
       EXPECT_TRUE(w.file_agent->Flush(wd).ok());
     } else if (kind < 10) {
       const std::size_t r = rng() % readers.size();
+      EvictBlockZero(f, id);
       EXPECT_TRUE(readers[r]->file_agent->Pread(rds[r], 0, out).ok());
       EXPECT_EQ(out, oracle) << "STALE READ at round " << round;
     } else if (kind < 11) {

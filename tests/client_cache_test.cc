@@ -685,8 +685,8 @@ TEST(ClientCacheTest, CloseRetriedAfterAFailedExchangeSucceeds) {
 }
 
 // The batch's first reply is lost after the server wrote the block and
-// closed the file; the retransmission writes the same bytes again and
-// closes again, and the close reports success.
+// closed the file; the retransmission carries the same token, gets the
+// remembered reply, and the close reports success.
 TEST(ClientCacheTest, CloseWhoseReplyIsLostSucceedsOnTheRetransmission) {
   DistributedFileFacility f(CacheFacility());
   Machine& m = f.AddMachine();
@@ -712,6 +712,85 @@ TEST(ClientCacheTest, CloseWhoseReplyIsLostSucceedsOnTheRetransmission) {
   EXPECT_FALSE(m.file_agent->FileOf(od).ok());
   EXPECT_EQ(m.file_agent->DirtyBlocks(), 0u);
   EXPECT_EQ(ColdRead(f, "lossy", data.size()), data);
+}
+
+std::uint64_t MainWrites(DistributedFileFacility& f) {
+  std::uint64_t n = 0;
+  for (const auto& d : f.disks().disks()) n += d->main_stats().write_references;
+  return n;
+}
+
+std::uint64_t StableWrites(DistributedFileFacility& f) {
+  std::uint64_t n = 0;
+  for (const auto& d : f.disks().disks()) {
+    n += d->stable_stats().write_references;
+  }
+  return n;
+}
+
+// A callback-local close that wrote syncs its file: the block reaches the
+// disk, but the access count the write raised is a soft attribute and
+// earns no table store of its own. It waits in memory for the next one,
+// which a FlushAll makes before a crash.
+TEST(ClientCacheTest, WarmWriteCloseStoresNoTableForItsAccessCount) {
+  DistributedFileFacility f(CacheFacility());
+  Machine& m = f.AddMachine();
+  auto od = *m.file_agent->Create(naming::ByName("warm"),
+                                  file::ServiceType::kBasic);
+  const FileId id = *m.file_agent->FileOf(od);
+  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, Pattern(kBlockSize, 4)).ok());
+  ASSERT_TRUE(m.file_agent->Close(od).ok());  // the growth stores the table
+  const std::uint64_t count = f.files().GetAttributes(id)->access_count;
+
+  od = *m.file_agent->Open(naming::ByName("warm"));
+  const std::uint64_t main_before = MainWrites(f);
+  const std::uint64_t stable_before = StableWrites(f);
+  const std::uint64_t stores_before = f.files().stats().fit_stores;
+  const auto data = Pattern(kBlockSize, 5);
+  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, data).ok());
+  ASSERT_TRUE(m.file_agent->Close(od).ok());
+  EXPECT_EQ(MainWrites(f) - main_before, 1u) << "the block alone";
+  EXPECT_EQ(StableWrites(f) - stable_before, 0u);
+  EXPECT_EQ(f.files().stats().fit_stores, stores_before);
+  EXPECT_EQ(f.files().GetAttributes(id)->access_count, count + 1);
+
+  ASSERT_TRUE(f.files().FlushAll().ok());
+  f.files().Crash();
+  EXPECT_EQ(f.files().GetAttributes(id)->access_count, count + 1)
+      << "the flush stored the access count";
+  EXPECT_EQ(ColdRead(f, "warm", data.size()), data);
+}
+
+// A retransmitted close must not close twice: with a second holder's open
+// pin on the file, the lost reply's retransmission replays the first
+// reply, and only the closing agent's pin goes.
+TEST(ClientCacheTest, RetransmittedCloseLeavesAnotherHoldersPin) {
+  DistributedFileFacility f(CacheFacility());
+  Machine& m = f.AddMachine();
+  auto od = *m.file_agent->Create(naming::ByName("shared"),
+                                  file::ServiceType::kBasic);
+  const FileId id = *m.file_agent->FileOf(od);
+  ASSERT_TRUE(m.file_agent->Close(od).ok());
+  ASSERT_TRUE(f.files().Open(id).ok());  // the second holder
+  od = OpenAtServer(m, "shared");
+  const auto data = Pattern(kBlockSize, 9);
+  ASSERT_TRUE(m.file_agent->Pwrite(od, 0, data).ok());
+  ASSERT_EQ(f.files().GetAttributes(id)->ref_count, 2u);
+
+  // As above: the first request arrives and its reply is lost.
+  sim::NetworkConfig lossy = f.bus().config();
+  lossy.drop_rate = 0.5;
+  f.bus().SetConfig(lossy);
+  EXPECT_TRUE(m.file_agent->Close(od).ok());
+  lossy.drop_rate = 0.0;
+  f.bus().SetConfig(lossy);
+  ASSERT_EQ(f.bus().stats().drops_request, 0u);
+  ASSERT_EQ(f.bus().stats().drops_reply, 1u);
+
+  EXPECT_EQ(f.files().GetAttributes(id)->ref_count, 1u)
+      << "the retransmission must not drop the second holder's pin";
+  EXPECT_EQ(f.file_server().stats().duplicate_replays, 1u);
+  EXPECT_EQ(ColdRead(f, "shared", data.size()), data);
 }
 
 }  // namespace

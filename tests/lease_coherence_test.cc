@@ -291,6 +291,10 @@ TEST(LeaseCoherenceTest, RedirectDuringBreakFallsBackToFreshBytes) {
   FacilityConfig cfg = LeaseFacility();
   cfg.cache_tier.enabled = true;
   cfg.cache_tier.hot_read_threshold = 1;  // every read is hot
+  // A one-block origin pool and no track cache: once block 1 has been read
+  // at the origin, a read of block 0 reaches a disk and is redirected.
+  cfg.file.block_pool_capacity = 1;
+  cfg.disk_cache_tracks = 0;
   DistributedFileFacility f(cfg);
   Machine& w = f.AddMachine();
   Machine& p = f.AddMachine();
@@ -300,6 +304,7 @@ TEST(LeaseCoherenceTest, RedirectDuringBreakFallsBackToFreshBytes) {
   auto wd = *w.file_agent->Create(naming::ByName("racy"),
                                   file::ServiceType::kBasic);
   ASSERT_TRUE(w.file_agent->Pwrite(wd, 0, v1).ok());
+  ASSERT_TRUE(w.file_agent->Pwrite(wd, kBlockSize, Pattern(kBlockSize)).ok());
   ASSERT_TRUE(w.file_agent->Flush(wd).ok());
 
   // The peer warms up and registers as the file's only redirect candidate.
@@ -332,6 +337,8 @@ TEST(LeaseCoherenceTest, RedirectDuringBreakFallsBackToFreshBytes) {
 
   auto rd = *reader.Open(naming::ByName("racy"));
   const FileId id = *reader.FileOf(rd);
+  std::vector<std::uint8_t> one(kBlockSize);
+  ASSERT_TRUE(f.files().Read(id, kBlockSize, one).ok());  // evicts block 0
   armed = true;
   ASSERT_TRUE(reader.Pread(rd, 0, out).ok());
   ASSERT_TRUE(fired) << "the interleaved flush must have run";

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -390,11 +391,13 @@ TEST(ReadMutationTest, HostileBreakBodiesLeaveTheAgentServingTheModel) {
 // Body layout: count u32, then per extent file u64, offset u64, data
 // (u32 length + bytes); the first extent's offset sits after count + file.
 // The callback address (u32 length + bytes) follows the extents, and the
-// body ends with the finish kind u8 and the finish's file u64.
+// body ends with the finish kind u8, the finish's file u64 and the token
+// u64 (a closing batch's idempotency token).
 constexpr std::size_t kCountField = 0;
 constexpr std::size_t kFirstExtentOffset = 4 + 8;
-constexpr std::size_t kFinishFromEnd = 1 + 8;
-constexpr std::size_t kFinishFileFromEnd = 8;
+constexpr std::size_t kFinishFromEnd = 1 + 8 + 8;
+constexpr std::size_t kFinishFileFromEnd = 8 + 8;
+constexpr std::size_t kTokenFromEnd = 8;
 constexpr int kWriteTrials = 300;
 // ReadFacility()'s one disk, in bytes.
 constexpr std::uint64_t kDiskBytes = 16 * 1024 * kFragmentSize;
@@ -478,6 +481,11 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
   int applied = 0;
   int refused = 0;
   int closed = 0;
+  int replayed = 0;
+  // Tokens of the closing batches the server applied: a body that closes
+  // under one of them gets the remembered reply and changes nothing.
+  std::set<std::uint64_t> remembered;
+  constexpr std::uint64_t kFirstToken = 1000;
   for (int trial = 0; trial < kWriteTrials; ++trial) {
     PwriteVecRequest base;
     const std::uint64_t extents = 1 + rng.Below(3);
@@ -489,8 +497,9 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
     }
     base.finish = static_cast<PwriteFinish>(rng.Below(3));
     base.finish_file = w.id;
+    base.token = kFirstToken + static_cast<std::uint64_t>(trial);
     std::vector<std::uint8_t> body = base.Encode();
-    switch (rng.Below(6)) {
+    switch (rng.Below(7)) {
       case 0:
         body[rng.Below(body.size())] ^=
             static_cast<std::uint8_t>(1u << rng.Below(8));
@@ -514,6 +523,11 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
         body[body.size() - kFinishFromEnd] = kinds[rng.Below(5)];
         break;
       }
+      case 5:
+        // An earlier trial's token (a replay when that trial closed), or 0.
+        PutU64(body, body.size() - kTokenFromEnd,
+               rng.Below(4) == 0 ? 0 : kFirstToken + rng.Below(trial + 1));
+        break;
       default:
         PutU64(body, body.size() - kFinishFileFromEnd,
                Boundary(rng, w.id.value + 1));
@@ -522,7 +536,14 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
     auto decoded = PwriteVecRequest::Decode(body);
     const std::uint64_t free_before = f.disks().TotalFreeFragments();
     const std::uint64_t blocks_before = *owner.BlockCount(w.id);
+    const bool replay = decoded.ok() &&
+                        decoded->finish == PwriteFinish::kClose &&
+                        remembered.contains(decoded->token);
     const BatchReply got = SendBatch(f, body);
+    if (decoded.ok() && decoded->finish == PwriteFinish::kClose &&
+        got.batch.ok()) {
+      remembered.insert(decoded->token);
+    }
     const std::vector<std::uint8_t> now = ReadAll(f, w.id);
     const std::string where = "trial " + std::to_string(trial);
     // Space may only go to blocks the file now maps (plus at most one
@@ -536,6 +557,13 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
       ASSERT_EQ(got.batch.code(), ErrorCode::kInvalidArgument) << where;
       ASSERT_EQ(now, model) << where;
       ASSERT_EQ(refs(), open_refs) << where << ": a refused body closed";
+      continue;
+    }
+    if (replay) {
+      ASSERT_TRUE(got.batch.ok()) << where << ": " << Why(got.batch);
+      ASSERT_EQ(now, model) << where << ": a replay wrote";
+      ASSERT_EQ(refs(), open_refs) << where << ": a replay closed";
+      ++replayed;
       continue;
     }
     const bool foreign = std::any_of(
@@ -590,6 +618,7 @@ TEST(ReadMutationTest, HostilePwriteVecBodiesGetAnErrorOrThePredictedWrite) {
   EXPECT_GT(applied, kWriteTrials / 4) << "most mutations must still write";
   EXPECT_GT(refused, 0) << "some offsets must be refused";
   EXPECT_GT(closed, 0) << "some batches must close";
+  EXPECT_GT(replayed, 0) << "some closing batches must reuse a token";
 }
 
 // --- every other request kind ---------------------------------------------
