@@ -28,7 +28,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-BENCHES=(bench_contiguous_read bench_fault_recovery bench_striping bench_group_commit bench_basic_vs_txn bench_wal_vs_shadow bench_messages_per_op bench_client_cache bench_replica_faults bench_shard_scaling bench_callback_storm bench_snapshot bench_read_fanout)
+BENCHES=(bench_contiguous_read bench_fault_recovery bench_striping bench_group_commit bench_basic_vs_txn bench_wal_vs_shadow bench_messages_per_op bench_client_cache bench_replica_faults bench_shard_scaling bench_callback_storm bench_snapshot bench_read_fanout bench_mixed_commit_basic)
 KEYS=(disk.read_references disk.write_references disk.stable.write_references disk.tracks_seeked txn.log.forces bus.calls agent.writeback_batches replication.degraded_writes replication.hints_queued replication.read_repairs placement.lookups placement.reroutes file.callback_breaks agent.callback_renewals file.cow_blocks_copied agent.peer_serves file.redirects_issued)
 LANE_CONFLICT_EXEMPT=(bench_read_fanout bench_shard_scaling)
 BUILD=build

@@ -6,17 +6,21 @@
 # coherence and the cache tier. The plain leg also builds the src/
 # libraries and the examples warning-free (-Werror), and checks the
 # disk-efficiency baselines and the end-to-end benchmark's determinism.
+# --bench, which no other mode runs, re-runs the end-to-end benchmark at
+# seeds 101-110 against the newest committed BENCH_*.json (about 3
+# minutes at two runs at once).
 #
-# Usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan]
+# Usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan|--bench]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 mode="${1:-all}"
 case "$mode" in
-  all|--plain-only|--sanitize-only|--tsan) ;;
+  all|--plain-only|--sanitize-only|--tsan|--bench) ;;
   *)
-    echo "usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan]" >&2
+    echo "usage: scripts/check.sh" \
+         "[--plain-only|--sanitize-only|--tsan|--bench]" >&2
     exit 2
     ;;
 esac
@@ -80,6 +84,11 @@ if [[ "$mode" == "all" || "$mode" == "--tsan" ]]; then
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
       -L 'txn|lease|cachetier'
+fi
+
+if [[ "$mode" == "--bench" ]]; then
+  echo "== end-to-end benchmark: trajectory against the newest entry =="
+  scripts/bench_trajectory.sh --check --jobs 2
 fi
 
 echo "All checks passed."

@@ -41,6 +41,8 @@ DistributedFileFacility::DistributedFileFacility(FacilityConfig config)
       [this](FileId id) -> file::FileService& { return OwnerOf(id); };
   txns_ = std::make_unique<txn::TransactionService>(&disks_, owner_of,
                                                     config_.txn);
+  // Every shard asks the log's claims: any shard may serve a named file.
+  for (auto& shard : file_shards_) shard->SetLogClaims(&txns_->claims());
   replication_ = std::make_unique<replication::ReplicationService>(
       &disks_, &clock_, owner_of, config_.replication);
   // One recovery loop at every shard count, one included: each Tick()

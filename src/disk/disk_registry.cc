@@ -55,11 +55,6 @@ std::uint64_t DiskRegistry::TotalFreeFragments() const {
   return total;
 }
 
-Status DiskRegistry::RunWriteBarriers() {
-  for (auto& d : disks_) RHODOS_RETURN_IF_ERROR(d->RunWriteBarrier());
-  return OkStatus();
-}
-
 void DiskRegistry::CrashAll() {
   for (auto& d : disks_) d->Crash();
 }

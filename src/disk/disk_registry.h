@@ -46,12 +46,6 @@ class DiskRegistry {
 
   std::uint64_t TotalFreeFragments() const;
 
-  // Runs every disk's write barrier (DiskServer::SetWriteBarrier), as the
-  // next put to each would. A caller about to fan puts out as the lanes of
-  // a section runs it first: a barrier may write to any disk, so none may
-  // run inside a lane. Returns the first refusal.
-  Status RunWriteBarriers();
-
   void CrashAll();
   Status RecoverAll();
   void ResetStats();

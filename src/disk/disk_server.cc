@@ -228,7 +228,6 @@ Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
   if (in.size() < static_cast<std::size_t>(count) * kFragmentSize) {
     return {ErrorCode::kInvalidArgument, "put_block buffer too small"};
   }
-  RHODOS_RETURN_IF_ERROR(RunWriteBarrier());
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   obs::LatencyScope lat(obs_, "disk.reference_ns");
   if (span.recording()) {
@@ -372,7 +371,6 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
     }
   }
   if (runs.empty()) return OkStatus();
-  RHODOS_RETURN_IF_ERROR(RunWriteBarrier());
   obs::SpanScope span(obs::TracerOf(obs_), "disk", "put_block");
   if (span.recording()) {
     span.SetDetail(SubmissionLabel(runs.size()) +

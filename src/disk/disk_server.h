@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -213,20 +212,6 @@ class DiskServer {
                        std::span<const std::uint8_t> in,
                        CacheFill fill = CacheFill::kAllocate);
 
-  // A hook every put_block (PutBlocksVec, PutFreshBlock) runs before its
-  // first reference; an empty function removes it. A barrier that fails
-  // refuses the put: it returns the barrier's error and writes nothing.
-  // The transaction service installs one on every disk: a write its
-  // intention log does not cover first runs a checkpoint, so that no
-  // recovery redoes a logged commit over it, and is refused while the log
-  // cannot be reset (TransactionService::Checkpoint). It runs inside the
-  // caller's serialization of this disk and may write to any disk.
-  using WriteBarrier = std::function<Status()>;
-  void SetWriteBarrier(WriteBarrier barrier) { barrier_ = std::move(barrier); }
-  // Runs the write barrier now, as the next put would
-  // (DiskRegistry::RunWriteBarriers).
-  Status RunWriteBarrier() { return barrier_ ? barrier_() : OkStatus(); }
-
   // True iff the server is reachable and every fragment of [first,
   // first+count) sits in its track cache, so a get_block of the range would
   // reach no platter. Changes no recency order and counts nothing.
@@ -331,7 +316,6 @@ class DiskServer {
   std::uint64_t metadata_fragments_;
   VecIoStats vec_stats_;
   bool partitioned_ = false;
-  WriteBarrier barrier_;
   obs::Observability* obs_ = nullptr;
 };
 

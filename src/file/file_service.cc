@@ -222,6 +222,7 @@ Status FileService::StoreParked(FileId id) {
 
 Result<FileId> FileService::Create(ServiceType type,
                                    std::uint64_t size_hint) {
+  RHODOS_RETURN_IF_ERROR(AwaitLog(FileId{}, /*bitmaps=*/true));
   const std::uint64_t hint_blocks = BlocksCovering(size_hint);
   // "The file index table and at least the first data block are always
   // contiguous thus eliminating the seek time to retrieve the first data
@@ -290,6 +291,7 @@ Result<FileId> FileService::Create(ServiceType type,
 }
 
 Status FileService::Delete(FileId id) {
+  RHODOS_RETURN_IF_ERROR(AwaitLog(id, /*bitmaps=*/true));
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
   if (of->table.HasSharedRuns()) {
     // Some of this file's blocks may belong to snapshots or clones too: a
@@ -729,6 +731,8 @@ Result<std::uint64_t> FileService::Write(FileId id, std::uint64_t offset,
   // Extend the mapping as needed; a gap before the data reads as zeros.
   const std::uint64_t mapped = of->table.BlockCount();
   const std::uint64_t needed_blocks = BlocksCovering(offset + len);
+  RHODOS_RETURN_IF_ERROR(
+      AwaitLog(id, needed_blocks > mapped || of->table.HasSharedRuns()));
   if (needed_blocks > mapped) {
     RHODOS_RETURN_IF_ERROR(Grow(id, *of, needed_blocks - mapped));
   }
@@ -837,6 +841,9 @@ Status FileService::Resize(FileId id, std::uint64_t size) {
   const std::uint64_t old_size = of->table.attributes().size;
   const std::uint64_t mapped = of->table.BlockCount();
   const std::uint64_t new_blocks = BlocksCovering(size);
+  RHODOS_RETURN_IF_ERROR(AwaitLog(id, new_blocks != mapped ||
+                                          of->table.HasSharedRuns() ||
+                                          !of->unpersisted.empty()));
   if (new_blocks > mapped) {
     RHODOS_RETURN_IF_ERROR(Grow(id, *of, new_blocks - mapped));
   } else if (new_blocks < mapped) {
@@ -911,6 +918,7 @@ Result<FileAttributes> FileService::GetAttributes(FileId id) {
 
 Status FileService::SetLockLevel(FileId id, LockLevel level) {
   RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
+  RHODOS_RETURN_IF_ERROR(AwaitLog(id, !of->unpersisted.empty()));
   of->table.attributes().locking_level = level;
   return StoreTable(id, *of);
 }
@@ -947,9 +955,6 @@ Status FileService::WritebackDirty(const FileId* only) {
 Status FileService::PutPerDisk(std::vector<PendingPut> puts) {
   sim::PerDeviceFanOut<DiskServer*, PendingPut> per_disk;
   for (const PendingPut& p : puts) per_disk.Add(p.server, p);
-  if (per_disk.devices() > 1) {
-    RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
-  }
   return per_disk.Run(clock_, [](DiskServer* server,
                                  std::vector<PendingPut>& group) -> Status {
     std::vector<disk::WriteRun> runs;
@@ -970,8 +975,12 @@ Status FileService::PutPerDisk(std::vector<PendingPut> puts) {
 Status FileService::Sync(FileId id) {
   // What a logged apply changes is the intention log's to write.
   if (logging_ > 0) return OkStatus();
-  RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
   auto it = open_files_.find(id);
+  RHODOS_RETURN_IF_ERROR(AwaitLog(
+      FileId{}, it != open_files_.end() && it->second.table_dirty &&
+                    !it->second.unpersisted.empty()));
+  RHODOS_RETURN_IF_ERROR(WritebackDirty(&id));
+  it = open_files_.find(id);
   if (it == open_files_.end() || !it->second.table_dirty) return OkStatus();
   return StoreTable(id, it->second);
 }
@@ -990,10 +999,7 @@ Status FileService::FlushAll() {
   // it. A file's table is stored only once its own data landed: a stored
   // table must never map blocks that do not hold its bytes yet. Whatever
   // cannot be written stays in memory, and the first error is returned.
-  // The disks' write barriers run first: a checkpoint of the intention log
-  // lands what the log owes before anything else is written, and a log
-  // that cannot be checkpointed refuses every write.
-  RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
+  RHODOS_RETURN_IF_ERROR(AwaitLog(std::nullopt, /*bitmaps=*/true));
   Status failed = WritebackDirty(nullptr);
   const auto keep = [&failed](Status st) {
     if (failed.ok() && !st.ok()) failed = std::move(st);
@@ -1034,6 +1040,7 @@ Status FileService::WriteBlock(FileId id, std::uint64_t block_index,
   if (of->table.attributes().immutable()) {
     return {ErrorCode::kPermissionDenied, "write to immutable snapshot"};
   }
+  RHODOS_RETURN_IF_ERROR(AwaitLog(id, of->table.HasSharedRuns()));
   if (block_index >= of->table.BlockCount()) {
     return {ErrorCode::kBadAddress, "write beyond mapped blocks"};
   }
@@ -1084,6 +1091,7 @@ Result<std::vector<BlockDescriptor>> FileService::IndirectBlockLocations(
 
 Status FileService::ReplaceBlocks(FileId id,
                                   const std::vector<BlockRebind>& rebinds) {
+  RHODOS_RETURN_IF_ERROR(AwaitLog(id, /*bitmaps=*/true));
   // Each remap lands in the cached table; one store persists the ones the
   // snapshot journal's own table stores have not carried yet.
   bool unstored = false;
@@ -1345,6 +1353,7 @@ Result<FileId> FileService::CaptureImage(FileId id,
   obs::SpanScope span(obs::TracerOf(obs_), "file",
                       (image_flags & kImageSnapshot) != 0 ? "snapshot"
                                                           : "clone");
+  RHODOS_RETURN_IF_ERROR(AwaitLog(id, /*bitmaps=*/true));
   RHODOS_RETURN_IF_ERROR(snap_journal_.Ensure());
   // The capture point is the file AS DURABLE NOW: dirty delayed-write
   // blocks and the table reach the platter first, so the image never
@@ -1687,19 +1696,6 @@ Status FileService::RecoverSnapshots() {
     RHODOS_RETURN_IF_ERROR(snap_journal_.LogDone(op.seq));
   }
   return OkStatus();
-}
-
-Result<std::uint32_t> FileService::ShareCountOf(FileId id,
-                                                std::uint64_t block_index) {
-  RHODOS_ASSIGN_OR_RETURN(OpenFile * of, LoadTable(id));
-  RHODOS_ASSIGN_OR_RETURN(BlockLocation loc, of->table.Locate(block_index));
-  if (!snap_journal_.loaded()) {
-    // Never claim the region just to answer a query.
-    RHODOS_ASSIGN_OR_RETURN(const bool present, snap_journal_.Probe());
-    if (!present) return std::uint32_t{1};
-    RHODOS_RETURN_IF_ERROR(snap_journal_.Ensure());
-  }
-  return snap_journal_.map().CountOf(loc.disk, loc.first_fragment);
 }
 
 Result<bool> FileService::HasSharedRuns(FileId id) {

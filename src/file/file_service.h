@@ -27,6 +27,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -151,6 +153,54 @@ struct LoggedWrites {
   bool empty() const { return writes.empty() && frees.empty(); }
 };
 
+// What the transaction service's intention log claims of basic puts,
+// read without the log's mutex. A recovery redoes what the log holds, so a
+// basic put checkpoints the log first when it touches a file a record
+// names, or allocates, frees or persists a bitmap while the log holds a
+// commit that remapped, deleted or grew a file: a replaced block or a
+// deleted FileId must not pass to another file, nor a persisted bitmap
+// hold a growth the redo makes elsewhere. A claim of generation g stands
+// until a reset to a later generation has landed.
+class LogClaims {
+ public:
+  // `checkpoint` fails when it could not reset the log.
+  explicit LogClaims(std::function<Status()> checkpoint)
+      : checkpoint_(std::move(checkpoint)) {}
+
+  // Before a put that touches `file` (FileId{}: no existing file;
+  // nullopt: every file) and, with `bitmaps`, a bitmap: checkpoints when a
+  // claim covers it; fails, the put refused, when the log was not reset.
+  Status BeforePut(std::optional<FileId> file, bool bitmaps) {
+    std::unique_lock lk(mu_);
+    const bool covered = (bitmaps && bitmaps_) ||
+                         (file ? named_.contains(*file) : !named_.empty());
+    lk.unlock();
+    return covered ? checkpoint_() : OkStatus();
+  }
+
+  // The log's side: records of `generation` name `file` (FileId{}: none)
+  // and, with `bitmaps`, change bitmaps.
+  void Claim(FileId file, bool bitmaps, std::uint32_t generation) {
+    std::scoped_lock lk(mu_);
+    if (file != FileId{}) named_[file] = generation;
+    if (bitmaps) bitmaps_ = generation;
+  }
+  // A reset to `generation` has landed: the claims of earlier ones end.
+  void ResetLanded(std::uint32_t generation) {
+    std::scoped_lock lk(mu_);
+    std::erase_if(named_, [generation](const auto& n) {
+      return n.second < generation;
+    });
+    if (bitmaps_ < generation) bitmaps_.reset();
+  }
+
+ private:
+  std::function<Status()> checkpoint_;
+  mutable std::mutex mu_;
+  std::unordered_map<FileId, std::uint32_t> named_;  // to its generation
+  std::optional<std::uint32_t> bitmaps_;
+};
+
 class FileService {
  public:
   FileService(disk::DiskRegistry* disks, SimClock* clock,
@@ -210,9 +260,6 @@ class FileService {
   // counts). A facility that never snapshotted pays one bitmap probe.
   Status RecoverSnapshots();
 
-  // Share count of the block at `block_index` (1 = exclusively owned).
-  Result<std::uint32_t> ShareCountOf(FileId id, std::uint64_t block_index);
-
   // True if any of the file's runs is marked shared (the txn service
   // forces the shadow-page technique for such files).
   Result<bool> HasSharedRuns(FileId id);
@@ -241,11 +288,22 @@ class FileService {
   Status Flush(FileId id);
   // Flush of every file, logged state included, best effort per file: what
   // cannot be written stays in memory (a table waits for its own data) and
-  // the first error is returned. The disks' write barriers run first, so
-  // a checkpoint lands what the intention log owes; a barrier's refusal
-  // fails the flush before anything is written. The facility's epoch
-  // fence runs it before purging a shard.
+  // the first error is returned. While the intention log names any file it
+  // checkpoints first (AwaitLog), and a refusal writes nothing. The
+  // facility's epoch fence runs it before purging a shard.
   Status FlushAll();
+
+  // The intention log's claims on this service's puts; null: no log.
+  void SetLogClaims(LogClaims* claims) { claims_ = claims; }
+  // LogClaims::BeforePut, asked at the entry of each basic operation that
+  // changes a file or a bitmap (a later sync or eviction writes what such
+  // an operation changed), and by a caller about to run puts as lanes, for
+  // each file before the section opens. A LoggedApply asks nothing.
+  Status AwaitLog(std::optional<FileId> file, bool bitmaps) {
+    return claims_ == nullptr || logging_ > 0
+               ? OkStatus()
+               : claims_->BeforePut(file, bitmaps);
+  }
 
   // --- Block-level interface for the transaction service -------------------
 
@@ -318,8 +376,7 @@ class FileService {
   // the service's block pool caches what it lands.
   static Status WriteLogged(const LoggedWrite& w);
   // `writes` reached the disks: a block still holding the image written
-  // and a table unchanged since the capture stop being logged. Only flips
-  // flags, so it is safe to call from inside another operation's put.
+  // and a table unchanged since the capture stop being logged.
   void LoggedWritesLanded(const LoggedWrites& writes);
 
   // Allocates `count` free blocks without linking them into any file —
@@ -554,8 +611,7 @@ class FileService {
     CacheEntry* entry = nullptr;  // made clean once the block's disk took it
   };
   // Writes blocks as one submission per disk, disks overlapping. Every
-  // disk's write barrier runs before the section opens. Every disk is
-  // tried; the first failure is returned.
+  // disk is tried; the first failure is returned.
   Status PutPerDisk(std::vector<PendingPut> puts);
 
   // Reads logical blocks [first, first+count) into out, coalescing
@@ -591,6 +647,7 @@ class FileService {
   FileServiceStats stats_;
   obs::Observability* obs_ = nullptr;
   int logging_ = 0;  // open LoggedApply scopes
+  LogClaims* claims_ = nullptr;
   MutationListener mutation_listener_;
   CrashListener crash_listener_;
 };

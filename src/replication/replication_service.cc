@@ -198,7 +198,11 @@ Result<WriteAck> ReplicationService::Write(GroupId group,
     // Quorum fan-out: the replicas live on independent disks, so the copies
     // proceed concurrently, and the caller returns when the W-th fastest
     // replica acks — a slow straggler no longer paces every write (E20).
-    RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
+    // No intention-log checkpoint may run in a lane: each replica asks.
+    for (std::size_t i : candidates) {
+      const FileId file = g->replicas[i].info.file;
+      RHODOS_RETURN_IF_ERROR(files_(file).AwaitLog(file, /*bitmaps=*/true));
+    }
     sim::ParallelSection section(clock_);
     for (std::size_t i : candidates) {
       Replica& r = g->replicas[i];
@@ -496,7 +500,11 @@ Status ReplicationService::Repair(GroupId group) {
   // The lagging replicas rebuild concurrently (they sit on different
   // disks); after the first lane the source chunks come from the block
   // cache, so the overlapped copies do not re-reference the source disk.
-  RHODOS_RETURN_IF_ERROR(disks_->RunWriteBarriers());
+  // No intention-log checkpoint may run in a lane: each copy asks first.
+  for (const Replica* r : behind) {
+    RHODOS_RETURN_IF_ERROR(
+        files_(r->info.file).AwaitLog(r->info.file, /*bitmaps=*/true));
+  }
   Status result = OkStatus();
   sim::ParallelSection section(clock_);
   for (Replica* r : behind) {

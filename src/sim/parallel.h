@@ -164,9 +164,6 @@ class PerDeviceFanOut {
     it->second.push_back(std::move(item));
   }
 
-  // Devices with work.
-  std::size_t devices() const { return groups_.size(); }
-
   // Calls `lane(device, items)` once per device. A single device runs
   // inline: no section opens and no dispatch is charged. Several run as
   // the lanes of one ParallelSection; every lane runs even after another

@@ -22,7 +22,7 @@ struct LogPipeline::Batch {
 };
 
 LogPipeline::LogPipeline(TxnLog* log, disk::DiskServer* log_disk,
-                         std::recursive_mutex* io_mu, GroupCommitConfig config)
+                         std::mutex* io_mu, GroupCommitConfig config)
     : log_(log),
       log_disk_(log_disk),
       clock_(log_disk->clock()),
@@ -51,7 +51,6 @@ struct LaneKey {
 Status LogPipeline::WriteAndForce(
     std::span<const std::shared_ptr<Batch>> batches,
     std::span<const TxnLog::BatchFramePayload> frames) {
-  const CoveredWrites covered;
   std::vector<Owed> owed;
   if (collect_) collect_(owed);
   // An item with neither a write nor a run is the force.

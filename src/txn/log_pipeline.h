@@ -45,11 +45,11 @@
 // everything.
 //
 // Locking protocol: Append() runs under the transaction service's big
-// mutex (the "io mutex", which also serializes the sim clock, and which
-// the service's write barrier may take again on the same thread);
+// mutex (the "io mutex", which also serializes the sim clock);
 // AwaitDurable() must be entered WITHOUT it, and the flush leader
-// re-acquires it around the device write. The pipeline's own mutex is
-// strictly inner: it is never held while the io mutex is taken.
+// re-acquires it around the device write. Neither is ever taken twice on
+// one thread. The pipeline's own mutex is strictly inner: it is never held
+// while the io mutex is taken.
 #pragma once
 
 #include <chrono>
@@ -129,7 +129,7 @@ class LogPipeline {
   // above); `log_disk` holds the log, and its sim clock is read only under
   // `io_mu`.
   LogPipeline(TxnLog* log, disk::DiskServer* log_disk,
-              std::recursive_mutex* io_mu, GroupCommitConfig config);
+              std::mutex* io_mu, GroupCommitConfig config);
 
   LogPipeline(const LogPipeline&) = delete;
   LogPipeline& operator=(const LogPipeline&) = delete;
@@ -206,7 +206,7 @@ class LogPipeline {
   TxnLog* log_;
   disk::DiskServer* log_disk_;
   SimClock* clock_;
-  std::recursive_mutex* io_mu_;
+  std::mutex* io_mu_;
   GroupCommitConfig config_;
   std::function<void(std::vector<Owed>&)> collect_;
   std::function<void()> settle_;

@@ -40,26 +40,7 @@ TransactionService::TransactionService(disk::DiskRegistry* disks,
   (void)log_disk_->AllocateSpecific(log_first_fragment_,
                                     static_cast<std::uint32_t>(
                                         config.log_fragments));
-  // While the log holds commits, a recovery would redo them, and any write
-  // the log does not cover could be newer than they are: every such put
-  // runs a checkpoint first, which lands what the log covers and resets
-  // it. A put whose checkpoint cannot reset the log — a commit in flight,
-  // a failed redo that only Recover() settles, a failed force while the
-  // log's device is down, a write that did not land — is refused: a
-  // recovery would redo the log over it, and a block the log's remaps
-  // replaced may be taken by a file the log does not name. The service's
-  // own writes, and the barrier's, are covered
-  // (CoveredWrites); a put inside one of the service's operations comes
-  // back with mu_ held, which is why mu_ is recursive.
-  for (const auto& server : disks_->disks()) {
-    server->SetWriteBarrier([this]() -> Status {
-      if (CoveredWrites::active() || !checkpoint_due_.load()) {
-        return OkStatus();
-      }
-      std::scoped_lock lk(mu_);
-      return CheckpointLocked(/*eager=*/true);
-    });
-  }
+  files_(FileId{}).SetLogClaims(&claims_);
   pipeline_.SetWriteBehind(
       [this](std::vector<LogPipeline::Owed>& out) {
         // A write the flush does not carry keeps this status.
@@ -77,12 +58,6 @@ TransactionService::TransactionService(disk::DiskRegistry* disks,
         }
       },
       [this] { SettleWriteBehind(); });
-}
-
-TransactionService::~TransactionService() {
-  for (const auto& server : disks_->disks()) {
-    server->SetWriteBarrier({});
-  }
 }
 
 // --- lifecycle -----------------------------------------------------------------
@@ -157,6 +132,7 @@ Result<FileId> TransactionService::TCreate(TxnId txn, LockLevel level,
   if (locks_.WasBroken(txn)) {
     return Error{ErrorCode::kTxnAborted, "broken by lock timeout"};
   }
+  RHODOS_RETURN_IF_ERROR(CheckpointLocked(/*eager=*/true));
   RHODOS_ASSIGN_OR_RETURN(FileId file,
                           files_(FileId{}).Create(ServiceType::kTransaction,
                                                   size_hint));
@@ -182,6 +158,7 @@ Status TransactionService::TClose(TxnId txn, FileId file) {
   std::scoped_lock lk(mu_);
   RHODOS_ASSIGN_OR_RETURN(Txn * t, Live(txn));
   (void)t;
+  RHODOS_RETURN_IF_ERROR(CheckpointLocked(/*eager=*/true));
   return files_(file).Close(file);
 }
 
@@ -400,6 +377,7 @@ Result<LockLevel> TransactionService::SuggestLockLevel(FileId file) {
 Status TransactionService::ApplyDefaultLockLevel(FileId file) {
   RHODOS_ASSIGN_OR_RETURN(LockLevel level, SuggestLockLevel(file));
   std::scoped_lock lk(mu_);
+  RHODOS_RETURN_IF_ERROR(CheckpointLocked(/*eager=*/true));
   return files_(file).SetLockLevel(file, level);
 }
 
@@ -577,10 +555,19 @@ Status TransactionService::StageCommit(TxnId id, Txn& t, CommitPlan* plan) {
   // THE COMMIT POINT record, carrying the shadow runs: the transaction is
   // durable once the flush that forces this record's batch has also
   // written its runs — which is exactly what the ticket left in the plan
-  // resolves on.
-  return append(IntentionRecord{IntentionKind::kStatus, id, {}, 0, 0, {}, 0,
-                                TxnStatus::kCommit, {}},
-                std::move(runs));
+  // resolves on. From it on, a recovery may redo the transaction: the log
+  // claims its files, and the bitmaps a remap or a delete changes.
+  RHODOS_RETURN_IF_ERROR(
+      append(IntentionRecord{IntentionKind::kStatus, id, {}, 0, 0, {}, 0,
+                             TxnStatus::kCommit, {}},
+             std::move(runs)));
+  for (const IntentionRecord& r : plan->records) {
+    claims_.Claim(r.file,
+                  r.kind == IntentionKind::kShadowMap ||
+                      r.kind == IntentionKind::kDeleteFile,
+                  log_.generation());
+  }
+  return OkStatus();
 }
 
 Status TransactionService::Redo(std::span<const IntentionRecord> records,
@@ -688,7 +675,6 @@ Status TransactionService::ApplyCommit(const Txn& t, const CommitPlan& plan) {
   // redoing its records as recovery would, and hand what that leaves owed
   // to the write-behind. What does write now — a snapshot journal's rebind,
   // a delete — the log covers too.
-  const CoveredWrites covered;
   // A remap frees the block it replaces, a delete frees the file's, and a
   // growth allocates: the bitmaps change only then.
   for (const IntentionRecord& r : plan.records) {
@@ -726,17 +712,18 @@ Status TransactionService::ApplyCommit(const Txn& t, const CommitPlan& plan) {
                        *blocks != blocks_before[file];
       RHODOS_RETURN_IF_ERROR(Owe(file));
     }
+    claims_.Claim(FileId{}, bitmaps_dirty_, log_.generation());
+    // A deleted file's owed writes must not land on blocks its delete
+    // frees; the blocks its remaps replaced go with it.
+    std::erase_if(owed_, [&](const Owed& o) {
+      if (!t.to_delete.contains(o.writes.file)) return false;
+      for (const BlockDescriptor& b : o.writes.frees) {
+        (void)disks_->Free(b.disk, b.first_fragment, kFragmentsPerBlock);
+      }
+      return true;
+    });
+    RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kDeletes));
   }
-  // A deleted file's owed writes must not land on blocks its delete frees;
-  // the blocks its remaps replaced go with it.
-  std::erase_if(owed_, [&](const Owed& o) {
-    if (!t.to_delete.contains(o.writes.file)) return false;
-    for (const BlockDescriptor& b : o.writes.frees) {
-      (void)disks_->Free(b.disk, b.first_fragment, kFragmentsPerBlock);
-    }
-    return true;
-  });
-  RHODOS_RETURN_IF_ERROR(Redo(plan.records, RedoStep::kDeletes));
   for (const auto& [fval, tech] : plan.technique) {
     if (tech == CommitTechnique::kWal) {
       ++stats_.wal_commits;
@@ -779,6 +766,11 @@ void TransactionService::SettleWriteBehind() {
     }
     return true;
   });
+  DropLandedClaims();
+}
+
+void TransactionService::DropLandedClaims() {
+  if (!log_.reset_pending()) claims_.ResetLanded(log_.generation());
 }
 
 bool TransactionService::LogHasRoomFor(const Txn& t) const {
@@ -799,7 +791,6 @@ Status TransactionService::Checkpoint() {
 }
 
 Status TransactionService::CheckpointLocked(bool eager) {
-  const CoveredWrites covered;
   // A failed redo keeps the log as it is until Recover() settles it. After
   // failed forces, a checkpoint whose reset lands settles the log: their
   // commits were reported aborted and reached no cache, and no recovery
@@ -810,10 +801,10 @@ Status TransactionService::CheckpointLocked(bool eager) {
     return {ErrorCode::kUnavailable,
             "checkpoint: the intention log awaits recovery"};
   }
-  if (!settles && owed_.empty() && log_.BytesUsed() == 0) {
-    // Nothing logged since the last reset: at most that reset to land.
+  if (!settles && owed_.empty() && log_.BytesUsed() == 0 && unsettled_ == 0) {
+    // Nothing logged or in flight: at most the last reset to land.
     const Status reset = eager ? log_.ForceReset() : OkStatus();
-    NoteCheckpointDue();
+    DropLandedClaims();
     return reset;
   }
   pipeline_.FlushWriteBehind();
@@ -843,14 +834,8 @@ Status TransactionService::CheckpointLocked(bool eager) {
     if (!doubtful_.empty()) bitmaps_dirty_ = !PersistBitmaps().ok();
     doubtful_.clear();
   }
-  NoteCheckpointDue();
+  DropLandedClaims();
   return reset;
-}
-
-void TransactionService::NoteCheckpointDue() {
-  checkpoint_due_.store(doubt_ != Doubt::kNone || unsettled_ > 0 ||
-                        !owed_.empty() || log_.BytesUsed() > 0 ||
-                        log_.reset_pending());
 }
 
 Status TransactionService::PersistBitmaps() {
@@ -864,6 +849,11 @@ Status TransactionService::PersistBitmaps() {
                       const std::vector<disk::DiskServer*>&) {
                      return server->PersistMetadata();
                    });
+}
+
+void TransactionService::DeleteCreated(const Txn& t) {
+  if (t.created.empty() || !CheckpointLocked(/*eager=*/true).ok()) return;
+  for (FileId f : t.created) (void)files_(f).Delete(f);
 }
 
 void TransactionService::Finish(TxnId id) {
@@ -889,7 +879,7 @@ Status TransactionService::End(TxnId txn) {
   if (locks_.WasBroken(txn)) {
     // The timeout rule already broke our locks: abort instead of commit.
     ++stats_.aborts_broken;
-    for (FileId f : t.created) (void)files_(f).Delete(f);
+    DeleteCreated(t);
     Finish(txn);
     return {ErrorCode::kTxnAborted, "aborted by lock timeout at commit"};
   }
@@ -905,7 +895,7 @@ Status TransactionService::End(TxnId txn) {
     // Nothing is promised yet — the commit record was never appended (or
     // could not be): a plain abort.
     ++stats_.aborts_explicit;
-    for (FileId f : t.created) (void)files_(f).Delete(f);
+    DeleteCreated(t);
     Finish(txn);
     return staged;
   }
@@ -921,7 +911,6 @@ Status TransactionService::End(TxnId txn) {
   // no other transaction may observe state whose commit record could
   // still be lost.
   ++unsettled_;
-  NoteCheckpointDue();
   lk.unlock();
   const Status durable = pipeline_.AwaitDurable(plan.commit_ticket);
   lk.lock();
@@ -932,8 +921,8 @@ Status TransactionService::End(TxnId txn) {
     // here. Report an abort, but keep everything recovery needs to
     // arbitrate — created files stay (a salvaged commit record must find
     // them) and the log holds until Recover() replays or discards us or a
-    // checkpoint resets it; the write barrier refuses what the log does not
-    // cover until then.
+    // checkpoint resets it; a basic put the log's claims cover is refused
+    // until then.
     --unsettled_;
     ++stats_.aborts_explicit;
     doubt_ = std::max(doubt_, Doubt::kForce);
@@ -969,7 +958,7 @@ Status TransactionService::Abort(TxnId txn) {
   }
   // Nothing of a transaction in its locking phase is in the log.
   it->second.phase = TxnPhase::kUnlocking;
-  for (FileId f : it->second.created) (void)files_(f).Delete(f);
+  DeleteCreated(it->second);
   if (locks_.WasBroken(txn)) {
     ++stats_.aborts_broken;
   } else {
@@ -1028,7 +1017,6 @@ Result<bool> TransactionService::ShadowsLanded(
 Status TransactionService::Recover() {
   obs::SpanScope span(obs::TracerOf(obs_), "txn", "recover");
   std::scoped_lock lk(mu_);
-  const CoveredWrites covered;
   // Anything still in the pipeline predates the crash being recovered
   // from and was never forced, and whatever the write-behind owed, the log
   // redoes: the persistent image is the only truth. The blocks the
@@ -1155,15 +1143,20 @@ Status TransactionService::Recover() {
   }
 
   // Redo every standing commit in commit order, into the owners' caches.
-  // A file a standing commit deletes takes only its delete.
+  // A file a standing commit deletes takes only its delete. The records
+  // claim their files and, with a commit, the bitmaps its redo changes.
+  claims_.Claim(FileId{}, !commits.empty(), log_.generation());
   {
     std::deque<FileService::LoggedApply> logged;
     std::vector<FileService*> owners;
-    for (FileId file : files) {
-      FileService* owner = &files_(file);
-      if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
-        owners.push_back(owner);
-        logged.emplace_back(*owner);
+    for (const auto& [txn_value, trace] : traces) {
+      for (const IntentionRecord& r : trace.records) {
+        claims_.Claim(r.file, /*bitmaps=*/false, log_.generation());
+        FileService* owner = &files_(r.file);
+        if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
+          owners.push_back(owner);
+          logged.emplace_back(*owner);
+        }
       }
     }
     for (TxnTrace* trace : commits) {
@@ -1209,14 +1202,13 @@ Status TransactionService::Recover() {
   pipeline_.FlushWriteBehind();
   if (!owed_.empty()) {
     doubt_ = Doubt::kRedo;
-    NoteCheckpointDue();
     return {ErrorCode::kUnavailable, "recovery: a redo write did not land"};
   }
   // A replaced block stays allocated until the table that drops it lands,
   // and the bitmap that frees it may not have: free each one no file the
-  // log names maps. A file the log does not name wrote nothing while the
-  // log held the record: its put would have had to pass the write barrier,
-  // which lets a put through only once a checkpoint has reset the log.
+  // log names maps. No file the log does not name maps one: while the log
+  // held the record, an allocation checkpointed first (file::LogClaims),
+  // and only a landed reset ends the claim.
   std::vector<BlockDescriptor> mapped;
   for (FileId file : files) {
     RHODOS_ASSIGN_OR_RETURN(auto runs, files_(file).FileRuns(file));
@@ -1244,7 +1236,7 @@ Status TransactionService::Recover() {
   bitmaps_dirty_ = false;
   doubt_ = Doubt::kNone;
   (void)log_.Truncate();
-  NoteCheckpointDue();
+  DropLandedClaims();
   return OkStatus();
 }
 

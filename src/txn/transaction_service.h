@@ -30,7 +30,8 @@
 // a remapped table the next force, a file's WAL pages the first force
 // whose lanes they do not lengthen (log_pipeline.h), a later commit to the
 // file replacing the pages that still wait. A block a remap replaced is
-// freed once its table has landed. The records stay in the log until a
+// freed once its table has landed. The records stay in the log, claiming
+// the files they name from basic puts (file::LogClaims), until a
 // checkpoint (Checkpoint) has landed everything the log covers and
 // persisted the bitmaps. Recovery redoes, in commit order, every committed
 // transaction the log holds whose shadow pages read back intact; tentative
@@ -38,7 +39,6 @@
 // discarded and their shadow blocks freed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -118,16 +118,12 @@ class TransactionService {
 
   // The service reaches each file through `files`, the file service that
   // serves it right now, so one intention log covers files of every shard.
-  // It reserves its log region on disk 0 of `disks` at construction and
-  // installs the checkpoint write barrier on every disk of `disks`: those
-  // disks and every file service `files` returns must outlive it.
+  // It reserves its log region on disk 0 of `disks` and hands its log's
+  // claims (claims()) to `files`' service for FileId{}; a facility hands
+  // them to every shard. Those disks and services must outlive it and take
+  // no basic put before the next instance's Recover() has run.
   TransactionService(disk::DiskRegistry* disks, file::FileResolver files,
                      TxnServiceConfig config = {});
-
-  // Removes the write barrier from the disks. What the log still covers
-  // stays in it: the next instance's Recover() redoes it, so nothing else
-  // may write to the disks before it runs.
-  ~TransactionService();
 
   TransactionService(const TransactionService&) = delete;
   TransactionService& operator=(const TransactionService&) = delete;
@@ -187,9 +183,9 @@ class TransactionService {
   // after a failed force while the log's device is down; once it is back,
   // the checkpoint settles the failed commits as aborted and frees their
   // shadow blocks. Runs by itself when the log cannot take the next
-  // commit, and from the write barrier before any write the log does not
-  // cover (a fence's FlushAll included), which refuses the write when it
-  // fails; benches call it before reading counters.
+  // commit, and before a basic put the log claims (file::LogClaims),
+  // which is refused when it fails; benches call it before reading
+  // counters.
   Status Checkpoint();
 
   // --- Introspection -----------------------------------------------------------
@@ -209,6 +205,8 @@ class TransactionService {
   }
   LockManager& locks() { return locks_; }
   TxnLog& log() { return log_; }
+  // What the log claims of basic puts; see the constructor.
+  file::LogClaims& claims() { return claims_; }
   LogPipeline& pipeline() { return pipeline_; }
   LogRegion log_region() const {
     return LogRegion{log_disk_->id(), log_first_fragment_,
@@ -307,15 +305,19 @@ class TransactionService {
   // Persists every disk's bitmap, the disks overlapping.
   Status PersistBitmaps();
   // Checkpoint with mu_ held. `eager` makes the reset durable at once, as
-  // the write barrier needs; otherwise the next force does it. Fails when
-  // the log could not be reset.
+  // a basic put needs; otherwise the next force does it. Fails when the
+  // log could not be reset; writes nothing when the log holds nothing. The
+  // service's own puts the log does not cover (a create, an abort's
+  // delete, a table store) run it first, so they never take mu_ again.
   Status CheckpointLocked(bool eager);
-  // Sets checkpoint_due_ from what the log holds, owes or awaits.
-  void NoteCheckpointDue();
+  // Deletes the files `t` created, after a checkpoint that must not fail.
+  void DeleteCreated(const Txn& t);
   // After a flush: the write-behind groups whose writes all landed leave
   // the list, their owners learn it, and their replaced blocks are freed.
   // A group the flush did not carry, or whose write failed, stays.
   void SettleWriteBehind();
+  // Drops the claims a landed reset ended, once no reset is pending.
+  void DropLandedClaims();
 
   // The steps of a redo, in the order a commit applies them: the writes
   // (page writes, each file's remaps with one table store, range writes),
@@ -351,14 +353,14 @@ class TransactionService {
   TxnLog log_;
   LogPipeline pipeline_;
 
-  // Guards txns_, the write-behind and file-service access. Recursive: the
-  // write barrier takes it, and the service's own writes pass the barrier
-  // with it held.
-  mutable std::recursive_mutex mu_;
+  // Guards txns_, the write-behind and file-service access. A basic put's
+  // checkpoint takes it (claims_).
+  mutable std::mutex mu_;
+  file::LogClaims claims_{[this] { return Checkpoint(); }};
   std::unordered_map<TxnId, Txn> txns_;
   std::uint64_t next_txn_{1};
   // What a failed commit left the log awaiting. Until it is settled, the
-  // log is not truncated, and so every write the log does not cover is
+  // log is not truncated, and so every basic put its claims cover is
   // refused.
   //  kForce: a commit's force failed, so its record may have landed. It
   //    was reported aborted and reached no cache: a checkpoint, whose log
@@ -385,8 +387,6 @@ class TransactionService {
     std::vector<Status> status;  // set by the flush that carries them
   };
   std::vector<Owed> owed_;
-  // The log holds records or owes writes: the barrier must checkpoint.
-  std::atomic<bool> checkpoint_due_{false};
   TxnServiceStats stats_;
   obs::Observability* obs_ = nullptr;
 };

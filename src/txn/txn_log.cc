@@ -1,6 +1,7 @@
 #include "txn/txn_log.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace rhodos::txn {
 
@@ -122,8 +123,6 @@ void AppendRecordFrame(std::vector<std::uint8_t>& out,
                    generation, payload.buffer());
 }
 
-thread_local int CoveredWrites::depth_ = 0;
-
 TxnLog::TxnLog(disk::DiskServer* server, FragmentIndex first_fragment,
                std::uint64_t fragment_count)
     : region_(server, first_fragment, fragment_count) {}
@@ -170,14 +169,13 @@ Status TxnLog::AppendFrames(std::span<const BatchFramePayload> frames) {
   }
   // A pending reset is made durable by this force: the head is 0 and the
   // frames carry the new generation.
-  const CoveredWrites covered;
-  const bool was_pending = reset_pending_.exchange(false);
+  const bool was_pending = std::exchange(reset_pending_, false);
   appended_ = true;  // even a failed force may have torn frames in place
   // One put however many batch frames the force carries; a failed one
   // leaves the head at the last byte known durable.
   const Status forced = region_.Append(need + pad);
   if (!forced.ok()) {
-    if (was_pending) reset_pending_.store(true);
+    if (was_pending) reset_pending_ = true;
     return forced;
   }
   ++stats_.forces;
@@ -206,7 +204,7 @@ Status TxnLog::Scan(const std::function<void(const IntentionRecord&)>& fn) {
   region_.Adopt(std::move(image), seen.bytes_valid);
   generation_ = seen.generation;
   appended_ = seen.records > 0 || seen.torn_batches > 0;
-  reset_pending_.store(false);
+  reset_pending_ = false;
   return OkStatus();
 }
 
@@ -224,12 +222,11 @@ void TxnLog::ResetLazily() {
   region_.Clear();
   ++generation_;
   appended_ = false;
-  reset_pending_.store(true);
+  reset_pending_ = true;
 }
 
 Status TxnLog::ForceReset() {
-  if (!reset_pending_.exchange(false)) return OkStatus();
-  const CoveredWrites covered;
+  if (!std::exchange(reset_pending_, false)) return OkStatus();
   // Only the first fragment is written: a scan stops at the first frame
   // of another generation, so everything after this empty frame is dead.
   std::uint8_t empty[kBatchOverhead];
@@ -237,7 +234,7 @@ Status TxnLog::ForceReset() {
   disk::WriteFrame(empty, kBatchMagic, generation_, {}, words);
   const Status written = region_.WriteFirstFragment(empty);
   if (!written.ok()) {
-    reset_pending_.store(true);
+    reset_pending_ = true;
     return written;
   }
   ++stats_.reset_writes;

@@ -39,7 +39,6 @@
 // generation and makes the reset durable for free.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -103,22 +102,6 @@ inline constexpr obs::CounterField<TxnLogStats> kTxnLogCounters[] = {
     {"txn.log.reset_writes", &TxnLogStats::reset_writes},
     {"txn.log.salvaged_records", &TxnLogStats::salvaged_records},
     {"txn.log.torn_batches", &TxnLogStats::torn_batches},
-};
-
-// While one is alive on a thread, that thread's disk writes are ones the
-// intention log covers — the log's own writes, a flush, a checkpoint, a
-// commit's redo, recovery — and the transaction service's write barrier
-// lets them through.
-class CoveredWrites {
- public:
-  CoveredWrites() { ++depth_; }
-  ~CoveredWrites() { --depth_; }
-  CoveredWrites(const CoveredWrites&) = delete;
-  CoveredWrites& operator=(const CoveredWrites&) = delete;
-  static bool active() { return depth_ > 0; }
-
- private:
-  static thread_local int depth_;
 };
 
 // Result of a read-only structural walk of the persistent log image.
@@ -191,14 +174,13 @@ class TxnLog {
   // Makes a pending reset durable: writes an empty batch frame of the new
   // generation at offset 0, so a scan finds an empty log and adopts the
   // generation. No-op when no reset is pending. A failed write leaves the
-  // reset pending, and the write barrier's checkpoint then refuses the
-  // put it guards.
+  // reset pending, and the checkpoint that asked for it fails.
   Status ForceReset();
 
   // Eager remove_intention: ResetLazily() then ForceReset().
   Status Truncate();
 
-  bool reset_pending() const { return reset_pending_.load(); }
+  bool reset_pending() const { return reset_pending_; }
   std::uint32_t generation() const { return generation_; }
   std::uint64_t BytesUsed() const { return region_.head(); }
   std::uint64_t Capacity() const { return region_.capacity(); }
@@ -213,9 +195,8 @@ class TxnLog {
   // there has nothing to remove.
   bool appended_ = false;
   // Set by ResetLazily, cleared by whichever write makes the reset
-  // durable. Atomic so that reset_pending() may be read without the
-  // transaction service's mutex; the writes stay serialized by it.
-  std::atomic<bool> reset_pending_{false};
+  // durable.
+  bool reset_pending_ = false;
   TxnLogStats stats_;
 };
 

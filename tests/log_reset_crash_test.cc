@@ -1,7 +1,8 @@
 // Crash tests for the window in which the intention log still holds
 // commits. Committed records stay in the log until a checkpoint, and a
-// recovery would redo them. Every write the log does not cover must
-// therefore run a checkpoint first (the disks' write barrier), which lands
+// recovery would redo them. A basic put to a file the log names, or one
+// that changes a bitmap while the log holds a commit that changed one,
+// must therefore run a checkpoint first (file::LogClaims), which lands
 // what the log covers and resets it, or a crash would let the redo
 // overwrite the newer state. Each test commits, writes something else,
 // crashes, recovers, and checks that the later state survived.

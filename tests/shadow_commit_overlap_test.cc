@@ -380,10 +380,10 @@ TEST_F(ShadowOverlapTest, RecoveryOverALongLogKeepsAReusedBlock) {
 // A commit N leaves its table and a growth page owed; the next commit's
 // force tears, so only Recover() can settle the log, yet that force
 // carried N's write-behind and freed the block N's remap replaced. Until
-// Recover() runs, a write the log does not cover — a basic write to N's
-// page, a create that could take the freed block — is refused and writes
-// nothing: recovery will redo N, and would redo it over the one and free
-// the block under the other. After Recover() both go through and survive
+// Recover() runs, a put the log claims — a basic write to N's page, which
+// the log names, a create that could take the freed block — is refused
+// and writes nothing: recovery will redo N, and would redo it over the one
+// and free the block under the other. After Recover() both go through and survive
 // the next power cut.
 TEST_F(ShadowOverlapTest, UncoveredWritesWaitForRecoveryAfterATornForce) {
   const FileId file = MakeFileOn(1);
@@ -447,7 +447,7 @@ TEST_F(ShadowOverlapTest, UncoveredWritesWaitForRecoveryAfterATornForce) {
 }
 
 // The same torn force, the stable device then back (a transient error):
-// the next write the log does not cover runs a checkpoint that settles the
+// the next basic write the log claims runs a checkpoint that settles the
 // log, with no restart and while another transaction is live, and the
 // write goes through. The failed commit stays aborted and its shadow block
 // is free again. While the device is still down nothing settles.
@@ -503,10 +503,9 @@ TEST_F(ShadowOverlapTest, UncoveredWritesGoThroughOnceTheLogDeviceIsBack) {
   EXPECT_TRUE(report.clean()) << report.issues.size() << " issues";
 }
 
-// The same torn force, the stable device still down: the write barrier
-// refuses a write-through write after it put its bytes in the block pool,
-// and the pool gives the committed image back, so a read sees the old
-// bytes now and after the log settles.
+// The same torn force, the stable device still down: a write-through
+// write to the file the log names is refused before it reaches the block
+// pool, so a read sees the committed bytes now and after the log settles.
 TEST_F(ShadowOverlapTest, ARefusedBasicWriteLeavesTheOldBytesReadable) {
   const FileId file = MakeFileOn(1);
   const FileId other = MakeFileOn(1);
@@ -724,7 +723,7 @@ class FreshRunFlushTest : public ::testing::Test {
 
   SimClock clock_;
   disk::DiskRegistry disks_;
-  std::recursive_mutex mu_;
+  std::mutex mu_;
   std::unique_ptr<TxnLog> log_;
   std::unique_ptr<LogPipeline> pipeline_;
 };

@@ -280,9 +280,10 @@ TEST_F(WriteBehindTest, NoMoreThanEightGroupsWait) {
   EXPECT_EQ(landed, 2u);
 }
 
-// A basic write's put passes the write barrier, whose checkpoint lands
-// every waiting block and resets the log before the put goes out.
-TEST_F(WriteBehindTest, ABasicWritesBarrierLandsEveryWaitingBlockFirst) {
+// A basic write to a file the log does not name goes straight to its
+// disk: one main write, and the log and its waiting blocks stay as they
+// are.
+TEST_F(WriteBehindTest, ABasicWriteToAFileTheLogDoesNotNameLeavesItAlone) {
   const FileId a = MakeFile(0);
   const FileId b = MakeFile(0);
   const FileId c = MakeFile(0);
@@ -291,13 +292,38 @@ TEST_F(WriteBehindTest, ABasicWritesBarrierLandsEveryWaitingBlockFirst) {
   ASSERT_TRUE(Commit({a, b, c}).ok());
   ASSERT_TRUE(Commit({d}).ok());
   EXPECT_EQ(OnPlatter(b), Block(0));
+  std::vector<std::vector<std::uint8_t>> platters;
+  for (const FileId f : {a, b, c, d}) platters.push_back(OnPlatter(f));
   const std::uint64_t main_before = MainWrites(0);
+  const std::uint64_t stable_before = StableWrites(0);
+  const std::uint64_t log_bytes = txn_->log().BytesUsed();
   ASSERT_TRUE(files_->Write(e, 0, Block(kLater)).ok());
   ASSERT_TRUE(files_->Sync(e).ok());
-  EXPECT_EQ(MainWrites(0) - main_before, 4u) << "b, c and d, then e";
-  EXPECT_EQ(txn_->log().BytesUsed(), 0u);
-  for (const FileId f : {a, b, c, d}) EXPECT_EQ(OnPlatter(f), Block(kNew));
+  EXPECT_EQ(MainWrites(0) - main_before, 1u) << "e alone";
+  EXPECT_EQ(StableWrites(0), stable_before);
+  EXPECT_EQ(txn_->log().BytesUsed(), log_bytes);
+  std::size_t i = 0;
+  for (const FileId f : {a, b, c, d}) EXPECT_EQ(OnPlatter(f), platters[i++]);
   EXPECT_EQ(OnPlatter(e), Block(kLater));
+}
+
+// A basic write to a file the log names checkpoints first: every waiting
+// block lands and the log resets before the write goes out.
+TEST_F(WriteBehindTest, ABasicWriteToANamedFileLandsEveryWaitingBlockFirst) {
+  const FileId a = MakeFile(0);
+  const FileId b = MakeFile(0);
+  const FileId c = MakeFile(0);
+  const FileId d = MakeFile(0);
+  ASSERT_TRUE(Commit({a, b, c}).ok());
+  ASSERT_TRUE(Commit({d}).ok());
+  EXPECT_EQ(OnPlatter(b), Block(0));
+  const std::uint64_t main_before = MainWrites(0);
+  ASSERT_TRUE(files_->Write(d, 0, Block(kLater)).ok());
+  ASSERT_TRUE(files_->Sync(d).ok());
+  EXPECT_EQ(MainWrites(0) - main_before, 4u) << "b, c and d, then d again";
+  EXPECT_EQ(txn_->log().BytesUsed(), 0u);
+  for (const FileId f : {a, b, c}) EXPECT_EQ(OnPlatter(f), Block(kNew));
+  EXPECT_EQ(OnPlatter(d), Block(kLater));
 }
 
 // --- power cuts -------------------------------------------------------------------
