@@ -3,7 +3,10 @@
 #
 # Runs perfbench/run.py for every workload in BENCHMARK.json at seeds
 # 101-110 and summarises each end-to-end metric as the median and the
-# interquartile range of the ten runs, plus the operations that failed:
+# interquartile range of the ten runs, plus the operations that failed.
+# Under its own key, "wall_clock", an entry also keeps the median and IQR
+# of ops_per_wall_s (simulated operations per real second, the
+# simulator's CPU cost), read from the per-layer table perfbench prints:
 #
 #   scripts/bench_trajectory.sh --entry N     # write BENCH_N.json
 #   scripts/bench_trajectory.sh --check       # compare with the newest entry
@@ -17,6 +20,9 @@
 # seeds and seconds and fails when a workload's median moved in its worse
 # direction by more than the metric's BENCHMARK.json bound, when a run
 # reports itself incorrect, or when more operations failed than recorded.
+# It prints the old and new ops_per_wall_s but never fails on it: the
+# value depends on the host and on --jobs. An entry without the key (such
+# as BENCH_32.json) shows "-" for the old value.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -97,7 +103,17 @@ def run(workload, seed):
         sys.exit("bench_trajectory: %s seed %d exited %d\n%s"
                  % (workload, seed, out.returncode,
                     "\n".join(out.stderr.splitlines()[-10:])))
-    return workload, seed, json.loads(lines[-1])
+    # The readable per-layer table precedes the JSON line on untraced runs.
+    wall = None
+    for line in lines[:-1]:
+        if (m := re.match(r"\s+ops_per_wall_s\s+(\S+)\s", line)):
+            wall = float(m.group(1))
+    if wall is None:
+        sys.exit("bench_trajectory: %s seed %d printed no ops_per_wall_s"
+                 % (workload, seed))
+    result = json.loads(lines[-1])
+    result["ops_per_wall_s"] = wall
+    return workload, seed, result
 
 
 with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -126,6 +142,8 @@ for w in workloads:
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "metrics": metrics,
+        "wall_clock": {
+            "ops_per_wall_s": summary([r["ops_per_wall_s"] for r in runs])},
     }
 
 if mode == "record":
@@ -164,6 +182,15 @@ for w in workloads:
                  100 * spec["bound"], verdict))
         if worse:
             failed.append("%s %s" % (w, name))
+    old_wall = old.get("wall_clock", {}).get("ops_per_wall_s")
+    new_wall = new["wall_clock"]["ops_per_wall_s"]
+    print("%-18s %-20s %14s -> %14.1f  (IQR %s -> %.1f; host-dependent, "
+          "not gated)"
+          % (w, "ops_per_wall_s",
+             "-" if old_wall is None else "%.1f" % old_wall["median"],
+             new_wall["median"],
+             "-" if old_wall is None else "%.1f" % old_wall["iqr"],
+             new_wall["iqr"]))
 if failed:
     print("bench_trajectory: against %s: %s" % (newest, "; ".join(failed)))
     sys.exit(1)

@@ -9,13 +9,10 @@
 // resize) carry a client-generated token; the server remembers recent
 // tokens and replays the original reply instead of re-executing.
 // A close rides the write batch that carries the file's dirty blocks, as
-// its finish. A replayed batch re-applies its positional extents, then a
-// `sync` finish forces the same bytes again, and a `close` finish runs the
-// close again: it closes the table the replayed extents reloaded, or
-// answers kBadDescriptor (which the agent takes as closed) when the first
-// delivery left nothing open. While another handle holds the file open,
-// that second close releases one of its pins, as a retransmitted close
-// always has.
+// its finish. A replayed batch re-applies its positional extents, and a
+// `sync` finish forces the same bytes again. A `close` batch carries a
+// token too: its retransmission replays the first reply and runs no second
+// close, so it never releases another holder's pin.
 #pragma once
 
 #include <cstdint>

@@ -10,9 +10,8 @@
 //
 // ForEach visits entries in the map's iteration order, which is a pure
 // function of the key history of inserts and erases. Callers whose visit
-// order reaches a disk (a writeback submission, a track flush) rely on it
-// staying exactly what a plain std::unordered_map with the same history
-// gives.
+// order reaches a disk (a writeback submission) rely on it staying exactly
+// what a plain std::unordered_map with the same history gives.
 #pragma once
 
 #include <cstddef>
@@ -128,14 +127,16 @@ class LruCache {
     index_.Clear();
   }
 
-  // The least recent entry for which pred(key, value) holds, else the least
-  // recent entry; null when empty.
+  // The least recent entry; null when empty.
+  const Key* Lru() const { return order_.empty() ? nullptr : &order_.back(); }
+
+  // The least recent entry for which pred(key, value) holds, else Lru().
   template <typename Pred>
   const Key* Victim(Pred pred) const {
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
       if (pred(*it, map_.find(*it)->second.value)) return &*it;
     }
-    return order_.empty() ? nullptr : &order_.back();
+    return Lru();
   }
 
   // fn(key, value) for every entry, in map order (see the header comment).

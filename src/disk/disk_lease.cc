@@ -39,15 +39,6 @@ Status DiskLease::Put(FragmentIndex rel_fragment, std::uint32_t count,
                           sync);
 }
 
-Status DiskLease::Flush() const {
-  if (!valid()) {
-    return {ErrorCode::kStaleHandle, "lease has been revoked"};
-  }
-  RHODOS_ASSIGN_OR_RETURN(DiskServer * server,
-                          manager_->disks()->Get(info_.disk));
-  return server->FlushBlock(info_.first, info_.fragments);
-}
-
 Result<DiskLease> DiskLeaseManager::Grant(std::uint32_t fragments) {
   if (fragments == 0) {
     return Error{ErrorCode::kInvalidArgument, "empty lease"};

@@ -57,7 +57,6 @@ class DiskLease {
              std::span<const std::uint8_t> in,
              StableMode stable = StableMode::kNone,
              WriteSync sync = WriteSync::kSynchronous) const;
-  Status Flush() const;
 
  private:
   friend class DiskLeaseManager;

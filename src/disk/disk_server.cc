@@ -189,11 +189,7 @@ Status DiskServer::CheckReachable() const {
 
 Status DiskServer::WriteMain(FragmentIndex first, std::uint32_t count,
                              std::span<const std::uint8_t> in,
-                             WritePolicy policy, CacheFill fill) {
-  if (policy == WritePolicy::kDelayed && cache_.enabled()) {
-    cache_.Install(first, count, in, /*dirty=*/true);
-    return OkStatus();
-  }
+                             CacheFill fill) {
   RHODOS_RETURN_IF_ERROR(main_.WriteFragments(first, count, in));
   if (fill == CacheFill::kAllocate) {
     cache_.Install(first, count, in);
@@ -238,8 +234,7 @@ Status DiskServer::PutFreshBlock(FragmentIndex first, std::uint32_t count,
   sim::ParallelSection section(clock_);
   section.BeginLane();
   ObserveSeek(first, main_.head_track());
-  const Status main =
-      WriteMain(first, count, in, WritePolicy::kWriteThrough, fill);
+  const Status main = WriteMain(first, count, in, fill);
   section.EndLane();
   section.BeginLane();
   const Status mirror = WriteStable(first, count, in, WriteSync::kSynchronous);
@@ -363,7 +358,7 @@ Status DiskServer::GetBlocksVec(std::span<const ReadRun> runs,
 
 Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
                                 StableMode stable, WriteSync sync,
-                                WritePolicy policy, CacheFill fill) {
+                                CacheFill fill) {
   RHODOS_RETURN_IF_ERROR(CheckReachable());
   for (const WriteRun& r : runs) {
     if (r.in.size() < static_cast<std::size_t>(r.count) * kFragmentSize) {
@@ -378,11 +373,6 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
                     : stable == StableMode::kStableOnly ? " stable-only"
                                                         : " original+stable"));
   }
-  // The main copy reaches the platter now unless it parks dirty in the
-  // track cache (WriteMain).
-  const bool to_platter =
-      stable != StableMode::kStableOnly &&
-      (policy == WritePolicy::kWriteThrough || !cache_.enabled());
   // A merged group gathers its member segments into scratch.
   std::vector<std::uint8_t> scratch;
   return ScanPass(
@@ -403,41 +393,17 @@ Status DiskServer::PutBlocksVec(std::span<const WriteRun> runs,
           data = scratch;
         }
         obs::LatencyScope lat(obs_, "disk.reference_ns");
-        if (to_platter) ObserveSeek(first, main_.head_track());
         if (stable != StableMode::kStableOnly) {
-          RHODOS_RETURN_IF_ERROR(WriteMain(first, count, data, policy, fill));
+          ObserveSeek(first, main_.head_track());
+          RHODOS_RETURN_IF_ERROR(WriteMain(first, count, data, fill));
         }
         if (stable == StableMode::kNone) return OkStatus();
         return WriteStable(first, count, data, sync);
       });
 }
 
-Status DiskServer::FlushBlock(FragmentIndex first, std::uint32_t count) {
-  RHODOS_RETURN_IF_ERROR(CheckReachable());
-  obs::SpanScope span(obs::TracerOf(obs_), "disk", "flush");
-  obs::LatencyScope lat(obs_, "disk.reference_ns");
-  Status result = OkStatus();
-  cache_.FlushDirtyRange(
-      first, count,
-      [&](FragmentIndex f, std::span<const std::uint8_t> data) {
-        if (auto st = main_.WriteFragments(f, 1, data); !st.ok()) {
-          result = st;
-        }
-      });
-  return result;
-}
-
-Status DiskServer::FlushAll() {
-  RHODOS_RETURN_IF_ERROR(CheckReachable());
-  Status result = OkStatus();
-  cache_.FlushDirty([&](FragmentIndex f, std::span<const std::uint8_t> data) {
-    if (auto st = main_.WriteFragments(f, 1, data); !st.ok()) result = st;
-  });
-  RHODOS_RETURN_IF_ERROR(result);
-  return DrainStableWrites();
-}
-
 Status DiskServer::DrainStableWrites() {
+  RHODOS_RETURN_IF_ERROR(CheckReachable());
   while (!stable_queue_.empty()) {
     PendingStableWrite w = std::move(stable_queue_.front());
     stable_queue_.pop_front();

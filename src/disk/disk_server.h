@@ -1,8 +1,12 @@
 // The RHODOS disk (block) service — one server per disk (paper §4).
 //
 // Service functions, verbatim from the paper: allocate-block, free-block,
-// flush-block, get-block, put-block. Their semantics are shaped by three of
-// the paper's commitments:
+// flush-block, get-block, put-block. A put_block writes its main copy to the
+// platter before it returns; the delayed-write choice belongs to the file
+// service's block pool above (§5), so the only writes this server holds
+// back are asynchronous stable puts, and flush-block drains them
+// (DrainStableWrites). The functions' semantics are shaped by three of the
+// paper's commitments:
 //
 //  * One disk reference per contiguous run: "any operation on a set of
 //    contiguous blocks/fragments can be accomplished in one single
@@ -70,12 +74,6 @@ enum class CacheFill : std::uint8_t {
 
 // Which device get_block reads.
 enum class ReadSource : std::uint8_t { kMain, kStable };
-
-// How the main-location write is applied.
-enum class WritePolicy : std::uint8_t {
-  kWriteThrough,  // cache + platter now
-  kDelayed,       // dirty in cache; reaches the platter at flush time
-};
 
 struct DiskServerConfig {
   sim::DiskGeometry geometry;
@@ -178,7 +176,6 @@ class DiskServer {
   Status PutBlocksVec(std::span<const WriteRun> runs,
                       StableMode stable = StableMode::kNone,
                       WriteSync sync = WriteSync::kSynchronous,
-                      WritePolicy policy = WritePolicy::kWriteThrough,
                       CacheFill fill = CacheFill::kAllocate);
 
   Status GetBlock(FragmentIndex first, std::uint32_t count,
@@ -192,22 +189,21 @@ class DiskServer {
                   std::span<const std::uint8_t> in,
                   StableMode stable = StableMode::kNone,
                   WriteSync sync = WriteSync::kSynchronous,
-                  WritePolicy policy = WritePolicy::kWriteThrough,
                   CacheFill fill = CacheFill::kAllocate) {
     const WriteRun run{first, count, in};
-    return PutBlocksVec({&run, 1}, stable, sync, policy, fill);
+    return PutBlocksVec({&run, 1}, stable, sync, fill);
   }
 
   // put_block to a location whose old value need not survive a crash: the
-  // main copy and the stable mirror are written synchronously and
-  // write-through, as with kOriginalAndStable, but concurrently — one lane
-  // per device — so the caller pays the slower copy instead of both. A
-  // crash may tear either copy. That is harmless for a location that holds
-  // no live data (freshly allocated, not yet referenced by anything
-  // durable), since nothing refers to it until the caller's own commit
-  // point, which follows this call; and for a one-fragment index table
-  // whose re-store a durable log record redoes, since a fragment tears
-  // whole and recovery redoes or re-stores the copy left behind.
+  // main copy and the stable mirror are written synchronously, as with
+  // kOriginalAndStable, but concurrently — one lane per device — so the
+  // caller pays the slower copy instead of both. A crash may tear either
+  // copy. That is harmless for a location that holds no live data (freshly
+  // allocated, not yet referenced by anything durable), since nothing
+  // refers to it until the caller's own commit point, which follows this
+  // call; and for a one-fragment index table whose re-store a durable log
+  // record redoes, since a fragment tears whole and recovery redoes or
+  // re-stores the copy left behind.
   Status PutFreshBlock(FragmentIndex first, std::uint32_t count,
                        std::span<const std::uint8_t> in,
                        CacheFill fill = CacheFill::kAllocate);
@@ -217,13 +213,10 @@ class DiskServer {
   // reach no platter. Changes no recency order and counts nothing.
   bool TrackCached(FragmentIndex first, std::uint32_t count) const;
 
-  // Forces any delayed-write data for [first, first+count) to the platter.
-  Status FlushBlock(FragmentIndex first, std::uint32_t count);
-  // Flushes all delayed writes and drains the asynchronous stable queue.
-  Status FlushAll();
-
   // Pending asynchronous stable-storage writes.
   std::size_t PendingStableWrites() const { return stable_queue_.size(); }
+  // flush-block: writes every pending asynchronous stable put to the
+  // mirror, oldest first.
   Status DrainStableWrites();
 
   // --- Metadata persistence & crash recovery ------------------------------
@@ -238,8 +231,8 @@ class DiskServer {
   // metadata image waits in the asynchronous stable queue.
   Status PersistMetadata(WriteSync sync = WriteSync::kSynchronous);
 
-  // Machine crash: volatile state (track cache, delayed writes, async
-  // stable queue) is lost; the platters survive.
+  // Machine crash: volatile state (track cache, async stable queue) is
+  // lost; the platters survive.
   void Crash();
 
   // Recovery: reload the bitmap from the metadata region, preferring the
@@ -249,8 +242,8 @@ class DiskServer {
   bool crashed() const { return main_.crashed(); }
 
   // Network partition: the server stops answering I/O (kUnavailable) but
-  // keeps its volatile state — cache, delayed writes, stable queue — unlike
-  // Crash(). Models a replica that is unreachable yet undamaged.
+  // keeps its volatile state — track cache, stable queue — unlike Crash().
+  // Models a replica that is unreachable yet undamaged.
   void SetPartitioned(bool partitioned) { partitioned_ = partitioned; }
   bool partitioned() const { return partitioned_; }
 
@@ -283,8 +276,7 @@ class DiskServer {
   Status ReadMain(FragmentIndex first, std::uint32_t count,
                   std::span<std::uint8_t> out);
   Status WriteMain(FragmentIndex first, std::uint32_t count,
-                   std::span<const std::uint8_t> in, WritePolicy policy,
-                   CacheFill fill = CacheFill::kAllocate);
+                   std::span<const std::uint8_t> in, CacheFill fill);
   Status WriteStable(FragmentIndex first, std::uint32_t count,
                      std::span<const std::uint8_t> in, WriteSync sync);
   void ReadAheadTrack(FragmentIndex first, std::uint32_t count);

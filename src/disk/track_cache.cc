@@ -49,7 +49,7 @@ void TrackCache::Update(FragmentIndex first, std::uint32_t count,
 }
 
 void TrackCache::Install(FragmentIndex first, std::uint32_t count,
-                         std::span<const std::uint8_t> data, bool dirty) {
+                         std::span<const std::uint8_t> data) {
   if (!enabled()) return;
   // One touch and one copy per track segment: the recency order is what a
   // touch per fragment would leave, since eviction waits for the end.
@@ -62,46 +62,11 @@ void TrackCache::Install(FragmentIndex first, std::uint32_t count,
     std::memcpy(entry.data.data() + slot * kFragmentSize,
                 data.data() + static_cast<std::size_t>(i) * kFragmentSize,
                 static_cast<std::size_t>(n) * kFragmentSize);
-    const auto at = static_cast<std::ptrdiff_t>(slot);
-    std::fill_n(entry.present.begin() + at, n, true);
-    if (dirty) std::fill_n(entry.dirty.begin() + at, n, true);
+    std::fill_n(entry.present.begin() + static_cast<std::ptrdiff_t>(slot), n,
+                true);
     i += n;
   }
   EvictIfNeeded();
-}
-
-void TrackCache::FlushDirty(
-    const std::function<void(FragmentIndex, std::span<const std::uint8_t>)>&
-        fn) {
-  FlushDirtyRange(0, ~std::uint32_t{0},
-                  fn);  // whole address space: every dirty fragment
-}
-
-void TrackCache::FlushDirtyRange(
-    FragmentIndex first, std::uint32_t count,
-    const std::function<void(FragmentIndex, std::span<const std::uint8_t>)>&
-        fn) {
-  const FragmentIndex end =
-      count == ~std::uint32_t{0} ? ~FragmentIndex{0} : first + count;
-  // Map order: it decides the order fragments reach the platter.
-  tracks_.ForEach([&](std::uint64_t track, TrackEntry& entry) {
-    for (std::uint32_t slot = 0; slot < fragments_per_track_; ++slot) {
-      if (!entry.dirty[slot]) continue;
-      const FragmentIndex f = track * fragments_per_track_ + slot;
-      if (f < first || f >= end) continue;
-      fn(f, {entry.data.data() + slot * kFragmentSize, kFragmentSize});
-      entry.dirty[slot] = false;
-      ++stats_.dirty_writebacks;
-    }
-  });
-}
-
-std::size_t TrackCache::DirtyCount() const {
-  std::size_t n = 0;
-  tracks_.ForEach([&n](std::uint64_t, const TrackEntry& entry) {
-    for (bool d : entry.dirty) n += d ? 1 : 0;
-  });
-  return n;
 }
 
 void TrackCache::InvalidateAll() { tracks_.Clear(); }
@@ -112,18 +77,12 @@ TrackCache::TrackEntry& TrackCache::Touch(std::uint64_t track) {
   entry.data.resize(static_cast<std::size_t>(fragments_per_track_) *
                     kFragmentSize);
   entry.present.assign(fragments_per_track_, false);
-  entry.dirty.assign(fragments_per_track_, false);
   return tracks_.Insert(track, std::move(entry));
 }
 
 void TrackCache::EvictIfNeeded() {
   while (tracks_.size() > capacity_tracks_) {
-    // Evict the least-recently-used *clean* track; keep dirty tracks until
-    // flushed. If everything is dirty, evict the LRU track anyway — the
-    // caller is responsible for flushing before relying on delayed writes.
-    tracks_.Erase(*tracks_.Victim([](std::uint64_t, const TrackEntry& e) {
-      return std::find(e.dirty.begin(), e.dirty.end(), true) == e.dirty.end();
-    }));
+    tracks_.Erase(*tracks_.Lru());
     ++stats_.evictions;
   }
 }

@@ -7,13 +7,13 @@
 // blocks/fragments pertaining to the same track."
 //
 // The cache is organized per track: each resident track holds a presence
-// bit and a dirty bit per fragment slot. Eviction is LRU over whole tracks;
-// a crash clears the cache (it is volatile), which is what makes the stable
-// storage and flush semantics of the disk server meaningful.
+// bit per fragment slot. It holds only copies of what the platter holds —
+// every put_block writes the platter before it returns — so eviction is
+// plain LRU over whole tracks and a crash, which clears the cache (it is
+// volatile), loses no data.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -27,7 +27,6 @@ struct TrackCacheStats {
   std::uint64_t hits = 0;          // fragments served from cache
   std::uint64_t misses = 0;        // fragments that needed the disk
   std::uint64_t evictions = 0;     // tracks evicted
-  std::uint64_t dirty_writebacks = 0;
 
   double HitRate() const {
     const auto total = hits + misses;
@@ -39,7 +38,6 @@ inline constexpr obs::CounterField<TrackCacheStats> kTrackCacheCounters[] = {
     {"disk.cache.hits", &TrackCacheStats::hits},
     {"disk.cache.misses", &TrackCacheStats::misses},
     {"disk.cache.evictions", &TrackCacheStats::evictions},
-    {"disk.cache.dirty_writebacks", &TrackCacheStats::dirty_writebacks},
 };
 
 class TrackCache {
@@ -69,26 +67,8 @@ class TrackCache {
               std::span<const std::uint8_t> data);
 
   // Installs fragments into the cache, evicting LRU tracks as needed.
-  // `dirty` marks them as not yet on the platter (delayed-write policy).
   void Install(FragmentIndex first, std::uint32_t count,
-               std::span<const std::uint8_t> data, bool dirty = false);
-
-  // Invokes fn(fragment, span) for every dirty fragment and marks it clean.
-  // The disk server uses this to implement flush_block. fn must not mutate
-  // the cache.
-  void FlushDirty(
-      const std::function<void(FragmentIndex, std::span<const std::uint8_t>)>&
-          fn);
-
-  // As FlushDirty, but only for dirty fragments within [first, first+count);
-  // fragments outside the range stay dirty.
-  void FlushDirtyRange(
-      FragmentIndex first, std::uint32_t count,
-      const std::function<void(FragmentIndex, std::span<const std::uint8_t>)>&
-          fn);
-
-  // Count of dirty fragments currently held.
-  std::size_t DirtyCount() const;
+               std::span<const std::uint8_t> data);
 
   // Drops everything: models loss of volatile memory at a crash.
   void InvalidateAll();
@@ -100,7 +80,6 @@ class TrackCache {
   struct TrackEntry {
     std::vector<std::uint8_t> data;    // fragments_per_track * kFragmentSize
     std::vector<bool> present;
-    std::vector<bool> dirty;
   };
 
   std::uint64_t TrackOf(FragmentIndex f) const {

@@ -307,14 +307,22 @@ Result<FitParseResult> ParseFitFragment(
   result.table.attributes_ = DeserializeAttributes(in);
   const std::uint32_t direct = in.U32();
   const std::uint32_t total_runs = in.U32();
-  if (!in.ok() || direct > kDirectRuns || direct > total_runs) {
+  // The writer fills the direct runs first, then as many indirect blocks
+  // as the rest needs.
+  if (!in.ok() || direct != std::min<std::uint64_t>(total_runs, kDirectRuns)) {
     return Error{ErrorCode::kMediaError, "corrupt file index table header"};
   }
   for (std::uint32_t i = 0; i < direct; ++i) {
     result.table.runs_.push_back(DeserializeRun(in));
+    if (result.table.runs_.back().contiguous_count == 0) {
+      return Error{ErrorCode::kMediaError, "empty run in file index table"};
+    }
   }
   const std::uint32_t n_indirect = in.U32();
-  if (!in.ok() || n_indirect > kIndirectRefs) {
+  const std::uint64_t beyond = total_runs - direct;
+  if (!in.ok() || n_indirect > kIndirectRefs ||
+      n_indirect != (beyond + kRunsPerIndirectBlock - 1) /
+                        kRunsPerIndirectBlock) {
     return Error{ErrorCode::kMediaError, "corrupt indirect reference list"};
   }
   for (std::uint32_t i = 0; i < n_indirect; ++i) {
@@ -336,6 +344,9 @@ Status FileIndexTable::ParseIndirectBlock(
   }
   for (std::uint32_t i = 0; i < n; ++i) {
     runs_.push_back(DeserializeRun(in));
+    if (runs_.back().contiguous_count == 0) {
+      return {ErrorCode::kMediaError, "empty run in indirect block"};
+    }
   }
   if (!in.ok()) {
     return {ErrorCode::kMediaError, "truncated indirect block"};

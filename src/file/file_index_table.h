@@ -182,6 +182,12 @@ struct FitParseResult {
   std::vector<BlockDescriptor> indirect_blocks;
 };
 
+// Refuses what the writer never produces: a header whose direct-run and
+// indirect-block counts disagree with its total run count, and a run of
+// zero blocks (ParseIndirectBlock refuses those too). The total is not
+// compared with the runs the indirect blocks hold: those are rewritten in
+// place before their fragment, so a crash between the two puts leaves an
+// old fragment beside new indirect runs.
 Result<FitParseResult> ParseFitFragment(
     std::span<const std::uint8_t> fragment);
 

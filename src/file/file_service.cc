@@ -14,7 +14,6 @@ namespace rhodos::file {
 using disk::DiskServer;
 using disk::ReadSource;
 using disk::StableMode;
-using disk::WritePolicy;
 using disk::WriteSync;
 
 // Fragments of each shard's snapshot journal slot at the tail of disk 0,
@@ -59,17 +58,17 @@ Result<FileService::OpenFile*> FileService::LoadTable(FileId id) {
     parsed = ParseFitFragment(fragment);
     if (!parsed.ok()) return Error{parsed.error()};
   }
-  OpenFile of;
-  of.table = std::move(parsed->table);
-  of.indirect_blocks = std::move(parsed->indirect_blocks);
   // Pull in the indirect runs (one get_block per indirect block).
   std::vector<std::uint8_t> block(kBlockSize);
-  for (const auto& ib : of.indirect_blocks) {
+  for (const auto& ib : parsed->indirect_blocks) {
     RHODOS_ASSIGN_OR_RETURN(DiskServer * ib_server, disks_->Get(ib.disk));
     RHODOS_RETURN_IF_ERROR(
         ib_server->GetBlock(ib.first_fragment, kFragmentsPerBlock, block));
-    RHODOS_RETURN_IF_ERROR(of.table.ParseIndirectBlock(block));
+    RHODOS_RETURN_IF_ERROR(parsed->table.ParseIndirectBlock(block));
   }
+  OpenFile of;
+  of.table = std::move(parsed->table);
+  of.indirect_blocks = std::move(parsed->indirect_blocks);
   // ref_count counts this service's open handles, and a table that had to
   // be loaded has none. The stored value is whatever the last store saw,
   // and a close that stores nothing never corrects it.
@@ -181,7 +180,9 @@ Status FileService::StoreTable(FileId id, OpenFile& of, TableStore how) {
                                   WriteSync::kSynchronous);
   };
   // Indirect blocks first, then the table fragment that references them —
-  // so a crash between the two leaves the old (still valid) table in place.
+  // so a crash between the two never leaves a fragment naming an unwritten
+  // block. An indirect block is rewritten in place, so the old fragment may
+  // then meet its new runs: nothing compares the two run counts.
   for (std::size_t i = 0; i < needed; ++i) {
     const std::vector<std::uint8_t> block = of.table.SerializeIndirectBlock(i);
     RHODOS_ASSIGN_OR_RETURN(DiskServer * ib_server,
@@ -1015,7 +1016,7 @@ Status FileService::FlushAll() {
   for (const auto& [id, attrs] : parked_attrs_) parked.push_back(id);
   for (const FileId id : parked) keep(StoreParked(id));
   for (const auto& d : disks_->disks()) {
-    keep(d->FlushAll());
+    keep(d->DrainStableWrites());
     keep(d->PersistMetadata());
   }
   return failed;
@@ -1227,15 +1228,13 @@ Status FileService::WriteLogged(const LoggedWrite& w) {
     case LoggedWrite::Copies::kMain:
       return w.disk->PutBlock(w.first, w.count, w.data,
                               disk::StableMode::kNone,
-                              disk::WriteSync::kSynchronous,
-                              disk::WritePolicy::kWriteThrough, kFill);
+                              disk::WriteSync::kSynchronous, kFill);
     case LoggedWrite::Copies::kAtOnce:
       return w.disk->PutFreshBlock(w.first, w.count, w.data, kFill);
     case LoggedWrite::Copies::kMainThenMirror:
       return w.disk->PutBlock(w.first, w.count, w.data,
                               disk::StableMode::kOriginalAndStable,
-                              disk::WriteSync::kSynchronous,
-                              disk::WritePolicy::kWriteThrough, kFill);
+                              disk::WriteSync::kSynchronous, kFill);
   }
   return {ErrorCode::kInternal, "bad logged write"};
 }

@@ -46,13 +46,22 @@
 
 namespace rhodos::file {
 
+// When a basic file's write reaches its disk (§5). The block pool is the
+// only cache that holds a write back: the disk service writes every put
+// through.
+enum class WritePolicy : std::uint8_t {
+  kWriteThrough,  // before the write returns
+  kDelayed,       // dirty in the block pool until a sync, close, flush or
+                  // eviction writes it back
+};
+
 struct FileServiceConfig {
   // Block-cache capacity, in 8 KiB blocks (the block pool of §5). Every
   // read and write stages through the cache, so the service clamps this to
   // at least one block. Buffers are allocated as blocks enter the cache.
   std::size_t block_pool_capacity = 256;
   // Write policy for BASIC files; transaction files always write through.
-  disk::WritePolicy basic_write_policy = disk::WritePolicy::kDelayed;
+  WritePolicy basic_write_policy = WritePolicy::kDelayed;
   // Largest extent allocated at once when a file grows, in blocks. Growth
   // beyond this rolls to the next disk under the registry's round-robin
   // policy — the striping unit of experiment E10.
@@ -625,7 +634,7 @@ class FileService {
   // prefetched. Never fails the triggering read: errors are swallowed.
   Status ReadAhead(FileId id, OpenFile& of, std::uint64_t from);
 
-  disk::WritePolicy PolicyFor(const OpenFile& of) const;
+  WritePolicy PolicyFor(const OpenFile& of) const;
 
   void BumpVersion(FileId id);
   std::uint64_t TokenSalt() const {

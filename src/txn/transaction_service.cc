@@ -631,7 +631,6 @@ Status TransactionService::Redo(std::span<const IntentionRecord> records,
         FileService& owner = files_(r.file);
         auto n = owner.Write(r.file, r.offset, r.data);
         if (!n.ok()) return Error{n.error()};
-        RHODOS_RETURN_IF_ERROR(owner.Sync(r.file));
       }
       return OkStatus();
     }

@@ -325,7 +325,10 @@ class TransactionService {
   enum class RedoStep : std::uint8_t { kWrites, kSizes, kDeletes };
   // Applies `step` of a committed transaction's `records`, in the order
   // they were logged. Idempotent, so a recovery may redo a commit that was
-  // applied before the crash.
+  // applied before the crash. Both callers hold a FileService::LoggedApply
+  // on every owner, so the writes, remaps and growths reach only the
+  // owners' caches: Redo writes none of them itself, the write-behind does.
+  // A delete still scrubs and frees its file at once.
   Status Redo(std::span<const IntentionRecord> records, RedoStep step);
 
   void Finish(TxnId id);

@@ -204,7 +204,7 @@ TEST(ChaosTest, SurvivesSnapshotStormWithMidRunServiceCrash) {
   // image forever (invariant I5), and the final audit reconciles every
   // shared block's refcount.
   FacilityConfig cfg = SmallConfig();
-  cfg.file.basic_write_policy = disk::WritePolicy::kWriteThrough;
+  cfg.file.basic_write_policy = file::WritePolicy::kWriteThrough;
   DistributedFileFacility f(cfg);
   ChaosWorkloadConfig wl;
   wl.seed = 66;
@@ -230,7 +230,7 @@ TEST(ChaosTest, SurvivesSnapshotStormWithMidRunServiceCrash) {
 TEST(ChaosTest, SnapshotStormDeterministicGivenSeedAndPlan) {
   auto run = [] {
     FacilityConfig cfg = SmallConfig();
-    cfg.file.basic_write_policy = disk::WritePolicy::kWriteThrough;
+    cfg.file.basic_write_policy = file::WritePolicy::kWriteThrough;
     DistributedFileFacility f(cfg);
     ChaosWorkloadConfig wl;
     wl.seed = 66;

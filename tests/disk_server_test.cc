@@ -272,42 +272,17 @@ TEST_F(DiskServerTest, SyncStableWriteCostsMoreThanAsync) {
   EXPECT_GT(sync_cost, async_cost);
 }
 
-TEST_F(DiskServerTest, DelayedWriteReachesDiskOnlyAtFlush) {
+TEST_F(DiskServerTest, CrashKeepsAPutOnThePlatter) {
   auto frag = server_.AllocateBlocks(1);
   ASSERT_TRUE(frag.ok());
-  std::vector<std::uint8_t> payload(kBlockSize, 0x66);
-  server_.ResetStats();
-  ASSERT_TRUE(server_.PutBlock(*frag, 4, payload, StableMode::kNone,
-                               WriteSync::kSynchronous,
-                               WritePolicy::kDelayed).ok());
-  EXPECT_EQ(server_.main_stats().write_references, 0u);
-  // Reads see the dirty cached data.
-  std::vector<std::uint8_t> out(kBlockSize);
-  ASSERT_TRUE(server_.GetBlock(*frag, 4, out).ok());
-  EXPECT_EQ(out, payload);
-  ASSERT_TRUE(server_.FlushBlock(*frag, 4).ok());
-  EXPECT_GT(server_.main_stats().write_references, 0u);
-  // Platter now holds it.
-  EXPECT_EQ(server_.main_device().RawFragment(*frag)[0], 0x66);
-}
-
-TEST_F(DiskServerTest, CrashLosesDelayedWritesButNotPlatter) {
-  auto frag = server_.AllocateBlocks(2);
-  ASSERT_TRUE(frag.ok());
   std::vector<std::uint8_t> durable(kBlockSize, 0xD0);
-  std::vector<std::uint8_t> volatile_data(kBlockSize, 0x7F);
   ASSERT_TRUE(server_.PutBlock(*frag, 4, durable).ok());  // write-through
-  ASSERT_TRUE(server_.PutBlock(*frag + 4, 4, volatile_data,
-                               StableMode::kNone, WriteSync::kSynchronous,
-                               WritePolicy::kDelayed).ok());
   ASSERT_TRUE(server_.PersistMetadata().ok());
   server_.Crash();
   ASSERT_TRUE(server_.Recover().ok());
   std::vector<std::uint8_t> out(kBlockSize);
   ASSERT_TRUE(server_.GetBlock(*frag, 4, out).ok());
   EXPECT_EQ(out, durable);
-  ASSERT_TRUE(server_.GetBlock(*frag + 4, 4, out).ok());
-  EXPECT_NE(out, volatile_data);  // the delayed write died with the cache
 }
 
 TEST_F(DiskServerTest, MetadataRecoveryRestoresAllocations) {

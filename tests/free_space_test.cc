@@ -133,31 +133,6 @@ TEST(TrackCacheTest, TouchRefreshesLru) {
   EXPECT_FALSE(cache.Contains(4));
 }
 
-TEST(TrackCacheTest, DirtyTrackingAndFlush) {
-  TrackCache cache(8, 4);
-  std::vector<std::uint8_t> data(kFragmentSize * 2, 0x99);
-  cache.Install(3, 2, data, /*dirty=*/true);
-  EXPECT_EQ(cache.DirtyCount(), 2u);
-  std::vector<FragmentIndex> flushed;
-  cache.FlushDirty([&](FragmentIndex f, std::span<const std::uint8_t> d) {
-    flushed.push_back(f);
-    EXPECT_EQ(d[0], 0x99);
-  });
-  EXPECT_EQ(flushed, (std::vector<FragmentIndex>{3, 4}));
-  EXPECT_EQ(cache.DirtyCount(), 0u);
-}
-
-TEST(TrackCacheTest, RangeFlushLeavesOthersDirty) {
-  TrackCache cache(8, 4);
-  std::vector<std::uint8_t> data(kFragmentSize, 1);
-  cache.Install(0, 1, data, /*dirty=*/true);
-  cache.Install(5, 1, data, /*dirty=*/true);
-  int flushed = 0;
-  cache.FlushDirtyRange(0, 2, [&](FragmentIndex, auto) { ++flushed; });
-  EXPECT_EQ(flushed, 1);
-  EXPECT_EQ(cache.DirtyCount(), 1u);
-}
-
 TEST(TrackCacheTest, DisabledCacheNeverHits) {
   TrackCache cache(16, 0);
   EXPECT_FALSE(cache.enabled());
@@ -170,10 +145,9 @@ TEST(TrackCacheTest, DisabledCacheNeverHits) {
 TEST(TrackCacheTest, InvalidateAllModelsCrash) {
   TrackCache cache(8, 4);
   std::vector<std::uint8_t> data(kFragmentSize, 1);
-  cache.Install(0, 1, data, /*dirty=*/true);
+  cache.Install(0, 1, data);
   cache.InvalidateAll();
   EXPECT_FALSE(cache.Contains(0));
-  EXPECT_EQ(cache.DirtyCount(), 0u);  // dirty data is simply gone
 }
 
 }  // namespace

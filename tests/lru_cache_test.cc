@@ -86,6 +86,11 @@ void ExpectSame(const Cache& cache, const Model& model, std::uint64_t step) {
   if (victim != nullptr) {
     EXPECT_EQ(*victim, *expected) << "step " << step;
   }
+  const BlockKey* lru = cache.Lru();
+  ASSERT_EQ(lru == nullptr, model.order.empty()) << "step " << step;
+  if (lru != nullptr) {
+    EXPECT_EQ(*lru, model.order.back()) << "step " << step;
+  }
 
   for (std::uint64_t f = 1; f <= kFiles; ++f) {
     for (const std::uint64_t from : {std::uint64_t{0}, kBlocks / 2}) {

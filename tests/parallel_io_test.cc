@@ -358,12 +358,8 @@ TEST(DiskSeekSamples, EveryPlatterReferenceSamplesOneSeek) {
   EXPECT_EQ(back, data);
 
   // References that never reach the platter sample nothing: a track-cache
-  // hit, a delayed write parked in the cache, a stable-only write.
+  // hit, a stable-only write.
   ASSERT_TRUE(server.GetBlock(*a, 4, back).ok());
-  ASSERT_TRUE(server.PutBlock(*a, 4, data, disk::StableMode::kNone,
-                              disk::WriteSync::kSynchronous,
-                              disk::WritePolicy::kDelayed)
-                  .ok());
   ASSERT_TRUE(
       server.PutBlock(*a, 4, data, disk::StableMode::kStableOnly).ok());
   EXPECT_EQ(seeks(), 2u);

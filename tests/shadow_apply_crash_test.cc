@@ -10,8 +10,10 @@
 // one's force carries the first one's write-behind) in four shapes: two
 // shadowed files on disk 1; a WAL file on disk 0 beside a shadowed file on
 // disk 1; the same two files growing, the WAL file by part of a page past
-// its end and the shadowed file inside its last block; and a shadowed
-// file whose remap needs a new indirect block. After recovery each commit
+// its end and the shadowed file inside its last block; a shadowed file
+// whose remap needs a new indirect block; and one whose remap splits a run
+// its existing indirect block holds, so that block is rewritten in place
+// before the fragment whose run count it changes. After recovery each commit
 // is all or nothing, to the byte and in each file's size, both copies of
 // every table parse and map the same blocks, and fsck is clean.
 #include <gtest/gtest.h>
@@ -43,24 +45,31 @@ disk::DiskServerConfig DiskConfig() {
   return c;
 }
 
-enum class Shape { kTwoShadows, kWalAndShadow, kGrowth, kIndirect };
+enum class Shape {
+  kTwoShadows,
+  kWalAndShadow,
+  kGrowth,
+  kIndirect,
+  kIndirectRewrite
+};
 
-// Blocks of kIndirect's file, and remaps that leave it one run short of
-// filling its table fragment: one more split needs an indirect block.
+// Blocks of the indirect shapes' files, and remaps that leave kIndirect's
+// one run short of filling its table fragment: one more split needs an
+// indirect block. Two more remaps put kIndirectRewrite's last runs in one.
 constexpr std::uint64_t kManyBlocks = 70;
 constexpr std::uint64_t kSetupRemaps = (file::kDirectRuns - 1) / 2;
 
 // One file of a shape: its home disk, whether it is fragmented (so the
 // paper's rule shadows it), its size before the commit, and the bytes of
-// kNew the commit writes at `offset`. A file of many runs is kManyBlocks
-// long with every other block of its first half remapped.
+// kNew the commit writes at `offset`. A file with `remaps` is kManyBlocks
+// long with that many of its odd blocks, from the first, remapped.
 struct FileCase {
   std::uint32_t disk;
   bool fragmented;
   std::uint64_t size;
   std::uint64_t offset;
   std::uint64_t len;
-  bool many_runs = false;
+  std::uint64_t remaps = 0;
 };
 
 // The second commit of every matrix: a page of a contiguous file on the
@@ -92,7 +101,13 @@ std::vector<FileCase> Cases(Shape shape) {
     case Shape::kIndirect:
       // A block in the middle of the file's last run: the split adds two.
       return {{1, true, kManyBlocks * kBlockSize, (kManyBlocks - 4) * kBlockSize,
-               kBlockSize, true}};
+               kBlockSize, kSetupRemaps}};
+    case Shape::kIndirectRewrite:
+      // The last run, blocks 66-69, is the indirect block's: splitting it
+      // adds two runs there and changes nothing in the fragment but its
+      // run count.
+      return {{1, true, kManyBlocks * kBlockSize, (kManyBlocks - 2) * kBlockSize,
+               kBlockSize, kSetupRemaps + 2}};
   }
   return {};
 }
@@ -101,7 +116,8 @@ std::string Describe(Shape shape, Tear tear, int k) {
   const char* name = shape == Shape::kTwoShadows     ? "two shadows"
                      : shape == Shape::kWalAndShadow ? "WAL + shadow"
                      : shape == Shape::kGrowth       ? "growth"
-                                                     : "indirect";
+                     : shape == Shape::kIndirect     ? "indirect"
+                                                     : "indirect rewrite";
   return std::string(name) + ", tear disk " + std::to_string(tear.disk) +
          "'s " + (tear.mirror ? "mirror" : "main") + " device after " +
          std::to_string(k) + " writes";
@@ -139,14 +155,14 @@ class ShadowApplyCrashTest : public ::testing::Test {
   // first block is cut off from the rest, so the paper's rule shadows it.
   FileId MakeFile(const FileCase& c) {
     const std::uint64_t hint =
-        c.many_runs ? kManyBlocks : c.fragmented ? 1 : kFileBlocks;
+        c.remaps > 0 ? kManyBlocks : c.fragmented ? 1 : kFileBlocks;
     for (;;) {
       auto file =
           files_->Create(file::ServiceType::kTransaction, hint * kBlockSize);
       EXPECT_TRUE(file.ok());
       if (file::FileDisk(*file).value != c.disk) continue;
-      if (c.many_runs) {
-        for (std::uint64_t i = 0; i < kSetupRemaps; ++i) {
+      if (c.remaps > 0) {
+        for (std::uint64_t i = 0; i < c.remaps; ++i) {
           auto fresh = files_->AllocateShadowBlocks(*file, 1);
           EXPECT_TRUE(fresh.ok());
           EXPECT_TRUE(files_
@@ -155,7 +171,7 @@ class ShadowApplyCrashTest : public ::testing::Test {
                                                    fresh->front().first}})
                           .ok());
         }
-        EXPECT_EQ(files_->FileRuns(*file)->size(), file::kDirectRuns - 1);
+        EXPECT_EQ(files_->FileRuns(*file)->size(), 2 * c.remaps + 1);
       } else if (c.fragmented) {
         (void)Disk(c.disk).AllocateSpecific(
             file::FileFitFragment(*file) + 1 + kFragmentsPerBlock,
@@ -337,12 +353,21 @@ TEST_F(ShadowApplyCrashTest, RemapNeedingAnIndirectBlockSurvivesEveryWrite) {
   RunMatrix(Shape::kIndirect);
 }
 
+// The existing indirect block is rewritten in place before the fragment:
+// a cut between the two leaves the old fragment, whose run count is two
+// short, beside the new runs. The table still loads, and recovery redoes
+// the commit over it.
+TEST_F(ShadowApplyCrashTest, RemapInsideAnIndirectBlockSurvivesEveryWrite) {
+  RunMatrix(Shape::kIndirectRewrite);
+}
+
 // Acknowledged at the force, then power is cut before anything else is
 // written: recovery redoes every shape from the log alone, and a remap's
 // replaced block is free again.
 TEST_F(ShadowApplyCrashTest, CrashAfterTheForceWithNothingWrittenIsRedone) {
   for (const Shape shape : {Shape::kTwoShadows, Shape::kWalAndShadow,
-                            Shape::kGrowth, Shape::kIndirect}) {
+                            Shape::kGrowth, Shape::kIndirect,
+                            Shape::kIndirectRewrite}) {
     const std::string where = Describe(shape, kTears[0], 0);
     Rebuild();
     const std::vector<FileCase> cases = Cases(shape);

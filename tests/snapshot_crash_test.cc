@@ -44,7 +44,7 @@ FileServiceConfig ServiceConfig() {
   FileServiceConfig c;
   // Write-through: every acked Write is durable, so the oracle below can
   // treat ack as a promise (delayed-write loss would muddy the matrix).
-  c.basic_write_policy = disk::WritePolicy::kWriteThrough;
+  c.basic_write_policy = file::WritePolicy::kWriteThrough;
   return c;
 }
 

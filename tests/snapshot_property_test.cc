@@ -39,7 +39,7 @@ disk::DiskServerConfig DiskConfig() {
 
 FileServiceConfig ServiceConfig() {
   FileServiceConfig c;
-  c.basic_write_policy = disk::WritePolicy::kWriteThrough;
+  c.basic_write_policy = file::WritePolicy::kWriteThrough;
   return c;
 }
 
