@@ -9,8 +9,15 @@
 // pays a reference; hit rates climb toward (1 - tracks/blocks); simulated
 // time drops accordingly. The no-cache column is the paper's "Bullet
 // server" cautionary tale.
+//
+// The last row stacks the file service's block pool (§5) on the track
+// cache: random re-reads of a working set larger than the pool but within
+// pool plus track-cache capacity. The pool evicts first an unread block
+// the track cache still holds, so the two levels keep few blocks twice
+// and a read rarely reaches the platter.
 #include "bench/bench_util.h"
 
+#include "common/rng.h"
 #include "disk/disk_server.h"
 
 namespace rhodos::bench {
@@ -101,6 +108,59 @@ void BM_WarmRereads(benchmark::State& state) {
   state.counters["cache_hit_rate"] = server.cache_stats().HitRate();
 }
 BENCHMARK(BM_WarmRereads)->Iterations(10);
+
+// 64-block pool over 16 cached tracks (128 blocks): 160 blocks fit the two
+// levels together, not the pool alone.
+void BM_PoolOverTrackCache_RandomRereads(benchmark::State& state) {
+  constexpr std::uint64_t kWorkingSet = 160;
+  constexpr int kWarm = 2000;
+  constexpr int kReads = 8000;
+  core::FacilityConfig config = DefaultFacility();
+  config.file.block_pool_capacity = 64;
+  config.disk_cache_tracks = 16;
+  core::DistributedFileFacility facility(config);
+  file::FileService& files = facility.files();
+  auto file = files.Create(file::ServiceType::kBasic,
+                           kWorkingSet * kBlockSize);
+  if (!file.ok() ||
+      !files.Write(*file, 0, Pattern(kWorkingSet * kBlockSize)).ok() ||
+      !files.FlushAll().ok()) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  Rng rng(5);
+  std::vector<std::uint8_t> out(kBlockSize);
+  auto read_random = [&] {
+    return files.Read(*file, rng.Below(kWorkingSet) * kBlockSize, out).ok();
+  };
+  for (auto _ : state) {
+    ColdCaches(facility);
+    for (int i = 0; i < kWarm; ++i) {
+      if (!read_random()) {
+        state.SkipWithError("read failed");
+        return;
+      }
+    }
+    facility.disks().ResetStats();
+    files.ResetStats();
+    const SimTime t0 = facility.clock().Now();
+    for (int i = 0; i < kReads; ++i) {
+      if (!read_random()) {
+        state.SkipWithError("read failed");
+        return;
+      }
+    }
+    const disk::DiskServer& disk = *facility.disks().disks().front();
+    state.counters["platter_refs_per_read"] =
+        static_cast<double>(TotalReadRefs(facility)) / kReads;
+    state.counters["pool_hit_rate"] =
+        static_cast<double>(files.stats().cache_hits) / kReads;
+    state.counters["track_hit_rate"] = disk.cache_stats().HitRate();
+    state.counters["sim_ms_per_read"] =
+        SimMillis(facility.clock().Now() - t0) / kReads;
+  }
+}
+BENCHMARK(BM_PoolOverTrackCache_RandomRereads)->Iterations(1);
 
 }  // namespace
 }  // namespace rhodos::bench

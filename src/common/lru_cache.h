@@ -5,8 +5,11 @@
 // It owns the key → entry map and the recency order, nothing else: each
 // cache keeps its own eviction policy and asks the container only for a
 // victim ("the least recent entry that satisfies a predicate, else the
-// least recent"). Lookups come in two kinds, Touch (refreshes recency) and
-// Peek (does not), so every call site says which one it means.
+// least recent"). The block pool keeps one more order beside it: its
+// first choice is the oldest unread block the track cache below still
+// holds, and only without one does it ask for the least recent clean
+// victim. Lookups come in two kinds, Touch (refreshes recency) and Peek
+// (does not), so every call site says which one it means.
 //
 // ForEach visits entries in the map's iteration order, which is a pure
 // function of the key history of inserts and erases. Callers whose visit

@@ -40,15 +40,24 @@ void SerializeAttributes(Serializer& out, const FileAttributes& a) {
   out.U64(a.origin);
 }
 
-FileAttributes DeserializeAttributes(Deserializer& in) {
+// Refuses a service type or locking level outside its enum: no writer
+// produces one.
+Result<FileAttributes> DeserializeAttributes(Deserializer& in) {
   FileAttributes a;
   a.size = in.U64();
   a.created_time = in.I64();
   a.last_read_time = in.I64();
   a.ref_count = in.U32();
   a.access_count = in.U64();
-  a.service_type = static_cast<ServiceType>(in.U8());
-  a.locking_level = static_cast<LockLevel>(in.U8());
+  const std::uint8_t service_type = in.U8();
+  const std::uint8_t locking_level = in.U8();
+  if (service_type > static_cast<std::uint8_t>(ServiceType::kTransaction) ||
+      locking_level > static_cast<std::uint8_t>(LockLevel::kFile)) {
+    return Error{ErrorCode::kMediaError,
+                 "file index table attribute outside its enum"};
+  }
+  a.service_type = static_cast<ServiceType>(service_type);
+  a.locking_level = static_cast<LockLevel>(locking_level);
   a.extra_space = in.U32();
   a.image_flags = in.U8();
   a.origin = in.U64();
@@ -304,7 +313,7 @@ Result<FitParseResult> ParseFitFragment(
     return Error{ErrorCode::kMediaError, "not a file index table"};
   }
   FitParseResult result;
-  result.table.attributes_ = DeserializeAttributes(in);
+  RHODOS_ASSIGN_OR_RETURN(result.table.attributes_, DeserializeAttributes(in));
   const std::uint32_t direct = in.U32();
   const std::uint32_t total_runs = in.U32();
   // The writer fills the direct runs first, then as many indirect blocks

@@ -391,21 +391,51 @@ Status FileService::WritebackEntry(const BlockKey& key, CacheEntry& entry) {
 }
 
 Status FileService::EvictOne() {
-  // Prefer the least-recently-used clean entry; if all are dirty or logged,
-  // write the LRU one back first.
-  const BlockKey* victim = cache_.Victim([](const BlockKey&,
-                                            const CacheEntry& e) {
-    return !e.dirty && !e.logged;
-  });
-  if (victim == nullptr) {
-    return {ErrorCode::kInternal, "evict from empty cache"};
+  // First choice: the oldest entry that no read has hit since it came in
+  // and whose block the track cache below still holds. Dropping it costs
+  // nothing now, since a later read of it reaches no platter either way.
+  // An examined entry that does not qualify loses its candidacy.
+  std::optional<BlockKey> victim;
+  while (!victim && !unread_.empty()) {
+    const Inserted item = unread_.front();
+    unread_.pop_front();
+    const CacheEntry* e = cache_.Peek(item.key);
+    if (e != nullptr && e->unread_seq == item.seq && !e->dirty &&
+        !e->logged && TrackCachedBlock(item.key.file, item.key.block)) {
+      victim = item.key;
+    }
+  }
+  if (!victim) {
+    // Else the least recent clean entry; if all are dirty or logged, write
+    // the least recent one back first.
+    const BlockKey* lru = cache_.Victim([](const BlockKey&,
+                                           const CacheEntry& e) {
+      return !e.dirty && !e.logged;
+    });
+    if (lru == nullptr) {
+      return {ErrorCode::kInternal, "evict from empty cache"};
+    }
+    victim = *lru;
   }
   const BlockKey key = *victim;
   CacheEntry& entry = *cache_.Peek(key);
+  const bool track_cached =
+      !entry.dirty && !entry.logged && TrackCachedBlock(key.file, key.block);
   RHODOS_RETURN_IF_ERROR(WritebackEntry(key, entry));
+  if (track_cached) ++stats_.track_cached_evictions;
   NoteDropped(entry);
   cache_.Erase(key);
   return OkStatus();
+}
+
+bool FileService::TrackCachedBlock(FileId id, std::uint64_t block) const {
+  const auto it = open_files_.find(id);
+  if (it == open_files_.end()) return false;
+  const auto loc = it->second.table.Locate(block);
+  if (!loc.ok()) return false;
+  const auto server = disks_->Get(loc->disk);
+  return server.ok() &&
+         (*server)->TrackCached(loc->first_fragment, kFragmentsPerBlock);
 }
 
 Result<FileService::CacheEntry*> FileService::CacheInsert(
@@ -427,11 +457,21 @@ Result<FileService::CacheEntry*> FileService::CacheInsert(
   const std::size_t capacity =
       std::max<std::size_t>(config_.block_pool_capacity, 1);
   while (cache_.size() >= capacity) RHODOS_RETURN_IF_ERROR(EvictOne());
+  if (unread_.size() >= 2 * capacity) {
+    // Stale items pile up only while drops, not evictions, make room:
+    // after this sweep at most `capacity` remain.
+    std::erase_if(unread_, [this](const Inserted& item) {
+      const CacheEntry* e = cache_.Peek(item.key);
+      return e == nullptr || e->unread_seq != item.seq;
+    });
+  }
+  const BlockKey key{id, block};
+  unread_.push_back(Inserted{key, ++insert_seq_});
   return &cache_.Insert(
-      BlockKey{id, block},
-      CacheEntry{std::vector<std::uint8_t>(data.begin(),
-                                           data.begin() + kBlockSize),
-                 dirty && !logged, /*prefetched=*/false, logged});
+      key, CacheEntry{std::vector<std::uint8_t>(data.begin(),
+                                                data.begin() + kBlockSize),
+                      dirty && !logged, /*prefetched=*/false, logged,
+                      insert_seq_});
 }
 
 // --- read path -------------------------------------------------------------------
@@ -456,6 +496,7 @@ Status FileService::ReadBlocks(FileId id, OpenFile& of, std::uint64_t first,
     if (CacheEntry* hit = cache_.Touch(BlockKey{id, b})) {
       std::memcpy(dst, hit->data.data(), kBlockSize);
       ++stats_.cache_hits;
+      hit->unread_seq = 0;
       if (hit->prefetched) {
         hit->prefetched = false;
         ++stats_.readahead_hits;
@@ -515,13 +556,7 @@ bool FileService::Resident(FileId id, std::uint64_t first,
     return false;
   }
   for (std::uint64_t b = first; b < end; ++b) {
-    if (cache_.Contains(BlockKey{id, b})) continue;
-    if (of == nullptr) return false;
-    auto loc = of->table.Locate(b);
-    if (!loc.ok()) return false;
-    auto server = disks_->Get(loc->disk);
-    if (!server.ok() ||
-        !(*server)->TrackCached(loc->first_fragment, kFragmentsPerBlock)) {
+    if (!cache_.Contains(BlockKey{id, b}) && !TrackCachedBlock(id, b)) {
       return false;
     }
   }
@@ -1720,6 +1755,7 @@ void FileService::Crash() {
   cache_.ForEach(
       [this](const BlockKey&, const CacheEntry& entry) { NoteDropped(entry); });
   cache_.Clear();
+  unread_.clear();
   ForgetTables(nullptr);
   // The share map and journal head are volatile; RecoverSnapshots rebuilds
   // them from the stable region.

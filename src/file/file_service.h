@@ -13,10 +13,13 @@
 //    blocks costs ONE get_block instead of n;
 //  * persists every file index table to stable storage ("a copy of the
 //    file index table is always available in stable storage");
-//  * caches data blocks in its block pool, an LRU cache of
+//  * caches data blocks in its block pool, a cache of
 //    `block_pool_capacity` blocks, with a delayed-write policy for basic
 //    files and write-through for transaction files ("the delayed-write
-//    together with write-through policies are adapted");
+//    together with write-through policies are adapted"). The pool evicts
+//    first the oldest block no read has hit since it came in whose
+//    fragments the disk's track cache still holds (a later read of it
+//    reaches no platter either way), else its least recent clean block;
 //  * may partition a file across disks — consecutive extents are placed by
 //    the registry's policy, which is how striping arises.
 //
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -95,6 +99,8 @@ struct FileServiceStats {
   std::uint64_t readahead_issued = 0;  // blocks prefetched speculatively
   std::uint64_t readahead_hits = 0;    // prefetched blocks later read
   std::uint64_t readahead_wasted = 0;  // prefetched blocks dropped unread
+  // Evictions of a clean block whose fragments its disk's track cache held.
+  std::uint64_t track_cached_evictions = 0;
   std::uint64_t snapshots = 0;         // Snapshot() captures
   std::uint64_t clones = 0;            // Clone() captures
   std::uint64_t cow_splits = 0;        // journaled copy-on-write splits
@@ -114,6 +120,8 @@ inline constexpr obs::CounterField<FileServiceStats> kFileServiceCounters[] = {
     {"file.readahead_issued", &FileServiceStats::readahead_issued},
     {"file.readahead_hits", &FileServiceStats::readahead_hits},
     {"file.readahead_wasted", &FileServiceStats::readahead_wasted},
+    {"file.cache.track_cached_evictions",
+     &FileServiceStats::track_cached_evictions},
     {"file.snapshots", &FileServiceStats::snapshots},
     {"file.clones", &FileServiceStats::clones},
     {"file.cow_splits", &FileServiceStats::cow_splits},
@@ -502,6 +510,9 @@ class FileService {
     // Written by a logged apply and not yet on its disk: the intention log
     // owns the write-back, so Sync skips it and eviction prefers others.
     bool logged = false;
+    // The insertion's sequence number in `unread_`, until a read hits the
+    // entry (then 0).
+    std::uint64_t unread_seq = 0;
   };
 
   // Soft attributes of a closed file whose last close found nothing else
@@ -600,7 +611,13 @@ class FileService {
   Result<CacheEntry*> CacheInsert(FileId id, std::uint64_t block,
                                   std::span<const std::uint8_t> data,
                                   bool dirty);
+  // Makes room for one block: drops the first entry of `unread_` that is
+  // clean, still unread and track-cached, else the least recent clean
+  // entry, else writes the least recent entry back and drops it.
   Status EvictOne();
+  // True iff `id`'s table is cached and all of `block`'s fragments sit in
+  // its disk's track cache, so reading the block reaches no platter.
+  bool TrackCachedBlock(FileId id, std::uint64_t block) const;
   Status WritebackEntry(const BlockKey& key, CacheEntry& entry);
   // Accounting hook for an entry leaving the cache (eviction, purge,
   // crash): an unread prefetched block counts as wasted read-ahead.
@@ -650,6 +667,15 @@ class FileService {
   // back into the table it folds into.
   std::unordered_map<FileId, ParkedAttrs> parked_attrs_;
   BlockLruCache<CacheEntry> cache_;
+  // Pool insertions in order, oldest first: the eviction candidates. An
+  // item whose entry has left the pool, came back under a later sequence
+  // number or was read since is stale; EvictOne pops each item once.
+  struct Inserted {
+    BlockKey key;
+    std::uint64_t seq = 0;
+  };
+  std::deque<Inserted> unread_;
+  std::uint64_t insert_seq_ = 0;
   // Mutation counters behind Version(). Entries outlive Delete on purpose
   // (see Version() comment); absent entries read as version 1.
   std::unordered_map<FileId, std::uint64_t> versions_;

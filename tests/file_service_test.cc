@@ -687,5 +687,204 @@ TEST_F(FileServiceTest, ContiguousReadIsOneDiskReference) {
   EXPECT_LE((*server)->main_stats().read_references, 2u);
 }
 
+// The block pool over a one-track track cache (paper §4, §5). Eviction
+// drops first the oldest block that no read has hit since it came in and
+// whose fragments the track cache still holds: a later read of it reaches
+// no platter either way. Otherwise it drops the least recent clean block.
+class PoolEvictionTest : public FileServiceTest {
+ protected:
+  static constexpr std::uint64_t kBlocks = 40;  // five tracks of 8 blocks
+
+  void SetUp() override {
+    disk::DiskServerConfig dc = DiskConfig();
+    dc.cache_capacity_tracks = 1;
+    disks_.AddDisk(dc, &clock_);
+    disk_ = *disks_.Get(DiskId{0});
+    FileServiceConfig cfg;
+    cfg.block_pool_capacity = 2;
+    cfg.readahead_blocks = 0;
+    service_ = std::make_unique<FileService>(&disks_, &clock_, cfg);
+    file_ = Make(1);
+    other_ = Make(2);
+    // x_: a block inside one track. y_ and z_ = y_ + 1: blocks inside one
+    // later track.
+    auto inside = [&](std::uint64_t b) {
+      return Fragment(b) / kTrack == (Fragment(b) + kFragmentsPerBlock - 1) /
+                                         kTrack;
+    };
+    x_ = 1;
+    while (!inside(x_)) ++x_;
+    y_ = x_ + 1;
+    while (!inside(y_) || !inside(y_ + 1) ||
+           Fragment(y_) / kTrack == Fragment(x_) / kTrack ||
+           Fragment(y_) / kTrack != Fragment(y_ + 1) / kTrack) {
+      ++y_;
+    }
+    z_ = y_ + 1;
+    ASSERT_LT(z_, kBlocks);
+    fx_ = Fragment(x_);
+    fy_ = Fragment(y_);
+    // Cold caches: the pool, the tables and the track cache.
+    ASSERT_TRUE(service_->FlushAll().ok());
+    service_->Crash();
+    disk_->Crash();
+    ASSERT_TRUE(disk_->Recover().ok());
+    service_->ResetStats();
+  }
+
+  FileId Make(std::uint8_t seed) {
+    auto file = service_->Create(ServiceType::kBasic, kBlocks * kBlockSize);
+    EXPECT_TRUE(file.ok());
+    EXPECT_TRUE(
+        service_->Write(*file, 0, Pattern(kBlocks * kBlockSize, seed)).ok());
+    EXPECT_TRUE(service_->Close(*file).ok());
+    return *file;
+  }
+  FragmentIndex Fragment(std::uint64_t block) {
+    return service_->LocateBlock(file_, block)->first_fragment;
+  }
+  bool TrackCached(FragmentIndex frag) {
+    return disk_->TrackCached(frag, kFragmentsPerBlock);
+  }
+  // The bytes block `b` of the file held when it was made.
+  std::vector<std::uint8_t> Made(std::uint64_t b, std::uint8_t seed = 1) {
+    const auto all = Pattern(kBlocks * kBlockSize, seed);
+    return {all.begin() + static_cast<std::ptrdiff_t>(b * kBlockSize),
+            all.begin() + static_cast<std::ptrdiff_t>((b + 1) * kBlockSize)};
+  }
+  std::vector<std::uint8_t> Read(std::uint64_t b, FileId file = {}) {
+    std::vector<std::uint8_t> out(kBlockSize);
+    EXPECT_TRUE(service_
+                    ->Read(file == FileId{} ? file_ : file, b * kBlockSize,
+                           out)
+                    .ok());
+    return out;
+  }
+  // In the pool, or in the track cache while file_'s table is cached.
+  bool Resident(std::uint64_t b) {
+    return service_->Resident(file_, b, b + 1);
+  }
+  std::uint64_t PlatterReads() {
+    return disk_->main_stats().read_references;
+  }
+
+  static constexpr FragmentIndex kTrack = 32;  // DiskConfig's track
+  disk::DiskServer* disk_ = nullptr;
+  FileId file_;
+  FileId other_;
+  std::uint64_t x_ = 0, y_ = 0, z_ = 0;
+  FragmentIndex fx_ = 0, fy_ = 0;
+};
+
+TEST_F(PoolEvictionTest, AnUnreadTrackCachedBlockGoesBeforeAnOlderOne) {
+  EXPECT_EQ(Read(x_), Made(x_));
+  EXPECT_EQ(Read(y_), Made(y_));
+  // The pool holds x_ then y_; the track cache now holds y_'s track only.
+  ASSERT_FALSE(TrackCached(fx_));
+  ASSERT_TRUE(TrackCached(fy_));
+  const std::uint64_t platter = PlatterReads();
+  EXPECT_EQ(Read(z_), Made(z_));  // a track-cache hit that fills the pool
+  EXPECT_EQ(PlatterReads(), platter);
+  EXPECT_EQ(service_->stats().track_cached_evictions, 1u);
+  // y_ went, though x_ is older: x_'s track is no longer cached.
+  EXPECT_TRUE(Resident(x_));
+  const std::uint64_t hits = service_->stats().cache_hits;
+  EXPECT_EQ(Read(x_), Made(x_));
+  EXPECT_EQ(service_->stats().cache_hits, hits + 1);
+  EXPECT_EQ(Read(y_), Made(y_));  // back from the track cache
+  EXPECT_EQ(PlatterReads(), platter);
+}
+
+TEST_F(PoolEvictionTest, ABlockThePoolServedIsNotChosen) {
+  EXPECT_EQ(Read(x_), Made(x_));
+  EXPECT_EQ(Read(y_), Made(y_));
+  EXPECT_EQ(Read(y_), Made(y_));  // a pool hit: y_ is no candidate now
+  ASSERT_TRUE(TrackCached(fy_));
+  EXPECT_EQ(Read(z_), Made(z_));
+  // Least recent clean: x_.
+  EXPECT_FALSE(Resident(x_));
+  EXPECT_EQ(service_->stats().track_cached_evictions, 0u);
+  const std::uint64_t hits = service_->stats().cache_hits;
+  EXPECT_EQ(Read(y_), Made(y_));
+  EXPECT_EQ(service_->stats().cache_hits, hits + 1);
+}
+
+TEST_F(PoolEvictionTest, DirtyAndLoggedBlocksAreNotChosen) {
+  for (const bool logged : {false, true}) {
+    SCOPED_TRACE(logged ? "logged" : "dirty");
+    service_->Crash();
+    EXPECT_EQ(Read(x_), Made(x_));
+    EXPECT_EQ(Read(y_), Made(y_));
+    const auto fresh = Pattern(kBlockSize, logged ? 7 : 9);
+    if (logged) {
+      FileService::LoggedApply apply(*service_);
+      ASSERT_TRUE(service_->WriteBlock(file_, y_, fresh).ok());
+    } else {
+      ASSERT_TRUE(service_->Write(file_, y_ * kBlockSize, fresh).ok());
+    }
+    ASSERT_TRUE(TrackCached(fy_));
+    const std::uint64_t writes = disk_->main_stats().write_references;
+    EXPECT_EQ(Read(z_), Made(z_));
+    // y_ waits in the pool for its disk; the clean x_ went.
+    EXPECT_EQ(disk_->main_stats().write_references, writes);
+    EXPECT_FALSE(Resident(x_));
+    EXPECT_EQ(Read(y_), fresh);
+  }
+}
+
+TEST_F(PoolEvictionTest, DirtyAndLoggedVictimsAreWrittenBack) {
+  EXPECT_EQ(Read(x_), Made(x_));
+  EXPECT_EQ(Read(y_), Made(y_));
+  const auto dx = Pattern(kBlockSize, 9);
+  const auto dy = Pattern(kBlockSize, 7);
+  ASSERT_TRUE(service_->Write(file_, x_ * kBlockSize, dx).ok());
+  {
+    FileService::LoggedApply apply(*service_);
+    ASSERT_TRUE(service_->WriteBlock(file_, y_, dy).ok());
+  }
+  // Nothing is clean: each whole-block write writes the least recent
+  // block back, first the dirty x_, then the logged y_.
+  const auto dz = Pattern(kBlockSize, 5);
+  const auto d0 = Pattern(kBlockSize, 3);
+  const std::uint64_t writes = disk_->main_stats().write_references;
+  ASSERT_TRUE(service_->Write(file_, z_ * kBlockSize, dz).ok());
+  EXPECT_EQ(disk_->main_stats().write_references, writes + 1);
+  ASSERT_TRUE(service_->Write(file_, 0, d0).ok());
+  EXPECT_EQ(disk_->main_stats().write_references, writes + 2);
+  EXPECT_EQ(service_->stats().track_cached_evictions, 0u);
+  EXPECT_EQ(Read(z_), dz);
+  EXPECT_EQ(Read(0), d0);
+  ASSERT_TRUE(service_->FlushAll().ok());
+  service_->Crash();
+  disk_->Crash();
+  ASSERT_TRUE(disk_->Recover().ok());
+  EXPECT_EQ(Read(x_), dx);
+  EXPECT_EQ(Read(y_), dy);
+  EXPECT_EQ(Read(z_), dz);
+  EXPECT_EQ(Read(0), d0);
+}
+
+TEST_F(PoolEvictionTest, ABlockWhoseTableIsNotCachedFallsBackToLru) {
+  ASSERT_TRUE(service_->Open(other_).ok());
+  EXPECT_EQ(Read(x_), Made(x_));
+  EXPECT_EQ(Read(y_), Made(y_));
+  ASSERT_TRUE(service_->Close(file_).ok());  // drops file_'s table
+  ASSERT_TRUE(TrackCached(fy_));
+  // A whole-block write to the open file takes a pool slot and reads
+  // nothing, so the track cache keeps y_'s track.
+  const auto fresh = Pattern(kBlockSize, 5);
+  ASSERT_TRUE(service_->Write(other_, 0, fresh).ok());
+  // file_'s table is not cached, so the pool cannot tell that y_'s track
+  // is: the least recent clean block, x_, went.
+  EXPECT_TRUE(Resident(y_));
+  EXPECT_FALSE(Resident(x_));
+  EXPECT_EQ(service_->stats().track_cached_evictions, 0u);
+  EXPECT_EQ(Read(0, other_), fresh);
+  EXPECT_EQ(Read(x_), Made(x_));
+  EXPECT_EQ(Read(y_), Made(y_));
+  EXPECT_EQ(Read(1, other_), Made(1, 2));
+  ASSERT_TRUE(service_->Close(other_).ok());
+}
+
 }  // namespace
 }  // namespace rhodos::file

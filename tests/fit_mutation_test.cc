@@ -2,9 +2,10 @@
 // bytes a crash or a damaged disk can leave behind. Every mutated image
 // must load the way FileService::LoadTable loads one — ParseFitFragment,
 // then ParseIndirectBlock for each indirect block it names — to an error
-// or to a table that is consistent with itself: every run holds
-// at least one block, Locate of every block lands in its run, and the
-// table serializes and loads back equal.
+// or to a table that is consistent with itself: its service type and
+// locking level are members of their enums, every run holds at least one
+// block, Locate of every block lands in its run, and the table serializes
+// and loads back equal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,8 @@ namespace rhodos::file {
 namespace {
 
 // Byte offsets of the fragment layout SerializeFragment writes.
+constexpr std::size_t kServiceTypeAt = 4 + 36;  // after magic and 5 fields
+constexpr std::size_t kLockingLevelAt = kServiceTypeAt + 1;
 constexpr std::size_t kDirectAt = 4 + 51;   // after magic and attributes
 constexpr std::size_t kTotalAt = kDirectAt + 4;
 constexpr std::size_t kRunsAt = kTotalAt + 4;
@@ -76,6 +79,14 @@ Result<FitParseResult> Load(const Image& img) {
 // Every block lands in a run that holds it, and the table loads back
 // equal from its own serialization.
 void ExpectSelfConsistent(const FileIndexTable& t) {
+  const FileAttributes& a = t.attributes();
+  ASSERT_TRUE(a.service_type == ServiceType::kBasic ||
+              a.service_type == ServiceType::kTransaction)
+      << "service type " << static_cast<int>(a.service_type);
+  ASSERT_TRUE(a.locking_level == LockLevel::kRecord ||
+              a.locking_level == LockLevel::kPage ||
+              a.locking_level == LockLevel::kFile)
+      << "locking level " << static_cast<int>(a.locking_level);
   std::uint64_t block = 0;
   for (const BlockDescriptor& run : t.runs()) {
     ASSERT_GT(run.contiguous_count, 0u) << "empty run at block " << block;
@@ -115,6 +126,7 @@ FileIndexTable BuildTable(Rng& rng) {
   a.access_count = rng.Below(100);
   a.service_type = rng.Chance(0.5) ? ServiceType::kBasic
                                    : ServiceType::kTransaction;
+  a.locking_level = static_cast<LockLevel>(rng.Below(3));
   a.image_flags = static_cast<std::uint8_t>(rng.Below(3));
   a.origin = rng.Below(1000);
   const std::size_t runs = kSizes[rng.Below(std::size(kSizes))];
@@ -215,7 +227,7 @@ void Mutate(Rng& rng, const FileIndexTable& t, Image& img) {
   const std::size_t refs_at = kRunsAt + direct * kRunBytes;
   const std::size_t used = refs_at + 4 + t.IndirectBlockCount() * kRunBytes;
   std::span<std::uint8_t> frag{img.fragment};
-  switch (rng.Below(7)) {
+  switch (rng.Below(8)) {
     case 0: {  // the fragment's bytes, mostly inside what the writer wrote
       const int flips = static_cast<int>(rng.Between(1, 4));
       for (int i = 0; i < flips; ++i) {
@@ -283,8 +295,13 @@ void Mutate(Rng& rng, const FileIndexTable& t, Image& img) {
         }
       }
       break;
-    default:  // a short read
+    case 6:  // a short read
       img.fragment_len = rng.Below(used + 1);
+      break;
+    default:  // an attribute enum byte: 0-3 (members and just past), or any
+      frag[rng.Chance(0.5) ? kServiceTypeAt : kLockingLevelAt] =
+          static_cast<std::uint8_t>(rng.Chance(0.5) ? rng.Below(4)
+                                                    : rng.Next());
       break;
   }
 }
@@ -338,6 +355,27 @@ TEST(FitMutationTest, AHeaderWhoseCountsDisagreeIsRefused) {
              kRunsAt + kDirectRuns * kRunBytes),
          2);
   EXPECT_EQ(Load(refs).code(), ErrorCode::kMediaError);
+}
+
+TEST(FitMutationTest, AnAttributeOutsideItsEnumIsRefused) {
+  FileIndexTable t;
+  ASSERT_TRUE(t.AppendRun(DiskId{0}, 1000, 2).ok());
+  t.attributes().service_type = ServiceType::kTransaction;
+  t.attributes().locking_level = LockLevel::kFile;
+  const Image good = Encode(t);
+  ASSERT_EQ(good.fragment[kServiceTypeAt], 1);
+  ASSERT_EQ(good.fragment[kLockingLevelAt], 2);
+  ASSERT_TRUE(Load(good).ok());
+  for (int v = 2; v < 256; ++v) {
+    Image img = good;
+    img.fragment[kServiceTypeAt] = static_cast<std::uint8_t>(v);
+    EXPECT_EQ(Load(img).code(), ErrorCode::kMediaError) << "service " << v;
+  }
+  for (int v = 3; v < 256; ++v) {
+    Image img = good;
+    img.fragment[kLockingLevelAt] = static_cast<std::uint8_t>(v);
+    EXPECT_EQ(Load(img).code(), ErrorCode::kMediaError) << "locking " << v;
+  }
 }
 
 // A crash between an indirect block's in-place rewrite and its fragment's
